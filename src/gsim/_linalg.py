@@ -72,25 +72,6 @@ def solve_complex(mat, rhs, label="matrix"):
     return np.linalg.solve(mat, rhs)
 
 
-def sqrt_det_rhp(mat, label="matrix"):
-    """Branch-resolved sqrt(det(mat)) for matrices with eigenvalues in Re > 0.
-
-    The Gaussian integrals behind the overlap kernels converge only when the
-    (complex symmetric) quadratic form has positive-definite real part; there
-    the analytic continuation of 1/sqrt(det) from the real positive cone is
-    the product of principal-branch eigenvalue square roots.
-    """
-    lam = np.linalg.eigvals(np.asarray(mat, dtype=complex))
-    if np.any(lam.real <= 0):
-        raise IllConditioned(f"{label} has eigenvalues off the right half-plane")
-    return complex(np.prod(np.sqrt(lam)))
-
-
-def is_symmetric(mat, tol=1e-10):
-    mat = np.asarray(mat)
-    return np.allclose(mat, mat.T, atol=tol)
-
-
 def min_eig_hermitian(mat):
     """Smallest eigenvalue of a Hermitian matrix (used by admissibility checks)."""
     return float(np.linalg.eigvalsh(np.asarray(mat)).min())

@@ -122,7 +122,7 @@ def build_initial(init: dict, modes: int) -> Superposition:
     return sup
 
 
-def _gate_from_op(op: dict, modes: int):
+def _gate_from_op(op: dict):
     name = op.get("gate")
     if name == "displace":
         return Displace(int(op["mode"]), _complex_from(op["alpha"], "ops.alpha"))
@@ -144,24 +144,15 @@ def apply_ops(state, ops, modes: int):
         where = f"ops[{k}]"
         if not isinstance(op, dict) or "gate" not in op:
             raise ValidationFailure(f"{where}: expected an object with a 'gate' field")
-        gate = _gate_from_op(op, modes)
-        if gate is not None:
-            touched = [
-                getattr(gate, name) for name in ("mode", "mode1", "mode2") if hasattr(gate, name)
-            ]
-            if any(m < 0 or m >= modes for m in touched):
-                raise ValidationFailure(f"{where}: mode index out of range")
-            u = GaussianUnitary.from_gates([gate], modes)
-            if isinstance(state, Superposition):
-                state = simulator.evolve(state, u)
-            else:
-                state = GaussianMixed(u.s @ state.cov @ u.s.T, u.s @ state.mean + u.d)
-            continue
         name = op["gate"]
-        if name == "symplectic":
-            smat = np.asarray(op["matrix"], dtype=float)
-            shift = np.asarray(op.get("shift", np.zeros(2 * modes)), dtype=float)
-            u = GaussianUnitary.from_symplectic_displacement(smat, shift)
+        gate = _gate_from_op(op)
+        if gate is not None or name == "symplectic":
+            if gate is not None:
+                u = GaussianUnitary.from_gates([gate], modes)
+            else:
+                smat = np.asarray(op["matrix"], dtype=float)
+                shift = np.asarray(op.get("shift", np.zeros(2 * modes)), dtype=float)
+                u = GaussianUnitary.from_symplectic_displacement(smat, shift)
             if isinstance(state, Superposition):
                 state = simulator.evolve(state, u)
             else:
@@ -238,17 +229,45 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
     if name == "breed_bound":
         return states.breeding_lower_bound(float(task["xi"])), None
     if name == "bs_bound":
-        cost, classical = states.boson_sampling_bound(int(task["mbar"]))
-        return {"extent_bound": cost, "nonclassicality_bound": classical}, None
+        def bounds(m):
+            cost, classical = states.boson_sampling_bound(m)
+            return {"extent_bound": cost, "nonclassicality_bound": classical}
+
+        mbar = int(task["mbar"])
+        if task.get("sweep", False):
+            return [{"mbar": m, **bounds(m)} for m in range(1, mbar + 1)], None
+        return bounds(mbar), None
     if name == "optimize_fidelity":
-        cfg = apps.OptimizerConfig.two_mode(
+        mode = task.get("mode", "two")
+        if mode == "two":
+            make, objective = apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity
+        elif mode == "single":
+            make, objective = apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity
+        else:
+            raise ValidationFailure("task.mode: expected 'two' or 'single'")
+        cfg = make(
             restarts=int(task.get("restarts", 32)),
             budget=int(task.get("budget", 20000)),
             seed=seed,
             threads=args.threads,
         )
-        res = apps.optimize_fidelity(cfg)
-        return {"fidelity": res.best_fidelity, "params": list(res.best_params)}, None
+        res = apps.optimize_fidelity(cfg, objective=objective)
+        return {
+            "fidelity": res.best_fidelity,
+            "params": list(res.best_params),
+            "evaluations": res.evaluations,
+        }, None
+    if name == "table1":
+        deltas = [float(d) for d in task.get("deltas", apps.GRID_EXTENT_TABLE)]
+        return [
+            {
+                "delta": r.delta,
+                "naive_extent": r.naive_extent,
+                "published_extent": r.published_extent,
+                "breeding_bound": r.breeding_bound,
+            }
+            for r in apps.report_table(deltas)
+        ], None
     raise ValidationFailure(f"task.name: unknown task {name!r}")
 
 
@@ -258,10 +277,7 @@ def result_document(task: str, inputs: dict, value, error_band, seed: int) -> di
         "inputs": inputs,
         "value": value,
         "error_band": error_band,
-        "counters": {
-            "amplitude_evals": counters.tally.amplitude_evals,
-            "samples": counters.tally.samples,
-        },
+        "counters": counters.tally.snapshot(),
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
     }
@@ -311,10 +327,6 @@ def _add_common(parser):
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--pfail", type=float, default=0.05)
     parser.add_argument("--ensemble-n", type=float, default=None, dest="ensemble_n")
-    parser.add_argument(
-        "--cutoff", type=int, default=None,
-        help="Fock cutoff for oracle-backed checks (reserved; exact tasks ignore it)",
-    )
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for optimizer restarts")
 
@@ -327,19 +339,53 @@ def _state_options(parser):
     parser.add_argument("--ring-n", type=int, default=16, dest="ring_n")
 
 
-def _state_from_args(args) -> Superposition:
-    init = {"kind": args.state.replace("-", "_")}
-    if args.state == "coherent":
-        init["alpha"] = args.alpha
-    elif args.state == "cat":
-        init.update(alpha=args.alpha, parity=args.parity)
-    elif args.state == "gkp":
-        init.update(delta=args.grid_delta, kappa=args.grid_delta)
-    elif args.state == "grid":
-        init["delta"] = args.grid_delta
-    elif args.state == "fock1-ring":
-        init["N"] = args.ring_n
-    return build_initial(init, 1)
+def lower(args) -> dict:
+    """The circuit program a subcommand stands for; common flags stay in ``args``."""
+    init = {"kind": "vacuum"}
+    if args.command in ("extent", "norm", "born"):
+        init = {"kind": args.state.replace("-", "_")}
+        if args.state == "coherent":
+            init["alpha"] = args.alpha
+        elif args.state == "cat":
+            init.update(alpha=args.alpha, parity=args.parity)
+        elif args.state == "gkp":
+            init.update(delta=args.grid_delta, kappa=args.grid_delta)
+        elif args.state == "grid":
+            init["delta"] = args.grid_delta
+        elif args.state == "fock1-ring":
+            init["N"] = args.ring_n
+    if args.command == "born":
+        re, im = (float(v) for v in args.outcome.split(","))
+        task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [[re, im]]}
+    elif args.command == "breed-bound":
+        task = {"name": "breed_bound", "xi": args.xi}
+    elif args.command == "bs-bound":
+        task = {"name": "bs_bound", "mbar": args.mbar, "sweep": args.sweep}
+    elif args.command == "optimize-fidelity":
+        task = {"name": "optimize_fidelity", "mode": args.mode, "restarts": args.restarts, "budget": args.budget}
+    elif args.command == "table1":
+        task = {"name": "table1", "deltas": [float(v) for v in args.deltas.split(",")]}
+    else:
+        task = {"name": args.command}
+    return {"schema_version": SCHEMA_VERSION, "modes": 1, "initial": init, "ops": [], "task": task}
+
+
+def execute(program: dict, source, args) -> int:
+    """Validate, build, apply and run one program, then emit its result document."""
+    import jsonschema
+
+    try:
+        jsonschema.validate(program, PROGRAM_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ValidationFailure(f"{'/'.join(str(p) for p in exc.path) or 'program'}: {exc.message}")
+    seed = int(program.get("seed", args.seed))
+    modes = int(program["modes"])
+    state = build_initial(program["initial"], modes)
+    state = apply_ops(state, program.get("ops", []), modes)
+    value, band = run_task(state, program["task"], seed, args)
+    doc = result_document(program["task"]["name"], {"program": source, "modes": modes}, value, band, seed)
+    emit(doc, args.format)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -374,13 +420,18 @@ def main(argv=None) -> int:
     _add_common(p_opt)
 
     p_tab = sub.add_parser("table1")
-    p_tab.add_argument("--deltas", default="0.3,0.2,0.1,0.05,0.025,0.01")
+    p_tab.add_argument("--deltas", default=",".join(str(d) for d in apps.GRID_EXTENT_TABLE))
     _add_common(p_tab)
 
     args = parser.parse_args(argv)
     counters.tally.reset()
     try:
-        return _dispatch(args)
+        if args.command == "run":
+            with open(args.program, "r", encoding="utf-8") as fh:
+                program = json.load(fh)
+            return execute(program, args.program, args)
+        program = lower(args)
+        return execute(program, program, args)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
@@ -393,118 +444,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "run":
-        with open(args.program, "r", encoding="utf-8") as fh:
-            program = json.load(fh)
-        import jsonschema
-
-        try:
-            jsonschema.validate(program, PROGRAM_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ValidationFailure(f"{'/'.join(str(p) for p in exc.path) or 'program'}: {exc.message}")
-        seed = int(program.get("seed", args.seed))
-        modes = int(program["modes"])
-        state = build_initial(program["initial"], modes)
-        state = apply_ops(state, program.get("ops", []), modes)
-        value, band = run_task(state, program["task"], seed, args)
-        doc = result_document(program["task"]["name"], {"program": args.program, "modes": modes}, value, band, seed)
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "extent":
-        sup = _state_from_args(args)
-        rep = states.measures(sup)
-        doc = result_document(
-            "extent",
-            {"state": args.state, "alpha": args.alpha},
-            {"extent_upper": rep.extent_upper, "rank": rep.rank, "l1_squared": rep.l1**2},
-            None,
-            args.seed,
-        )
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "norm":
-        sup = _state_from_args(args)
-        est = simulator.fast_norm(sup, args.epsilon, args.pfail, ensemble_n=args.ensemble_n, seed=args.seed)
-        doc = result_document("norm", {"state": args.state}, est.eta, list(est.band), args.seed)
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "born":
-        sup = _state_from_args(args)
-        re, im = (float(v) for v in args.outcome.split(","))
-        outcome = [complex(re, im)]
-        if args.approx:
-            est = simulator.approx_born(sup, outcome, args.delta, args.epsilon, args.pfail, seed=args.seed, ensemble_n=args.ensemble_n)
-            band = list(est.error_band)
-        else:
-            est = simulator.exact_born(sup, outcome)
-            band = None
-        doc = result_document("born", {"state": args.state, "outcome": [re, im], "method": est.method}, est.value, band, args.seed)
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "breed-bound":
-        doc = result_document("breed_bound", {"xi": args.xi}, states.breeding_lower_bound(args.xi), None, args.seed)
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "bs-bound":
-        if args.sweep:
-            rows = []
-            for m in range(1, args.mbar + 1):
-                cost, classical = states.boson_sampling_bound(m)
-                rows.append({"mbar": m, "extent_bound": cost, "nonclassicality_bound": classical})
-            doc = result_document("bs_bound", {"mbar": args.mbar}, rows, None, args.seed)
-        else:
-            cost, classical = states.boson_sampling_bound(args.mbar)
-            doc = result_document(
-                "bs_bound",
-                {"mbar": args.mbar},
-                {"extent_bound": cost, "nonclassicality_bound": classical},
-                None,
-                args.seed,
-            )
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "optimize-fidelity":
-        if args.mode == "two":
-            cfg = apps.OptimizerConfig.two_mode(restarts=args.restarts, budget=args.budget, seed=args.seed, threads=args.threads)
-            res = apps.optimize_fidelity(cfg)
-        else:
-            cfg = apps.OptimizerConfig.single_mode(restarts=args.restarts, budget=args.budget, seed=args.seed, threads=args.threads)
-            res = apps.optimize_fidelity(cfg, objective=apps.single_mode_fock1_fidelity)
-        doc = result_document(
-            "optimize_fidelity",
-            {"mode": args.mode, "restarts": args.restarts},
-            {"fidelity": res.best_fidelity, "params": list(res.best_params), "evaluations": res.evaluations},
-            None,
-            args.seed,
-        )
-        emit(doc, args.format)
-        return 0
-
-    if args.command == "table1":
-        deltas = [float(v) for v in args.deltas.split(",")]
-        rows = [
-            {
-                "delta": r.delta,
-                "naive_extent": r.naive_extent,
-                "published_extent": r.published_extent,
-                "breeding_bound": r.breeding_bound,
-            }
-            for r in apps.report_table(deltas)
-        ]
-        doc = result_document("table1", {"deltas": deltas}, rows, None, args.seed)
-        emit(doc, args.format)
-        return 0
-
-    raise ValidationFailure(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ class Tally:
             "amplitude_evals": self.amplitude_evals,
             "overlap_evals": self.overlap_evals,
             "samples": self.samples,
+            "clamped_densities": self.clamped_densities,
         }
 
 

@@ -19,3 +19,7 @@ class ReferenceDegenerate(GsimError, ValueError):
 
 class LeakageError(GsimError, ValueError):
     """Truncated Fock construction lost more amplitude than the tolerance."""
+
+
+class InvariantViolation(GsimError, ValueError):
+    """An internal self-consistency check failed; a numerical fault, not bad input."""

@@ -76,7 +76,7 @@ def check_gate_modes(gate: Gate, n: int) -> None:
     """Reject out-of-range (including negative) mode indices."""
     touched = [getattr(gate, name) for name in ("mode", "mode1", "mode2") if hasattr(gate, name)]
     if any(m < 0 or m >= n for m in touched):
-        raise ValueError(f"gate {gate!r} touches modes outside 0..{n - 1}")
+        raise ValueError(f"gate {gate!r}: mode index outside 0..{n - 1}")
     if isinstance(gate, BeamSplitter) and gate.mode1 == gate.mode2:
         raise ValueError("beamsplitter needs two distinct modes")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stellar
 from ._linalg import TOL_PSD, TOL_PURE, inv_psd, min_eig_hermitian, solve_psd
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, InvariantViolation
 from .symplectic import omega, require_symplectic
 
 Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
@@ -103,7 +103,7 @@ class GaussianPure:
         )
         mag = np.sqrt(max(fid, 0.0))
         if mag > 1e-150 and abs(abs(self.ref_overlap) - mag) > tol * max(mag, 1e-30):
-            raise ValueError(
+            raise InvariantViolation(
                 "ref_overlap modulus disagrees with the closed-form overlap "
                 f"({abs(self.ref_overlap):.3e} vs {mag:.3e})"
             )
@@ -299,7 +299,7 @@ def condition_on_generaldyne(state, meas: GeneralDyne, outcome):
     cov_ab = state.cov[np.ix_(ia, ib)]
     total = cov_b + meas.cov_m
     gain = cov_ab @ inv_psd(total, "sigma_B + sigma_m")
-    mean_a = state.mean[ia] - gain @ (outcome - state.mean[ib])
+    mean_a = state.mean[ia] + gain @ (outcome - state.mean[ib])
     new_cov = cov_a - gain @ cov_ab.T
     new_cov = 0.5 * (new_cov + new_cov.T)
     return GaussianMixed(new_cov, mean_a)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stellar
-from ._linalg import EPS_REF, solve_complex, sqrt_det_rhp
+from ._linalg import EPS_REF, solve_complex
 from .exceptions import DimensionMismatch, ReferenceDegenerate
 from .gates import Squeeze, program_symplectic
 from .gaussian import GaussianPure
 from .rng import stream
-from .symplectic import bloch_messiah, omega
+from .symplectic import omega
 
 
 def triple_kernel(cov1, cov2, mean1, mean2):
@@ -62,7 +62,8 @@ def triple_overlap(g0: GaussianPure, g1: GaussianPure, g2: GaussianPure) -> comp
     quad12 = float(d12 @ np.linalg.solve(total12, d12))
     quad0 = complex(d0 @ solve_complex(kernel0, d0, "sigma0 + Delta"))
     pref = 4.0**n / (
-        np.sqrt(float(np.linalg.det(total12))) * sqrt_det_rhp(kernel0, "sigma0 + Delta")
+        np.sqrt(float(np.linalg.det(total12)))
+        * np.exp(stellar._half_log_det_rhp(kernel0, "sigma0 + Delta"))
     )
     return complex(pref * np.exp(-quad12 - quad0))
 
@@ -144,35 +145,6 @@ def reanchor(states, g0_new: GaussianPure):
     return out
 
 
-def ref_overlap_bloch_messiah(cov, mean) -> complex:
-    """Vacuum amplitude <0|G> of the canonical Euler program for (cov, mean).
-
-    The pure state is factored as U (prod_i S(r_i) D(beta_i)) |0> with U
-    passive, and the amplitude is the per-mode product
-    (1 - t_i^2)^{1/4} exp((t_i beta_i^2 - |beta_i|^2) / 2), t_i = tanh(r_i).
-    The +1/4 exponent is pinned by the squeezed-vacuum amplitude
-    <0|S(r)|0> = (cosh r)^{-1/2}.
-    """
-    cov = np.asarray(cov, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    n = cov.shape[0] // 2
-    o1, z, o2 = bloch_messiah(cov)
-    # pure covariance is itself symplectic SPD: cov = O1 Z O1^T
-    rs = np.array([-0.5 * np.log(z[2 * k, 2 * k]) for k in range(n)])
-    smat = np.eye(2 * n)
-    for k in range(n):
-        # squeeze symplectic scales q by e^{-r}
-        smat[2 * k, 2 * k] = np.exp(-rs[k])
-        smat[2 * k + 1, 2 * k + 1] = np.exp(rs[k])
-    local_mean = np.linalg.solve(smat, o1.T @ mean)
-    beta = (local_mean[0::2] + 1j * local_mean[1::2]) / np.sqrt(2)
-    amp = 1.0 + 0.0j
-    for k in range(n):
-        t = np.tanh(rs[k])
-        amp *= (1.0 - t * t) ** 0.25 * np.exp(0.5 * (t * beta[k] ** 2 - abs(beta[k]) ** 2))
-    return complex(amp)
-
-
 @dataclass(frozen=True)
 class GaussianUnitary:
     """Gaussian unitary as (symplectic, displacement) plus its phase triple."""
@@ -229,8 +201,3 @@ def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:
     new_mean = op.s @ g.mean + op.d
     new_triple = stellar.apply_to_state(op.params, stellar.state_params(g))
     return GaussianPure(new_cov, new_mean, new_triple.c)
-
-
-def backend_overlap_stellar(g1: GaussianPure, g2: GaussianPure) -> complex:
-    """<G1|G2> via the holomorphic backend (independent of the triple product)."""
-    return stellar.state_overlap(stellar.state_params(g1), stellar.state_params(g2))

@@ -12,6 +12,3 @@ def stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     key = (int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(stream_id) & 0xFFFFFFFFFFFFFFFF)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def substreams(master_seed: int, count: int, base: int = 0):
-    return [stream(master_seed, base + k) for k in range(count)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import counters, stellar
 from .exceptions import DimensionMismatch
-from .gaussian import GaussianPure, GeneralDyne, condition_on_generaldyne
+from .gaussian import GaussianPure
 from .phase import GaussianUnitary, propagate
 from .rng import stream
 from .states import Superposition, WeightedGaussian
@@ -25,12 +25,6 @@ def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     """Term-wise Gaussian unitary; coefficients, rank and l1 are untouched."""
     entries = [WeightedGaussian(e.coeff, propagate(e.term, op)) for e in sup.entries]
     return Superposition(entries, l1=sup.l1)
-
-
-def husimi_moment_single(g: GaussianPure) -> float:
-    """Closed-form anti-ordered moment <n> + n_modes of one Gaussian term."""
-    n = g.n
-    return float(np.trace(g.cov) / 4 + g.mean @ g.mean / 2 + n / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +56,6 @@ def condition(sup: Superposition, modes, outcome):
     ka = np.asarray(kept, dtype=int)
     kb = np.asarray(measured, dtype=int)
     xb = np.conj(outcome)
-    quad_outcome = np.empty(2 * len(measured))
-    quad_outcome[0::2] = np.sqrt(2) * outcome.real
-    quad_outcome[1::2] = np.sqrt(2) * outcome.imag
 
     entries = []
     for e in sup.entries:
@@ -84,27 +75,12 @@ def condition(sup: Superposition, modes, outcome):
         if weight_sq <= 0.0:
             continue
         nu = math.sqrt(weight_sq)
-        # covariance route gives the same state; kept as the structural source
-        reordered = _permute_state(e.term, kept + measured)
-        cond = condition_on_generaldyne(reordered.as_mixed(), _measure_tail(len(kept), len(measured)), quad_outcome)
-        term = GaussianPure(cond.cov, cond.mean, c_new / nu)
-        entries.append(WeightedGaussian(e.coeff * nu, term))
+        cov, mean = stellar.pure_state_moments(reduced.a, reduced.b)
+        entries.append(WeightedGaussian(e.coeff * nu, GaussianPure(cov, mean, c_new / nu)))
     if not entries:
         raise ValueError("all terms annihilated by the conditioning outcome")
     out = Superposition(entries)
     return out, out.norm_squared()
-
-
-def _measure_tail(n_keep: int, n_meas: int) -> GeneralDyne:
-    return GeneralDyne.heterodyne(range(n_keep, n_keep + n_meas))
-
-
-def _permute_state(g: GaussianPure, order) -> GaussianPure:
-    idx = []
-    for m in order:
-        idx.extend([2 * m, 2 * m + 1])
-    idx = np.asarray(idx)
-    return GaussianPure(g.cov[np.ix_(idx, idx)], g.mean[idx], g.ref_overlap)
 
 
 def heterodyne_density(sup: Superposition, modes, outcome) -> float:
@@ -365,20 +341,6 @@ def hoeffding_tail_check(
         if dist_sq > nsq_omega - 1.0 + delta**2:
             exceed += 1
     return TailReport(exceed / trials, bound, f_used, trials, exceed)
-
-
-def seddon_critical_precision(sup: Superposition):
-    """Threshold precision of the ensemble (post-selection-free) variant.
-
-    Returns (C, delta_c) with C = l1 * sum_i |c_i| |<psi|G_i>|^2 and
-    delta_c = 8 (C - 1) / l1^2.  The sampling variant itself is documented
-    but not implemented; for coarser targets delta >= delta_c it admits rank
-    ceil(4 l1^2 / delta) per drawn pure state.
-    """
-    c = sup.coefficients()
-    overlaps = np.abs(sup.gram @ c) ** 2
-    big_c = sup.l1 * float(np.sum(np.abs(c) * overlaps))
-    return big_c, 8.0 * (big_c - 1.0) / sup.l1**2
 
 
 def sample_ensemble_member(ensemble, seed: int = 0) -> Superposition:

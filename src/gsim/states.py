@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import counters, stellar
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, InvariantViolation
 from .gates import Displace, PhaseShift, Squeeze
 from .gaussian import GaussianPure
 from .phase import GaussianUnitary, propagate
@@ -96,7 +96,7 @@ class Superposition:
         c = self.coefficients()
         val = float(np.real(np.conj(c) @ self.gram @ c))
         if val < -1e-8 * max(self.l1**2, 1.0):
-            raise ValueError("Gram form is non-positive beyond tolerance; phases corrupted")
+            raise InvariantViolation("Gram form is non-positive beyond tolerance; phases corrupted")
         return max(val, 0.0)
 
     def aggregated(self):

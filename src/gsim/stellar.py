@@ -81,6 +81,24 @@ def mixed_state_params(cov, mean) -> StellarParams:
     return StellarParams(a_rho, b_rho, c_rho)
 
 
+def pure_state_moments(a, b):
+    """(cov, mean) of the pure state with ket triple (A, b, .); inverts pure_state_params.
+
+    For pure states A_rho = conj(A) (+) A and b_rho = (conj(b), b), so with
+    B unitary (B^{-T} = conj(B)): P = conj(B) (J - A_rho) B^H / 2 = (sigma + 1)^{-1},
+    sigma = P^{-1} - 1 and mean = P^{-1} conj(B) b_rho / 2.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = b.shape[0]
+    bconj = np.conj(_complex_basis(n))
+    form = np.block([[-np.conj(a), np.eye(n)], [np.eye(n), -a]])
+    p_inv = np.linalg.inv(0.5 * (bconj @ form @ bconj.T).real)
+    cov = p_inv - np.eye(2 * n)
+    mean = 0.5 * p_inv @ (bconj @ np.concatenate([np.conj(b), b])).real
+    return 0.5 * (cov + cov.T), mean
+
+
 def pure_state_params(cov, mean):
     """(A, b, |c|) of the pure state with given covariance and mean.
 

@@ -4,8 +4,10 @@ import sys
 
 import jsonschema
 import numpy as np
+import pytest
 
-from gsim import cli
+from gsim import cli, fock, stellar
+from gsim.gates import BeamSplitter, Squeeze
 
 
 def run_cli(argv, capsys):
@@ -242,3 +244,98 @@ def test_beamsplitter_repeated_mode_rejected(tmp_path, capsys):
     path.write_text(json.dumps(program))
     code, _, _ = run_cli(["run", str(path)], capsys)
     assert code == 2
+
+
+def test_conditioning_correlated_terms_vs_oracle(tmp_path, capsys):
+    # squeezed terms correlated across the cut by a beamsplitter, then
+    # heterodyne conditioning at a nonzero outcome
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "seed": 7,
+        "initial": {"kind": "cat", "alpha": 1.0, "parity": "+"},
+        "ops": [
+            {"gate": "squeeze", "mode": 0, "r": 0.5},
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[0.5, 0.3]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.2, -0.1]]},
+    }
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 0, err
+    cut = 40
+    cat = fock.coherent_column(1.0, cut) + fock.coherent_column(-1.0, cut)
+    vec = fock.FockVector(np.multiply.outer(cat, np.eye(cut)[0]).astype(complex), cut)
+    for gate in (Squeeze(0, 0.5), BeamSplitter(0, 1, 0.6)):
+        vec = fock.apply_gate(vec, gate)
+    assert vec.edge_mass() < 1e-15
+    target = fock.oracle_born(fock.condition_on_coherent(vec, 1, 0.5 + 0.3j), [0.2 - 0.1j])
+    assert abs(json.loads(out)["value"] - target) < 1e-10
+
+
+def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
+    # a corrupted conditioning weight breaks the ref-overlap modulus invariant
+    true_norm = stellar.state_norm_squared
+    monkeypatch.setattr(stellar, "state_norm_squared", lambda t: 4.0 * true_norm(t))
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "cat", "alpha": 1.0},
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[0.5, 0.3]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.0, 0.0]]},
+    }
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, _, err = run_cli(["run", str(path)], capsys)
+    assert code == 3
+    assert "numerical failure" in err and "ref_overlap" in err
+
+
+CAT = {"kind": "cat", "alpha": 1.0, "parity": "+"}
+VACUUM = {"kind": "vacuum"}
+
+
+@pytest.mark.parametrize(
+    "argv, initial, task",
+    [
+        (["extent", "--state", "cat"], CAT, {"name": "extent"}),
+        (["norm", "--state", "vacuum"], VACUUM, {"name": "norm"}),
+        (
+            ["born", "--state", "fock1-ring", "--ring-n", "4", "--outcome", "0.3,-0.2"],
+            {"kind": "fock1_ring", "N": 4},
+            {"name": "exact_born", "outcome": [[0.3, -0.2]]},
+        ),
+        (["born", "--state", "cat", "--approx"], CAT, {"name": "approx_born", "outcome": [[0.0, 0.0]]}),
+        (["breed-bound", "--xi", "7.496"], VACUUM, {"name": "breed_bound", "xi": 7.496}),
+        (["bs-bound", "--mbar", "10"], VACUUM, {"name": "bs_bound", "mbar": 10}),
+        (["bs-bound", "--mbar", "5", "--sweep"], VACUUM, {"name": "bs_bound", "mbar": 5, "sweep": True}),
+        (
+            ["optimize-fidelity", "--mode", "two", "--restarts", "2", "--budget", "200"],
+            VACUUM,
+            {"name": "optimize_fidelity", "mode": "two", "restarts": 2, "budget": 200},
+        ),
+        (
+            ["optimize-fidelity", "--mode", "single", "--restarts", "2", "--budget", "200"],
+            VACUUM,
+            {"name": "optimize_fidelity", "mode": "single", "restarts": 2, "budget": 200},
+        ),
+        (["table1", "--deltas", "0.3,0.1"], VACUUM, {"name": "table1", "deltas": [0.3, 0.1]}),
+    ],
+)
+def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
+    seed = 9
+    code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
+    assert code == 0, err
+    program = {"schema_version": 1, "modes": 1, "seed": seed, "initial": initial, "task": task}
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, run_out, err = run_cli(["run", str(path)], capsys)
+    assert code == 0, err
+    doc, run_doc = json.loads(out), json.loads(run_out)
+    assert doc["value"] == run_doc["value"]
+    assert doc["error_band"] == run_doc["error_band"]

@@ -133,7 +133,8 @@ def test_oracle_matches_engine_on_random_programs(rng):
 def test_three_mode_engine_vs_oracle(rng):
     # spectator axes exercise the tensor paths the two-mode tests never hit
     from conftest import engine_state
-    from gsim.phase import overlap, backend_overlap_stellar
+    from gsim import stellar
+    from gsim.phase import overlap
 
     for _ in range(3):
         p1 = random_pure_program(3, rng, alpha_max=0.8, r_max=0.5)
@@ -143,7 +144,7 @@ def test_three_mode_engine_vs_oracle(rng):
         f2 = fock.oracle_state(p2, 3, cutoff=32)
         target = fock.oracle_overlap(f1, f2)
         assert abs(overlap(g1, g2) - target) < 1e-9
-        assert abs(backend_overlap_stellar(g1, g2) - target) < 1e-9
+        assert abs(stellar.state_overlap(g1.bargmann, g2.bargmann) - target) < 1e-9
         xi = 0.4 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         amp_engine = __import__("gsim.stellar", fromlist=["coherent_amplitude"]).coherent_amplitude(
             g1.bargmann, xi

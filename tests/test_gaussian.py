@@ -195,6 +195,23 @@ class TestConditioning:
         out = condition_on_generaldyne(state, GeneralDyne.heterodyne([1]), state.mean[2:])
         assert np.allclose(out.mean, state.mean[:2], atol=1e-12)
 
+    def test_correlated_nonzero_outcome_matches_triple_route(self):
+        # squeezing correlated across the cut by a beamsplitter, conditioned
+        # at an outcome away from the measured mean (nonzero innovation)
+        from gsim.simulator import condition
+        from gsim.states import single_gaussian
+
+        gates = [Displace(0, 0.3 - 0.2j), Squeeze(0, 0.5), BeamSplitter(0, 1, 0.6)]
+        g = engine_state(gates, 2)
+        xi = 0.5 + 0.3j
+        r = np.sqrt(2) * np.array([xi.real, xi.imag])
+        assert np.linalg.norm(r - g.mean[2:]) > 0.1
+        assert np.max(np.abs(g.cov[:2, 2:])) > 0.1
+        triple_route = condition(single_gaussian(g), [1], [xi])[0].entries[0].term
+        out = condition_on_generaldyne(g.as_mixed(), GeneralDyne.heterodyne([1]), r)
+        assert np.max(np.abs(out.cov - triple_route.cov)) < 1e-10
+        assert np.max(np.abs(out.mean - triple_route.mean)) < 1e-10
+
     def test_two_mode_squeezed_conditioning_vs_oracle(self):
         r = 0.5
         gates = [

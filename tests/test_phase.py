@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from gsim import fock
+from gsim import fock, stellar
 from gsim.exceptions import DimensionMismatch, ReferenceDegenerate
 from gsim.gates import Displace, Squeeze, program_symplectic
 from gsim.gaussian import GaussianPure, fidelity_pure
 from gsim.phase import (
     GaussianUnitary,
-    backend_overlap_stellar,
     overlap,
     propagate,
     reanchor,
-    ref_overlap_bloch_messiah,
     triple_overlap,
 )
 
@@ -98,7 +96,7 @@ class TestOverlap:
             for _ in range(334):
                 i, j = rng.choice(40, size=2, replace=False)
                 a = overlap(pool[int(i)], pool[int(j)])
-                b = backend_overlap_stellar(pool[int(i)], pool[int(j)])
+                b = stellar.state_overlap(pool[int(i)].bargmann, pool[int(j)].bargmann)
                 worst = max(worst, abs(a - b))
         assert worst < 1e-8
 
@@ -142,28 +140,6 @@ class TestReanchor:
         h1, _ = reanchor([g1, g2], g1)
         with pytest.raises(ValueError):
             overlap(h1, g2)
-
-
-class TestReferenceOverlapEuler:
-    def test_vacuum(self):
-        assert abs(ref_overlap_bloch_messiah(np.eye(2), np.zeros(2)) - 1.0) < 1e-12
-
-    def test_squeezed_vacuum(self):
-        sq = engine_state([Squeeze(0, 1.0)], 1)
-        val = ref_overlap_bloch_messiah(sq.cov, sq.mean)
-        assert abs(val - np.cosh(1.0) ** -0.5) < 1e-10
-
-    def test_coherent(self):
-        coh = GaussianPure.coherent([1.0])
-        assert abs(ref_overlap_bloch_messiah(coh.cov, coh.mean) - np.exp(-0.5)) < 1e-10
-
-    def test_magnitude_matches_fidelity(self, rng):
-        for n in (1, 2):
-            for _ in range(20):
-                g = engine_state(random_pure_program(n, rng, 1.2, 0.9), n)
-                val = ref_overlap_bloch_messiah(g.cov, g.mean)
-                mag = np.sqrt(fidelity_pure(GaussianPure.vacuum(n).as_mixed(), g))
-                assert abs(abs(val) - mag) < 1e-9
 
 
 class TestPropagate:
@@ -216,7 +192,7 @@ def test_oracle_agreement_small(rng):
             f2 = fock.oracle_state(p2, n, cutoff=cut)
             target = fock.oracle_overlap(f1, f2)
             assert abs(overlap(g1, g2) - target) < 1e-9
-            assert abs(backend_overlap_stellar(g1, g2) - target) < 1e-9
+            assert abs(stellar.state_overlap(g1.bargmann, g2.bargmann) - target) < 1e-9
 
 
 def test_triple_kernel_reduces_for_coherent_pair():

@@ -18,9 +18,7 @@ from gsim.simulator import (
     gaussian_fidelity_lower_bound,
     heterodyne_density,
     hoeffding_tail_check,
-    husimi_moment_single,
     sample_ensemble_member,
-    seddon_critical_precision,
     sparsify,
 )
 from gsim.states import Superposition, WeightedGaussian, cat_state, fock1_ring, measures, optimal_fock1_seed, single_gaussian
@@ -216,7 +214,7 @@ class TestFastNorm:
     def test_sample_count_formula(self):
         sup = single_gaussian(GaussianPure.vacuum(1))
         est = fast_norm(sup, 0.2, 0.1, ensemble_n=20.0, seed=0)
-        delta = husimi_moment_single(sup.entries[0].term) / 20.0
+        delta = sup.mean_photon_husimi() / 20.0
         expected = math.ceil((0.5 * 20.0 + delta * np.pi) / np.pi / (0.2**2 * 0.1))
         assert est.samples == expected
         assert est.delta_bias == pytest.approx(delta)
@@ -292,15 +290,6 @@ class TestTailAndEnsemble:
         expected = (1 + np.exp(-2.0)) ** 2 / (2 * (1 + np.exp(-2.0)))
         assert abs(f - expected) < 1e-10
 
-    def test_seddon_constants(self):
-        sup = cat_state(1.0, +1)
-        big_c, delta_c = seddon_critical_precision(sup)
-        assert big_c >= 1.0 - 1e-9
-        assert delta_c == pytest.approx(8 * (big_c - 1) / sup.l1**2)
-        ring = fock1_ring(optimal_fock1_seed(), 8)
-        big_c2, delta_c2 = seddon_critical_precision(ring)
-        assert big_c2 > 1.0 and delta_c2 > 0.0
-
     def test_ensemble_sampling(self):
         a = single_gaussian(GaussianPure.vacuum(1))
         b = cat_state(1.0, +1)
@@ -358,7 +347,7 @@ def test_fast_norm_moments_by_quadrature():
     x_vals = n_ens * np.abs(amps) ** 2
     mean_x = float(np.sum(weights * x_vals) * step * step)
     mean_x2 = float(np.sum(weights * x_vals**2) * step * step)
-    moment = husimi_moment_single(term)
+    moment = sup.mean_photon_husimi()
     assert (1.0 - moment / n_ens) - 1e-6 <= mean_x <= 1.0 + 1e-6
     assert mean_x2 <= n_ens / 2 + 1e-6
     # vacuum saturates the second-moment bound

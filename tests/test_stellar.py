@@ -4,6 +4,7 @@ import pytest
 from gsim import fock, stellar
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
+from gsim.symplectic import random_symplectic
 
 
 from conftest import engine_state, random_pure_program
@@ -43,6 +44,16 @@ class TestStateParams:
         assert np.max(np.abs(rho.a[:2, 2:])) < 1e-9
         assert np.max(np.abs(rho.b[2:] - psi.b)) < 1e-9
         assert abs(rho.c - abs(psi.c) ** 2) < 1e-9
+
+    def test_pure_state_moments_inverts_params(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(20):
+                s = random_symplectic(n, rng)
+                cov, mean = s @ s.T, rng.normal(size=2 * n)
+                a, b, _ = stellar.pure_state_params(cov, mean)
+                cov_back, mean_back = stellar.pure_state_moments(a, b)
+                assert np.max(np.abs(cov_back - cov)) < 1e-12
+                assert np.max(np.abs(mean_back - mean)) < 1e-12
 
     def test_norm_one_and_spectral_radius(self, rng):
         for _ in range(25):
