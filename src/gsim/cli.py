@@ -43,9 +43,12 @@ RESULT_SCHEMA = {
     },
 }
 
+# tasks that take no state, so their programs need no ``initial``
+STATE_FREE_TASKS = ("breed_bound", "bs_bound", "optimize_fidelity", "table1")
+
 PROGRAM_SCHEMA = {
     "type": "object",
-    "required": ["schema_version", "modes", "initial", "task"],
+    "required": ["schema_version", "modes", "task"],
     "properties": {
         "schema_version": {"type": "integer"},
         "modes": {"type": "integer", "minimum": 1},
@@ -341,7 +344,7 @@ def _state_options(parser):
 
 def lower(args) -> dict:
     """The circuit program a subcommand stands for; common flags stay in ``args``."""
-    init = {"kind": "vacuum"}
+    program = {"schema_version": SCHEMA_VERSION, "modes": 1}
     if args.command in ("extent", "norm", "born"):
         init = {"kind": args.state.replace("-", "_")}
         if args.state == "coherent":
@@ -354,6 +357,7 @@ def lower(args) -> dict:
             init["delta"] = args.grid_delta
         elif args.state == "fock1-ring":
             init["N"] = args.ring_n
+        program.update(initial=init, ops=[])
     if args.command == "born":
         re, im = (float(v) for v in args.outcome.split(","))
         task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [[re, im]]}
@@ -367,7 +371,8 @@ def lower(args) -> dict:
         task = {"name": "table1", "deltas": [float(v) for v in args.deltas.split(",")]}
     else:
         task = {"name": args.command}
-    return {"schema_version": SCHEMA_VERSION, "modes": 1, "initial": init, "ops": [], "task": task}
+    program["task"] = task
+    return program
 
 
 def execute(program: dict, source, args) -> int:
@@ -380,8 +385,12 @@ def execute(program: dict, source, args) -> int:
         raise ValidationFailure(f"{'/'.join(str(p) for p in exc.path) or 'program'}: {exc.message}")
     seed = int(program.get("seed", args.seed))
     modes = int(program["modes"])
-    state = build_initial(program["initial"], modes)
-    state = apply_ops(state, program.get("ops", []), modes)
+    state = None
+    if "initial" in program:
+        state = build_initial(program["initial"], modes)
+        state = apply_ops(state, program.get("ops", []), modes)
+    elif program["task"]["name"] not in STATE_FREE_TASKS:
+        raise ValidationFailure(f"initial: task {program['task']['name']!r} needs an initial state")
     value, band = run_task(state, program["task"], seed, args)
     doc = result_document(program["task"]["name"], {"program": source, "modes": modes}, value, band, seed)
     emit(doc, args.format)

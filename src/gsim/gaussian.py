@@ -121,6 +121,15 @@ class GaussianPure:
         return stellar.StellarParams(a, b, self.ref_overlap)
 
     @classmethod
+    def from_triple(cls, cov, mean, triple) -> "GaussianPure":
+        """Term whose ket triple is already known: c is its ref_overlap, and
+        ``bargmann`` returns ``triple`` instead of re-deriving (A, b) from
+        (cov, mean).  Runs every construction check."""
+        g = cls(cov, mean, triple.c)
+        g.__dict__["bargmann"] = triple
+        return g
+
+    @classmethod
     def vacuum(cls, n: int) -> "GaussianPure":
         return cls(np.eye(2 * n), np.zeros(2 * n), 1.0 + 0.0j)
 

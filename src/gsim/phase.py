@@ -200,4 +200,4 @@ def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:
     new_cov = 0.5 * (new_cov + new_cov.T)
     new_mean = op.s @ g.mean + op.d
     new_triple = stellar.apply_to_state(op.params, stellar.state_params(g))
-    return GaussianPure(new_cov, new_mean, new_triple.c)
+    return GaussianPure.from_triple(new_cov, new_mean, new_triple)

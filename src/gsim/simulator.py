@@ -57,10 +57,9 @@ def condition(sup: Superposition, modes, outcome):
     kb = np.asarray(measured, dtype=int)
     xb = np.conj(outcome)
 
-    entries = []
+    reduced = []
     for e in sup.entries:
         t = stellar.state_params(e.term)
-        a_aa = t.a[np.ix_(ka, ka)]
         a_ab = t.a[np.ix_(ka, kb)]
         a_bb = t.a[np.ix_(kb, kb)]
         log_c = (
@@ -70,13 +69,17 @@ def condition(sup: Superposition, modes, outcome):
             + 0.5 * xb @ a_bb @ xb
         )
         c_new = stellar._exp_or_zero(log_c)
-        reduced = stellar.StellarParams(a_aa, t.b[ka] + a_ab @ xb, c_new)
-        weight_sq = stellar.state_norm_squared(reduced)
+        reduced.append(stellar.StellarParams(t.a[np.ix_(ka, ka)], t.b[ka] + a_ab @ xb, c_new))
+    a, b, c = stellar.stack(reduced)
+    weights_sq = stellar.state_overlaps(a, b, c, a, b, c).real
+    entries = []
+    for e, r, weight_sq in zip(sup.entries, reduced, weights_sq):
         if weight_sq <= 0.0:
             continue
         nu = math.sqrt(weight_sq)
-        cov, mean = stellar.pure_state_moments(reduced.a, reduced.b)
-        entries.append(WeightedGaussian(e.coeff * nu, GaussianPure(cov, mean, c_new / nu)))
+        cov, mean = stellar.pure_state_moments(r.a, r.b)
+        term = GaussianPure.from_triple(cov, mean, stellar.StellarParams(r.a, r.b, r.c / nu))
+        entries.append(WeightedGaussian(e.coeff * nu, term))
     if not entries:
         raise ValueError("all terms annihilated by the conditioning outcome")
     out = Superposition(entries)
@@ -169,25 +172,23 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
         if i not in folded:
             e = sup.entries[i]
             phase = e.coeff / abs(e.coeff)
-            folded[i] = GaussianPure(e.term.cov, e.term.mean, e.term.ref_overlap * phase)
+            t = stellar.state_params(e.term)
+            folded[i] = GaussianPure.from_triple(
+                e.term.cov, e.term.mean, stellar.StellarParams(t.a, t.b, t.c * phase)
+            )
         entries.append(WeightedGaussian(sup.l1 / k, folded[i]))
     return Superposition(entries, l1=sup.l1)
 
 
 def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions (deduplicated pairwise overlaps)."""
-    ta = {id(e.term): stellar.state_params(e.term) for e in a.entries}
-    tb = {id(e.term): stellar.state_params(e.term) for e in b.entries}
-    cache: dict[tuple, complex] = {}
-    total = 0.0 + 0.0j
-    for ea in a.entries:
-        for eb in b.entries:
-            key = (id(ea.term), id(eb.term))
-            if key not in cache:
-                counters.tally.overlap_evals += 1
-                cache[key] = stellar.state_overlap(ta[id(ea.term)], tb[id(eb.term)])
-            total += np.conj(ea.coeff) * eb.coeff * cache[key]
-    return complex(total)
+    ta, ca = a.aggregated()
+    tb, cb = b.aggregated()
+    a1, b1, c1 = stellar.stack([stellar.state_params(t) for t in ta])
+    a2, b2, c2 = stellar.stack([stellar.state_params(t) for t in tb])
+    i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))
+    pairs = stellar.state_overlaps(a1[i], b1[i], c1[i], a2[j], b2[j], c2[j])
+    return complex(np.conj(ca) @ pairs.reshape(len(ta), len(tb)) @ cb)
 
 
 # ---------------------------------------------------------------------------

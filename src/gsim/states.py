@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import counters, stellar
+from . import stellar
 from .exceptions import DimensionMismatch, InvariantViolation
 from .gates import Displace, PhaseShift, Squeeze
 from .gaussian import GaussianPure
@@ -82,13 +82,11 @@ class Superposition:
                 slots.append(e.term)
             # shared term objects (e.g. after sparsification) reuse one row
         chi = len(slots)
-        triples = [stellar.state_params(t) for t in slots]
+        a, b, c = stellar.stack([stellar.state_params(t) for t in slots])
+        i, j = np.triu_indices(chi, 1)
         small = np.eye(chi, dtype=complex)
-        for i in range(chi):
-            for j in range(i + 1, chi):
-                counters.tally.overlap_evals += 1
-                small[i, j] = stellar.state_overlap(triples[i], triples[j])
-                small[j, i] = np.conj(small[i, j])
+        small[i, j] = stellar.state_overlaps(a[i], b[i], c[i], a[j], b[j], c[j])
+        small[j, i] = np.conj(small[i, j])
         idx = [uniq[id(e.term)] for e in self.entries]
         return small[np.ix_(idx, idx)]
 
@@ -142,17 +140,15 @@ class Superposition:
             g0 = terms[0]
             return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
 
+        a, b, c = stellar.stack([stellar.state_params(t) for t in terms])
+        k = len(terms)
+        i, j = np.divmod(np.arange(k * k), k)
+
         def g(t: float) -> complex:
-            op = GaussianUnitary.from_gates(
-                [PhaseShift(k, t) for k in range(self.n)], self.n
-            )
-            rotated = [stellar.state_params(propagate(term, op)) for term in terms]
-            total = 0.0 + 0.0j
-            for i, term in enumerate(terms):
-                ti = stellar.state_params(term)
-                for j in range(len(rotated)):
-                    total += np.conj(coeffs[i]) * coeffs[j] * stellar.state_overlap(ti, rotated[j])
-            return total
+            # e^{i t n_total} maps the ket triple (A, b, c) to (e^{2it} A, e^{it} b, c)
+            ph = np.exp(1j * t)
+            pairs = stellar.state_overlaps(a[i], b[i], c[i], ph * ph * a[j], ph * b[j], c[j])
+            return complex(np.conj(coeffs) @ pairs.reshape(k, k) @ coeffs)
 
         h = 1e-3
         # five-point first derivative, O(h^4)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from ._linalg import solve_complex
-from .exceptions import DimensionMismatch
+from ._linalg import COND_MAX, solve_complex
+from .exceptions import DimensionMismatch, GsimError, IllConditioned
 from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, beamsplitter_unitary
 from .symplectic import bloch_messiah, unitary_from_passive
 
@@ -207,8 +207,6 @@ def _half_log_det_rhp(mat, label: str) -> complex:
     """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue."""
     lam = np.linalg.eigvals(np.asarray(mat, dtype=complex))
     if np.any(lam.real <= 0):
-        from .exceptions import GsimError
-
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
     return complex(0.5 * np.sum(np.log(lam)))
 
@@ -328,26 +326,71 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
     return StellarParams(a_new, b_new, _exp_or_zero(log_c))
 
 
+# pairs per batch of the overlap kernel; bounds its temporaries (about 20
+# arrays of P m x m blocks), which for a rank-512 Husimi moment (262144
+# pairs) would otherwise take tens of MB at one mode and m^2 times that at m
+OVERLAP_CHUNK = 4096
+
+
+def stack(triples):
+    """Stacked arrays (A (P,m,m), b (P,m), c (P,)) of a list of ket triples."""
+    return (
+        np.array([t.a for t in triples], dtype=complex),
+        np.array([t.b for t in triples], dtype=complex),
+        np.array([t.c for t in triples], dtype=complex),
+    )
+
+
+def state_overlaps(a1, b1, c1, a2, b2, c2) -> np.ndarray:
+    """Phase-sensitive <1_p|2_p> over P stacked pairs of ket triples.
+
+    Shapes are a (P,m,m), b (P,m) and c (P,).  With F = conj(A1), Y = 1 - F A2
+    and Yi = Y^{-1}, each pair contributes
+    conj(c1) c2 det(Y)^{-1/2} exp(b2 Yi conj(b1) + conj(b1) Yi^T A2 conj(b1) / 2
+    + b2 Yi F b2 / 2), summed in the log domain so that a genuine underflow
+    gives an exact 0.  Every pair is checked: a 2-norm condition number of Y
+    above COND_MAX raises IllConditioned, and an eigenvalue of Y off the open
+    right half-plane raises GsimError.  Counts P overlap evaluations.  Stacks
+    longer than OVERLAP_CHUNK are evaluated chunk by chunk.
+    """
+    a1, b1, c1, a2, b2, c2 = stacks = [np.asarray(x, dtype=complex) for x in (a1, b1, c1, a2, b2, c2)]
+    if a1.shape != a2.shape or b1.shape != b2.shape or c1.shape != c2.shape:
+        raise DimensionMismatch("overlap stacks have different shapes")
+    if c1.shape[0] > OVERLAP_CHUNK:
+        return np.concatenate(
+            [state_overlaps(*(x[s : s + OVERLAP_CHUNK] for x in stacks)) for s in range(0, c1.shape[0], OVERLAP_CHUNK)]
+        )
+    counters.tally.overlap_evals += c1.shape[0]
+    if c1.shape[0] == 0:
+        return np.zeros(0, dtype=complex)
+    f = a1.conj()
+    av = b1.conj()[..., None]
+    bv = b2[..., None]
+    y = np.eye(a1.shape[-1]) - f @ a2
+    sv = np.linalg.svd(y, compute_uv=False)
+    if not (sv[:, 0] <= COND_MAX * sv[:, -1]).all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.nanmax(sv[:, 0] / sv[:, -1])
+        raise IllConditioned(f"overlap kernel is ill-conditioned (cond={worst:.3g})")
+    yi = np.linalg.inv(y)
+    lam = np.linalg.eigvals(y)
+    if (lam.real <= 0).any():
+        raise GsimError("overlap kernel has eigenvalues off the right half-plane")
+    bt_yi = np.swapaxes(bv, 1, 2) @ yi
+    quad = bt_yi @ (av + 0.5 * (f @ bv)) + 0.5 * np.swapaxes(yi @ av, 1, 2) @ (a2 @ av)
+    with np.errstate(divide="ignore"):
+        log_val = np.log(c1.conj()) + np.log(c2) - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0]
+    out = np.zeros(c1.shape[0], dtype=complex)
+    live = np.isfinite(log_val.real)
+    out[live] = np.exp(log_val[live])
+    return out
+
+
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
-    """Phase-sensitive <psi1|psi2> from two ket triples."""
+    """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
     if t1.modes != t2.modes:
         raise DimensionMismatch("states act on different mode counts")
-    m = t1.modes
-    f = np.conj(t1.a)
-    g = t2.a
-    av = np.conj(t1.b)
-    bv = t2.b
-    y = np.eye(m) - f @ g
-    yi = solve_complex(y, np.eye(m), "overlap kernel")
-    log_val = (
-        _log_amplitude(np.conj(t1.c))
-        + _log_amplitude(t2.c)
-        - _half_log_det_rhp(y, "overlap kernel")
-        + bv @ yi @ av
-        + 0.5 * av @ yi.T @ g @ av
-        + 0.5 * bv @ yi @ f @ bv
-    )
-    return _exp_or_zero(log_val)
+    return complex(state_overlaps(t1.a[None], t1.b[None], [t1.c], t2.a[None], t2.b[None], [t2.c])[0])
 
 
 def state_norm_squared(t: StellarParams) -> float:

@@ -276,9 +276,11 @@ def test_conditioning_correlated_terms_vs_oracle(tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
-    # a corrupted conditioning weight breaks the ref-overlap modulus invariant
-    true_norm = stellar.state_norm_squared
-    monkeypatch.setattr(stellar, "state_norm_squared", lambda t: 4.0 * true_norm(t))
+    # a corrupted conditioning weight breaks the ref-overlap modulus invariant;
+    # conditioning takes the reduced norms from the overlap kernel, the first
+    # overlaps this program evaluates
+    true_overlaps = stellar.state_overlaps
+    monkeypatch.setattr(stellar, "state_overlaps", lambda *stacks: 4.0 * true_overlaps(*stacks))
     program = {
         "schema_version": 1,
         "modes": 2,
@@ -298,6 +300,7 @@ def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
 
 CAT = {"kind": "cat", "alpha": 1.0, "parity": "+"}
 VACUUM = {"kind": "vacuum"}
+NO_STATE = {}  # state-free tasks: the program has no initial state
 
 
 @pytest.mark.parametrize(
@@ -311,27 +314,29 @@ VACUUM = {"kind": "vacuum"}
             {"name": "exact_born", "outcome": [[0.3, -0.2]]},
         ),
         (["born", "--state", "cat", "--approx"], CAT, {"name": "approx_born", "outcome": [[0.0, 0.0]]}),
-        (["breed-bound", "--xi", "7.496"], VACUUM, {"name": "breed_bound", "xi": 7.496}),
-        (["bs-bound", "--mbar", "10"], VACUUM, {"name": "bs_bound", "mbar": 10}),
-        (["bs-bound", "--mbar", "5", "--sweep"], VACUUM, {"name": "bs_bound", "mbar": 5, "sweep": True}),
+        (["breed-bound", "--xi", "7.496"], NO_STATE, {"name": "breed_bound", "xi": 7.496}),
+        (["bs-bound", "--mbar", "10"], NO_STATE, {"name": "bs_bound", "mbar": 10}),
+        (["bs-bound", "--mbar", "5", "--sweep"], NO_STATE, {"name": "bs_bound", "mbar": 5, "sweep": True}),
         (
             ["optimize-fidelity", "--mode", "two", "--restarts", "2", "--budget", "200"],
-            VACUUM,
+            NO_STATE,
             {"name": "optimize_fidelity", "mode": "two", "restarts": 2, "budget": 200},
         ),
         (
             ["optimize-fidelity", "--mode", "single", "--restarts", "2", "--budget", "200"],
-            VACUUM,
+            NO_STATE,
             {"name": "optimize_fidelity", "mode": "single", "restarts": 2, "budget": 200},
         ),
-        (["table1", "--deltas", "0.3,0.1"], VACUUM, {"name": "table1", "deltas": [0.3, 0.1]}),
+        (["table1", "--deltas", "0.3,0.1"], NO_STATE, {"name": "table1", "deltas": [0.3, 0.1]}),
     ],
 )
 def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
     seed = 9
     code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
     assert code == 0, err
-    program = {"schema_version": 1, "modes": 1, "seed": seed, "initial": initial, "task": task}
+    program = {"schema_version": 1, "modes": 1, "seed": seed, "task": task}
+    if initial is not NO_STATE:
+        program["initial"] = initial
     path = tmp_path / "prog.json"
     path.write_text(json.dumps(program))
     code, run_out, err = run_cli(["run", str(path)], capsys)
@@ -339,3 +344,14 @@ def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
     doc, run_doc = json.loads(out), json.loads(run_out)
     assert doc["value"] == run_doc["value"]
     assert doc["error_band"] == run_doc["error_band"]
+    assert ("initial" in doc["inputs"]["program"]) == (initial is not NO_STATE)
+
+
+def test_state_free_task_accepts_an_initial_state(tmp_path, capsys):
+    # an initial state is optional for state-free tasks, not forbidden
+    program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": "breed_bound", "xi": 7.496}}
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"] == 4

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsim import counters, fock
+from gsim import counters, fock, stellar
 from gsim.gates import BeamSplitter, Displace
 from gsim.gaussian import GaussianMixed, GaussianPure, GeneralDyne, generaldyne_density, tensor
 from gsim.phase import GaussianUnitary
@@ -124,6 +124,31 @@ class TestCondition:
         assert abs(p_engine - 2.0 * p_quad) < 1e-12
 
 
+def test_terms_carry_their_triples(monkeypatch):
+    # propagate and condition hand the (A, b) they compute to the new term;
+    # it must equal the triple re-derived from (cov, mean)
+    rng = np.random.default_rng(1234)
+    true_params = stellar.pure_state_params
+    for n in (1, 2, 3):
+        for _ in range(10):
+            start = GaussianPure.vacuum(n)
+            start.bargmann  # the initial term's triple comes from (cov, mean) once
+            op = GaussianUnitary.from_gates(random_circuit(n, 10, rng, alpha_max=0.8, r_max=0.5), n)
+            with monkeypatch.context() as m:
+                m.setattr(stellar, "pure_state_params", lambda *a: pytest.fail("triple re-derived"))
+                sup = evolve(Superposition([WeightedGaussian(1.0, start)]), op)
+                terms = [sup.entries[0].term]
+                if n > 1:
+                    xi = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+                    terms.append(condition(sup, list(range(1, n)), xi)[0].entries[0].term)
+                triples = [g.bargmann for g in terms]
+            for g, t in zip(terms, triples):
+                a, b, cmag = true_params(g.cov, g.mean)
+                assert np.max(np.abs(t.a - a)) <= 1e-12
+                assert np.max(np.abs(t.b - b)) <= 1e-12
+                assert t.c == g.ref_overlap and abs(abs(t.c) - cmag) <= 1e-12
+
+
 class TestExactBorn:
     def test_vacuum_convention(self):
         sup = single_gaussian(GaussianPure.vacuum(1))
@@ -235,6 +260,20 @@ class TestFastNorm:
         counters.tally.reset()
         ring.norm_squared()
         assert counters.tally.overlap_evals == (16 * 15) // 2
+
+    def test_default_fast_norm_overlap_counter(self):
+        # without husimi_moment, fast_norm takes the Husimi moment: the Gram
+        # pairs of its norm plus one rank x rank kernel call for each of the
+        # four g(t) of the finite difference
+        for big_n in (2, 8):
+            ring = Superposition(fock1_ring(optimal_fock1_seed(), big_n).entries)
+            chi = 2 * big_n
+            counters.tally.reset()
+            fast_norm(ring, 0.5, 0.5, seed=0)
+            assert counters.tally.overlap_evals == chi * (chi - 1) // 2 + 4 * chi**2
+        counters.tally.reset()
+        fast_norm(single_gaussian(GaussianPure.coherent([0.5])), 0.5, 0.5, seed=0)
+        assert counters.tally.overlap_evals == 0
 
 
 class TestApproxBorn:

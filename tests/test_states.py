@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gsim import fock
+from gsim import fock, stellar
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
-from gsim.phase import GaussianUnitary
+from gsim.phase import GaussianUnitary, propagate
 from gsim.simulator import condition
 from gsim.states import (
     FOCK1_EXTENT,
@@ -300,3 +300,33 @@ def test_optimal_witness_feasible_on_random_gaussians(rng):
     for _ in range(200):
         g = engine_state(random_pure_program(1, rng, alpha_max=2.0, r_max=1.5), 1)
         assert abs(w.term_amplitude(g)) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", ["cat", "ring32", "grid0.3"])
+def test_mean_photon_husimi_matches_propagated_reference(name):
+    sup = {
+        "cat": lambda: cat_state(1.0),
+        "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
+        "grid0.3": lambda: grid_sensor(0.3)[0],
+    }[name]()
+    terms, coeffs = sup.aggregated()
+    n = sup.n
+
+    def g(t):
+        # rotate every term by propagating it, and rebuild its triple from (cov, mean)
+        op = GaussianUnitary.from_gates([PhaseShift(k, t) for k in range(n)], n)
+        rotated = []
+        for term in terms:
+            r = propagate(term, op)
+            a, b, _ = stellar.pure_state_params(r.cov, r.mean)
+            rotated.append(stellar.StellarParams(a, b, r.ref_overlap))
+        return sum(
+            np.conj(ci) * cj * stellar.state_overlap(ti.bargmann, rj)
+            for ci, ti in zip(coeffs, terms)
+            for cj, rj in zip(coeffs, rotated)
+        )
+
+    h = 1e-3
+    d1 = (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
+    reference = max(float(np.imag(d1) / sup.norm_squared()), 0.0) + n
+    assert abs(sup.mean_photon_husimi() - reference) <= 1e-10 * reference

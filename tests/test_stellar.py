@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsim import fock, stellar
+from gsim import counters, fock, phase, stellar
+from gsim.exceptions import GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
 from gsim.symplectic import random_symplectic
 
 
-from conftest import engine_state, random_pure_program
+from conftest import engine_state, random_circuit, random_pure_program
 
 
 def coherent_overlap(a, b):
@@ -224,3 +227,97 @@ def test_compose_large_displacement_onto_p_squeezer():
     total = cov + np.eye(2)
     fid = 2 * np.exp(-mean @ np.linalg.solve(total, mean)) / np.sqrt(np.linalg.det(total))
     assert abs(mag - np.sqrt(fid)) < 1e-12 * max(np.sqrt(fid), 1e-30)
+
+
+class TestOverlapKernel:
+    """The batched kernel state_overlaps against independent references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), pairs=st.integers(1, 6))
+    def test_matches_triple_product(self, seed, n, pairs):
+        rng = np.random.default_rng(seed)
+        left, right = (
+            [engine_state(random_circuit(n, 8, rng, alpha_max=0.8, r_max=0.5), n) for _ in range(pairs)]
+            for _ in range(2)
+        )
+        vals = stellar.state_overlaps(
+            *stellar.stack([g.bargmann for g in left]), *stellar.stack([g.bargmann for g in right])
+        )
+        assert vals.shape == (pairs,)
+        for val, g1, g2 in zip(vals, left, right):
+            assert abs(val - phase.overlap(g1, g2)) < 1e-10
+
+    def test_far_separated_grid_terms_underflow_to_exact_zero(self):
+        # grid terms at delta = 0.01: neighbours overlap at about e^{-7854},
+        # far below the double range, while the log domain keeps e^{-300}
+        delta = 0.01
+        step = np.sqrt(np.pi / 2)
+        shifts = [-2 * step, 0.0, step, 3 * step, 0.002, 0.245]
+        terms = [engine_state([Squeeze(0, -np.log(delta)), Displace(0, x)], 1) for x in shifts]
+        i, j = np.triu_indices(len(terms))
+        vals = stellar.state_overlaps(
+            *stellar.stack([terms[k].bargmann for k in i]), *stellar.stack([terms[k].bargmann for k in j])
+        )
+        for val, p, q in zip(vals, i, j):
+            g1, g2 = terms[p], terms[q]
+            total = g1.cov + g2.cov
+            d = g1.mean - g2.mean
+            log_mag = 0.5 * (np.log(2.0) - d @ np.linalg.solve(total, d) - 0.5 * np.log(np.linalg.det(total)))
+            assert val == stellar.state_overlap(g1.bargmann, g2.bargmann)
+            if log_mag < -1000:
+                assert val == 0.0
+            else:
+                assert log_mag > -400
+                assert abs(abs(val) - np.exp(log_mag)) < 1e-9 * np.exp(log_mag)
+        # every pair of distinct grid points, and each small shift with the grid points off 0
+        assert np.sum(vals == 0.0) == 6 + 2 * 3
+
+    def test_log_domain_keeps_overlaps_far_from_the_origin(self):
+        # at |alpha| = 30 the vacuum amplitudes (e^{-450}) and the exponential
+        # factor (e^{+900}) leave the double range, the overlaps do not
+        alphas = [(30.0, 30.05), (30.0, 30.0 + 0.4j), (30.0, -30.0)]
+        left = [GaussianPure.coherent([a]).bargmann for a, _ in alphas]
+        right = [GaussianPure.coherent([b]).bargmann for _, b in alphas]
+        vals = stellar.state_overlaps(*stellar.stack(left), *stellar.stack(right))
+        for val, (a, b) in zip(vals[:2], alphas):
+            assert abs(val - coherent_overlap(a, b)) < 1e-10
+        assert vals[2] == 0.0
+
+    @staticmethod
+    def _random_pairs(rng, count):
+        terms = [engine_state(random_pure_program(2, rng, 1.0, 0.6), 2).bargmann for _ in range(2 * count)]
+        return stellar.stack(terms[:count]), stellar.stack(terms[count:])
+
+    def test_one_ill_conditioned_pair_raises(self, rng):
+        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 7)
+        stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        # Y = 1 - conj(A) A = diag(1, sech(15)^2): condition number ~2.7e12
+        a1[4] = a2[4] = np.diag([0.0, np.tanh(15.0)])
+        with pytest.raises(IllConditioned):
+            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+
+    def test_eigenvalue_off_right_half_plane_raises(self, rng):
+        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 5)
+        a1[2] = a2[2] = np.diag([1.5, 0.0])  # Y = diag(-1.25, 1) is well conditioned
+        with pytest.raises(GsimError) as err:
+            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        assert not isinstance(err.value, IllConditioned)
+
+    def test_batches_split_into_chunks_agree(self, rng, monkeypatch):
+        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 10)
+        whole = stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        monkeypatch.setattr(stellar, "OVERLAP_CHUNK", 3)
+        counters.tally.reset()
+        assert np.array_equal(stellar.state_overlaps(a1, b1, c1, a2, b2, c2), whole)
+        assert counters.tally.overlap_evals == 10
+        a1[8] = a2[8] = np.diag([0.0, np.tanh(15.0)])
+        with pytest.raises(IllConditioned):
+            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+
+    def test_counts_every_pair(self, rng):
+        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 5)
+        counters.tally.reset()
+        vals = stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        one = stellar.state_overlap(stellar.StellarParams(a1[0], b1[0], c1[0]), stellar.StellarParams(a2[0], b2[0], c2[0]))
+        assert counters.tally.overlap_evals == 6
+        assert abs(one - vals[0]) <= 1e-15
