@@ -7,6 +7,7 @@ seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -58,6 +59,28 @@ PROGRAM_SCHEMA = {
         "task": {"type": "object", "required": ["name"]},
     },
 }
+
+
+@functools.cache
+def _validator(name: str):
+    """Validator of the ``program`` or ``result`` schema, built once: the
+    schema is checked against its metaschema here, not on every document."""
+    from jsonschema.validators import validator_for
+
+    schema = {"program": PROGRAM_SCHEMA, "result": RESULT_SCHEMA}[name]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str) -> None:
+    """``jsonschema.validate`` against a cached validator: raises the same
+    best-matching ``ValidationError``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 class ValidationFailure(ValueError):
@@ -284,9 +307,7 @@ def result_document(task: str, inputs: dict, value, error_band, seed: int) -> di
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
     }
-    import jsonschema
-
-    jsonschema.validate(json.loads(json.dumps(doc, default=_json_default)), RESULT_SCHEMA)
+    _validate(json.loads(json.dumps(doc, default=_json_default)), "result")
     return doc
 
 
@@ -377,11 +398,11 @@ def lower(args) -> dict:
 
 def execute(program: dict, source, args) -> int:
     """Validate, build, apply and run one program, then emit its result document."""
-    import jsonschema
+    from jsonschema import ValidationError
 
     try:
-        jsonschema.validate(program, PROGRAM_SCHEMA)
-    except jsonschema.ValidationError as exc:
+        _validate(program, "program")
+    except ValidationError as exc:
         raise ValidationFailure(f"{'/'.join(str(p) for p in exc.path) or 'program'}: {exc.message}")
     seed = int(program.get("seed", args.seed))
     modes = int(program["modes"])

@@ -131,7 +131,8 @@ class GaussianPure:
 
     @classmethod
     def vacuum(cls, n: int) -> "GaussianPure":
-        return cls(np.eye(2 * n), np.zeros(2 * n), 1.0 + 0.0j)
+        triple = stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0)
+        return cls.from_triple(np.eye(2 * n), np.zeros(2 * n), triple)
 
     @classmethod
     def coherent(cls, alpha) -> "GaussianPure":
@@ -231,18 +232,30 @@ def apply_symplectic(state, s):
     return GaussianMixed(s @ state.cov @ s.T, s @ state.mean)
 
 
+def _block_diag(x, y):
+    n = x.shape[0]
+    out = np.zeros((n + y.shape[0],) * 2, dtype=np.result_type(x, y))
+    out[:n, :n] = x
+    out[n:, n:] = y
+    return out
+
+
 def tensor(a, b):
-    """Direct sum of two Gaussian states (modes of ``b`` appended)."""
-    cov = np.block(
-        [
-            [a.cov, np.zeros((a.cov.shape[0], b.cov.shape[0]))],
-            [np.zeros((b.cov.shape[0], a.cov.shape[0])), b.cov],
-        ]
-    )
+    """Direct sum of two Gaussian states (modes of ``b`` appended).
+
+    Two vacuum-gauge pure terms hand over the direct sum of their triples,
+    (blockdiag(A1, A2), (b1, b2), c1 c2), so the result does not re-derive
+    its own from the covariance.
+    """
+    cov = _block_diag(a.cov, b.cov)
     mean = np.concatenate([a.mean, b.mean])
-    if isinstance(a, GaussianPure) and isinstance(b, GaussianPure):
+    if not (isinstance(a, GaussianPure) and isinstance(b, GaussianPure)):
+        return GaussianMixed(cov, mean)
+    if a.anchor is not None or b.anchor is not None:
         return GaussianPure(cov, mean, a.ref_overlap * b.ref_overlap)
-    return GaussianMixed(cov, mean)
+    ta, tb = a.bargmann, b.bargmann
+    triple = stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.c * tb.c)
+    return GaussianPure.from_triple(cov, mean, triple)
 
 
 def partial_trace(state, keep) -> GaussianMixed:

@@ -17,7 +17,7 @@ from . import counters, stellar
 from .exceptions import DimensionMismatch
 from .gaussian import GaussianPure
 from .phase import GaussianUnitary, propagate
-from .rng import stream
+from .rng import normal_rows, stream
 from .states import Superposition, WeightedGaussian
 
 
@@ -231,6 +231,11 @@ def fast_norm(
     1 - pi^n p_fail in the worst case; the empirical calibration in the
     acceptance suite shows the nominal 1 - p_fail level holds with a wide
     margin for the library states.
+
+    Probe i is drawn from the Philox stream (seed, i): one vectorised
+    ``rng.normal_rows`` call gives all L rows of 2n normals, so row i does
+    not depend on L or on how the probes are batched.  The cost is the L
+    amplitude evaluations per term plus O(L n) array work for the probes.
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
@@ -246,11 +251,8 @@ def fast_norm(
         * epsilon**-2
         / p_fail
     )
-    scale = math.sqrt(ensemble_n / 2.0)
-    xis = np.empty((big_l, n), dtype=complex)
-    for i in range(big_l):
-        rng = stream(seed, i)
-        xis[i] = rng.normal(scale=scale, size=n) + 1j * rng.normal(scale=scale, size=n)
+    z = normal_rows(seed, big_l, 2 * n) * math.sqrt(ensemble_n / 2.0)
+    xis = z[:, :n] + 1j * z[:, n:]
     amps = sup.coherent_amplitude_batch(xis)
     counters.tally.samples += big_l
     eta = float(ensemble_n**n * np.mean(np.abs(amps) ** 2))

@@ -100,6 +100,27 @@ def test_missing_required_field_flagged(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "program",
+    [
+        {"modes": 1, "task": {"name": "extent"}},
+        {"schema_version": 1, "modes": 0, "task": {"name": "extent"}},
+        {"schema_version": "1", "modes": 1.5, "task": {}},
+        {"schema_version": 1, "modes": 1, "initial": {}, "ops": {"gate": "phase"}, "task": {"name": "norm"}},
+    ],
+)
+def test_schema_errors_read_as_jsonschema_validate(program, tmp_path, capsys):
+    # the cached validator reports the error jsonschema.validate picks
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(program, cli.PROGRAM_SCHEMA)
+    where = "/".join(str(p) for p in info.value.path) or "program"
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, _, err = run_cli(["run", str(path)], capsys)
+    assert code == 2
+    assert err.strip() == f"validation error: {where}: {info.value.message}"
+
+
 def test_channel_requires_rank_one(tmp_path, capsys):
     program = {
         "schema_version": 1,

@@ -147,6 +147,23 @@ def test_terms_carry_their_triples(monkeypatch):
                 assert np.max(np.abs(t.a - a)) <= 1e-12
                 assert np.max(np.abs(t.b - b)) <= 1e-12
                 assert t.c == g.ref_overlap and abs(abs(t.c) - cmag) <= 1e-12
+    # tensor hands over the direct sum of its factors' triples; the vacuum
+    # carries its own, and the coherent factor's is derived before the patch
+    seed = optimal_fock1_seed()
+    coherent = GaussianPure.coherent([0.3 - 0.4j])
+    coherent.bargmann
+    mixer = GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6, 0.2)], 2)
+    for second in (lambda: GaussianPure.vacuum(1), lambda: coherent):
+        with monkeypatch.context() as m:
+            m.setattr(stellar, "pure_state_params", lambda *a: pytest.fail("triple re-derived"))
+            term = tensor(seed, second())
+            mixed = evolve(Superposition([WeightedGaussian(1.0, term)]), mixer).entries[0].term
+            triples = [term.bargmann, mixed.bargmann]
+        for g, t in zip((term, mixed), triples):
+            a, b, cmag = true_params(g.cov, g.mean)
+            assert np.max(np.abs(t.a - a)) <= 1e-12
+            assert np.max(np.abs(t.b - b)) <= 1e-12
+            assert t.c == g.ref_overlap and abs(abs(t.c) - cmag) <= 1e-12
 
 
 class TestExactBorn:
@@ -235,6 +252,45 @@ class TestFastNorm:
             lo, hi = est.relative_band()
             hits += lo * truth <= est.eta <= hi * truth
         assert hits >= 95
+
+    def test_two_mode_band_coverage(self):
+        sup = single_gaussian(tensor(GaussianPure.vacuum(1), GaussianPure.coherent([0.5 + 0.2j])))
+        hits = 0
+        for t in range(100):
+            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            lo, hi = est.relative_band()
+            hits += lo <= est.eta <= hi
+        assert hits >= 95
+
+    def test_three_mode_entangled_band(self):
+        # six normals per probe, so the draw spans two Philox blocks; at
+        # p_fail = 0.003 the stated worst-case confidence 1 - pi^3 p_fail
+        # is 0.91 for any seed
+        cat = cat_state(1.0, +1)
+        vac2 = GaussianPure.vacuum(2)
+        sup = Superposition([WeightedGaussian(e.coeff, tensor(e.term, vac2)) for e in cat.entries], l1=cat.l1)
+        mixer = GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.7, 0.3), BeamSplitter(1, 2, 0.5, -0.2)], 3)
+        sup = evolve(sup, mixer)
+        est = fast_norm(sup, 0.3, 0.003, ensemble_n=20.0, seed=0)
+        assert est.band[0] <= sup.norm_squared() <= est.band[1]
+
+    def test_probe_row_depends_only_on_seed_and_index(self, monkeypatch):
+        # a longer run (smaller epsilon) extends the probes of a shorter one
+        sup = single_gaussian(GaussianPure.coherent([0.3, -0.2j]))
+        probes = []
+        batch = Superposition.coherent_amplitude_batch
+
+        def capture(self, xis):
+            probes.append(np.array(xis))
+            return batch(self, xis)
+
+        monkeypatch.setattr(Superposition, "coherent_amplitude_batch", capture)
+        short = fast_norm(sup, 0.5, 0.5, seed=17)
+        fast_norm(sup, 0.3, 0.5, seed=17)
+        fast_norm(sup, 0.5, 0.5, seed=18)
+        assert probes[0].shape == (short.samples, 2) and probes[1].shape[0] > short.samples
+        assert np.array_equal(probes[1][: short.samples], probes[0])
+        assert not np.any(probes[2] == probes[0])
 
     def test_sample_count_formula(self):
         sup = single_gaussian(GaussianPure.vacuum(1))
