@@ -20,7 +20,7 @@ from .gaussian import (
     partial_trace,
     tensor,
 )
-from .phase import GaussianUnitary, overlap, propagate, reanchor, triple_overlap
+from .phase import GaussianUnitary, overlap, propagate, triple_overlap
 from .simulator import (
     BornEstimate,
     NormEstimate,

@@ -15,7 +15,6 @@ TOL_PSD = 1e-9        # admissibility slack for covariance-type constraints
 TOL_PURE = 1e-9       # purity check on sigma Omega sigma^T = Omega
 TOL_SYMPLECTIC = 1e-9
 TOL_DECOMP = 1e-10    # Bloch-Messiah reconstruction error
-TOL_PHASE = 1e-8      # phase-sensitive overlap self-consistency
 COND_MAX = 1e12       # condition-number cutoff for matrix solves
 EPS_REF = 1e-12       # usable floor for reference overlaps
 

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import stellar
 from .gates import BeamSplitter, Displace, Squeeze
@@ -103,6 +102,10 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
     restarts run concurrently but are reduced in fixed order, so results are
     reproducible for a given seed and independent of the thread schedule.
     """
+    # imported here: scipy.optimize costs about 0.6 s to import, and no other
+    # gsim path needs it
+    from scipy.optimize import minimize
+
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     per_restart = max(50, cfg.budget // max(cfg.restarts, 1))

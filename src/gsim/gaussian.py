@@ -66,84 +66,88 @@ class GaussianMixed:
         return cls((1.0 + 2.0 * n_mean) * np.eye(2), np.zeros(2))
 
 
-@dataclass(frozen=True)
 class GaussianPure:
-    """Pure Gaussian state extended with its reference overlap.
+    """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, c).
 
-    ``ref_overlap`` is the phase-sensitive amplitude <G0|G> against the fixed
-    reference G0 (the vacuum unless ``anchor`` is set); together with
-    covariance and mean it pins the global phase of the ket.  Its modulus is
-    redundant with (cov, mean, anchor) and is verified at construction.
+    ``c`` = <0|G> is the phase-sensitive reference overlap against the vacuum:
+    together with (A, b) it pins the global phase of the ket.  Covariance and
+    mean are views: the moments a state was built from, or else derived from
+    (A, b) on first use.
+
+    Two construction boundaries, each validated once:
+
+    * ``GaussianPure(cov, mean, ref_overlap)`` takes moments from outside and
+      checks admissibility, purity and the modulus of ``ref_overlap``;
+    * ``GaussianPure.from_triple(triple)`` takes a triple built by the library
+      and checks its closed-form normalisation.
     """
 
-    cov: np.ndarray
-    mean: np.ndarray
-    ref_overlap: complex
-    anchor: "GaussianPure | None" = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "cov", np.array(self.cov, dtype=float))
-        object.__setattr__(self, "mean", np.array(self.mean, dtype=float))
-        object.__setattr__(self, "ref_overlap", complex(self.ref_overlap))
-        check_admissible(self.cov)
-        if not is_pure_cov(self.cov):
+    def __init__(self, cov, mean, ref_overlap):
+        cov = np.array(cov, dtype=float)
+        mean = np.array(mean, dtype=float)
+        check_admissible(cov)
+        if not is_pure_cov(cov):
             raise ValueError("covariance is not pure (sigma Omega sigma^T != Omega)")
+        a, b, _ = stellar.pure_state_params(cov, mean)
+        self.bargmann = stellar.StellarParams(a, b, ref_overlap)
+        self._moments = (cov, mean)
         self._check_ref_magnitude()
 
+    @classmethod
+    def from_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
+        """Term with the given ket triple; checks |c| against its normalisation."""
+        g = cls.__new__(cls)
+        g.bargmann = triple
+        g._check_ref_magnitude()
+        return g
+
     def _check_ref_magnitude(self, tol: float = 1e-7):
-        n = self.n
-        if self.anchor is None:
-            ref_cov, ref_mean = np.eye(2 * n), np.zeros(2 * n)
-        else:
-            ref_cov, ref_mean = self.anchor.cov, self.anchor.mean
-        total = self.cov + ref_cov
-        d = self.mean - ref_mean
-        fid = 2**n * np.exp(-float(d @ np.linalg.solve(total, d))) / np.sqrt(
-            float(np.linalg.det(total))
-        )
-        mag = np.sqrt(max(fid, 0.0))
-        if mag > 1e-150 and abs(abs(self.ref_overlap) - mag) > tol * max(mag, 1e-30):
+        """|c| of a normalised ket is det(1 - conj(A) A)^{1/4} exp(-Re q(b) / 2)
+        with q(b) = b^T (1 - conj(A) A)^{-1} (conj(b) + conj(A) b)."""
+        t = self.bargmann
+        y = np.eye(t.modes) - t.a.conj() @ t.a
+        sign, logdet = np.linalg.slogdet(y)
+        if sign == 0:
+            raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
+        quad = (t.b @ np.linalg.solve(y, t.b.conj() + t.a.conj() @ t.b)).real
+        mag = float(np.exp(0.25 * logdet - 0.5 * quad))
+        if mag > 1e-150 and abs(abs(t.c) - mag) > tol * max(mag, 1e-30):
             raise InvariantViolation(
                 "ref_overlap modulus disagrees with the closed-form overlap "
-                f"({abs(self.ref_overlap):.3e} vs {mag:.3e})"
+                f"({abs(t.c):.3e} vs {mag:.3e})"
             )
 
     @property
     def n(self) -> int:
-        return self.cov.shape[0] // 2
+        return self.bargmann.modes
+
+    @property
+    def ref_overlap(self) -> complex:
+        return self.bargmann.c
 
     @cached_property
-    def bargmann(self):
-        """Holomorphic triple (A, b, c) of the ket, with c = ref_overlap."""
-        if self.anchor is not None:
-            raise ValueError("holomorphic triple requires the vacuum gauge")
-        a, b, _ = stellar.pure_state_params(self.cov, self.mean)
-        return stellar.StellarParams(a, b, self.ref_overlap)
+    def _moments(self):
+        return stellar.pure_state_moments(self.bargmann.a, self.bargmann.b)
 
-    @classmethod
-    def from_triple(cls, cov, mean, triple) -> "GaussianPure":
-        """Term whose ket triple is already known: c is its ref_overlap, and
-        ``bargmann`` returns ``triple`` instead of re-deriving (A, b) from
-        (cov, mean).  Runs every construction check."""
-        g = cls(cov, mean, triple.c)
-        g.__dict__["bargmann"] = triple
-        return g
+    @property
+    def cov(self) -> np.ndarray:
+        return self._moments[0]
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self._moments[1]
 
     @classmethod
     def vacuum(cls, n: int) -> "GaussianPure":
-        triple = stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0)
-        return cls.from_triple(np.eye(2 * n), np.zeros(2 * n), triple)
+        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0))
 
     @classmethod
     def coherent(cls, alpha) -> "GaussianPure":
-        """Tensor product of coherent states, one amplitude per mode."""
+        """Tensor product of coherent states, one amplitude per mode: (0, alpha, e^{-|alpha|^2/2})."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
         n = alpha.shape[0]
-        mean = np.empty(2 * n)
-        mean[0::2] = np.sqrt(2) * alpha.real
-        mean[1::2] = np.sqrt(2) * alpha.imag
-        o = np.exp(-0.5 * float(np.sum(np.abs(alpha) ** 2)))
-        return cls(np.eye(2 * n), mean, o)
+        c = np.exp(-0.5 * float(np.sum(np.abs(alpha) ** 2)))
+        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), alpha, c))
 
     def as_mixed(self) -> GaussianMixed:
         return GaussianMixed(self.cov, self.mean)
@@ -209,7 +213,7 @@ def displace(state, shift):
     of the displacement unitary.
     """
     shift = np.asarray(shift, dtype=float)
-    if shift.shape[0] != state.cov.shape[0]:
+    if shift.shape[0] != 2 * state.n:
         raise DimensionMismatch("shift dimension does not match state")
     if isinstance(state, GaussianPure):
         from .phase import GaussianUnitary, propagate
@@ -222,7 +226,7 @@ def displace(state, shift):
 def apply_symplectic(state, s):
     """Apply a symplectic quadrature map; pure states keep a consistent phase."""
     s = require_symplectic(s)
-    if s.shape[0] != state.cov.shape[0]:
+    if s.shape[0] != 2 * state.n:
         raise DimensionMismatch("symplectic dimension does not match state")
     if isinstance(state, GaussianPure):
         from .phase import GaussianUnitary, propagate
@@ -243,19 +247,15 @@ def _block_diag(x, y):
 def tensor(a, b):
     """Direct sum of two Gaussian states (modes of ``b`` appended).
 
-    Two vacuum-gauge pure terms hand over the direct sum of their triples,
-    (blockdiag(A1, A2), (b1, b2), c1 c2), so the result does not re-derive
-    its own from the covariance.
+    Two pure terms give the direct sum of their triples,
+    (blockdiag(A1, A2), (b1, b2), c1 c2).
     """
-    cov = _block_diag(a.cov, b.cov)
-    mean = np.concatenate([a.mean, b.mean])
-    if not (isinstance(a, GaussianPure) and isinstance(b, GaussianPure)):
-        return GaussianMixed(cov, mean)
-    if a.anchor is not None or b.anchor is not None:
-        return GaussianPure(cov, mean, a.ref_overlap * b.ref_overlap)
-    ta, tb = a.bargmann, b.bargmann
-    triple = stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.c * tb.c)
-    return GaussianPure.from_triple(cov, mean, triple)
+    if isinstance(a, GaussianPure) and isinstance(b, GaussianPure):
+        ta, tb = a.bargmann, b.bargmann
+        return GaussianPure.from_triple(
+            stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.c * tb.c)
+        )
+    return GaussianMixed(_block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
 
 
 def partial_trace(state, keep) -> GaussianMixed:

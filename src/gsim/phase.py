@@ -47,11 +47,11 @@ def triple_kernel(cov1, cov2, mean1, mean2):
 def triple_overlap(g0: GaussianPure, g1: GaussianPure, g2: GaussianPure) -> complex:
     """Phase-sensitive product <G2|G0><G1|G2><G0|G1>.
 
-    Normalization is anchored at T(vac, vac, vac) = 1 (the 4^n prefactor
+    Normalization is fixed at T(vac, vac, vac) = 1 (the 4^n prefactor
     below makes that exact) and validated on coherent families and against
     the Fock oracle.
     """
-    if not (g0.cov.shape == g1.cov.shape == g2.cov.shape):
+    if not (g0.n == g1.n == g2.n):
         raise DimensionMismatch("triple product requires equal mode counts")
     n = g0.n
     delta, mu_delta = triple_kernel(g1.cov, g2.cov, g1.mean, g2.mean)
@@ -66,16 +66,6 @@ def triple_overlap(g0: GaussianPure, g1: GaussianPure, g2: GaussianPure) -> comp
         * np.exp(stellar._half_log_det_rhp(kernel0, "sigma0 + Delta"))
     )
     return complex(pref * np.exp(-quad12 - quad0))
-
-
-def _anchors_match(g1: GaussianPure, g2: GaussianPure) -> bool:
-    a1 = getattr(g1, "anchor", None)
-    a2 = getattr(g2, "anchor", None)
-    if a1 is None and a2 is None:
-        return True
-    if a1 is None or a2 is None:
-        return False
-    return np.allclose(a1.cov, a2.cov) and np.allclose(a1.mean, a2.mean)
 
 
 def _random_reference(states, seed: int) -> GaussianPure:
@@ -100,49 +90,26 @@ def _random_reference(states, seed: int) -> GaussianPure:
     return propagate(GaussianPure.vacuum(n), op)
 
 
-def overlap(g1: GaussianPure, g2: GaussianPure, _retried: bool = False) -> complex:
-    """Phase-sensitive <G1|G2> through the shared reference state.
+def overlap(g1: GaussianPure, g2: GaussianPure) -> complex:
+    """Phase-sensitive <G1|G2> through a shared reference state G0.
 
-    If either reference overlap is below the usable floor, the pair is
-    re-anchored once to a seeded random squeezed-coherent reference; a second
-    degeneracy is surfaced as :class:`ReferenceDegenerate`.
+    G0 is the vacuum, whose overlaps are the terms' ``ref_overlap``.  If
+    either is below the usable floor, G0 becomes a seeded random
+    squeezed-coherent reference and the overlaps against it come from the
+    holomorphic backend; a second degeneracy is surfaced as
+    :class:`ReferenceDegenerate`.
     """
-    if g1.cov.shape != g2.cov.shape:
+    if g1.n != g2.n:
         raise DimensionMismatch("states act on different mode counts")
-    if not _anchors_match(g1, g2):
-        raise ValueError("states are anchored to different references")
+    g0 = GaussianPure.vacuum(g1.n)
     o1, o2 = g1.ref_overlap, g2.ref_overlap
     if min(abs(o1), abs(o2)) < EPS_REF:
-        if _retried:
-            raise ReferenceDegenerate("state is orthogonal to the retry reference")
-        if getattr(g1, "anchor", None) is not None:
-            raise ReferenceDegenerate("state overlaps its reference below the floor")
-        ref = _random_reference([g1, g2], seed=0x5EED)
-        h1, h2 = reanchor([g1, g2], ref)
-        return overlap(h1, h2, _retried=True)
-    anchor = getattr(g1, "anchor", None)
-    g0 = anchor if anchor is not None else GaussianPure.vacuum(g1.n)
-    t = triple_overlap(g0, g1, g2)
-    return complex(t / (o1 * np.conj(o2)))
-
-
-def reanchor(states, g0_new: GaussianPure):
-    """Re-express reference overlaps against a new pure Gaussian reference.
-
-    Input states must be in the canonical vacuum gauge; the recomputation
-    goes through the holomorphic backend, which degrades gracefully when the
-    old overlaps are tiny (no division by the old gauge).
-    """
-    out = []
-    t_ref = stellar.state_params(g0_new)
-    for g in states:
-        if getattr(g, "anchor", None) is not None:
-            raise ValueError("reanchor expects vacuum-anchored states")
-        o_new = stellar.state_overlap(t_ref, stellar.state_params(g))
-        if abs(o_new) < EPS_REF:
-            raise ReferenceDegenerate("a state is orthogonal to the new reference")
-        out.append(GaussianPure(g.cov, g.mean, o_new, anchor=g0_new))
-    return out
+        g0 = _random_reference([g1, g2], seed=0x5EED)
+        o1 = stellar.state_overlap(g0.bargmann, g1.bargmann)
+        o2 = stellar.state_overlap(g0.bargmann, g2.bargmann)
+        if min(abs(o1), abs(o2)) < EPS_REF:
+            raise ReferenceDegenerate("a state is orthogonal to the retry reference")
+    return complex(triple_overlap(g0, g1, g2) / (o1 * np.conj(o2)))
 
 
 @dataclass(frozen=True)
@@ -186,18 +153,9 @@ class GaussianUnitary:
 
 
 def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:
-    """Apply a Gaussian unitary to a pure state, updating the phase gauge.
+    """Apply a Gaussian unitary to a pure state, phase-exact.
 
-    Covariance and mean follow the symplectic action; the reference overlap
-    becomes <0|U|G> through the holomorphic backend, so chains of arbitrarily
-    many operations keep a consistent global phase.
+    The ket triple becomes that of U|G> through the holomorphic backend, so
+    chains of arbitrarily many operations keep a consistent global phase.
     """
-    if op.s.shape[0] != g.cov.shape[0]:
-        raise DimensionMismatch("operation dimension does not match state")
-    if getattr(g, "anchor", None) is not None:
-        raise ValueError("propagate expects vacuum-anchored states")
-    new_cov = op.s @ g.cov @ op.s.T
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    new_mean = op.s @ g.mean + op.d
-    new_triple = stellar.apply_to_state(op.params, stellar.state_params(g))
-    return GaussianPure.from_triple(new_cov, new_mean, new_triple)
+    return GaussianPure.from_triple(stellar.apply_to_state(op.params, g.bargmann))

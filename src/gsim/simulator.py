@@ -59,7 +59,7 @@ def condition(sup: Superposition, modes, outcome):
 
     reduced = []
     for e in sup.entries:
-        t = stellar.state_params(e.term)
+        t = e.term.bargmann
         a_ab = t.a[np.ix_(ka, kb)]
         a_bb = t.a[np.ix_(kb, kb)]
         log_c = (
@@ -77,8 +77,7 @@ def condition(sup: Superposition, modes, outcome):
         if weight_sq <= 0.0:
             continue
         nu = math.sqrt(weight_sq)
-        cov, mean = stellar.pure_state_moments(r.a, r.b)
-        term = GaussianPure.from_triple(cov, mean, stellar.StellarParams(r.a, r.b, r.c / nu))
+        term = GaussianPure.from_triple(stellar.StellarParams(r.a, r.b, r.c / nu))
         entries.append(WeightedGaussian(e.coeff * nu, term))
     if not entries:
         raise ValueError("all terms annihilated by the conditioning outcome")
@@ -172,10 +171,8 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
         if i not in folded:
             e = sup.entries[i]
             phase = e.coeff / abs(e.coeff)
-            t = stellar.state_params(e.term)
-            folded[i] = GaussianPure.from_triple(
-                e.term.cov, e.term.mean, stellar.StellarParams(t.a, t.b, t.c * phase)
-            )
+            t = e.term.bargmann
+            folded[i] = GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, t.c * phase))
         entries.append(WeightedGaussian(sup.l1 / k, folded[i]))
     return Superposition(entries, l1=sup.l1)
 
@@ -184,8 +181,8 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions (deduplicated pairwise overlaps)."""
     ta, ca = a.aggregated()
     tb, cb = b.aggregated()
-    a1, b1, c1 = stellar.stack([stellar.state_params(t) for t in ta])
-    a2, b2, c2 = stellar.stack([stellar.state_params(t) for t in tb])
+    a1, b1, c1 = stellar.stack([t.bargmann for t in ta])
+    a2, b2, c2 = stellar.stack([t.bargmann for t in tb])
     i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))
     pairs = stellar.state_overlaps(a1[i], b1[i], c1[i], a2[j], b2[j], c2[j])
     return complex(np.conj(ca) @ pairs.reshape(len(ta), len(tb)) @ cb)
@@ -227,10 +224,11 @@ def fast_norm(
     obeys E[X^2] <= (N/2)^n |psi|^4 unconditionally (the vacuum saturates
     it), so the sample count
     L = ceil((2^{-n} N^n + delta pi^n) / pi^n / (eps^2 p_fail))
-    gives a Chebyshev band (1 +/- (eps + delta)) |psi|^2 at confidence
-    1 - pi^n p_fail in the worst case; the empirical calibration in the
-    acceptance suite shows the nominal 1 - p_fail level holds with a wide
-    margin for the library states.
+    gives a Chebyshev band (1 +/- (eps + delta)) |psi|^2 that is guaranteed
+    only at confidence 1 - pi^n p_fail, because L divides by pi^n; the
+    nominal 1 - p_fail is not.  Measured coverage meets the nominal level on
+    the one-mode library states and falls short of it on more modes (two
+    modes: about 94% at p_fail = 0.05; see the README).
 
     Probe i is drawn from the Philox stream (seed, i): one vectorised
     ``rng.normal_rows`` call gives all L rows of 2n normals, so row i does

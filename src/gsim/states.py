@@ -82,7 +82,7 @@ class Superposition:
                 slots.append(e.term)
             # shared term objects (e.g. after sparsification) reuse one row
         chi = len(slots)
-        a, b, c = stellar.stack([stellar.state_params(t) for t in slots])
+        a, b, c = stellar.stack([t.bargmann for t in slots])
         i, j = np.triu_indices(chi, 1)
         small = np.eye(chi, dtype=complex)
         small[i, j] = stellar.state_overlaps(a[i], b[i], c[i], a[j], b[j], c[j])
@@ -140,7 +140,7 @@ class Superposition:
             g0 = terms[0]
             return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
 
-        a, b, c = stellar.stack([stellar.state_params(t) for t in terms])
+        a, b, c = stellar.stack([t.bargmann for t in terms])
         k = len(terms)
         i, j = np.divmod(np.arange(k * k), k)
 

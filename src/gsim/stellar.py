@@ -84,18 +84,29 @@ def mixed_state_params(cov, mean) -> StellarParams:
 def pure_state_moments(a, b):
     """(cov, mean) of the pure state with ket triple (A, b, .); inverts pure_state_params.
 
-    For pure states A_rho = conj(A) (+) A and b_rho = (conj(b), b), so with
-    B unitary (B^{-T} = conj(B)): P = conj(B) (J - A_rho) B^H / 2 = (sigma + 1)^{-1},
-    sigma = P^{-1} - 1 and mean = P^{-1} conj(B) b_rho / 2.
+    Goes through the position wavefunction psi(x) ~ exp(-x^T Z x / 2 + w^T x)
+    with Z = X + iY = (1 - A)(1 + A)^{-1} and w = sqrt(2) (1 + A)^{-1} b:
+    sigma_qq = X^{-1}, sigma_qp = -X^{-1} Y, sigma_pp = X + Y X^{-1} Y,
+    mean_q = X^{-1} Re w and mean_p = Im w - Y mean_q.  A squeezed variance read
+    off X^{-1} keeps its full relative precision, which (sigma + 1) - 1 loses.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    bconj = np.conj(_complex_basis(n))
-    form = np.block([[-np.conj(a), np.eye(n)], [np.eye(n), -a]])
-    p_inv = np.linalg.inv(0.5 * (bconj @ form @ bconj.T).real)
-    cov = p_inv - np.eye(2 * n)
-    mean = 0.5 * p_inv @ (bconj @ np.concatenate([np.conj(b), b])).real
+    inv = np.linalg.inv(np.eye(n) + a)
+    z = (np.eye(n) - a) @ inv
+    w = np.sqrt(2) * inv @ b
+    z = 0.5 * (z + z.T)
+    x, y = z.real, z.imag
+    x_inv = np.linalg.inv(x)
+    cov = np.empty((2 * n, 2 * n))
+    cov[0::2, 0::2] = x_inv
+    cov[0::2, 1::2] = -x_inv @ y
+    cov[1::2, 0::2] = cov[0::2, 1::2].T
+    cov[1::2, 1::2] = x + y @ x_inv @ y
+    mean = np.empty(2 * n)
+    mean[0::2] = x_inv @ w.real
+    mean[1::2] = w.imag - y @ mean[0::2]
     return 0.5 * (cov + cov.T), mean
 
 
@@ -114,11 +125,6 @@ def pure_state_params(cov, mean):
         raise ValueError("state is not pure enough for a holomorphic ket triple")
     cmag = float(np.sqrt(max(rho.c.real, 0.0)))
     return a, b, cmag
-
-
-def state_params(state) -> StellarParams:
-    """Ket triple of a GaussianPure, with phase taken from its ref overlap."""
-    return state.bargmann
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +459,3 @@ def fock11_amplitude(t: StellarParams) -> complex:
     if t.modes != 2:
         raise DimensionMismatch("fock11_amplitude expects a two-mode triple")
     return complex(t.c * (t.b[0] * t.b[1] + t.a[0, 1]))
-
-
-def spectral_radius(t: StellarParams) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(t.a)))) if t.modes else 0.0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -186,14 +187,23 @@ def test_norm_command(capsys):
     assert lo <= doc["value"] <= hi
 
 
+def run_python(args):
+    """Run a fresh interpreter on the gsim sources under test."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "gsim.cli", "bs-bound", "--mbar", "2"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python(["-m", "gsim.cli", "bs-bound", "--mbar", "2"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["task"] == "bs_bound"
+
+
+def test_cli_import_leaves_out_the_optimizer():
+    # scipy.optimize is imported by the optimizer alone, not by every gsim process
+    result = run_python(["-c", "import sys, gsim.cli; print('scipy.optimize' in sys.modules)"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

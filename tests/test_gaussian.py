@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gsim import fock
-from gsim.exceptions import DimensionMismatch, IllConditioned
+from gsim import fock, stellar
+from gsim.exceptions import DimensionMismatch, IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, Squeeze, gate_symplectic, program_symplectic
 from gsim.gaussian import (
     GaussianChannel,
@@ -23,7 +23,7 @@ from gsim.gaussian import (
 )
 from gsim.symplectic import random_symplectic
 
-from conftest import engine_state
+from conftest import engine_state, random_pure_program
 
 
 def two_mode_squeezer(r):
@@ -202,13 +202,14 @@ class TestConditioning:
         from gsim.states import single_gaussian
 
         gates = [Displace(0, 0.3 - 0.2j), Squeeze(0, 0.5), BeamSplitter(0, 1, 0.6)]
-        g = engine_state(gates, 2)
+        s, d = program_symplectic(gates, 2)
+        state = GaussianMixed(s @ s.T, d)
         xi = 0.5 + 0.3j
         r = np.sqrt(2) * np.array([xi.real, xi.imag])
-        assert np.linalg.norm(r - g.mean[2:]) > 0.1
-        assert np.max(np.abs(g.cov[:2, 2:])) > 0.1
-        triple_route = condition(single_gaussian(g), [1], [xi])[0].entries[0].term
-        out = condition_on_generaldyne(g.as_mixed(), GeneralDyne.heterodyne([1]), r)
+        assert np.linalg.norm(r - state.mean[2:]) > 0.1
+        assert np.max(np.abs(state.cov[:2, 2:])) > 0.1
+        triple_route = condition(single_gaussian(engine_state(gates, 2)), [1], [xi])[0].entries[0].term
+        out = condition_on_generaldyne(state, GeneralDyne.heterodyne([1]), r)
         assert np.max(np.abs(out.cov - triple_route.cov)) < 1e-10
         assert np.max(np.abs(out.mean - triple_route.mean)) < 1e-10
 
@@ -308,6 +309,30 @@ def test_pure_state_requires_pure_covariance():
 def test_ref_overlap_magnitude_validated():
     with pytest.raises(ValueError):
         GaussianPure(np.eye(2), np.zeros(2), 0.5)
+
+
+def test_from_triple_checks_its_normalisation(rng):
+    for n in (1, 2):
+        t = engine_state(random_pure_program(n, rng, 1.0, 0.8), n).bargmann
+        with pytest.raises(InvariantViolation, match="ref_overlap modulus disagrees"):
+            GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, 2 * t.c))
+    # |A| = 1, where tanh r rounds to 1 (r >= 19): a numerical failure, not a validation error
+    with pytest.raises(InvariantViolation, match="not normalisable"):
+        GaussianPure.from_triple(stellar.StellarParams([[-1.0]], [0.0], 1.0))
+
+
+def test_vacuum_and_coherent_triples_match_their_moments():
+    alpha = np.array([0.7 + 0.3j, -1.1j])
+    mean = np.sqrt(2) * np.column_stack([alpha.real, alpha.imag]).ravel()
+    for g, cov, mu in (
+        (GaussianPure.vacuum(2), np.eye(4), np.zeros(4)),
+        (GaussianPure.coherent(alpha), np.eye(4), mean),
+    ):
+        a, b, cmag = stellar.pure_state_params(cov, mu)
+        t = g.bargmann
+        assert np.max(np.abs(t.a - a)) <= 1e-12
+        assert np.max(np.abs(t.b - b)) <= 1e-12
+        assert abs(t.c - cmag) <= 1e-12
 
 
 def test_gate_mode_bounds_enforced():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from gsim import counters, fock, stellar
-from gsim.gates import BeamSplitter, Displace
-from gsim.gaussian import GaussianMixed, GaussianPure, GeneralDyne, generaldyne_density, tensor
+from gsim.gates import BeamSplitter, Displace, Squeeze, program_symplectic
+from gsim.gaussian import (
+    GaussianMixed,
+    GaussianPure,
+    GeneralDyne,
+    condition_on_generaldyne,
+    generaldyne_density,
+    tensor,
+)
 from gsim.phase import GaussianUnitary
 from gsim.simulator import (
     SparsifyPlan,
@@ -125,45 +132,47 @@ class TestCondition:
 
 
 def test_terms_carry_their_triples(monkeypatch):
-    # propagate and condition hand the (A, b) they compute to the new term;
-    # it must equal the triple re-derived from (cov, mean)
+    # evolve, condition and tensor build each term's triple without re-deriving
+    # it from moments; the moments derived from that triple must match the
+    # covariance formalism: the symplectic action (S S^T, d) on the vacuum and
+    # general-dyne conditioning of it
     rng = np.random.default_rng(1234)
-    true_params = stellar.pure_state_params
+    no_params = lambda *a: pytest.fail("triple re-derived")  # noqa: E731
     for n in (1, 2, 3):
         for _ in range(10):
-            start = GaussianPure.vacuum(n)
-            start.bargmann  # the initial term's triple comes from (cov, mean) once
-            op = GaussianUnitary.from_gates(random_circuit(n, 10, rng, alpha_max=0.8, r_max=0.5), n)
+            gates = random_circuit(n, 10, rng, alpha_max=0.8, r_max=0.5)
             with monkeypatch.context() as m:
-                m.setattr(stellar, "pure_state_params", lambda *a: pytest.fail("triple re-derived"))
-                sup = evolve(Superposition([WeightedGaussian(1.0, start)]), op)
+                m.setattr(stellar, "pure_state_params", no_params)
+                start = Superposition([WeightedGaussian(1.0, GaussianPure.vacuum(n))])
+                sup = evolve(start, GaussianUnitary.from_gates(gates, n))
                 terms = [sup.entries[0].term]
                 if n > 1:
                     xi = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
                     terms.append(condition(sup, list(range(1, n)), xi)[0].entries[0].term)
-                triples = [g.bargmann for g in terms]
-            for g, t in zip(terms, triples):
-                a, b, cmag = true_params(g.cov, g.mean)
-                assert np.max(np.abs(t.a - a)) <= 1e-12
-                assert np.max(np.abs(t.b - b)) <= 1e-12
-                assert t.c == g.ref_overlap and abs(abs(t.c) - cmag) <= 1e-12
-    # tensor hands over the direct sum of its factors' triples; the vacuum
-    # carries its own, and the coherent factor's is derived before the patch
-    seed = optimal_fock1_seed()
-    coherent = GaussianPure.coherent([0.3 - 0.4j])
-    coherent.bargmann
-    mixer = GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6, 0.2)], 2)
-    for second in (lambda: GaussianPure.vacuum(1), lambda: coherent):
+            s, d = program_symplectic(gates, n)
+            expected = [GaussianMixed(s @ s.T, d)]
+            if n > 1:
+                r = np.sqrt(2) * np.column_stack([xi.real, xi.imag]).ravel()
+                expected.append(condition_on_generaldyne(expected[0], GeneralDyne.heterodyne(range(1, n)), r))
+            for g, ref in zip(terms, expected):
+                assert np.max(np.abs(g.cov - ref.cov)) <= 1e-10
+                assert np.max(np.abs(g.mean - ref.mean)) <= 1e-10
+    # tensor hands over the direct sum of its factors' triples
+    seed_gates = [Squeeze(0, 0.55, 0.3), Displace(0, 0.8 + 0.1j)]
+    seed = evolve(single_gaussian(GaussianPure.vacuum(1)), GaussianUnitary.from_gates(seed_gates, 1)).entries[0].term
+    mixer = BeamSplitter(0, 1, 0.6, 0.2)
+    for second, second_gates in (
+        (lambda: GaussianPure.vacuum(1), []),
+        (lambda: GaussianPure.coherent([0.3 - 0.4j]), [Displace(1, 0.3 - 0.4j)]),
+    ):
         with monkeypatch.context() as m:
-            m.setattr(stellar, "pure_state_params", lambda *a: pytest.fail("triple re-derived"))
+            m.setattr(stellar, "pure_state_params", no_params)
             term = tensor(seed, second())
-            mixed = evolve(Superposition([WeightedGaussian(1.0, term)]), mixer).entries[0].term
-            triples = [term.bargmann, mixed.bargmann]
-        for g, t in zip((term, mixed), triples):
-            a, b, cmag = true_params(g.cov, g.mean)
-            assert np.max(np.abs(t.a - a)) <= 1e-12
-            assert np.max(np.abs(t.b - b)) <= 1e-12
-            assert t.c == g.ref_overlap and abs(abs(t.c) - cmag) <= 1e-12
+            mixed = evolve(single_gaussian(term), GaussianUnitary.from_gates([mixer], 2)).entries[0].term
+        for g, gates in ((term, seed_gates + second_gates), (mixed, seed_gates + second_gates + [mixer])):
+            s, d = program_symplectic(gates, 2)
+            assert np.max(np.abs(g.cov - s @ s.T)) <= 1e-10
+            assert np.max(np.abs(g.mean - d)) <= 1e-10
 
 
 class TestExactBorn:

@@ -58,12 +58,24 @@ class TestStateParams:
                 assert np.max(np.abs(cov_back - cov)) < 1e-12
                 assert np.max(np.abs(mean_back - mean)) < 1e-12
 
+    def test_pure_state_moments_keeps_squeezed_variance(self):
+        # sigma_qq = |1 + A|^2 / (1 - |A|^2) exactly for the stored A; a
+        # (sigma + 1) - 1 route loses about 1e-16 / sigma_qq of it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for r in (3.0, 6.0, 9.0):
+            a = engine_state([Squeeze(0, r)], 1).bargmann.a
+            cov, _ = stellar.pure_state_moments(a, np.zeros(1))
+            am = mpmath.mpc(complex(a[0, 0]))
+            exact = abs(1 + am) ** 2 / (1 - abs(am) ** 2)
+            assert abs(cov[0, 0] / exact - 1) <= 1e-14
+
     def test_norm_one_and_spectral_radius(self, rng):
         for _ in range(25):
             g = engine_state(random_pure_program(1, rng), 1)
             t = g.bargmann
             assert stellar.state_norm_squared(t) == pytest.approx(1.0, abs=1e-8)
-            assert stellar.spectral_radius(t) < 1.0
+            assert np.max(np.abs(np.linalg.eigvals(t.a))) < 1.0
 
 
 class TestUnitaryTriples:
