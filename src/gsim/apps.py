@@ -47,15 +47,16 @@ def two_mode_fock11_fidelity(params) -> float:
         Squeeze(1, r2, th2),
         BeamSplitter(0, 1, xi / 2.0, -phi),
     ]
-    ket = stellar.apply_to_state(stellar.program_params(gates, 2), _VACUUM2)
+    ket = _VACUUM2
+    for g in gates:
+        ket = stellar.apply_gate(g, ket, 2)
     return float(abs(stellar.fock11_amplitude(ket)) ** 2)
 
 
 def single_mode_fock1_fidelity(params) -> float:
     """|<1|D(a) S(r)|0>|^2 over real displacement and squeezing."""
     a, r = (float(p) for p in params)
-    gates = [Squeeze(0, r), Displace(0, a)]
-    ket = stellar.apply_to_state(stellar.program_params(gates, 1), _VACUUM1)
+    ket = stellar.apply_gate(Displace(0, a), stellar.apply_gate(Squeeze(0, r), _VACUUM1, 1), 1)
     return float(abs(stellar.fock_amplitude(ket, 1)) ** 2)
 
 
@@ -148,11 +149,11 @@ class TableRow:
 def report_table(deltas) -> list:
     """Rows of (delta, naive extent, published extent, breeding bound).
 
-    The naive extent applies (sum c)^2 / sum c^2 to the raw grid envelope;
-    the published extents for these states follow an unresolved convention
-    roughly half the naive value, so both are emitted without reconciliation.
-    The breeding bound ceil(xi / 2) uses the published extent where one
-    exists, else the naive one.
+    The naive extent applies (sum c)^2 / sum c^2 to the raw grid envelope
+    c_t = e^{-pi delta^2 t^2} over all integers t.  The published extents are
+    the same orthogonal-term sum over t >= 0 only, about half the naive value;
+    both are emitted.  The breeding bound ceil(xi / 2) uses the published
+    extent where one exists, else the naive one.
     """
     rows = []
     for d in deltas:

@@ -98,10 +98,7 @@ def gate_symplectic(gate: Gate, n: int):
     elif isinstance(gate, BeamSplitter):
         u = beamsplitter_unitary(gate.theta, gate.phi)
         full = np.eye(n, dtype=complex)
-        idx = [gate.mode1, gate.mode2]
-        for i in range(2):
-            for j in range(2):
-                full[idx[i], idx[j]] = u[i, j]
+        full[np.ix_([gate.mode1, gate.mode2], [gate.mode1, gate.mode2])] = u
         s = passive_from_unitary(full)
     else:
         raise TypeError(f"unknown gate {gate!r}")

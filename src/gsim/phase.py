@@ -5,8 +5,9 @@ Two interoperable backends:
 * the reference-state triple product: Tr(G0 G1 G2) factorizes into the three
   pairwise overlaps, and a closed Gaussian kernel in the covariances and
   means evaluates it with the relative phase intact;
-* the holomorphic backend (`stellar`), which composes unitary triples and is
-  the source of truth for phases along circuits.
+* the holomorphic backend (`stellar`), whose closed-form gate engine
+  `apply_gate` builds the triples of circuits and is the source of truth for
+  phases along them.
 
 Both are cross-validated against the truncated Fock oracle.
 """

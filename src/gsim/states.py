@@ -351,8 +351,8 @@ def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 
 
     This is the orthogonal-term approximation of the extent of the sensor
     state; asymptotically sqrt(2)/delta.  The published table for these
-    states follows a different (undocumented) convention roughly half this
-    value, so both numbers are reported side by side.
+    states takes the same sum over t >= 0 only, about half this value; both
+    numbers are reported side by side.
     """
     if t_max is None:
         t_max = 1

@@ -12,19 +12,20 @@ variables so that
     <a*|U|b> = exp(-(|a|^2+|b|^2)/2) c_U exp(b_U^T nu + nu^T A_U nu / 2),
     nu = (a, b).
 
-Unitary triples compose exactly (global phase included) through a complex
-Gaussian contraction; that composition is the source of truth for phases
-along circuits.
+A primitive gate changes any triple in closed form (`apply_gate`); folded over
+the identity or over a ket, that engine is the source of truth for phases
+along circuits.  Unitary triples also compose exactly via a Gaussian contraction.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from . import counters
 from ._linalg import COND_MAX, solve_complex
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, beamsplitter_unitary
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
 from .symplectic import bloch_messiah, unitary_from_passive
 
 
@@ -49,11 +50,9 @@ class StellarParams:
 def _complex_basis(n: int) -> np.ndarray:
     """Matrix B with quadrature mean = B @ (alpha, conj(alpha)), interleaved rows."""
     b = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        b[2 * k, k] = 1 / np.sqrt(2)
-        b[2 * k, n + k] = 1 / np.sqrt(2)
-        b[2 * k + 1, k] = -1j / np.sqrt(2)
-        b[2 * k + 1, n + k] = 1j / np.sqrt(2)
+    k = np.arange(n)
+    b[2 * k, k] = b[2 * k, n + k] = 1 / np.sqrt(2)
+    b[2 * k + 1, k], b[2 * k + 1, n + k] = -1j / np.sqrt(2), 1j / np.sqrt(2)
     return b
 
 
@@ -132,63 +131,85 @@ def pure_state_params(cov, mean):
 
 
 def identity_params(n: int) -> StellarParams:
-    a = np.zeros((2 * n, 2 * n), dtype=complex)
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = np.eye(n)
-    return StellarParams(a, np.zeros(2 * n, dtype=complex), 1.0 + 0.0j)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = a[n:, :n] = np.eye(n)
+    return StellarParams(a, np.zeros(2 * n), 1.0)
 
 
-def passive_params(u: np.ndarray) -> StellarParams:
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    a = np.zeros((2 * n, 2 * n), dtype=complex)
-    a[:n, n:] = u
-    a[n:, :n] = u.T
-    return StellarParams(a, np.zeros(2 * n, dtype=complex), 1.0 + 0.0j)
+def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
+    """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b."""
+    a, b = t.a.copy(), t.b.copy()
+    a[legs] = u @ a[legs]
+    a[:, legs] = a[:, legs] @ u.T
+    b[legs] = u @ b[legs]
+    return StellarParams(a, b, t.c)
 
 
-def displacement_params(delta) -> StellarParams:
-    """Unitary triple of D(delta) for a complex displacement vector."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=complex))
-    n = delta.shape[0]
-    base = identity_params(n)
-    b = np.concatenate([delta, -np.conj(delta)])
-    c = np.exp(-0.5 * float(np.sum(np.abs(delta) ** 2)))
-    return StellarParams(base.a, b, c)
+def _squeeze_cond(s, row, k: int, den) -> float:
+    """cond_2 of the squeeze kernel Y = 1 - s e_k row^T without an SVD: Y is the
+    identity off span(e_k, conj(row)); its other two singular values have
+    product p = |den| and squares summing to S = p^2 + 1 + rho, with rho =
+    |s|^2 sum_{j != k} |row_j|^2, so cond = (S + sqrt(d (S + 2p))) / 2p with
+    d = S - 2p = (p - 1)^2 + rho free of cancellation (1 for a single leg)."""
+    p = abs(den)
+    if p == 0 or row.shape[0] == 1:
+        return np.inf if p == 0 else 1.0
+    rho = abs(s) ** 2 * float(np.vdot(row[:k], row[:k]).real + np.vdot(row[k + 1 :], row[k + 1 :]).real)
+    total = p * p + 1.0 + rho
+    return (total + np.sqrt(((p - 1.0) ** 2 + rho) * (total + 2.0 * p))) / (2.0 * p)
+
+
+def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
+    """Phase-exact triple of a primitive gate on the first n legs of ``t`` (a
+    ket, or the out legs of a unitary), in closed form (Miatto and Quesada,
+    Quantum 4, 366 (2020)); a_k is row k of A:
+
+    * Displace(delta): b += delta e_k - conj(delta) a_k,
+      log c += -|delta|^2/2 - b_k conj(delta) + A_kk conj(delta)^2/2;
+    * PhaseShift, BeamSplitter: A -> U A U^T, b -> U b on the touched legs;
+    * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
+      on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
+      b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
+      + s b_k^2/(2 den).  Its kernel Y = 1 - s e_k a_k^T keeps the checks of
+      apply_to_state: IllConditioned for cond(Y) > COND_MAX, GsimError for
+      Re den <= 0.
+    """
+    check_gate_modes(gate, n)
+    if t.modes < n:
+        raise DimensionMismatch("gate register is wider than the triple")
+    if isinstance(gate, PhaseShift):
+        return _apply_passive(np.array([[np.exp(1j * gate.theta)]]), [gate.mode], t)
+    if isinstance(gate, BeamSplitter):
+        return _apply_passive(beamsplitter_unitary(gate.theta, gate.phi), [gate.mode1, gate.mode2], t)
+    k = gate.mode
+    if isinstance(gate, Displace):
+        d = complex(gate.alpha)
+        b = t.b - d.conjugate() * t.a[:, k]
+        b[k] += d
+        log_c = -0.5 * abs(d) ** 2 - t.b[k] * d.conjugate() + 0.5 * t.a[k, k] * d.conjugate() ** 2
+        return StellarParams(t.a, b, _exp_or_zero(_log_amplitude(t.c) + log_c))
+    if not isinstance(gate, Squeeze):
+        raise TypeError(f"unknown gate {gate!r}")
+    tr, ph, row = np.tanh(gate.r), np.exp(1j * gate.theta), t.a[k]
+    s = tr * ph.conjugate()
+    den = 1.0 - s * row[k]
+    cond = _squeeze_cond(s, row, k, den)
+    if not cond <= COND_MAX:
+        raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={cond:.3g})")
+    if den.real <= 0:
+        raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
+    f, bk = s / den, t.b[k]
+    scale = np.ones(t.modes)
+    scale[k] = 1.0 / np.cosh(gate.r)
+    a = scale[:, None] * (t.a + f * np.outer(row, row)) * scale
+    a[k, k] -= tr * ph
+    log_c = -0.5 * np.log(np.cosh(gate.r)) - 0.5 * np.log(den) + 0.5 * f * bk * bk
+    return StellarParams(a, scale * (t.b + (f * bk) * row), _exp_or_zero(_log_amplitude(t.c) + log_c))
 
 
 def gate_params(gate, n: int) -> StellarParams:
     """Unitary triple of a primitive gate embedded in an n-mode register."""
-    from .gates import check_gate_modes
-
-    check_gate_modes(gate, n)
-    if isinstance(gate, Displace):
-        delta = np.zeros(n, dtype=complex)
-        delta[gate.mode] = gate.alpha
-        return displacement_params(delta)
-    if isinstance(gate, PhaseShift):
-        u = np.eye(n, dtype=complex)
-        u[gate.mode, gate.mode] = np.exp(1j * gate.theta)
-        return passive_params(u)
-    if isinstance(gate, BeamSplitter):
-        u = np.eye(n, dtype=complex)
-        blk = beamsplitter_unitary(gate.theta, gate.phi)
-        idx = [gate.mode1, gate.mode2]
-        for i in range(2):
-            for j in range(2):
-                u[idx[i], idx[j]] = blk[i, j]
-        return passive_params(u)
-    if isinstance(gate, Squeeze):
-        base = identity_params(n)
-        a = base.a.copy()
-        k = gate.mode
-        t = np.tanh(gate.r)
-        a[k, k] = -t * np.exp(1j * gate.theta)
-        a[n + k, n + k] = t * np.exp(-1j * gate.theta)
-        a[k, n + k] = 1 / np.cosh(gate.r)
-        a[n + k, k] = 1 / np.cosh(gate.r)
-        return StellarParams(a, base.b, 1.0 / np.sqrt(np.cosh(gate.r)))
-    raise TypeError(f"unknown gate {gate!r}")
+    return apply_gate(gate, identity_params(n), n)
 
 
 def _blocks(t: StellarParams):
@@ -264,7 +285,7 @@ def program_params(gates, n: int) -> StellarParams:
     """Phase-exact triple of a gate list applied left to right."""
     out = identity_params(n)
     for g in gates:
-        out = compose(gate_params(g, n), out)
+        out = apply_gate(g, out, n)
     return out
 
 
@@ -273,41 +294,29 @@ def unitary_from_symplectic(s, d) -> StellarParams:
 
     Goes through the Euler decomposition, so the returned global phase is the
     deterministic one of that factorization (canonical only up to the usual
-    two-valuedness); circuits that need exact phase tracking should compose
-    primitive triples instead.
+    two-valuedness); circuits that need exact phase tracking should fold
+    their primitive gates through ``program_params`` instead.
     """
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
     n = s.shape[0] // 2
     o1, z, o2 = bloch_messiah(s)
-    u1 = unitary_from_passive(o1)
-    u2 = unitary_from_passive(o2)
-    out = passive_params(u2)
+    legs = np.arange(n)
+    out = _apply_passive(unitary_from_passive(o2), legs, identity_params(n))
     for k in range(n):
         # diag(z, 1/z) scales q by z, i.e. squeeze parameter r = -ln z
         r = -np.log(z[2 * k, 2 * k])
         if abs(r) > 1e-14:
-            out = compose(gate_params(Squeeze(k, r), n), out)
-    out = compose(passive_params(u1), out)
+            out = apply_gate(Squeeze(k, r), out, n)
+    out = _apply_passive(unitary_from_passive(o1), legs, out)
     delta = (d[0::2] + 1j * d[1::2]) / np.sqrt(2)
-    if np.any(np.abs(delta) > 0):
-        out = compose(displacement_params(delta), out)
+    for k in np.flatnonzero(delta):
+        out = apply_gate(Displace(int(k), delta[k]), out, n)
     return out
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def sandwich(t: StellarParams, alpha, beta) -> complex:
-    """Coherent matrix element <alpha*|U|beta> of a unitary triple."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    if alpha.shape[0] + beta.shape[0] != t.modes:
-        raise DimensionMismatch("coherent labels do not match the triple")
-    nu = np.concatenate([alpha, beta])
-    mag = float(np.sum(np.abs(alpha) ** 2) + np.sum(np.abs(beta) ** 2))
-    return _exp_or_zero(_log_amplitude(t.c) - 0.5 * mag + t.b @ nu + 0.5 * nu @ t.a @ nu)
 
 
 def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
@@ -446,8 +455,6 @@ def fock_amplitude(t: StellarParams, nphot: int) -> complex:
     a = complex(t.a[0, 0])
     b = complex(t.b[0])
     total = 0.0 + 0.0j
-    from math import factorial
-
     for k in range(nphot // 2 + 1):
         j = nphot - 2 * k
         total += (a / 2) ** k * b**j / (factorial(k) * factorial(j))

@@ -44,26 +44,17 @@ def passive_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = u.shape[0]
     if u.shape != (n, n) or np.max(np.abs(u @ u.conj().T - np.eye(n))) > tol:
         raise ValueError("input is not unitary within tolerance")
-    out = np.zeros((2 * n, 2 * n))
-    re, im = u.real, u.imag
-    for i in range(n):
-        for j in range(n):
-            out[2 * i, 2 * j] = re[i, j]
-            out[2 * i, 2 * j + 1] = -im[i, j]
-            out[2 * i + 1, 2 * j] = im[i, j]
-            out[2 * i + 1, 2 * j + 1] = re[i, j]
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2] = out[1::2, 1::2] = u.real
+    out[1::2, 0::2] = u.imag
+    out[0::2, 1::2] = -u.imag
     return out
 
 
 def unitary_from_passive(orth: np.ndarray) -> np.ndarray:
     """Inverse of :func:`passive_from_unitary` for orthogonal symplectic input."""
     orth = np.asarray(orth, dtype=float)
-    n = orth.shape[0] // 2
-    u = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            u[i, j] = orth[2 * i, 2 * j] + 1j * orth[2 * i + 1, 2 * j]
-    return u
+    return orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
 
 
 def bloch_messiah(s: np.ndarray, tol: float = TOL_DECOMP):
@@ -103,13 +94,8 @@ def bloch_messiah(s: np.ndarray, tol: float = TOL_DECOMP):
     if len(pairs) != n:
         raise ValueError("failed to pair symplectic eigenvectors")
 
-    o1 = np.empty((2 * n, 2 * n))
-    z = np.eye(2 * n)
-    for i, (v, w_, zi) in enumerate(pairs):
-        o1[:, 2 * i] = v
-        o1[:, 2 * i + 1] = w_
-        z[2 * i, 2 * i] = zi
-        z[2 * i + 1, 2 * i + 1] = 1.0 / zi
+    o1 = np.column_stack([col for v, w_, _ in pairs for col in (v, w_)])
+    z = np.diag([x for *_, zi in pairs for x in (zi, 1.0 / zi)])
     o2 = np.diag(1.0 / np.diag(z)) @ o1.T @ s
     err = np.max(np.abs(o1 @ z @ o2 - s))
     if err > max(tol, 1e-9 * max(1.0, float(np.max(np.abs(s))))):

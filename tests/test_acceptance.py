@@ -287,9 +287,9 @@ def test_criterion_7_grid_table():
         if row.delta <= 0.05:
             c = row.naive_extent * row.delta
             assert 1.3 <= c <= 1.5
-    # the published convention for these extents remains unresolved; the
-    # independent naive computation is emitted alongside without forcing them
-    # to coincide (they differ by roughly 2x).
+    # the published extents are the orthogonal-term sum over t >= 0 only
+    # (reproduced in test_apps); the two-sided naive extent is emitted
+    # alongside and is roughly twice as large.
     report(7, "breeding column reproduced for all six rows; naive extents ~ 1.41/delta")
 
 

@@ -44,3 +44,11 @@ def test_report_table_rows():
     assert rows[0].breeding_bound == 4
     assert rows[1].published_extent is None
     assert rows[1].breeding_bound >= 1
+
+
+def test_published_extents_are_the_one_sided_orthogonal_sum():
+    # (sum_{t>=0} e^{-pi d^2 t^2})^2 / sum_{t>=0} e^{-2 pi d^2 t^2}, to the printed digits
+    t = np.arange(4000)
+    for delta, (extent, _) in apps.GRID_EXTENT_TABLE.items():
+        c = np.exp(-np.pi * delta**2 * t**2)
+        assert round(c.sum() ** 2 / np.sum(c**2), 3) == extent

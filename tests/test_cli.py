@@ -218,6 +218,22 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert "numerical failure" in err
 
 
+def test_unnormalisable_squeeze_is_numerical_failure(tmp_path, capsys):
+    # r = 19 rounds tanh r to 1: a numerical failure (exit 3); r = 18 still runs
+    for r, expected in ((18.0, 0), (19.0, 3)):
+        program = {
+            "schema_version": 1,
+            "modes": 1,
+            "initial": {"kind": "squeezed", "r": r},
+            "task": {"name": "exact_born", "outcome": [[0.0, 0.0]]},
+        }
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps(program))
+        code, _, err = run_cli(["run", str(path)], capsys)
+        assert code == expected, err
+    assert "numerical failure" in err and "not normalisable" in err
+
+
 def test_invalid_parameter_is_validation_error(tmp_path, capsys):
     program = {
         "schema_version": 1,

@@ -321,6 +321,31 @@ def test_from_triple_checks_its_normalisation(rng):
         GaussianPure.from_triple(stellar.StellarParams([[-1.0]], [0.0], 1.0))
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("r", range(10, 19))
+def test_strongly_squeezed_terms_pass_the_normalisation_check(r, theta):
+    # squeezed vacuum: A = -tanh r e^{i theta} and <0|S> = 1/sqrt(cosh r);
+    # a beamsplitter spreads A as U diag(A, 0) U^T and keeps <00|
+    from gsim.gates import beamsplitter_unitary
+
+    a1 = -np.tanh(r) * np.exp(1j * theta)
+    g = engine_state([Squeeze(0, r, theta)], 1)
+    assert abs(g.ref_overlap * np.sqrt(np.cosh(r)) - 1) <= 1e-14
+    assert abs(g.bargmann.a[0, 0] - a1) <= 1e-15
+    u = beamsplitter_unitary(0.7, 0.3)
+    g2 = engine_state([Squeeze(0, r, theta), BeamSplitter(0, 1, 0.7, 0.3)], 2)
+    assert abs(g2.ref_overlap * np.sqrt(np.cosh(r)) - 1) <= 1e-14
+    assert np.max(np.abs(g2.bargmann.a - a1 * np.outer(u[:, 0], u[:, 0]))) <= 1e-15
+
+
+@pytest.mark.parametrize("r", [19.0, 25.0])
+def test_squeezing_past_double_precision_is_not_normalisable(r):
+    # tanh r rounds to 1 from r = 19 on
+    for gates, n in (([Squeeze(0, r, 1.0)], 1), ([Squeeze(0, r), BeamSplitter(0, 1, 0.7, 0.3)], 2)):
+        with pytest.raises(InvariantViolation, match="not normalisable"):
+            engine_state(gates, n)
+
+
 def test_vacuum_and_coherent_triples_match_their_moments():
     alpha = np.array([0.7 + 0.3j, -1.1j])
     mean = np.sqrt(2) * np.column_stack([alpha.real, alpha.imag]).ravel()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsim import counters, fock, phase, stellar
-from gsim.exceptions import GsimError, IllConditioned
+from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
 from gsim.symplectic import random_symplectic
@@ -15,6 +15,12 @@ from conftest import engine_state, random_circuit, random_pure_program
 
 def coherent_overlap(a, b):
     return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
+
+
+def sandwich(t, alpha, beta):
+    """Coherent matrix element <alpha*|U|beta> of a unitary triple."""
+    nu = np.concatenate([np.atleast_1d(alpha), np.atleast_1d(beta)]).astype(complex)
+    return t.c * np.exp(-0.5 * np.sum(np.abs(nu) ** 2) + t.b @ nu + 0.5 * nu @ t.a @ nu)
 
 
 class TestStateParams:
@@ -81,11 +87,11 @@ class TestStateParams:
 class TestUnitaryTriples:
     def test_identity_sandwich_is_coherent_overlap(self, rng):
         t = stellar.identity_params(2)
-        assert stellar.sandwich(t, [0, 0], [0, 0]) == pytest.approx(1.0)
+        assert sandwich(t, [0, 0], [0, 0]) == pytest.approx(1.0)
         for _ in range(10):
             al = rng.normal(size=2) + 1j * rng.normal(size=2)
             be = rng.normal(size=2) + 1j * rng.normal(size=2)
-            got = stellar.sandwich(t, al, be)
+            got = sandwich(t, al, be)
             expected = np.prod([coherent_overlap(np.conj(al[k]), be[k]) for k in range(2)])
             assert abs(got - expected) < 1e-12
 
@@ -95,9 +101,9 @@ class TestUnitaryTriples:
             a = rng.normal() + 1j * rng.normal()
             b = rng.normal() + 1j * rng.normal()
             composed = stellar.compose(
-                stellar.displacement_params([a]), stellar.displacement_params([b])
+                stellar.gate_params(Displace(0, a), 1), stellar.gate_params(Displace(0, b), 1)
             )
-            direct = stellar.displacement_params([a + b])
+            direct = stellar.gate_params(Displace(0, a + b), 1)
             phase = np.exp(1j * np.imag(a * np.conj(b)))
             assert abs(composed.c - phase * direct.c) < 1e-12
             assert np.max(np.abs(composed.b - direct.b)) < 1e-12
@@ -128,7 +134,7 @@ class TestUnitaryTriples:
 
     def test_sandwich_beamsplitter_vs_oracle(self):
         t = stellar.gate_params(BeamSplitter(0, 1, np.pi / 4, 0.0), 2)
-        got = stellar.sandwich(t, [0.0, 0.0], [1.0, 0.0])
+        got = sandwich(t, [0.0, 0.0], [1.0, 0.0])
         fv = fock.oracle_state([Displace(0, 1.0), BeamSplitter(0, 1, np.pi / 4, 0.0)], 2, cutoff=40)
         expected = fv.amplitudes[0, 0]
         assert abs(got - expected) < 1e-8
@@ -162,7 +168,7 @@ class TestEvaluation:
         vac = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 1.0)
         ket = stellar.apply_to_state(t_u, vac)
         # vacuum amplitude of the ket equals <0|U|0> from the sandwich
-        assert abs(ket.c - stellar.sandwich(t_u, [0.0], [0.0])) < 1e-12
+        assert abs(ket.c - sandwich(t_u, [0.0], [0.0])) < 1e-12
 
     def test_state_overlap_vs_oracle(self, rng):
         for _ in range(10):
@@ -227,7 +233,7 @@ def test_compose_large_displacement_onto_p_squeezer():
     # intermediate factors overflow in linear arithmetic; the composed
     # amplitude itself is representable and must come out finite
     t = stellar.compose(
-        stellar.displacement_params([31.0]),
+        stellar.gate_params(Displace(0, 31.0), 1),
         stellar.gate_params(Squeeze(0, 2.3, np.pi), 1),
     )
     assert np.isfinite(t.c.real) and np.isfinite(t.c.imag)
@@ -333,3 +339,188 @@ class TestOverlapKernel:
         one = stellar.state_overlap(stellar.StellarParams(a1[0], b1[0], c1[0]), stellar.StellarParams(a2[0], b2[0], c2[0]))
         assert counters.tally.overlap_evals == 6
         assert abs(one - vals[0]) <= 1e-15
+
+
+def _vacuum(n):
+    return stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0)
+
+
+def _fold(gates, t, n):
+    for g in gates:
+        t = stellar.apply_gate(g, t, n)
+    return t
+
+
+def _assert_triples_close(t1, t2, tol):
+    assert np.max(np.abs(t1.a - t2.a)) <= tol
+    assert np.max(np.abs(t1.b - t2.b)) <= tol
+    assert abs(t1.c - t2.c) <= tol
+
+
+class TestGateEngine:
+    """The closed-form gate updates against the contraction routes they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), depth=st.integers(1, 8))
+    def test_vacuum_fold_matches_applied_unitary(self, seed, n, depth):
+        gates = random_circuit(n, depth, np.random.default_rng(seed), alpha_max=1.0, r_max=1.0)
+        ket = _fold(gates, _vacuum(n), n)
+        _assert_triples_close(ket, stellar.apply_to_state(stellar.program_params(gates, n), _vacuum(n)), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), depth=st.integers(1, 8))
+    def test_program_params_matches_composed_chain(self, seed, n, depth):
+        gates = random_circuit(n, depth, np.random.default_rng(seed), alpha_max=1.0, r_max=1.0)
+        chain = stellar.identity_params(n)
+        for g in gates:
+            chain = stellar.compose(stellar.gate_params(g, n), chain)
+        _assert_triples_close(stellar.program_params(gates, n), chain, 1e-12)
+
+    def test_gate_params_are_the_textbook_blocks(self):
+        # the unitary triples the composed chain above starts from
+        n, r, th, d = 2, 0.7, 0.4, 0.3 - 0.5j
+        t = stellar.gate_params(Squeeze(1, r, th), n)
+        expect = stellar.identity_params(n).a
+        expect[1, 1] = -np.tanh(r) * np.exp(1j * th)
+        expect[3, 3] = np.tanh(r) * np.exp(-1j * th)
+        expect[1, 3] = expect[3, 1] = 1 / np.cosh(r)
+        assert np.max(np.abs(t.a - expect)) <= 1e-15
+        assert np.max(np.abs(t.b)) == 0 and abs(t.c - np.cosh(r) ** -0.5) <= 1e-15
+        t = stellar.gate_params(Displace(0, d), n)
+        assert np.array_equal(t.a, stellar.identity_params(n).a)
+        assert np.max(np.abs(t.b - [d, 0, -np.conj(d), 0])) <= 1e-15
+        assert abs(t.c - np.exp(-0.5 * abs(d) ** 2)) <= 1e-15
+        from gsim.gates import beamsplitter_unitary
+
+        for gate, u in (
+            (BeamSplitter(1, 0, 0.8, 0.3), beamsplitter_unitary(0.8, 0.3)[::-1, ::-1]),
+            (PhaseShift(1, 0.9), np.diag([1.0, np.exp(0.9j)])),
+        ):
+            t = stellar.gate_params(gate, n)
+            assert np.max(np.abs(t.a[:n, n:] - u)) <= 1e-15 and np.max(np.abs(t.a[n:, :n] - u.T)) <= 1e-15
+            assert not t.a[:n, :n].any() and not t.a[n:, n:].any() and not t.b.any() and t.c == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), depth=st.integers(1, 8))
+    def test_vacuum_fold_matches_fock_oracle(self, seed, n, depth):
+        rng = np.random.default_rng(seed)
+        gates = random_circuit(n, depth, rng)
+        ket = _fold(gates, _vacuum(n), n)
+        fv = fock.oracle_state(gates, n)
+        assert abs(ket.c - fv.amplitudes[(0,) * n]) < 1e-8
+        if n == 1:
+            for k in range(1, 5):
+                assert abs(stellar.fock_amplitude(ket, k) - fv.amplitudes[k]) < 1e-8
+        else:
+            assert abs(stellar.fock11_amplitude(ket) - fv.amplitudes[1, 1]) < 1e-8
+        for xi in 0.8 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))):
+            assert abs(stellar.coherent_amplitude(ket, xi) - fock.coherent_amplitude(fv, xi)) < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), spread=st.floats(0.0, 2.0))
+    def test_squeeze_cond_is_the_kernel_condition_number(self, seed, m, spread):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, m))
+        row = spread * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        row[k] *= 0.99 / max(1.0, abs(row[k]))
+        s = np.tanh(rng.uniform(-3.0, 3.0)) * np.exp(-1j * rng.uniform(0, 2 * np.pi))
+        if seed % 4 == 0:
+            row[np.arange(m) != k] = 0.0  # Y diagonal: the two singular values are |den| and 1
+        den = 1 - s * row[k]
+        y = np.eye(m) - s * np.outer(np.eye(m)[k], row)
+        assert abs(stellar._squeeze_cond(s, row, k, den) / np.linalg.cond(y) - 1) <= 1e-9
+
+    @pytest.mark.parametrize("gate", [Displace(2, 0.1), Squeeze(-1, 0.2), PhaseShift(3, 0.1), BeamSplitter(0, 2, 0.3)])
+    def test_out_of_range_mode_raises(self, gate):
+        for t in (_vacuum(2), stellar.identity_params(2)):
+            with pytest.raises(ValueError, match=r"mode index outside 0\.\.1"):
+                stellar.apply_gate(gate, t, 2)
+        with pytest.raises(ValueError, match=r"mode index outside 0\.\.1"):
+            stellar.program_params([Displace(0, 0.1), gate], 2)
+
+    def test_register_wider_than_the_triple_raises(self):
+        with pytest.raises(DimensionMismatch):
+            stellar.apply_gate(Displace(0, 0.1), _vacuum(1), 2)
+
+    def test_squeeze_keeps_the_state_application_checks(self):
+        b = np.array([0.3, -0.1j])
+        cases = [
+            # den = 1 - tanh(15)^2 ~ 3.7e-13 with a coupled row: cond(Y) ~ 3.7e12
+            (np.array([[np.tanh(15.0), 0.6], [0.6, 0.2]]), Squeeze(0, 15.0), IllConditioned),
+            # den = 1 - 1.5 tanh(1) < 0 with cond(Y) ~ 7
+            (np.diag([1.5, 0.0]), Squeeze(0, 1.0), GsimError),
+        ]
+        for a, gate, exc in cases:
+            t = stellar.StellarParams(a, b, 1.0)
+            for apply in (
+                lambda: stellar.apply_to_state(stellar.gate_params(gate, 2), t),
+                lambda: stellar.apply_gate(gate, t, 2),
+            ):
+                with pytest.raises(exc) as err:
+                    apply()
+                assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+
+class TestExtremeGatesAgainstMpmath:
+    """Squeeze (r = 10..18) and displacement (|delta| up to 30) updates at 50 digits.
+
+    The reference contracts the gate's unitary triple with the ket in mpmath,
+    the general formula of apply_to_state, not the rank-one update.
+    """
+
+    @staticmethod
+    def _mp_apply(mp, gate, t):
+        n = t.modes
+        a = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in t.a])
+        b = mp.matrix([mp.mpc(complex(x)) for x in t.b])
+        zero = mp.matrix(n, n)
+        bu, cu, du = zero.copy(), mp.eye(n), zero.copy()
+        b_out, b_in = mp.matrix(n, 1), mp.matrix(n, 1)
+        k = gate.mode
+        if isinstance(gate, Squeeze):
+            r, th = mp.mpf(gate.r), mp.mpf(gate.theta)
+            bu[k, k] = -mp.tanh(r) * mp.expj(th)
+            du[k, k] = mp.tanh(r) * mp.expj(-th)
+            cu[k, k] = mp.sech(r)
+            log_cu = -mp.log(mp.cosh(r)) / 2
+        else:
+            d = mp.mpc(complex(gate.alpha))
+            b_out[k], b_in[k] = d, -mp.conj(d)
+            log_cu = -abs(d) ** 2 / 2
+        y = mp.eye(n) - du * a
+        yi = mp.inverse(y)
+        a_new = bu + cu * yi.T * a * cu.T
+        b_new = b_out + cu * yi.T * (b + a * b_in)
+        log_c = (
+            log_cu
+            + mp.log(mp.mpc(complex(t.c)))
+            - mp.log(mp.det(y)) / 2
+            + (b.T * yi * b_in)[0]
+            + (b_in.T * yi.T * a * b_in)[0] / 2
+            + (b.T * yi * du * b)[0] / 2
+        )
+        return a_new, b_new, log_c
+
+    def _check(self, gate, t):
+        mp = pytest.importorskip("mpmath").mp
+        got = stellar.apply_gate(gate, t, t.modes)
+        with mp.workdps(50):
+            a_ref, b_ref, log_c = self._mp_apply(mp, gate, t)
+            c_ratio = complex(got.c / mp.exp(log_c))
+        n = t.modes
+        assert max(abs(got.a[i, j] - complex(a_ref[i, j])) for i in range(n) for j in range(n)) <= 1e-13
+        assert max(abs(got.b[i] - complex(b_ref[i])) for i in range(n)) <= 1e-12 * max(1.0, np.max(np.abs(got.b)))
+        assert abs(c_ratio - 1) <= 1e-11
+
+    def test_squeeze_update(self, rng):
+        for r in range(10, 19):
+            for n in (1, 2):
+                t = _fold(random_pure_program(n, rng, alpha_max=1.0, r_max=0.8), _vacuum(n), n)
+                self._check(Squeeze(int(rng.integers(0, n)), float(r), rng.uniform(0, 2 * np.pi)), t)
+
+    def test_displacement_update(self, rng):
+        for mag in (1.0, 5.0, 12.0, 20.0, 30.0):
+            for n in (1, 2):
+                t = _fold(random_pure_program(n, rng, alpha_max=1.0, r_max=0.8), _vacuum(n), n)
+                delta = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                self._check(Displace(int(rng.integers(0, n)), delta), t)
