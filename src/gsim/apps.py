@@ -33,8 +33,8 @@ GRID_EXTENT_TABLE = {
     0.01: (71.126, 36),
 }
 
-_VACUUM2 = stellar.StellarParams(np.zeros((2, 2)), np.zeros(2), 1.0)
-_VACUUM1 = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 1.0)
+_VACUUM2 = stellar.StellarParams(np.zeros((2, 2)), np.zeros(2), 0.0)
+_VACUUM1 = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 0.0)
 
 
 def two_mode_fock11_fidelity(params) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import apps, counters, simulator, states
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, program_symplectic, symplectic_gates
 from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel, tensor
 from .phase import GaussianUnitary, propagate
 from .states import Superposition, WeightedGaussian
@@ -173,16 +173,18 @@ def apply_ops(state, ops, modes: int):
         name = op["gate"]
         gate = _gate_from_op(op)
         if gate is not None or name == "symplectic":
-            if gate is not None:
-                u = GaussianUnitary.from_gates([gate], modes)
-            else:
+            if gate is None:
                 smat = np.asarray(op["matrix"], dtype=float)
                 shift = np.asarray(op.get("shift", np.zeros(2 * modes)), dtype=float)
-                u = GaussianUnitary.from_symplectic_displacement(smat, shift)
+                for field, value, shape in (("matrix", smat, (2 * modes, 2 * modes)), ("shift", shift, (2 * modes,))):
+                    if value.shape != shape:
+                        raise ValidationFailure(f"{where}.{field}: expected shape {shape} on {modes} modes")
+            u = GaussianUnitary.from_gates([gate] if gate is not None else symplectic_gates(smat, shift), modes)
             if isinstance(state, Superposition):
                 state = simulator.evolve(state, u)
             else:
-                state = GaussianMixed(u.s @ state.cov @ u.s.T, u.s @ state.mean + u.d)
+                s, d = program_symplectic(u.gates, modes)
+                state = GaussianMixed(s @ state.cov @ s.T, s @ state.mean + d)
         elif name == "channel":
             ch = GaussianChannel(
                 np.asarray(op["X"], dtype=float),

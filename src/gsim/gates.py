@@ -11,13 +11,16 @@ conventions:
 * ``PhaseShift(mode, theta)``    -- exp(i theta ad a); rotates a -> e^{i theta} a.
 * ``BeamSplitter(m1, m2, theta, phi)`` -- exp(theta (e^{i phi} ad b - e^{-i phi} a bd));
   theta = pi/4 is balanced.
+
+``symplectic_gates`` writes a quadrature map (S, d) as a gate list; its Euler
+factors use the internal whole-register gate ``Passive(u)``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import passive_from_unitary
+from .symplectic import bloch_messiah, passive_from_unitary, unitary_from_passive
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,14 @@ class BeamSplitter:
     phi: float = 0.0
 
 
-Gate = Displace | Squeeze | PhaseShift | BeamSplitter
+@dataclass(frozen=True, eq=False)
+class Passive:
+    """Passive unitary u (n x n) on the whole register: a -> u a."""
+
+    u: np.ndarray
+
+
+Gate = Displace | Squeeze | PhaseShift | BeamSplitter | Passive
 
 
 def squeeze_matrix(r: float, theta: float = 0.0) -> np.ndarray:
@@ -79,6 +89,8 @@ def check_gate_modes(gate: Gate, n: int) -> None:
         raise ValueError(f"gate {gate!r}: mode index outside 0..{n - 1}")
     if isinstance(gate, BeamSplitter) and gate.mode1 == gate.mode2:
         raise ValueError("beamsplitter needs two distinct modes")
+    if isinstance(gate, Passive) and gate.u.shape != (n, n):
+        raise ValueError(f"passive gate of shape {gate.u.shape} on {n} modes")
 
 
 def gate_symplectic(gate: Gate, n: int):
@@ -100,6 +112,8 @@ def gate_symplectic(gate: Gate, n: int):
         full = np.eye(n, dtype=complex)
         full[np.ix_([gate.mode1, gate.mode2], [gate.mode1, gate.mode2])] = u
         s = passive_from_unitary(full)
+    elif isinstance(gate, Passive):
+        s = passive_from_unitary(gate.u)
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return s, d
@@ -114,3 +128,21 @@ def program_symplectic(gates, n: int):
         s = sg @ s
         d = sg @ d + dg
     return s, d
+
+
+def displacement_gates(d):
+    """One Displace per mode with a nonzero quadrature shift d = sqrt(2) (Re a, Im a)."""
+    d = np.asarray(d, dtype=float)
+    delta = (d[0::2] + 1j * d[1::2]) / np.sqrt(2)
+    return tuple(Displace(int(k), delta[k]) for k in np.flatnonzero(delta))
+
+
+def symplectic_gates(s, d):
+    """Gates realising the quadrature map (S, d): the Euler factors O1 Z O2 of S
+    (Bloch-Messiah), then the displacements.  Their global phase is the one of
+    this factorisation; a circuit that tracks phases passes its own gates."""
+    o1, z, o2 = bloch_messiah(s)
+    # diag(z, 1/z) scales q by z, i.e. squeeze parameter r = -ln z
+    r = -np.log(np.diag(z)[0::2])
+    squeezes = tuple(Squeeze(int(k), r[k]) for k in np.flatnonzero(np.abs(r) > 1e-14))
+    return (Passive(unitary_from_passive(o2)), *squeezes, Passive(unitary_from_passive(o1)), *displacement_gates(d))

@@ -67,7 +67,7 @@ class GaussianMixed:
 
 
 class GaussianPure:
-    """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, c).
+    """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, log c).
 
     ``c`` = <0|G> is the phase-sensitive reference overlap against the vacuum:
     together with (A, b) it pins the global phase of the ket.  Covariance and
@@ -77,9 +77,11 @@ class GaussianPure:
     Two construction boundaries, each validated once:
 
     * ``GaussianPure(cov, mean, ref_overlap)`` takes moments from outside and
-      checks admissibility, purity and the modulus of ``ref_overlap``;
+      checks admissibility, purity and the modulus of ``ref_overlap``; below
+      1e-150, where a linear overlap may have underflowed, only its phase is
+      kept and the modulus comes from the closed form;
     * ``GaussianPure.from_triple(triple)`` takes a triple built by the library
-      and checks its closed-form normalisation.
+      and checks log |c| against its closed-form normalisation.
     """
 
     def __init__(self, cov, mean, ref_overlap):
@@ -89,9 +91,10 @@ class GaussianPure:
         if not is_pure_cov(cov):
             raise ValueError("covariance is not pure (sigma Omega sigma^T != Omega)")
         a, b, _ = stellar.pure_state_params(cov, mean)
-        self.bargmann = stellar.StellarParams(a, b, ref_overlap)
+        with np.errstate(divide="ignore"):
+            self.bargmann = stellar.StellarParams(a, b, np.log(complex(ref_overlap)))
         self._moments = (cov, mean)
-        self._check_ref_magnitude()
+        self._check_ref_magnitude(floor=np.log(1e-150))
 
     @classmethod
     def from_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
@@ -101,27 +104,31 @@ class GaussianPure:
         g._check_ref_magnitude()
         return g
 
-    def _check_ref_magnitude(self, tol: float = 1e-7):
-        """|c| of a normalised ket is det(1 - conj(A) A)^{1/4} exp(-Re q(b) / 2)
+    def _check_ref_magnitude(self, tol: float = 1e-7, floor: float = -np.inf):
+        """log |c| of a normalised ket is log det(1 - conj(A) A) / 4 - Re q(b) / 2
         with q(b) = b^T (1 - conj(A) A)^{-1} (conj(b) + conj(A) b).  One ulp of A
-        moves it by ~1e-16 / (1 - ||A||_2^2) relative, so a failed check is
-        retried with tol / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing past r ~ 12)."""
+        moves it by ~1e-16 / (1 - ||A||_2^2), so a failed check is retried with
+        tol / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing past r ~ 12).  A closed form
+        at or below ``floor`` replaces Re log c instead of checking it."""
         t = self.bargmann
         y = np.eye(t.modes) - t.a.conj() @ t.a
         sign, logdet = np.linalg.slogdet(y)
         if sign == 0:
             raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
         quad = (t.b @ np.linalg.solve(y, t.b.conj() + t.a.conj() @ t.b)).real
-        mag = float(np.exp(0.25 * logdet - 0.5 * quad))
-        err = abs(abs(t.c) - mag) / max(mag, 1e-30)
-        if mag > 1e-150 and err > tol:
+        log_mag = float(0.25 * logdet - 0.5 * quad)
+        if log_mag <= floor:
+            self.bargmann = stellar.StellarParams(t.a, t.b, complex(log_mag, t.log_c.imag))
+            return
+        err = abs(t.log_c.real - log_mag)
+        if err > tol:
             sigma = float(np.linalg.norm(t.a, 2))
             if sigma >= 1.0:
                 raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
             if err * (1.0 - sigma) * (1.0 + sigma) > tol:
                 raise InvariantViolation(
                     "ref_overlap modulus disagrees with the closed-form overlap "
-                    f"({abs(t.c):.3e} vs {mag:.3e})"
+                    f"(log |c| {t.log_c.real:.6g} vs {log_mag:.6g})"
                 )
 
     @property
@@ -146,15 +153,14 @@ class GaussianPure:
 
     @classmethod
     def vacuum(cls, n: int) -> "GaussianPure":
-        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0))
+        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 0.0))
 
     @classmethod
     def coherent(cls, alpha) -> "GaussianPure":
-        """Tensor product of coherent states, one amplitude per mode: (0, alpha, e^{-|alpha|^2/2})."""
+        """Tensor product of coherent states, one amplitude per mode: (0, alpha, -|alpha|^2/2)."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-        n = alpha.shape[0]
-        c = np.exp(-0.5 * float(np.sum(np.abs(alpha) ** 2)))
-        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), alpha, c))
+        n, log_c = alpha.shape[0], -0.5 * float(np.sum(np.abs(alpha) ** 2))
+        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), alpha, log_c))
 
     def as_mixed(self) -> GaussianMixed:
         return GaussianMixed(self.cov, self.mean)
@@ -215,18 +221,17 @@ def _mode_slices(modes):
 def displace(state, shift):
     """Shift the mean by ``shift`` (quadrature units); covariance unchanged.
 
-    For :class:`GaussianPure` the reference overlap is re-derived through the
-    phase engine so the global phase stays consistent with a true application
-    of the displacement unitary.
+    For :class:`GaussianPure` one ``Displace`` per mode is folded onto the
+    ket, so the global phase is that of the displacement unitary.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.shape[0] != 2 * state.n:
         raise DimensionMismatch("shift dimension does not match state")
     if isinstance(state, GaussianPure):
+        from .gates import displacement_gates
         from .phase import GaussianUnitary, propagate
 
-        op = GaussianUnitary.from_symplectic_displacement(np.eye(shift.shape[0]), shift)
-        return propagate(state, op)
+        return propagate(state, GaussianUnitary.from_gates(displacement_gates(shift), state.n))
     return GaussianMixed(state.cov, state.mean + shift)
 
 
@@ -255,12 +260,12 @@ def tensor(a, b):
     """Direct sum of two Gaussian states (modes of ``b`` appended).
 
     Two pure terms give the direct sum of their triples,
-    (blockdiag(A1, A2), (b1, b2), c1 c2).
+    (blockdiag(A1, A2), (b1, b2), log c1 + log c2).
     """
     if isinstance(a, GaussianPure) and isinstance(b, GaussianPure):
         ta, tb = a.bargmann, b.bargmann
         return GaussianPure.from_triple(
-            stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.c * tb.c)
+            stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.log_c + tb.log_c)
         )
     return GaussianMixed(_block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
 

@@ -6,8 +6,11 @@ Two interoperable backends:
   pairwise overlaps, and a closed Gaussian kernel in the covariances and
   means evaluates it with the relative phase intact;
 * the holomorphic backend (`stellar`), whose closed-form gate engine
-  `apply_gate` builds the triples of circuits and is the source of truth for
-  phases along them.
+  `apply_gate` folds a unitary's gate list onto each ket triple and is the
+  source of truth for phases along circuits.
+
+A Gaussian unitary is its gate list (`GaussianUnitary`); `propagate` applies
+it gate by gate in the log domain of c.
 
 Both are cross-validated against the truncated Fock oracle.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from . import stellar
 from ._linalg import EPS_REF, solve_complex
 from .exceptions import DimensionMismatch, ReferenceDegenerate
-from .gates import Squeeze, program_symplectic
+from .gates import Displace, Squeeze, check_gate_modes, symplectic_gates
 from .gaussian import GaussianPure
 from .rng import stream
 from .symplectic import omega
@@ -75,8 +78,6 @@ def _random_reference(states, seed: int) -> GaussianPure:
     Centered on the midpoint of the states' means so the retry can reach
     pairs that sit far from the vacuum.
     """
-    from .gates import Displace
-
     rng = stream(seed, 0)
     n = states[0].n
     center = np.mean([g.mean for g in states], axis=0)
@@ -115,48 +116,46 @@ def overlap(g1: GaussianPure, g2: GaussianPure) -> complex:
 
 @dataclass(frozen=True)
 class GaussianUnitary:
-    """Gaussian unitary as (symplectic, displacement) plus its phase triple."""
+    """Gaussian unitary on n modes as its gate list, applied left to right."""
 
-    s: np.ndarray
-    d: np.ndarray
-    params: stellar.StellarParams
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", np.array(self.s, dtype=float))
-        object.__setattr__(self, "d", np.array(self.d, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0] // 2
+    gates: tuple
+    n: int
 
     @classmethod
     def identity(cls, n: int) -> "GaussianUnitary":
-        return cls(np.eye(2 * n), np.zeros(2 * n), stellar.identity_params(n))
+        return cls((), n)
 
     @classmethod
     def from_gates(cls, gates, n: int) -> "GaussianUnitary":
         """Phase-exact unitary of a gate list applied left to right."""
-        s, d = program_symplectic(gates, n)
-        return cls(s, d, stellar.program_params(gates, n))
+        gates = tuple(gates)
+        for g in gates:
+            check_gate_modes(g, n)
+        return cls(gates, n)
 
     @classmethod
     def from_symplectic_displacement(cls, s, d) -> "GaussianUnitary":
         """Unitary with quadrature action (S, d); phase fixed by the Euler route."""
-        return cls(s, d, stellar.unitary_from_symplectic(s, d))
+        s = np.asarray(s, dtype=float)
+        return cls(symplectic_gates(s, d), s.shape[0] // 2)
 
     def then(self, other: "GaussianUnitary") -> "GaussianUnitary":
         """This unitary followed by ``other`` (operator product other @ self)."""
-        return GaussianUnitary(
-            other.s @ self.s,
-            other.s @ self.d + other.d,
-            stellar.compose(other.params, self.params),
-        )
+        if self.n != other.n:
+            raise DimensionMismatch("unitaries act on different mode counts")
+        return GaussianUnitary(self.gates + other.gates, self.n)
 
 
 def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:
     """Apply a Gaussian unitary to a pure state, phase-exact.
 
-    The ket triple becomes that of U|G> through the holomorphic backend, so
-    chains of arbitrarily many operations keep a consistent global phase.
+    Each gate updates the ket triple in closed form (`stellar.apply_gate`), so
+    chains of arbitrarily many operations keep a consistent global phase, and
+    log c keeps a term that passes far from the origin mid-chain.
     """
-    return GaussianPure.from_triple(stellar.apply_to_state(op.params, g.bargmann))
+    if op.n != g.n:
+        raise DimensionMismatch("unitary and state mode counts disagree")
+    ket = g.bargmann
+    for gate in op.gates:
+        ket = stellar.apply_gate(gate, ket, op.n)
+    return GaussianPure.from_triple(ket)

@@ -62,22 +62,16 @@ def condition(sup: Superposition, modes, outcome):
         t = e.term.bargmann
         a_ab = t.a[np.ix_(ka, kb)]
         a_bb = t.a[np.ix_(kb, kb)]
-        log_c = (
-            stellar._log_amplitude(t.c)
-            - 0.5 * float(np.sum(np.abs(outcome) ** 2))
-            + t.b[kb] @ xb
-            + 0.5 * xb @ a_bb @ xb
-        )
-        c_new = stellar._exp_or_zero(log_c)
-        reduced.append(stellar.StellarParams(t.a[np.ix_(ka, ka)], t.b[ka] + a_ab @ xb, c_new))
-    a, b, c = stellar.stack(reduced)
-    weights_sq = stellar.state_overlaps(a, b, c, a, b, c).real
+        log_c = t.log_c - 0.5 * float(np.sum(np.abs(outcome) ** 2)) + t.b[kb] @ xb + 0.5 * xb @ a_bb @ xb
+        reduced.append(stellar.StellarParams(t.a[np.ix_(ka, ka)], t.b[ka] + a_ab @ xb, log_c))
+    a, b, lc = stellar.stack(reduced)
+    weights_sq = stellar.state_overlaps(a, b, lc, a, b, lc).real
     entries = []
     for e, r, weight_sq in zip(sup.entries, reduced, weights_sq):
         if weight_sq <= 0.0:
             continue
         nu = math.sqrt(weight_sq)
-        term = GaussianPure.from_triple(stellar.StellarParams(r.a, r.b, r.c / nu))
+        term = GaussianPure.from_triple(stellar.StellarParams(r.a, r.b, r.log_c - np.log(nu)))
         entries.append(WeightedGaussian(e.coeff * nu, term))
     if not entries:
         raise ValueError("all terms annihilated by the conditioning outcome")
@@ -170,9 +164,8 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
         i = int(i)
         if i not in folded:
             e = sup.entries[i]
-            phase = e.coeff / abs(e.coeff)
             t = e.term.bargmann
-            folded[i] = GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, t.c * phase))
+            folded[i] = GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, t.log_c + 1j * np.angle(e.coeff)))
         entries.append(WeightedGaussian(sup.l1 / k, folded[i]))
     return Superposition(entries, l1=sup.l1)
 
@@ -181,10 +174,10 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions (deduplicated pairwise overlaps)."""
     ta, ca = a.aggregated()
     tb, cb = b.aggregated()
-    a1, b1, c1 = stellar.stack([t.bargmann for t in ta])
-    a2, b2, c2 = stellar.stack([t.bargmann for t in tb])
+    a1, b1, lc1 = stellar.stack([t.bargmann for t in ta])
+    a2, b2, lc2 = stellar.stack([t.bargmann for t in tb])
     i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))
-    pairs = stellar.state_overlaps(a1[i], b1[i], c1[i], a2[j], b2[j], c2[j])
+    pairs = stellar.state_overlaps(a1[i], b1[i], lc1[i], a2[j], b2[j], lc2[j])
     return complex(np.conj(ca) @ pairs.reshape(len(ta), len(tb)) @ cb)
 
 

@@ -82,10 +82,10 @@ class Superposition:
                 slots.append(e.term)
             # shared term objects (e.g. after sparsification) reuse one row
         chi = len(slots)
-        a, b, c = stellar.stack([t.bargmann for t in slots])
+        a, b, lc = stellar.stack([t.bargmann for t in slots])
         i, j = np.triu_indices(chi, 1)
         small = np.eye(chi, dtype=complex)
-        small[i, j] = stellar.state_overlaps(a[i], b[i], c[i], a[j], b[j], c[j])
+        small[i, j] = stellar.state_overlaps(a[i], b[i], lc[i], a[j], b[j], lc[j])
         small[j, i] = np.conj(small[i, j])
         idx = [uniq[id(e.term)] for e in self.entries]
         return small[np.ix_(idx, idx)]
@@ -140,14 +140,14 @@ class Superposition:
             g0 = terms[0]
             return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
 
-        a, b, c = stellar.stack([t.bargmann for t in terms])
+        a, b, lc = stellar.stack([t.bargmann for t in terms])
         k = len(terms)
         i, j = np.divmod(np.arange(k * k), k)
 
         def g(t: float) -> complex:
             # e^{i t n_total} maps the ket triple (A, b, c) to (e^{2it} A, e^{it} b, c)
             ph = np.exp(1j * t)
-            pairs = stellar.state_overlaps(a[i], b[i], c[i], ph * ph * a[j], ph * b[j], c[j])
+            pairs = stellar.state_overlaps(a[i], b[i], lc[i], ph * ph * a[j], ph * b[j], lc[j])
             return complex(np.conj(coeffs) @ pairs.reshape(k, k) @ coeffs)
 
         h = 1e-3

@@ -6,15 +6,18 @@ generating function
     Gamma(g) = c * exp(b^T g + g^T A g / 2),        <g*|psi> = e^{-|g|^2/2} Gamma(g),
 
 with A complex symmetric, spectral radius < 1, and c the vacuum amplitude.
+Triples store log c, and every kernel works with it: a term far from the
+origin keeps its amplitude although c itself is below double precision.
 A Gaussian unitary on M modes carries a 2M x 2M triple over (out, in)
 variables so that
 
     <a*|U|b> = exp(-(|a|^2+|b|^2)/2) c_U exp(b_U^T nu + nu^T A_U nu / 2),
     nu = (a, b).
 
-A primitive gate changes any triple in closed form (`apply_gate`); folded over
-the identity or over a ket, that engine is the source of truth for phases
-along circuits.  Unitary triples also compose exactly via a Gaussian contraction.
+A primitive gate changes any triple in closed form (`apply_gate`); folded gate
+by gate over a ket, that engine is the source of truth for phases along
+circuits.  Unitary triples (`program_params`, `compose`, `apply_to_state`)
+remain as its independent references.
 """
 
 from dataclasses import dataclass
@@ -25,26 +28,29 @@ import numpy as np
 from . import counters
 from ._linalg import COND_MAX, solve_complex
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
-from .symplectic import bloch_messiah, unitary_from_passive
+from .gates import BeamSplitter, Displace, Passive, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
 
 
 @dataclass(frozen=True)
 class StellarParams:
-    """Triple (A, b, c): symmetric matrix, linear vector, scalar amplitude."""
+    """Triple (A, b, log c): symmetric matrix, linear vector, log of the vacuum amplitude."""
 
     a: np.ndarray
     b: np.ndarray
-    c: complex
+    log_c: complex
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.array(self.a, dtype=complex))
         object.__setattr__(self, "b", np.array(self.b, dtype=complex))
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "log_c", complex(self.log_c))
 
     @property
     def modes(self) -> int:
         return self.b.shape[0]
+
+    @property
+    def c(self) -> complex:
+        return complex(np.exp(self.log_c))
 
 
 def _complex_basis(n: int) -> np.ndarray:
@@ -62,7 +68,7 @@ def mixed_state_params(cov, mean) -> StellarParams:
     Built by complexifying the Husimi quadratic form: with P = (sigma + 1)^{-1},
     the function e^{|a|^2} <a|rho|a> extends to a Gaussian in nu = (a, a*),
     giving A_rho = J - 2 B^T P B, b_rho = 2 B^T P rbar and
-    c_rho = 2^n e^{-rbar^T P rbar} / sqrt(det(sigma + 1)).
+    log c_rho = n log 2 - rbar^T P rbar - log det(sigma + 1) / 2.
     For pure rho the blocks reduce to conj(A_psi) (+) A_psi.
     """
     cov = np.asarray(cov, dtype=float)
@@ -76,8 +82,8 @@ def mixed_state_params(cov, mean) -> StellarParams:
     j[n:, :n] = np.eye(n)
     a_rho = j - 2 * bmat.T @ p @ bmat
     b_rho = 2 * bmat.T @ p @ mean
-    c_rho = 2**n * np.exp(-float(mean @ p @ mean)) / np.sqrt(float(np.linalg.det(total)))
-    return StellarParams(a_rho, b_rho, c_rho)
+    log_c = n * np.log(2.0) - float(mean @ p @ mean) - 0.5 * np.linalg.slogdet(total)[1]
+    return StellarParams(a_rho, b_rho, log_c)
 
 
 def pure_state_moments(a, b):
@@ -122,8 +128,7 @@ def pure_state_params(cov, mean):
     cross = np.max(np.abs(rho.a[:n, n:])) if n else 0.0
     if cross > 1e-7:
         raise ValueError("state is not pure enough for a holomorphic ket triple")
-    cmag = float(np.sqrt(max(rho.c.real, 0.0)))
-    return a, b, cmag
+    return a, b, float(np.exp(0.5 * rho.log_c.real))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def pure_state_params(cov, mean):
 def identity_params(n: int) -> StellarParams:
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = a[n:, :n] = np.eye(n)
-    return StellarParams(a, np.zeros(2 * n), 1.0)
+    return StellarParams(a, np.zeros(2 * n), 0.0)
 
 
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
@@ -142,7 +147,7 @@ def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     a[legs] = u @ a[legs]
     a[:, legs] = a[:, legs] @ u.T
     b[legs] = u @ b[legs]
-    return StellarParams(a, b, t.c)
+    return StellarParams(a, b, t.log_c)
 
 
 def _squeeze_cond(s, row, k: int, den) -> float:
@@ -166,7 +171,8 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
 
     * Displace(delta): b += delta e_k - conj(delta) a_k,
       log c += -|delta|^2/2 - b_k conj(delta) + A_kk conj(delta)^2/2;
-    * PhaseShift, BeamSplitter: A -> U A U^T, b -> U b on the touched legs;
+    * PhaseShift, BeamSplitter, Passive: A -> U A U^T, b -> U b on the
+      touched legs (all n legs for Passive);
     * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
       on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
       b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
@@ -181,13 +187,15 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
         return _apply_passive(np.array([[np.exp(1j * gate.theta)]]), [gate.mode], t)
     if isinstance(gate, BeamSplitter):
         return _apply_passive(beamsplitter_unitary(gate.theta, gate.phi), [gate.mode1, gate.mode2], t)
+    if isinstance(gate, Passive):
+        return _apply_passive(gate.u, np.arange(n), t)
     k = gate.mode
     if isinstance(gate, Displace):
         d = complex(gate.alpha)
         b = t.b - d.conjugate() * t.a[:, k]
         b[k] += d
         log_c = -0.5 * abs(d) ** 2 - t.b[k] * d.conjugate() + 0.5 * t.a[k, k] * d.conjugate() ** 2
-        return StellarParams(t.a, b, _exp_or_zero(_log_amplitude(t.c) + log_c))
+        return StellarParams(t.a, b, t.log_c + log_c)
     if not isinstance(gate, Squeeze):
         raise TypeError(f"unknown gate {gate!r}")
     tr, ph, row = np.tanh(gate.r), np.exp(1j * gate.theta), t.a[k]
@@ -204,7 +212,7 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     a = scale[:, None] * (t.a + f * np.outer(row, row)) * scale
     a[k, k] -= tr * ph
     log_c = -0.5 * np.log(np.cosh(gate.r)) - 0.5 * np.log(den) + 0.5 * f * bk * bk
-    return StellarParams(a, scale * (t.b + (f * bk) * row), _exp_or_zero(_log_amplitude(t.c) + log_c))
+    return StellarParams(a, scale * (t.b + (f * bk) * row), t.log_c + log_c)
 
 
 def gate_params(gate, n: int) -> StellarParams:
@@ -223,25 +231,12 @@ def _blocks(t: StellarParams):
     )
 
 
-def _log_amplitude(c: complex) -> complex:
-    """log of a complex amplitude; -inf real part for an exact zero."""
-    if c == 0:
-        return complex(-np.inf, 0.0)
-    return complex(np.log(c))
-
-
 def _half_log_det_rhp(mat, label: str) -> complex:
     """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue."""
     lam = np.linalg.eigvals(np.asarray(mat, dtype=complex))
     if np.any(lam.real <= 0):
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
     return complex(0.5 * np.sum(np.log(lam)))
-
-
-def _exp_or_zero(log_val: complex) -> complex:
-    if not np.isfinite(log_val.real):
-        return 0.0 + 0.0j
-    return complex(np.exp(log_val))
 
 
 def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
@@ -268,17 +263,15 @@ def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
     b = np.zeros(2 * m, dtype=complex)
     b[:m] = c1v + c1 @ yit @ (c2v + b2 @ d1v)
     b[m:] = d2v + c2.T @ yi @ (d1v + d1 @ c2v)
-    # log domain: the true |c| never exceeds 1 for unitaries, but the two
-    # factors can individually under/overflow for large displacements
     log_c = (
-        _log_amplitude(t1.c)
-        + _log_amplitude(t2.c)
+        t1.log_c
+        + t2.log_c
         - _half_log_det_rhp(y, "composition kernel")
         + c2v @ yi @ d1v
         + 0.5 * d1v @ (b2 @ yi) @ d1v
         + 0.5 * c2v @ (yi @ d1) @ c2v
     )
-    return StellarParams(a, b, _exp_or_zero(log_c))
+    return StellarParams(a, b, log_c)
 
 
 def program_params(gates, n: int) -> StellarParams:
@@ -286,32 +279,6 @@ def program_params(gates, n: int) -> StellarParams:
     out = identity_params(n)
     for g in gates:
         out = apply_gate(g, out, n)
-    return out
-
-
-def unitary_from_symplectic(s, d) -> StellarParams:
-    """Triple of the Gaussian unitary with quadrature action (S, d).
-
-    Goes through the Euler decomposition, so the returned global phase is the
-    deterministic one of that factorization (canonical only up to the usual
-    two-valuedness); circuits that need exact phase tracking should fold
-    their primitive gates through ``program_params`` instead.
-    """
-    s = np.asarray(s, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = s.shape[0] // 2
-    o1, z, o2 = bloch_messiah(s)
-    legs = np.arange(n)
-    out = _apply_passive(unitary_from_passive(o2), legs, identity_params(n))
-    for k in range(n):
-        # diag(z, 1/z) scales q by z, i.e. squeeze parameter r = -ln z
-        r = -np.log(z[2 * k, 2 * k])
-        if abs(r) > 1e-14:
-            out = apply_gate(Squeeze(k, r), out, n)
-    out = _apply_passive(unitary_from_passive(o1), legs, out)
-    delta = (d[0::2] + 1j * d[1::2]) / np.sqrt(2)
-    for k in np.flatnonzero(delta):
-        out = apply_gate(Displace(int(k), delta[k]), out, n)
     return out
 
 
@@ -331,14 +298,14 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
     a_new = b_u + c_u @ yit @ t_state.a @ c_u.T
     b_new = bu_out + c_u @ yit @ (t_state.b + t_state.a @ bu_in)
     log_c = (
-        _log_amplitude(t_u.c)
-        + _log_amplitude(t_state.c)
+        t_u.log_c
+        + t_state.log_c
         - _half_log_det_rhp(y, "state-application kernel")
         + t_state.b @ yi @ bu_in
         + 0.5 * bu_in @ yit @ t_state.a @ bu_in
         + 0.5 * t_state.b @ yi @ d_u @ t_state.b
     )
-    return StellarParams(a_new, b_new, _exp_or_zero(log_c))
+    return StellarParams(a_new, b_new, log_c)
 
 
 # pairs per batch of the overlap kernel; bounds its temporaries (about 20
@@ -348,35 +315,35 @@ OVERLAP_CHUNK = 4096
 
 
 def stack(triples):
-    """Stacked arrays (A (P,m,m), b (P,m), c (P,)) of a list of ket triples."""
+    """Stacked arrays (A (P,m,m), b (P,m), log c (P,)) of a list of ket triples."""
     return (
         np.array([t.a for t in triples], dtype=complex),
         np.array([t.b for t in triples], dtype=complex),
-        np.array([t.c for t in triples], dtype=complex),
+        np.array([t.log_c for t in triples], dtype=complex),
     )
 
 
-def state_overlaps(a1, b1, c1, a2, b2, c2) -> np.ndarray:
+def state_overlaps(a1, b1, lc1, a2, b2, lc2) -> np.ndarray:
     """Phase-sensitive <1_p|2_p> over P stacked pairs of ket triples.
 
-    Shapes are a (P,m,m), b (P,m) and c (P,).  With F = conj(A1), Y = 1 - F A2
-    and Yi = Y^{-1}, each pair contributes
+    Shapes are a (P,m,m), b (P,m) and log c (P,).  With F = conj(A1),
+    Y = 1 - F A2 and Yi = Y^{-1}, each pair contributes
     conj(c1) c2 det(Y)^{-1/2} exp(b2 Yi conj(b1) + conj(b1) Yi^T A2 conj(b1) / 2
-    + b2 Yi F b2 / 2), summed in the log domain so that a genuine underflow
-    gives an exact 0.  Every pair is checked: a 2-norm condition number of Y
+    + b2 Yi F b2 / 2), summed in the log domain so that only a genuine
+    underflow of the overlap gives an exact 0.  Every pair is checked: a 2-norm condition number of Y
     above COND_MAX raises IllConditioned, and an eigenvalue of Y off the open
     right half-plane raises GsimError.  Counts P overlap evaluations.  Stacks
     longer than OVERLAP_CHUNK are evaluated chunk by chunk.
     """
-    a1, b1, c1, a2, b2, c2 = stacks = [np.asarray(x, dtype=complex) for x in (a1, b1, c1, a2, b2, c2)]
-    if a1.shape != a2.shape or b1.shape != b2.shape or c1.shape != c2.shape:
+    a1, b1, lc1, a2, b2, lc2 = stacks = [np.asarray(x, dtype=complex) for x in (a1, b1, lc1, a2, b2, lc2)]
+    if a1.shape != a2.shape or b1.shape != b2.shape or lc1.shape != lc2.shape:
         raise DimensionMismatch("overlap stacks have different shapes")
-    if c1.shape[0] > OVERLAP_CHUNK:
+    if lc1.shape[0] > OVERLAP_CHUNK:
         return np.concatenate(
-            [state_overlaps(*(x[s : s + OVERLAP_CHUNK] for x in stacks)) for s in range(0, c1.shape[0], OVERLAP_CHUNK)]
+            [state_overlaps(*(x[s : s + OVERLAP_CHUNK] for x in stacks)) for s in range(0, len(lc1), OVERLAP_CHUNK)]
         )
-    counters.tally.overlap_evals += c1.shape[0]
-    if c1.shape[0] == 0:
+    counters.tally.overlap_evals += lc1.shape[0]
+    if lc1.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     f = a1.conj()
     av = b1.conj()[..., None]
@@ -393,19 +360,14 @@ def state_overlaps(a1, b1, c1, a2, b2, c2) -> np.ndarray:
         raise GsimError("overlap kernel has eigenvalues off the right half-plane")
     bt_yi = np.swapaxes(bv, 1, 2) @ yi
     quad = bt_yi @ (av + 0.5 * (f @ bv)) + 0.5 * np.swapaxes(yi @ av, 1, 2) @ (a2 @ av)
-    with np.errstate(divide="ignore"):
-        log_val = np.log(c1.conj()) + np.log(c2) - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0]
-    out = np.zeros(c1.shape[0], dtype=complex)
-    live = np.isfinite(log_val.real)
-    out[live] = np.exp(log_val[live])
-    return out
+    return np.exp(lc1.conj() + lc2 - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0])
 
 
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
     """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
     if t1.modes != t2.modes:
         raise DimensionMismatch("states act on different mode counts")
-    return complex(state_overlaps(t1.a[None], t1.b[None], [t1.c], t2.a[None], t2.b[None], [t2.c])[0])
+    return complex(state_overlaps(t1.a[None], t1.b[None], [t1.log_c], t2.a[None], t2.b[None], [t2.log_c])[0])
 
 
 def state_norm_squared(t: StellarParams) -> float:
@@ -420,13 +382,7 @@ def coherent_amplitude(t: StellarParams, xi) -> complex:
         raise DimensionMismatch("outcome dimension does not match state")
     counters.tally.amplitude_evals += 1
     xb = np.conj(xi)
-    log_val = (
-        _log_amplitude(t.c)
-        - 0.5 * float(np.sum(np.abs(xi) ** 2))
-        + t.b @ xb
-        + 0.5 * xb @ t.a @ xb
-    )
-    return _exp_or_zero(log_val)
+    return complex(np.exp(t.log_c - 0.5 * float(np.sum(np.abs(xi) ** 2)) + t.b @ xb + 0.5 * xb @ t.a @ xb))
 
 
 def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
@@ -436,16 +392,9 @@ def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("outcome stack must have shape (L, modes)")
     counters.tally.amplitude_evals += xis.shape[0]
     xb = np.conj(xis)
-    log_vals = (
-        _log_amplitude(t.c)
-        - 0.5 * np.sum(np.abs(xis) ** 2, axis=1)
-        + xb @ t.b
-        + 0.5 * np.einsum("li,ij,lj->l", xb, t.a, xb)
+    return np.exp(
+        t.log_c - 0.5 * np.sum(np.abs(xis) ** 2, axis=1) + xb @ t.b + 0.5 * np.einsum("li,ij,lj->l", xb, t.a, xb)
     )
-    out = np.zeros(xis.shape[0], dtype=complex)
-    mask = np.isfinite(log_vals.real)
-    out[mask] = np.exp(log_vals[mask])
-    return out
 
 
 def fock_amplitude(t: StellarParams, nphot: int) -> complex:

@@ -402,3 +402,66 @@ def test_state_free_task_accepts_an_initial_state(tmp_path, capsys):
     code, out, err = run_cli(["run", str(path)], capsys)
     assert code == 0, err
     assert json.loads(out)["value"] == 4
+
+
+def _run_program(program, tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    return run_cli(["run", str(path)], capsys)
+
+
+NOISE = {"gate": "channel", "X": [[1, 0], [0, 1]], "Y": [[2, 0], [0, 2]], "D": [0, 0]}
+
+
+@pytest.mark.parametrize("pipeline", ["pure", "mixed"])
+@pytest.mark.parametrize(
+    "field, op",
+    [
+        ("shift", {"gate": "symplectic", "matrix": [[1, 0], [0, 1]], "shift": [0.3]}),
+        ("matrix", {"gate": "symplectic", "matrix": np.eye(4).tolist()}),
+    ],
+)
+def test_symplectic_op_shapes_are_validated(pipeline, field, op, tmp_path, capsys):
+    # a one-element shift on one mode is neither dropped (pure) nor broadcast (mixed)
+    ops = [op] if pipeline == "pure" else [NOISE, op]
+    program = {
+        "schema_version": 1,
+        "modes": 1,
+        "initial": {"kind": "vacuum"},
+        "ops": ops,
+        "task": {"name": "exact_born", "outcome": [[0.0, 0.0]]},
+    }
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert f"ops[{len(ops) - 1}].{field}" in err
+
+
+def test_mixed_pipeline_applies_gates_by_their_symplectic_action(tmp_path, capsys):
+    from gsim.gates import Displace, program_symplectic
+    from gsim.gaussian import GaussianMixed, GaussianPure, fidelity_pure
+    from gsim.symplectic import random_symplectic
+
+    rng = np.random.default_rng(11)
+    x, y, d_ch = np.sqrt(0.8) * np.eye(4), 0.3 * np.eye(4), np.array([0.1, -0.2, 0.3, 0.0])
+    s_op, d_op = random_symplectic(2, rng, r_max=0.5), np.array([0.2, 0.1, -0.4, 0.3])
+    outcome = [0.3 - 0.2j, -0.1 + 0.4j]
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "vacuum"},
+        "ops": [
+            {"gate": "channel", "X": x.tolist(), "Y": y.tolist(), "D": d_ch.tolist()},
+            {"gate": "squeeze", "mode": 0, "r": 0.4, "theta": 0.7},
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6, "phi": 0.2},
+            {"gate": "displace", "mode": 1, "alpha": [0.3, -0.5]},
+            {"gate": "symplectic", "matrix": s_op.tolist(), "shift": d_op.tolist()},
+        ],
+        "task": {"name": "exact_born", "outcome": [[z.real, z.imag] for z in outcome]},
+    }
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    s, d = program_symplectic([Squeeze(0, 0.4, 0.7), BeamSplitter(0, 1, 0.6, 0.2), Displace(1, 0.3 - 0.5j)], 2)
+    s, d = s_op @ s, s_op @ d + d_op
+    cov, mean = x @ x.T + y, d_ch
+    want = fidelity_pure(GaussianMixed(s @ cov @ s.T, s @ mean + d), GaussianPure.coherent(outcome)) / np.pi**2
+    assert abs(json.loads(out)["value"] - want) < 1e-12

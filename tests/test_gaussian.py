@@ -311,14 +311,23 @@ def test_ref_overlap_magnitude_validated():
         GaussianPure(np.eye(2), np.zeros(2), 0.5)
 
 
+def test_underflowed_ref_overlap_takes_the_closed_form_modulus():
+    # <0|alpha> = e^{-|alpha|^2/2} is 0 in double precision at |alpha| = 40; the
+    # moments fix the modulus, and the phase of 0 is 0, that of <0|alpha> here
+    alpha = 40.0 * np.exp(0.3j)
+    g = GaussianPure(np.eye(2), np.sqrt(2) * np.array([alpha.real, alpha.imag]), 0.0)
+    assert g.bargmann.log_c == pytest.approx(-800.0, rel=1e-12)
+    assert abs(stellar.coherent_amplitude(g.bargmann, [alpha]) - 1.0) < 1e-10
+
+
 def test_from_triple_checks_its_normalisation(rng):
     for n in (1, 2):
         t = engine_state(random_pure_program(n, rng, 1.0, 0.8), n).bargmann
         with pytest.raises(InvariantViolation, match="ref_overlap modulus disagrees"):
-            GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, 2 * t.c))
+            GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, t.log_c + np.log(2.0)))
     # |A| = 1, where tanh r rounds to 1 (r >= 19): a numerical failure, not a validation error
     with pytest.raises(InvariantViolation, match="not normalisable"):
-        GaussianPure.from_triple(stellar.StellarParams([[-1.0]], [0.0], 1.0))
+        GaussianPure.from_triple(stellar.StellarParams([[-1.0]], [0.0], 0.0))
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])

@@ -151,7 +151,9 @@ class TestPropagate:
         chained = GaussianPure.vacuum(n)
         for g in gates:
             chained = propagate(chained, GaussianUnitary.from_gates([g], n))
-        direct = propagate(GaussianPure.vacuum(n), GaussianUnitary.from_gates(gates, n))
+        # one-shot side: the composed unitary triple contracted with the vacuum
+        one_shot = stellar.apply_to_state(stellar.program_params(gates, n), GaussianPure.vacuum(n).bargmann)
+        direct = GaussianPure.from_triple(one_shot)
         val = overlap(chained, direct)
         assert abs(val - 1.0) < 1e-8
 
@@ -200,8 +202,13 @@ def test_unitary_then_composes_in_order(rng):
     second = GaussianUnitary.from_gates([Displace(0, 0.4 - 0.3j)], 1)
     combined = first.then(second)
     direct = GaussianUnitary.from_gates([Squeeze(0, 0.5, 0.2), Displace(0, 0.4 - 0.3j)], 1)
-    assert np.allclose(combined.s, direct.s)
-    assert np.allclose(combined.d, direct.d)
+    assert combined.gates == direct.gates == (Squeeze(0, 0.5, 0.2), Displace(0, 0.4 - 0.3j))
+    # the composed unitary triple is the product second @ first
+    t_combined = stellar.compose(stellar.program_params(second.gates, 1), stellar.program_params(first.gates, 1))
+    t_direct = stellar.program_params(direct.gates, 1)
+    assert np.max(np.abs(t_combined.a - t_direct.a)) < 1e-12
+    assert np.max(np.abs(t_combined.b - t_direct.b)) < 1e-12
+    assert abs(t_combined.c - t_direct.c) < 1e-12
     g1 = propagate(GaussianPure.vacuum(1), combined)
     g2 = propagate(GaussianPure.vacuum(1), direct)
     assert abs(g1.ref_overlap - g2.ref_overlap) < 1e-12

@@ -28,7 +28,16 @@ from gsim.simulator import (
     sample_ensemble_member,
     sparsify,
 )
-from gsim.states import Superposition, WeightedGaussian, cat_state, fock1_ring, measures, optimal_fock1_seed, single_gaussian
+from gsim.states import (
+    Superposition,
+    WeightedGaussian,
+    cat_state,
+    fock1_ring,
+    grid_sensor,
+    measures,
+    optimal_fock1_seed,
+    single_gaussian,
+)
 
 from conftest import random_circuit
 
@@ -487,3 +496,79 @@ def test_fast_norm_walltime_scales_linearly_in_rank():
         timings[chi] = time.perf_counter() - t0
     ratio = timings[512] / timings[64]
     assert ratio < 24.0  # linear target 8x; quadratic would be ~64x
+
+
+class TestFarFromTheOrigin:
+    """Terms whose vacuum amplitude c is below double precision (|c| < e^-745)
+    keep their amplitudes: triples carry log c."""
+
+    def test_coherent_born_at_forty(self):
+        sup = single_gaussian(GaussianPure.coherent([40.0]))
+        assert exact_born(sup, [40.0]).value == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+    def test_displaced_vacuum_amplitude_at_its_centre(self):
+        sup = evolve(single_gaussian(GaussianPure.vacuum(1)), GaussianUnitary.from_gates([Displace(0, 39.0)], 1))
+        # <alpha|alpha> = 1
+        assert abs(sup.coherent_amplitude([39.0]) - 1.0) < 1e-12
+
+    def test_far_grid_outcome_against_mpmath(self):
+        # term t is D(a_t) S(r)|0> with a_t = t sqrt(pi/2) and r = -ln delta; in closed form
+        # <xi|D(a)S(r)|0> = e^{(a conj(xi) - conj(a) xi)/2} (cosh r)^{-1/2} e^{-|b|^2/2 - tanh(r) conj(b)^2/2}
+        # with b = xi - a, and <G_s|G_t> = e^{-(a_t - a_s)^2 e^{2r}/2} for real a
+        mp = pytest.importorskip("mpmath").mp
+        delta = 0.05
+        sup, _ = grid_sensor(delta)
+        xi = 30 * math.sqrt(math.pi / 2)
+        got = exact_born(sup, [xi]).value
+        t_max = (sup.rank - 1) // 2
+        with mp.workdps(50):
+            r = -mp.log(mp.mpf(delta))
+            ts = range(-t_max, t_max + 1)
+            alpha = {t: t * mp.sqrt(mp.pi / 2) for t in ts}
+            weight = {t: mp.exp(-mp.pi * mp.mpf(delta) ** 2 * t * t) for t in ts}
+            amp = mp.mpf(0)
+            for t in ts:
+                b = xi - alpha[t]
+                amp += weight[t] * mp.exp(-b * b / 2 - mp.tanh(r) * b * b / 2) / mp.sqrt(mp.cosh(r))
+            norm = mp.fsum(
+                weight[s] * weight[t] * mp.exp(-((alpha[t] - alpha[s]) ** 2) * mp.exp(2 * r) / 2)
+                for s in ts
+                for t in ts
+            )
+            want = float(amp**2 / (mp.pi * norm))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_chain_through_underflowing_vacuum_amplitude(self):
+        # displaced far out and strongly squeezed, then undone gate by gate: the
+        # ket's |c| passes below e^-745 mid-chain and returns to order one
+        rng = np.random.default_rng(745)
+        out = []
+        for _ in range(3):
+            k = int(rng.integers(0, 2))
+            out += [
+                Displace(k, 40 * np.exp(2j * np.pi * rng.uniform())),
+                Squeeze(k, rng.uniform(1.5, 2.5), rng.uniform(0, 2 * np.pi)),
+                BeamSplitter(0, 1, rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)),
+            ]
+        back = [
+            Displace(g.mode, -g.alpha) if isinstance(g, Displace)
+            else Squeeze(g.mode, -g.r, g.theta) if isinstance(g, Squeeze)
+            else BeamSplitter(g.mode1, g.mode2, -g.theta, g.phi)
+            for g in reversed(out)
+        ]
+        last = [Squeeze(0, 0.4, 1.0), Displace(1, 0.5 - 0.3j)]
+        gates = out + back + last
+        ket, lowest = GaussianPure.vacuum(2).bargmann, 0.0
+        for g in gates:
+            ket = stellar.apply_gate(g, ket, 2)
+            lowest = min(lowest, ket.log_c.real)
+        assert lowest < -745
+        vac = GaussianPure.vacuum(2).bargmann
+        got = evolve(single_gaussian(GaussianPure.vacuum(2)), GaussianUnitary.from_gates(gates, 2)).entries[0].term
+        # against the composed unitary, and against the last two gates alone (the rest is the
+        # identity); mid-chain |log c| reaches ~1e3 with ||A|| near 1, so the routes' roundings
+        # differ by ~1e-10 in log c
+        for ref in (stellar.apply_to_state(stellar.program_params(g, 2), vac) for g in (gates, last)):
+            assert np.max(np.abs(got.bargmann.a - ref.a)) < 1e-12
+            assert np.max(np.abs(got.bargmann.b - ref.b)) < 1e-10
+            assert abs(np.expm1(got.bargmann.log_c - ref.log_c)) < 1e-9

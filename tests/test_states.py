@@ -319,7 +319,7 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
         for term in terms:
             r = propagate(term, op)
             a, b, _ = stellar.pure_state_params(r.cov, r.mean)
-            rotated.append(stellar.StellarParams(a, b, r.ref_overlap))
+            rotated.append(stellar.StellarParams(a, b, np.log(r.ref_overlap)))
         return sum(
             np.conj(ci) * cj * stellar.state_overlap(ti.bargmann, rj)
             for ci, ti in zip(coeffs, terms)

@@ -146,18 +146,20 @@ class TestUnitaryTriples:
             Displace(1, 0.5 + 0.2j),
             PhaseShift(0, 1.4),
         ]
-        from gsim.gates import program_symplectic
+        from gsim.gates import program_symplectic, symplectic_gates
 
         t_composed = stellar.program_params(gates, 2)
         s, d = program_symplectic(gates, 2)
-        t_direct = stellar.unitary_from_symplectic(s, d)
+        t_direct = stellar.program_params(symplectic_gates(s, d), 2)
         assert np.max(np.abs(t_composed.a - t_direct.a)) < 1e-9
         assert np.max(np.abs(t_composed.b - t_direct.b)) < 1e-9
         ratio = t_composed.c / t_direct.c
         assert abs(abs(ratio) - 1.0) < 1e-9  # same modulus, phase gauge may differ
 
-    def test_unitary_from_symplectic_identity_phase(self):
-        t = stellar.unitary_from_symplectic(np.eye(4), np.zeros(4))
+    def test_symplectic_gates_identity_phase(self):
+        from gsim.gates import symplectic_gates
+
+        t = stellar.program_params(symplectic_gates(np.eye(4), np.zeros(4)), 2)
         assert abs(t.c - 1.0) < 1e-12
 
 
@@ -165,7 +167,7 @@ class TestEvaluation:
     def test_apply_to_state_matches_vacuum_composition(self, rng):
         gates = [Squeeze(0, 0.7, -0.4), Displace(0, 0.6 + 0.3j), PhaseShift(0, 0.5)]
         t_u = stellar.program_params(gates, 1)
-        vac = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 1.0)
+        vac = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 0.0)
         ket = stellar.apply_to_state(t_u, vac)
         # vacuum amplitude of the ket equals <0|U|0> from the sandwich
         assert abs(ket.c - sandwich(t_u, [0.0], [0.0])) < 1e-12
@@ -342,7 +344,7 @@ class TestOverlapKernel:
 
 
 def _vacuum(n):
-    return stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 1.0)
+    return stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 0.0)
 
 
 def _fold(gates, t, n):
@@ -451,7 +453,7 @@ class TestGateEngine:
             (np.diag([1.5, 0.0]), Squeeze(0, 1.0), GsimError),
         ]
         for a, gate, exc in cases:
-            t = stellar.StellarParams(a, b, 1.0)
+            t = stellar.StellarParams(a, b, 0.0)
             for apply in (
                 lambda: stellar.apply_to_state(stellar.gate_params(gate, 2), t),
                 lambda: stellar.apply_gate(gate, t, 2),
