@@ -17,9 +17,10 @@ import numpy as np
 from . import apps, counters, simulator, states
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
 from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, program_symplectic, symplectic_gates
-from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel, tensor
+from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel
 from .phase import GaussianUnitary, propagate
-from .states import Superposition, WeightedGaussian
+from .states import Superposition
+from .stellar import StellarParams
 
 SCHEMA_VERSION = 1
 
@@ -138,13 +139,13 @@ def build_initial(init: dict, modes: int) -> Superposition:
         sup = states.fock1_ring(seed, int(init.get("N", 16)))
     else:
         raise ValidationFailure(f"initial.kind: unknown state constructor {kind!r}")
-    while sup.n < modes:
-        sup = Superposition(
-            [WeightedGaussian(e.coeff, tensor(e.term, GaussianPure.vacuum(1))) for e in sup.entries],
-            l1=sup.l1,
-        )
-    if sup.n != modes:
+    if sup.n > modes:
         raise ValidationFailure("initial: state is wider than the declared mode count")
+    if sup.n < modes:
+        # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c
+        t, pad = sup.triples, modes - sup.n
+        vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
+        sup = Superposition.from_stack(sup.coeffs, sup.index, vac, l1=sup.l1)
     return sup
 
 

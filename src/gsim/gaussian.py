@@ -66,6 +66,26 @@ class GaussianMixed:
         return cls((1.0 + 2.0 * n_mean) * np.eye(2), np.zeros(2))
 
 
+def check_normalised(t: stellar.StellarParams, tol: float = 1e-7) -> None:
+    """Raise InvariantViolation unless Re log c of each ket in ``t`` (one, or
+    a stack) matches ``stellar.log_magnitude``.  One ulp of A moves that by
+    ~1e-16 / (1 - ||A||_2^2), so a failed check is retried with
+    tol / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing past r ~ 12); only the few
+    terms that fail the first test are looped over."""
+    log_c = np.reshape(np.real(t.log_c), -1)
+    log_mag = np.reshape(stellar.log_magnitude(t.a, t.b), -1)
+    err = np.abs(log_c - log_mag)
+    for p in np.flatnonzero(err > tol):
+        sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
+        if sigma >= 1.0:
+            raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
+        if err[p] * (1.0 - sigma) * (1.0 + sigma) > tol:
+            raise InvariantViolation(
+                "ref_overlap modulus disagrees with the closed-form overlap "
+                f"(log |c| {log_c[p]:.6g} vs {log_mag[p]:.6g})"
+            )
+
+
 class GaussianPure:
     """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, log c).
 
@@ -74,7 +94,7 @@ class GaussianPure:
     mean are views: the moments a state was built from, or else derived from
     (A, b) on first use.
 
-    Two construction boundaries, each validated once:
+    Two construction boundaries, each validated by ``check_normalised``:
 
     * ``GaussianPure(cov, mean, ref_overlap)`` takes moments from outside and
       checks admissibility, purity and the modulus of ``ref_overlap``; below
@@ -92,44 +112,26 @@ class GaussianPure:
             raise ValueError("covariance is not pure (sigma Omega sigma^T != Omega)")
         a, b, _ = stellar.pure_state_params(cov, mean)
         with np.errstate(divide="ignore"):
-            self.bargmann = stellar.StellarParams(a, b, np.log(complex(ref_overlap)))
+            log_c = np.log(complex(ref_overlap))
+        log_mag = stellar.log_magnitude(a, b)
+        if log_mag <= np.log(1e-150):
+            log_c = complex(log_mag, log_c.imag)
+        self.bargmann = stellar.StellarParams(a, b, log_c)
         self._moments = (cov, mean)
-        self._check_ref_magnitude(floor=np.log(1e-150))
+        check_normalised(self.bargmann)
 
     @classmethod
     def from_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
         """Term with the given ket triple; checks |c| against its normalisation."""
+        check_normalised(triple)
+        return cls.from_checked_triple(triple)
+
+    @classmethod
+    def from_checked_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
+        """Term wrapping a triple that has already passed ``check_normalised``."""
         g = cls.__new__(cls)
         g.bargmann = triple
-        g._check_ref_magnitude()
         return g
-
-    def _check_ref_magnitude(self, tol: float = 1e-7, floor: float = -np.inf):
-        """log |c| of a normalised ket is log det(1 - conj(A) A) / 4 - Re q(b) / 2
-        with q(b) = b^T (1 - conj(A) A)^{-1} (conj(b) + conj(A) b).  One ulp of A
-        moves it by ~1e-16 / (1 - ||A||_2^2), so a failed check is retried with
-        tol / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing past r ~ 12).  A closed form
-        at or below ``floor`` replaces Re log c instead of checking it."""
-        t = self.bargmann
-        y = np.eye(t.modes) - t.a.conj() @ t.a
-        sign, logdet = np.linalg.slogdet(y)
-        if sign == 0:
-            raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
-        quad = (t.b @ np.linalg.solve(y, t.b.conj() + t.a.conj() @ t.b)).real
-        log_mag = float(0.25 * logdet - 0.5 * quad)
-        if log_mag <= floor:
-            self.bargmann = stellar.StellarParams(t.a, t.b, complex(log_mag, t.log_c.imag))
-            return
-        err = abs(t.log_c.real - log_mag)
-        if err > tol:
-            sigma = float(np.linalg.norm(t.a, 2))
-            if sigma >= 1.0:
-                raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
-            if err * (1.0 - sigma) * (1.0 + sigma) > tol:
-                raise InvariantViolation(
-                    "ref_overlap modulus disagrees with the closed-form overlap "
-                    f"(log |c| {t.log_c.real:.6g} vs {log_mag:.6g})"
-                )
 
     @property
     def n(self) -> int:

@@ -9,8 +9,9 @@ Two interoperable backends:
   `apply_gate` folds a unitary's gate list onto each ket triple and is the
   source of truth for phases along circuits.
 
-A Gaussian unitary is its gate list (`GaussianUnitary`); `propagate` applies
-it gate by gate in the log domain of c.
+A Gaussian unitary is its gate list (`GaussianUnitary`); `apply` folds it
+gate by gate, in the log domain of c, over one ket triple (`propagate`) or
+over the stacked triples of a superposition (`simulator.evolve`).
 
 Both are cross-validated against the truncated Fock oracle.
 """
@@ -145,17 +146,19 @@ class GaussianUnitary:
             raise DimensionMismatch("unitaries act on different mode counts")
         return GaussianUnitary(self.gates + other.gates, self.n)
 
+    def apply(self, t: stellar.StellarParams) -> stellar.StellarParams:
+        """Ket triple (or stack) after this unitary: each gate updates it in
+        closed form (`stellar.apply_gate`), so chains of arbitrarily many
+        operations keep a consistent global phase, and log c keeps a term that
+        passes far from the origin mid-chain."""
+        if t.modes != self.n:
+            raise DimensionMismatch("unitary and state mode counts disagree")
+        for gate in self.gates:
+            t = stellar.apply_gate(gate, t, self.n)
+        return t
+
 
 def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:
-    """Apply a Gaussian unitary to a pure state, phase-exact.
-
-    Each gate updates the ket triple in closed form (`stellar.apply_gate`), so
-    chains of arbitrarily many operations keep a consistent global phase, and
-    log c keeps a term that passes far from the origin mid-chain.
-    """
-    if op.n != g.n:
-        raise DimensionMismatch("unitary and state mode counts disagree")
-    ket = g.bargmann
-    for gate in op.gates:
-        ket = stellar.apply_gate(gate, ket, op.n)
-    return GaussianPure.from_triple(ket)
+    """Apply a Gaussian unitary to a pure state, phase-exact: the one-term
+    case of `simulator.evolve`."""
+    return GaussianPure.from_triple(op.apply(g.bargmann))

@@ -6,6 +6,8 @@ numerator and O(rank^2) pairwise overlaps for the norm.  The approximate
 pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
 and replaces the Gram norm with a Monte-Carlo estimate from a Gaussian
 ensemble of coherent probes, making the total cost linear in the rank.
+Every routine works on a superposition's stacked triples at once: no loop
+runs over its terms.
 """
 
 import math
@@ -15,40 +17,39 @@ import numpy as np
 
 from . import counters, stellar
 from .exceptions import DimensionMismatch
-from .gaussian import GaussianPure
-from .phase import GaussianUnitary, propagate
+from .gaussian import check_normalised
+from .phase import GaussianUnitary
 from .rng import normal_rows, stream
-from .states import Superposition, WeightedGaussian
+from .states import Superposition
 
 
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
-    """Term-wise Gaussian unitary; coefficients, rank and l1 are untouched."""
-    entries = [WeightedGaussian(e.coeff, propagate(e.term, op)) for e in sup.entries]
-    return Superposition(entries, l1=sup.l1)
+    """Gaussian unitary folded over the whole stack of triples, then one
+    stacked normalisation check; coefficients, rank and l1 are untouched."""
+    triples = op.apply(sup.triples)
+    check_normalised(triples)
+    return Superposition.from_stack(sup.coeffs, sup.index, triples, l1=sup.l1)
 
 
 # ---------------------------------------------------------------------------
 # heterodyne conditioning
 
 
-def _partition_indices(n: int, measured):
-    measured = tuple(measured)
-    kept = tuple(m for m in range(n) if m not in measured)
-    return kept, measured
-
-
 def condition(sup: Superposition, modes, outcome):
     """Project the measured modes onto the heterodyne outcome <xi|.
 
     Each pure Gaussian term conditions to a pure Gaussian on the kept modes;
-    its coefficient picks up the (phase-sensitive) partial amplitude.  The
-    return value is (conditioned superposition, weight) with
+    its coefficient picks up the (phase-sensitive) partial amplitude, of
+    modulus nu_i with log nu_i = Re log c_i - log_magnitude(A_i, b_i) of the
+    reduced triple.  Coefficients are scaled by nu_i / max_j nu_j, so a term
+    whose nu_i underflows survives; only one whose ratio underflows is
+    dropped.  The return value is (conditioned superposition, weight) with
     weight = ||(1 (x) <xi|) psi||^2, so the heterodyne outcome density over
-    d^2m(xi) is weight / (pi^m ||psi||^2).  Rank never increases; terms whose
-    amplitude underflows to zero are dropped.
+    d^2m(xi) is weight / (pi^m ||psi||^2).  Rank never increases.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
-    kept, measured = _partition_indices(sup.n, modes)
+    measured = tuple(modes)
+    kept = [m for m in range(sup.n) if m not in measured]
     if outcome.shape[0] != len(measured):
         raise DimensionMismatch("outcome dimension does not match measured modes")
     if not kept:
@@ -57,26 +58,21 @@ def condition(sup: Superposition, modes, outcome):
     kb = np.asarray(measured, dtype=int)
     xb = np.conj(outcome)
 
-    reduced = []
-    for e in sup.entries:
-        t = e.term.bargmann
-        a_ab = t.a[np.ix_(ka, kb)]
-        a_bb = t.a[np.ix_(kb, kb)]
-        log_c = t.log_c - 0.5 * float(np.sum(np.abs(outcome) ** 2)) + t.b[kb] @ xb + 0.5 * xb @ a_bb @ xb
-        reduced.append(stellar.StellarParams(t.a[np.ix_(ka, ka)], t.b[ka] + a_ab @ xb, log_c))
-    a, b, lc = stellar.stack(reduced)
-    weights_sq = stellar.state_overlaps(a, b, lc, a, b, lc).real
-    entries = []
-    for e, r, weight_sq in zip(sup.entries, reduced, weights_sq):
-        if weight_sq <= 0.0:
-            continue
-        nu = math.sqrt(weight_sq)
-        term = GaussianPure.from_triple(stellar.StellarParams(r.a, r.b, r.log_c - np.log(nu)))
-        entries.append(WeightedGaussian(e.coeff * nu, term))
-    if not entries:
+    t = sup.triples
+    rows = t.a[:, ka]
+    a_bb = t.a[:, kb][:, :, kb]
+    log_c = t.log_c - 0.5 * float(np.sum(np.abs(outcome) ** 2)) + t.b[:, kb] @ xb + 0.5 * xb @ a_bb @ xb
+    a, b = rows[:, :, ka], t.b[:, ka] + rows[:, :, kb] @ xb
+    log_nu = log_c.real - stellar.log_magnitude(a, b)
+    shift = np.max(log_nu)
+    scale = np.exp(log_nu - shift)[sup.index]
+    keep = scale > 0.0
+    if not keep.any():
         raise ValueError("all terms annihilated by the conditioning outcome")
-    out = Superposition(entries)
-    return out, out.norm_squared()
+    used, index = np.unique(sup.index[keep], return_inverse=True)
+    reduced = stellar.StellarParams(a[used], b[used], (log_c - log_nu)[used])
+    out = Superposition.from_stack(sup.coeffs[keep] * scale[keep], index, reduced)
+    return out, out.norm_squared() * np.exp(2.0 * shift)
 
 
 def heterodyne_density(sup: Superposition, modes, outcome) -> float:
@@ -150,35 +146,26 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
 
     Every draw contributes coefficient l1/k with the coefficient phase folded
     into the term's gauge, so E<sparsified|psi> = 1 for normalized input.
-    Draws of the same index share one term object, which keeps the exact
-    Gram of the sparsified state at rank x rank cost.
+    Draws of the same index share one triple, which keeps the exact Gram of
+    the sparsified state at rank x rank cost.
     """
     k = plan.samples_for(sup.l1)
-    probs = np.array([abs(e.coeff) for e in sup.entries]) / sup.l1
+    probs = np.abs(sup.coeffs) / sup.l1
     rng = stream(plan.seed, 0)
-    draws = rng.choice(len(sup.entries), size=k, p=probs)
+    draws = rng.choice(sup.rank, size=k, p=probs)
     counters.tally.samples += k
-    folded: dict[int, GaussianPure] = {}
-    entries = []
-    for i in draws:
-        i = int(i)
-        if i not in folded:
-            e = sup.entries[i]
-            t = e.term.bargmann
-            folded[i] = GaussianPure.from_triple(stellar.StellarParams(t.a, t.b, t.log_c + 1j * np.angle(e.coeff)))
-        entries.append(WeightedGaussian(sup.l1 / k, folded[i]))
-    return Superposition(entries, l1=sup.l1)
+    used, index = np.unique(draws, return_inverse=True)
+    t = sup.triples[sup.index[used]]
+    folded = stellar.StellarParams(t.a, t.b, t.log_c + 1j * np.angle(sup.coeffs[used]))
+    return Superposition.from_stack(np.full(k, sup.l1 / k, dtype=complex), index, folded, l1=sup.l1)
 
 
 def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions (deduplicated pairwise overlaps)."""
-    ta, ca = a.aggregated()
-    tb, cb = b.aggregated()
-    a1, b1, lc1 = stellar.stack([t.bargmann for t in ta])
-    a2, b2, lc2 = stellar.stack([t.bargmann for t in tb])
-    i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))
-    pairs = stellar.state_overlaps(a1[i], b1[i], lc1[i], a2[j], b2[j], lc2[j])
-    return complex(np.conj(ca) @ pairs.reshape(len(ta), len(tb)) @ cb)
+    ca, cb = a.summed, b.summed
+    i, j = np.divmod(np.arange(len(ca) * len(cb)), len(cb))
+    pairs = stellar.state_overlaps(a.triples, b.triples, i, j)
+    return complex(np.conj(ca) @ pairs.reshape(len(ca), len(cb)) @ cb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,69 +1,104 @@
 """Gaussian decompositions of non-Gaussian states and the associated measures.
 
 A non-Gaussian pure state is stored as a weighted superposition of pure
-Gaussian terms with exact relative phases.  The decomposition's term count is
-the (witnessed) Gaussian rank; the squared l1 norm of the coefficients after
-exact Gram normalization upper-bounds the Gaussian extent.
+Gaussian terms with exact relative phases, stored stacked: R coefficients,
+an index vector into K unique ket triples, and the triples as one stacked
+`StellarParams`; ``entries`` and ``terms()`` are views.  The decomposition's
+term count is the (witnessed) Gaussian rank; the squared l1 norm of the
+coefficients after exact Gram normalization upper-bounds the Gaussian extent.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import stellar
 from .exceptions import DimensionMismatch, InvariantViolation
 from .gates import Displace, PhaseShift, Squeeze
-from .gaussian import GaussianPure
+from .gaussian import GaussianPure, check_normalised
 from .phase import GaussianUnitary, propagate
 
 # squared l1 norm of the optimal single-photon decomposition: 4e/(3 sqrt(3))
 FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
+# (probe, term) pairs per block of an amplitude sweep: keeps its
+# temporaries near 256 kB whatever the probe count and the rank
+AMPLITUDE_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class WeightedGaussian:
+class WeightedGaussian(NamedTuple):
+    """One (coefficient, term) entry of a superposition."""
+
     coeff: complex
     term: GaussianPure
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        if not np.isfinite(abs(self.coeff)):
-            raise ValueError("coefficient must be finite")
-
 
 class Superposition:
-    """Weighted list of pure Gaussian terms sharing one mode count.
+    """Pure Gaussian terms sharing one mode count: ``coeffs`` (R,) and
+    ``index`` (R,) into the stack of K unique ``triples``.
 
-    ``l1`` is fixed at construction (sum of coefficient moduli) and copied
-    verbatim by unitary evolution, which cannot change it.
+    ``Superposition(entries, l1=)`` stacks (coefficient, term) pairs, one
+    triple per distinct term object, without re-checking the terms.  ``l1``
+    is fixed at construction (sum of coefficient moduli) and copied verbatim
+    by unitary evolution, which cannot change it.
     """
 
     def __init__(self, entries, l1=None):
-        entries = tuple(
-            e if isinstance(e, WeightedGaussian) else WeightedGaussian(*e) for e in entries
-        )
+        entries = list(entries)
         if not entries:
             raise ValueError("superposition needs at least one term")
-        n = entries[0].term.n
-        if any(e.term.n != n for e in entries):
+        distinct = {id(term): term for _, term in entries}  # in order of first appearance
+        slot = {key: k for k, key in enumerate(distinct)}
+        terms = tuple(distinct.values())
+        if any(t.n != terms[0].n for t in terms):
             raise DimensionMismatch("terms act on different mode counts")
-        self.entries = entries
-        self.n = n
-        self.l1 = float(l1) if l1 is not None else float(sum(abs(e.coeff) for e in entries))
+        stack = [np.array([getattr(t.bargmann, f) for t in terms]) for f in ("a", "b", "log_c")]
+        coeffs = np.array([coeff for coeff, _ in entries], dtype=complex)
+        self._store(coeffs, np.array([slot[id(term)] for _, term in entries]), stellar.StellarParams(*stack), l1)
+        self._terms = terms
+
+    @classmethod
+    def from_stack(cls, coeffs, index, triples: stellar.StellarParams, l1=None) -> "Superposition":
+        """Superposition over a stack of triples that passed ``check_normalised``."""
+        sup = cls.__new__(cls)
+        sup._store(np.asarray(coeffs, dtype=complex), np.asarray(index, dtype=np.intp), triples, l1)
+        return sup
+
+    def _store(self, coeffs, index, triples, l1):
+        if not np.all(np.isfinite(np.abs(coeffs))):
+            raise ValueError("coefficient must be finite")
+        self.coeffs, self.index, self.triples = coeffs, index, triples
+        self.n = triples.modes
+        self.l1 = float(l1) if l1 is not None else float(np.sum(np.abs(coeffs)))
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[0]
 
     def coefficients(self) -> np.ndarray:
-        return np.array([e.coeff for e in self.entries], dtype=complex)
+        return self.coeffs.copy()
+
+    @cached_property
+    def _terms(self) -> tuple:
+        return tuple(GaussianPure.from_checked_triple(self.triples[k]) for k in range(self.triples.b.shape[0]))
+
+    @cached_property
+    def entries(self) -> tuple:
+        """(coefficient, term) per entry; entries sharing a triple share its term."""
+        return tuple(WeightedGaussian(complex(c), self._terms[k]) for c, k in zip(self.coeffs, self.index))
 
     def terms(self):
-        return [e.term for e in self.entries]
+        return [self._terms[k] for k in self.index]
+
+    @cached_property
+    def summed(self) -> np.ndarray:
+        """Coefficients summed per unique triple (K,)."""
+        k = self.triples.b.shape[0]
+        return np.bincount(self.index, self.coeffs.real, k) + 1j * np.bincount(self.index, self.coeffs.imag, k)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -71,59 +106,36 @@ class Superposition:
 
         Assembled through the holomorphic backend, whose log-domain kernel
         stays finite for far-separated terms (grid states); the triple-product
-        backend cross-checks it in the test suite.
+        backend cross-checks it in the test suite.  Only the K(K-1)/2 pairs of
+        unique triples are evaluated; entries sharing a triple share its row.
         """
-        uniq: dict[int, int] = {}
-        slots = []
-        for e in self.entries:
-            key = id(e.term)
-            if key not in uniq:
-                uniq[key] = len(slots)
-                slots.append(e.term)
-            # shared term objects (e.g. after sparsification) reuse one row
-        chi = len(slots)
-        a, b, lc = stellar.stack([t.bargmann for t in slots])
+        chi = self.triples.b.shape[0]
         i, j = np.triu_indices(chi, 1)
         small = np.eye(chi, dtype=complex)
-        small[i, j] = stellar.state_overlaps(a[i], b[i], lc[i], a[j], b[j], lc[j])
+        small[i, j] = stellar.state_overlaps(self.triples, self.triples, i, j)
         small[j, i] = np.conj(small[i, j])
-        idx = [uniq[id(e.term)] for e in self.entries]
-        return small[np.ix_(idx, idx)]
+        if np.array_equal(self.index, np.arange(chi)):
+            return small
+        return small[np.ix_(self.index, self.index)]
 
     def norm_squared(self) -> float:
-        c = self.coefficients()
+        c = self.coeffs
         val = float(np.real(np.conj(c) @ self.gram @ c))
         if val < -1e-8 * max(self.l1**2, 1.0):
             raise InvariantViolation("Gram form is non-positive beyond tolerance; phases corrupted")
         return max(val, 0.0)
 
-    def aggregated(self):
-        """(unique terms, summed coefficients); repeats share term objects."""
-        order: dict[int, int] = {}
-        terms, coeffs = [], []
-        for e in self.entries:
-            key = id(e.term)
-            if key not in order:
-                order[key] = len(terms)
-                terms.append(e.term)
-                coeffs.append(0.0 + 0.0j)
-            coeffs[order[key]] += e.coeff
-        return terms, np.asarray(coeffs)
-
     def coherent_amplitude(self, xi) -> complex:
-        """<xi|psi> summed term by term; linear in the rank."""
-        terms, coeffs = self.aggregated()
-        return complex(
-            sum(c * stellar.coherent_amplitude(t.bargmann, xi) for c, t in zip(coeffs, terms))
-        )
+        """<xi|psi> from one stacked evaluation; linear in the rank."""
+        return complex(self.summed @ stellar.coherent_amplitude(self.triples, xi))
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""
         xis = np.asarray(xis, dtype=complex)
-        total = np.zeros(xis.shape[0], dtype=complex)
-        terms, coeffs = self.aggregated()
-        for c, t in zip(coeffs, terms):
-            total += c * stellar.coherent_amplitude_batch(t.bargmann, xis)
+        rows = max(1, AMPLITUDE_CHUNK // self.triples.b.shape[0])
+        total = np.empty(xis.shape[0], dtype=complex)
+        for s in range(0, max(xis.shape[0], 1), rows):
+            total[s : s + rows] = stellar.coherent_amplitude_batch(self.triples, xis[s : s + rows]) @ self.summed
         return total
 
     def mean_photon_husimi(self) -> float:
@@ -135,19 +147,18 @@ class Superposition:
         function g(t) = <psi|e^{i t n_total}|psi>.  Single-term states use
         the closed form tr(sigma)/4 + |mu|^2/2 + n/2.
         """
-        terms, coeffs = self.aggregated()
-        if len(terms) == 1:
-            g0 = terms[0]
+        t, coeffs = self.triples, self.summed
+        k = t.b.shape[0]
+        if k == 1:
+            g0 = self._terms[0]
             return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
-
-        a, b, lc = stellar.stack([t.bargmann for t in terms])
-        k = len(terms)
         i, j = np.divmod(np.arange(k * k), k)
 
-        def g(t: float) -> complex:
+        def g(time: float) -> complex:
             # e^{i t n_total} maps the ket triple (A, b, c) to (e^{2it} A, e^{it} b, c)
-            ph = np.exp(1j * t)
-            pairs = stellar.state_overlaps(a[i], b[i], lc[i], ph * ph * a[j], ph * b[j], lc[j])
+            ph = np.exp(1j * time)
+            turned = stellar.StellarParams(ph * ph * t.a, ph * t.b, t.log_c)
+            pairs = stellar.state_overlaps(t, turned, i, j)
             return complex(np.conj(coeffs) @ pairs.reshape(k, k) @ coeffs)
 
         h = 1e-3
@@ -160,6 +171,24 @@ class Superposition:
 
 def single_gaussian(term: GaussianPure) -> Superposition:
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
+
+
+def _normalised(coeffs, terms: stellar.StellarParams) -> Superposition:
+    """Superposition of distinct terms, scaled to unit norm by its exact Gram."""
+    index = np.arange(len(coeffs))
+    raw = Superposition.from_stack(coeffs, index, terms)
+    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), index, terms)
+
+
+def _displaced_stack(alphas, first=()) -> stellar.StellarParams:
+    """Checked triples D(alpha_i) G|0> of one-mode gates ``first`` = G, one per alpha."""
+    ket = GaussianPure.vacuum(1).bargmann
+    for gate in first:
+        ket = stellar.apply_gate(gate, ket, 1)
+    copies = ket[None][np.zeros(len(alphas), dtype=np.intp)]
+    terms = stellar.apply_gate(Displace(0, alphas), copies, 1)
+    check_normalised(terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +235,11 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     amp1 = seed_fock1_amplitude(seed)
     if abs(amp1) < 1e-12:
         raise ValueError("seed has vanishing single-photon amplitude")
-    entries = []
-    for m in range(2 * big_n):
-        theta = np.pi * m / big_n
-        rotated = propagate(seed, GaussianUnitary.from_gates([PhaseShift(0, theta)], 1))
-        coeff = np.exp(-1j * theta) / (2 * big_n * amp1)
-        entries.append(WeightedGaussian(coeff, rotated))
-    return Superposition(entries)
+    theta = np.pi * np.arange(2 * big_n) / big_n
+    copies = seed.bargmann[None][np.zeros(2 * big_n, dtype=np.intp)]
+    ring = stellar.apply_gate(PhaseShift(0, theta), copies, 1)
+    check_normalised(ring)
+    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), np.arange(2 * big_n), ring)
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
@@ -242,19 +269,8 @@ def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
     """
     if big_m < 1 or mu not in (0, 1):
         raise ValueError("need M >= 1 and mu in {0, 1}")
-    entries = []
-    for m in range(2 * big_m):
-        theta = np.pi * m / big_m
-        term = GaussianPure.coherent([alpha * np.exp(1j * theta)])
-        entries.append(WeightedGaussian((-1.0) ** (mu * m) + 0.0j, term))
-    sup = Superposition(entries)
-    scale = 1.0 / np.sqrt(sup.norm_squared())
-    return Superposition([WeightedGaussian(e.coeff * scale, e.term) for e in entries])
-
-
-def _displaced_squeezed(q_shift_complex: complex, r: float) -> GaussianPure:
-    op = GaussianUnitary.from_gates([Squeeze(0, r), Displace(0, q_shift_complex)], 1)
-    return propagate(GaussianPure.vacuum(1), op)
+    m = np.arange(2 * big_m)
+    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)))
 
 
 def gkp_state(
@@ -293,15 +309,12 @@ def gkp_state(
     if tail > tail_tol:
         raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {tail_tol:.1e}")
 
-    entries = []
-    for s in range(-s_max, s_max + 1):
-        term = _displaced_squeezed(alpha_d * (d * s + mu) + 0.0j, r)
-        entries.append(WeightedGaussian(envelope(s) + 0.0j, term))
-    sup = Superposition(entries)
+    s = np.arange(-s_max, s_max + 1)
+    terms = _displaced_stack(alpha_d * (d * s + mu) + 0.0j, [Squeeze(0, r)])
+    coeffs = np.array([envelope(k) for k in s.tolist()]) + 0.0j
     if normalize:
-        scale = 1.0 / np.sqrt(sup.norm_squared())
-        sup = Superposition([WeightedGaussian(e.coeff * scale, e.term) for e in entries])
-    return sup, tail
+        return _normalised(coeffs, terms), tail
+    return Superposition.from_stack(coeffs, np.arange(s.shape[0]), terms), tail
 
 
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
@@ -334,16 +347,9 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     else:
         tail = dropped_mass(t_max)
 
-    entries = []
-    for t in range(-t_max, t_max + 1):
-        term = _displaced_squeezed(t * math.sqrt(math.pi / 2) + 0.0j, r)
-        entries.append(WeightedGaussian(envelope(t) + 0.0j, term))
-    sup = Superposition(entries)
-    scale = 1.0 / np.sqrt(sup.norm_squared())
-    return (
-        Superposition([WeightedGaussian(e.coeff * scale, e.term) for e in entries]),
-        tail,
-    )
+    t = np.arange(-t_max, t_max + 1)
+    terms = _displaced_stack(t * math.sqrt(math.pi / 2) + 0.0j, [Squeeze(0, r)])
+    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms), tail
 
 
 def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 1e-12) -> float:
@@ -386,7 +392,7 @@ def measures(sup: Superposition) -> ExtentReport:
     for normalized inputs and exactly 1 for single-term inputs.
     """
     if sup.rank == 1:
-        return ExtentReport(1.0, 1, abs(sup.entries[0].coeff) ** 2, sup.l1)
+        return ExtentReport(1.0, 1, abs(sup.coeffs[0]) ** 2, sup.l1)
     nsq = sup.norm_squared()
     if nsq <= 0:
         raise ValueError("Gram norm vanished; decomposition is degenerate")

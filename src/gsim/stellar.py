@@ -8,6 +8,8 @@ generating function
 with A complex symmetric, spectral radius < 1, and c the vacuum amplitude.
 Triples store log c, and every kernel works with it: a term far from the
 origin keeps its amplitude although c itself is below double precision.
+A triple's arrays may carry a leading axis, A (K,m,m), b (K,m), log c (K,):
+a stack of K kets, which every kernel here takes as it is.
 A Gaussian unitary on M modes carries a 2M x 2M triple over (out, in)
 variables so that
 
@@ -20,37 +22,41 @@ circuits.  Unitary triples (`program_params`, `compose`, `apply_to_state`)
 remain as its independent references.
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from . import counters
 from ._linalg import COND_MAX, solve_complex
-from .exceptions import DimensionMismatch, GsimError, IllConditioned
+from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
 from .gates import BeamSplitter, Displace, Passive, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
 
 
-@dataclass(frozen=True)
 class StellarParams:
-    """Triple (A, b, log c): symmetric matrix, linear vector, log of the vacuum amplitude."""
+    """Triple (A, b, log c): symmetric matrix, linear vector, log of the vacuum
+    amplitude; or a stack of K triples when the arrays carry a leading axis."""
 
-    a: np.ndarray
-    b: np.ndarray
-    log_c: complex
+    __slots__ = ("a", "b", "log_c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.array(self.a, dtype=complex))
-        object.__setattr__(self, "b", np.array(self.b, dtype=complex))
-        object.__setattr__(self, "log_c", complex(self.log_c))
+    def __init__(self, a, b, log_c):
+        self.a = np.asarray(a, dtype=complex)
+        self.b = np.asarray(b, dtype=complex)
+        if isinstance(log_c, np.ndarray) and log_c.ndim:
+            self.log_c = log_c.astype(complex, copy=False)
+        else:
+            self.log_c = complex(log_c)
+
+    def __getitem__(self, k):
+        """Triple k of a stack, a sub-stack at an index array, or a stack of one (k = None)."""
+        return StellarParams(self.a[k], self.b[k], np.asarray(self.log_c)[k])
 
     @property
     def modes(self) -> int:
-        return self.b.shape[0]
+        return self.b.shape[-1]
 
     @property
     def c(self) -> complex:
-        return complex(np.exp(self.log_c))
+        return np.exp(self.log_c)
 
 
 def _complex_basis(n: int) -> np.ndarray:
@@ -131,6 +137,19 @@ def pure_state_params(cov, mean):
     return a, b, float(np.exp(0.5 * rho.log_c.real))
 
 
+def log_magnitude(a, b):
+    """log |c| normalising the ket(s) (A, b): log det(1 - conj(A) A) / 4 - Re q(b) / 2
+    with q(b) = b^T (1 - conj(A) A)^{-1} (conj(b) + conj(A) b); det = 0 raises
+    InvariantViolation."""
+    y = np.eye(a.shape[-1]) - a.conj() @ a
+    sign, logdet = np.linalg.slogdet(y)
+    if np.any(sign == 0):
+        raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
+    rhs = b.conj() + (a.conj() @ b[..., None])[..., 0]
+    quad = np.sum(b * np.linalg.solve(y, rhs[..., None])[..., 0], axis=-1).real
+    return 0.25 * logdet - 0.5 * quad
+
+
 # ---------------------------------------------------------------------------
 # unitary triples
 
@@ -144,75 +163,101 @@ def identity_params(n: int) -> StellarParams:
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b."""
     a, b = t.a.copy(), t.b.copy()
-    a[legs] = u @ a[legs]
-    a[:, legs] = a[:, legs] @ u.T
-    b[legs] = u @ b[legs]
+    a[..., legs, :] = u @ a[..., legs, :]
+    a[..., :, legs] = a[..., :, legs] @ u.T
+    b.T[legs] = u @ b.T[legs]
     return StellarParams(a, b, t.log_c)
 
 
-def _squeeze_cond(s, row, k: int, den) -> float:
-    """cond_2 of the squeeze kernel Y = 1 - s e_k row^T without an SVD: Y is the
-    identity off span(e_k, conj(row)); its other two singular values have
-    product p = |den| and squares summing to S = p^2 + 1 + rho, with rho =
-    |s|^2 sum_{j != k} |row_j|^2, so cond = (S + sqrt(d (S + 2p))) / 2p with
-    d = S - 2p = (p - 1)^2 + rho free of cancellation (1 for a single leg)."""
+def _any(mask) -> bool:
+    """mask.any(), without a reduction when the mask is one triple's scalar."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+def _squeeze_cond(s, row, k: int, den):
+    """cond_2 of the squeeze kernel Y = 1 - s e_k row^T without an SVD, per
+    triple: Y is the identity off span(e_k, conj(row)); its other two singular
+    values have product p = |den| and squares summing to S = p^2 + 1 + rho, with
+    rho = |s|^2 sum_{j != k} |row_j|^2 (a sum over the other legs, never a total
+    minus |row_k|^2), so cond = (S + sqrt(d (S + 2p))) / 2p with
+    d = S - 2p = (p - 1)^2 + rho free of cancellation (1 for a single leg;
+    inf for p = 0, which no normalisable triple reaches)."""
     p = abs(den)
-    if p == 0 or row.shape[0] == 1:
-        return np.inf if p == 0 else 1.0
-    rho = abs(s) ** 2 * float(np.vdot(row[:k], row[:k]).real + np.vdot(row[k + 1 :], row[k + 1 :]).real)
+    if row.shape[-1] == 1:
+        return np.where(p == 0, np.inf, 1.0)
+    off = abs(row) ** 2
+    off.T[k] = 0.0
+    rho = abs(s) ** 2 * off.sum(-1)
     total = p * p + 1.0 + rho
     return (total + np.sqrt(((p - 1.0) ** 2 + rho) * (total + 2.0 * p))) / (2.0 * p)
 
 
 def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     """Phase-exact triple of a primitive gate on the first n legs of ``t`` (a
-    ket, or the out legs of a unitary), in closed form (Miatto and Quesada,
-    Quantum 4, 366 (2020)); a_k is row k of A:
+    ket, the out legs of a unitary, or a stack of either), in closed form
+    (Miatto and Quesada, Quantum 4, 366 (2020)); a_k is row k of A:
 
     * Displace(delta): b += delta e_k - conj(delta) a_k,
       log c += -|delta|^2/2 - b_k conj(delta) + A_kk conj(delta)^2/2;
     * PhaseShift, BeamSplitter, Passive: A -> U A U^T, b -> U b on the
-      touched legs (all n legs for Passive);
+      touched legs (all n legs for Passive; a PhaseShift scales row and
+      column k of A and b_k);
     * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
       on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
       b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
       + s b_k^2/(2 den).  Its kernel Y = 1 - s e_k a_k^T keeps the checks of
-      apply_to_state: IllConditioned for cond(Y) > COND_MAX, GsimError for
-      Re den <= 0.
+      apply_to_state over the whole stack: IllConditioned for
+      cond(Y) > COND_MAX, then GsimError for Re den <= 0.
+
+    On a stack, a Displace's alpha and a PhaseShift's theta may be arrays
+    with one value per triple.
     """
     check_gate_modes(gate, n)
     if t.modes < n:
         raise DimensionMismatch("gate register is wider than the triple")
     if isinstance(gate, PhaseShift):
-        return _apply_passive(np.array([[np.exp(1j * gate.theta)]]), [gate.mode], t)
+        # diagonal U = e^{i theta} on leg k: row k, column k and b_k pick up the phase
+        k, ph = gate.mode, np.exp(1j * np.asarray(gate.theta))
+        a, b = t.a.copy(), t.b.copy()
+        a.T[:, k] *= ph
+        a.T[k] *= ph
+        b.T[k] *= ph
+        return StellarParams(a, b, t.log_c)
     if isinstance(gate, BeamSplitter):
         return _apply_passive(beamsplitter_unitary(gate.theta, gate.phi), [gate.mode1, gate.mode2], t)
     if isinstance(gate, Passive):
         return _apply_passive(gate.u, np.arange(n), t)
+    # row a_k; indexing through .T puts the stack axis last, so one triple's
+    # A_kk and b_k are numpy scalars, not slower 0-d arrays
     k = gate.mode
+    row = t.a[..., k, :]
+    akk, bk = row.T[k], t.b.T[k]
     if isinstance(gate, Displace):
-        d = complex(gate.alpha)
-        b = t.b - d.conjugate() * t.a[:, k]
-        b[k] += d
-        log_c = -0.5 * abs(d) ** 2 - t.b[k] * d.conjugate() + 0.5 * t.a[k, k] * d.conjugate() ** 2
+        d = gate.alpha
+        dc = np.conj(d)
+        b = t.b - (dc * t.a.T[k]).T
+        b.T[k] += d
+        log_c = -0.5 * abs(d) ** 2 - bk * dc + 0.5 * akk * dc**2
         return StellarParams(t.a, b, t.log_c + log_c)
     if not isinstance(gate, Squeeze):
         raise TypeError(f"unknown gate {gate!r}")
-    tr, ph, row = np.tanh(gate.r), np.exp(1j * gate.theta), t.a[k]
+    tr, ph = np.tanh(gate.r), np.exp(1j * gate.theta)
     s = tr * ph.conjugate()
-    den = 1.0 - s * row[k]
+    den = 1.0 - s * akk
     cond = _squeeze_cond(s, row, k, den)
-    if not cond <= COND_MAX:
-        raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={cond:.3g})")
-    if den.real <= 0:
+    if _any(~(cond <= COND_MAX) | (den.real <= 0)):
+        if _any(~(cond <= COND_MAX)):
+            raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})")
         raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
-    f, bk = s / den, t.b[k]
+    f = s / den
+    fb = f * bk
     scale = np.ones(t.modes)
     scale[k] = 1.0 / np.cosh(gate.r)
-    a = scale[:, None] * (t.a + f * np.outer(row, row)) * scale
-    a[k, k] -= tr * ph
-    log_c = -0.5 * np.log(np.cosh(gate.r)) - 0.5 * np.log(den) + 0.5 * f * bk * bk
-    return StellarParams(a, scale * (t.b + (f * bk) * row), t.log_c + log_c)
+    a = scale[:, None] * (t.a + (f * (row[..., :, None] * row[..., None, :]).T).T) * scale
+    a[..., k, k] -= tr * ph
+    b = scale * (t.b + (fb * row.T).T)
+    log_c = -0.5 * np.log(np.cosh(gate.r)) - 0.5 * np.log(den) + 0.5 * fb * bk
+    return StellarParams(a, b, t.log_c + log_c)
 
 
 def gate_params(gate, n: int) -> StellarParams:
@@ -314,60 +359,49 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
 OVERLAP_CHUNK = 4096
 
 
-def stack(triples):
-    """Stacked arrays (A (P,m,m), b (P,m), log c (P,)) of a list of ket triples."""
-    return (
-        np.array([t.a for t in triples], dtype=complex),
-        np.array([t.b for t in triples], dtype=complex),
-        np.array([t.log_c for t in triples], dtype=complex),
-    )
+def state_overlaps(t1: StellarParams, t2: StellarParams, i, j) -> np.ndarray:
+    """Phase-sensitive <t1[i_p]|t2[j_p]> over P index pairs into two stacks.
 
-
-def state_overlaps(a1, b1, lc1, a2, b2, lc2) -> np.ndarray:
-    """Phase-sensitive <1_p|2_p> over P stacked pairs of ket triples.
-
-    Shapes are a (P,m,m), b (P,m) and log c (P,).  With F = conj(A1),
-    Y = 1 - F A2 and Yi = Y^{-1}, each pair contributes
+    With F = conj(A1), Y = 1 - F A2 and Yi = Y^{-1}, each pair contributes
     conj(c1) c2 det(Y)^{-1/2} exp(b2 Yi conj(b1) + conj(b1) Yi^T A2 conj(b1) / 2
     + b2 Yi F b2 / 2), summed in the log domain so that only a genuine
-    underflow of the overlap gives an exact 0.  Every pair is checked: a 2-norm condition number of Y
-    above COND_MAX raises IllConditioned, and an eigenvalue of Y off the open
-    right half-plane raises GsimError.  Counts P overlap evaluations.  Stacks
-    longer than OVERLAP_CHUNK are evaluated chunk by chunk.
+    underflow of the overlap gives an exact 0.  Every pair is checked: a
+    2-norm condition number of Y above COND_MAX raises IllConditioned, and an
+    eigenvalue of Y off the open right half-plane raises GsimError.  Counts P
+    overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a time, so no
+    (P, m, m) copy of the stacks is built.
     """
-    a1, b1, lc1, a2, b2, lc2 = stacks = [np.asarray(x, dtype=complex) for x in (a1, b1, lc1, a2, b2, lc2)]
-    if a1.shape != a2.shape or b1.shape != b2.shape or lc1.shape != lc2.shape:
-        raise DimensionMismatch("overlap stacks have different shapes")
-    if lc1.shape[0] > OVERLAP_CHUNK:
-        return np.concatenate(
-            [state_overlaps(*(x[s : s + OVERLAP_CHUNK] for x in stacks)) for s in range(0, len(lc1), OVERLAP_CHUNK)]
-        )
-    counters.tally.overlap_evals += lc1.shape[0]
-    if lc1.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    f = a1.conj()
-    av = b1.conj()[..., None]
-    bv = b2[..., None]
-    y = np.eye(a1.shape[-1]) - f @ a2
-    sv = np.linalg.svd(y, compute_uv=False)
-    if not (sv[:, 0] <= COND_MAX * sv[:, -1]).all():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.nanmax(sv[:, 0] / sv[:, -1])
-        raise IllConditioned(f"overlap kernel is ill-conditioned (cond={worst:.3g})")
-    yi = np.linalg.inv(y)
-    lam = np.linalg.eigvals(y)
-    if (lam.real <= 0).any():
-        raise GsimError("overlap kernel has eigenvalues off the right half-plane")
-    bt_yi = np.swapaxes(bv, 1, 2) @ yi
-    quad = bt_yi @ (av + 0.5 * (f @ bv)) + 0.5 * np.swapaxes(yi @ av, 1, 2) @ (a2 @ av)
-    return np.exp(lc1.conj() + lc2 - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0])
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if t1.modes != t2.modes or i.shape != j.shape or i.ndim != 1:
+        raise DimensionMismatch("overlap stacks or index vectors do not match")
+    out = np.empty(i.shape[0], dtype=complex)
+    for s in range(0, i.shape[0], OVERLAP_CHUNK):
+        p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
+        counters.tally.overlap_evals += p.b.shape[0]
+        f = p.a.conj()
+        av = p.b.conj()[..., None]
+        bv = q.b[..., None]
+        y = np.eye(p.modes) - f @ q.a
+        sv = np.linalg.svd(y, compute_uv=False)
+        if not (sv[:, 0] <= COND_MAX * sv[:, -1]).all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                worst = np.nanmax(sv[:, 0] / sv[:, -1])
+            raise IllConditioned(f"overlap kernel is ill-conditioned (cond={worst:.3g})")
+        yi = np.linalg.inv(y)
+        lam = np.linalg.eigvals(y)
+        if (lam.real <= 0).any():
+            raise GsimError("overlap kernel has eigenvalues off the right half-plane")
+        bt_yi = np.swapaxes(bv, 1, 2) @ yi
+        quad = bt_yi @ (av + 0.5 * (f @ bv)) + 0.5 * np.swapaxes(yi @ av, 1, 2) @ (q.a @ av)
+        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0])
+    return out
 
 
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
     """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
     if t1.modes != t2.modes:
         raise DimensionMismatch("states act on different mode counts")
-    return complex(state_overlaps(t1.a[None], t1.b[None], [t1.log_c], t2.a[None], t2.b[None], [t2.log_c])[0])
+    return complex(state_overlaps(t1[None], t2[None], [0], [0])[0])
 
 
 def state_norm_squared(t: StellarParams) -> float:
@@ -375,26 +409,32 @@ def state_norm_squared(t: StellarParams) -> float:
     return float(max(val.real, 0.0))
 
 
-def coherent_amplitude(t: StellarParams, xi) -> complex:
-    """Heterodyne amplitude <xi|psi> of a ket triple; counted for scaling tests."""
+def coherent_amplitude(t: StellarParams, xi):
+    """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     if xi.shape[0] != t.modes:
         raise DimensionMismatch("outcome dimension does not match state")
-    counters.tally.amplitude_evals += 1
+    counters.tally.amplitude_evals += np.size(t.log_c)
     xb = np.conj(xi)
-    return complex(np.exp(t.log_c - 0.5 * float(np.sum(np.abs(xi) ** 2)) + t.b @ xb + 0.5 * xb @ t.a @ xb))
+    return np.exp(t.log_c - 0.5 * float(np.sum(np.abs(xi) ** 2)) + t.b @ xb + 0.5 * xb @ t.a @ xb)
 
 
 def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
-    """<xi|psi> for a stack of outcomes, shape (L, modes); counts L evaluations."""
+    """<xi|psi> for outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K."""
     xis = np.asarray(xis, dtype=complex)
-    if xis.ndim != 2 or xis.shape[1] != t.modes:
+    m = t.modes
+    if xis.ndim != 2 or xis.shape[1] != m:
         raise DimensionMismatch("outcome stack must have shape (L, modes)")
-    counters.tally.amplitude_evals += xis.shape[0]
+    counters.tally.amplitude_evals += xis.shape[0] * np.size(t.log_c)
     xb = np.conj(xis)
-    return np.exp(
-        t.log_c - 0.5 * np.sum(np.abs(xis) ** 2, axis=1) + xb @ t.b + 0.5 * np.einsum("li,ij,lj->l", xb, t.a, xb)
-    )
+    pairs = (xb[:, :, None] * xb[:, None, :]).reshape(-1, m * m)
+    half = (0.5 * np.sum(np.abs(xis) ** 2, axis=1)).reshape((-1,) + (1,) * np.ndim(t.log_c))
+    # summed in place, as (log c - |xi|^2/2) + b.xi* + xi*.A.xi*/2, so at most
+    # two (L, K) arrays are alive at once
+    out = t.log_c - half
+    out += xb @ t.b.T
+    out += pairs @ (0.5 * t.a).reshape(*t.a.shape[:-2], m * m).T
+    return np.exp(out, out=out)
 
 
 def fock_amplitude(t: StellarParams, nphot: int) -> complex:

@@ -129,24 +129,3 @@ def factor_two_mode_unitary(u: np.ndarray):
     chi4 = p01
     chi2 = p10 + np.pi - chi3
     return np.array([chi1, chi2]), theta, np.array([chi3, chi4])
-
-
-def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-random n x n unitary (scipy's sampler rejects n = 1)."""
-    if n == 1:
-        return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
-    from scipy.stats import unitary_group
-
-    return unitary_group.rvs(n, random_state=rng)
-
-
-def random_symplectic(n: int, rng, r_max: float = 1.5) -> np.ndarray:
-    """Random symplectic via Haar passives around random single-mode squeezers."""
-    u1 = haar_unitary(n, rng)
-    u2 = haar_unitary(n, rng)
-    z = np.eye(2 * n)
-    for k in range(n):
-        zk = np.exp(rng.uniform(-r_max, r_max))
-        z[2 * k, 2 * k] = zk
-        z[2 * k + 1, 2 * k + 1] = 1.0 / zk
-    return passive_from_unitary(u1) @ z @ passive_from_unitary(u2)

@@ -2,12 +2,33 @@
 
 import numpy as np
 import pytest
-from gsim.symplectic import haar_unitary
 
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
 from gsim.phase import GaussianUnitary, propagate
-from gsim.symplectic import factor_two_mode_unitary
+from gsim.stellar import StellarParams
+from gsim.symplectic import factor_two_mode_unitary, passive_from_unitary
+
+
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-random n x n unitary (scipy's sampler rejects n = 1)."""
+    if n == 1:
+        return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+    from scipy.stats import unitary_group
+
+    return unitary_group.rvs(n, random_state=rng)
+
+
+def random_symplectic(n: int, rng, r_max: float = 1.5) -> np.ndarray:
+    """Random symplectic via Haar passives around random single-mode squeezers."""
+    u1 = haar_unitary(n, rng)
+    u2 = haar_unitary(n, rng)
+    z = np.eye(2 * n)
+    for k in range(n):
+        zk = np.exp(rng.uniform(-r_max, r_max))
+        z[2 * k, 2 * k] = zk
+        z[2 * k + 1, 2 * k + 1] = 1.0 / zk
+    return passive_from_unitary(u1) @ z @ passive_from_unitary(u2)
 
 
 def passive_gates(u, modes=(0, 1)):
@@ -44,6 +65,15 @@ def random_pure_program(n, rng, alpha_max=2.0, r_max=1.5):
             gates.append(PhaseShift(a, rng.uniform(0, 2 * np.pi)))
         gates.append(PhaseShift(n - 1, rng.uniform(0, 2 * np.pi)))
     return gates
+
+
+def stacked(terms) -> StellarParams:
+    """The ket triples of a list of terms as one stack."""
+    return StellarParams(
+        np.array([g.bargmann.a for g in terms]),
+        np.array([g.bargmann.b for g in terms]),
+        np.array([g.bargmann.log_c for g in terms]),
+    )
 
 
 def engine_state(gates, n) -> GaussianPure:

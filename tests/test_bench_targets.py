@@ -56,3 +56,31 @@ def test_install_traces_and_uninstall_restores(tracing):
         tracer.uninstall()
     assert stellar.state_overlap is original
     assert tracer.aggregate()["stellar.state_overlap"]["calls"] == 1
+
+
+def test_superposition_surface_read_by_the_benchmark():
+    """perfbench reads a superposition through ``entries``, ``l1``, ``rank``,
+    ``terms()``, ``coefficients()`` and the ``Superposition(entries, l1=)``
+    constructor; those views of the stacked storage must keep working."""
+    import numpy as np
+    from gsim import counters, simulator, states
+    from gsim.gaussian import GaussianPure
+
+    lib = states.fock1_ring(states.optimal_fock1_seed(), 8)
+    lib.norm_squared()
+    fresh = states.Superposition(lib.entries, l1=lib.l1)
+    assert "gram" not in vars(fresh)
+    assert fresh.rank == lib.rank == len(lib.entries) and fresh.l1 == lib.l1
+    assert np.array_equal(fresh.coefficients(), lib.coefficients())
+    assert [e.term for e in fresh.entries] == [e.term for e in lib.entries]
+    assert abs(fresh.norm_squared() - lib.norm_squared()) <= 1e-14
+    assert all(isinstance(t, GaussianPure) for t in lib.terms())
+
+    k = 40
+    sparse = simulator.sparsify(lib, simulator.SparsifyPlan(0.1, seed=3, k=k))
+    assert len(sparse.entries) == sparse.rank == k
+    unique = len({id(t) for t in sparse.terms()})
+    assert unique < k
+    counters.tally.reset()
+    sparse.gram
+    assert counters.tally.overlap_evals == unique * (unique - 1) // 2

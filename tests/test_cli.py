@@ -293,6 +293,44 @@ def test_beamsplitter_repeated_mode_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_born_counters_on_the_ring(capsys):
+    # one amplitude per term and the Gram's R(R-1)/2 pairs, nothing else
+    code, out, err = run_cli(["born", "--state", "fock1-ring", "--ring-n", "8"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["counters"]["amplitude_evals"] == 16
+    assert doc["counters"]["overlap_evals"] == 120
+    assert doc["counters"]["samples"] == 0
+
+
+@pytest.mark.parametrize("big_n", [4, 8])
+def test_run_counters_for_gates_condition_and_born(tmp_path, capsys, big_n):
+    # rank R = 2N: building the ring, tensoring with vacuum, the gates and the
+    # conditioning (closed-form log weights) evaluate no kernel pair and no
+    # amplitude; exact_born then takes R amplitudes and R(R-1)/2 Gram pairs
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "fock1_ring", "N": big_n},
+        "ops": [
+            {"gate": "squeeze", "mode": 0, "r": 0.3},
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "displace", "mode": 1, "alpha": [0.2, -0.1]},
+            {"gate": "condition", "modes": [1], "outcome": [[0.4, -0.2]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.2, 0.1]]},
+    }
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    rank = 2 * big_n
+    assert doc["counters"]["amplitude_evals"] == rank
+    assert doc["counters"]["overlap_evals"] == rank * (rank - 1) // 2
+    assert doc["counters"]["samples"] == 0
+
+
 def test_conditioning_correlated_terms_vs_oracle(tmp_path, capsys):
     # squeezed terms correlated across the cut by a beamsplitter, then
     # heterodyne conditioning at a nonzero outcome
@@ -323,11 +361,16 @@ def test_conditioning_correlated_terms_vs_oracle(tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(monkeypatch, tmp_path, capsys):
-    # a corrupted conditioning weight breaks the ref-overlap modulus invariant;
-    # conditioning takes the reduced norms from the overlap kernel, the first
-    # overlaps this program evaluates
-    true_overlaps = stellar.state_overlaps
-    monkeypatch.setattr(stellar, "state_overlaps", lambda *stacks: 4.0 * true_overlaps(*stacks))
+    # a corrupted gate update (|c| four times too large) breaks the
+    # ref-overlap modulus invariant, which the stacked normalisation check
+    # after the beamsplitter reports
+    true_gate = stellar.apply_gate
+
+    def corrupted(gate, t, n):
+        out = true_gate(gate, t, n)
+        return stellar.StellarParams(out.a, out.b, out.log_c + np.log(4.0))
+
+    monkeypatch.setattr(stellar, "apply_gate", corrupted)
     program = {
         "schema_version": 1,
         "modes": 2,
@@ -439,7 +482,7 @@ def test_symplectic_op_shapes_are_validated(pipeline, field, op, tmp_path, capsy
 def test_mixed_pipeline_applies_gates_by_their_symplectic_action(tmp_path, capsys):
     from gsim.gates import Displace, program_symplectic
     from gsim.gaussian import GaussianMixed, GaussianPure, fidelity_pure
-    from gsim.symplectic import random_symplectic
+    from conftest import random_symplectic
 
     rng = np.random.default_rng(11)
     x, y, d_ch = np.sqrt(0.8) * np.eye(4), 0.3 * np.eye(4), np.array([0.1, -0.2, 0.3, 0.0])

@@ -5,9 +5,8 @@ from scipy.linalg import expm
 from gsim import fock
 from gsim.exceptions import DimensionMismatch, LeakageError
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
-from gsim.symplectic import haar_unitary
 
-from conftest import random_pure_program
+from conftest import haar_unitary, random_pure_program
 
 
 def coherent_overlap(a, b):

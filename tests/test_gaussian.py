@@ -21,9 +21,8 @@ from gsim.gaussian import (
     partial_trace,
     tensor,
 )
-from gsim.symplectic import random_symplectic
 
-from conftest import engine_state, random_pure_program
+from conftest import engine_state, random_pure_program, random_symplectic
 
 
 def two_mode_squeezer(r):

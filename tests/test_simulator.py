@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsim import counters, fock, stellar
-from gsim.gates import BeamSplitter, Displace, Squeeze, program_symplectic
+from gsim.gates import BeamSplitter, Displace, Squeeze, beamsplitter_unitary, program_symplectic
 from gsim.gaussian import (
     GaussianMixed,
     GaussianPure,
@@ -39,7 +42,7 @@ from gsim.states import (
     single_gaussian,
 )
 
-from conftest import random_circuit
+from conftest import engine_state, random_circuit, random_pure_program
 
 
 def cat_with_vacuum(alpha=1.0, parity=+1):
@@ -124,6 +127,34 @@ class TestCondition:
             got = exact_born(cond, [xi]).value
             want = fock.oracle_born(fv_cond, [xi])
             assert abs(got - want) < 1e-8
+
+    @pytest.mark.parametrize("xi", [20.0, 28.0, 30.0, 40.0])
+    def test_far_outcome_keeps_log_valued_weights(self, xi):
+        # cat(1) (x) vacuum through BeamSplitter(0, 1, 0.6), conditioned on mode
+        # 1: from xi ~ 28 every reduced norm underflows in double precision.  A
+        # beamsplitter maps |a, 0> to the coherent |U (a, 0)>, so a 50-digit
+        # sum over the two coherent terms is the reference.
+        sup = evolve(cat_with_vacuum(1.0), GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6)], 2))
+        cond, weight = condition(sup, [1], [xi])
+        assert cond.rank == 2
+        mpmath.mp.dps = 50
+        u = beamsplitter_unitary(0.6, 0.0)
+
+        def amp(x, beta):  # <x|beta> for coherent states
+            x, beta = mpmath.mpc(x), mpmath.mpc(beta)
+            return mpmath.exp(-abs(x) ** 2 / 2 - abs(beta) ** 2 / 2 + mpmath.conj(x) * beta)
+
+        coeff = 1 / mpmath.sqrt(2 * (1 + mpmath.exp(-2)))
+        betas = [u @ np.array([a, 0.0]) for a in (1.0, -1.0)]
+        w = [coeff * amp(xi, beta[1]) for beta in betas]
+        norm = sum(mpmath.conj(w[i]) * w[j] * amp(betas[i][0], betas[j][0]) for i in range(2) for j in range(2))
+        y = 0.3
+        born = abs(sum(wi * amp(y, beta[0]) for wi, beta in zip(w, betas))) ** 2 / (mpmath.pi * norm.real)
+        assert abs(exact_born(cond, [y]).value / float(born) - 1) < 1e-10
+        if norm.real > 1e-300:
+            assert abs(weight / float(norm.real) - 1) < 1e-10
+        else:
+            assert weight < 1e-300
 
     def test_heterodyne_density_matches_generaldyne_on_gaussian(self):
         sup = single_gaussian(GaussianPure.coherent([0.5, -0.3j][:1]))
@@ -572,3 +603,57 @@ class TestFarFromTheOrigin:
             assert np.max(np.abs(got.bargmann.a - ref.a)) < 1e-12
             assert np.max(np.abs(got.bargmann.b - ref.b)) < 1e-10
             assert abs(np.expm1(got.bargmann.log_c - ref.log_c)) < 1e-9
+
+
+def _reference_born(triples, coeffs, kept, measured, xi, y):
+    """exact_born after conditioning, from per-term triples: the numerator
+    sums the full amplitudes <y, xi|t_i>, the norm pairs the reduced triples
+    (1 (x) <xi|) t_i through state_overlap."""
+    xb = np.conj(xi)
+    full = np.zeros(len(kept) + len(measured), dtype=complex)
+    full[kept], full[measured] = y, xi
+    amp = sum(c * stellar.coherent_amplitude(t, full) for c, t in zip(coeffs, triples))
+    reduced = [
+        stellar.StellarParams(
+            t.a[np.ix_(kept, kept)],
+            t.b[kept] + t.a[np.ix_(kept, measured)] @ xb,
+            t.log_c - 0.5 * np.sum(np.abs(xi) ** 2) + t.b[measured] @ xb + 0.5 * xb @ t.a[np.ix_(measured, measured)] @ xb,
+        )
+        for t in triples
+    ]
+    norm = sum(
+        np.conj(ci) * cj * stellar.state_overlap(ti, tj)
+        for ci, ti in zip(coeffs, reduced)
+        for cj, tj in zip(coeffs, reduced)
+    ).real
+    return abs(amp) ** 2 / (np.pi ** len(kept) * norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), rank=st.integers(1, 4), alpha=st.floats(0.0, 45.0))
+def test_stacked_engine_matches_per_term_unitary_triples(seed, n, rank, alpha):
+    """evolve -> condition -> exact_born on random superpositions against the
+    per-term unitary triple apply_to_state(program_params(gates, n), t)."""
+    rng = np.random.default_rng(seed)
+    terms = [engine_state(random_pure_program(n, rng, 1.5, 0.6), n) for _ in range(rank)]
+    if rank > 2:
+        terms[-1] = terms[0]  # a repeated term object shares one stacked triple
+    coeffs = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+    gates = random_circuit(n, 5, rng, alpha_max=0.8, r_max=0.5)
+    big = Displace(int(rng.integers(0, n)), alpha * np.exp(2j * np.pi * rng.uniform()))
+    gates.insert(int(rng.integers(0, len(gates) + 1)), big)
+    sup = evolve(Superposition(list(zip(coeffs, terms))), GaussianUnitary.from_gates(gates, n))
+
+    unitary = stellar.program_params(gates, n)
+    triples = [stellar.apply_to_state(unitary, g.bargmann) for g in terms]
+    # outcomes within about one unit of the first term's centre
+    mean = GaussianPure.from_triple(triples[0]).mean
+    centre = (mean[0::2] + 1j * mean[1::2]) / np.sqrt(2)
+    point = centre + rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
+    measured = sorted(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+    kept = [k for k in range(n) if k not in measured]
+    if measured:
+        sup, _ = condition(sup, measured, point[measured])
+    got = exact_born(sup, point[kept]).value
+    want = _reference_born(triples, coeffs, kept, measured, point[measured], point[kept])
+    assert abs(got - want) <= 1e-9 * abs(want)

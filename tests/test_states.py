@@ -309,7 +309,7 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
         "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
         "grid0.3": lambda: grid_sensor(0.3)[0],
     }[name]()
-    terms, coeffs = sup.aggregated()
+    terms, coeffs = sup.terms(), sup.coefficients()  # no repeated terms here
     n = sup.n
 
     def g(t):
@@ -330,3 +330,41 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
     d1 = (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
     reference = max(float(np.imag(d1) / sup.norm_squared()), 0.0) + n
     assert abs(sup.mean_photon_husimi() - reference) <= 1e-10 * reference
+
+
+def test_gram_and_husimi_memory_stay_below_gathered_copies():
+    # the overlap kernel gathers its pairs from index vectors chunk by chunk;
+    # gathered (P, m, m) copies of the triples for all 130816 Gram pairs and
+    # 262144 Husimi pairs of a rank-512 ring would peak at ~23 MB and ~38 MB
+    import tracemalloc
+
+    ring = fock1_ring(optimal_fock1_seed(), 256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ring.gram
+        gram_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ring.mean_photon_husimi()
+        husimi_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gram_peak < 15e6
+    assert husimi_peak < 15e6
+
+
+def test_amplitude_batch_in_blocks_matches_single_outcomes(monkeypatch):
+    # blocks of the probe axis that do not divide the probe count, over a
+    # stack with a repeated term: every probe equals its single-outcome sweep
+    import gsim.states as states_module
+
+    ring = fock1_ring(optimal_fock1_seed(), 3)
+    terms, coeffs = ring.terms(), ring.coefficients()
+    sup = Superposition(list(zip(coeffs, terms)) + [(0.3 - 0.2j, terms[1])])
+    rng = np.random.default_rng(5)
+    xis = (rng.normal(size=23) + 1j * rng.normal(size=23)).reshape(-1, 1)
+    monkeypatch.setattr(states_module, "AMPLITUDE_CHUNK", 2 * 6 + 1)  # 2 probes per block over 6 triples
+    batch = sup.coherent_amplitude_batch(xis)
+    single = np.array([sup.coherent_amplitude(xi) for xi in xis])
+    assert np.allclose(batch, single, rtol=1e-12, atol=0)

@@ -7,10 +7,9 @@ from gsim import counters, fock, phase, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
-from gsim.symplectic import random_symplectic
 
 
-from conftest import engine_state, random_circuit, random_pure_program
+from conftest import engine_state, random_circuit, random_pure_program, random_symplectic, stacked
 
 
 def coherent_overlap(a, b):
@@ -260,9 +259,8 @@ class TestOverlapKernel:
             [engine_state(random_circuit(n, 8, rng, alpha_max=0.8, r_max=0.5), n) for _ in range(pairs)]
             for _ in range(2)
         )
-        vals = stellar.state_overlaps(
-            *stellar.stack([g.bargmann for g in left]), *stellar.stack([g.bargmann for g in right])
-        )
+        aligned = np.arange(pairs)
+        vals = stellar.state_overlaps(stacked(left), stacked(right), aligned, aligned)
         assert vals.shape == (pairs,)
         for val, g1, g2 in zip(vals, left, right):
             assert abs(val - phase.overlap(g1, g2)) < 1e-10
@@ -275,9 +273,7 @@ class TestOverlapKernel:
         shifts = [-2 * step, 0.0, step, 3 * step, 0.002, 0.245]
         terms = [engine_state([Squeeze(0, -np.log(delta)), Displace(0, x)], 1) for x in shifts]
         i, j = np.triu_indices(len(terms))
-        vals = stellar.state_overlaps(
-            *stellar.stack([terms[k].bargmann for k in i]), *stellar.stack([terms[k].bargmann for k in j])
-        )
+        vals = stellar.state_overlaps(stacked(terms), stacked(terms), i, j)
         for val, p, q in zip(vals, i, j):
             g1, g2 = terms[p], terms[q]
             total = g1.cov + g2.cov
@@ -296,49 +292,59 @@ class TestOverlapKernel:
         # at |alpha| = 30 the vacuum amplitudes (e^{-450}) and the exponential
         # factor (e^{+900}) leave the double range, the overlaps do not
         alphas = [(30.0, 30.05), (30.0, 30.0 + 0.4j), (30.0, -30.0)]
-        left = [GaussianPure.coherent([a]).bargmann for a, _ in alphas]
-        right = [GaussianPure.coherent([b]).bargmann for _, b in alphas]
-        vals = stellar.state_overlaps(*stellar.stack(left), *stellar.stack(right))
+        left = [GaussianPure.coherent([a]) for a, _ in alphas]
+        right = [GaussianPure.coherent([b]) for _, b in alphas]
+        vals = stellar.state_overlaps(stacked(left), stacked(right), [0, 1, 2], [0, 1, 2])
         for val, (a, b) in zip(vals[:2], alphas):
             assert abs(val - coherent_overlap(a, b)) < 1e-10
         assert vals[2] == 0.0
 
     @staticmethod
     def _random_pairs(rng, count):
-        terms = [engine_state(random_pure_program(2, rng, 1.0, 0.6), 2).bargmann for _ in range(2 * count)]
-        return stellar.stack(terms[:count]), stellar.stack(terms[count:])
+        """Two stacks of count random two-mode kets, and the aligned index vector."""
+        terms = [engine_state(random_pure_program(2, rng, 1.0, 0.6), 2) for _ in range(2 * count)]
+        return stacked(terms[:count]), stacked(terms[count:]), np.arange(count)
 
     def test_one_ill_conditioned_pair_raises(self, rng):
-        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 7)
-        stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        t1, t2, k = self._random_pairs(rng, 7)
+        stellar.state_overlaps(t1, t2, k, k)
         # Y = 1 - conj(A) A = diag(1, sech(15)^2): condition number ~2.7e12
-        a1[4] = a2[4] = np.diag([0.0, np.tanh(15.0)])
+        t1.a[4] = t2.a[4] = np.diag([0.0, np.tanh(15.0)])
         with pytest.raises(IllConditioned):
-            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+            stellar.state_overlaps(t1, t2, k, k)
 
     def test_eigenvalue_off_right_half_plane_raises(self, rng):
-        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 5)
-        a1[2] = a2[2] = np.diag([1.5, 0.0])  # Y = diag(-1.25, 1) is well conditioned
+        t1, t2, k = self._random_pairs(rng, 5)
+        t1.a[2] = t2.a[2] = np.diag([1.5, 0.0])  # Y = diag(-1.25, 1) is well conditioned
         with pytest.raises(GsimError) as err:
-            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+            stellar.state_overlaps(t1, t2, k, k)
         assert not isinstance(err.value, IllConditioned)
 
     def test_batches_split_into_chunks_agree(self, rng, monkeypatch):
-        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 10)
-        whole = stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+        t1, t2, k = self._random_pairs(rng, 10)
+        whole = stellar.state_overlaps(t1, t2, k, k)
         monkeypatch.setattr(stellar, "OVERLAP_CHUNK", 3)
         counters.tally.reset()
-        assert np.array_equal(stellar.state_overlaps(a1, b1, c1, a2, b2, c2), whole)
+        assert np.array_equal(stellar.state_overlaps(t1, t2, k, k), whole)
         assert counters.tally.overlap_evals == 10
-        a1[8] = a2[8] = np.diag([0.0, np.tanh(15.0)])
+        t1.a[8] = t2.a[8] = np.diag([0.0, np.tanh(15.0)])
         with pytest.raises(IllConditioned):
-            stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
+            stellar.state_overlaps(t1, t2, k, k)
+
+    def test_index_vectors_gather_pairs(self, rng, monkeypatch):
+        # index pairs into two stacks equal the same pairs stacked out by hand
+        t1, t2, _ = self._random_pairs(rng, 6)
+        i, j = np.divmod(np.arange(36), 6)
+        monkeypatch.setattr(stellar, "OVERLAP_CHUNK", 5)
+        got = stellar.state_overlaps(t1, t2, i, j)
+        want = [stellar.state_overlap(t1[p], t2[q]) for p, q in zip(i, j)]
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
     def test_counts_every_pair(self, rng):
-        (a1, b1, c1), (a2, b2, c2) = self._random_pairs(rng, 5)
+        t1, t2, k = self._random_pairs(rng, 5)
         counters.tally.reset()
-        vals = stellar.state_overlaps(a1, b1, c1, a2, b2, c2)
-        one = stellar.state_overlap(stellar.StellarParams(a1[0], b1[0], c1[0]), stellar.StellarParams(a2[0], b2[0], c2[0]))
+        vals = stellar.state_overlaps(t1, t2, k, k)
+        one = stellar.state_overlap(t1[0], t2[0])
         assert counters.tally.overlap_evals == 6
         assert abs(one - vals[0]) <= 1e-15
 

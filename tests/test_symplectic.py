@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from gsim.symplectic import haar_unitary
 
 from gsim.symplectic import (
     bloch_messiah,
@@ -8,9 +7,10 @@ from gsim.symplectic import (
     is_symplectic,
     omega,
     passive_from_unitary,
-    random_symplectic,
     unitary_from_passive,
 )
+
+from conftest import haar_unitary, random_symplectic
 
 
 def test_omega_properties():
