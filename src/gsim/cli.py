@@ -145,7 +145,7 @@ def build_initial(init: dict, modes: int) -> Superposition:
         # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c
         t, pad = sup.triples, modes - sup.n
         vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
-        sup = Superposition.from_stack(sup.coeffs, sup.index, vac, l1=sup.l1)
+        sup = Superposition.from_stack(sup.coeffs, vac)
     return sup
 
 

@@ -7,7 +7,8 @@ pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
 and replaces the Gram norm with a Monte-Carlo estimate from a Gaussian
 ensemble of coherent probes, making the total cost linear in the rank.
 Every routine works on a superposition's stacked triples at once: no loop
-runs over its terms.
+runs over its terms.  A sparsified state keeps one triple per distinct draw,
+so its cost follows the K <= k distinct terms.
 """
 
 import math
@@ -28,7 +29,7 @@ def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     stacked normalisation check; coefficients, rank and l1 are untouched."""
     triples = op.apply(sup.triples)
     check_normalised(triples)
-    return Superposition.from_stack(sup.coeffs, sup.index, triples, l1=sup.l1)
+    return Superposition.from_stack(sup.coeffs, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +49,16 @@ def condition(sup: Superposition, modes, outcome):
     d^2m(xi) is weight / (pi^m ||psi||^2).  Rank never increases.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
-    measured = tuple(modes)
-    kept = [m for m in range(sup.n) if m not in measured]
-    if outcome.shape[0] != len(measured):
+    kb = list(modes)
+    if any(m < 0 or m >= sup.n for m in kb):
+        raise ValueError(f"measured modes {kb}: mode index outside 0..{sup.n - 1}")
+    if len(set(kb)) != len(kb):
+        raise ValueError("measured modes must be distinct")
+    ka = [m for m in range(sup.n) if m not in kb]
+    if outcome.shape[0] != len(kb):
         raise DimensionMismatch("outcome dimension does not match measured modes")
-    if not kept:
+    if not ka:
         raise ValueError("conditioning must leave at least one mode")
-    ka = np.asarray(kept, dtype=int)
-    kb = np.asarray(measured, dtype=int)
     xb = np.conj(outcome)
 
     t = sup.triples
@@ -65,13 +68,12 @@ def condition(sup: Superposition, modes, outcome):
     a, b = rows[:, :, ka], t.b[:, ka] + rows[:, :, kb] @ xb
     log_nu = log_c.real - stellar.log_magnitude(a, b)
     shift = np.max(log_nu)
-    scale = np.exp(log_nu - shift)[sup.index]
+    scale = np.exp(log_nu - shift)
     keep = scale > 0.0
     if not keep.any():
         raise ValueError("all terms annihilated by the conditioning outcome")
-    used, index = np.unique(sup.index[keep], return_inverse=True)
-    reduced = stellar.StellarParams(a[used], b[used], (log_c - log_nu)[used])
-    out = Superposition.from_stack(sup.coeffs[keep] * scale[keep], index, reduced)
+    reduced = stellar.StellarParams(a[keep], b[keep], (log_c - log_nu)[keep])
+    out = Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced)
     return out, out.norm_squared() * np.exp(2.0 * shift)
 
 
@@ -144,25 +146,25 @@ class SparsifyPlan:
 def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
     """IID importance sampling of decomposition terms: p(i) = |c_i| / l1.
 
-    Every draw contributes coefficient l1/k with the coefficient phase folded
-    into the term's gauge, so E<sparsified|psi> = 1 for normalized input.
-    Draws of the same index share one triple, which keeps the exact Gram of
-    the sparsified state at rank x rank cost.
+    Every draw contributes l1/k with the coefficient phase folded into the
+    term's gauge, so E<sparsified|psi> = 1 for normalized input.  A term
+    drawn m times is kept once with coefficient m l1/k: the result has one
+    triple per distinct draw, K <= k of them.
     """
     k = plan.samples_for(sup.l1)
     probs = np.abs(sup.coeffs) / sup.l1
     rng = stream(plan.seed, 0)
     draws = rng.choice(sup.rank, size=k, p=probs)
     counters.tally.samples += k
-    used, index = np.unique(draws, return_inverse=True)
-    t = sup.triples[sup.index[used]]
+    used, counts = np.unique(draws, return_counts=True)
+    t = sup.triples[used]
     folded = stellar.StellarParams(t.a, t.b, t.log_c + 1j * np.angle(sup.coeffs[used]))
-    return Superposition.from_stack(np.full(k, sup.l1 / k, dtype=complex), index, folded, l1=sup.l1)
+    return Superposition.from_stack(counts * (sup.l1 / k), folded)
 
 
 def cross_overlap(a: Superposition, b: Superposition) -> complex:
-    """<a|b> between two superpositions (deduplicated pairwise overlaps)."""
-    ca, cb = a.summed, b.summed
+    """<a|b> between two superpositions from their rank_a x rank_b overlaps."""
+    ca, cb = a.coeffs, b.coeffs
     i, j = np.divmod(np.arange(len(ca) * len(cb)), len(cb))
     pairs = stellar.state_overlaps(a.triples, b.triples, i, j)
     return complex(np.conj(ca) @ pairs.reshape(len(ca), len(cb)) @ cb)

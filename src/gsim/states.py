@@ -1,11 +1,11 @@
 """Gaussian decompositions of non-Gaussian states and the associated measures.
 
 A non-Gaussian pure state is stored as a weighted superposition of pure
-Gaussian terms with exact relative phases, stored stacked: R coefficients,
-an index vector into K unique ket triples, and the triples as one stacked
-`StellarParams`; ``entries`` and ``terms()`` are views.  The decomposition's
-term count is the (witnessed) Gaussian rank; the squared l1 norm of the
-coefficients after exact Gram normalization upper-bounds the Gaussian extent.
+Gaussian terms with exact relative phases, stored stacked: K coefficients,
+one per distinct ket triple, and the triples as one stacked `StellarParams`;
+``entries`` and ``terms()`` are views.  The decomposition's term count is the
+(witnessed) Gaussian rank; the squared l1 norm of the coefficients after
+exact Gram normalization upper-bounds the Gaussian extent.
 """
 
 import math
@@ -25,9 +25,10 @@ from .phase import GaussianUnitary, propagate
 FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
-# (probe, term) pairs per block of an amplitude sweep: keeps its
-# temporaries near 256 kB whatever the probe count and the rank
-AMPLITUDE_CHUNK = 1 << 14
+# (probe, term) pairs per block of an amplitude sweep: its ~64 kB temporaries
+# stay below glibc's default 128 kB mmap threshold whatever the probe count
+# and the rank, so blocks reuse heap memory instead of faulting in new pages
+AMPLITUDE_CHUNK = 1 << 12
 
 
 class WeightedGaussian(NamedTuple):
@@ -38,13 +39,13 @@ class WeightedGaussian(NamedTuple):
 
 
 class Superposition:
-    """Pure Gaussian terms sharing one mode count: ``coeffs`` (R,) and
-    ``index`` (R,) into the stack of K unique ``triples``.
+    """Pure Gaussian terms sharing one mode count: ``coeffs`` (K,), one per
+    triple in the stack ``triples``.
 
     ``Superposition(entries, l1=)`` stacks (coefficient, term) pairs, one
-    triple per distinct term object, without re-checking the terms.  ``l1``
-    is fixed at construction (sum of coefficient moduli) and copied verbatim
-    by unitary evolution, which cannot change it.
+    triple per distinct term object, without re-checking the terms; entries
+    that share a term object add their coefficients.  ``l1`` defaults to the
+    sum of coefficient moduli.
     """
 
     def __init__(self, entries, l1=None):
@@ -57,21 +58,22 @@ class Superposition:
         if any(t.n != terms[0].n for t in terms):
             raise DimensionMismatch("terms act on different mode counts")
         stack = [np.array([getattr(t.bargmann, f) for t in terms]) for f in ("a", "b", "log_c")]
-        coeffs = np.array([coeff for coeff, _ in entries], dtype=complex)
-        self._store(coeffs, np.array([slot[id(term)] for _, term in entries]), stellar.StellarParams(*stack), l1)
+        coeffs = np.zeros(len(terms), dtype=complex)
+        np.add.at(coeffs, [slot[id(term)] for _, term in entries], [coeff for coeff, _ in entries])
+        self._store(coeffs, stellar.StellarParams(*stack), l1)
         self._terms = terms
 
     @classmethod
-    def from_stack(cls, coeffs, index, triples: stellar.StellarParams, l1=None) -> "Superposition":
+    def from_stack(cls, coeffs, triples: stellar.StellarParams) -> "Superposition":
         """Superposition over a stack of triples that passed ``check_normalised``."""
         sup = cls.__new__(cls)
-        sup._store(np.asarray(coeffs, dtype=complex), np.asarray(index, dtype=np.intp), triples, l1)
+        sup._store(np.asarray(coeffs, dtype=complex), triples)
         return sup
 
-    def _store(self, coeffs, index, triples, l1):
+    def _store(self, coeffs, triples, l1=None):
         if not np.all(np.isfinite(np.abs(coeffs))):
             raise ValueError("coefficient must be finite")
-        self.coeffs, self.index, self.triples = coeffs, index, triples
+        self.coeffs, self.triples = coeffs, triples
         self.n = triples.modes
         self.l1 = float(l1) if l1 is not None else float(np.sum(np.abs(coeffs)))
 
@@ -84,21 +86,15 @@ class Superposition:
 
     @cached_property
     def _terms(self) -> tuple:
-        return tuple(GaussianPure.from_checked_triple(self.triples[k]) for k in range(self.triples.b.shape[0]))
+        return tuple(GaussianPure.from_checked_triple(self.triples[k]) for k in range(self.rank))
 
     @cached_property
     def entries(self) -> tuple:
-        """(coefficient, term) per entry; entries sharing a triple share its term."""
-        return tuple(WeightedGaussian(complex(c), self._terms[k]) for c, k in zip(self.coeffs, self.index))
+        """(coefficient, term) per triple."""
+        return tuple(WeightedGaussian(complex(c), t) for c, t in zip(self.coeffs, self._terms))
 
     def terms(self):
-        return [self._terms[k] for k in self.index]
-
-    @cached_property
-    def summed(self) -> np.ndarray:
-        """Coefficients summed per unique triple (K,)."""
-        k = self.triples.b.shape[0]
-        return np.bincount(self.index, self.coeffs.real, k) + 1j * np.bincount(self.index, self.coeffs.imag, k)
+        return list(self._terms)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -106,17 +102,14 @@ class Superposition:
 
         Assembled through the holomorphic backend, whose log-domain kernel
         stays finite for far-separated terms (grid states); the triple-product
-        backend cross-checks it in the test suite.  Only the K(K-1)/2 pairs of
-        unique triples are evaluated; entries sharing a triple share its row.
+        backend cross-checks it in the test suite.  Only the K(K-1)/2 pairs
+        above the diagonal are evaluated.
         """
-        chi = self.triples.b.shape[0]
-        i, j = np.triu_indices(chi, 1)
-        small = np.eye(chi, dtype=complex)
-        small[i, j] = stellar.state_overlaps(self.triples, self.triples, i, j)
-        small[j, i] = np.conj(small[i, j])
-        if np.array_equal(self.index, np.arange(chi)):
-            return small
-        return small[np.ix_(self.index, self.index)]
+        i, j = np.triu_indices(self.rank, 1)
+        gram = np.eye(self.rank, dtype=complex)
+        gram[i, j] = stellar.state_overlaps(self.triples, self.triples, i, j)
+        gram[j, i] = np.conj(gram[i, j])
+        return gram
 
     def norm_squared(self) -> float:
         c = self.coeffs
@@ -127,15 +120,15 @@ class Superposition:
 
     def coherent_amplitude(self, xi) -> complex:
         """<xi|psi> from one stacked evaluation; linear in the rank."""
-        return complex(self.summed @ stellar.coherent_amplitude(self.triples, xi))
+        return complex(self.coeffs @ stellar.coherent_amplitude(self.triples, xi))
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""
         xis = np.asarray(xis, dtype=complex)
-        rows = max(1, AMPLITUDE_CHUNK // self.triples.b.shape[0])
+        rows = max(1, AMPLITUDE_CHUNK // self.rank)
         total = np.empty(xis.shape[0], dtype=complex)
         for s in range(0, max(xis.shape[0], 1), rows):
-            total[s : s + rows] = stellar.coherent_amplitude_batch(self.triples, xis[s : s + rows]) @ self.summed
+            total[s : s + rows] = stellar.coherent_amplitude_batch(self.triples, xis[s : s + rows]) @ self.coeffs
         return total
 
     def mean_photon_husimi(self) -> float:
@@ -147,8 +140,7 @@ class Superposition:
         function g(t) = <psi|e^{i t n_total}|psi>.  Single-term states use
         the closed form tr(sigma)/4 + |mu|^2/2 + n/2.
         """
-        t, coeffs = self.triples, self.summed
-        k = t.b.shape[0]
+        t, coeffs, k = self.triples, self.coeffs, self.rank
         if k == 1:
             g0 = self._terms[0]
             return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
@@ -175,9 +167,8 @@ def single_gaussian(term: GaussianPure) -> Superposition:
 
 def _normalised(coeffs, terms: stellar.StellarParams) -> Superposition:
     """Superposition of distinct terms, scaled to unit norm by its exact Gram."""
-    index = np.arange(len(coeffs))
-    raw = Superposition.from_stack(coeffs, index, terms)
-    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), index, terms)
+    raw = Superposition.from_stack(coeffs, terms)
+    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), terms)
 
 
 def _displaced_stack(alphas, first=()) -> stellar.StellarParams:
@@ -239,7 +230,7 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     copies = seed.bargmann[None][np.zeros(2 * big_n, dtype=np.intp)]
     ring = stellar.apply_gate(PhaseShift(0, theta), copies, 1)
     check_normalised(ring)
-    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), np.arange(2 * big_n), ring)
+    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring)
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
@@ -314,7 +305,7 @@ def gkp_state(
     coeffs = np.array([envelope(k) for k in s.tolist()]) + 0.0j
     if normalize:
         return _normalised(coeffs, terms), tail
-    return Superposition.from_stack(coeffs, np.arange(s.shape[0]), terms), tail
+    return Superposition.from_stack(coeffs, terms), tail
 
 
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):

@@ -409,32 +409,36 @@ def state_norm_squared(t: StellarParams) -> float:
     return float(max(val.real, 0.0))
 
 
+def _coherent_amplitudes(t: StellarParams, xis: np.ndarray) -> np.ndarray:
+    """<xi|psi> = exp(log c - |xi|^2/2 + b.conj(xi) + conj(xi).A.conj(xi)/2) for
+    outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K."""
+    m = t.modes
+    xb = np.conj(xis)
+    pairs = (xb[:, :, None] * xb[:, None, :]).reshape(-1, m * m)
+    half = (0.5 * np.sum(np.abs(xis) ** 2, axis=1)).reshape((-1,) + (1,) * np.ndim(t.log_c))
+    # summed in place, so at most two (L, K) arrays are alive at once
+    out = t.log_c - half
+    out += xb @ t.b.T
+    out += pairs @ (0.5 * t.a).reshape(*t.a.shape[:-2], m * m).T
+    return np.exp(out, out=out)
+
+
 def coherent_amplitude(t: StellarParams, xi):
     """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    if xi.shape[0] != t.modes:
+    if xi.shape != (t.modes,):
         raise DimensionMismatch("outcome dimension does not match state")
     counters.tally.amplitude_evals += np.size(t.log_c)
-    xb = np.conj(xi)
-    return np.exp(t.log_c - 0.5 * float(np.sum(np.abs(xi) ** 2)) + t.b @ xb + 0.5 * xb @ t.a @ xb)
+    return _coherent_amplitudes(t, xi[None])[0]
 
 
 def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
     """<xi|psi> for outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K."""
     xis = np.asarray(xis, dtype=complex)
-    m = t.modes
-    if xis.ndim != 2 or xis.shape[1] != m:
+    if xis.ndim != 2 or xis.shape[1] != t.modes:
         raise DimensionMismatch("outcome stack must have shape (L, modes)")
     counters.tally.amplitude_evals += xis.shape[0] * np.size(t.log_c)
-    xb = np.conj(xis)
-    pairs = (xb[:, :, None] * xb[:, None, :]).reshape(-1, m * m)
-    half = (0.5 * np.sum(np.abs(xis) ** 2, axis=1)).reshape((-1,) + (1,) * np.ndim(t.log_c))
-    # summed in place, as (log c - |xi|^2/2) + b.xi* + xi*.A.xi*/2, so at most
-    # two (L, K) arrays are alive at once
-    out = t.log_c - half
-    out += xb @ t.b.T
-    out += pairs @ (0.5 * t.a).reshape(*t.a.shape[:-2], m * m).T
-    return np.exp(out, out=out)
+    return _coherent_amplitudes(t, xis)
 
 
 def fock_amplitude(t: StellarParams, nphot: int) -> complex:

@@ -63,7 +63,7 @@ def test_superposition_surface_read_by_the_benchmark():
     ``terms()``, ``coefficients()`` and the ``Superposition(entries, l1=)``
     constructor; those views of the stacked storage must keep working."""
     import numpy as np
-    from gsim import counters, simulator, states
+    from gsim import counters, rng, simulator, states
     from gsim.gaussian import GaussianPure
 
     lib = states.fock1_ring(states.optimal_fock1_seed(), 8)
@@ -77,10 +77,19 @@ def test_superposition_surface_read_by_the_benchmark():
     assert all(isinstance(t, GaussianPure) for t in lib.terms())
 
     k = 40
+    counters.tally.reset()
     sparse = simulator.sparsify(lib, simulator.SparsifyPlan(0.1, seed=3, k=k))
-    assert len(sparse.entries) == sparse.rank == k
-    unique = len({id(t) for t in sparse.terms()})
-    assert unique < k
+    assert counters.tally.samples == k
+    draws = rng.stream(3, 0).choice(lib.rank, size=k, p=np.abs(lib.coeffs) / lib.l1)
+    unique = len(np.unique(draws))
+    assert sparse.rank == len(sparse.entries) == unique < k
+    assert len({id(t) for t in sparse.terms()}) == unique
     counters.tally.reset()
     sparse.gram
     assert counters.tally.overlap_evals == unique * (unique - 1) // 2
+
+    # the approx-default reference rebuilds the sparsified state from its entries
+    rebuilt = states.Superposition(sparse.entries, l1=sparse.l1)
+    assert abs(rebuilt.norm_squared() - sparse.norm_squared()) <= 1e-14 * sparse.norm_squared()
+    amp = sparse.coherent_amplitude([0.3 - 0.2j])
+    assert abs(rebuilt.coherent_amplitude([0.3 - 0.2j]) - amp) <= 1e-14 * abs(amp)

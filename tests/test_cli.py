@@ -293,6 +293,30 @@ def test_beamsplitter_repeated_mode_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "modes, outcome, task_outcome, message",
+    [
+        ([5], [[0.5, 0.3]], [[0.2, -0.1]], "mode index outside 0..1"),
+        ([-1], [[0.5, 0.3]], [[0.2, -0.1], [0, 0]], "mode index outside 0..1"),
+        ([1, 1], [[0.5, 0.3], [0.1, 0]], [[0.2, -0.1]], "measured modes must be distinct"),
+    ],
+)
+def test_bad_conditioning_modes_rejected(modes, outcome, task_outcome, message, tmp_path, capsys):
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "cat", "alpha": 1.0, "parity": "+"},
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": modes, "outcome": outcome},
+        ],
+        "task": {"name": "exact_born", "outcome": task_outcome},
+    }
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_born_counters_on_the_ring(capsys):
     # one amplitude per term and the Gram's R(R-1)/2 pairs, nothing else
     code, out, err = run_cli(["born", "--state", "fock1-ring", "--ring-n", "8"], capsys)

@@ -17,6 +17,7 @@ from gsim.gaussian import (
     tensor,
 )
 from gsim.phase import GaussianUnitary
+from gsim.rng import stream
 from gsim.simulator import (
     SparsifyPlan,
     approx_born,
@@ -156,6 +157,14 @@ class TestCondition:
         else:
             assert weight < 1e-300
 
+    @pytest.mark.parametrize(
+        "modes, message", [([2], "mode index outside 0..1"), ([-1], "mode index outside 0..1"), ([1, 1], "distinct")]
+    )
+    def test_bad_measured_modes_rejected(self, modes, message):
+        sup = cat_with_vacuum(1.0)
+        with pytest.raises(ValueError, match=message):
+            condition(sup, modes, [0.5] * len(modes))
+
     def test_heterodyne_density_matches_generaldyne_on_gaussian(self):
         sup = single_gaussian(GaussianPure.coherent([0.5, -0.3j][:1]))
         sup2 = Superposition(
@@ -275,6 +284,45 @@ class TestSparsify:
         expected_norm = 1.0 + (sup.l1**2 - 1.0) / k
         se_n = np.std(norms) / np.sqrt(500)
         assert abs(np.mean(norms) - expected_norm) <= 3 * se_n
+
+    def test_matches_per_draw_sum(self):
+        # rebuilt draw by draw: each of the k draws adds (l1/k) e^{i arg c} |G>
+        sup = fock1_ring(optimal_fock1_seed(), 8)
+        plan = SparsifyPlan(0.2, seed=11)
+        k = plan.samples_for(sup.l1)
+        om = sparsify(sup, plan)
+        draws = stream(11, 0).choice(sup.rank, size=k, p=np.abs(sup.coeffs) / sup.l1)
+        assert om.rank == len(np.unique(draws)) < k
+        weights = sup.l1 / k * np.exp(1j * np.angle(sup.coeffs[draws]))
+        for xi in ([0.3 - 0.2j], [1.1 + 0.4j]):
+            want = weights @ stellar.coherent_amplitude(sup.triples, xi)[draws]
+            assert abs(om.coherent_amplitude(xi) - want) <= 1e-12 * abs(want)
+        want = float(np.real(np.conj(weights) @ sup.gram[np.ix_(draws, draws)] @ weights))
+        assert abs(om.norm_squared() - want) <= 1e-12 * want
+
+    def test_norm_costs_distinct_pairs_only(self):
+        sup, _ = grid_sensor(0.3)
+        plan = SparsifyPlan(0.1, seed=2)
+        counters.tally.reset()
+        om = sparsify(sup, plan)
+        assert counters.tally.samples == plan.samples_for(sup.l1) > om.rank
+        counters.tally.reset()
+        om.norm_squared()
+        assert counters.tally.overlap_evals == om.rank * (om.rank - 1) // 2
+
+    def test_approx_born_memory_follows_distinct_terms(self):
+        # k = 1415 draws over 25 distinct grid terms: an R x R Gram of the draws
+        # alone would take 32 MB
+        import tracemalloc
+
+        sup, _ = grid_sensor(0.1)
+        tracemalloc.start()
+        try:
+            approx_born(sup, [0.3], 0.1, 0.1, 0.05, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestFastNorm:

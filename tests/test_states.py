@@ -368,3 +368,16 @@ def test_amplitude_batch_in_blocks_matches_single_outcomes(monkeypatch):
     batch = sup.coherent_amplitude_batch(xis)
     single = np.array([sup.coherent_amplitude(xi) for xi in xis])
     assert np.allclose(batch, single, rtol=1e-12, atol=0)
+
+
+def test_entries_sharing_a_term_add_their_coefficients():
+    g, h = GaussianPure.coherent([0.4 - 0.1j]), GaussianPure.coherent([-0.3 + 0.5j])
+    c1, c2, c3 = 0.6 + 0.2j, -0.1 + 0.3j, 0.5 - 0.4j
+    merged = Superposition([(c1, g), (c2, g), (c3, h)])
+    explicit = Superposition([(c1 + c2, g), (c3, h)])
+    assert merged.rank == 2
+    assert np.array_equal(merged.coefficients(), [c1 + c2, c3])
+    assert [e.term for e in merged.entries] == [g, h]
+    assert merged.norm_squared() == pytest.approx(explicit.norm_squared(), rel=1e-14)
+    for xi in ([0.0], [0.2 + 0.3j], [-1.0 + 0.5j]):
+        assert merged.coherent_amplitude(xi) == pytest.approx(explicit.coherent_amplitude(xi), rel=1e-14)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsim import counters, fock, phase, stellar
+from gsim import counters, fock, phase, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
@@ -532,3 +532,122 @@ class TestExtremeGatesAgainstMpmath:
                 t = _fold(random_pure_program(n, rng, alpha_max=1.0, r_max=0.8), _vacuum(n), n)
                 delta = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 self._check(Displace(int(rng.integers(0, n)), delta), t)
+
+
+class TestEvaluationAgainstMpmath:
+    """Overlaps and coherent amplitudes of D(alpha) S(r, theta)|0> at 50 digits,
+    with r up to 15 and |alpha| up to 40, where c = e^{log c} underflows.
+
+    The ket's triple is A = -e^{i theta} tanh r, b = alpha + conj(alpha) e^{i theta} tanh r,
+    log c = -log(cosh r)/2 - |alpha|^2/2 - e^{i theta} tanh r conj(alpha)^2/2; the engine
+    builds it gate by gate.  A double result is compared with the reference's
+    log: an exact 0 only where the reference lies below the double range, else
+    log|.| and phase within 1e-9 of max(1, |log ref|).
+    """
+
+    # (r, theta, alpha)
+    KETS = [
+        (15.0, 0.0, 0.5),
+        (0.0, 0.0, 0.3 + 0.2j),
+        (12.0, 0.0, 40.0),
+        (12.0, np.pi, 40.0 + 0.1j),
+        (10.0, 0.4, 30j),
+        (14.0, 0.4 + np.pi / 2, 0.05 + 30j),
+        (0.0, 0.0, 40.0),
+        (0.0, 0.0, 40.0 * np.exp(0.01j)),
+        (0.0, 0.0, -40.0),
+        (15.0, 1.0, -40.0),
+        (0.0, 0.0, -39.9),
+    ]
+    # index pairs into KETS; each pair's Y = 1 - conj(A1) A2 is of order one
+    PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (6, 8), (9, 10), (1, 9), (3, 10)]
+
+    @staticmethod
+    def _engine_stack(kets):
+        out = [
+            stellar.apply_gate(Displace(0, alpha), stellar.apply_gate(Squeeze(0, r, theta), _vacuum(1), 1), 1)
+            for r, theta, alpha in kets
+        ]
+        return stellar.StellarParams(*(np.array([getattr(t, f) for t in out]) for f in ("a", "b", "log_c")))
+
+    @staticmethod
+    def _mp_triple(mp, r, theta, alpha):
+        t, e, al = mp.tanh(mp.mpf(r)), mp.expj(mp.mpf(theta)), mp.mpc(complex(alpha))
+        log_c = -mp.log(mp.cosh(mp.mpf(r))) / 2 - abs(al) ** 2 / 2 - e * t * mp.conj(al) ** 2 / 2
+        return -e * t, al + mp.conj(al) * e * t, log_c
+
+    @staticmethod
+    def _assert_matches(got, ref_log):
+        ref_log = complex(ref_log)
+        assert not -760 < ref_log.real < -700, "reference too close to the edge of the double range"
+        if ref_log.real < -745:
+            assert got == 0
+            return
+        got_log = np.log(complex(got))
+        tol = 1e-9 * max(1.0, abs(ref_log))
+        assert abs(got_log.real - ref_log.real) <= tol
+        assert abs(np.angle(np.exp(1j * (got_log.imag - ref_log.imag)))) <= tol
+
+    def test_vacuum_amplitude_underflows(self):
+        t = self._engine_stack(self.KETS)
+        assert np.exp(t.log_c.real).min() == 0.0
+
+    def test_state_overlaps(self):
+        mp = pytest.importorskip("mpmath").mp
+        t = self._engine_stack(self.KETS)
+        i, j = np.array(self.PAIRS).T
+        got = stellar.state_overlaps(t, t, i, j)
+        with mp.workdps(50):
+            for p, (k1, k2) in enumerate(self.PAIRS):
+                a1, b1, lc1 = self._mp_triple(mp, *self.KETS[k1])
+                a2, b2, lc2 = self._mp_triple(mp, *self.KETS[k2])
+                y = 1 - mp.conj(a1) * a2
+                quad = (b2 * mp.conj(b1) + mp.conj(b1) ** 2 * a2 / 2 + b2**2 * mp.conj(a1) / 2) / y
+                self._assert_matches(got[p], mp.conj(lc1) + lc2 - mp.log(y) / 2 + quad)
+        assert (got == 0).any() and (got != 0).any()
+
+    def test_far_separated_grid_pair(self):
+        # grid terms D(t sqrt(pi/2)) S(r)|0> with e^{2r} = 1/delta^2 overlap as
+        # e^{-(a_t - a_s)^2 e^{2r}/2}: -314 t^2 in the log at delta = 0.05
+        mp = pytest.importorskip("mpmath").mp
+        sup, _ = states.grid_sensor(0.05)
+        mid = (sup.rank - 1) // 2
+        steps = np.array([1, 2, 3])
+        got = stellar.state_overlaps(sup.triples, sup.triples, np.full(3, mid), mid + steps)
+        with mp.workdps(50):
+            for value, step in zip(got, steps):
+                self._assert_matches(value, -(step**2) * (mp.pi / 2) / (2 * mp.mpf(0.05) ** 2))
+        assert got[0] != 0 and (got[1:] == 0).all()
+
+    def _mp_amplitude_log(self, mp, ket, xi):
+        # <xi|D(alpha) S(r, theta)|0> in closed form over beta = xi - alpha
+        r, theta, alpha = ket
+        al, x = mp.mpc(complex(alpha)), mp.mpc(complex(xi))
+        beta = x - al
+        t, e = mp.tanh(mp.mpf(r)), mp.expj(mp.mpf(theta))
+        return (
+            -mp.log(mp.cosh(mp.mpf(r))) / 2
+            + (al * mp.conj(x) - mp.conj(al) * x) / 2
+            - abs(beta) ** 2 / 2
+            - e * t * mp.conj(beta) ** 2 / 2
+        )
+
+    def test_coherent_amplitudes(self):
+        mp = pytest.importorskip("mpmath").mp
+        t = self._engine_stack(self.KETS)
+        # outcomes at a few kets' centres, near them and far from all
+        xis = np.array([[40.0 + 0.2j], [-39.95], [30.1j], [0.4 - 0.1j], [3.0 + 4.0j]])
+        batch = stellar.coherent_amplitude_batch(t, xis)
+        assert batch.shape == (len(xis), len(self.KETS))
+        with mp.workdps(50):
+            for row, xi in enumerate(xis[:, 0]):
+                single = stellar.coherent_amplitude(t, [xi])
+                assert single.shape == (len(self.KETS),)
+                for k, ket in enumerate(self.KETS):
+                    ref = self._mp_amplitude_log(mp, ket, xi)
+                    self._assert_matches(batch[row, k], ref)
+                    self._assert_matches(single[k], ref)
+                    one = stellar.coherent_amplitude(t[k], [xi])
+                    assert np.ndim(one) == 0
+                    self._assert_matches(one, ref)
+        assert (batch == 0).any() and (np.abs(batch) > 1e-3).any()
