@@ -235,7 +235,6 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
             float(task.get("epsilon", args.epsilon)),
             float(task.get("pfail", args.pfail)),
             seed=seed,
-            ensemble_n=task.get("ensemble_n", args.ensemble_n),
         )
         return est.value, list(est.error_band)
     if name == "norm":
@@ -243,7 +242,6 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
             state,
             float(task.get("epsilon", args.epsilon)),
             float(task.get("pfail", args.pfail)),
-            ensemble_n=task.get("ensemble_n", args.ensemble_n),
             seed=seed,
         )
         return est.eta, list(est.band)
@@ -353,7 +351,6 @@ def _add_common(parser):
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--pfail", type=float, default=0.05)
-    parser.add_argument("--ensemble-n", type=float, default=None, dest="ensemble_n")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for optimizer restarts")
 

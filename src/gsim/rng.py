@@ -5,11 +5,11 @@ Every logical sample i owns the Philox4x64-10 stream keyed by
 the sample loop is ordered, batched or parallelized.
 
 ``stream`` wraps one such key in a numpy ``Generator``; building one costs
-tens of microseconds, which is fine for a handful of draws.  ``normal_rows``
-runs the same cipher in numpy over a whole range of keys at once, for
-estimators that need a few normals from each of thousands of streams: row i
-comes from the raw words of ``stream(seed, i)``, bit for bit, and costs
-O(width) array work instead of one generator.
+tens of microseconds, which is fine for a handful of draws.  ``uniform_rows``
+and ``normal_rows`` run the same cipher in numpy over a block of consecutive
+keys at once, for estimators that need a few numbers from each of thousands
+of streams: row i comes from the raw words of ``stream(seed, i)``, bit for
+bit, and costs O(width) array work instead of one generator.
 """
 
 import numpy as np
@@ -62,18 +62,28 @@ def philox_words(master_seed: int, stream_ids, blocks: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(count, 4 * blocks)
 
 
+def uniform_rows(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """``(count, width)`` uniforms in [0, 1) on 53 bits (``w >> 11``): row r
+    holds the first ``width`` words of stream ``(master_seed, start + r)``,
+    so a block of rows from any start index equals the same rows of one
+    longer draw."""
+    ids = np.arange(start, start + count, dtype=np.uint64)
+    words = philox_words(master_seed, ids, -(-width // 4))
+    return (words[:, :width] >> np.uint64(11)) * 2.0**-53
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Two standard normals from each pair of uniform columns (u_2k, u_2k+1),
+    interleaved as (r cos, r sin); log1p(-u) keeps the radius finite."""
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(u.shape[0], -1)
+
+
 def normal_rows(master_seed: int, count: int, width: int) -> np.ndarray:
     """``(count, width)`` standard normals; row i depends only on
     ``(master_seed, i)``, so a draw of more rows or columns extends a draw
-    of fewer.
-
-    Each pair of raw words gives two normals by Box-Muller on 53-bit
-    uniforms u in [0, 1), with log1p(-u) keeping the radius finite.
+    of fewer.  Each pair of raw words gives two normals (``box_muller``).
     """
     pairs = -(-width // 2)
-    words = philox_words(master_seed, np.arange(count), -(-pairs // 2))
-    u = (words[:, : 2 * pairs] >> np.uint64(11)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    angle = 2.0 * np.pi * u[:, 1::2]
-    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-    return normals.reshape(count, 2 * pairs)[:, :width]
+    return box_muller(uniform_rows(master_seed, 0, count, 2 * pairs))[:, :width]

@@ -4,23 +4,25 @@ superpositions of Gaussian states.
 The exact Born evaluator costs O(rank) amplitude evaluations for the
 numerator and O(rank^2) pairwise overlaps for the norm.  The approximate
 pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
-and replaces the Gram norm with a Monte-Carlo estimate from a Gaussian
-ensemble of coherent probes, making the total cost linear in the rank.
+and replaces the Gram norm with a Monte-Carlo estimate from coherent probes
+drawn from the decomposition's own Husimi mixture, making the total cost
+linear in the rank.
 Every routine works on a superposition's stacked triples at once: no loop
 runs over its terms.  A sparsified state keeps one triple per distinct draw,
 so its cost follows the K <= k distinct terms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import counters, stellar
+from . import counters, states, stellar
 from .exceptions import DimensionMismatch
 from .gaussian import check_normalised
 from .phase import GaussianUnitary
-from .rng import normal_rows, stream
+from .rng import box_muller, stream, uniform_rows
 from .states import Superposition
 
 
@@ -178,103 +180,95 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
 class NormEstimate:
     eta: float
     samples: int
-    ensemble_n: float
     epsilon: float
     p_fail: float
-    delta_bias: float
     seed: int
     band: tuple
 
-    def relative_band(self) -> tuple:
-        return (1.0 - self.epsilon - self.delta_bias, 1.0 + self.epsilon + self.delta_bias)
 
+def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:
+    """Monte-Carlo estimate of <psi|psi> linear in the rank; no overlap is evaluated.
 
-def fast_norm(
-    sup: Superposition,
-    epsilon: float,
-    p_fail: float,
-    ensemble_n: float | None = None,
-    seed: int = 0,
-    husimi_moment: float | None = None,
-) -> NormEstimate:
-    """Monte-Carlo estimate of <psi|psi> linear in the rank.
-
-    Probes xi are drawn from the Gaussian displacement ensemble of width N
-    (density e^{-|xi|^2/N} / (pi N)^n); X = N^n |<xi|psi>|^2 has mean within
-    [(1 - delta) |psi|^2, |psi|^2] for delta = M_H / N, where M_H is the
-    Husimi moment (mean photon number plus mode count).  The second moment
-    obeys E[X^2] <= (N/2)^n |psi|^4 unconditionally (the vacuum saturates
-    it), so the sample count
-    L = ceil((2^{-n} N^n + delta pi^n) / pi^n / (eps^2 p_fail))
-    gives a Chebyshev band (1 +/- (eps + delta)) |psi|^2 that is guaranteed
-    only at confidence 1 - pi^n p_fail, because L divides by pi^n; the
-    nominal 1 - p_fail is not.  Measured coverage meets the nominal level on
-    the one-mode library states and falls short of it on more modes (two
-    modes: about 94% at p_fail = 0.05; see the README).
-
-    Probe i is drawn from the Philox stream (seed, i): one vectorised
-    ``rng.normal_rows`` call gives all L rows of 2n normals, so row i does
-    not depend on L or on how the probes are batched.  The cost is the L
-    amplitude evaluations per term plus O(L n) array work for the probes.
+    Probes xi come from the decomposition's own Husimi mixture (Bravyi et
+    al., Quantum 3, 181 (2019); ``_husimi_probes``).  Each has the value
+    Z = |sum_j c_j a_j|^2 / (l1 sum_j |c_j| |a_j|^2), a_j = <xi|G_j>, in
+    [0, 1] on any number of modes by Cauchy-Schwarz, with mean |psi|^2 / l1^2.
+    At the first probe N where the sum of Z reaches
+    Upsilon_1 = 1 + (1 + eps) 4 (e - 2) ln(2 / p_fail) / eps^2, the estimate
+    eta = Upsilon_1 l1^2 / N lies within (1 +/- eps) |psi|^2 with probability
+    at least 1 - p_fail (Dagum, Karp, Luby and Ross, SIAM J. Comput. 29,
+    1484 (2000)); ``band`` is (eta / (1 + eps), eta / (1 - eps)).  The
+    expected N is at most Upsilon_1 l1^2 / |psi|^2, about 1167 times the
+    extent bound at the CLI defaults.  Probes are evaluated in blocks of
+    AMPLITUDE_CHUNK // rank rows, N is found to the row, and probe i depends
+    only on (seed, i), so the result does not depend on the block size.
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
-    n = sup.n
-    if husimi_moment is None:
-        husimi_moment = sup.mean_photon_husimi()
-    if ensemble_n is None:
-        ensemble_n = max(20.0, 10.0 * husimi_moment)
-    delta_bias = husimi_moment / ensemble_n
-    big_l = math.ceil(
-        (2.0**-n * ensemble_n**n + delta_bias * np.pi**n)
-        / np.pi**n
-        * epsilon**-2
-        / p_fail
-    )
-    z = normal_rows(seed, big_l, 2 * n) * math.sqrt(ensemble_n / 2.0)
-    xis = z[:, :n] + 1j * z[:, n:]
-    amps = sup.coherent_amplitude_batch(xis)
-    counters.tally.samples += big_l
-    eta = float(ensemble_n**n * np.mean(np.abs(amps) ** 2))
-    lo = (1.0 - epsilon - delta_bias) * eta
-    hi = (1.0 + epsilon + delta_bias) * eta
-    return NormEstimate(eta, big_l, ensemble_n, epsilon, p_fail, delta_bias, seed, (lo, hi))
+    t, coeffs, l1 = sup.triples, sup.coeffs, sup.l1
+    weights = np.abs(coeffs)
+    upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+    total, evaluated = 0.0, 0
+    for xis in _husimi_probes(sup, seed, max(1, states.AMPLITUDE_CHUNK // sup.rank)):
+        amps = stellar.coherent_amplitude_batch(t, xis)
+        den = np.abs(amps) ** 2 @ weights
+        if not np.all(den > 0):
+            raise ArithmeticError("every term's amplitude underflowed at a probe drawn from their mixture")
+        z = np.abs(amps @ coeffs) ** 2 / (l1 * den)
+        # one sequential sum from the running total, so the crossing index
+        # does not depend on the block size
+        running = np.cumsum(np.concatenate(([total], z)))[1:]
+        total = running[-1]
+        evaluated += len(z)
+        if total >= upsilon:
+            break
+    counters.tally.samples += evaluated
+    big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
+    eta = upsilon * l1**2 / big_n
+    return NormEstimate(eta, big_n, epsilon, p_fail, seed, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
+
+
+def _husimi_probes(sup: Superposition, seed: int, rows: int):
+    """Probes from the Husimi mixture of ``sup``, yielded ``rows`` at a time:
+    of the 2n + 1 uniforms of stream (seed, i), the last picks term j with
+    probability |c_j| / l1 and the Box-Muller normals z of the others give
+    xi = mean_j + L_j z, L_j the Cholesky factor of the term's Husimi
+    covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds temporaries.
+    """
+    n, chunk = sup.n, states.AMPLITUDE_CHUNK
+    cdf = np.cumsum(np.abs(sup.coeffs))
+    mean, cov = stellar.husimi_gaussian(sup.triples)
+    factor = np.linalg.cholesky(cov)
+    for start in itertools.count(0, chunk):
+        u = uniform_rows(seed, start, chunk, 2 * n + 1)
+        j = np.minimum(np.searchsorted(cdf, u[:, -1] * cdf[-1], side="right"), sup.rank - 1)
+        v = mean[j] + np.einsum("rij,rj->ri", factor[j], box_muller(u[:, :-1]))
+        xis = v[:, :n] + 1j * v[:, n:]
+        del u, j, v  # so that only the probes stay alive while the next chunk is drawn
+        for s in range(0, chunk, rows):
+            yield xis[s : s + rows]
 
 
 def approx_born(
-    sup: Superposition,
-    outcome,
-    delta: float,
-    epsilon: float,
-    p_fail: float,
-    seed: int = 0,
-    ensemble_n: float | None = None,
-    husimi_moment: float | None = None,
+    sup: Superposition, outcome, delta: float, epsilon: float, p_fail: float, seed: int = 0
 ) -> BornEstimate:
     """Linear-scaling Born density: sparsify, then Monte-Carlo normalize.
 
-    Total amplitude-evaluation cost is O(k + L k) with k the sparsification
-    count and L the norm-estimation samples; no rank^2 term appears.
+    Total amplitude-evaluation cost is O(k + N K) with k the sparsification
+    count, K <= k its distinct terms and N the norm-estimation probes, which
+    grow with the sparsified state's extent bound; no rank^2 term appears.
+    ``error_band`` is (value (1 - eps), value (1 + eps)), the range of the
+    sparsified state's Born density when its norm lies in the fast norm's
+    band.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     child = stream(seed, 0).integers(0, 2**62, size=2)
     omega_state = sparsify(sup, SparsifyPlan(delta, int(child[0])))
-    norm = fast_norm(
-        omega_state,
-        epsilon,
-        p_fail,
-        ensemble_n=ensemble_n,
-        seed=int(child[1]),
-        husimi_moment=husimi_moment,
-    )
+    norm = fast_norm(omega_state, epsilon, p_fail, seed=int(child[1]))
     amp = omega_state.coherent_amplitude(outcome)
     numerator = abs(amp) ** 2
     value = _clamp_density(numerator / (np.pi**sup.n * norm.eta))
-    rel = epsilon + norm.delta_bias
-    band = (
-        numerator / (np.pi**sup.n * norm.eta * (1.0 + rel)),
-        numerator / (np.pi**sup.n * norm.eta * max(1.0 - rel, 1e-12)),
-    )
+    band = (value * (1.0 - epsilon), value * (1.0 + epsilon))
     return BornEstimate(value, "sparsified", numerator, norm.eta, band, seed)
 
 

@@ -27,7 +27,8 @@ FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
 # (probe, term) pairs per block of an amplitude sweep: its ~64 kB temporaries
 # stay below glibc's default 128 kB mmap threshold whatever the probe count
-# and the rank, so blocks reuse heap memory instead of faulting in new pages
+# and the rank, so blocks reuse heap memory instead of faulting in new pages;
+# the fast norm also draws its probes this many at a time
 AMPLITUDE_CHUNK = 1 << 12
 
 
@@ -44,8 +45,8 @@ class Superposition:
 
     ``Superposition(entries, l1=)`` stacks (coefficient, term) pairs, one
     triple per distinct term object, without re-checking the terms; entries
-    that share a term object add their coefficients.  ``l1`` defaults to the
-    sum of coefficient moduli.
+    that share a term object add their coefficients.  ``l1`` is the sum of
+    the coefficient moduli; a given ``l1`` must equal it to rtol 1e-12.
     """
 
     def __init__(self, entries, l1=None):
@@ -75,7 +76,9 @@ class Superposition:
             raise ValueError("coefficient must be finite")
         self.coeffs, self.triples = coeffs, triples
         self.n = triples.modes
-        self.l1 = float(l1) if l1 is not None else float(np.sum(np.abs(coeffs)))
+        self.l1 = float(np.sum(np.abs(coeffs)))
+        if l1 is not None and not abs(float(l1) - self.l1) <= 1e-12 * self.l1:
+            raise ValueError(f"l1 = {float(l1)!r} differs from the sum of coefficient moduli {self.l1!r}")
 
     @property
     def rank(self) -> int:
@@ -134,16 +137,12 @@ class Superposition:
     def mean_photon_husimi(self) -> float:
         """Anti-normally-ordered moment <n> + n_modes of the normalized state.
 
-        This is the quantity entering the ensemble-width bias bound (the
-        Husimi second moment), computed from the Gram matrix and a
-        higher-order central difference of the global-phase generating
-        function g(t) = <psi|e^{i t n_total}|psi>.  Single-term states use
-        the closed form tr(sigma)/4 + |mu|^2/2 + n/2.
+        The Husimi second moment, a measure of the state that no estimator
+        uses: the Gram norm and a higher-order central difference of the
+        global-phase generating function g(t) = <psi|e^{i t n_total}|psi>,
+        four rank x rank overlap kernels.
         """
         t, coeffs, k = self.triples, self.coeffs, self.rank
-        if k == 1:
-            g0 = self._terms[0]
-            return float(np.trace(g0.cov) / 4 + g0.mean @ g0.mean / 2 + g0.n / 2)
         i, j = np.divmod(np.arange(k * k), k)
 
         def g(time: float) -> complex:

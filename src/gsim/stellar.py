@@ -441,6 +441,17 @@ def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
     return _coherent_amplitudes(t, xis)
 
 
+def husimi_gaussian(t: StellarParams):
+    """Mean (K, 2n) and covariance (K, 2n, 2n) of v = (Re xi, Im xi) under the
+    Husimi density |<xi|psi>|^2 / pi^n of each ket of a stack: it is
+    exp(-v^T P v + 2 h^T v) up to a constant, P = [[1 - Re A, -Im A],
+    [-Im A, 1 + Re A]] (positive definite as ||A||_2 < 1), h = (Re b, Im b)."""
+    a, eye = t.a, np.eye(t.modes)
+    p = np.block([[eye - a.real, -a.imag], [-a.imag, eye + a.real]])
+    h = np.concatenate([t.b.real, t.b.imag], axis=-1)
+    return np.linalg.solve(p, h[..., None])[..., 0], 0.5 * np.linalg.inv(p)
+
+
 def fock_amplitude(t: StellarParams, nphot: int) -> complex:
     """<n|psi> of a single-mode ket triple, from the series of Gamma."""
     if t.modes != 1:

@@ -31,6 +31,8 @@ def test_rows_extend_shorter_draws():
     assert short.shape == (50, 5) and long.shape == (300, 6)
     assert np.array_equal(long[:50, :5], short)
     assert not np.array_equal(rng.normal_rows(12, 50, 5), short)
+    # a block from a start index is the same rows of one longer draw
+    assert np.array_equal(rng.uniform_rows(11, 263, 37, 3), rng.uniform_rows(11, 0, 300, 3)[263:])
 
 
 def test_rows_come_from_their_own_stream():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -33,6 +34,7 @@ from gsim.simulator import (
     sparsify,
 )
 from gsim.states import (
+    AMPLITUDE_CHUNK,
     Superposition,
     WeightedGaussian,
     cat_state,
@@ -52,6 +54,15 @@ def cat_with_vacuum(alpha=1.0, parity=+1):
         [WeightedGaussian(e.coeff, tensor(e.term, GaussianPure.vacuum(1))) for e in sup.entries],
         l1=sup.l1,
     )
+
+
+def cat_three_modes():
+    """cat(1) (x) vacuum^2 entangled by two beamsplitters."""
+    sup = cat_state(1.0, +1)
+    vac2 = GaussianPure.vacuum(2)
+    sup = Superposition([WeightedGaussian(e.coeff, tensor(e.term, vac2)) for e in sup.entries], l1=sup.l1)
+    mixer = GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.7, 0.3), BeamSplitter(1, 2, 0.5, -0.2)], 3)
+    return evolve(sup, mixer)
 
 
 def cat_fock(alpha, parity, cutoff):
@@ -331,8 +342,8 @@ class TestFastNorm:
         hits = 0
         for t in range(100):
             est = fast_norm(sup, 0.1, 0.05, seed=t)
-            lo, hi = est.relative_band()
-            hits += lo <= est.eta <= hi
+            lo, hi = est.band
+            hits += lo <= 1.0 <= hi
         assert hits >= 95
 
     def test_unnormalized_cat_norm(self):
@@ -346,8 +357,8 @@ class TestFastNorm:
         hits = 0
         for t in range(100):
             est = fast_norm(sup, 0.1, 0.05, seed=t)
-            lo, hi = est.relative_band()
-            hits += lo * truth <= est.eta <= hi * truth
+            lo, hi = est.band
+            hits += lo <= truth <= hi
         assert hits >= 95
 
     def test_two_mode_band_coverage(self):
@@ -355,58 +366,77 @@ class TestFastNorm:
         hits = 0
         for t in range(100):
             est = fast_norm(sup, 0.1, 0.05, seed=t)
-            lo, hi = est.relative_band()
-            hits += lo <= est.eta <= hi
+            lo, hi = est.band
+            hits += lo <= 1.0 <= hi
         assert hits >= 95
 
     def test_three_mode_entangled_band(self):
-        # six normals per probe, so the draw spans two Philox blocks; at
-        # p_fail = 0.003 the stated worst-case confidence 1 - pi^3 p_fail
-        # is 0.91 for any seed
-        cat = cat_state(1.0, +1)
-        vac2 = GaussianPure.vacuum(2)
-        sup = Superposition([WeightedGaussian(e.coeff, tensor(e.term, vac2)) for e in cat.entries], l1=cat.l1)
-        mixer = GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.7, 0.3), BeamSplitter(1, 2, 0.5, -0.2)], 3)
-        sup = evolve(sup, mixer)
-        est = fast_norm(sup, 0.3, 0.003, ensemble_n=20.0, seed=0)
+        # six normals and a term pick per probe, so the draw spans two Philox
+        # blocks; the band holds at confidence 1 - p_fail on any mode count
+        sup = cat_three_modes()
+        est = fast_norm(sup, 0.3, 0.003, seed=0)
         assert est.band[0] <= sup.norm_squared() <= est.band[1]
+
+    def test_three_mode_coverage_at_nominal_level(self):
+        sup = cat_three_modes()
+        truth = sup.norm_squared()
+        hits = 0
+        for t in range(100):
+            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            hits += est.band[0] <= truth <= est.band[1]
+        assert hits >= 95
 
     def test_probe_row_depends_only_on_seed_and_index(self, monkeypatch):
         # a longer run (smaller epsilon) extends the probes of a shorter one
-        sup = single_gaussian(GaussianPure.coherent([0.3, -0.2j]))
+        sup = cat_with_vacuum(0.8)
         probes = []
-        batch = Superposition.coherent_amplitude_batch
+        batch = stellar.coherent_amplitude_batch
 
-        def capture(self, xis):
-            probes.append(np.array(xis))
-            return batch(self, xis)
+        def capture(t, xis):
+            probes[-1].append(np.array(xis))
+            return batch(t, xis)
 
-        monkeypatch.setattr(Superposition, "coherent_amplitude_batch", capture)
-        short = fast_norm(sup, 0.5, 0.5, seed=17)
-        fast_norm(sup, 0.3, 0.5, seed=17)
-        fast_norm(sup, 0.5, 0.5, seed=18)
-        assert probes[0].shape == (short.samples, 2) and probes[1].shape[0] > short.samples
-        assert np.array_equal(probes[1][: short.samples], probes[0])
-        assert not np.any(probes[2] == probes[0])
+        monkeypatch.setattr(stellar, "coherent_amplitude_batch", capture)
+        runs = []
+        for eps, seed in ((0.5, 17), (0.3, 17), (0.5, 18)):
+            probes.append([])
+            runs.append(fast_norm(sup, eps, 0.5, seed=seed))
+        short, long, other = (np.concatenate(p) for p in probes)
+        assert short.shape[1] == 2 and runs[1].samples > runs[0].samples
+        assert np.array_equal(long[: runs[0].samples], short[: runs[0].samples])
+        assert not np.any(other[: runs[0].samples] == short[: runs[0].samples])
+
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch):
+        import gsim.states as states_module
+
+        ring = fock1_ring(optimal_fock1_seed(), 8)
+        want = fast_norm(ring, 0.1, 0.05, seed=3)
+        for chunk in (16 * 3 + 5, 16 * 100, 1 << 14):
+            monkeypatch.setattr(states_module, "AMPLITUDE_CHUNK", chunk)
+            got = fast_norm(ring, 0.1, 0.05, seed=3)
+            assert (got.eta, got.samples) == (want.eta, want.samples)
 
     def test_sample_count_formula(self):
-        sup = single_gaussian(GaussianPure.vacuum(1))
-        est = fast_norm(sup, 0.2, 0.1, ensemble_n=20.0, seed=0)
-        delta = sup.mean_photon_husimi() / 20.0
-        expected = math.ceil((0.5 * 20.0 + delta * np.pi) / np.pi / (0.2**2 * 0.1))
-        assert est.samples == expected
-        assert est.delta_bias == pytest.approx(delta)
+        # on one term Z = 1 for every probe, so the stopping rule ends at the
+        # first probe count N >= Upsilon_1 and eta = Upsilon_1 l1^2 / N
+        eps, p_fail = 0.2, 0.1
+        upsilon = 1.0 + (1.0 + eps) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / eps**2
+        for coeff in (1.0, 0.5j):
+            sup = Superposition([WeightedGaussian(coeff, GaussianPure.coherent([0.3 - 0.4j]))])
+            est = fast_norm(sup, eps, p_fail, seed=0)
+            assert est.samples == math.ceil(upsilon)
+            assert est.eta == pytest.approx(upsilon * abs(coeff) ** 2 / math.ceil(upsilon), rel=1e-14)
+            assert est.band == pytest.approx((est.eta / (1 + eps), est.eta / (1 - eps)), rel=1e-15)
 
     def test_amplitude_counter_linear_in_rank(self):
-        counts = {}
         for big_n in (4, 16, 64):
             ring = fock1_ring(optimal_fock1_seed(), big_n)
             counters.tally.reset()
-            fast_norm(ring, 0.5, 0.5, ensemble_n=20.0, seed=0, husimi_moment=2.0)
-            counts[2 * big_n] = counters.tally.amplitude_evals
-        chis = sorted(counts)
-        per_chi = [counts[c] / c for c in chis]
-        assert max(per_chi) - min(per_chi) < 1e-9  # exactly L per term
+            est = fast_norm(ring, 0.5, 0.5, seed=0)
+            evaluated = counters.tally.samples
+            # exactly the evaluated probes per term; those overshoot N by less than one block
+            assert counters.tally.amplitude_evals == 2 * big_n * evaluated
+            assert est.samples <= evaluated < est.samples + max(1, AMPLITUDE_CHUNK // (2 * big_n))
 
     def test_exact_norm_counter_quadratic(self):
         ring = fock1_ring(optimal_fock1_seed(), 8)
@@ -414,19 +444,35 @@ class TestFastNorm:
         ring.norm_squared()
         assert counters.tally.overlap_evals == (16 * 15) // 2
 
-    def test_default_fast_norm_overlap_counter(self):
-        # without husimi_moment, fast_norm takes the Husimi moment: the Gram
-        # pairs of its norm plus one rank x rank kernel call for each of the
-        # four g(t) of the finite difference
-        for big_n in (2, 8):
-            ring = Superposition(fock1_ring(optimal_fock1_seed(), big_n).entries)
-            chi = 2 * big_n
-            counters.tally.reset()
-            fast_norm(ring, 0.5, 0.5, seed=0)
-            assert counters.tally.overlap_evals == chi * (chi - 1) // 2 + 4 * chi**2
-        counters.tally.reset()
-        fast_norm(single_gaussian(GaussianPure.coherent([0.5])), 0.5, 0.5, seed=0)
-        assert counters.tally.overlap_evals == 0
+    def test_default_fast_norm_overlap_counter(self, capsys):
+        # gsim norm on default arguments evaluates no overlap: only the
+        # probes' amplitudes, one per term and evaluated probe
+        from gsim import cli
+
+        for argv, rank in (
+            (["--state", "fock1-ring", "--ring-n", "2"], 4),
+            (["--state", "fock1-ring", "--ring-n", "8"], 16),
+            (["--state", "coherent", "--alpha", "0.5"], 1),
+        ):
+            assert cli.main(["norm", *argv]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["counters"]["overlap_evals"] == 0
+            assert doc["counters"]["amplitude_evals"] == doc["counters"]["samples"] * rank > 0
+
+    def test_peak_memory_does_not_follow_the_probe_count(self):
+        import tracemalloc
+
+        ring = fock1_ring(optimal_fock1_seed(), 16)
+        peaks = {}
+        for eps in (0.2, 0.05):
+            tracemalloc.start()
+            try:
+                est = fast_norm(ring, eps, 0.05, seed=1)
+                peaks[eps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est.band[0] <= ring.norm_squared() <= est.band[1]
+        assert peaks[0.05] <= 1.5 * peaks[0.2]
 
 
 class TestApproxBorn:
@@ -454,7 +500,7 @@ class TestApproxBorn:
         # oracle density for |1> at xi = 1.0: |<xi|1>|^2/pi
         xi = 1.0
         want = abs(np.exp(-0.5) * 1.0) ** 2 / np.pi  # |<1|alpha=1>|^2/pi
-        est = approx_born(ring, [xi], delta=0.08, epsilon=0.1, p_fail=0.05, seed=11, husimi_moment=2.0)
+        est = approx_born(ring, [xi], delta=0.08, epsilon=0.1, p_fail=0.05, seed=11)
         lo, hi = est.error_band
         slack = 3 * 0.08 * want
         assert (lo - slack) <= want <= (hi + slack)
@@ -514,43 +560,67 @@ def test_gram_phase_corruption_detected():
 
 
 def test_fast_norm_moments_by_quadrature():
-    """Deterministic check of the ensemble first/second moments and bounds.
+    """Deterministic check of the estimator's probe law and per-probe value.
 
-    E[X] evaluated on a grid for a single squeezed-displaced state must sit
-    inside [(1 - M_H/N) |psi|^2, |psi|^2] (Husimi-moment bias bound), and
-    E[X^2] must respect the unconditional bound (N/2)^n |psi|^4 (the vacuum
-    already saturates it at N/(2 + 1/N), ruling out any tighter constant).
+    On a grid over xi, with q(xi) = sum_j (|c_j| / l1) |<xi|G_j>|^2 / pi the
+    decomposition's Husimi mixture and
+    Z = |sum_j c_j a_j|^2 / (l1 sum_j |c_j| |a_j|^2), the mixture integrates
+    to 1, E_q[Z] l1^2 equals the exact Gram norm and 0 <= Z <= 1; each
+    term's Husimi mean and covariance match ``stellar.husimi_gaussian``, and
+    the drawn probes follow the mixture.
     """
     from gsim.phase import GaussianUnitary, propagate
     from gsim.gates import Squeeze, Displace
+    from gsim.simulator import _husimi_probes
 
     term = propagate(
         GaussianPure.vacuum(1),
         GaussianUnitary.from_gates([Squeeze(0, 0.6, 0.4), Displace(0, 0.4 - 0.2j)], 1),
     )
-    sup = single_gaussian(term)
-    n_ens = 5.0
+    squeezed = single_gaussian(term)
+    cat = Superposition(
+        [
+            WeightedGaussian(1.0, GaussianPure.coherent([1.0])),
+            WeightedGaussian(0.7j, GaussianPure.coherent([-1.0 + 0.5j])),
+        ]
+    )
     lim, step = 10.0, 0.04
     axis = np.arange(-lim, lim + step, step)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = (re + 1j * im).reshape(-1, 1)
-    amps = sup.coherent_amplitude_batch(xis)
-    weights = np.exp(-np.abs(xis[:, 0]) ** 2 / n_ens) / (np.pi * n_ens)
-    x_vals = n_ens * np.abs(amps) ** 2
-    mean_x = float(np.sum(weights * x_vals) * step * step)
-    mean_x2 = float(np.sum(weights * x_vals**2) * step * step)
-    moment = sup.mean_photon_husimi()
-    assert (1.0 - moment / n_ens) - 1e-6 <= mean_x <= 1.0 + 1e-6
-    assert mean_x2 <= n_ens / 2 + 1e-6
-    # vacuum saturates the second-moment bound
-    vac = single_gaussian(GaussianPure.vacuum(1))
-    amps_v = vac.coherent_amplitude_batch(xis)
-    mean2_v = float(np.sum(weights * (n_ens * np.abs(amps_v) ** 2) ** 2) * step * step)
-    assert abs(mean2_v - n_ens / (2 + 1 / n_ens)) < 1e-6
-    # and the sample mean converges to the quadrature value
-    est = fast_norm(sup, epsilon=0.05, p_fail=0.05, ensemble_n=n_ens, seed=99)
-    se = np.sqrt(mean_x2 - mean_x**2) / np.sqrt(est.samples)
-    assert abs(est.eta - mean_x) < 5 * se
+    v = np.column_stack([xis.real[:, 0], xis.imag[:, 0]])
+    for sup in (squeezed, cat):
+        amps = stellar.coherent_amplitude_batch(sup.triples, xis)
+        weights = np.abs(sup.coeffs)
+        q = np.abs(amps) ** 2 @ weights / (sup.l1 * np.pi)
+        z = np.abs(amps @ sup.coeffs) ** 2 / (sup.l1 * np.abs(amps) ** 2 @ weights)
+        assert abs(np.sum(q) * step * step - 1.0) < 1e-9
+        assert np.all((z >= 0) & (z <= 1 + 1e-12))
+        mean_z = float(np.sum(q * z) * step * step)
+        assert abs(mean_z * sup.l1**2 - sup.norm_squared()) < 1e-9 * sup.norm_squared()
+        mix_mean = (q * step * step) @ v
+        mix_cov = ((q * step * step)[:, None] * (v - mix_mean)).T @ (v - mix_mean)
+        # each term's Husimi Gaussian, against the same quadrature
+        mean, cov = stellar.husimi_gaussian(sup.triples)
+        for k in range(sup.rank):
+            dens = np.abs(amps[:, k]) ** 2 / np.pi * step * step
+            mu = dens @ v
+            assert np.allclose(mean[k], mu, atol=1e-9)
+            assert np.allclose(cov[k], (dens[:, None] * (v - mu)).T @ (v - mu), atol=1e-9)
+        # the probes drawn follow the mixture (5 standard errors)
+        blocks = _husimi_probes(sup, 99, 1000)
+        draws = np.concatenate([next(blocks) for _ in range(20)])[:, 0]
+        count = len(draws)
+        dv = np.column_stack([draws.real, draws.imag])
+        se = np.sqrt(np.diag(mix_cov) / count)
+        assert np.all(np.abs(dv.mean(axis=0) - mix_mean) < 5 * se)
+        fourth = (q * step * step) @ (v - mix_mean) ** 4
+        se_var = np.sqrt((fourth - np.diag(mix_cov) ** 2) / count)
+        assert np.all(np.abs(dv.var(axis=0) - np.diag(mix_cov)) < 5 * se_var)
+        # and the mean of Z over them is E_q[Z]
+        a_draw = stellar.coherent_amplitude_batch(sup.triples, draws[:, None])
+        z_draw = np.abs(a_draw @ sup.coeffs) ** 2 / (sup.l1 * np.abs(a_draw) ** 2 @ weights)
+        assert abs(z_draw.mean() - mean_z) < 5 * z_draw.std() / np.sqrt(count) + 1e-12
 
 
 def test_fast_norm_walltime_scales_linearly_in_rank():
@@ -563,15 +633,10 @@ def test_fast_norm_walltime_scales_linearly_in_rank():
     import time
 
     rings = {chi: fock1_ring(optimal_fock1_seed(), chi // 2) for chi in (64, 512)}
-    # force term-triple caches so timing sees only the estimator
-    for ring in rings.values():
-        for e in ring.entries:
-            e.term.bargmann
     timings = {}
     for chi, ring in rings.items():
         t0 = time.perf_counter()
-        fast_norm(ring, epsilon=0.5, p_fail=0.5, ensemble_n=20.0, seed=3,
-                  husimi_moment=2.0)
+        fast_norm(ring, epsilon=0.1, p_fail=0.05, seed=3)
         timings[chi] = time.perf_counter() - t0
     ratio = timings[512] / timings[64]
     assert ratio < 24.0  # linear target 8x; quadratic would be ~64x

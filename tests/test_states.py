@@ -302,9 +302,10 @@ def test_optimal_witness_feasible_on_random_gaussians(rng):
         assert abs(w.term_amplitude(g)) <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("name", ["cat", "ring32", "grid0.3"])
+@pytest.mark.parametrize("name", ["coherent", "cat", "ring32", "grid0.3"])
 def test_mean_photon_husimi_matches_propagated_reference(name):
     sup = {
+        "coherent": lambda: single_gaussian(GaussianPure.coherent([0.5 + 0.3j])),
         "cat": lambda: cat_state(1.0),
         "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
         "grid0.3": lambda: grid_sensor(0.3)[0],
@@ -368,6 +369,14 @@ def test_amplitude_batch_in_blocks_matches_single_outcomes(monkeypatch):
     batch = sup.coherent_amplitude_batch(xis)
     single = np.array([sup.coherent_amplitude(xi) for xi in xis])
     assert np.allclose(batch, single, rtol=1e-12, atol=0)
+
+
+def test_given_l1_must_be_the_coefficient_sum():
+    # sampling and the fast norm's Z <= 1 rest on l1 = sum |c_j|
+    cat = cat_state(1.0, +1)
+    assert Superposition(cat.entries, l1=cat.l1).l1 == cat.l1
+    with pytest.raises(ValueError, match="sum of coefficient moduli"):
+        Superposition(cat.entries, l1=2 * cat.l1)
 
 
 def test_entries_sharing_a_term_add_their_coefficients():
