@@ -6,10 +6,11 @@ the sample loop is ordered, batched or parallelized.
 
 ``stream`` wraps one such key in a numpy ``Generator``; building one costs
 tens of microseconds, which is fine for a handful of draws.  ``uniform_rows``
-and ``normal_rows`` run the same cipher in numpy over a block of consecutive
-keys at once, for estimators that need a few numbers from each of thousands
-of streams: row i comes from the raw words of ``stream(seed, i)``, bit for
-bit, and costs O(width) array work instead of one generator.
+runs the same cipher in numpy over a block of consecutive keys at once, for
+estimators that need a few numbers from each of thousands of streams: row i
+comes from the raw words of ``stream(seed, i)``, bit for bit, and costs
+O(width) array work instead of one generator; ``box_muller`` turns such rows
+into standard normals.
 """
 
 import numpy as np
@@ -78,12 +79,3 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     angle = 2.0 * np.pi * u[:, 1::2]
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(u.shape[0], -1)
-
-
-def normal_rows(master_seed: int, count: int, width: int) -> np.ndarray:
-    """``(count, width)`` standard normals; row i depends only on
-    ``(master_seed, i)``, so a draw of more rows or columns extends a draw
-    of fewer.  Each pair of raw words gives two normals (``box_muller``).
-    """
-    pairs = -(-width // 2)
-    return box_muller(uniform_rows(master_seed, 0, count, 2 * pairs))[:, :width]

@@ -12,7 +12,6 @@ runs over its terms.  A sparsified state keeps one triple per distinct draw,
 so its cost follows the K <= k distinct terms.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -187,7 +186,7 @@ class NormEstimate:
 
 
 def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:
-    """Monte-Carlo estimate of <psi|psi> linear in the rank; no overlap is evaluated.
+    """Monte-Carlo estimate of <psi|psi> linear in the rank, from amplitudes only.
 
     Probes xi come from the decomposition's own Husimi mixture (Bravyi et
     al., Quantum 3, 181 (2019); ``_husimi_probes``).  Each has the value
@@ -199,7 +198,12 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     at least 1 - p_fail (Dagum, Karp, Luby and Ross, SIAM J. Comput. 29,
     1484 (2000)); ``band`` is (eta / (1 + eps), eta / (1 - eps)).  The
     expected N is at most Upsilon_1 l1^2 / |psi|^2, about 1167 times the
-    extent bound at the CLI defaults.  Probes are evaluated in blocks of
+    extent bound at the CLI defaults.  Unless the K = rank terms cancel,
+    |psi|^2 >= l1^2 / K and N < Upsilon_1 K / (1 - eps) with probability at
+    least 1 - p_fail; past that cap the probes have cost more amplitudes than
+    the exact Gram's K (K - 1) / 2 overlaps, so the exact norm is returned
+    with a zero-width band, and a cancelling state (an odd cat at small
+    alpha) ends in bounded time.  Probes are evaluated in blocks of
     AMPLITUDE_CHUNK // rank rows, N is found to the row, and probe i depends
     only on (seed, i), so the result does not depend on the block size.
     """
@@ -208,8 +212,9 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     t, coeffs, l1 = sup.triples, sup.coeffs, sup.l1
     weights = np.abs(coeffs)
     upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+    cap = math.ceil(upsilon * sup.rank / (1.0 - epsilon))
     total, evaluated = 0.0, 0
-    for xis in _husimi_probes(sup, seed, max(1, states.AMPLITUDE_CHUNK // sup.rank)):
+    for xis in _husimi_probes(sup, seed, cap, max(1, states.AMPLITUDE_CHUNK // sup.rank)):
         amps = stellar.coherent_amplitude_batch(t, xis)
         den = np.abs(amps) ** 2 @ weights
         if not np.all(den > 0):
@@ -223,29 +228,33 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
         if total >= upsilon:
             break
     counters.tally.samples += evaluated
+    if total < upsilon:
+        nsq = sup.norm_squared()
+        return NormEstimate(nsq, evaluated, epsilon, p_fail, seed, (nsq, nsq))
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * l1**2 / big_n
     return NormEstimate(eta, big_n, epsilon, p_fail, seed, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
 
 
-def _husimi_probes(sup: Superposition, seed: int, rows: int):
-    """Probes from the Husimi mixture of ``sup``, yielded ``rows`` at a time:
-    of the 2n + 1 uniforms of stream (seed, i), the last picks term j with
-    probability |c_j| / l1 and the Box-Muller normals z of the others give
-    xi = mean_j + L_j z, L_j the Cholesky factor of the term's Husimi
-    covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds temporaries.
+def _husimi_probes(sup: Superposition, seed: int, count: int, rows: int):
+    """The first ``count`` probes from the Husimi mixture of ``sup``, yielded
+    ``rows`` at a time: of the 2n + 1 uniforms of stream (seed, i), the last
+    picks term j with probability |c_j| / l1 and the Box-Muller normals z of
+    the others give xi = mean_j + L_j z, L_j the Cholesky factor of the
+    term's Husimi covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds
+    temporaries.
     """
     n, chunk = sup.n, states.AMPLITUDE_CHUNK
     cdf = np.cumsum(np.abs(sup.coeffs))
     mean, cov = stellar.husimi_gaussian(sup.triples)
     factor = np.linalg.cholesky(cov)
-    for start in itertools.count(0, chunk):
-        u = uniform_rows(seed, start, chunk, 2 * n + 1)
+    for start in range(0, count, chunk):
+        u = uniform_rows(seed, start, min(chunk, count - start), 2 * n + 1)
         j = np.minimum(np.searchsorted(cdf, u[:, -1] * cdf[-1], side="right"), sup.rank - 1)
         v = mean[j] + np.einsum("rij,rj->ri", factor[j], box_muller(u[:, :-1]))
         xis = v[:, :n] + 1j * v[:, n:]
         del u, j, v  # so that only the probes stay alive while the next chunk is drawn
-        for s in range(0, chunk, rows):
+        for s in range(0, len(xis), rows):
             yield xis[s : s + rows]
 
 

@@ -263,6 +263,18 @@ def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
     return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)))
 
 
+def _dropped_mass(envelope, first: int) -> float:
+    """l1 mass envelope(t) + envelope(-t) summed over t >= first, outward
+    until a shell no longer adds to it."""
+    tail, t = 0.0, first
+    while True:
+        inc = envelope(t) + envelope(-t)
+        tail += inc
+        if inc < 1e-18 * max(tail, 1.0) or t > first + 100000:
+            return tail
+        t += 1
+
+
 def gkp_state(
     d: int,
     mu: int,
@@ -287,15 +299,7 @@ def gkp_state(
     def envelope(s: int) -> float:
         return math.exp(-0.5 * kappa**2 * alpha_d**2 * (d * s + mu) ** 2)
 
-    # geometric-style bound on the dropped l1 mass
-    tail = 0.0
-    s = s_max + 1
-    while True:
-        inc = envelope(s) + envelope(-s)
-        tail += inc
-        if inc < 1e-18 * max(tail, 1.0) or s > s_max + 10000:
-            break
-        s += 1
+    tail = _dropped_mass(envelope, s_max + 1)
     if tail > tail_tol:
         raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {tail_tol:.1e}")
 
@@ -321,21 +325,12 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     def envelope(t: int) -> float:
         return math.exp(-math.pi * delta**2 * t**2)
 
-    def dropped_mass(limit: int) -> float:
-        tail, t = 0.0, limit + 1
-        while True:
-            inc = 2 * envelope(t)
-            tail += inc
-            if inc < 1e-18 * max(tail, 1.0) or t > limit + 100000:
-                return tail
-            t += 1
-
     if t_max is None:
         t_max = 1
-        while (tail := dropped_mass(t_max)) > tail_tol:
+        while (tail := _dropped_mass(envelope, t_max + 1)) > tail_tol:
             t_max += 1
     else:
-        tail = dropped_mass(t_max)
+        tail = _dropped_mass(envelope, t_max + 1)
 
     t = np.arange(-t_max, t_max + 1)
     terms = _displaced_stack(t * math.sqrt(math.pi / 2) + 0.0j, [Squeeze(0, r)])

@@ -187,6 +187,18 @@ def test_norm_command(capsys):
     assert lo <= doc["value"] <= hi
 
 
+def test_norm_of_a_nearly_vanishing_odd_cat_ends(capsys):
+    # ||psi||^2 / l1^2 is about 1e-12 here, so the stopping rule alone would
+    # need some 1e15 probes; the exact Gram takes over after a bounded number
+    code, out, _ = run_cli(["norm", "--state", "cat", "--parity", "-", "--alpha", "1e-6"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["error_band"] == [doc["value"], doc["value"]]
+    assert abs(doc["value"] - 1.0) < 1e-3
+    assert doc["counters"]["overlap_evals"] == 1
+    assert doc["counters"]["samples"] < 3000
+
+
 def run_python(args):
     """Run a fresh interpreter on the gsim sources under test."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}

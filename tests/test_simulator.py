@@ -416,6 +416,33 @@ class TestFastNorm:
             got = fast_norm(ring, 0.1, 0.05, seed=3)
             assert (got.eta, got.samples) == (want.eta, want.samples)
 
+    def test_cancelling_state_falls_back_to_the_exact_norm(self):
+        # Z has mean |psi|^2 / l1^2, tiny or zero here, so the stopping sum
+        # cannot reach Upsilon_1 within Upsilon_1 K / (1 - eps) probes; the
+        # exact Gram norm is returned then, with a zero-width band
+        eps, p_fail = 0.1, 0.05
+        upsilon = 1.0 + (1.0 + eps) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / eps**2
+        zero = Superposition(
+            [
+                WeightedGaussian(1.0, GaussianPure.coherent([0.4j])),
+                WeightedGaussian(-1.0, GaussianPure.coherent([0.4j])),
+            ]
+        )
+        odd = Superposition(
+            [
+                WeightedGaussian(1.0, GaussianPure.coherent([1e-3])),
+                WeightedGaussian(-1.0, GaussianPure.coherent([-1e-3])),
+            ]
+        )
+        for sup in (zero, odd):
+            counters.tally.reset()
+            est = fast_norm(sup, eps, p_fail, seed=4)
+            assert est.samples == counters.tally.samples == math.ceil(upsilon * 2 / (1 - eps))
+            assert est.eta == est.band[0] == est.band[1] == sup.norm_squared()
+            assert counters.tally.overlap_evals == 1
+        assert zero.norm_squared() < 1e-12
+        assert odd.norm_squared() == pytest.approx(2.0 - 2.0 * math.exp(-2e-6), rel=1e-6)
+
     def test_sample_count_formula(self):
         # on one term Z = 1 for every probe, so the stopping rule ends at the
         # first probe count N >= Upsilon_1 and eta = Upsilon_1 l1^2 / N
@@ -608,8 +635,7 @@ def test_fast_norm_moments_by_quadrature():
             assert np.allclose(mean[k], mu, atol=1e-9)
             assert np.allclose(cov[k], (dens[:, None] * (v - mu)).T @ (v - mu), atol=1e-9)
         # the probes drawn follow the mixture (5 standard errors)
-        blocks = _husimi_probes(sup, 99, 1000)
-        draws = np.concatenate([next(blocks) for _ in range(20)])[:, 0]
+        draws = np.concatenate(list(_husimi_probes(sup, 99, 20_000, 1000)))[:, 0]
         count = len(draws)
         dv = np.column_stack([draws.real, draws.imag])
         se = np.sqrt(np.diag(mix_cov) / count)
