@@ -142,23 +142,26 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
 class TableRow:
     delta: float
     naive_extent: float
+    one_sided_extent: float
     published_extent: float | None
     breeding_bound: int | None
 
 
 def report_table(deltas) -> list:
-    """Rows of (delta, naive extent, published extent, breeding bound).
+    """Rows of (delta, naive, one-sided and published extent, breeding bound).
 
     The naive extent applies (sum c)^2 / sum c^2 to the raw grid envelope
-    c_t = e^{-pi delta^2 t^2} over all integers t.  The published extents are
-    the same orthogonal-term sum over t >= 0 only, about half the naive value;
-    both are emitted.  The breeding bound ceil(xi / 2) uses the published
-    extent where one exists, else the naive one.
+    c_t = e^{-pi delta^2 t^2} over all integers t, the one-sided extent the
+    same orthogonal-term sum over t >= 0 only, about half the naive value,
+    at any delta.  The published extents, tabulated at six deltas, match the
+    one-sided sum; all are emitted.  The breeding bound ceil(xi / 2) uses the
+    published extent where one exists, else the naive one.
     """
     rows = []
     for d in deltas:
         naive = naive_grid_extent(d)
         published = GRID_EXTENT_TABLE.get(d, (None, None))[0]
         xi = published if published is not None else naive
-        rows.append(TableRow(d, naive, published, breeding_lower_bound(max(xi, 1.0))))
+        one_sided = naive_grid_extent(d, one_sided=True)
+        rows.append(TableRow(d, naive, one_sided, published, breeding_lower_bound(max(xi, 1.0))))
     return rows

@@ -142,10 +142,11 @@ def build_initial(init: dict, modes: int) -> Superposition:
     if sup.n > modes:
         raise ValidationFailure("initial: state is wider than the declared mode count")
     if sup.n < modes:
-        # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c
+        # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c;
+        # the overlaps, so the Gram cell, stay those of the unpadded terms
         t, pad = sup.triples, modes - sup.n
         vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
-        sup = Superposition.from_stack(sup.coeffs, vac)
+        sup = Superposition.from_stack(sup.coeffs, vac, sup.gram_cell)
     return sup
 
 
@@ -219,7 +220,7 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
         outcome = _complex_vector(task["outcome"], "task.outcome")
         if isinstance(state, Superposition):
             est = simulator.exact_born(state, outcome)
-            return est.value, None
+            return est.value, list(est.error_band)
         # mixed pipeline: Husimi density over d^2n(alpha)
         from .gaussian import fidelity_pure
 
@@ -291,6 +292,7 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
                 "delta": r.delta,
                 "naive_extent": r.naive_extent,
                 "published_extent": r.published_extent,
+                "one_sided_extent": r.one_sided_extent,
                 "breeding_bound": r.breeding_bound,
             }
             for r in apps.report_table(deltas)

@@ -2,7 +2,10 @@
 superpositions of Gaussian states.
 
 The exact Born evaluator costs O(rank) amplitude evaluations for the
-numerator and O(rank^2) pairwise overlaps for the norm.  The approximate
+numerator; its norm comes from the state's Gram, which costs O(rank^2)
+pairwise overlaps once per state (rank - 1 for a library group orbit) and
+which `evolve` carries along, since Gaussian unitaries preserve overlaps, so
+each later gate and Born evaluation costs O(rank).  The approximate
 pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
 and replaces the Gram norm with a Monte-Carlo estimate from coherent probes
 drawn from the decomposition's own Husimi mixture, making the total cost
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters, states, stellar
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, IllConditioned
 from .gaussian import check_normalised
 from .phase import GaussianUnitary
 from .rng import box_muller, stream, uniform_rows
@@ -27,10 +30,12 @@ from .states import Superposition
 
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     """Gaussian unitary folded over the whole stack of triples, then one
-    stacked normalisation check; coefficients, rank and l1 are untouched."""
+    stacked normalisation check; coefficients, rank and l1 are untouched.
+    The result shares the Gram cell of ``sup``, <G_i|U^+ U|G_j> = <G_i|G_j>,
+    computed or not: evolving computes no Gram."""
     triples = op.apply(sup.triples)
     check_normalised(triples)
-    return Superposition.from_stack(sup.coeffs, triples)
+    return Superposition.from_stack(sup.coeffs, triples, sup.gram_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +104,30 @@ class BornEstimate:
     seed: int | None = None
 
 
+# unit roundoff, and the overlap and amplitude kernels' relative error per
+# entry in units of it: the mpmath reference tests measure at most 2e-15
+UNIT_ROUNDOFF = 2.0**-53
+KERNEL_ULPS = 20
+
+
+def _rounding_bound(scale: float, rank: int) -> float:
+    """Rounding bound u (c_kernel + K) scale of a K-term sum of kernel
+    values, ``scale`` the sum of the moduli of its terms: each value is off by
+    at most c_kernel u of its modulus, and the summation adds K u."""
+    return UNIT_ROUNDOFF * (KERNEL_ULPS + rank) * scale
+
+
+def _exact_norm(sup: Superposition) -> tuple:
+    """(c^+ G c, its rounding bound u (c_kernel + K) l1^2); raises
+    IllConditioned when the bound reaches the value, which then has no
+    correct digit (a decomposition that cancels to |psi|^2 << l1^2)."""
+    nsq = sup.norm_squared()
+    err = _rounding_bound(sup.l1**2, sup.rank)
+    if err >= nsq:
+        raise IllConditioned(f"Gram norm {nsq:.3g} within its rounding bound {err:.3g} (l1^2 = {sup.l1**2:.3g})")
+    return nsq, err
+
+
 def _clamp_density(value: float) -> float:
     if value < 0.0:
         counters.tally.clamped_densities += 1
@@ -114,16 +143,22 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from one
     O(rank) amplitude sweep and the norm from the exact Gram.  Relative to
     the quadrature-outcome general-dyne density this carries the Jacobian
-    factor 2^n.
+    factor 2^n.  ``error_band`` bounds the rounding: the amplitude sum is
+    off by at most u (c_kernel + K) sum_j |c_j a_j| and the norm by
+    u (c_kernel + K) l1^2, which raises IllConditioned once it reaches the
+    norm itself.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     if outcome.shape[0] != sup.n:
         raise DimensionMismatch("outcome dimension does not match state")
-    amp = sup.coherent_amplitude(outcome)
-    numerator = abs(amp) ** 2
-    norm_sq = sup.norm_squared()
-    value = _clamp_density(numerator / (np.pi**sup.n * norm_sq))
-    return BornEstimate(value, "exact", numerator, norm_sq)
+    amps = stellar.coherent_amplitude(sup.triples, outcome)
+    amp = abs(complex(sup.coeffs @ amps))
+    amp_err = _rounding_bound(float(np.abs(sup.coeffs) @ np.abs(amps)), sup.rank)
+    norm_sq, norm_err = _exact_norm(sup)
+    scale = np.pi**sup.n
+    value = _clamp_density(amp**2 / (scale * norm_sq))
+    lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
+    return BornEstimate(value, "exact", amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +236,14 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     extent bound at the CLI defaults.  Unless the K = rank terms cancel,
     |psi|^2 >= l1^2 / K and N < Upsilon_1 K / (1 - eps) with probability at
     least 1 - p_fail; past that cap the probes have cost more amplitudes than
-    the exact Gram's K (K - 1) / 2 overlaps, so the exact norm is returned
-    with a zero-width band, and a cancelling state (an odd cat at small
-    alpha) ends in bounded time.  Probes are evaluated in blocks of
-    AMPLITUDE_CHUNK // rank rows, N is found to the row, and probe i depends
-    only on (seed, i), so the result does not depend on the block size.
+    a general exact Gram's K (K - 1) / 2 overlaps (an orbit's costs K - 1,
+    and a Gram the state already carries none), so the exact norm is
+    returned, banded by its rounding bound u (c_kernel + K) l1^2: a
+    cancelling state (an odd cat at small alpha) ends in bounded time, and
+    raises IllConditioned where that bound reaches the norm.  Probes are
+    evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N is found to the
+    row, and probe i depends only on (seed, i), so the result does not
+    depend on the block size.
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
@@ -229,8 +267,8 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
             break
     counters.tally.samples += evaluated
     if total < upsilon:
-        nsq = sup.norm_squared()
-        return NormEstimate(nsq, evaluated, epsilon, p_fail, seed, (nsq, nsq))
+        nsq, err = _exact_norm(sup)
+        return NormEstimate(nsq, evaluated, epsilon, p_fail, seed, (nsq - err, nsq + err))
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * l1**2 / big_n
     return NormEstimate(eta, big_n, epsilon, p_fail, seed, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))

@@ -39,6 +39,43 @@ class WeightedGaussian(NamedTuple):
     term: GaussianPure
 
 
+class GramCell:
+    """The Gram matrix of a stack of ket triples, computed on first use.
+
+    A Gaussian unitary on every term, a common coefficient scale and
+    tensoring every term with one common state keep every overlap, so the
+    superpositions derived that way share one cell and one Gram.  ``orbit``
+    is None for a general stack (its K(K-1)/2 pairs above the diagonal),
+    "circulant" for a cyclic orbit such as a rotation ring
+    (G_ij = r_{(j-i) mod K}) or "toeplitz" for equally spaced real
+    displacements (G_ij = r_{j-i}, conjugated below the diagonal); an orbit
+    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first row.
+    """
+
+    def __init__(self, triples: stellar.StellarParams, orbit: str | None = None):
+        self.triples, self.orbit = triples, orbit
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        t = self.triples
+        k = t.log_c.shape[0]
+        if self.orbit is None:
+            i, j = np.triu_indices(k, 1)
+            gram = np.eye(k, dtype=complex)
+            gram[i, j] = stellar.state_overlaps(t, t, i, j)
+            gram[j, i] = np.conj(gram[i, j])
+        else:
+            row = np.ones(k, dtype=complex)
+            row[1:] = stellar.state_overlaps(t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
+            offset = np.arange(k) - np.arange(k)[:, None]  # j - i
+            if self.orbit == "circulant":
+                gram = row[offset % k]
+            else:
+                gram = np.where(offset >= 0, row[np.abs(offset)], np.conj(row[np.abs(offset)]))
+        gram.flags.writeable = False  # shared by every superposition of the cell
+        return gram
+
+
 class Superposition:
     """Pure Gaussian terms sharing one mode count: ``coeffs`` (K,), one per
     triple in the stack ``triples``.
@@ -65,16 +102,21 @@ class Superposition:
         self._terms = terms
 
     @classmethod
-    def from_stack(cls, coeffs, triples: stellar.StellarParams) -> "Superposition":
-        """Superposition over a stack of triples that passed ``check_normalised``."""
+    def from_stack(cls, coeffs, triples: stellar.StellarParams, gram_cell=None) -> "Superposition":
+        """Superposition over a stack of triples that passed ``check_normalised``.
+
+        ``gram_cell`` shares the Gram of a stack with the same pairwise
+        overlaps; without one the Gram is a fresh general one.
+        """
         sup = cls.__new__(cls)
-        sup._store(np.asarray(coeffs, dtype=complex), triples)
+        sup._store(np.asarray(coeffs, dtype=complex), triples, gram_cell=gram_cell)
         return sup
 
-    def _store(self, coeffs, triples, l1=None):
+    def _store(self, coeffs, triples, l1=None, gram_cell=None):
         if not np.all(np.isfinite(np.abs(coeffs))):
             raise ValueError("coefficient must be finite")
         self.coeffs, self.triples = coeffs, triples
+        self.gram_cell = gram_cell if gram_cell is not None else GramCell(triples)
         self.n = triples.modes
         self.l1 = float(np.sum(np.abs(coeffs)))
         if l1 is not None and not abs(float(l1) - self.l1) <= 1e-12 * self.l1:
@@ -103,16 +145,10 @@ class Superposition:
     def gram(self) -> np.ndarray:
         """Exact pairwise overlap matrix; diagonal pinned to 1 (terms normalized).
 
-        Assembled through the holomorphic backend, whose log-domain kernel
-        stays finite for far-separated terms (grid states); the triple-product
-        backend cross-checks it in the test suite.  Only the K(K-1)/2 pairs
-        above the diagonal are evaluated.
+        The matrix of ``gram_cell``, computed on first use by any of the
+        superpositions that share the cell (see `GramCell`); read-only.
         """
-        i, j = np.triu_indices(self.rank, 1)
-        gram = np.eye(self.rank, dtype=complex)
-        gram[i, j] = stellar.state_overlaps(self.triples, self.triples, i, j)
-        gram[j, i] = np.conj(gram[i, j])
-        return gram
+        return self.gram_cell.matrix
 
     def norm_squared(self) -> float:
         c = self.coeffs
@@ -164,10 +200,11 @@ def single_gaussian(term: GaussianPure) -> Superposition:
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
 
 
-def _normalised(coeffs, terms: stellar.StellarParams) -> Superposition:
-    """Superposition of distinct terms, scaled to unit norm by its exact Gram."""
-    raw = Superposition.from_stack(coeffs, terms)
-    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), terms)
+def _normalised(coeffs, terms: stellar.StellarParams, orbit: str) -> Superposition:
+    """Superposition of the distinct orbit ``terms``, scaled to unit norm by
+    its exact Gram, which the scaled state keeps."""
+    raw = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit))
+    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), terms, raw.gram_cell)
 
 
 def _displaced_stack(alphas, first=()) -> stellar.StellarParams:
@@ -229,7 +266,7 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     copies = seed.bargmann[None][np.zeros(2 * big_n, dtype=np.intp)]
     ring = stellar.apply_gate(PhaseShift(0, theta), copies, 1)
     check_normalised(ring)
-    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring)
+    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring, GramCell(ring, "circulant"))
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
@@ -260,7 +297,7 @@ def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
     if big_m < 1 or mu not in (0, 1):
         raise ValueError("need M >= 1 and mu in {0, 1}")
     m = np.arange(2 * big_m)
-    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)))
+    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)), "circulant")
 
 
 def _dropped_mass(envelope, first: int) -> float:
@@ -307,8 +344,8 @@ def gkp_state(
     terms = _displaced_stack(alpha_d * (d * s + mu) + 0.0j, [Squeeze(0, r)])
     coeffs = np.array([envelope(k) for k in s.tolist()]) + 0.0j
     if normalize:
-        return _normalised(coeffs, terms), tail
-    return Superposition.from_stack(coeffs, terms), tail
+        return _normalised(coeffs, terms, "toeplitz"), tail
+    return Superposition.from_stack(coeffs, terms, GramCell(terms, "toeplitz")), tail
 
 
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
@@ -334,22 +371,22 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
 
     t = np.arange(-t_max, t_max + 1)
     terms = _displaced_stack(t * math.sqrt(math.pi / 2) + 0.0j, [Squeeze(0, r)])
-    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms), tail
+    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms, "toeplitz"), tail
 
 
-def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 1e-12) -> float:
+def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 1e-12, one_sided: bool = False) -> float:
     """(sum_t c_t)^2 / sum_t c_t^2 for the raw grid envelope coefficients.
 
     This is the orthogonal-term approximation of the extent of the sensor
     state; asymptotically sqrt(2)/delta.  The published table for these
-    states takes the same sum over t >= 0 only, about half this value; both
-    numbers are reported side by side.
+    states takes the same sum over t >= 0 only (``one_sided``), about half
+    this value; both numbers are reported side by side.
     """
     if t_max is None:
         t_max = 1
         while math.exp(-math.pi * delta**2 * t_max**2) > tail_tol:
             t_max += 1
-    ts = np.arange(-t_max, t_max + 1)
+    ts = np.arange(0 if one_sided else -t_max, t_max + 1)
     c = np.exp(-math.pi * delta**2 * ts**2)
     return float(c.sum() ** 2 / np.sum(c**2))
 

@@ -52,3 +52,12 @@ def test_published_extents_are_the_one_sided_orthogonal_sum():
     for delta, (extent, _) in apps.GRID_EXTENT_TABLE.items():
         c = np.exp(-np.pi * delta**2 * t**2)
         assert round(c.sum() ** 2 / np.sum(c**2), 3) == extent
+
+
+def test_one_sided_extent_at_any_delta():
+    rows = apps.report_table(list(apps.GRID_EXTENT_TABLE) + [0.07])
+    for row in rows[:-1]:
+        assert abs(row.one_sided_extent - row.published_extent) <= 1e-3
+    # (sum_{t>=0} c_t)^2 / sum_{t>=0} c_t^2 lies between half and all of the two-sided sum
+    assert rows[-1].published_extent is None
+    assert rows[-1].naive_extent / 2 < rows[-1].one_sided_extent < rows[-1].naive_extent

@@ -166,7 +166,7 @@ def test_table1_csv(capsys):
     code, out, _ = run_cli(["table1", "--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "breeding_bound,delta,naive_extent,published_extent"
+    assert lines[0] == "breeding_bound,delta,naive_extent,one_sided_extent,published_extent"
     assert len(lines) == 7
 
 
@@ -189,11 +189,13 @@ def test_norm_command(capsys):
 
 def test_norm_of_a_nearly_vanishing_odd_cat_ends(capsys):
     # ||psi||^2 / l1^2 is about 1e-12 here, so the stopping rule alone would
-    # need some 1e15 probes; the exact Gram takes over after a bounded number
+    # need some 1e15 probes; the exact Gram takes over after a bounded number,
+    # and its rounding bound keeps the band around the true norm 1
     code, out, _ = run_cli(["norm", "--state", "cat", "--parity", "-", "--alpha", "1e-6"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["error_band"] == [doc["value"], doc["value"]]
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi and lo <= 1.0 <= hi
     assert abs(doc["value"] - 1.0) < 1e-3
     assert doc["counters"]["overlap_evals"] == 1
     assert doc["counters"]["samples"] < 3000
@@ -330,13 +332,61 @@ def test_bad_conditioning_modes_rejected(modes, outcome, task_outcome, message, 
 
 
 def test_born_counters_on_the_ring(capsys):
-    # one amplitude per term and the Gram's R(R-1)/2 pairs, nothing else
+    # one amplitude per term and the circulant Gram's row of R - 1 overlaps,
+    # nothing else
     code, out, err = run_cli(["born", "--state", "fock1-ring", "--ring-n", "8"], capsys)
     assert code == 0, err
     doc = json.loads(out)
     assert doc["counters"]["amplitude_evals"] == 16
-    assert doc["counters"]["overlap_evals"] == 120
+    assert doc["counters"]["overlap_evals"] == 15
     assert doc["counters"]["samples"] == 0
+
+
+def test_born_on_a_fine_grid_evaluates_one_orbit_row(capsys):
+    # the constructor's Toeplitz row of R - 1 = 100 overlaps normalises the
+    # rank-101 state, and exact_born reuses that Gram
+    code, out, err = run_cli(["born", "--state", "grid", "--grid-delta", "0.05"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["counters"]["overlap_evals"] == 100
+    assert doc["counters"]["amplitude_evals"] == 101
+
+
+def test_exact_born_band_of_a_cancelling_odd_cat(capsys):
+    # l1^2 / ||psi||^2 is about 1e8: the odd cat at alpha = 1e-4 is nearly
+    # |1>, whose density at 0.3 is 0.09 e^{-0.09} / pi, 1e-9 from the value
+    code, out, err = run_cli(["born", "--state", "cat", "--parity", "-", "--alpha", "1e-4", "--outcome", "0.3,0"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi
+    assert lo <= 0.09 * np.exp(-0.09) / np.pi <= hi
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "fock1-ring", "--ring-n", "64"],
+        ["--state", "grid", "--grid-delta", "0.05"],
+        ["--state", "gkp"],
+        ["--state", "cat", "--parity", "-"],
+        ["--state", "coherent", "--alpha", "0.5"],
+    ],
+)
+def test_exact_born_bands_of_library_states_are_narrow(capsys, argv):
+    code, out, err = run_cli(["born", *argv, "--outcome", "0.3,0.2"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi
+    assert hi - lo < 1e-12 * doc["value"]
+
+
+def test_norm_within_its_rounding_bound_is_ill_conditioned(capsys):
+    # alpha = 1e-8: l1^2 = 9e15, so c^+ G c has no correct digit left
+    code, out, err = run_cli(["norm", "--state", "cat", "--parity", "-", "--alpha", "1e-8"], capsys)
+    assert code == 3 and out == ""
+    assert "rounding bound" in err
 
 
 @pytest.mark.parametrize("big_n", [4, 8])

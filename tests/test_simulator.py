@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsim import counters, fock, stellar
+from gsim import cli, counters, fock, stellar
+from gsim.exceptions import IllConditioned
 from gsim.gates import BeamSplitter, Displace, Squeeze, beamsplitter_unitary, program_symplectic
 from gsim.gaussian import (
     GaussianMixed,
@@ -20,6 +21,7 @@ from gsim.gaussian import (
 from gsim.phase import GaussianUnitary
 from gsim.rng import stream
 from gsim.simulator import (
+    KERNEL_ULPS,
     SparsifyPlan,
     approx_born,
     condition,
@@ -97,6 +99,65 @@ class TestEvolve:
             got = exact_born(out, xi).value
             want = fock.oracle_born(fv, xi)
             assert abs(got - want) < 1e-8
+
+
+class TestSharedGram:
+    def test_evolve_reuses_a_computed_gram(self):
+        ring = fock1_ring(optimal_fock1_seed(), 8)
+        ring.gram
+        op = GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4), Displace(0, 0.5 - 0.2j)], 1)
+        counters.tally.reset()
+        out = evolve(evolve(ring, op), op)
+        out.norm_squared()
+        exact_born(out, [0.3 + 0.1j])
+        gaussian_fidelity_lower_bound(out)
+        assert counters.tally.overlap_evals == 0
+        assert out.gram is ring.gram
+
+    def test_evolve_computes_no_gram(self):
+        ring = fock1_ring(optimal_fock1_seed(), 8)
+        counters.tally.reset()
+        out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3)], 1))
+        assert counters.tally.overlap_evals == 0 and "matrix" not in vars(out.gram_cell)
+        out.norm_squared()
+        assert counters.tally.overlap_evals == 15 and "matrix" in vars(ring.gram_cell)
+
+    def test_conditioned_and_sparsified_states_take_a_general_gram(self):
+        ring = cli.build_initial({"kind": "fock1_ring", "N": 4}, 2)
+        ring.gram
+        mixed = evolve(ring, GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6)], 2))
+        counters.tally.reset()
+        out, _ = condition(mixed, [1], [0.4 - 0.2j])
+        assert out.gram_cell.orbit is None
+        assert counters.tally.overlap_evals == out.rank * (out.rank - 1) // 2 == 28
+        sparse = sparsify(ring, SparsifyPlan(0.5, seed=1))
+        counters.tally.reset()
+        sparse.gram
+        assert sparse.gram_cell.orbit is None
+        assert counters.tally.overlap_evals == sparse.rank * (sparse.rank - 1) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    kind=st.sampled_from(["fock1_ring", "cat", "grid", "gkp", "random"]),
+    chains=st.integers(1, 3),
+)
+def test_carried_gram_equals_a_fresh_one(seed, n, kind, chains):
+    """After evolve chains, the Gram a state shares with its ancestor (padded
+    with vacuum modes as the CLI does) equals the one its own triples give."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        terms = [engine_state(random_pure_program(n, rng, 1.5, 0.6), n) for _ in range(4)]
+        sup = Superposition(list(zip(rng.normal(size=4) + 1j * rng.normal(size=4), terms)))
+    else:
+        init = {"fock1_ring": {"N": 4}, "cat": {"alpha": [0.8, 0.3], "parity": "-"}, "grid": {"delta": 0.3}, "gkp": {}}
+        sup = cli.build_initial({"kind": kind, **init[kind]}, n)
+    for _ in range(chains):
+        sup = evolve(sup, GaussianUnitary.from_gates(random_circuit(n, 4, rng, alpha_max=0.8, r_max=0.5), n))
+    fresh = Superposition.from_stack(sup.coeffs, sup.triples)
+    assert np.max(np.abs(sup.gram - fresh.gram)) <= 1e-13
 
 
 class TestCondition:
@@ -419,7 +480,8 @@ class TestFastNorm:
     def test_cancelling_state_falls_back_to_the_exact_norm(self):
         # Z has mean |psi|^2 / l1^2, tiny or zero here, so the stopping sum
         # cannot reach Upsilon_1 within Upsilon_1 K / (1 - eps) probes; the
-        # exact Gram norm is returned then, with a zero-width band
+        # exact Gram norm is returned then, banded by its rounding bound
+        # u (c_kernel + K) l1^2, or IllConditioned once the bound reaches it
         eps, p_fail = 0.1, 0.05
         upsilon = 1.0 + (1.0 + eps) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / eps**2
         zero = Superposition(
@@ -434,12 +496,19 @@ class TestFastNorm:
                 WeightedGaussian(-1.0, GaussianPure.coherent([-1e-3])),
             ]
         )
-        for sup in (zero, odd):
-            counters.tally.reset()
-            est = fast_norm(sup, eps, p_fail, seed=4)
-            assert est.samples == counters.tally.samples == math.ceil(upsilon * 2 / (1 - eps))
-            assert est.eta == est.band[0] == est.band[1] == sup.norm_squared()
-            assert counters.tally.overlap_evals == 1
+        cap = math.ceil(upsilon * 2 / (1 - eps))
+        counters.tally.reset()
+        est = fast_norm(odd, eps, p_fail, seed=4)
+        assert est.samples == counters.tally.samples == cap
+        assert est.eta == odd.norm_squared()
+        width = 2.0**-53 * (KERNEL_ULPS + 2) * odd.l1**2
+        assert est.band == pytest.approx((est.eta - width, est.eta + width), rel=1e-15)
+        assert est.band[0] <= 2.0 - 2.0 * math.exp(-2e-6) <= est.band[1]
+        assert counters.tally.overlap_evals == 1
+        counters.tally.reset()
+        with pytest.raises(IllConditioned):
+            fast_norm(zero, eps, p_fail, seed=4)
+        assert counters.tally.samples == cap and counters.tally.overlap_evals == 1
         assert zero.norm_squared() < 1e-12
         assert odd.norm_squared() == pytest.approx(2.0 - 2.0 * math.exp(-2e-6), rel=1e-6)
 
@@ -465,11 +534,12 @@ class TestFastNorm:
             assert counters.tally.amplitude_evals == 2 * big_n * evaluated
             assert est.samples <= evaluated < est.samples + max(1, AMPLITUDE_CHUNK // (2 * big_n))
 
-    def test_exact_norm_counter_quadratic(self):
+    def test_exact_norm_counter_orbit_row(self):
+        # the ring's circulant Gram takes one row of K - 1 overlaps
         ring = fock1_ring(optimal_fock1_seed(), 8)
         counters.tally.reset()
         ring.norm_squared()
-        assert counters.tally.overlap_evals == (16 * 15) // 2
+        assert counters.tally.overlap_evals == 15
 
     def test_default_fast_norm_overlap_counter(self, capsys):
         # gsim norm on default arguments evaluates no overlap: only the

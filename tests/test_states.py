@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsim import fock, stellar
+from gsim import counters, fock, stellar
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import GaussianUnitary, propagate
@@ -11,6 +11,7 @@ from gsim.simulator import condition
 from gsim.states import (
     FOCK1_EXTENT,
     FOCK1_FIDELITY,
+    GramCell,
     Superposition,
     WeightedGaussian,
     boson_sampling_bound,
@@ -390,3 +391,44 @@ def test_entries_sharing_a_term_add_their_coefficients():
     assert merged.norm_squared() == pytest.approx(explicit.norm_squared(), rel=1e-14)
     for xi in ([0.0], [0.2 + 0.3j], [-1.0 + 0.5j]):
         assert merged.coherent_amplitude(xi) == pytest.approx(explicit.coherent_amplitude(xi), rel=1e-14)
+
+
+ORBIT_STATES = {
+    "ring-optimal-16": lambda: fock1_ring(optimal_fock1_seed(), 8),
+    "ring-optimal-512": lambda: fock1_ring(optimal_fock1_seed(), 256),
+    "ring-coherent-128": lambda: fock1_ring(coherent_ring_seed(), 64),
+    "rotational": lambda: rotational_code(3, 1, 2.0),
+    "grid-0.1": lambda: grid_sensor(0.1)[0],
+    "grid-0.05": lambda: grid_sensor(0.05)[0],
+    "gkp": lambda: gkp_state(2, 0, 0.3, 0.3, 5)[0],
+    "gkp-unnormalised": lambda: gkp_state(3, 1, 0.3, 0.3, 6, normalize=False)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_STATES))
+def test_orbit_gram_equals_the_general_gram(name):
+    # one row of K - 1 overlaps, gathered into the circulant or Hermitian
+    # Toeplitz matrix, against all K(K-1)/2 pairs of the general kernel
+    sup = ORBIT_STATES[name]()
+    cell = sup.gram_cell
+    general = Superposition.from_stack(sup.coeffs, sup.triples)
+    assert cell.orbit in ("circulant", "toeplitz") and general.gram_cell.orbit is None
+    counters.tally.reset()
+    orbit_gram = GramCell(cell.triples, cell.orbit).matrix
+    assert counters.tally.overlap_evals == sup.rank - 1
+    assert np.array_equal(orbit_gram, sup.gram)
+    counters.tally.reset()
+    assert np.max(np.abs(orbit_gram - general.gram)) <= 1e-14
+    assert counters.tally.overlap_evals == sup.rank * (sup.rank - 1) // 2
+    assert abs(sup.norm_squared() - general.norm_squared()) <= 1e-12 * general.norm_squared()
+
+
+def test_a_stack_built_from_entries_starts_without_a_gram():
+    lib = grid_sensor(0.3)[0]
+    lib.norm_squared()
+    fresh = Superposition(lib.entries, l1=lib.l1)
+    assert fresh.gram_cell is not lib.gram_cell and fresh.gram_cell.orbit is None
+    assert "matrix" not in vars(fresh.gram_cell)
+    counters.tally.reset()
+    assert np.max(np.abs(fresh.gram - lib.gram)) <= 1e-14
+    assert counters.tally.overlap_evals == fresh.rank * (fresh.rank - 1) // 2
