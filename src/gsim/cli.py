@@ -143,10 +143,10 @@ def build_initial(init: dict, modes: int) -> Superposition:
         raise ValidationFailure("initial: state is wider than the declared mode count")
     if sup.n < modes:
         # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c;
-        # the overlaps, so the Gram cell, stay those of the unpadded terms
+        # the overlaps, so the Gram, stay those of the unpadded terms
         t, pad = sup.triples, modes - sup.n
         vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
-        sup = Superposition.from_stack(sup.coeffs, vac, sup.gram_cell)
+        sup = Superposition.from_stack(sup.coeffs, vac, sup.gram_cell.carried_to(vac))
     return sup
 
 

@@ -26,16 +26,18 @@ from .gaussian import check_normalised
 from .phase import GaussianUnitary
 from .rng import box_muller, stream, uniform_rows
 from .states import Superposition
+from .stellar import KERNEL_ULPS, LOG_SUM_ULPS, UNIT_ROUNDOFF
 
 
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     """Gaussian unitary folded over the whole stack of triples, then one
     stacked normalisation check; coefficients, rank and l1 are untouched.
-    The result shares the Gram cell of ``sup``, <G_i|U^+ U|G_j> = <G_i|G_j>,
-    computed or not: evolving computes no Gram."""
+    Since <G_i|U^+ U|G_j> = <G_i|G_j>, the result shares the Gram of ``sup``
+    once that is computed, else takes a lazy cell of the same kind
+    (`GramCell.carried_to`): evolving computes no Gram."""
     triples = op.apply(sup.triples)
     check_normalised(triples)
-    return Superposition.from_stack(sup.coeffs, triples, sup.gram_cell)
+    return Superposition.from_stack(sup.coeffs, triples, sup.gram_cell.carried_to(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +106,14 @@ class BornEstimate:
     seed: int | None = None
 
 
-# unit roundoff, and the overlap and amplitude kernels' relative error per
-# entry in units of it: the mpmath reference tests measure at most 2e-15
-UNIT_ROUNDOFF = 2.0**-53
-KERNEL_ULPS = 20
-
-
-def _rounding_bound(scale: float, rank: int) -> float:
-    """Rounding bound u (c_kernel + K) scale of a K-term sum of kernel
-    values, ``scale`` the sum of the moduli of its terms: each value is off by
-    at most c_kernel u of its modulus, and the summation adds K u."""
-    return UNIT_ROUNDOFF * (KERNEL_ULPS + rank) * scale
-
-
 def _exact_norm(sup: Superposition) -> tuple:
-    """(c^+ G c, its rounding bound u (c_kernel + K) l1^2); raises
-    IllConditioned when the bound reaches the value, which then has no
-    correct digit (a decomposition that cancels to |psi|^2 << l1^2)."""
+    """(c^+ G c, its rounding bound u |c|^T W |c|) with W the Gram cell's
+    ``rounding_weights`` (see `GramCell.matrix`); raises IllConditioned when
+    the bound reaches the value, which then has no correct digit (a
+    decomposition that cancels to |psi|^2 << l1^2)."""
     nsq = sup.norm_squared()
-    err = _rounding_bound(sup.l1**2, sup.rank)
+    weights = np.abs(sup.coeffs)
+    err = UNIT_ROUNDOFF * float(weights @ sup.gram_cell.rounding_weights @ weights)
     if err >= nsq:
         raise IllConditioned(f"Gram norm {nsq:.3g} within its rounding bound {err:.3g} (l1^2 = {sup.l1**2:.3g})")
     return nsq, err
@@ -144,16 +135,17 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     O(rank) amplitude sweep and the norm from the exact Gram.  Relative to
     the quadrature-outcome general-dyne density this carries the Jacobian
     factor 2^n.  ``error_band`` bounds the rounding: the amplitude sum is
-    off by at most u (c_kernel + K) sum_j |c_j a_j| and the norm by
-    u (c_kernel + K) l1^2, which raises IllConditioned once it reaches the
-    norm itself.
+    off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
+    `stellar.amplitude_log_sums`, and the norm by the bound of `_exact_norm`,
+    which raises IllConditioned once it reaches the norm itself.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     if outcome.shape[0] != sup.n:
         raise DimensionMismatch("outcome dimension does not match state")
     amps = stellar.coherent_amplitude(sup.triples, outcome)
     amp = abs(complex(sup.coeffs @ amps))
-    amp_err = _rounding_bound(float(np.abs(sup.coeffs) @ np.abs(amps)), sup.rank)
+    slack = KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * stellar.amplitude_log_sums(sup.triples, outcome)
+    amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
     norm_sq, norm_err = _exact_norm(sup)
     scale = np.pi**sup.n
     value = _clamp_density(amp**2 / (scale * norm_sq))
@@ -238,7 +230,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     least 1 - p_fail; past that cap the probes have cost more amplitudes than
     a general exact Gram's K (K - 1) / 2 overlaps (an orbit's costs K - 1,
     and a Gram the state already carries none), so the exact norm is
-    returned, banded by its rounding bound u (c_kernel + K) l1^2: a
+    returned, banded by its rounding bound (`_exact_norm`): a
     cancelling state (an odd cat at small alpha) ends in bounded time, and
     raises IllConditioned where that bound reaches the norm.  Probes are
     evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N is found to the

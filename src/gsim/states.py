@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stellar
 from .exceptions import DimensionMismatch, InvariantViolation
@@ -39,39 +40,64 @@ class WeightedGaussian(NamedTuple):
     term: GaussianPure
 
 
+def _toeplitz(row, lower) -> np.ndarray:
+    """K x K matrix with row[j - i] on and above the diagonal and lower[i - j]
+    below it: row i is the window i places left of the centre of
+    (lower[K-1], ..., lower[1], row[0], ..., row[K-1])."""
+    k = row.shape[0]
+    return sliding_window_view(np.concatenate((lower[:0:-1], row)), k)[::-1].copy()
+
+
 class GramCell:
     """The Gram matrix of a stack of ket triples, computed on first use.
 
     A Gaussian unitary on every term, a common coefficient scale and
     tensoring every term with one common state keep every overlap, so the
-    superpositions derived that way share one cell and one Gram.  ``orbit``
-    is None for a general stack (its K(K-1)/2 pairs above the diagonal),
-    "circulant" for a cyclic orbit such as a rotation ring
-    (G_ij = r_{(j-i) mod K}) or "toeplitz" for equally spaced real
-    displacements (G_ij = r_{j-i}, conjugated below the diagonal); an orbit
-    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first row.
+    superpositions derived that way share one cell and one Gram (see
+    `carried_to`).  A general stack evaluates its K(K-1)/2 pairs above the
+    diagonal.  An ``orbit`` evaluates only the K - 1 overlaps
+    r_d = <G_0|G_d> of its first row: its Gram is Hermitian Toeplitz,
+    G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as for equally spaced real
+    displacements (grid, GKP) and for a cyclic orbit such as a rotation ring,
+    whose circulant Gram is Toeplitz too.
     """
 
-    def __init__(self, triples: stellar.StellarParams, orbit: str | None = None):
+    def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
         self.triples, self.orbit = triples, orbit
+
+    def carried_to(self, triples: stellar.StellarParams) -> "GramCell":
+        """Cell of a stack with the same pairwise overlaps: this one once its
+        Gram is computed, else a fresh lazy cell of the same kind over
+        ``triples``.  A derived state's Gram never fills its parent's cell, so
+        each derived state costs the same whichever of its siblings was
+        evaluated first."""
+        return self if "matrix" in vars(self) else GramCell(triples, self.orbit)
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        """The Gram, read-only.  Also sets ``rounding_weights``, the W for
+        which u |c|^T W |c| bounds the rounding of c^+ G c for any
+        coefficients c: an entry off the diagonal is off by at most
+        (KERNEL_ULPS + LOG_SUM_ULPS S_ij) u |G_ij|, S_ij from
+        `stellar.state_overlaps` ``with_sums``; the diagonal is pinned to 1;
+        the K-term sums add K u |G_ij|."""
         t = self.triples
         k = t.log_c.shape[0]
-        if self.orbit is None:
-            i, j = np.triu_indices(k, 1)
-            gram = np.eye(k, dtype=complex)
-            gram[i, j] = stellar.state_overlaps(t, t, i, j)
-            gram[j, i] = np.conj(gram[i, j])
-        else:
+        if self.orbit:
             row = np.ones(k, dtype=complex)
-            row[1:] = stellar.state_overlaps(t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
-            offset = np.arange(k) - np.arange(k)[:, None]  # j - i
-            if self.orbit == "circulant":
-                gram = row[offset % k]
-            else:
-                gram = np.where(offset >= 0, row[np.abs(offset)], np.conj(row[np.abs(offset)]))
+            row[1:], sums = stellar.state_overlaps(
+                t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k), with_sums=True
+            )
+            weights = np.full(k, float(k))
+            weights[1:] = np.abs(row[1:]) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+            gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
+        else:
+            i, j = np.triu_indices(k, 1)
+            gram, self.rounding_weights = np.eye(k, dtype=complex), k * np.eye(k)
+            pairs, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
+            gram[i, j], gram[j, i] = pairs, np.conj(pairs)
+            weights = np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+            self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
         gram.flags.writeable = False  # shared by every superposition of the cell
         return gram
 
@@ -200,10 +226,10 @@ def single_gaussian(term: GaussianPure) -> Superposition:
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
 
 
-def _normalised(coeffs, terms: stellar.StellarParams, orbit: str) -> Superposition:
+def _normalised(coeffs, terms: stellar.StellarParams) -> Superposition:
     """Superposition of the distinct orbit ``terms``, scaled to unit norm by
     its exact Gram, which the scaled state keeps."""
-    raw = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit))
+    raw = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True))
     return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), terms, raw.gram_cell)
 
 
@@ -266,7 +292,7 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     copies = seed.bargmann[None][np.zeros(2 * big_n, dtype=np.intp)]
     ring = stellar.apply_gate(PhaseShift(0, theta), copies, 1)
     check_normalised(ring)
-    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring, GramCell(ring, "circulant"))
+    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring, GramCell(ring, orbit=True))
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
@@ -297,7 +323,7 @@ def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
     if big_m < 1 or mu not in (0, 1):
         raise ValueError("need M >= 1 and mu in {0, 1}")
     m = np.arange(2 * big_m)
-    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)), "circulant")
+    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)))
 
 
 def _dropped_mass(envelope, first: int) -> float:
@@ -344,8 +370,8 @@ def gkp_state(
     terms = _displaced_stack(alpha_d * (d * s + mu) + 0.0j, [Squeeze(0, r)])
     coeffs = np.array([envelope(k) for k in s.tolist()]) + 0.0j
     if normalize:
-        return _normalised(coeffs, terms, "toeplitz"), tail
-    return Superposition.from_stack(coeffs, terms, GramCell(terms, "toeplitz")), tail
+        return _normalised(coeffs, terms), tail
+    return Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True)), tail
 
 
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
@@ -371,7 +397,7 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
 
     t = np.arange(-t_max, t_max + 1)
     terms = _displaced_stack(t * math.sqrt(math.pi / 2) + 0.0j, [Squeeze(0, r)])
-    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms, "toeplitz"), tail
+    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms), tail
 
 
 def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 1e-12, one_sided: bool = False) -> float:

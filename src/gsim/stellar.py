@@ -32,6 +32,16 @@ from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantV
 from .gates import BeamSplitter, Displace, Passive, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
 
 
+# unit roundoff; the overlap and amplitude kernels' relative error per value
+# in units of it where their log-domain summands do not cancel (the mpmath
+# reference tests measure at most 2e-15 on summands of order one); and the
+# error of a log-domain sum in units of u S, S the sum of the moduli of its
+# summands: one rounding per addition and per product of a few summands
+UNIT_ROUNDOFF = 2.0**-53
+KERNEL_ULPS = 20
+LOG_SUM_ULPS = 6
+
+
 class StellarParams:
     """Triple (A, b, log c): symmetric matrix, linear vector, log of the vacuum
     amplitude; or a stack of K triples when the arrays carry a leading axis."""
@@ -359,7 +369,7 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
 OVERLAP_CHUNK = 4096
 
 
-def state_overlaps(t1: StellarParams, t2: StellarParams, i, j) -> np.ndarray:
+def state_overlaps(t1: StellarParams, t2: StellarParams, i, j, with_sums: bool = False):
     """Phase-sensitive <t1[i_p]|t2[j_p]> over P index pairs into two stacks.
 
     With F = conj(A1), Y = 1 - F A2 and Yi = Y^{-1}, each pair contributes
@@ -370,11 +380,19 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j) -> np.ndarray:
     eigenvalue of Y off the open right half-plane raises GsimError.  Counts P
     overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a time, so no
     (P, m, m) copy of the stacks is built.
+
+    ``with_sums`` also returns, per pair, the sum S of the moduli of the
+    log-domain summands, the log-determinant and the quadratic ones weighted
+    by 1 + (1 + s_max) / s_min over the singular values of Y (forming Y costs
+    u |F A2| and inverting it multiplies that by |Yi|): where the summands
+    cancel, the overlap is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u
+    of its modulus.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if t1.modes != t2.modes or i.shape != j.shape or i.ndim != 1:
         raise DimensionMismatch("overlap stacks or index vectors do not match")
     out = np.empty(i.shape[0], dtype=complex)
+    sums = np.empty(i.shape[0]) if with_sums else None
     for s in range(0, i.shape[0], OVERLAP_CHUNK):
         p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
         counters.tally.overlap_evals += p.b.shape[0]
@@ -392,9 +410,14 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j) -> np.ndarray:
         if (lam.real <= 0).any():
             raise GsimError("overlap kernel has eigenvalues off the right half-plane")
         bt_yi = np.swapaxes(bv, 1, 2) @ yi
-        quad = bt_yi @ (av + 0.5 * (f @ bv)) + 0.5 * np.swapaxes(yi @ av, 1, 2) @ (q.a @ av)
-        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - 0.5 * np.log(lam).sum(axis=1) + quad[:, 0, 0])
-    return out
+        quad = np.concatenate([bt_yi @ av, 0.5 * bt_yi @ (f @ bv), 0.5 * np.swapaxes(yi @ av, 1, 2) @ (q.a @ av)], axis=2)
+        log_det = 0.5 * np.log(lam).sum(axis=1)
+        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - log_det + quad[:, 0].sum(axis=1))
+        if with_sums:
+            kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]
+            terms = np.abs(log_det) + np.abs(quad[:, 0]).sum(axis=1)
+            sums[s : s + OVERLAP_CHUNK] = np.abs(p.log_c) + np.abs(q.log_c) + kappa * terms
+    return (out, sums) if with_sums else out
 
 
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
@@ -421,6 +444,15 @@ def _coherent_amplitudes(t: StellarParams, xis: np.ndarray) -> np.ndarray:
     out += xb @ t.b.T
     out += pairs @ (0.5 * t.a).reshape(*t.a.shape[:-2], m * m).T
     return np.exp(out, out=out)
+
+
+def amplitude_log_sums(t: StellarParams, xi) -> np.ndarray:
+    """Sum S of the moduli of the log-domain summands of <xi|psi> (see
+    `_coherent_amplitudes`), (K,) for a stack: where they cancel, a coherent
+    amplitude is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u of its
+    modulus."""
+    x = np.abs(np.atleast_1d(np.asarray(xi, dtype=complex)))
+    return np.abs(t.log_c) + 0.5 * (x @ x) + np.abs(t.b) @ x + 0.5 * ((np.abs(t.a) @ x) @ x)
 
 
 def coherent_amplitude(t: StellarParams, xi):

@@ -115,12 +115,17 @@ class TestSharedGram:
         assert out.gram is ring.gram
 
     def test_evolve_computes_no_gram(self):
+        # an evolved state takes its own orbit row, which never fills the
+        # parent's cell: every sibling costs the same K - 1 overlaps
         ring = fock1_ring(optimal_fock1_seed(), 8)
-        counters.tally.reset()
-        out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3)], 1))
-        assert counters.tally.overlap_evals == 0 and "matrix" not in vars(out.gram_cell)
-        out.norm_squared()
-        assert counters.tally.overlap_evals == 15 and "matrix" in vars(ring.gram_cell)
+        for phi in (0.3, 0.7):
+            counters.tally.reset()
+            out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3, phi)], 1))
+            assert counters.tally.overlap_evals == 0 and "matrix" not in vars(out.gram_cell)
+            assert out.gram_cell.orbit
+            out.norm_squared()
+            assert counters.tally.overlap_evals == 15 and "matrix" not in vars(ring.gram_cell)
+            assert np.max(np.abs(out.gram - Superposition.from_stack(out.coeffs, out.triples).gram)) <= 1e-14
 
     def test_conditioned_and_sparsified_states_take_a_general_gram(self):
         ring = cli.build_initial({"kind": "fock1_ring", "N": 4}, 2)
@@ -128,12 +133,12 @@ class TestSharedGram:
         mixed = evolve(ring, GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6)], 2))
         counters.tally.reset()
         out, _ = condition(mixed, [1], [0.4 - 0.2j])
-        assert out.gram_cell.orbit is None
+        assert not out.gram_cell.orbit
         assert counters.tally.overlap_evals == out.rank * (out.rank - 1) // 2 == 28
         sparse = sparsify(ring, SparsifyPlan(0.5, seed=1))
         counters.tally.reset()
         sparse.gram
-        assert sparse.gram_cell.orbit is None
+        assert not sparse.gram_cell.orbit
         assert counters.tally.overlap_evals == sparse.rank * (sparse.rank - 1) // 2
 
 
@@ -481,7 +486,7 @@ class TestFastNorm:
         # Z has mean |psi|^2 / l1^2, tiny or zero here, so the stopping sum
         # cannot reach Upsilon_1 within Upsilon_1 K / (1 - eps) probes; the
         # exact Gram norm is returned then, banded by its rounding bound
-        # u (c_kernel + K) l1^2, or IllConditioned once the bound reaches it
+        # u |c|^T W |c|, or IllConditioned once the bound reaches it
         eps, p_fail = 0.1, 0.05
         upsilon = 1.0 + (1.0 + eps) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / eps**2
         zero = Superposition(
@@ -501,7 +506,11 @@ class TestFastNorm:
         est = fast_norm(odd, eps, p_fail, seed=4)
         assert est.samples == counters.tally.samples == cap
         assert est.eta == odd.norm_squared()
-        width = 2.0**-53 * (KERNEL_ULPS + 2) * odd.l1**2
+        # K u on the pinned diagonal; (K + KERNEL_ULPS + LOG_SUM_ULPS S) u |G_01|
+        # off it, S about 3.5e-6 for these near-origin terms
+        g01, w01 = abs(odd.gram[0, 1]), odd.gram_cell.rounding_weights[0, 1]
+        assert g01 * (2 + KERNEL_ULPS) < w01 < g01 * (2 + KERNEL_ULPS + stellar.LOG_SUM_ULPS * 1e-5)
+        width = 2.0**-53 * (2 * 2 + 2 * w01)
         assert est.band == pytest.approx((est.eta - width, est.eta + width), rel=1e-15)
         assert est.band[0] <= 2.0 - 2.0 * math.exp(-2e-6) <= est.band[1]
         assert counters.tally.overlap_evals == 1
@@ -745,6 +754,36 @@ class TestFarFromTheOrigin:
     def test_coherent_born_at_forty(self):
         sup = single_gaussian(GaussianPure.coherent([40.0]))
         assert exact_born(sup, [40.0]).value == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+    def test_bands_hold_the_density_where_the_log_terms_cancel(self):
+        # far out, the kernels' log-domain summands are of order |alpha|^2 and
+        # cancel to order one, so the rounding grows with them; the bands
+        # must still hold the mpmath density (and norm) of the coherent sums
+        from gsim.simulator import _exact_norm
+
+        mp = pytest.importorskip("mpmath").mp
+        cases = [
+            ([40.0], [1.0], 41.3 + 2.7j),
+            ([3.0 + 40j], [1.0], 4.1 + 41.2j),
+            ([20.0, -20.0], [1.0, -1.0], 21.7 - 1.9j),
+            ([20j, -20j], [1.0, -1.0], 0.7 + 19.1j),
+            ([-35.0, -35.4 + 0.2j], [1.0, -1.0], -36.1),
+        ]
+        with mp.workdps(50):
+
+            def amp(x, beta):
+                x, beta = mp.mpc(x), mp.mpc(beta)
+                return mp.exp(-abs(x) ** 2 / 2 - abs(beta) ** 2 / 2 + mp.conj(x) * beta)
+
+            for alphas, coeffs, xi in cases:
+                sup = Superposition([WeightedGaussian(c, GaussianPure.coherent([a])) for a, c in zip(alphas, coeffs)])
+                est = exact_born(sup, [xi])
+                norm = mp.re(mp.fsum(ci * cj * amp(ai, aj) for ai, ci in zip(alphas, coeffs) for aj, cj in zip(alphas, coeffs)))
+                want = float(abs(mp.fsum(c * amp(xi, a) for a, c in zip(alphas, coeffs))) ** 2 / (mp.pi * norm))
+                lo, hi = est.error_band
+                assert lo <= want <= hi and lo <= est.value <= hi
+                nsq, err = _exact_norm(sup)
+                assert nsq - err <= float(norm) <= nsq + err
 
     def test_displaced_vacuum_amplitude_at_its_centre(self):
         sup = evolve(single_gaussian(GaussianPure.vacuum(1)), GaussianUnitary.from_gates([Displace(0, 39.0)], 1))

@@ -407,12 +407,12 @@ ORBIT_STATES = {
 
 @pytest.mark.parametrize("name", sorted(ORBIT_STATES))
 def test_orbit_gram_equals_the_general_gram(name):
-    # one row of K - 1 overlaps, gathered into the circulant or Hermitian
-    # Toeplitz matrix, against all K(K-1)/2 pairs of the general kernel
+    # one row of K - 1 overlaps, gathered into the Hermitian Toeplitz
+    # matrix, against all K(K-1)/2 pairs of the general kernel
     sup = ORBIT_STATES[name]()
     cell = sup.gram_cell
     general = Superposition.from_stack(sup.coeffs, sup.triples)
-    assert cell.orbit in ("circulant", "toeplitz") and general.gram_cell.orbit is None
+    assert cell.orbit is True and general.gram_cell.orbit is False
     counters.tally.reset()
     orbit_gram = GramCell(cell.triples, cell.orbit).matrix
     assert counters.tally.overlap_evals == sup.rank - 1
@@ -427,7 +427,7 @@ def test_a_stack_built_from_entries_starts_without_a_gram():
     lib = grid_sensor(0.3)[0]
     lib.norm_squared()
     fresh = Superposition(lib.entries, l1=lib.l1)
-    assert fresh.gram_cell is not lib.gram_cell and fresh.gram_cell.orbit is None
+    assert fresh.gram_cell is not lib.gram_cell and fresh.gram_cell.orbit is False
     assert "matrix" not in vars(fresh.gram_cell)
     counters.tally.reset()
     assert np.max(np.abs(fresh.gram - lib.gram)) <= 1e-14
