@@ -69,6 +69,11 @@ class OptimizerConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        for name in ("restarts", "budget", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+
     @classmethod
     def two_mode(cls, **kw) -> "OptimizerConfig":
         bounds = (
@@ -109,7 +114,7 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
 
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
-    per_restart = max(50, cfg.budget // max(cfg.restarts, 1))
+    per_restart = max(50, cfg.budget // cfg.restarts)
     evals = 0
 
     def run_one(k: int):
@@ -124,8 +129,9 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
         x_best = np.clip(res.x, lo, hi)
         return objective(x_best), tuple(float(v) for v in x_best), res.nfev
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, cfg.restarts)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one, range(cfg.restarts)))
     else:
         outcomes = [run_one(k) for k in range(cfg.restarts)]

@@ -420,7 +420,11 @@ def execute(program: dict, source, args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``gsim`` argument parser, built once per process: ``parse_args``
+    returns a fresh namespace and leaves the parser as it was, and usage and
+    help are formatted when they are printed, so every call can share it."""
     parser = argparse.ArgumentParser(prog="gsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -455,7 +459,11 @@ def main(argv=None) -> int:
     p_tab.add_argument("--deltas", default=",".join(str(d) for d in apps.GRID_EXTENT_TABLE))
     _add_common(p_tab)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     counters.tally.reset()
     try:
         if args.command == "run":

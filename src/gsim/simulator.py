@@ -107,13 +107,11 @@ class BornEstimate:
 
 
 def _exact_norm(sup: Superposition) -> tuple:
-    """(c^+ G c, its rounding bound u |c|^T W |c|) with W the Gram cell's
-    ``rounding_weights`` (see `GramCell.matrix`); raises IllConditioned when
-    the bound reaches the value, which then has no correct digit (a
-    decomposition that cancels to |psi|^2 << l1^2)."""
+    """(c^+ G c, its rounding bound) from ``sup.gram_form``; raises
+    IllConditioned when the bound reaches the value, which then has no
+    correct digit (a decomposition that cancels to |psi|^2 << l1^2)."""
     nsq = sup.norm_squared()
-    weights = np.abs(sup.coeffs)
-    err = UNIT_ROUNDOFF * float(weights @ sup.gram_cell.rounding_weights @ weights)
+    err = sup.gram_form[1]
     if err >= nsq:
         raise IllConditioned(f"Gram norm {nsq:.3g} within its rounding bound {err:.3g} (l1^2 = {sup.l1**2:.3g})")
     return nsq, err

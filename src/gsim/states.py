@@ -141,6 +141,9 @@ class Superposition:
     def _store(self, coeffs, triples, l1=None, gram_cell=None):
         if not np.all(np.isfinite(np.abs(coeffs))):
             raise ValueError("coefficient must be finite")
+        if coeffs.flags.writeable:
+            coeffs = coeffs.copy()
+            coeffs.flags.writeable = False  # so `gram_form` cannot go stale
         self.coeffs, self.triples = coeffs, triples
         self.gram_cell = gram_cell if gram_cell is not None else GramCell(triples)
         self.n = triples.modes
@@ -176,9 +179,18 @@ class Superposition:
         """
         return self.gram_cell.matrix
 
+    @cached_property
+    def gram_form(self) -> tuple:
+        """(c^+ G c, u |c|^T W |c|): the Gram form of the coefficients and its
+        rounding bound, W the cell's ``rounding_weights`` (see
+        `GramCell.matrix`).  O(rank^2) once per superposition; every later
+        norm reads it back."""
+        c, weights = self.coeffs, np.abs(self.coeffs)
+        value = float(np.real(np.conj(c) @ self.gram @ c))
+        return value, stellar.UNIT_ROUNDOFF * float(weights @ self.gram_cell.rounding_weights @ weights)
+
     def norm_squared(self) -> float:
-        c = self.coeffs
-        val = float(np.real(np.conj(c) @ self.gram @ c))
+        val = self.gram_form[0]
         if val < -1e-8 * max(self.l1**2, 1.0):
             raise InvariantViolation("Gram form is non-positive beyond tolerance; phases corrupted")
         return max(val, 0.0)
@@ -374,6 +386,11 @@ def gkp_state(
     return Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True)), tail
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>.
 
@@ -381,8 +398,7 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     it is grown until the dropped l1 mass falls below ``tail_tol``.  Returns
     (superposition, dropped_l1_mass).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     r = -math.log(delta)
 
     def envelope(t: int) -> float:
@@ -400,21 +416,32 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms), tail
 
 
-def naive_grid_extent(delta: float, t_max: int | None = None, tail_tol: float = 1e-12, one_sided: bool = False) -> float:
-    """(sum_t c_t)^2 / sum_t c_t^2 for the raw grid envelope coefficients.
+def _grid_theta(delta: float) -> float:
+    """sum_{t in Z} e^{-pi delta^2 t^2}, from whichever side of the Poisson
+    identity sum_t e^{-pi delta^2 t^2} = delta^-1 sum_k e^{-pi k^2 / delta^2}
+    decays faster: there the k-th term is at most e^{-pi k^2}, so five
+    terms a side reach double precision."""
+    x = delta * delta if delta >= 1.0 else 1.0 / (delta * delta)
+    total = 1.0 + 2.0 * sum(math.exp(-math.pi * x * k * k) for k in range(1, 6))
+    return total if delta >= 1.0 else total / delta
+
+
+def naive_grid_extent(delta: float, one_sided: bool = False) -> float:
+    """(sum_t c_t)^2 / sum_t c_t^2 for the raw grid envelope c_t = e^{-pi delta^2 t^2}.
 
     This is the orthogonal-term approximation of the extent of the sensor
     state; asymptotically sqrt(2)/delta.  The published table for these
     states takes the same sum over t >= 0 only (``one_sided``), about half
-    this value; both numbers are reported side by side.
+    this value; both numbers are reported side by side.  Both sums are
+    closed forms in the theta sum over all integers t (c_t^2 is the envelope
+    at delta sqrt 2; the sum over t >= 0 is half the sum over Z plus c_0 / 2),
+    so the cost does not grow as delta shrinks.
     """
-    if t_max is None:
-        t_max = 1
-        while math.exp(-math.pi * delta**2 * t_max**2) > tail_tol:
-            t_max += 1
-    ts = np.arange(0 if one_sided else -t_max, t_max + 1)
-    c = np.exp(-math.pi * delta**2 * ts**2)
-    return float(c.sum() ** 2 / np.sum(c**2))
+    _check_delta(delta)
+    first, second = _grid_theta(delta), _grid_theta(delta * math.sqrt(2.0))
+    if one_sided:
+        first, second = (first + 1.0) / 2.0, (second + 1.0) / 2.0
+    return first * (first / second)
 
 
 # ---------------------------------------------------------------------------

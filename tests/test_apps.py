@@ -61,3 +61,19 @@ def test_one_sided_extent_at_any_delta():
     # (sum_{t>=0} c_t)^2 / sum_{t>=0} c_t^2 lies between half and all of the two-sided sum
     assert rows[-1].published_extent is None
     assert rows[-1].naive_extent / 2 < rows[-1].one_sided_extent < rows[-1].naive_extent
+
+
+def test_optimizer_pool_has_no_more_workers_than_restarts(monkeypatch):
+    sizes = []
+    real_pool = apps.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(apps, "ThreadPoolExecutor", spy)
+    kw = dict(restarts=2, budget=400, seed=5)
+    wide = apps.optimize_fidelity(apps.OptimizerConfig.single_mode(threads=64, **kw), objective=apps.single_mode_fock1_fidelity)
+    one = apps.optimize_fidelity(apps.OptimizerConfig.single_mode(threads=1, **kw), objective=apps.single_mode_fock1_fidelity)
+    assert sizes == [2]
+    assert wide == one

@@ -93,3 +93,18 @@ def test_superposition_surface_read_by_the_benchmark():
     assert abs(rebuilt.norm_squared() - sparse.norm_squared()) <= 1e-14 * sparse.norm_squared()
     amp = sparse.coherent_amplitude([0.3 - 0.2j])
     assert abs(rebuilt.coherent_amplitude([0.3 - 0.2j]) - amp) <= 1e-14 * abs(amp)
+
+
+def test_circuit_programs_harness_runs_clean():
+    """The tiny circuit-programs workload: repeated in-process ``gsim run``
+    calls under redirected standard streams, each checked against the oracle."""
+    import json
+    import subprocess
+    import sys
+
+    run = TRACING.parent / "run.py"
+    cmd = [sys.executable, str(run), "--workload", "circuit-programs", "--tiny", "--seconds", "1", "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0 and last["attempted"] > 0

@@ -594,3 +594,68 @@ def test_mixed_pipeline_applies_gates_by_their_symplectic_action(tmp_path, capsy
     cov, mean = x @ x.T + y, d_ch
     want = fidelity_pure(GaussianMixed(s @ cov @ s.T, s @ mean + d), GaussianPure.coherent(outcome)) / np.pi**2
     assert abs(json.loads(out)["value"] - want) < 1e-12
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # in one process the shared parser must answer each argv exactly as a
+    # fresh interpreter does: no flag carries over, errors still print usage
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping on both sides
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "modes": 2,
+        "seed": 4,
+        "initial": CAT,
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[0.5, 0.3]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.2, -0.1]]},
+    }))
+    sequence = [
+        (["born", "--approx", "--seed", "9"], 0),
+        (["born"], 0),
+        (["born", "--no-such-flag"], 2),
+        (["run", str(path)], 0),
+    ]
+    cli._parser.cache_clear()
+    outputs = []
+    for argv, want in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == want, captured.err
+        outputs.append((code, captured.out, captured.err))
+    assert cli._parser.cache_info().misses == 1
+    assert json.loads(outputs[0][1])["task"] == "approx_born"
+    assert json.loads(outputs[1][1])["task"] == "exact_born"
+    assert outputs[2][2].startswith("usage: gsim") and "--no-such-flag" in outputs[2][2]
+    for (argv, _), got in zip(sequence, outputs):
+        fresh = run_python(["-m", "gsim.cli", *argv])
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == got, argv
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.1", "inf"])
+def test_table1_rejects_a_delta_that_is_not_positive_and_finite(delta, capsys):
+    code, out, err = run_cli(["table1", "--deltas", f"0.1,{delta}"], capsys)
+    assert code == 2
+    assert out == "" and "delta must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--restarts", "0"], ["--restarts", "-3"], ["--budget", "0"], ["--threads", "0"], ["--threads", "-2"]]
+)
+def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, capsys):
+    import threading
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an invalid optimizer configuration started a thread pool")
+
+    monkeypatch.setattr(cli.apps, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    code, out, err = run_cli(["optimize-fidelity", "--threads", "4", *flags], capsys)
+    assert code == 2, err
+    assert out == "" and "must be at least 1" in err
+    assert threading.active_count() == before

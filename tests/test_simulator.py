@@ -319,6 +319,32 @@ class TestExactBorn:
         sup = cat_state(1.0, -1)
         assert exact_born(sup, [0.0]).value < 1e-10
 
+    def test_later_calls_reuse_the_gram_form(self, monkeypatch):
+        # the O(rank^2) form c^+ G c and its bound are evaluated once per
+        # state; later exact_born calls read them back bit for bit
+        import functools
+
+        evaluations = []
+        form = Superposition.gram_form.func
+
+        def counted(self):
+            evaluations.append(self)
+            return form(self)
+
+        memo = functools.cached_property(counted)
+        memo.__set_name__(Superposition, "gram_form")
+        monkeypatch.setattr(Superposition, "gram_form", memo)
+        sup = fock1_ring(optimal_fock1_seed(), 16)
+        first, second = exact_born(sup, [0.3 + 0.2j]), exact_born(sup, [0.3 + 0.2j])
+        assert evaluations == [sup]
+        assert first == second
+        c = sup.coeffs
+        nsq = float(np.real(np.conj(c) @ sup.gram @ c))
+        amp = abs(complex(c @ stellar.coherent_amplitude(sup.triples, [0.3 + 0.2j])))
+        assert first.norm_estimate == nsq and first.value == amp**2 / (np.pi * nsq)
+        with pytest.raises(ValueError):
+            sup.coeffs[0] = 0.0  # read-only, so the memo cannot go stale
+
 
 class TestSparsify:
     def test_plan_arithmetic(self):

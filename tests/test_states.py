@@ -168,6 +168,30 @@ class TestGridStates:
         with pytest.raises(ValueError):
             grid_sensor(-0.1)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
+    def test_grid_deltas_must_be_positive_and_finite(self, delta):
+        for build in (grid_sensor, naive_grid_extent):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                build(delta)
+
+    def test_naive_extent_is_the_theta_sum_at_any_delta(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+
+        def theta(d):  # sum over all integers t of e^{-pi d^2 t^2}
+            return mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * d * d))
+
+        for delta in (0.003, 0.01, 0.07, 0.3, 0.99, 1.0, 1.01, 2.5, 40.0):
+            d = mpmath.mpf(delta)
+            whole, squares = theta(d), theta(d * mpmath.sqrt(2))
+            naive, one_sided = whole**2 / squares, ((whole + 1) / 2) ** 2 / ((squares + 1) / 2)
+            assert abs(naive_grid_extent(delta) / naive - 1) <= 1e-15
+            assert abs(naive_grid_extent(delta, one_sided=True) / one_sided - 1) <= 1e-15
+        # far below the table the sums are 1/delta and (1/delta + 1)/2 to double precision
+        assert naive_grid_extent(1e-7) == pytest.approx(math.sqrt(2) * 1e7, rel=1e-15)
+        assert naive_grid_extent(1e-7, one_sided=True) == pytest.approx((1e7 + 1) ** 2 / (2e7 / math.sqrt(2) + 2), rel=1e-15)
+
     def test_naive_extent_scaling(self):
         values = {d: naive_grid_extent(d) for d in (0.3, 0.2, 0.1, 0.05, 0.025, 0.01)}
         keys = sorted(values, reverse=True)
