@@ -55,9 +55,34 @@ PROGRAM_SCHEMA = {
         "schema_version": {"type": "integer"},
         "modes": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
-        "initial": {"type": "object", "required": ["kind"]},
+        "initial": {
+            "type": "object",
+            "required": ["kind"],
+            # every field `build_initial` reads
+            "properties": {
+                "kind": {"type": "string"},
+                "alpha": {"type": ["number", "array"]},
+                "parity": {"type": ["string", "integer"]},
+                "seed_state": {"type": "string"},
+                **{k: {"type": "number"} for k in ("r", "theta", "kappa", "delta", "tail_tol")},
+                **{k: {"type": "integer"} for k in ("d", "mu", "s_max", "t_max", "N")},
+            },
+        },
         "ops": {"type": "array"},
-        "task": {"type": "object", "required": ["name"]},
+        "task": {
+            "type": "object",
+            "required": ["name"],
+            # every field `run_task` reads
+            "properties": {
+                "name": {"type": "string"},
+                "outcome": {"type": "array"},
+                "deltas": {"type": "array", "items": {"type": "number"}},
+                "mode": {"type": "string"},
+                "sweep": {"type": "boolean"},
+                **{k: {"type": "number"} for k in ("delta", "epsilon", "pfail", "xi")},
+                **{k: {"type": "integer"} for k in ("mbar", "restarts", "budget")},
+            },
+        },
     },
 }
 

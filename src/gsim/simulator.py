@@ -24,7 +24,7 @@ from . import counters, states, stellar
 from .exceptions import DimensionMismatch, IllConditioned
 from .gaussian import check_normalised
 from .phase import GaussianUnitary
-from .rng import box_muller, stream, uniform_rows
+from .rng import box_muller, stream
 from .states import Superposition
 from .stellar import KERNEL_ULPS, LOG_SUM_ULPS, UNIT_ROUNDOFF
 
@@ -163,6 +163,9 @@ class SparsifyPlan:
     seed: int
     k: int | None = None
 
+    def __post_init__(self):
+        states._check_delta(self.delta)
+
     def samples_for(self, l1: float) -> int:
         if self.k is not None:
             return self.k
@@ -232,8 +235,8 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     cancelling state (an odd cat at small alpha) ends in bounded time, and
     raises IllConditioned where that bound reaches the norm.  Probes are
     evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N is found to the
-    row, and probe i depends only on (seed, i), so the result does not
-    depend on the block size.
+    row, and probe i is row i of the one stream (seed, 0), so the result
+    does not depend on the block size.
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
@@ -266,18 +269,20 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
 
 def _husimi_probes(sup: Superposition, seed: int, count: int, rows: int):
     """The first ``count`` probes from the Husimi mixture of ``sup``, yielded
-    ``rows`` at a time: of the 2n + 1 uniforms of stream (seed, i), the last
-    picks term j with probability |c_j| / l1 and the Box-Muller normals z of
-    the others give xi = mean_j + L_j z, L_j the Cholesky factor of the
-    term's Husimi covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds
-    temporaries.
+    ``rows`` at a time.  Probe i is row i of the 2n + 1 uniforms per row read
+    in order from stream (seed, 0): the last picks term j with probability
+    |c_j| / l1 and the Box-Muller normals z of the others give
+    xi = mean_j + L_j z, L_j the Cholesky factor of the term's Husimi
+    covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds temporaries;
+    the width is fixed, so probe i depends only on (seed, i).
     """
     n, chunk = sup.n, states.AMPLITUDE_CHUNK
     cdf = np.cumsum(np.abs(sup.coeffs))
     mean, cov = stellar.husimi_gaussian(sup.triples)
     factor = np.linalg.cholesky(cov)
+    uniforms = stream(seed, 0)
     for start in range(0, count, chunk):
-        u = uniform_rows(seed, start, min(chunk, count - start), 2 * n + 1)
+        u = uniforms.random((min(chunk, count - start), 2 * n + 1))
         j = np.minimum(np.searchsorted(cdf, u[:, -1] * cdf[-1], side="right"), sup.rank - 1)
         v = mean[j] + np.einsum("rij,rj->ri", factor[j], box_muller(u[:, :-1]))
         xis = v[:, :n] + 1j * v[:, n:]

@@ -9,6 +9,7 @@ exact Gram normalization upper-bounds the Gaussian extent.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -395,19 +396,30 @@ def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
     """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>.
 
     ``S(delta)`` squeezes the q variance to delta^2.  If ``t_max`` is omitted
-    it is grown until the dropped l1 mass falls below ``tail_tol``.  Returns
-    (superposition, dropped_l1_mass).
+    it is the least t_max >= 1 whose dropped l1 mass is at most ``tail_tol``.
+    Returns (superposition, dropped_l1_mass).
     """
     _check_delta(delta)
+    if not tail_tol >= 0:
+        raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
     r = -math.log(delta)
 
     def envelope(t: int) -> float:
         return math.exp(-math.pi * delta**2 * t**2)
 
     if t_max is None:
-        t_max = 1
-        while (tail := _dropped_mass(envelope, t_max + 1)) > tail_tol:
-            t_max += 1
+        # one outward pass over the shells t >= 2, until one adds less than
+        # 1e-18 and at most tail_tol; entry i of their suffix sums is the
+        # mass dropped at t_max = i + 1
+        shells = [envelope(2) + envelope(-2)]
+        while shells[-1] >= 1e-18 or shells[-1] > tail_tol:
+            t = len(shells) + 2
+            shells.append(envelope(t) + envelope(-t))
+        tails = np.cumsum(shells[::-1])[::-1]
+        t_max = 1 + int(np.argmax(tails <= tail_tol))
+        tail = float(tails[t_max - 1])
+    elif isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
+        raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
     else:
         tail = _dropped_mass(envelope, t_max + 1)
 

@@ -659,3 +659,36 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
     assert code == 2, err
     assert out == "" and "must be at least 1" in err
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"task": {"name": "table1", "deltas": 0.1}}, "task/deltas"),
+        ({"task": {"name": "breed_bound", "xi": None}}, "task/xi"),
+        ({"initial": {"kind": "grid", "delta": 0.3, "t_max": "3"}, "task": {"name": "extent"}}, "initial/t_max"),
+    ],
+)
+def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, capsys):
+    code, out, err = _run_program({"schema_version": 1, "modes": 1, **fields}, tmp_path, capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith(f"validation error: {path}: ")
+
+
+@pytest.mark.parametrize("t_max", [3.5, -2])
+def test_grid_t_max_must_be_a_non_negative_integer(t_max, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "initial": {"kind": "grid", "delta": 0.3, "t_max": t_max}}
+    code, out, err = _run_program({**program, "task": {"name": "extent"}}, tmp_path, capsys)
+    assert code == 2, err
+    assert out == "" and "t_max" in err
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1])
+def test_approx_born_rejects_a_delta_that_is_not_positive(delta, tmp_path, capsys):
+    code, out, err = run_cli(["born", "--approx", "--state", "cat", f"--delta={delta}"], capsys)
+    assert code == 2, err
+    assert out == "" and "delta must be positive" in err
+    task = {"name": "approx_born", "outcome": [[0.0, 0.0]], "delta": delta}
+    code, out, err = _run_program({"schema_version": 1, "modes": 1, "initial": CAT, "task": task}, tmp_path, capsys)
+    assert code == 2, err
+    assert out == "" and "delta must be positive" in err

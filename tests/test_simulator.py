@@ -463,8 +463,9 @@ class TestFastNorm:
         assert hits >= 95
 
     def test_three_mode_entangled_band(self):
-        # six normals and a term pick per probe, so the draw spans two Philox
-        # blocks; the band holds at confidence 1 - p_fail on any mode count
+        # six normals and a term pick per probe, so a probe's row does not
+        # start on a Philox block; the band holds at confidence 1 - p_fail on
+        # any mode count
         sup = cat_three_modes()
         est = fast_norm(sup, 0.3, 0.003, seed=0)
         assert est.band[0] <= sup.norm_squared() <= est.band[1]
@@ -507,6 +508,23 @@ class TestFastNorm:
             monkeypatch.setattr(states_module, "AMPLITUDE_CHUNK", chunk)
             got = fast_norm(ring, 0.1, 0.05, seed=3)
             assert (got.eta, got.samples) == (want.eta, want.samples)
+
+    def test_probes_are_consecutive_rows_of_one_stream(self):
+        # probe i is mean + L box_muller(u_i) with u_i row i of the 2n + 1
+        # uniforms per row read in order from stream (seed, 0), across draw blocks
+        from gsim.phase import propagate
+        from gsim.rng import box_muller
+        from gsim.simulator import _husimi_probes
+
+        gates = [Squeeze(0, 0.5, 0.3), BeamSplitter(0, 1, 0.7, 0.2), Displace(1, 0.3 - 0.4j)]
+        sup = single_gaussian(propagate(GaussianPure.vacuum(2), GaussianUnitary.from_gates(gates, 2)))
+        seed, count, n = 41, AMPLITUDE_CHUNK + 37, 2
+        got = np.concatenate(list(_husimi_probes(sup, seed, count, 100)))
+        u = stream(seed, 0).random((count, 2 * n + 1))
+        mean, cov = stellar.husimi_gaussian(sup.triples)
+        v = mean[0] + box_muller(u[:, :-1]) @ np.linalg.cholesky(cov[0]).T
+        assert got.shape == (count, n)
+        assert np.allclose(got, v[:, :n] + 1j * v[:, n:], rtol=0, atol=1e-12)
 
     def test_cancelling_state_falls_back_to_the_exact_norm(self):
         # Z has mean |psi|^2 / l1^2, tiny or zero here, so the stopping sum

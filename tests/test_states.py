@@ -164,6 +164,35 @@ class TestGridStates:
         c = np.abs(sup.coefficients())
         assert np.allclose(c, c[::-1], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "delta, t_max, tail",
+        [
+            (0.3, 8, 2.2737566788685772e-10),
+            (0.1, 24, 7.40929901202674e-09),
+            (0.05, 50, 4.797488714268271e-09),
+            (0.01, 258, 9.184202831462764e-09),
+        ],
+    )
+    def test_grid_sensor_search_keeps_t_max_and_tail(self, delta, t_max, tail):
+        # the values of growing t_max one candidate at a time, each candidate
+        # summing its own tail outward
+        sup, got = grid_sensor(delta)
+        assert sup.rank == 2 * t_max + 1
+        assert abs(got - tail) <= 1e-12 * tail
+        assert abs(grid_sensor(delta, t_max)[1] - tail) <= 1e-12 * tail
+
+    @pytest.mark.parametrize("t_max", [3.5, -2, 3.0, True, "3"])
+    def test_grid_t_max_must_be_a_non_negative_integer(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be a non-negative integer"):
+            grid_sensor(0.3, t_max)
+        assert grid_sensor(0.3, 0)[0].rank == 1
+        assert grid_sensor(0.3, np.int64(3))[0].rank == 7
+
+    def test_grid_tail_tol_must_be_non_negative(self):
+        # no tail is below a negative tolerance, so the t_max search would not end
+        with pytest.raises(ValueError, match="tail_tol must be non-negative"):
+            grid_sensor(0.3, tail_tol=-1e-8)
+
     def test_grid_requires_positive_delta(self):
         with pytest.raises(ValueError):
             grid_sensor(-0.1)
