@@ -10,13 +10,14 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import apps, counters, simulator, states
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, program_symplectic, symplectic_gates
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, program_symplectic, symplectic_gates
 from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel
 from .phase import GaussianUnitary, propagate
 from .states import Superposition
@@ -113,18 +114,77 @@ class ValidationFailure(ValueError):
     pass
 
 
+def _finite(value):
+    """``value`` as a float if it is a finite JSON number (not a boolean), else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
+def _number(op: dict, field: str, where: str, default=None) -> float:
+    """Field ``field`` of an op, if it is a finite number."""
+    number = _finite(op.get(field, default))
+    if number is None:
+        raise ValidationFailure(f"{where}.{field}: expected a finite number")
+    return number
+
+
+def _index(value, where: str) -> int:
+    """``value`` if it is a JSON integer (not a boolean, a float or a string)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationFailure(f"{where}: expected an integer mode index")
+
+
 def _complex_from(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValidationFailure(f"{where}: expected number or [re, im] pair")
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0)
+    re, im = _finite(re), _finite(im)
+    if re is None or im is None:
+        raise ValidationFailure(f"{where}: expected a finite number or [re, im] pair")
+    return complex(re, im)
 
 
 def _complex_vector(value, where: str):
     if not isinstance(value, list):
         raise ValidationFailure(f"{where}: expected a list")
     return [_complex_from(v, where) for v in value]
+
+
+def _real_array(value, shape: tuple, where: str, modes: int) -> np.ndarray:
+    """``value`` as a float array, if it nests finite numbers to ``shape``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValidationFailure(f"{where}: expected an array of finite numbers")
+    if arr.shape != shape:
+        raise ValidationFailure(f"{where}: expected shape {shape} on {modes} modes")
+    return arr.astype(float)
+
+
+def _non_finite_at(value):
+    """Path (``.key`` and ``[k]`` steps) to the first NaN or infinity in a
+    parsed JSON document, or None: Python's json reads ``NaN``, ``Infinity``
+    and ``1e400`` (as inf).  The path is built only on a find."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ""
+    if isinstance(value, dict):
+        items, step = value.items(), ".{}"
+    elif isinstance(value, list):
+        items, step = enumerate(value), "[{}]"
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_at(item)
+        if found is not None:
+            return step.format(key) + found
+    return None
 
 
 def build_initial(init: dict, modes: int) -> Superposition:
@@ -175,65 +235,115 @@ def build_initial(init: dict, modes: int) -> Superposition:
     return sup
 
 
-def _gate_from_op(op: dict):
-    name = op.get("gate")
+def _op_gates(op: dict, modes: int, where: str):
+    """The gates of a gate op, typed and mode-checked; None for another op."""
+    name = op["gate"]
+    if name in ("displace", "squeeze", "phase"):
+        mode = _index(op.get("mode"), f"{where}.mode")
     if name == "displace":
-        return Displace(int(op["mode"]), _complex_from(op["alpha"], "ops.alpha"))
-    if name == "squeeze":
-        return Squeeze(int(op["mode"]), float(op["r"]), float(op.get("theta", 0.0)))
-    if name == "phase":
-        return PhaseShift(int(op["mode"]), float(op["theta"]))
-    if name == "beamsplitter":
+        gates = (Displace(mode, _complex_from(op.get("alpha"), f"{where}.alpha")),)
+    elif name == "squeeze":
+        gates = (Squeeze(mode, _number(op, "r", where), _number(op, "theta", where, 0.0)),)
+    elif name == "phase":
+        gates = (PhaseShift(mode, _number(op, "theta", where)),)
+    elif name == "beamsplitter":
         m = op.get("modes")
         if not isinstance(m, list) or len(m) != 2:
-            raise ValidationFailure("ops.modes: beamsplitter needs two modes")
-        return BeamSplitter(int(m[0]), int(m[1]), float(op["theta"]), float(op.get("phi", 0.0)))
-    return None
+            raise ValidationFailure(f"{where}.modes: beamsplitter needs two modes")
+        m1, m2 = (_index(v, f"{where}.modes") for v in m)
+        gates = (BeamSplitter(m1, m2, _number(op, "theta", where), _number(op, "phi", where, 0.0)),)
+    elif name == "symplectic":
+        smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
+        shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
+        gates = symplectic_gates(smat, shift)
+    else:
+        return None
+    for gate in gates:
+        check_gate_modes(gate, modes)
+    return gates
 
 
-def apply_ops(state, ops, modes: int):
-    """Run the op list; may switch from superposition to plain Gaussian."""
+def lower_ops(ops, modes: int) -> list:
+    """Validate the whole op list, before any work on the state, and lower it
+    to segments run in order:
+
+    * ``("gates", modes, op_gates)`` for each maximal run of gate ops, with
+      the gates of each op (a ``symplectic`` op's are its Euler gates);
+    * ``("channel", channel, where)`` for a channel op;
+    * ``("condition", modes, outcome)`` for a condition op.
+
+    The pipeline starts on a superposition; after a channel it is Gaussian,
+    so a later condition is rejected here.  The mode count follows
+    conditioning.
+    """
+    segments, pure = [], True
     for k, op in enumerate(ops):
         where = f"ops[{k}]"
         if not isinstance(op, dict) or "gate" not in op:
             raise ValidationFailure(f"{where}: expected an object with a 'gate' field")
+        gates = _op_gates(op, modes, where)
+        if gates is not None:
+            if not segments or segments[-1][0] != "gates":
+                segments.append(("gates", modes, []))
+            segments[-1][2].append(gates)
+            continue
         name = op["gate"]
-        gate = _gate_from_op(op)
-        if gate is not None or name == "symplectic":
-            if gate is None:
-                smat = np.asarray(op["matrix"], dtype=float)
-                shift = np.asarray(op.get("shift", np.zeros(2 * modes)), dtype=float)
-                for field, value, shape in (("matrix", smat, (2 * modes, 2 * modes)), ("shift", shift, (2 * modes,))):
-                    if value.shape != shape:
-                        raise ValidationFailure(f"{where}.{field}: expected shape {shape} on {modes} modes")
-            u = GaussianUnitary.from_gates([gate] if gate is not None else symplectic_gates(smat, shift), modes)
-            if isinstance(state, Superposition):
-                state = simulator.evolve(state, u)
-            else:
-                s, d = program_symplectic(u.gates, modes)
-                state = GaussianMixed(s @ state.cov @ s.T, s @ state.mean + d)
-        elif name == "channel":
+        if name == "channel":
+            shape = (2 * modes, 2 * modes)
             ch = GaussianChannel(
-                np.asarray(op["X"], dtype=float),
-                np.asarray(op["Y"], dtype=float),
-                np.asarray(op.get("D", np.zeros(2 * modes)), dtype=float),
+                _real_array(op.get("X"), shape, f"{where}.X", modes),
+                _real_array(op.get("Y"), shape, f"{where}.Y", modes),
+                _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes),
             )
-            if isinstance(state, Superposition):
-                if state.rank != 1:
-                    raise ValidationFailure(
-                        f"{where}: channels apply only to rank-1 states in this pipeline"
-                    )
-                state = state.entries[0].term.as_mixed()
-            state = apply_channel(state, ch)
+            segments.append(("channel", ch, where))
+            pure = False
         elif name == "condition":
-            if not isinstance(state, Superposition):
+            if not pure:
                 raise ValidationFailure(f"{where}: conditioning needs a pure-state pipeline")
-            meas_modes = [int(m) for m in op["modes"]]
-            outcome = _complex_vector(op["outcome"], f"{where}.outcome")
-            state, _ = simulator.condition(state, meas_modes, outcome)
-            modes = state.n
+            measured = op.get("modes")
+            if not isinstance(measured, list):
+                raise ValidationFailure(f"{where}.modes: expected a list of mode indices")
+            measured = [_index(m, f"{where}.modes") for m in measured]
+            outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")
+            modes = len(simulator.kept_modes(modes, measured, len(outcome)))
+            segments.append(("condition", measured, outcome))
         else:
             raise ValidationFailure(f"{where}: unknown gate {name!r}")
+    return segments
+
+
+def apply_ops(state: Superposition, ops, modes: int):
+    """Run the op list; may switch from superposition to plain Gaussian.
+
+    `lower_ops` first validates every op, so a malformed op exits 2 even
+    behind a gate that would fail numerically.  On a superposition each run of
+    gate ops then costs one unitary, one `simulator.evolve` and so one stacked
+    normalisation check, while `stellar.apply_gate` still checks every squeeze
+    on its own.  On a Gaussian state each op's (S, d) acts in turn and the run
+    builds one `GaussianMixed`.
+    """
+    for kind, *segment in lower_ops(ops, modes):
+        if kind == "gates":
+            n, op_gates = segment
+            if isinstance(state, Superposition):
+                # the gates were mode-checked as they were lowered
+                state = simulator.evolve(state, GaussianUnitary(tuple(g for gates in op_gates for g in gates), n))
+            else:
+                cov, mean = state.cov, state.mean
+                for gates in op_gates:
+                    # one (S, d) per op: a product over the run would round differently
+                    s, d = program_symplectic(gates, n)
+                    cov, mean = s @ cov @ s.T, s @ mean + d
+                state = GaussianMixed(cov, mean)
+        elif kind == "channel":
+            ch, where = segment
+            if isinstance(state, Superposition):
+                if state.rank != 1:
+                    raise ValidationFailure(f"{where}: channels apply only to rank-1 states in this pipeline")
+                state = state.entries[0].term.as_mixed()
+            state = apply_channel(state, ch)
+        else:
+            state, _ = simulator.condition(state, *segment)
     return state
 
 
@@ -335,13 +445,17 @@ def result_document(task: str, inputs: dict, value, error_band, seed: int) -> di
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
     }
-    _validate(json.loads(json.dumps(doc, default=_json_default)), "result")
+    try:
+        text = json.dumps(doc, default=_json_default, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity: never printed
+        raise FloatingPointError(f"the {task} result is not finite") from exc
+    _validate(json.loads(text), "result")
     return doc
 
 
 def emit(doc: dict, fmt: str, out=None) -> str:
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     else:
         text = _to_csv(doc)
     print(text, file=out or sys.stdout)
@@ -373,20 +487,39 @@ def _to_csv(doc: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: NaN and infinities exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _outcome_pair(text: str) -> list:
+    """argparse type of ``--outcome re,im``: the pair [re, im]."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected re,im, got {text!r}")
+    return [_finite_float(part) for part in parts]
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--epsilon", type=float, default=0.1)
-    parser.add_argument("--pfail", type=float, default=0.05)
+    parser.add_argument("--delta", type=_finite_float, default=0.1)
+    parser.add_argument("--epsilon", type=_finite_float, default=0.1)
+    parser.add_argument("--pfail", type=_finite_float, default=0.05)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for optimizer restarts")
 
 
 def _state_options(parser):
     parser.add_argument("--state", default="cat", choices=["vacuum", "coherent", "cat", "gkp", "grid", "fock1-ring"])
-    parser.add_argument("--alpha", type=float, default=1.0)
+    parser.add_argument("--alpha", type=_finite_float, default=1.0)
     parser.add_argument("--parity", default="+", choices=["+", "-"])
-    parser.add_argument("--grid-delta", type=float, default=0.3, dest="grid_delta")
+    parser.add_argument("--grid-delta", type=_finite_float, default=0.3, dest="grid_delta")
     parser.add_argument("--ring-n", type=int, default=16, dest="ring_n")
 
 
@@ -407,8 +540,7 @@ def lower(args) -> dict:
             init["N"] = args.ring_n
         program.update(initial=init, ops=[])
     if args.command == "born":
-        re, im = (float(v) for v in args.outcome.split(","))
-        task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [[re, im]]}
+        task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [args.outcome]}
     elif args.command == "breed-bound":
         task = {"name": "breed_bound", "xi": args.xi}
     elif args.command == "bs-bound":
@@ -462,11 +594,11 @@ def _parser() -> argparse.ArgumentParser:
         _state_options(p)
         _add_common(p)
         if name == "born":
-            p.add_argument("--outcome", default="0,0", help="re,im of the coherent outcome")
+            p.add_argument("--outcome", type=_outcome_pair, default="0,0", help="re,im of the coherent outcome")
             p.add_argument("--approx", action="store_true")
 
     p_breed = sub.add_parser("breed-bound")
-    p_breed.add_argument("--xi", type=float, required=True)
+    p_breed.add_argument("--xi", type=_finite_float, required=True)
     _add_common(p_breed)
 
     p_bs = sub.add_parser("bs-bound")
@@ -494,6 +626,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.program, "r", encoding="utf-8") as fh:
                 program = json.load(fh)
+            where = _non_finite_at(program)
+            if where is not None:
+                raise ValidationFailure(f"{where.lstrip('.') or 'program'}: expected a finite number")
             return execute(program, args.program, args)
         program = lower(args)
         return execute(program, program, args)

@@ -32,6 +32,10 @@ from .stellar import KERNEL_ULPS, LOG_SUM_ULPS, UNIT_ROUNDOFF
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     """Gaussian unitary folded over the whole stack of triples, then one
     stacked normalisation check; coefficients, rank and l1 are untouched.
+    Each gate still runs its own checks in `stellar.apply_gate` (a squeeze's
+    condition number and half-plane test), so a unitary of many gates costs
+    one normalisation check and one new state for all of them: the CLI
+    evolves each run of consecutive gate ops as one unitary.
     Since <G_i|U^+ U|G_j> = <G_i|G_j>, the result shares the Gram of ``sup``
     once that is computed, else takes a lazy cell of the same kind
     (`GramCell.carried_to`): evolving computes no Gram."""
@@ -42,6 +46,21 @@ def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
 
 # ---------------------------------------------------------------------------
 # heterodyne conditioning
+
+
+def kept_modes(n: int, measured: list, n_outcomes: int) -> list:
+    """Modes that conditioning an n-mode state on the ``measured`` modes, at
+    an outcome of ``n_outcomes`` entries, leaves; raises on a bad mode list."""
+    if any(m < 0 or m >= n for m in measured):
+        raise ValueError(f"measured modes {measured}: mode index outside 0..{n - 1}")
+    if len(set(measured)) != len(measured):
+        raise ValueError("measured modes must be distinct")
+    if n_outcomes != len(measured):
+        raise DimensionMismatch("outcome dimension does not match measured modes")
+    kept = [m for m in range(n) if m not in measured]
+    if not kept:
+        raise ValueError("conditioning must leave at least one mode")
+    return kept
 
 
 def condition(sup: Superposition, modes, outcome):
@@ -58,15 +77,7 @@ def condition(sup: Superposition, modes, outcome):
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     kb = list(modes)
-    if any(m < 0 or m >= sup.n for m in kb):
-        raise ValueError(f"measured modes {kb}: mode index outside 0..{sup.n - 1}")
-    if len(set(kb)) != len(kb):
-        raise ValueError("measured modes must be distinct")
-    ka = [m for m in range(sup.n) if m not in kb]
-    if outcome.shape[0] != len(kb):
-        raise DimensionMismatch("outcome dimension does not match measured modes")
-    if not ka:
-        raise ValueError("conditioning must leave at least one mode")
+    ka = kept_modes(sup.n, kb, outcome.shape[0])
     xb = np.conj(outcome)
 
     t = sup.triples

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsim import cli, fock, stellar
 from gsim.gates import BeamSplitter, Squeeze
@@ -667,6 +670,21 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
         ({"task": {"name": "table1", "deltas": 0.1}}, "task/deltas"),
         ({"task": {"name": "breed_bound", "xi": None}}, "task/xi"),
         ({"initial": {"kind": "grid", "delta": 0.3, "t_max": "3"}, "task": {"name": "extent"}}, "initial/t_max"),
+        *(
+            ({"initial": VACUUM, "ops": ops, "task": {"name": "extent"}}, path)
+            for ops, path in (
+                ([{"gate": "phase", "mode": 0, "theta": None}], "ops[0].theta"),
+                ([{"gate": "displace", "mode": 0, "alpha": [None, 0.0]}], "ops[0].alpha"),
+                ([{"gate": "squeeze", "mode": 0}], "ops[0].r"),
+                ([{"gate": "phase", "mode": 0.7, "theta": 0.1}], "ops[0].mode"),
+                ([{"gate": "phase", "mode": "0", "theta": 0.1}], "ops[0].mode"),
+                ([{"gate": "phase", "mode": True, "theta": 0.1}], "ops[0].mode"),
+                ([{"gate": "beamsplitter", "modes": [0, 1.0], "theta": 0.3}], "ops[0].modes"),
+                ([{"gate": "symplectic", "matrix": [[1, 0], [0, "1"]]}], "ops[0].matrix"),
+                ([{"gate": "phase", "mode": 0, "theta": 0.1}, {"gate": "condition", "modes": 1}], "ops[1].modes"),
+                ([{"gate": "condition", "modes": [0], "outcome": [[0, True]]}], "ops[0].outcome"),
+            )
+        ),
     ],
 )
 def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, capsys):
@@ -692,3 +710,169 @@ def test_approx_born_rejects_a_delta_that_is_not_positive(delta, tmp_path, capsy
     code, out, err = _run_program({"schema_version": 1, "modes": 1, "initial": CAT, "task": task}, tmp_path, capsys)
     assert code == 2, err
     assert out == "" and "delta must be positive" in err
+
+
+PROGRAM_TEXT = (
+    '{"schema_version": 1, "modes": 1, "initial": {"kind": "coherent", "alpha": [ALPHA, 0]},'
+    ' "ops": [{"gate": "squeeze", "mode": 0, "r": R, "theta": THETA}],'
+    ' "task": {"name": "exact_born", "outcome": [[XI, 0]]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "field, number, path",
+    [
+        ("THETA", "NaN", "ops[0].theta"),
+        ("THETA", "Infinity", "ops[0].theta"),
+        ("R", "1e400", "ops[0].r"),
+        ("ALPHA", "NaN", "initial.alpha[0]"),
+        ("XI", "-Infinity", "task.outcome[0][0]"),
+    ],
+)
+def test_non_finite_program_numbers_are_validation_errors(field, number, path, tmp_path, capsys):
+    # Python's json reads NaN, Infinity and 1e400 (as inf); none of them runs
+    text = PROGRAM_TEXT
+    for name in ("ALPHA", "R", "THETA", "XI"):
+        text = text.replace(name, number if name == field else "0.1")
+    prog = tmp_path / "prog.json"
+    prog.write_text(text)
+    code, out, err = run_cli(["run", str(prog)], capsys)
+    assert code == 2, err
+    assert out == "" and err.startswith(f"validation error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["born", "--outcome", "nan,0"],
+        ["born", "--outcome", "0,inf"],
+        ["extent", "--state", "coherent", "--alpha", "inf"],
+        ["norm", "--epsilon", "nan"],
+        ["breed-bound", "--xi=-inf"],
+    ],
+)
+def test_non_finite_float_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == "" and "is not a finite number" in captured.err
+
+
+def test_non_finite_result_is_a_numerical_failure_and_never_printed(monkeypatch, capsys):
+    monkeypatch.setattr(cli.states, "breeding_lower_bound", lambda xi: float("nan"))
+    code, out, err = run_cli(["breed-bound", "--xi", "7.5"], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: ")
+    with pytest.raises(ValueError):
+        cli.emit({"value": float("inf")}, "json", out=None)
+
+
+def test_malformed_op_wins_over_an_earlier_numerical_failure(tmp_path, capsys):
+    # squeezing at r = 30 alone fails numerically (exit 3), but the whole op
+    # list is validated before any gate runs
+    squeeze = {"gate": "squeeze", "mode": 0, "r": 30.0}
+    program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": "extent"}}
+    code, _, err = _run_program({**program, "ops": [squeeze]}, tmp_path, capsys)
+    assert code == 3, err
+    ops = [squeeze, {"gate": "phase", "mode": 0, "theta": None}]
+    code, out, err = _run_program({**program, "ops": ops}, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ops[1].theta: ")
+
+
+def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch):
+    from gsim import gaussian, simulator
+
+    calls = {"evolve": 0, "check_normalised": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    state = cli.build_initial(CAT, 2)
+    monkeypatch.setattr(simulator, "evolve", counted("evolve", simulator.evolve))
+    check = counted("check_normalised", gaussian.check_normalised)
+    for module in (gaussian, simulator, cli.states):
+        monkeypatch.setattr(module, "check_normalised", check)
+    ops = [
+        {"gate": "squeeze", "mode": 0, "r": 0.3},
+        {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+        {"gate": "displace", "mode": 1, "alpha": [0.2, -0.1]},
+        {"gate": "condition", "modes": [1], "outcome": [[0.4, -0.2]]},
+        {"gate": "phase", "mode": 0, "theta": 0.5},
+        {"gate": "squeeze", "mode": 0, "r": 0.2, "theta": 1.0},
+    ]
+    out = cli.apply_ops(state, ops, 2)
+    assert out.n == 1
+    assert calls == {"evolve": 2, "check_normalised": 2}
+
+
+def _gate_ops(modes):
+    """Strategy: a list of one to four gate ops on ``modes`` modes."""
+    from gsim.gates import beamsplitter_unitary
+    from gsim.symplectic import passive_from_unitary
+
+    mode, angle, small = st.integers(0, modes - 1), st.floats(0, 2 * np.pi), st.floats(-0.5, 0.5)
+
+    def passive(t, p, a, shift):
+        u = np.diag(np.exp(1j * np.array([a, -a][:modes])))
+        if modes == 2:
+            u = beamsplitter_unitary(t, p) @ u
+        return {"gate": "symplectic", "matrix": passive_from_unitary(u).tolist(), "shift": [shift] * (2 * modes)}
+
+    def op(gate, **fields):
+        return st.fixed_dictionaries({"gate": st.just(gate), **fields})
+
+    kinds = [
+        op("displace", mode=mode, alpha=st.tuples(small, small).map(list)),
+        op("squeeze", mode=mode, r=st.floats(0, 0.4), theta=angle),
+        op("phase", mode=mode, theta=angle),
+        st.builds(passive, st.floats(0, 1.5), angle, angle, small),
+    ]
+    if modes == 2:
+        kinds.append(op("beamsplitter", modes=st.just([0, 1]), theta=st.floats(0, 1.5), phi=angle))
+    return st.lists(st.one_of(kinds), min_size=1, max_size=4)
+
+
+def _per_op(state, ops, modes):
+    """The op list one op at a time: every gate op is its own run and evolve."""
+    for op in ops:
+        state = cli.apply_ops(state, [op], modes)
+        modes -= len(op["modes"]) if op["gate"] == "condition" else 0
+    return state
+
+
+def _bits(state):
+    if isinstance(state, cli.Superposition):
+        t = state.triples
+        return [x.tobytes() for x in (state.coeffs, t.a, t.b, t.log_c)]
+    return [state.cov.tobytes(), state.mean.tobytes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pipeline=st.sampled_from(["pure", "condition", "mixed"]))
+def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
+    # the fold applies the same gates in the same order, so every triple and
+    # the whole result document are bit-identical to a per-gate evolve
+    small = st.floats(-0.6, 0.6)
+    xi, alpha = (complex(data.draw(small), data.draw(small)) for _ in range(2))
+    initial = {"kind": "coherent" if pipeline == "mixed" else "cat", "alpha": [alpha.real + 0.4, alpha.imag]}
+    middle, modes = [], 2
+    if pipeline == "condition":
+        middle, modes = [{"gate": "condition", "modes": [1], "outcome": [[xi.real, xi.imag]]}], 1
+    elif pipeline == "mixed":
+        middle = [{"gate": "channel", "X": (0.9 * np.eye(4)).tolist(), "Y": (0.2 * np.eye(4)).tolist()}]
+    ops = data.draw(_gate_ops(2)) + middle + data.draw(_gate_ops(modes))
+    task = {"name": "exact_born", "outcome": [[xi.imag, xi.real]] * modes}
+    got = []
+    for run in (cli.apply_ops, _per_op):
+        cli.counters.tally.reset()
+        state = run(cli.build_initial(initial, 2), ops, 2)
+        value, band = cli.run_task(state, task, 0, None)
+        doc = cli.result_document("exact_born", {"ops": ops}, value, band, 0)
+        got.append((_bits(state), cli.emit(doc, "json", out=io.StringIO())))
+    assert got[0] == got[1]
