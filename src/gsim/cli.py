@@ -1,8 +1,8 @@
 """Command-line surface: circuit programs, measure reports and bounds.
 
-Programs are JSON documents (schema below); results are deterministic JSON
-or CSV documents carrying the task value, error band, work counters and the
-seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
+Programs are JSON documents typed field by field; results are deterministic
+JSON or CSV documents carrying the task value, error band, work counters and
+the seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 from . import apps, counters, simulator, states
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
 from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, program_symplectic, symplectic_gates
-from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel
+from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel, fidelity_pure
 from .phase import GaussianUnitary, propagate
 from .states import Superposition
 from .stellar import StellarParams
@@ -49,110 +49,64 @@ RESULT_SCHEMA = {
 # tasks that take no state, so their programs need no ``initial``
 STATE_FREE_TASKS = ("breed_bound", "bs_bound", "optimize_fidelity", "table1")
 
-PROGRAM_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "modes", "task"],
-    "properties": {
-        "schema_version": {"type": "integer"},
-        "modes": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "initial": {
-            "type": "object",
-            "required": ["kind"],
-            # every field `build_initial` reads
-            "properties": {
-                "kind": {"type": "string"},
-                "alpha": {"type": ["number", "array"]},
-                "parity": {"type": ["string", "integer"]},
-                "seed_state": {"type": "string"},
-                **{k: {"type": "number"} for k in ("r", "theta", "kappa", "delta", "tail_tol")},
-                **{k: {"type": "integer"} for k in ("d", "mu", "s_max", "t_max", "N")},
-            },
-        },
-        "ops": {"type": "array"},
-        "task": {
-            "type": "object",
-            "required": ["name"],
-            # every field `run_task` reads
-            "properties": {
-                "name": {"type": "string"},
-                "outcome": {"type": "array"},
-                "deltas": {"type": "array", "items": {"type": "number"}},
-                "mode": {"type": "string"},
-                "sweep": {"type": "boolean"},
-                **{k: {"type": "number"} for k in ("delta", "epsilon", "pfail", "xi")},
-                **{k: {"type": "integer"} for k in ("mbar", "restarts", "budget")},
-            },
-        },
-    },
-}
-
-
-@functools.cache
-def _validator(name: str):
-    """Validator of the ``program`` or ``result`` schema, built once: the
-    schema is checked against its metaschema here, not on every document."""
-    from jsonschema.validators import validator_for
-
-    schema = {"program": PROGRAM_SCHEMA, "result": RESULT_SCHEMA}[name]
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(instance, name: str) -> None:
-    """``jsonschema.validate`` against a cached validator: raises the same
-    best-matching ``ValidationError``."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator(name).iter_errors(instance))
-    if error is not None:
-        raise error
-
 
 class ValidationFailure(ValueError):
     pass
 
 
-def _finite(value):
-    """``value`` as a float if it is a finite JSON number (not a boolean), else None."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            return None
-        if math.isfinite(number):
-            return number
-    return None
+def _real(value, where: str, expected: str = "a finite number") -> float:
+    """``value`` as a float, if it is a finite number (a bool is none)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationFailure(f"{where}: expected {expected}")
 
 
-def _number(op: dict, field: str, where: str, default=None) -> float:
-    """Field ``field`` of an op, if it is a finite number."""
-    number = _finite(op.get(field, default))
-    if number is None:
-        raise ValidationFailure(f"{where}.{field}: expected a finite number")
-    return number
+def _json_type(kind: type, name: str, value, where: str):
+    """``value`` if its type is ``kind`` exactly: a bool is no integer, and neither is ``2.0``."""
+    if type(value) is not kind:
+        raise ValidationFailure(f"{where}: expected {name}")
+    return value
 
 
-def _index(value, where: str) -> int:
-    """``value`` if it is a JSON integer (not a boolean, a float or a string)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValidationFailure(f"{where}: expected an integer mode index")
+_integer = functools.partial(_json_type, int, "an integer")
+_boolean = functools.partial(_json_type, bool, "true or false")
+_object = functools.partial(_json_type, dict, "an object")
+_list = functools.partial(_json_type, list, "a list")
+
+
+def _choice(*choices):
+    """Reader of one of ``choices``, strings or integers (never a float or a bool)."""
+
+    def read(value, where: str):
+        if type(value) in (str, int) and value in choices:
+            return value
+        raise ValidationFailure(f"{where}: expected one of {', '.join(map(repr, choices))}")
+
+    return read
+
+
+def _mode_count(value, where: str) -> int:
+    if _integer(value, where) < 1:
+        raise ValidationFailure(f"{where}: expected an integer of at least 1")
+    return value
 
 
 def _complex_from(value, where: str) -> complex:
+    """A finite number, or an [re, im] pair of them, as a complex."""
     re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0)
-    re, im = _finite(re), _finite(im)
-    if re is None or im is None:
-        raise ValidationFailure(f"{where}: expected a finite number or [re, im] pair")
-    return complex(re, im)
+    expected = "a finite number or [re, im] pair"
+    return complex(_real(re, where, expected), _real(im, where, expected))
 
 
 def _complex_vector(value, where: str):
-    if not isinstance(value, list):
-        raise ValidationFailure(f"{where}: expected a list")
-    return [_complex_from(v, where) for v in value]
+    return [_complex_from(v, where) for v in _list(value, where)]
+
+
+def _reals(value, where: str) -> list:
+    """A list of numbers as floats; whether they are in range is the task's check."""
+    if type(value) is not list or not all(type(v) in (int, float) for v in value):
+        raise ValidationFailure(f"{where}: expected a list of numbers")
+    return [float(v) for v in value]
 
 
 def _real_array(value, shape: tuple, where: str, modes: int) -> np.ndarray:
@@ -187,43 +141,97 @@ def _non_finite_at(value):
     return None
 
 
+def _fields(fields, prefix: str, readers: dict, *required) -> dict:
+    """The fields of the object ``fields`` that ``readers`` names, each typed by
+    its reader in the readers' order and named ``prefix + key`` in an error; a
+    missing ``required`` field reads as null, which its reader rejects."""
+    if type(fields) is not dict:
+        raise ValidationFailure(f"{prefix.rstrip('.') or 'program'}: expected an object")
+    wanted = [key for key in readers if key in fields or key in required]
+    return {key: readers[key](fields.get(key), prefix + key) for key in wanted}
+
+
+PROGRAM_FIELDS = {
+    "schema_version": _integer,
+    "modes": _mode_count,
+    "seed": _integer,
+    "initial": _object,
+    "ops": _list,
+    "task": _object,
+}
+
+INITIAL_FIELDS = {
+    "kind": _choice("vacuum", "coherent", "squeezed", "cat", "gkp", "grid", "fock1_ring"),
+    "alpha": _complex_from,
+    "parity": _choice("+", "-", 1, -1),
+    "seed_state": _choice("optimal", "coherent"),
+    **dict.fromkeys(("r", "theta", "kappa", "delta", "tail_tol"), _real),
+    **dict.fromkeys(("d", "mu", "s_max", "t_max", "N"), _integer),
+}
+
+# the one field without a default that a task needs
+TASK_NEEDS = {"exact_born": "outcome", "approx_born": "outcome", "breed_bound": "xi", "bs_bound": "mbar"}
+
+TASK_FIELDS = {
+    "name": _choice("exact_born", "approx_born", "norm", "extent", *STATE_FREE_TASKS),
+    "outcome": _complex_vector,
+    "deltas": _reals,
+    "mode": _choice("two", "single"),
+    "sweep": _boolean,
+    **dict.fromkeys(("delta", "epsilon", "pfail", "xi"), _real),
+    **dict.fromkeys(("mbar", "restarts", "budget"), _integer),
+}
+
+OP_FIELDS = {"gate": _choice("displace", "squeeze", "phase", "beamsplitter", "symplectic", "channel", "condition")}
+
+TASK_DEFAULTS = dict(sweep=False, mode="two", restarts=32, budget=20000, deltas=tuple(apps.GRID_EXTENT_TABLE))
+
+
+def read_initial(init: dict) -> dict:
+    """The typed fields of a program's ``initial`` object."""
+    return _fields(init, "initial.", INITIAL_FIELDS, "kind")
+
+
+def read_task(task: dict, args) -> dict:
+    """The typed fields of a program's ``task`` object and the defaults of the
+    rest, the tolerances of ``approx_born`` and ``norm`` from the flags."""
+    fields = _fields(task, "task.", TASK_FIELDS, "name")
+    name, need = fields["name"], TASK_NEEDS.get(fields["name"])
+    if need is not None and need not in fields:
+        raise ValidationFailure(f"task.{need}: required by task {name!r}")
+    if name in ("approx_born", "norm"):
+        fields = {"delta": args.delta, "epsilon": args.epsilon, "pfail": args.pfail, **fields}
+    return {**TASK_DEFAULTS, **fields}
+
+
 def build_initial(init: dict, modes: int) -> Superposition:
-    kind = init.get("kind")
+    return _initial_state(read_initial(init), modes)
+
+
+def _initial_state(init: dict, modes: int) -> Superposition:
+    """The state that typed ``initial`` fields describe, padded to ``modes`` modes."""
+    kind = init["kind"]
     if kind == "vacuum":
         sup = states.single_gaussian(GaussianPure.vacuum(1))
     elif kind == "coherent":
-        sup = states.single_gaussian(
-            GaussianPure.coherent([_complex_from(init.get("alpha", 0.0), "initial.alpha")])
-        )
+        sup = states.single_gaussian(GaussianPure.coherent([init.get("alpha", 0j)]))
     elif kind == "squeezed":
-        gates = [Squeeze(0, float(init.get("r", 0.0)), float(init.get("theta", 0.0)))]
+        gates = [Squeeze(0, init.get("r", 0.0), init.get("theta", 0.0))]
         if "alpha" in init:
-            gates.append(Displace(0, _complex_from(init["alpha"], "initial.alpha")))
+            gates.append(Displace(0, init["alpha"]))
         term = propagate(GaussianPure.vacuum(1), GaussianUnitary.from_gates(gates, 1))
         sup = states.single_gaussian(term)
     elif kind == "cat":
-        parity = {"+": 1, "-": -1, 1: 1, -1: -1}.get(init.get("parity", "+"))
-        if parity is None:
-            raise ValidationFailure("initial.parity: expected '+' or '-'")
-        sup = states.cat_state(_complex_from(init.get("alpha", 1.0), "initial.alpha"), parity)
+        sup = states.cat_state(init.get("alpha", 1 + 0j), -1 if init.get("parity") in ("-", -1) else 1)
     elif kind == "gkp":
         sup, _ = states.gkp_state(
-            int(init.get("d", 2)),
-            int(init.get("mu", 0)),
-            float(init.get("kappa", 0.3)),
-            float(init.get("delta", 0.3)),
-            int(init.get("s_max", 5)),
+            init.get("d", 2), init.get("mu", 0), init.get("kappa", 0.3), init.get("delta", 0.3), init.get("s_max", 5)
         )
     elif kind == "grid":
-        sup, _ = states.grid_sensor(
-            float(init.get("delta", 0.3)), init.get("t_max"), float(init.get("tail_tol", 1e-8))
-        )
-    elif kind == "fock1_ring":
-        seed_kind = init.get("seed_state", "optimal")
-        seed = states.optimal_fock1_seed() if seed_kind == "optimal" else states.coherent_ring_seed()
-        sup = states.fock1_ring(seed, int(init.get("N", 16)))
-    else:
-        raise ValidationFailure(f"initial.kind: unknown state constructor {kind!r}")
+        sup, _ = states.grid_sensor(init.get("delta", 0.3), init.get("t_max"), init.get("tail_tol", 1e-8))
+    else:  # fock1_ring
+        seeds = {"optimal": states.optimal_fock1_seed, "coherent": states.coherent_ring_seed}
+        sup = states.fock1_ring(seeds[init.get("seed_state", "optimal")](), init.get("N", 16))
     if sup.n > modes:
         raise ValidationFailure("initial: state is wider than the declared mode count")
     if sup.n < modes:
@@ -235,23 +243,23 @@ def build_initial(init: dict, modes: int) -> Superposition:
     return sup
 
 
-def _op_gates(op: dict, modes: int, where: str):
+def _op_gates(op: dict, name: str, modes: int, where: str):
     """The gates of a gate op, typed and mode-checked; None for another op."""
-    name = op["gate"]
     if name in ("displace", "squeeze", "phase"):
-        mode = _index(op.get("mode"), f"{where}.mode")
+        mode = _integer(op.get("mode"), f"{where}.mode")
     if name == "displace":
         gates = (Displace(mode, _complex_from(op.get("alpha"), f"{where}.alpha")),)
     elif name == "squeeze":
-        gates = (Squeeze(mode, _number(op, "r", where), _number(op, "theta", where, 0.0)),)
+        gates = (Squeeze(mode, _real(op.get("r"), f"{where}.r"), _real(op.get("theta", 0.0), f"{where}.theta")),)
     elif name == "phase":
-        gates = (PhaseShift(mode, _number(op, "theta", where)),)
+        gates = (PhaseShift(mode, _real(op.get("theta"), f"{where}.theta")),)
     elif name == "beamsplitter":
         m = op.get("modes")
         if not isinstance(m, list) or len(m) != 2:
             raise ValidationFailure(f"{where}.modes: beamsplitter needs two modes")
-        m1, m2 = (_index(v, f"{where}.modes") for v in m)
-        gates = (BeamSplitter(m1, m2, _number(op, "theta", where), _number(op, "phi", where, 0.0)),)
+        m1, m2 = (_integer(v, f"{where}.modes") for v in m)
+        theta, phi = _real(op.get("theta"), f"{where}.theta"), _real(op.get("phi", 0.0), f"{where}.phi")
+        gates = (BeamSplitter(m1, m2, theta, phi),)
     elif name == "symplectic":
         smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
         shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
@@ -279,16 +287,13 @@ def lower_ops(ops, modes: int) -> list:
     segments, pure = [], True
     for k, op in enumerate(ops):
         where = f"ops[{k}]"
-        if not isinstance(op, dict) or "gate" not in op:
-            raise ValidationFailure(f"{where}: expected an object with a 'gate' field")
-        gates = _op_gates(op, modes, where)
+        name = _fields(op, f"{where}.", OP_FIELDS, "gate")["gate"]
+        gates = _op_gates(op, name, modes, where)
         if gates is not None:
             if not segments or segments[-1][0] != "gates":
                 segments.append(("gates", modes, []))
             segments[-1][2].append(gates)
-            continue
-        name = op["gate"]
-        if name == "channel":
+        elif name == "channel":
             shape = (2 * modes, 2 * modes)
             ch = GaussianChannel(
                 _real_array(op.get("X"), shape, f"{where}.X", modes),
@@ -300,29 +305,25 @@ def lower_ops(ops, modes: int) -> list:
         elif name == "condition":
             if not pure:
                 raise ValidationFailure(f"{where}: conditioning needs a pure-state pipeline")
-            measured = op.get("modes")
-            if not isinstance(measured, list):
-                raise ValidationFailure(f"{where}.modes: expected a list of mode indices")
-            measured = [_index(m, f"{where}.modes") for m in measured]
+            measured = [_integer(m, f"{where}.modes") for m in _list(op.get("modes"), f"{where}.modes")]
             outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")
             modes = len(simulator.kept_modes(modes, measured, len(outcome)))
             segments.append(("condition", measured, outcome))
-        else:
-            raise ValidationFailure(f"{where}: unknown gate {name!r}")
     return segments
 
 
 def apply_ops(state: Superposition, ops, modes: int):
-    """Run the op list; may switch from superposition to plain Gaussian.
+    """Run the op list; may switch from superposition to plain Gaussian."""
+    return _run_segments(state, lower_ops(ops, modes))
 
-    `lower_ops` first validates every op, so a malformed op exits 2 even
-    behind a gate that would fail numerically.  On a superposition each run of
-    gate ops then costs one unitary, one `simulator.evolve` and so one stacked
-    normalisation check, while `stellar.apply_gate` still checks every squeeze
-    on its own.  On a Gaussian state each op's (S, d) acts in turn and the run
-    builds one `GaussianMixed`.
-    """
-    for kind, *segment in lower_ops(ops, modes):
+
+def _run_segments(state: Superposition, segments: list):
+    """Run lowered ops.  On a superposition each run of gate ops costs one
+    unitary, one `simulator.evolve` and so one stacked normalisation check,
+    while `stellar.apply_gate` still checks every squeeze on its own.  On a
+    Gaussian state each op's (S, d) acts in turn and the run builds one
+    `GaussianMixed`."""
+    for kind, *segment in segments:
         if kind == "gates":
             n, op_gates = segment
             if isinstance(state, Superposition):
@@ -348,38 +349,27 @@ def apply_ops(state: Superposition, ops, modes: int):
 
 
 def run_task(state, task: dict, seed: int, args) -> tuple:
-    name = task.get("name")
+    return _perform(state, read_task(task, args), seed, args)
+
+
+def _perform(state, task: dict, seed: int, args) -> tuple:
+    """(value, error band) of a typed task on the pipeline's final state."""
+    name = task["name"]
     if name in ("approx_born", "norm", "extent") and not isinstance(state, Superposition):
         raise ValidationFailure(f"task.name: {name} requires a pure-state pipeline")
     if name == "exact_born":
-        outcome = _complex_vector(task["outcome"], "task.outcome")
         if isinstance(state, Superposition):
-            est = simulator.exact_born(state, outcome)
+            est = simulator.exact_born(state, task["outcome"])
             return est.value, list(est.error_band)
         # mixed pipeline: Husimi density over d^2n(alpha)
-        from .gaussian import fidelity_pure
-
-        probe = GaussianPure.coherent(outcome)
+        probe = GaussianPure.coherent(task["outcome"])
         n = state.cov.shape[0] // 2
         return fidelity_pure(state, probe) / np.pi**n, None
     if name == "approx_born":
-        outcome = _complex_vector(task["outcome"], "task.outcome")
-        est = simulator.approx_born(
-            state,
-            outcome,
-            float(task.get("delta", args.delta)),
-            float(task.get("epsilon", args.epsilon)),
-            float(task.get("pfail", args.pfail)),
-            seed=seed,
-        )
+        est = simulator.approx_born(state, task["outcome"], task["delta"], task["epsilon"], task["pfail"], seed=seed)
         return est.value, list(est.error_band)
     if name == "norm":
-        est = simulator.fast_norm(
-            state,
-            float(task.get("epsilon", args.epsilon)),
-            float(task.get("pfail", args.pfail)),
-            seed=seed,
-        )
+        est = simulator.fast_norm(state, task["epsilon"], task["pfail"], seed=seed)
         return est.eta, list(est.band)
     if name == "extent":
         rep = states.measures(state)
@@ -390,49 +380,38 @@ def run_task(state, task: dict, seed: int, args) -> tuple:
             "norm_squared": rep.norm_squared,
         }, None
     if name == "breed_bound":
-        return states.breeding_lower_bound(float(task["xi"])), None
+        return states.breeding_lower_bound(task["xi"]), None
     if name == "bs_bound":
         def bounds(m):
             cost, classical = states.boson_sampling_bound(m)
             return {"extent_bound": cost, "nonclassicality_bound": classical}
 
-        mbar = int(task["mbar"])
-        if task.get("sweep", False):
-            return [{"mbar": m, **bounds(m)} for m in range(1, mbar + 1)], None
-        return bounds(mbar), None
+        if task["sweep"]:
+            return [{"mbar": m, **bounds(m)} for m in range(1, task["mbar"] + 1)], None
+        return bounds(task["mbar"]), None
     if name == "optimize_fidelity":
-        mode = task.get("mode", "two")
-        if mode == "two":
+        if task["mode"] == "two":
             make, objective = apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity
-        elif mode == "single":
-            make, objective = apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity
         else:
-            raise ValidationFailure("task.mode: expected 'two' or 'single'")
-        cfg = make(
-            restarts=int(task.get("restarts", 32)),
-            budget=int(task.get("budget", 20000)),
-            seed=seed,
-            threads=args.threads,
-        )
+            make, objective = apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity
+        cfg = make(restarts=task["restarts"], budget=task["budget"], seed=seed, threads=args.threads)
         res = apps.optimize_fidelity(cfg, objective=objective)
         return {
             "fidelity": res.best_fidelity,
             "params": list(res.best_params),
             "evaluations": res.evaluations,
         }, None
-    if name == "table1":
-        deltas = [float(d) for d in task.get("deltas", apps.GRID_EXTENT_TABLE)]
-        return [
-            {
-                "delta": r.delta,
-                "naive_extent": r.naive_extent,
-                "published_extent": r.published_extent,
-                "one_sided_extent": r.one_sided_extent,
-                "breeding_bound": r.breeding_bound,
-            }
-            for r in apps.report_table(deltas)
-        ], None
-    raise ValidationFailure(f"task.name: unknown task {name!r}")
+    # table1
+    return [
+        {
+            "delta": r.delta,
+            "naive_extent": r.naive_extent,
+            "published_extent": r.published_extent,
+            "one_sided_extent": r.one_sided_extent,
+            "breeding_bound": r.breeding_bound,
+        }
+        for r in apps.report_table(task["deltas"])
+    ], None
 
 
 def result_document(task: str, inputs: dict, value, error_band, seed: int) -> dict:
@@ -446,10 +425,9 @@ def result_document(task: str, inputs: dict, value, error_band, seed: int) -> di
         "schema_version": SCHEMA_VERSION,
     }
     try:
-        text = json.dumps(doc, default=_json_default, allow_nan=False)
+        json.dumps(doc, default=_json_default, allow_nan=False)
     except ValueError as exc:  # a NaN or infinity: never printed
         raise FloatingPointError(f"the {task} result is not finite") from exc
-    _validate(json.loads(text), "result")
     return doc
 
 
@@ -527,17 +505,14 @@ def lower(args) -> dict:
     """The circuit program a subcommand stands for; common flags stay in ``args``."""
     program = {"schema_version": SCHEMA_VERSION, "modes": 1}
     if args.command in ("extent", "norm", "born"):
-        init = {"kind": args.state.replace("-", "_")}
-        if args.state == "coherent":
-            init["alpha"] = args.alpha
-        elif args.state == "cat":
-            init.update(alpha=args.alpha, parity=args.parity)
-        elif args.state == "gkp":
-            init.update(delta=args.grid_delta, kappa=args.grid_delta)
-        elif args.state == "grid":
-            init["delta"] = args.grid_delta
-        elif args.state == "fock1-ring":
-            init["N"] = args.ring_n
+        fields = {
+            "coherent": {"alpha": args.alpha},
+            "cat": {"alpha": args.alpha, "parity": args.parity},
+            "gkp": {"delta": args.grid_delta, "kappa": args.grid_delta},
+            "grid": {"delta": args.grid_delta},
+            "fock1-ring": {"N": args.ring_n},
+        }
+        init = {"kind": args.state.replace("-", "_"), **fields.get(args.state, {})}
         program.update(initial=init, ops=[])
     if args.command == "born":
         task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [args.outcome]}
@@ -556,24 +531,19 @@ def lower(args) -> dict:
 
 
 def execute(program: dict, source, args) -> int:
-    """Validate, build, apply and run one program, then emit its result document."""
-    from jsonschema import ValidationError
-
-    try:
-        _validate(program, "program")
-    except ValidationError as exc:
-        raise ValidationFailure(f"{'/'.join(str(p) for p in exc.path) or 'program'}: {exc.message}")
-    seed = int(program.get("seed", args.seed))
-    modes = int(program["modes"])
-    state = None
-    if "initial" in program:
-        state = build_initial(program["initial"], modes)
-        state = apply_ops(state, program.get("ops", []), modes)
-    elif program["task"]["name"] not in STATE_FREE_TASKS:
-        raise ValidationFailure(f"initial: task {program['task']['name']!r} needs an initial state")
-    value, band = run_task(state, program["task"], seed, args)
-    doc = result_document(program["task"]["name"], {"program": source, "modes": modes}, value, band, seed)
-    emit(doc, args.format)
+    """Type every field of a program before any numerical work, the top-level
+    fields, ``initial``, the ops and ``task`` in turn; then run it and emit its result."""
+    top = _fields(program, "", PROGRAM_FIELDS, "schema_version", "modes", "task")
+    modes = top["modes"]
+    init = read_initial(top["initial"]) if "initial" in top else None
+    segments = lower_ops(top.get("ops", []), modes)
+    task = read_task(top["task"], args)
+    if init is None and task["name"] not in STATE_FREE_TASKS:
+        raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
+    state = None if init is None else _run_segments(_initial_state(init, modes), segments)
+    seed = top.get("seed", args.seed)
+    value, band = _perform(state, task, seed, args)
+    emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, seed), args.format)
     return 0
 
 
@@ -635,7 +605,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except (ValidationFailure, DimensionMismatch, FileNotFoundError, KeyError) as exc:
+    except (ValidationFailure, DimensionMismatch, FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (IllConditioned, ArithmeticError, GsimError) as exc:

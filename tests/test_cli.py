@@ -104,27 +104,6 @@ def test_missing_required_field_flagged(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "program",
-    [
-        {"modes": 1, "task": {"name": "extent"}},
-        {"schema_version": 1, "modes": 0, "task": {"name": "extent"}},
-        {"schema_version": "1", "modes": 1.5, "task": {}},
-        {"schema_version": 1, "modes": 1, "initial": {}, "ops": {"gate": "phase"}, "task": {"name": "norm"}},
-    ],
-)
-def test_schema_errors_read_as_jsonschema_validate(program, tmp_path, capsys):
-    # the cached validator reports the error jsonschema.validate picks
-    with pytest.raises(jsonschema.ValidationError) as info:
-        jsonschema.validate(program, cli.PROGRAM_SCHEMA)
-    where = "/".join(str(p) for p in info.value.path) or "program"
-    path = tmp_path / "prog.json"
-    path.write_text(json.dumps(program))
-    code, _, err = run_cli(["run", str(path)], capsys)
-    assert code == 2
-    assert err.strip() == f"validation error: {where}: {info.value.message}"
-
-
 def test_channel_requires_rank_one(tmp_path, capsys):
     program = {
         "schema_version": 1,
@@ -221,6 +200,25 @@ def test_cli_import_leaves_out_the_optimizer():
     result = run_python(["-c", "import sys, gsim.cli; print('scipy.optimize' in sys.modules)"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_run_leaves_out_jsonschema(tmp_path):
+    # programs are typed by the CLI's own readers: jsonschema is a test dependency only
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "cat", "alpha": 1.0},
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[0.5, 0.3]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.2, -0.1]]},
+    }))
+    code = "import sys; from gsim import cli; print(cli.main(['run', sys.argv[1]]), 'jsonschema' in sys.modules)"
+    result = run_python(["-c", code, str(path)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
@@ -521,6 +519,8 @@ def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
     code, run_out, err = run_cli(["run", str(path)], capsys)
     assert code == 0, err
     doc, run_doc = json.loads(out), json.loads(run_out)
+    jsonschema.validate(doc, cli.RESULT_SCHEMA)
+    jsonschema.validate(run_doc, cli.RESULT_SCHEMA)
     assert doc["value"] == run_doc["value"]
     assert doc["error_band"] == run_doc["error_band"]
     assert ("initial" in doc["inputs"]["program"]) == (initial is not NO_STATE)
@@ -664,12 +664,15 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
     assert threading.active_count() == before
 
 
+MISSING = object()  # a field left out of the program
+
+
 @pytest.mark.parametrize(
     "fields, path",
     [
-        ({"task": {"name": "table1", "deltas": 0.1}}, "task/deltas"),
-        ({"task": {"name": "breed_bound", "xi": None}}, "task/xi"),
-        ({"initial": {"kind": "grid", "delta": 0.3, "t_max": "3"}, "task": {"name": "extent"}}, "initial/t_max"),
+        ({"task": {"name": "table1", "deltas": 0.1}}, "task.deltas"),
+        ({"task": {"name": "breed_bound", "xi": None}}, "task.xi"),
+        ({"initial": {"kind": "grid", "delta": 0.3, "t_max": "3"}, "task": {"name": "extent"}}, "initial.t_max"),
         *(
             ({"initial": VACUUM, "ops": ops, "task": {"name": "extent"}}, path)
             for ops, path in (
@@ -685,10 +688,21 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
                 ([{"gate": "condition", "modes": [0], "outcome": [[0, True]]}], "ops[0].outcome"),
             )
         ),
+        ({"schema_version": MISSING, "task": {"name": "extent"}}, "schema_version"),
+        ({"modes": 0, "task": {"name": "extent"}}, "modes"),
+        ({"schema_version": "1", "modes": 1.5, "task": {}}, "schema_version"),
+        ({"initial": {}, "ops": {"gate": "phase"}, "task": {"name": "norm"}}, "ops"),
+        ({"modes": 2.0, "initial": VACUUM, "task": {"name": "extent"}}, "modes"),
+        (
+            {"initial": {"kind": "fock1_ring", "seed_state": "optimall"}, "task": {"name": "extent"}},
+            "initial.seed_state",
+        ),
+        ({"initial": VACUUM, "task": {"name": "exact_born"}}, "task.outcome"),
     ],
 )
 def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, capsys):
-    code, out, err = _run_program({"schema_version": 1, "modes": 1, **fields}, tmp_path, capsys)
+    program = {key: value for key, value in {"schema_version": 1, "modes": 1, **fields}.items() if value is not MISSING}
+    code, out, err = _run_program(program, tmp_path, capsys)
     assert code == 2, err
     assert out == "" and err.startswith(f"validation error: {path}: ")
 
@@ -779,6 +793,19 @@ def test_malformed_op_wins_over_an_earlier_numerical_failure(tmp_path, capsys):
     code, out, err = _run_program({**program, "ops": ops}, tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.startswith("validation error: ops[1].theta: ")
+    # the whole program is typed before the initial state is built: squeezing
+    # the initial state at r = 19 fails numerically, a mistyped op or task
+    # field after it still exits 2
+    program = {**program, "initial": {"kind": "squeezed", "r": 19}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 3, err
+    for fields, path in (
+        ({"ops": [{"gate": "phase", "mode": 0, "theta": None}]}, "ops[0].theta"),
+        ({"task": {"name": "breed_bound", "xi": None}}, "task.xi"),
+    ):
+        code, out, err = _run_program({**program, **fields}, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"validation error: {path}: ")
 
 
 def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch):
