@@ -152,7 +152,7 @@ def _fields(fields, prefix: str, readers: dict, *required) -> dict:
 
 
 PROGRAM_FIELDS = {
-    "schema_version": _integer,
+    "schema_version": _choice(SCHEMA_VERSION),
     "modes": _mode_count,
     "seed": _integer,
     "initial": _object,
@@ -184,7 +184,10 @@ TASK_FIELDS = {
 
 OP_FIELDS = {"gate": _choice("displace", "squeeze", "phase", "beamsplitter", "symplectic", "channel", "condition")}
 
-TASK_DEFAULTS = dict(sweep=False, mode="two", restarts=32, budget=20000, deltas=tuple(apps.GRID_EXTENT_TABLE))
+TASK_DEFAULTS = dict(
+    sweep=False, mode="two", restarts=32, budget=20000, deltas=tuple(apps.GRID_EXTENT_TABLE),
+    delta=0.1, epsilon=0.1, pfail=0.05,  # the tolerances of approx_born and norm
+)
 
 
 def read_initial(init: dict) -> dict:
@@ -192,20 +195,13 @@ def read_initial(init: dict) -> dict:
     return _fields(init, "initial.", INITIAL_FIELDS, "kind")
 
 
-def read_task(task: dict, args) -> dict:
-    """The typed fields of a program's ``task`` object and the defaults of the
-    rest, the tolerances of ``approx_born`` and ``norm`` from the flags."""
+def read_task(task: dict) -> dict:
+    """The typed fields of a program's ``task`` object and the defaults of the rest."""
     fields = _fields(task, "task.", TASK_FIELDS, "name")
     name, need = fields["name"], TASK_NEEDS.get(fields["name"])
     if need is not None and need not in fields:
         raise ValidationFailure(f"task.{need}: required by task {name!r}")
-    if name in ("approx_born", "norm"):
-        fields = {"delta": args.delta, "epsilon": args.epsilon, "pfail": args.pfail, **fields}
     return {**TASK_DEFAULTS, **fields}
-
-
-def build_initial(init: dict, modes: int) -> Superposition:
-    return _initial_state(read_initial(init), modes)
 
 
 def _initial_state(init: dict, modes: int) -> Superposition:
@@ -312,11 +308,6 @@ def lower_ops(ops, modes: int) -> list:
     return segments
 
 
-def apply_ops(state: Superposition, ops, modes: int):
-    """Run the op list; may switch from superposition to plain Gaussian."""
-    return _run_segments(state, lower_ops(ops, modes))
-
-
 def _run_segments(state: Superposition, segments: list):
     """Run lowered ops.  On a superposition each run of gate ops costs one
     unitary, one `simulator.evolve` and so one stacked normalisation check,
@@ -348,11 +339,7 @@ def _run_segments(state: Superposition, segments: list):
     return state
 
 
-def run_task(state, task: dict, seed: int, args) -> tuple:
-    return _perform(state, read_task(task, args), seed, args)
-
-
-def _perform(state, task: dict, seed: int, args) -> tuple:
+def _perform(state, task: dict, seed: int) -> tuple:
     """(value, error band) of a typed task on the pipeline's final state."""
     name = task["name"]
     if name in ("approx_born", "norm", "extent") and not isinstance(state, Superposition):
@@ -394,7 +381,7 @@ def _perform(state, task: dict, seed: int, args) -> tuple:
             make, objective = apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity
         else:
             make, objective = apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity
-        cfg = make(restarts=task["restarts"], budget=task["budget"], seed=seed, threads=args.threads)
+        cfg = make(restarts=task["restarts"], budget=task["budget"], seed=seed)
         res = apps.optimize_fidelity(cfg, objective=objective)
         return {
             "fidelity": res.best_fidelity,
@@ -415,7 +402,7 @@ def _perform(state, task: dict, seed: int, args) -> tuple:
 
 
 def result_document(task: str, inputs: dict, value, error_band, seed: int) -> dict:
-    doc = {
+    return {
         "task": task,
         "inputs": inputs,
         "value": value,
@@ -424,17 +411,16 @@ def result_document(task: str, inputs: dict, value, error_band, seed: int) -> di
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
     }
-    try:
-        json.dumps(doc, default=_json_default, allow_nan=False)
-    except ValueError as exc:  # a NaN or infinity: never printed
-        raise FloatingPointError(f"the {task} result is not finite") from exc
-    return doc
 
 
 def emit(doc: dict, fmt: str, out=None) -> str:
-    if fmt == "json":
+    """Print ``doc`` as JSON or CSV; its one strict JSON dump also checks, for
+    either format, that the document is finite."""
+    try:
         text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    else:
+    except ValueError as exc:  # a NaN or infinity: never printed
+        raise FloatingPointError("the result is not finite") from exc
+    if fmt == "csv":
         text = _to_csv(doc)
     print(text, file=out or sys.stdout)
     return text
@@ -484,27 +470,51 @@ def _outcome_pair(text: str) -> list:
     return [_finite_float(part) for part in parts]
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--delta", type=_finite_float, default=0.1)
-    parser.add_argument("--epsilon", type=_finite_float, default=0.1)
-    parser.add_argument("--pfail", type=_finite_float, default=0.05)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for optimizer restarts")
+# the argparse options of every flag; a subcommand declares the flags its task reads
+FLAGS = {
+    "program": {},
+    "--state": dict(default="cat", choices=["vacuum", "coherent", "cat", "gkp", "grid", "fock1-ring"]),
+    "--alpha": dict(type=_finite_float, default=1.0),
+    "--parity": dict(default="+", choices=["+", "-"]),
+    "--grid-delta": dict(type=_finite_float, default=0.3),
+    "--ring-n": dict(type=int, default=16),
+    "--outcome": dict(type=_outcome_pair, default="0,0", help="re,im of the coherent outcome"),
+    "--approx": dict(action="store_true"),
+    "--xi": dict(type=_finite_float, required=True),
+    "--mbar": dict(type=int, required=True),
+    "--sweep": dict(action="store_true", help="emit all values 1..mbar"),
+    "--restarts": dict(type=int, default=TASK_DEFAULTS["restarts"]),
+    "--budget": dict(type=int, default=TASK_DEFAULTS["budget"]),
+    "--mode": dict(choices=["two", "single"], default=TASK_DEFAULTS["mode"]),
+    "--deltas": dict(default=",".join(map(str, TASK_DEFAULTS["deltas"]))),
+    "--seed": dict(type=int, default=0),
+    **{f"--{name}": dict(type=_finite_float, default=TASK_DEFAULTS[name]) for name in ("delta", "epsilon", "pfail")},
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
 
 
-def _state_options(parser):
-    parser.add_argument("--state", default="cat", choices=["vacuum", "coherent", "cat", "gkp", "grid", "fock1-ring"])
-    parser.add_argument("--alpha", type=_finite_float, default=1.0)
-    parser.add_argument("--parity", default="+", choices=["+", "-"])
-    parser.add_argument("--grid-delta", type=_finite_float, default=0.3, dest="grid_delta")
-    parser.add_argument("--ring-n", type=int, default=16, dest="ring_n")
+STATE_FLAGS = ("--state", "--alpha", "--parity", "--grid-delta", "--ring-n")
+
+# the flags of each subcommand, besides --format
+COMMANDS = {
+    "run": ("program",),
+    "extent": STATE_FLAGS,
+    "norm": (*STATE_FLAGS, "--seed", "--epsilon", "--pfail"),
+    "born": (*STATE_FLAGS, "--outcome", "--approx", "--seed", "--delta", "--epsilon", "--pfail"),
+    "breed-bound": ("--xi",),
+    "bs-bound": ("--mbar", "--sweep"),
+    "optimize-fidelity": ("--restarts", "--budget", "--mode", "--seed"),
+    "table1": ("--deltas",),
+}
 
 
 def lower(args) -> dict:
-    """The circuit program a subcommand stands for; common flags stay in ``args``."""
+    """The circuit program a subcommand stands for, with every flag its task
+    reads: all of the command's input apart from ``--format``."""
     program = {"schema_version": SCHEMA_VERSION, "modes": 1}
-    if args.command in ("extent", "norm", "born"):
+    if "seed" in args:
+        program["seed"] = args.seed
+    if "state" in args:
         fields = {
             "coherent": {"alpha": args.alpha},
             "cat": {"alpha": args.alpha, "parity": args.parity},
@@ -516,6 +526,10 @@ def lower(args) -> dict:
         program.update(initial=init, ops=[])
     if args.command == "born":
         task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [args.outcome]}
+        if args.approx:
+            task.update(delta=args.delta, epsilon=args.epsilon, pfail=args.pfail)
+    elif args.command == "norm":
+        task = {"name": "norm", "epsilon": args.epsilon, "pfail": args.pfail}
     elif args.command == "breed-bound":
         task = {"name": "breed_bound", "xi": args.xi}
     elif args.command == "bs-bound":
@@ -530,20 +544,21 @@ def lower(args) -> dict:
     return program
 
 
-def execute(program: dict, source, args) -> int:
+def execute(program: dict, source, fmt: str) -> int:
     """Type every field of a program before any numerical work, the top-level
-    fields, ``initial``, the ops and ``task`` in turn; then run it and emit its result."""
+    fields, ``initial``, the ops and ``task`` in turn; then run it and emit its
+    result in the format ``fmt``."""
     top = _fields(program, "", PROGRAM_FIELDS, "schema_version", "modes", "task")
     modes = top["modes"]
     init = read_initial(top["initial"]) if "initial" in top else None
     segments = lower_ops(top.get("ops", []), modes)
-    task = read_task(top["task"], args)
+    task = read_task(top["task"])
     if init is None and task["name"] not in STATE_FREE_TASKS:
         raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
     state = None if init is None else _run_segments(_initial_state(init, modes), segments)
-    seed = top.get("seed", args.seed)
-    value, band = _perform(state, task, seed, args)
-    emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, seed), args.format)
+    seed = top.get("seed", 0)
+    value, band = _perform(state, task, seed)
+    emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, seed), fmt)
     return 0
 
 
@@ -554,38 +569,10 @@ def _parser() -> argparse.ArgumentParser:
     help are formatted when they are printed, so every call can share it."""
     parser = argparse.ArgumentParser(prog="gsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute a JSON circuit program")
-    p_run.add_argument("program")
-    _add_common(p_run)
-
-    for name in ("extent", "norm", "born"):
-        p = sub.add_parser(name)
-        _state_options(p)
-        _add_common(p)
-        if name == "born":
-            p.add_argument("--outcome", type=_outcome_pair, default="0,0", help="re,im of the coherent outcome")
-            p.add_argument("--approx", action="store_true")
-
-    p_breed = sub.add_parser("breed-bound")
-    p_breed.add_argument("--xi", type=_finite_float, required=True)
-    _add_common(p_breed)
-
-    p_bs = sub.add_parser("bs-bound")
-    p_bs.add_argument("--mbar", type=int, required=True)
-    p_bs.add_argument("--sweep", action="store_true", help="emit all values 1..mbar")
-    _add_common(p_bs)
-
-    p_opt = sub.add_parser("optimize-fidelity")
-    p_opt.add_argument("--restarts", type=int, default=32)
-    p_opt.add_argument("--budget", type=int, default=20000)
-    p_opt.add_argument("--mode", choices=["two", "single"], default="two")
-    _add_common(p_opt)
-
-    p_tab = sub.add_parser("table1")
-    p_tab.add_argument("--deltas", default=",".join(str(d) for d in apps.GRID_EXTENT_TABLE))
-    _add_common(p_tab)
-
+    for command, names in COMMANDS.items():
+        p = sub.add_parser(command, **({"help": "execute a JSON circuit program"} if command == "run" else {}))
+        for name in (*names, "--format"):
+            p.add_argument(name, **FLAGS[name])
     return parser
 
 
@@ -599,9 +586,9 @@ def main(argv=None) -> int:
             where = _non_finite_at(program)
             if where is not None:
                 raise ValidationFailure(f"{where.lstrip('.') or 'program'}: expected a finite number")
-            return execute(program, args.program, args)
+            return execute(program, args.program, args.format)
         program = lower(args)
-        return execute(program, program, args)
+        return execute(program, program, args.format)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

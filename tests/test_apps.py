@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gsim import apps, fock
 from gsim.gates import BeamSplitter, Displace, Squeeze
@@ -77,3 +78,10 @@ def test_optimizer_pool_has_no_more_workers_than_restarts(monkeypatch):
     one = apps.optimize_fidelity(apps.OptimizerConfig.single_mode(threads=1, **kw), objective=apps.single_mode_fock1_fidelity)
     assert sizes == [2]
     assert wide == one
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_optimizer_thread_count_below_one_is_rejected(threads):
+    # only library callers set the pool size: the CLI runs the optimizer on one thread
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        apps.OptimizerConfig.two_mode(threads=threads)

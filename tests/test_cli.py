@@ -508,10 +508,13 @@ NO_STATE = {}  # state-free tasks: the program has no initial state
     ],
 )
 def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
-    seed = 9
-    code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
+    # only the subcommands whose task reads a seed take --seed
+    program = {"schema_version": 1, "modes": 1, "task": task}
+    if argv[0] in ("norm", "born", "optimize-fidelity"):
+        program["seed"] = 9
+        argv = argv + ["--seed", "9"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0, err
-    program = {"schema_version": 1, "modes": 1, "seed": seed, "task": task}
     if initial is not NO_STATE:
         program["initial"] = initial
     path = tmp_path / "prog.json"
@@ -523,7 +526,49 @@ def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
     jsonschema.validate(run_doc, cli.RESULT_SCHEMA)
     assert doc["value"] == run_doc["value"]
     assert doc["error_band"] == run_doc["error_band"]
+    assert doc["seed"] == run_doc["seed"]
     assert ("initial" in doc["inputs"]["program"]) == (initial is not NO_STATE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["born", "--state", "cat", "--approx", "--delta", "0.3", "--epsilon", "0.2", "--seed", "9", "--outcome", "0.3,0.1"],
+        ["born", "--state", "grid", "--approx", "--delta", "0.25", "--pfail", "0.2", "--seed", "4"],
+        ["norm", "--state", "fock1-ring", "--ring-n", "4", "--epsilon", "0.3", "--pfail", "0.2", "--seed", "5"],
+        ["optimize-fidelity", "--seed", "2", "--restarts", "2", "--budget", "200"],
+    ],
+)
+def test_recorded_program_reproduces_the_run(argv, tmp_path, capsys):
+    # every flag a task reads is lowered into inputs.program, so running
+    # that program alone prints the same result
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    code, run_out, err = _run_program(doc["inputs"]["program"], tmp_path, capsys)
+    assert code == 0, err
+    run_doc = json.loads(run_out)
+    for key in ("value", "error_band", "seed", "counters"):
+        assert doc[key] == run_doc[key], key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--seed", "4"],
+        ["extent", "--delta", "0.2"],
+        ["optimize-fidelity", "--threads", "4"],
+        ["run", "prog.json", "--seed", "3"],
+    ],
+)
+def test_flags_a_task_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.json").write_text(json.dumps({"schema_version": 1, "modes": 1, "task": {"name": "table1"}}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_state_free_task_accepts_an_initial_state(tmp_path, capsys):
@@ -647,9 +692,7 @@ def test_table1_rejects_a_delta_that_is_not_positive_and_finite(delta, capsys):
     assert out == "" and "delta must be positive" in err
 
 
-@pytest.mark.parametrize(
-    "flags", [["--restarts", "0"], ["--restarts", "-3"], ["--budget", "0"], ["--threads", "0"], ["--threads", "-2"]]
-)
+@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"], ["--budget", "0"]])
 def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, capsys):
     import threading
 
@@ -658,7 +701,7 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
 
     monkeypatch.setattr(cli.apps, "ThreadPoolExecutor", no_pool)
     before = threading.active_count()
-    code, out, err = run_cli(["optimize-fidelity", "--threads", "4", *flags], capsys)
+    code, out, err = run_cli(["optimize-fidelity", *flags], capsys)
     assert code == 2, err
     assert out == "" and "must be at least 1" in err
     assert threading.active_count() == before
@@ -698,6 +741,7 @@ MISSING = object()  # a field left out of the program
             "initial.seed_state",
         ),
         ({"initial": VACUUM, "task": {"name": "exact_born"}}, "task.outcome"),
+        ({"schema_version": 7, "task": {"name": "breed_bound", "xi": 7.496}}, "schema_version"),
     ],
 )
 def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, capsys):
@@ -778,8 +822,10 @@ def test_non_finite_result_is_a_numerical_failure_and_never_printed(monkeypatch,
     code, out, err = run_cli(["breed-bound", "--xi", "7.5"], capsys)
     assert code == 3
     assert out == "" and err.startswith("numerical failure: ")
-    with pytest.raises(ValueError):
-        cli.emit({"value": float("inf")}, "json", out=None)
+    for fmt in ("json", "csv"):
+        with pytest.raises(FloatingPointError):
+            cli.emit({"value": float("inf")}, fmt, out=None)
+    assert capsys.readouterr().out == ""
 
 
 def test_malformed_op_wins_over_an_earlier_numerical_failure(tmp_path, capsys):
@@ -820,7 +866,7 @@ def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch)
 
         return wrapper
 
-    state = cli.build_initial(CAT, 2)
+    state = _initial(CAT, 2)
     monkeypatch.setattr(simulator, "evolve", counted("evolve", simulator.evolve))
     check = counted("check_normalised", gaussian.check_normalised)
     for module in (gaussian, simulator, cli.states):
@@ -833,7 +879,7 @@ def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch)
         {"gate": "phase", "mode": 0, "theta": 0.5},
         {"gate": "squeeze", "mode": 0, "r": 0.2, "theta": 1.0},
     ]
-    out = cli.apply_ops(state, ops, 2)
+    out = _all_ops(state, ops, 2)
     assert out.n == 1
     assert calls == {"evolve": 2, "check_normalised": 2}
 
@@ -865,10 +911,20 @@ def _gate_ops(modes):
     return st.lists(st.one_of(kinds), min_size=1, max_size=4)
 
 
+def _initial(init, modes):
+    """The initial state ``cli.execute`` builds from a program's ``initial``."""
+    return cli._initial_state(cli.read_initial(init), modes)
+
+
+def _all_ops(state, ops, modes):
+    """The op list as ``cli.execute`` runs it: lowered, then run segment by segment."""
+    return cli._run_segments(state, cli.lower_ops(ops, modes))
+
+
 def _per_op(state, ops, modes):
     """The op list one op at a time: every gate op is its own run and evolve."""
     for op in ops:
-        state = cli.apply_ops(state, [op], modes)
+        state = _all_ops(state, [op], modes)
         modes -= len(op["modes"]) if op["gate"] == "condition" else 0
     return state
 
@@ -896,10 +952,10 @@ def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
     ops = data.draw(_gate_ops(2)) + middle + data.draw(_gate_ops(modes))
     task = {"name": "exact_born", "outcome": [[xi.imag, xi.real]] * modes}
     got = []
-    for run in (cli.apply_ops, _per_op):
+    for run in (_all_ops, _per_op):
         cli.counters.tally.reset()
-        state = run(cli.build_initial(initial, 2), ops, 2)
-        value, band = cli.run_task(state, task, 0, None)
+        state = run(_initial(initial, 2), ops, 2)
+        value, band = cli._perform(state, cli.read_task(task), 0)
         doc = cli.result_document("exact_born", {"ops": ops}, value, band, 0)
         got.append((_bits(state), cli.emit(doc, "json", out=io.StringIO())))
     assert got[0] == got[1]

@@ -128,7 +128,7 @@ class TestSharedGram:
             assert np.max(np.abs(out.gram - Superposition.from_stack(out.coeffs, out.triples).gram)) <= 1e-14
 
     def test_conditioned_and_sparsified_states_take_a_general_gram(self):
-        ring = cli.build_initial({"kind": "fock1_ring", "N": 4}, 2)
+        ring = cli._initial_state(cli.read_initial({"kind": "fock1_ring", "N": 4}), 2)
         ring.gram
         mixed = evolve(ring, GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6)], 2))
         counters.tally.reset()
@@ -158,7 +158,7 @@ def test_carried_gram_equals_a_fresh_one(seed, n, kind, chains):
         sup = Superposition(list(zip(rng.normal(size=4) + 1j * rng.normal(size=4), terms)))
     else:
         init = {"fock1_ring": {"N": 4}, "cat": {"alpha": [0.8, 0.3], "parity": "-"}, "grid": {"delta": 0.3}, "gkp": {}}
-        sup = cli.build_initial({"kind": kind, **init[kind]}, n)
+        sup = cli._initial_state(cli.read_initial({"kind": kind, **init[kind]}), n)
     for _ in range(chains):
         sup = evolve(sup, GaussianUnitary.from_gates(random_circuit(n, 4, rng, alpha_max=0.8, r_max=0.5), n))
     fresh = Superposition.from_stack(sup.coeffs, sup.triples)
