@@ -373,9 +373,10 @@ def _perform(state, task: dict, seed: int) -> tuple:
             cost, classical = states.boson_sampling_bound(m)
             return {"extent_bound": cost, "nonclassicality_bound": classical}
 
+        last = bounds(task["mbar"])  # checks the photon count, swept or not
         if task["sweep"]:
             return [{"mbar": m, **bounds(m)} for m in range(1, task["mbar"] + 1)], None
-        return bounds(task["mbar"]), None
+        return last, None
     if name == "optimize_fidelity":
         if task["mode"] == "two":
             make, objective = apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity
@@ -470,6 +471,8 @@ def _outcome_pair(text: str) -> list:
     return [_finite_float(part) for part in parts]
 
 
+TOLERANCES = ("delta", "epsilon", "pfail")  # the tolerance flags of the approximate tasks
+
 # the argparse options of every flag; a subcommand declares the flags its task reads
 FLAGS = {
     "program": {},
@@ -488,7 +491,7 @@ FLAGS = {
     "--mode": dict(choices=["two", "single"], default=TASK_DEFAULTS["mode"]),
     "--deltas": dict(default=",".join(map(str, TASK_DEFAULTS["deltas"]))),
     "--seed": dict(type=int, default=0),
-    **{f"--{name}": dict(type=_finite_float, default=TASK_DEFAULTS[name]) for name in ("delta", "epsilon", "pfail")},
+    **{f"--{name}": dict(type=_finite_float, default=argparse.SUPPRESS) for name in TOLERANCES},  # absent unless given
     "--format": dict(choices=["json", "csv"], default="json"),
 }
 
@@ -524,12 +527,15 @@ def lower(args) -> dict:
         }
         init = {"kind": args.state.replace("-", "_"), **fields.get(args.state, {})}
         program.update(initial=init, ops=[])
+    tolerances = {name: getattr(args, name, TASK_DEFAULTS[name]) for name in TOLERANCES}
     if args.command == "born":
         task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [args.outcome]}
         if args.approx:
-            task.update(delta=args.delta, epsilon=args.epsilon, pfail=args.pfail)
+            task.update(tolerances)
+        elif given := [f"--{name}" for name in TOLERANCES if name in args]:
+            raise ValidationFailure(f"{', '.join(given)}: read only with --approx")
     elif args.command == "norm":
-        task = {"name": "norm", "epsilon": args.epsilon, "pfail": args.pfail}
+        task = {"name": "norm", "epsilon": tolerances["epsilon"], "pfail": tolerances["pfail"]}
     elif args.command == "breed-bound":
         task = {"name": "breed_bound", "xi": args.xi}
     elif args.command == "bs-bound":

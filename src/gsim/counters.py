@@ -1,6 +1,6 @@
 """Work counters used by the cost-scaling checks and CLI reports."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -11,18 +11,11 @@ class Tally:
     clamped_densities: int = 0
 
     def reset(self):
-        self.amplitude_evals = 0
-        self.overlap_evals = 0
-        self.samples = 0
-        self.clamped_densities = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
     def snapshot(self) -> dict:
-        return {
-            "amplitude_evals": self.amplitude_evals,
-            "overlap_evals": self.overlap_evals,
-            "samples": self.samples,
-            "clamped_densities": self.clamped_densities,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 tally = Tally()

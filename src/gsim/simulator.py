@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters, states, stellar
-from .exceptions import DimensionMismatch, IllConditioned
+from .exceptions import DimensionMismatch
 from .gaussian import check_normalised
 from .phase import GaussianUnitary
 from .rng import box_muller, stream
@@ -71,9 +71,12 @@ def condition(sup: Superposition, modes, outcome):
     modulus nu_i with log nu_i = Re log c_i - log_magnitude(A_i, b_i) of the
     reduced triple.  Coefficients are scaled by nu_i / max_j nu_j, so a term
     whose nu_i underflows survives; only one whose ratio underflows is
-    dropped.  The return value is (conditioned superposition, weight) with
-    weight = ||(1 (x) <xi|) psi||^2, so the heterodyne outcome density over
-    d^2m(xi) is weight / (pi^m ||psi||^2).  Rank never increases.
+    dropped.  The return value is (conditioned superposition, log_scale):
+    the weight ||(1 (x) <xi|) psi||^2 is state.norm_squared() e^log_scale,
+    and the heterodyne outcome density over d^2m(xi) is weight / (pi^m
+    ||psi||^2).  Conditioning forms no Gram: the conditioned state computes
+    its own, a general one, when its norm is first read.  Rank never
+    increases.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     kb = list(modes)
@@ -92,15 +95,17 @@ def condition(sup: Superposition, modes, outcome):
     if not keep.any():
         raise ValueError("all terms annihilated by the conditioning outcome")
     reduced = stellar.StellarParams(a[keep], b[keep], (log_c - log_nu)[keep])
-    out = Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced)
-    return out, out.norm_squared() * np.exp(2.0 * shift)
+    return Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced), 2.0 * shift
 
 
 def heterodyne_density(sup: Superposition, modes, outcome) -> float:
-    """Outcome density over d^2m(xi) for heterodyning a subset of modes."""
-    _, weight = condition(sup, modes, outcome)
+    """Outcome density over d^2m(xi) for heterodyning a subset of modes:
+    the weight state.norm_squared() e^log_scale of `condition` over
+    pi^m ||psi||^2; both exact norms raise IllConditioned where their
+    rounding bounds reach them."""
+    state, log_scale = condition(sup, modes, outcome)
     m = len(tuple(modes))
-    return weight / (np.pi**m * sup.norm_squared())
+    return state.norm_squared() * np.exp(log_scale) / (np.pi**m * sup.norm_squared())
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +120,6 @@ class BornEstimate:
     norm_estimate: float
     error_band: tuple | None = None
     seed: int | None = None
-
-
-def _exact_norm(sup: Superposition) -> tuple:
-    """(c^+ G c, its rounding bound) from ``sup.gram_form``; raises
-    IllConditioned when the bound reaches the value, which then has no
-    correct digit (a decomposition that cancels to |psi|^2 << l1^2)."""
-    nsq = sup.norm_squared()
-    err = sup.gram_form[1]
-    if err >= nsq:
-        raise IllConditioned(f"Gram norm {nsq:.3g} within its rounding bound {err:.3g} (l1^2 = {sup.l1**2:.3g})")
-    return nsq, err
 
 
 def _clamp_density(value: float) -> float:
@@ -145,8 +139,9 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     the quadrature-outcome general-dyne density this carries the Jacobian
     factor 2^n.  ``error_band`` bounds the rounding: the amplitude sum is
     off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
-    `stellar.amplitude_log_sums`, and the norm by the bound of `_exact_norm`,
-    which raises IllConditioned once it reaches the norm itself.
+    `stellar.amplitude_log_sums`, and the norm by its rounding bound
+    ``sup.gram_form[1]``; `Superposition.norm_squared` raises IllConditioned
+    once that bound reaches the norm itself.
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     if outcome.shape[0] != sup.n:
@@ -155,7 +150,7 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     amp = abs(complex(sup.coeffs @ amps))
     slack = KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * stellar.amplitude_log_sums(sup.triples, outcome)
     amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
-    norm_sq, norm_err = _exact_norm(sup)
+    norm_sq, norm_err = sup.norm_squared(), sup.gram_form[1]
     scale = np.pi**sup.n
     value = _clamp_density(amp**2 / (scale * norm_sq))
     lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
@@ -242,12 +237,12 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     least 1 - p_fail; past that cap the probes have cost more amplitudes than
     a general exact Gram's K (K - 1) / 2 overlaps (an orbit's costs K - 1,
     and a Gram the state already carries none), so the exact norm is
-    returned, banded by its rounding bound (`_exact_norm`): a
-    cancelling state (an odd cat at small alpha) ends in bounded time, and
-    raises IllConditioned where that bound reaches the norm.  Probes are
-    evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N is found to the
-    row, and probe i is row i of the one stream (seed, 0), so the result
-    does not depend on the block size.
+    returned, `Superposition.norm_squared` banded by its rounding bound
+    ``sup.gram_form[1]``: a cancelling state (an odd cat at small alpha) ends
+    in bounded time, and raises IllConditioned where that bound reaches the
+    norm.  Probes are evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N
+    is found to the row, and probe i is row i of the one stream (seed, 0), so
+    the result does not depend on the block size.
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
@@ -271,7 +266,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
             break
     counters.tally.samples += evaluated
     if total < upsilon:
-        nsq, err = _exact_norm(sup)
+        nsq, err = sup.norm_squared(), sup.gram_form[1]
         return NormEstimate(nsq, evaluated, epsilon, p_fail, seed, (nsq - err, nsq + err))
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * l1**2 / big_n

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stellar
-from .exceptions import DimensionMismatch, InvariantViolation
+from .exceptions import DimensionMismatch, IllConditioned, InvariantViolation
 from .gates import Displace, PhaseShift, Squeeze
 from .gaussian import GaussianPure, check_normalised
 from .phase import GaussianUnitary, propagate
@@ -191,10 +191,14 @@ class Superposition:
         return value, stellar.UNIT_ROUNDOFF * float(weights @ self.gram_cell.rounding_weights @ weights)
 
     def norm_squared(self) -> float:
-        val = self.gram_form[0]
-        if val < -1e-8 * max(self.l1**2, 1.0):
-            raise InvariantViolation("Gram form is non-positive beyond tolerance; phases corrupted")
-        return max(val, 0.0)
+        """c^+ G c if it lies outside its rounding bound ``gram_form[1]``: within
+        it no digit is correct (IllConditioned); below minus it the phases are corrupted."""
+        value, bound = self.gram_form
+        if value < -bound:
+            raise InvariantViolation(f"Gram form {value:.3g} below minus its rounding bound {bound:.3g}; phases corrupted")
+        if bound >= value:
+            raise IllConditioned(f"Gram norm {value:.3g} within its rounding bound {bound:.3g} (l1^2 = {self.l1**2:.3g})")
+        return value
 
     def coherent_amplitude(self, xi) -> complex:
         """<xi|psi> from one stacked evaluation; linear in the rank."""
@@ -230,9 +234,7 @@ class Superposition:
         h = 1e-3
         # five-point first derivative, O(h^4)
         d1 = (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
-        nsq = self.norm_squared()
-        nbar = float(np.imag(d1) / nsq) if nsq > 0 else 0.0
-        return max(nbar, 0.0) + self.n
+        return max(float(np.imag(d1) / self.norm_squared()), 0.0) + self.n
 
 
 def single_gaussian(term: GaussianPure) -> Superposition:
@@ -317,14 +319,10 @@ def cat_state(alpha: complex, parity: int = +1) -> Superposition:
         if parity == -1:
             raise ValueError("odd cat state vanishes at alpha = 0")
         return single_gaussian(GaussianPure.vacuum(1))
-    norm = 2.0 * (1.0 + parity * np.exp(-2.0 * abs(alpha) ** 2))
-    coeff = 1.0 / np.sqrt(norm)
-    return Superposition(
-        [
-            WeightedGaussian(coeff, GaussianPure.coherent([alpha])),
-            WeightedGaussian(parity * coeff, GaussianPure.coherent([-alpha])),
-        ]
-    )
+    x = -2.0 * abs(alpha) ** 2  # the odd norm 2 (1 - e^x) through expm1 keeps its digits at small |a|
+    coeff = 1.0 / np.sqrt(2.0 * (1.0 + np.exp(x)) if parity == 1 else -2.0 * np.expm1(x))
+    terms = (GaussianPure.coherent([alpha]), GaussianPure.coherent([-alpha]))
+    return Superposition(zip((coeff, parity * coeff), terms))
 
 
 def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
@@ -481,8 +479,6 @@ def measures(sup: Superposition) -> ExtentReport:
     if sup.rank == 1:
         return ExtentReport(1.0, 1, abs(sup.coeffs[0]) ** 2, sup.l1)
     nsq = sup.norm_squared()
-    if nsq <= 0:
-        raise ValueError("Gram norm vanished; decomposition is degenerate")
     return ExtentReport(sup.l1**2 / nsq, sup.rank, nsq, sup.l1)
 
 

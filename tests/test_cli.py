@@ -384,10 +384,70 @@ def test_exact_born_bands_of_library_states_are_narrow(capsys, argv):
 
 
 def test_norm_within_its_rounding_bound_is_ill_conditioned(capsys):
-    # alpha = 1e-8: l1^2 = 9e15, so c^+ G c has no correct digit left
+    # alpha = 1e-8: l1^2 = 1e16, so c^+ G c has no correct digit left
     code, out, err = run_cli(["norm", "--state", "cat", "--parity", "-", "--alpha", "1e-8"], capsys)
     assert code == 3 and out == ""
     assert "rounding bound" in err
+
+
+@pytest.mark.parametrize("argv", [["extent", "--alpha", "1e-8"], ["norm", "--alpha", "1e-9"]])
+def test_every_exact_norm_within_its_rounding_bound_is_ill_conditioned(argv, capsys):
+    # the extent l1^2 / c^+ G c reads the same norm, and an odd cat whose
+    # 1 - e^{-2|a|^2} rounds to 0 still builds, so both end in that rule
+    code, out, err = run_cli([*argv, "--state", "cat", "--parity", "-"], capsys)
+    assert code == 3 and out == ""
+    assert "rounding bound" in err
+
+
+@pytest.mark.parametrize(
+    "task, value, band",
+    [
+        (
+            {"name": "approx_born", "outcome": [[0.2, 0.1]]},
+            0.014322912318094629,
+            [0.012890621086285166, 0.015755203549904093],
+        ),
+        ({"name": "norm"}, 0.661045227016528, [0.6009502063786618, 0.7344946966850311]),
+    ],
+)
+def test_conditioned_approximate_tasks_form_no_gram(task, value, band, tmp_path, capsys):
+    # conditioning returns a log scale, not a weight read from the conditioned
+    # state's rank-64 Gram (2016 overlaps), and the approximate tasks read no
+    # Gram: linear in the rank from the ring to the result
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "seed": 3,
+        "initial": {"kind": "fock1_ring", "N": 32},
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[0.4, -0.2]]},
+        ],
+        "task": task,
+    }
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["counters"]["overlap_evals"] == 0
+    assert doc["value"] == pytest.approx(value, rel=1e-12)
+    assert doc["error_band"] == pytest.approx(band, rel=1e-12)
+
+
+def test_bs_bound_sweep_checks_the_photon_count(capsys):
+    for argv in (["--mbar", "-3"], ["--mbar", "-3", "--sweep"]):
+        code, out, err = run_cli(["bs-bound", *argv], capsys)
+        assert code == 2 and out == ""
+        assert "photon count must be nonnegative" in err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--epsilon", "--pfail"])
+def test_exact_born_rejects_the_tolerance_flags(flag, capsys):
+    code, out, err = run_cli(["born", flag, "0.3"], capsys)
+    assert code == 2 and out == ""
+    assert flag in err and "--approx" in err
+    code, out, err = run_cli(["born", "--approx", flag, "0.3"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["inputs"]["program"]["task"][flag[2:]] == 0.3
 
 
 @pytest.mark.parametrize("big_n", [4, 8])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gsim import counters, fock, stellar
+from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import GaussianUnitary, propagate
@@ -96,6 +97,40 @@ class TestCatState:
         for parity in (+1, -1):
             sup = cat_state(0.8, parity)
             assert sup.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+    def test_odd_cat_normalises_at_tiny_alpha(self):
+        # 1 - e^{-2|a|^2} rounds to 0 below |a| ~ 1e-8; expm1 keeps it, so the
+        # coefficients are 1 / (2|a|) to rounding
+        sup = cat_state(1e-9, -1)
+        assert sup.coeffs[0] == pytest.approx(5e8, rel=1e-15) and sup.coeffs[1] == -sup.coeffs[0]
+
+
+class TestNormSquared:
+    """One rule judges the exact norm c^+ G c, by its rounding bound."""
+
+    def test_value_outside_its_bound_is_returned(self):
+        sup = cat_state(0.8, -1)
+        value, bound = sup.gram_form
+        assert 0 < bound < value == sup.norm_squared()
+
+    def test_value_within_its_bound_is_ill_conditioned(self):
+        # |a| = 1e-8: the odd cat's l1^2 is 1e16, and its Gram form has no
+        # correct digit left
+        sup = cat_state(1e-8, -1)
+        value, bound = sup.gram_form
+        assert bound >= value
+        with pytest.raises(IllConditioned, match="rounding bound"):
+            sup.norm_squared()
+
+    @pytest.mark.parametrize("value, bound", [(-1e-3, 1e-4), (-2e-16, 1e-16)])
+    def test_value_below_minus_its_bound_is_an_invariant_violation(self, value, bound):
+        sup = cat_state(0.8, +1)
+        sup.gram_form = (value, bound)
+        with pytest.raises(InvariantViolation, match="phases corrupted"):
+            sup.norm_squared()
+        sup.gram_form = (-bound, bound)
+        with pytest.raises(IllConditioned):
+            sup.norm_squared()
 
 
 class TestRotationalCode:
@@ -283,8 +318,8 @@ class TestMeasures:
                 m2 = (e2.term.mean[2] + 1j * e2.term.mean[3]) / np.sqrt(2)
                 q += np.exp(-abs(xi - m2) ** 2) / np.pi
             q /= state.rank
-            cond, weight = condition(state, [1], [xi])
-            p = weight / np.pi  # true outcome density (state normalized)
+            cond, log_scale = condition(state, [1], [xi])
+            p = cond.norm_squared() * np.exp(log_scale) / np.pi  # true outcome density (state normalized)
             assert cond.rank <= state.rank
             vals.append(measures(cond).extent_upper * p / q)
             weights.append(p / q)
