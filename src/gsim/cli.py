@@ -360,12 +360,16 @@ def _perform(state, task: dict, seed: int) -> tuple:
         return est.eta, list(est.band)
     if name == "extent":
         rep = states.measures(state)
+        band = [1.0, 1.0]  # a single Gaussian's extent is exactly 1
+        if rep.rank > 1:  # l1^2 / c^+ G c over the rounding band of the Gram form
+            value, bound = state.gram_form
+            band = [rep.l1**2 / (value + bound), rep.l1**2 / (value - bound)]
         return {
             "extent_upper": rep.extent_upper,
             "rank": rep.rank,
             "l1_squared": rep.l1**2,
             "norm_squared": rep.norm_squared,
-        }, None
+        }, band
     if name == "breed_bound":
         return states.breeding_lower_bound(task["xi"]), None
     if name == "bs_bound":

@@ -184,17 +184,16 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
     Every draw contributes l1/k with the coefficient phase folded into the
     term's gauge, so E<sparsified|psi> = 1 for normalized input.  A term
     drawn m times is kept once with coefficient m l1/k: the result has one
-    triple per distinct draw, K <= k of them.
+    triple per distinct draw, K <= k of them.  The k draws are taken as
+    their multinomial counts, so memory is O(rank) whatever k is.
     """
     k = plan.samples_for(sup.l1)
-    probs = np.abs(sup.coeffs) / sup.l1
-    rng = stream(plan.seed, 0)
-    draws = rng.choice(sup.rank, size=k, p=probs)
+    counts = stream(plan.seed, 0).multinomial(k, np.abs(sup.coeffs) / sup.l1)
     counters.tally.samples += k
-    used, counts = np.unique(draws, return_counts=True)
+    used = np.flatnonzero(counts)
     t = sup.triples[used]
     folded = stellar.StellarParams(t.a, t.b, t.log_c + 1j * np.angle(sup.coeffs[used]))
-    return Superposition.from_stack(counts * (sup.l1 / k), folded)
+    return Superposition.from_stack(counts[used] * (sup.l1 / k), folded)
 
 
 def cross_overlap(a: Superposition, b: Superposition) -> complex:

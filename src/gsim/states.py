@@ -5,7 +5,9 @@ Gaussian terms with exact relative phases, stored stacked: K coefficients,
 one per distinct ket triple, and the triples as one stacked `StellarParams`;
 ``entries`` and ``terms()`` are views.  The decomposition's term count is the
 (witnessed) Gaussian rank; the squared l1 norm of the coefficients after
-exact Gram normalization upper-bounds the Gaussian extent.
+exact Gram normalization upper-bounds the Gaussian extent.  Every library
+state (cat, single-photon ring, rotation code, grid, GKP) is the orbit of one
+Gaussian seed under displacements or phase rotations, built by `_orbit`.
 """
 
 import math
@@ -32,6 +34,8 @@ FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
 # and the rank, so blocks reuse heap memory instead of faulting in new pages;
 # the fast norm also draws its probes this many at a time
 AMPLITUDE_CHUNK = 1 << 12
+# most envelope shells a grid or GKP truncation sums before giving up
+MAX_SHELLS = 100000
 
 
 class WeightedGaussian(NamedTuple):
@@ -56,11 +60,11 @@ class GramCell:
     tensoring every term with one common state keep every overlap, so the
     superpositions derived that way share one cell and one Gram (see
     `carried_to`).  A general stack evaluates its K(K-1)/2 pairs above the
-    diagonal.  An ``orbit`` evaluates only the K - 1 overlaps
-    r_d = <G_0|G_d> of its first row: its Gram is Hermitian Toeplitz,
-    G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as for equally spaced real
-    displacements (grid, GKP) and for a cyclic orbit such as a rotation ring,
-    whose circulant Gram is Toeplitz too.
+    diagonal.  An ``orbit``, the stack of every library state (`_orbit`),
+    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first row: its
+    Gram is Hermitian Toeplitz, G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as
+    for a cat pair, equally spaced real displacements (grid, GKP) and a
+    cyclic orbit such as a rotation ring, whose circulant Gram is Toeplitz.
     """
 
     def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
@@ -84,20 +88,15 @@ class GramCell:
         the K-term sums add K u |G_ij|."""
         t = self.triples
         k = t.log_c.shape[0]
+        i, j = (np.zeros(k - 1, dtype=np.intp), np.arange(1, k)) if self.orbit else np.triu_indices(k, 1)
+        pairs, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
+        weights = np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
         if self.orbit:
-            row = np.ones(k, dtype=complex)
-            row[1:], sums = stellar.state_overlaps(
-                t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k), with_sums=True
-            )
-            weights = np.full(k, float(k))
-            weights[1:] = np.abs(row[1:]) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+            row, weights = np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([float(k)], weights))
             gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
         else:
-            i, j = np.triu_indices(k, 1)
             gram, self.rounding_weights = np.eye(k, dtype=complex), k * np.eye(k)
-            pairs, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
             gram[i, j], gram[j, i] = pairs, np.conj(pairs)
-            weights = np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
             self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
         gram.flags.writeable = False  # shared by every superposition of the cell
         return gram
@@ -241,22 +240,21 @@ def single_gaussian(term: GaussianPure) -> Superposition:
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
 
 
-def _normalised(coeffs, terms: stellar.StellarParams) -> Superposition:
-    """Superposition of the distinct orbit ``terms``, scaled to unit norm by
-    its exact Gram, which the scaled state keeps."""
-    raw = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True))
-    return Superposition.from_stack(coeffs * (1.0 / np.sqrt(raw.norm_squared())), terms, raw.gram_cell)
+_VACUUM = GaussianPure.vacuum(1).bargmann
 
 
-def _displaced_stack(alphas, first=()) -> stellar.StellarParams:
-    """Checked triples D(alpha_i) G|0> of one-mode gates ``first`` = G, one per alpha."""
-    ket = GaussianPure.vacuum(1).bargmann
-    for gate in first:
-        ket = stellar.apply_gate(gate, ket, 1)
-    copies = ket[None][np.zeros(len(alphas), dtype=np.intp)]
-    terms = stellar.apply_gate(Displace(0, alphas), copies, 1)
+def _orbit(seed: stellar.StellarParams, gate, coeffs, normalise: bool = True) -> Superposition:
+    """Orbit of the one-mode ket ``seed`` under ``gate``, a `Displace` or a
+    `PhaseShift` with one parameter per coefficient: term i is gate_i|seed>
+    with coefficient ``coeffs[i]``.  With ``normalise`` the coefficients are
+    scaled to unit norm by the exact Gram, which the scaled state keeps."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    terms = stellar.apply_gate(gate, seed[None][np.zeros(coeffs.shape[0], dtype=np.intp)], 1)
     check_normalised(terms)
-    return terms
+    sup = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True))
+    if normalise:
+        sup = Superposition.from_stack(coeffs * (1.0 / np.sqrt(sup.norm_squared())), terms, sup.gram_cell)
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +302,12 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     if abs(amp1) < 1e-12:
         raise ValueError("seed has vanishing single-photon amplitude")
     theta = np.pi * np.arange(2 * big_n) / big_n
-    copies = seed.bargmann[None][np.zeros(2 * big_n, dtype=np.intp)]
-    ring = stellar.apply_gate(PhaseShift(0, theta), copies, 1)
-    check_normalised(ring)
-    return Superposition.from_stack(np.exp(-1j * theta) / (2 * big_n * amp1), ring, GramCell(ring, orbit=True))
+    return _orbit(seed.bargmann, PhaseShift(0, theta), np.exp(-1j * theta) / (2 * big_n * amp1), normalise=False)
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
-    """Even (+1) or odd (-1) cat state: (|a> +/- |-a>) / sqrt(N)."""
+    """Even (+1) or odd (-1) cat state: (|a> +/- |-a>) / sqrt(N), the
+    displacement orbit of the vacuum at (a, -a) with closed-form N."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
     alpha = complex(alpha)
@@ -321,68 +317,56 @@ def cat_state(alpha: complex, parity: int = +1) -> Superposition:
         return single_gaussian(GaussianPure.vacuum(1))
     x = -2.0 * abs(alpha) ** 2  # the odd norm 2 (1 - e^x) through expm1 keeps its digits at small |a|
     coeff = 1.0 / np.sqrt(2.0 * (1.0 + np.exp(x)) if parity == 1 else -2.0 * np.expm1(x))
-    terms = (GaussianPure.coherent([alpha]), GaussianPure.coherent([-alpha]))
-    return Superposition(zip((coeff, parity * coeff), terms))
+    return _orbit(_VACUUM, Displace(0, np.array([alpha, -alpha])), [coeff, parity * coeff], normalise=False)
 
 
 def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
-    """Codeword of the 2M-fold rotation code over coherent states.
-
-    Terms are e^{i pi m n / M}|alpha> with signs (-1)^{mu m}; the overall
-    scale comes from the exact Gram norm.
-    """
+    """Codeword of the 2M-fold rotation code: the coherent orbit
+    e^{i pi m n / M}|alpha> with signs (-1)^{mu m}, scaled by the exact Gram."""
     if big_m < 1 or mu not in (0, 1):
         raise ValueError("need M >= 1 and mu in {0, 1}")
     m = np.arange(2 * big_m)
-    return _normalised((-1.0) ** (mu * m) + 0.0j, _displaced_stack(alpha * np.exp(1j * np.pi * m / big_m)))
+    return _orbit(_VACUUM, Displace(0, alpha * np.exp(1j * np.pi * m / big_m)), (-1.0) ** (mu * m) + 0.0j)
 
 
-def _dropped_mass(envelope, first: int) -> float:
-    """l1 mass envelope(t) + envelope(-t) summed over t >= first, outward
-    until a shell no longer adds to it."""
-    tail, t = 0.0, first
-    while True:
-        inc = envelope(t) + envelope(-t)
-        tail += inc
-        if inc < 1e-18 * max(tail, 1.0) or t > first + 100000:
-            return tail
-        t += 1
+def _tails(envelope, tail_tol: float, least: int) -> np.ndarray:
+    """Entry t: the l1 mass dropped by a truncation at |s| <= t, the shells
+    envelope(s) + envelope(-s) summed over s > t.  Shells are taken outward
+    from s = 1, past s = least + 1, until one adds under 1e-18 and at most
+    ``tail_tol``, then summed inward; ValueError past MAX_SHELLS shells."""
+    shells = []
+    while len(shells) <= least or shells[-1] >= 1e-18 or shells[-1] > tail_tol:
+        if len(shells) == MAX_SHELLS:
+            raise ValueError(f"truncation needs more than {MAX_SHELLS} shells of the envelope")
+        s = len(shells) + 1
+        shells.append(envelope(s) + envelope(-s))
+    return np.cumsum(shells[::-1])[::-1]
 
 
-def gkp_state(
-    d: int,
-    mu: int,
-    kappa: float,
-    delta: float,
-    s_max: int,
-    tail_tol: float = 1e-8,
-    normalize: bool = True,
-):
-    """Finite-energy grid code word as a sum of displaced squeezed states.
+def _comb(delta: float, positions, coeffs) -> Superposition:
+    """Normalised sum of coeffs[i] D(positions[i]) S(-log delta)|0>, q variance delta^2."""
+    seed = stellar.apply_gate(Squeeze(0, -math.log(delta)), _VACUUM, 1)
+    return _orbit(seed, Displace(0, positions + 0.0j), coeffs)
 
-    Term s has coefficient exp(-kappa^2 alpha_d^2 (d s + mu)^2 / 2) and state
-    D(alpha_d (d s + mu)) S(-log delta)|0> with alpha_d = sqrt(2 pi / d); the
-    squeezer shrinks the q variance to delta^2.  Returns (superposition,
+
+def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int, tail_tol: float = 1e-8):
+    """Finite-energy grid code word: term |s| <= s_max has coefficient
+    exp(-kappa^2 alpha_d^2 (d s + mu)^2 / 2) and state D(alpha_d (d s + mu))
+    S(-log delta)|0>, alpha_d = sqrt(2 pi / d).  Returns (superposition,
     dropped_l1_mass); raises if the truncation tail exceeds ``tail_tol``.
     """
     if d < 2 or not 0 <= mu < d or s_max < 0:
         raise ValueError("need d >= 2, 0 <= mu < d, s_max >= 0")
     alpha_d = math.sqrt(2 * math.pi / d)
-    r = -math.log(delta)
 
     def envelope(s: int) -> float:
         return math.exp(-0.5 * kappa**2 * alpha_d**2 * (d * s + mu) ** 2)
 
-    tail = _dropped_mass(envelope, s_max + 1)
+    tail = float(_tails(envelope, tail_tol, s_max)[s_max])
     if tail > tail_tol:
         raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {tail_tol:.1e}")
-
     s = np.arange(-s_max, s_max + 1)
-    terms = _displaced_stack(alpha_d * (d * s + mu) + 0.0j, [Squeeze(0, r)])
-    coeffs = np.array([envelope(k) for k in s.tolist()]) + 0.0j
-    if normalize:
-        return _normalised(coeffs, terms), tail
-    return Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True)), tail
+    return _comb(delta, alpha_d * (d * s + mu), np.array([envelope(k) for k in s.tolist()])), tail
 
 
 def _check_delta(delta: float) -> None:
@@ -391,39 +375,24 @@ def _check_delta(delta: float) -> None:
 
 
 def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
-    """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>.
-
-    ``S(delta)`` squeezes the q variance to delta^2.  If ``t_max`` is omitted
-    it is the least t_max >= 1 whose dropped l1 mass is at most ``tail_tol``.
-    Returns (superposition, dropped_l1_mass).
-    """
+    """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>,
+    S(delta) squeezing the q variance to delta^2.  An omitted ``t_max`` is the
+    least t_max >= 1 whose dropped l1 mass is at most ``tail_tol``.  Returns
+    (superposition, dropped_l1_mass)."""
     _check_delta(delta)
     if not tail_tol >= 0:
         raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
-    r = -math.log(delta)
+    if t_max is not None and (isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0):
+        raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
 
     def envelope(t: int) -> float:
         return math.exp(-math.pi * delta**2 * t**2)
 
+    tails = _tails(envelope, tail_tol, 1 if t_max is None else t_max)
     if t_max is None:
-        # one outward pass over the shells t >= 2, until one adds less than
-        # 1e-18 and at most tail_tol; entry i of their suffix sums is the
-        # mass dropped at t_max = i + 1
-        shells = [envelope(2) + envelope(-2)]
-        while shells[-1] >= 1e-18 or shells[-1] > tail_tol:
-            t = len(shells) + 2
-            shells.append(envelope(t) + envelope(-t))
-        tails = np.cumsum(shells[::-1])[::-1]
-        t_max = 1 + int(np.argmax(tails <= tail_tol))
-        tail = float(tails[t_max - 1])
-    elif isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
-        raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
-    else:
-        tail = _dropped_mass(envelope, t_max + 1)
-
+        t_max = 1 + int(np.argmax(tails[1:] <= tail_tol))
     t = np.arange(-t_max, t_max + 1)
-    terms = _displaced_stack(t * math.sqrt(math.pi / 2) + 0.0j, [Squeeze(0, r)])
-    return _normalised(np.array([envelope(k) for k in t.tolist()]) + 0.0j, terms), tail
+    return _comb(delta, t * math.sqrt(math.pi / 2), np.array([envelope(k) for k in t.tolist()])), float(tails[t_max])
 
 
 def _grid_theta(delta: float) -> float:

@@ -80,7 +80,7 @@ def test_superposition_surface_read_by_the_benchmark():
     counters.tally.reset()
     sparse = simulator.sparsify(lib, simulator.SparsifyPlan(0.1, seed=3, k=k))
     assert counters.tally.samples == k
-    draws = rng.stream(3, 0).choice(lib.rank, size=k, p=np.abs(lib.coeffs) / lib.l1)
+    draws = np.repeat(np.arange(lib.rank), rng.stream(3, 0).multinomial(k, np.abs(lib.coeffs) / lib.l1))
     unique = len(np.unique(draws))
     assert sparse.rank == len(sparse.entries) == unique < k
     assert len({id(t) for t in sparse.terms()}) == unique

@@ -399,13 +399,40 @@ def test_every_exact_norm_within_its_rounding_bound_is_ill_conditioned(argv, cap
     assert "rounding bound" in err
 
 
+def test_approximate_born_of_a_near_vacuum_odd_cat_draws_counts(capsys):
+    # alpha = 1e-4: l1^2 ~ 5e7, so k = (l1 / delta)^2 ~ 1e10 draws, which as
+    # an array of indices would take 75 GiB; as counts per term they take two
+    argv = ["born", "--state", "cat", "--parity", "-", "--alpha", "1e-4", "--outcome", "0.1,0.2"]
+    code, out, err = run_cli([*argv, "--approx"], capsys)
+    assert code == 0, err
+    approx = json.loads(out)
+    assert approx["counters"]["samples"] > 10**9
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    lo, hi = approx["error_band"]
+    assert lo <= json.loads(out)["value"] <= hi
+
+
+def test_extent_reports_its_rounding_band(capsys):
+    # alpha = 1e-6: extent 1e12 + 1, whose Gram form keeps about 4 digits
+    code, out, err = run_cli(["extent", "--state", "cat", "--parity", "-", "--alpha", "1e-6"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"]["extent_upper"] <= hi
+    assert lo <= 1e12 + 1 <= hi
+    code, out, err = run_cli(["extent", "--state", "coherent", "--alpha", "0.5"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["error_band"] == [1.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "task, value, band",
     [
         (
             {"name": "approx_born", "outcome": [[0.2, 0.1]]},
-            0.014322912318094629,
-            [0.012890621086285166, 0.015755203549904093],
+            0.019830489960012715,
+            [0.017847440964011443, 0.021813538956013987],
         ),
         ({"name": "norm"}, 0.661045227016528, [0.6009502063786618, 0.7344946966850311]),
     ],

@@ -393,7 +393,7 @@ class TestSparsify:
         plan = SparsifyPlan(0.2, seed=11)
         k = plan.samples_for(sup.l1)
         om = sparsify(sup, plan)
-        draws = stream(11, 0).choice(sup.rank, size=k, p=np.abs(sup.coeffs) / sup.l1)
+        draws = np.repeat(np.arange(sup.rank), stream(11, 0).multinomial(k, np.abs(sup.coeffs) / sup.l1))
         assert om.rank == len(np.unique(draws)) < k
         weights = sup.l1 / k * np.exp(1j * np.angle(sup.coeffs[draws]))
         for xi in ([0.3 - 0.2j], [1.1 + 0.4j]):

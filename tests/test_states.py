@@ -174,7 +174,7 @@ class TestGridStates:
         assert np.allclose(c, c[::-1], atol=1e-12)
 
     def test_gkp_envelope_ratio(self):
-        sup, _ = gkp_state(2, 0, 0.3, 0.3, 5, normalize=False)
+        sup, _ = gkp_state(2, 0, 0.3, 0.3, 5)
         alpha_d = math.sqrt(math.pi)
         expected = math.exp(-0.5 * 0.09 * alpha_d**2 * 4)
         ratio = abs(sup.entries[6].coeff / sup.entries[5].coeff)
@@ -222,6 +222,22 @@ class TestGridStates:
             grid_sensor(0.3, t_max)
         assert grid_sensor(0.3, 0)[0].rank == 1
         assert grid_sensor(0.3, np.int64(3))[0].rank == 7
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: grid_sensor(1e-5), lambda: grid_sensor(0.3, 200000), lambda: gkp_state(2, 0, 0.0, 0.3, 5)],
+        ids=["grid-search", "grid-t_max", "gkp-flat-envelope"],
+    )
+    def test_truncation_past_the_shell_cap_raises_before_any_term(self, build, monkeypatch):
+        # grid_sensor(1e-5) would sum ~366k shells and build ~594k terms; a flat
+        # GKP envelope never drops.  Either ends at MAX_SHELLS with an error,
+        # not with t_max = 1 or a zero tail, and before any term is built
+        def no_terms(*args):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(stellar, "apply_gate", no_terms)
+        with pytest.raises(ValueError, match="shells"):
+            build()
 
     def test_grid_tail_tol_must_be_non_negative(self):
         # no tail is below a negative tolerance, so the t_max search would not end
@@ -489,7 +505,9 @@ ORBIT_STATES = {
     "grid-0.1": lambda: grid_sensor(0.1)[0],
     "grid-0.05": lambda: grid_sensor(0.05)[0],
     "gkp": lambda: gkp_state(2, 0, 0.3, 0.3, 5)[0],
-    "gkp-unnormalised": lambda: gkp_state(3, 1, 0.3, 0.3, 6, normalize=False)[0],
+    "gkp-3-1": lambda: gkp_state(3, 1, 0.3, 0.3, 6)[0],
+    "cat-even": lambda: cat_state(0.8 - 0.5j, +1),
+    "cat-odd": lambda: cat_state(0.8 - 0.5j, -1),
 }
 
 
