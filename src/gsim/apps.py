@@ -22,6 +22,8 @@ from .states import breeding_lower_bound, naive_grid_extent
 # Published reference point for the two-mode Gaussian-vs-two-photons search.
 TWO_MODE_REFERENCE_PARAMS = (0.0, 0.0, 0.8814, 0.609, 0.8814, 1.107, -1.322, 1.571)
 TWO_MODE_REFERENCE_FIDELITY = 0.25
+# Nelder-Mead's xatol and fatol in optimize_fidelity
+NELDER_MEAD_TOL = 1e-9
 
 # Published grid-state extent table: squeezing -> (extent, breeding bound).
 GRID_EXTENT_TABLE = {
@@ -65,7 +67,6 @@ class OptimizerConfig:
     bounds: tuple
     restarts: int = 32
     budget: int = 20000
-    tolerance: float = 1e-9
     seed: int = 0
     threads: int = 1
 
@@ -124,7 +125,7 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
             lambda x: -objective(np.clip(x, lo, hi)),
             x0,
             method="Nelder-Mead",
-            options={"maxfev": per_restart, "xatol": cfg.tolerance, "fatol": cfg.tolerance},
+            options={"maxfev": per_restart, "xatol": NELDER_MEAD_TOL, "fatol": NELDER_MEAD_TOL},
         )
         x_best = np.clip(res.x, lo, hi)
         return objective(x_best), tuple(float(v) for v in x_best), res.nfev

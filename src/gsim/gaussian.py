@@ -16,27 +16,27 @@ from functools import cached_property
 import numpy as np
 
 from . import stellar
-from ._linalg import TOL_PSD, TOL_PURE, inv_psd, min_eig_hermitian, solve_psd
+from ._linalg import TOL_NORMALISED, TOL_PSD, TOL_PURE, inv_psd, min_eig_hermitian, solve_psd
 from .exceptions import DimensionMismatch, InvariantViolation
 from .symplectic import omega, require_symplectic
 
 Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
 
 
-def check_admissible(cov: np.ndarray, tol: float = TOL_PSD) -> None:
-    """Raise unless sigma + i Omega >= -tol (uncertainty-relation check)."""
+def check_admissible(cov: np.ndarray) -> None:
+    """Raise unless sigma + i Omega >= -TOL_PSD (uncertainty-relation check)."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     if cov.shape != (2 * n, 2 * n) or not np.allclose(cov, cov.T, atol=1e-8):
         raise ValueError("covariance must be symmetric with even dimension")
-    if min_eig_hermitian(cov + 1j * omega(n)) < -tol:
+    if min_eig_hermitian(cov + 1j * omega(n)) < -TOL_PSD:
         raise ValueError("covariance violates sigma + i Omega >= 0")
 
 
-def is_pure_cov(cov: np.ndarray, tol: float = TOL_PURE) -> bool:
+def is_pure_cov(cov: np.ndarray) -> bool:
     n = np.asarray(cov).shape[0] // 2
     om = omega(n)
-    return bool(np.max(np.abs(cov @ om @ cov.T - om)) <= tol)
+    return bool(np.max(np.abs(cov @ om @ cov.T - om)) <= TOL_PURE)
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,20 @@ class GaussianMixed:
         return cls((1.0 + 2.0 * n_mean) * np.eye(2), np.zeros(2))
 
 
-def check_normalised(t: stellar.StellarParams, tol: float = 1e-7) -> None:
+def check_normalised(t: stellar.StellarParams) -> None:
     """Raise InvariantViolation unless Re log c of each ket in ``t`` (one, or
     a stack) matches ``stellar.log_magnitude``.  One ulp of A moves that by
-    ~1e-16 / (1 - ||A||_2^2), so a failed check is retried with
-    tol / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing past r ~ 12); only the few
-    terms that fail the first test are looped over."""
+    ~1e-16 / (1 - ||A||_2^2), so a failed check against TOL_NORMALISED is
+    retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
+    past r ~ 12); only the few terms that fail the first test are looped over."""
     log_c = np.reshape(np.real(t.log_c), -1)
     log_mag = np.reshape(stellar.log_magnitude(t.a, t.b), -1)
     err = np.abs(log_c - log_mag)
-    for p in np.flatnonzero(err > tol):
+    for p in np.flatnonzero(err > TOL_NORMALISED):
         sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
         if sigma >= 1.0:
             raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
-        if err[p] * (1.0 - sigma) * (1.0 + sigma) > tol:
+        if err[p] * (1.0 - sigma) * (1.0 + sigma) > TOL_NORMALISED:
             raise InvariantViolation(
                 "ref_overlap modulus disagrees with the closed-form overlap "
                 f"(log |c| {log_c[p]:.6g} vs {log_mag[p]:.6g})"
@@ -90,9 +90,9 @@ class GaussianPure:
     """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, log c).
 
     ``c`` = <0|G> is the phase-sensitive reference overlap against the vacuum:
-    together with (A, b) it pins the global phase of the ket.  Covariance and
-    mean are views: the moments a state was built from, or else derived from
-    (A, b) on first use.
+    together with (A, b) it pins the global phase of the ket.  The triple is
+    the only store: covariance and mean are always derived from (A, b) on
+    first use, also for a term built from moments.
 
     Two construction boundaries, each validated by ``check_normalised``:
 
@@ -110,14 +110,12 @@ class GaussianPure:
         check_admissible(cov)
         if not is_pure_cov(cov):
             raise ValueError("covariance is not pure (sigma Omega sigma^T != Omega)")
-        a, b, _ = stellar.pure_state_params(cov, mean)
+        a, b, log_mag = stellar.pure_state_params(cov, mean)
         with np.errstate(divide="ignore"):
             log_c = np.log(complex(ref_overlap))
-        log_mag = stellar.log_magnitude(a, b)
         if log_mag <= np.log(1e-150):
             log_c = complex(log_mag, log_c.imag)
         self.bargmann = stellar.StellarParams(a, b, log_c)
-        self._moments = (cov, mean)
         check_normalised(self.bargmann)
 
     @classmethod
@@ -204,13 +202,10 @@ class GeneralDyne:
         return cls(np.eye(2 * len(modes)), modes)
 
     @classmethod
-    def homodyne_q(cls, modes, z: float = Z_HOMODYNE) -> "GeneralDyne":
-        """Finite-z member of the homodyne family (measures q for large z)."""
+    def homodyne_q(cls, modes) -> "GeneralDyne":
+        """Finite-z member of the homodyne family, z = Z_HOMODYNE (measures q for large z)."""
         modes = tuple(modes)
-        blocks = [np.diag([1.0 / z**2, z**2]) for _ in modes]
-        from scipy.linalg import block_diag
-
-        return cls(block_diag(*blocks), modes)
+        return cls(np.diag(np.tile([1.0 / Z_HOMODYNE**2, Z_HOMODYNE**2], len(modes))), modes)
 
 
 def _mode_slices(modes):

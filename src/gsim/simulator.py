@@ -161,6 +161,9 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
 # sparsification
 
 
+MAX_SAMPLES = 2**63 - 1  # numpy's multinomial takes its count as int64
+
+
 @dataclass(frozen=True)
 class SparsifyPlan:
     """Sample count k = ceil((l1 / delta)^2) for a target 2-norm error delta."""
@@ -173,9 +176,16 @@ class SparsifyPlan:
         states._check_delta(self.delta)
 
     def samples_for(self, l1: float) -> int:
+        """k, or ceil((l1 / delta)^2); OverflowError past MAX_SAMPLES."""
         if self.k is not None:
             return self.k
-        return max(1, math.ceil((l1 / self.delta) ** 2))
+        ratio = l1 / self.delta
+        k = ratio * ratio  # a float ** 2 would raise on overflow, not give inf
+        if not k <= MAX_SAMPLES:
+            raise OverflowError(
+                f"sample count k = (l1/delta)^2 = {k:.3g} exceeds 2^63 - 1 (l1 = {l1:.6g}, delta = {self.delta:.6g})"
+            )
+        return max(1, math.ceil(k))
 
 
 def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
@@ -340,20 +350,14 @@ def gaussian_fidelity_lower_bound(sup: Superposition) -> float:
     return float(np.max(np.abs(overlaps)) ** 2 / nsq)
 
 
-def hoeffding_tail_check(
-    sup: Superposition,
-    delta: float,
-    trials: int,
-    seed: int = 0,
-    fidelity_bound: float | None = None,
-) -> TailReport:
+def hoeffding_tail_check(sup: Superposition, delta: float, trials: int, seed: int = 0) -> TailReport:
     """Empirical check of the sparsification concentration inequality.
 
     Counts how often ||psi - Omega||^2 exceeds <Omega|Omega> - 1 + delta^2
     over seeded sparsification runs and compares against the Hoeffding bound
-    2 exp(-delta^2 / (8 F)); F defaults to the best-term fidelity proxy.
+    2 exp(-delta^2 / (8 F)), F the best-term fidelity proxy.
     """
-    f_used = fidelity_bound if fidelity_bound is not None else gaussian_fidelity_lower_bound(sup)
+    f_used = gaussian_fidelity_lower_bound(sup)
     bound = min(1.0, 2.0 * math.exp(-(delta**2) / (8.0 * f_used)))
     nsq_psi = sup.norm_squared()
     exceed = 0

@@ -36,6 +36,8 @@ FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
 AMPLITUDE_CHUNK = 1 << 12
 # most envelope shells a grid or GKP truncation sums before giving up
 MAX_SHELLS = 100000
+# largest spread of the witness moduli that witness_check calls equal
+WITNESS_TOL = 1e-9
 
 
 class WeightedGaussian(NamedTuple):
@@ -472,10 +474,9 @@ class WitnessReport:
     moduli: tuple
     all_equal: bool
     max_modulus: float
-    tolerance: float
 
 
-def witness_check(sup: Superposition, w: Witness, tol: float = 1e-9) -> WitnessReport:
+def witness_check(sup: Superposition, w: Witness) -> WitnessReport:
     """Per-term |<w|phi_i>| with the equal-modulus optimality flag.
 
     Every optimal decomposition saturates |<w|phi_i>| = 1 against the optimal
@@ -484,7 +485,7 @@ def witness_check(sup: Superposition, w: Witness, tol: float = 1e-9) -> WitnessR
     """
     moduli = tuple(abs(w.term_amplitude(e.term)) for e in sup.entries)
     spread = max(moduli) - min(moduli)
-    return WitnessReport(moduli, bool(spread <= tol), max(moduli), tol)
+    return WitnessReport(moduli, bool(spread <= WITNESS_TOL), max(moduli))
 
 
 # ---------------------------------------------------------------------------

@@ -69,39 +69,6 @@ class StellarParams:
         return np.exp(self.log_c)
 
 
-def _complex_basis(n: int) -> np.ndarray:
-    """Matrix B with quadrature mean = B @ (alpha, conj(alpha)), interleaved rows."""
-    b = np.zeros((2 * n, 2 * n), dtype=complex)
-    k = np.arange(n)
-    b[2 * k, k] = b[2 * k, n + k] = 1 / np.sqrt(2)
-    b[2 * k + 1, k], b[2 * k + 1, n + k] = -1j / np.sqrt(2), 1j / np.sqrt(2)
-    return b
-
-
-def mixed_state_params(cov, mean) -> StellarParams:
-    """Holomorphic parameters of a (possibly mixed) Gaussian density operator.
-
-    Built by complexifying the Husimi quadratic form: with P = (sigma + 1)^{-1},
-    the function e^{|a|^2} <a|rho|a> extends to a Gaussian in nu = (a, a*),
-    giving A_rho = J - 2 B^T P B, b_rho = 2 B^T P rbar and
-    log c_rho = n log 2 - rbar^T P rbar - log det(sigma + 1) / 2.
-    For pure rho the blocks reduce to conj(A_psi) (+) A_psi.
-    """
-    cov = np.asarray(cov, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    n = cov.shape[0] // 2
-    total = cov + np.eye(2 * n)
-    p = np.linalg.inv(total)
-    bmat = _complex_basis(n)
-    j = np.zeros((2 * n, 2 * n), dtype=complex)
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = np.eye(n)
-    a_rho = j - 2 * bmat.T @ p @ bmat
-    b_rho = 2 * bmat.T @ p @ mean
-    log_c = n * np.log(2.0) - float(mean @ p @ mean) - 0.5 * np.linalg.slogdet(total)[1]
-    return StellarParams(a_rho, b_rho, log_c)
-
-
 def pure_state_moments(a, b):
     """(cov, mean) of the pure state with ket triple (A, b, .); inverts pure_state_params.
 
@@ -132,19 +99,28 @@ def pure_state_moments(a, b):
 
 
 def pure_state_params(cov, mean):
-    """(A, b, |c|) of the pure state with given covariance and mean.
+    """(A, b, log |c|) of the pure state with given covariance and mean: the
+    closed-form inverse of pure_state_moments.
 
-    The modulus of the vacuum amplitude is fixed by (cov, mean); the phase is
-    carried separately (by the state's reference overlap).
+    With X = sigma_qq^{-1}, Y = -X sigma_qp, Z = X + iY and
+    w = X mean_q + i (mean_p + Y mean_q): A = (1 - Z)(1 + Z)^{-1} and
+    b = sqrt(2) (1 + Z)^{-1} w.  b is not taken as (1 + A) w / sqrt(2), whose
+    factor 1 + A cancels as A -> -1 (8 digits lost at r = 9).  The modulus of
+    the vacuum amplitude is fixed by (A, b); its phase is carried separately
+    (by the state's reference overlap).  The input is taken to be pure.
     """
-    n = np.asarray(cov).shape[0] // 2
-    rho = mixed_state_params(cov, mean)
-    a = rho.a[n:, n:]
-    b = rho.b[n:]
-    cross = np.max(np.abs(rho.a[:n, n:])) if n else 0.0
-    if cross > 1e-7:
-        raise ValueError("state is not pure enough for a holomorphic ket triple")
-    return a, b, float(np.exp(0.5 * rho.log_c.real))
+    cov = np.asarray(cov, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    n = cov.shape[0] // 2
+    x = np.linalg.inv(cov[0::2, 0::2])
+    y = -x @ cov[0::2, 1::2]
+    z = x + 1j * y
+    w = x @ mean[0::2] + 1j * (mean[1::2] + y @ mean[0::2])
+    inv = np.linalg.inv(np.eye(n) + z)
+    a = (np.eye(n) - z) @ inv
+    a = 0.5 * (a + a.T)
+    b = np.sqrt(2) * inv @ w
+    return a, b, log_magnitude(a, b)
 
 
 def log_magnitude(a, b):

@@ -6,7 +6,7 @@ symplectic form is block-diagonal in 2x2 blocks [[0, 1], [-1, 0]].
 
 import numpy as np
 
-from ._linalg import TOL_SYMPLECTIC, TOL_DECOMP
+from ._linalg import TOL_DECOMP, TOL_SYMPLECTIC, TOL_UNITARY
 
 
 def omega(n: int) -> np.ndarray:
@@ -18,22 +18,22 @@ def omega(n: int) -> np.ndarray:
     return out
 
 
-def is_symplectic(mat: np.ndarray, tol: float = TOL_SYMPLECTIC) -> bool:
+def is_symplectic(mat: np.ndarray) -> bool:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         return False
     om = omega(mat.shape[0] // 2)
-    return bool(np.max(np.abs(mat @ om @ mat.T - om)) <= tol)
+    return bool(np.max(np.abs(mat @ om @ mat.T - om)) <= TOL_SYMPLECTIC)
 
 
-def require_symplectic(mat, tol: float = TOL_SYMPLECTIC) -> np.ndarray:
+def require_symplectic(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if not is_symplectic(mat, tol):
+    if not is_symplectic(mat):
         raise ValueError("matrix is not symplectic within tolerance")
     return mat
 
 
-def passive_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def passive_from_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic matrix realizing the n x n mode unitary ``u``.
 
     Heisenberg convention: the passive Gaussian unitary with matrix u maps
@@ -42,7 +42,7 @@ def passive_from_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if u.shape != (n, n) or np.max(np.abs(u @ u.conj().T - np.eye(n))) > tol:
+    if u.shape != (n, n) or np.max(np.abs(u @ u.conj().T - np.eye(n))) > TOL_UNITARY:
         raise ValueError("input is not unitary within tolerance")
     out = np.empty((2 * n, 2 * n))
     out[0::2, 0::2] = out[1::2, 1::2] = u.real
@@ -57,7 +57,7 @@ def unitary_from_passive(orth: np.ndarray) -> np.ndarray:
     return orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
 
 
-def bloch_messiah(s: np.ndarray, tol: float = TOL_DECOMP):
+def bloch_messiah(s: np.ndarray):
     """Euler decomposition S = O1 @ Z @ O2 of a real symplectic matrix.
 
     O1, O2 are orthogonal symplectic and Z = diag(z1, 1/z1, ..., zn, 1/zn)
@@ -98,7 +98,7 @@ def bloch_messiah(s: np.ndarray, tol: float = TOL_DECOMP):
     z = np.diag([x for *_, zi in pairs for x in (zi, 1.0 / zi)])
     o2 = np.diag(1.0 / np.diag(z)) @ o1.T @ s
     err = np.max(np.abs(o1 @ z @ o2 - s))
-    if err > max(tol, 1e-9 * max(1.0, float(np.max(np.abs(s))))):
+    if err > max(TOL_DECOMP, 1e-9 * max(1.0, float(np.max(np.abs(s))))):
         raise ValueError(f"Bloch-Messiah reconstruction error {err:.3g} exceeds tolerance")
     return o1, z, o2
 

@@ -102,7 +102,7 @@ def test_criterion_2_optimal_fock1_numbers():
 
 def test_criterion_3_witness_condition():
     ring = fock1_ring(optimal_fock1_seed(), 16)
-    result = witness_check(ring, optimal_fock1_witness(), tol=1e-9)
+    result = witness_check(ring, optimal_fock1_witness())
     spread = max(result.moduli) - min(result.moduli)
     assert result.all_equal
     assert len(result.moduli) == 32

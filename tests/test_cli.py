@@ -413,6 +413,15 @@ def test_approximate_born_of_a_near_vacuum_odd_cat_draws_counts(capsys):
     assert lo <= json.loads(out)["value"] <= hi
 
 
+def test_approximate_born_names_an_overflowing_sample_count(capsys):
+    # alpha = 1e-9: k = (l1 / delta)^2 ~ 1e20 passes numpy's int64 multinomial count
+    argv = ["born", "--approx", "--state", "cat", "--parity", "-", "--alpha", "1e-9"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ")
+    assert all(name in err for name in ("k = ", "l1 = ", "delta = "))
+
+
 def test_extent_reports_its_rounding_band(capsys):
     # alpha = 1e-6: extent 1e12 + 1, whose Gram form keeps about 4 digits
     code, out, err = run_cli(["extent", "--state", "cat", "--parity", "-", "--alpha", "1e-6"], capsys)

@@ -361,11 +361,11 @@ def test_vacuum_and_coherent_triples_match_their_moments():
         (GaussianPure.vacuum(2), np.eye(4), np.zeros(4)),
         (GaussianPure.coherent(alpha), np.eye(4), mean),
     ):
-        a, b, cmag = stellar.pure_state_params(cov, mu)
+        a, b, log_mag = stellar.pure_state_params(cov, mu)
         t = g.bargmann
         assert np.max(np.abs(t.a - a)) <= 1e-12
         assert np.max(np.abs(t.b - b)) <= 1e-12
-        assert abs(t.c - cmag) <= 1e-12
+        assert abs(t.c - np.exp(log_mag)) <= 1e-12
 
 
 def test_gate_mode_bounds_enforced():

@@ -24,9 +24,9 @@ def sandwich(t, alpha, beta):
 
 class TestStateParams:
     def test_vacuum(self):
-        p = stellar.mixed_state_params(np.eye(2), np.zeros(2))
-        assert np.allclose(p.a, 0) and np.allclose(p.b, 0)
-        assert p.c == pytest.approx(1.0)
+        a, b, log_c = stellar.pure_state_params(np.eye(2), np.zeros(2))
+        assert np.allclose(a, 0) and np.allclose(b, 0)
+        assert log_c == pytest.approx(0.0)
 
     def test_single_mode_closed_form(self):
         # displaced squeezed state: A = -tanh(r) e^{i phi}, b = a + a* e^{i phi} tanh(r)
@@ -43,16 +43,6 @@ class TestStateParams:
         assert abs(t.b[0] - 1.0) < 1e-12
         assert abs(t.c - np.exp(-0.5)) < 1e-12
 
-    def test_pure_blocks_of_mixed_params(self, rng):
-        g = engine_state(random_pure_program(2, rng, alpha_max=1.0, r_max=0.8), 2)
-        rho = stellar.mixed_state_params(g.cov, g.mean)
-        psi = g.bargmann
-        assert np.max(np.abs(rho.a[2:, 2:] - psi.a)) < 1e-9
-        assert np.max(np.abs(rho.a[:2, :2] - np.conj(psi.a))) < 1e-9
-        assert np.max(np.abs(rho.a[:2, 2:])) < 1e-9
-        assert np.max(np.abs(rho.b[2:] - psi.b)) < 1e-9
-        assert abs(rho.c - abs(psi.c) ** 2) < 1e-9
-
     def test_pure_state_moments_inverts_params(self, rng):
         for n in (1, 2, 3):
             for _ in range(20):
@@ -62,6 +52,31 @@ class TestStateParams:
                 cov_back, mean_back = stellar.pure_state_moments(a, b)
                 assert np.max(np.abs(cov_back - cov)) < 1e-12
                 assert np.max(np.abs(mean_back - mean)) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    @pytest.mark.parametrize("r", [3.0, 6.0, 9.0, 12.0])
+    def test_params_recover_rotated_squeezing(self, r, phi):
+        # D(alpha) S(r, phi)|0>: A = -tanh r e^{i phi}, b = alpha + conj(alpha) e^{i phi} tanh r,
+        # recovered from the moments that pure_state_moments derives
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        alpha = 0.4 - 0.7j
+        t = engine_state([Squeeze(0, r, phi), Displace(0, alpha)], 1).bargmann
+        a, b, _ = stellar.pure_state_params(*stellar.pure_state_moments(t.a, t.b))
+        e, th, al = mpmath.expj(phi), mpmath.tanh(r), mpmath.mpc(alpha)
+        want_a, want_b = -th * e, al + mpmath.conj(al) * e * th
+        assert abs(a[0, 0] - want_a) <= 2e-15 * abs(want_a)
+        assert abs(b[0] - want_b) <= 2e-15 * abs(want_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), depth=st.integers(1, 8))
+    def test_moments_round_trip_to_the_triple(self, seed, n, depth):
+        # GaussianPure(cov, mean, ref_overlap) of derived moments rebuilds the stored triple
+        g = engine_state(random_circuit(n, depth, np.random.default_rng(seed), alpha_max=1.0, r_max=1.0), n)
+        t, u = g.bargmann, GaussianPure(g.cov, g.mean, g.ref_overlap).bargmann
+        assert np.max(np.abs(u.a - t.a)) <= 1e-12
+        assert np.max(np.abs(u.b - t.b)) <= 1e-12
+        assert abs(np.exp(u.log_c - t.log_c) - 1) <= 1e-12
 
     def test_pure_state_moments_keeps_squeezed_variance(self):
         # sigma_qq = |1 + A|^2 / (1 - |A|^2) exactly for the stored A; a
