@@ -9,7 +9,6 @@ reproduce its published fidelity 1/4 and is validated against the oracle.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,31 +34,35 @@ GRID_EXTENT_TABLE = {
     0.01: (71.126, 36),
 }
 
-_VACUUM2 = stellar.StellarParams(np.zeros((2, 2)), np.zeros(2), 0.0)
-_VACUUM1 = stellar.StellarParams(np.zeros((1, 1)), np.zeros(1), 0.0)
+
+def _vacua(k: int) -> stellar.StellarParams:
+    """A stack of k single-mode vacuum kets."""
+    return stellar.StellarParams(np.zeros((k, 1, 1)), np.zeros((k, 1)), np.zeros(k))
 
 
-def two_mode_fock11_fidelity(params) -> float:
-    """|<1,1|G'(params)>|^2 for the parametrized two-mode Gaussian family."""
-    a1, a2, r1, th1, r2, th2, phi, xi = (float(p) for p in params)
-    gates = [
-        Displace(0, a1),
-        Displace(1, a2),
-        Squeeze(0, r1, th1),
-        Squeeze(1, r2, th2),
-        BeamSplitter(0, 1, xi / 2.0, -phi),
-    ]
-    ket = _VACUUM2
-    for g in gates:
-        ket = stellar.apply_gate(g, ket, 2)
-    return float(abs(stellar.fock11_amplitude(ket)) ** 2)
+def two_mode_fock11_fidelity(params):
+    """|<1,1|G'(params)>|^2 for the parametrized two-mode Gaussian family; a
+    (..., 8) stack of parameter vectors gives a (...) stack of fidelities."""
+    x = np.asarray(params, dtype=float)
+    p = x.reshape(-1, 8)
+    # both modes' S D |0> as one stack of single-mode kets, point-major, then
+    # their product ket (blockdiag(A1, A2), (b1, b2), log c1 + log c2)
+    one = stellar.apply_gate(Displace(0, p[:, 0:2].ravel()), _vacua(2 * len(p)), 1)
+    one = stellar.apply_gate(Squeeze(0, p[:, 2:6:2].ravel(), p[:, 3:6:2].ravel()), one, 1)
+    a = np.zeros((len(p), 2, 2), dtype=complex)
+    a.reshape(-1, 4)[:, ::3] = one.a.reshape(-1, 2)  # the diagonal of each 2 x 2 block
+    ket = stellar.StellarParams(a, one.b.reshape(-1, 2), one.log_c.reshape(-1, 2).sum(-1))
+    ket = stellar.apply_gate(BeamSplitter(0, 1, p[:, 7] / 2.0, -p[:, 6]), ket, 2)
+    return (abs(stellar.fock11_amplitude(ket)) ** 2).reshape(x.shape[:-1])[()]
 
 
-def single_mode_fock1_fidelity(params) -> float:
-    """|<1|D(a) S(r)|0>|^2 over real displacement and squeezing."""
-    a, r = (float(p) for p in params)
-    ket = stellar.apply_gate(Displace(0, a), stellar.apply_gate(Squeeze(0, r), _VACUUM1, 1), 1)
-    return float(abs(stellar.fock_amplitude(ket, 1)) ** 2)
+def single_mode_fock1_fidelity(params):
+    """|<1|D(a) S(r)|0>|^2 over real displacement and squeezing; a (..., 2)
+    stack of (a, r) gives a (...) stack of fidelities."""
+    x = np.asarray(params, dtype=float)
+    a, r = x.reshape(-1, 2).T
+    ket = stellar.apply_gate(Displace(0, a), stellar.apply_gate(Squeeze(0, r), _vacua(len(a)), 1), 1)
+    return (abs(stellar.fock_amplitude(ket, 1)) ** 2).reshape(x.shape[:-1])[()]
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class OptimizerConfig:
     restarts: int = 32
     budget: int = 20000
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # kept for callers that pass it; the restarts run in lock step on one thread
 
     def __post_init__(self):
         for name in ("restarts", "budget", "threads"):
@@ -105,44 +108,91 @@ class OptimizeResult:
 def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) -> OptimizeResult:
     """Seeded multi-restart Nelder-Mead maximization of a fidelity objective.
 
-    Derivative-free by design (the overlap engine exposes no gradients);
-    restarts run concurrently but are reduced in fixed order, so results are
-    reproducible for a given seed and independent of the thread schedule.
+    Derivative-free by design (the overlap engine exposes no gradients).  The
+    restarts run in lock step, each by the rules of scipy's Nelder-Mead
+    (``minimize(method="Nelder-Mead")`` with ``maxfev`` the per-restart budget
+    and ``xatol = fatol = NELDER_MEAD_TOL``, on ``-objective`` of the point
+    clipped to the bounds): its initial simplex, coefficients 1, 2, 1/2, 1/2,
+    stop rule, budget and sort.  The sort is numpy's default argsort, as in
+    scipy; it need not keep tied values in order, so a stable sort would part
+    from scipy wherever clipping ties two vertices.  Each step makes one
+    objective call on the stack of the four candidates (1 + t) xbar - t x_worst,
+    t in (1, 2, 1/2, -1/2), of every running restart, and a second one on the
+    points of the restarts that shrink.  ``evaluations`` counts the points the
+    rules use, as scipy's nfev.  A restart's path does not depend on the
+    others, so results are reproducible for a given seed.
     """
-    # imported here: scipy.optimize costs about 0.6 s to import, and no other
-    # gsim path needs it
-    from scipy.optimize import minimize
-
-    lo = np.array([b[0] for b in cfg.bounds])
-    hi = np.array([b[1] for b in cfg.bounds])
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    n = len(lo)
     per_restart = max(50, cfg.budget // cfg.restarts)
-    evals = 0
+    x0 = lo + (hi - lo) * np.array([stream(cfg.seed, k).random(n) for k in range(cfg.restarts)])
 
-    def run_one(k: int):
-        rng = stream(cfg.seed, k)
-        x0 = lo + (hi - lo) * rng.random(len(cfg.bounds))
-        res = minimize(
-            lambda x: -objective(np.clip(x, lo, hi)),
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": per_restart, "xatol": NELDER_MEAD_TOL, "fatol": NELDER_MEAD_TOL},
-        )
-        x_best = np.clip(res.x, lo, hi)
-        return objective(x_best), tuple(float(v) for v in x_best), res.nfev
+    def f(x):
+        return -objective(np.clip(x, lo, hi))
 
-    workers = min(cfg.threads, cfg.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, range(cfg.restarts)))
-    else:
-        outcomes = [run_one(k) for k in range(cfg.restarts)]
+    # scipy's initial simplex: x0, then x0 with coordinate k scaled by 1.05 (0.00025 where it is 0)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = f(sim)
+    fsim[:, per_restart:] = np.inf  # points past maxfev keep scipy's placeholder
+    nfev = np.full(cfg.restarts, min(n + 1, per_restart))
+    rows = np.arange(cfg.restarts)[:, None]
+    for _ in range(2):  # scipy sorts the first simplex twice; numpy's argsort need not keep ties
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
 
-    best_f, best_x = -1.0, None
-    for f, x, nfev in outcomes:
-        evals += nfev
-        if f > best_f:
-            best_f, best_x = f, x
-    return OptimizeResult(best_x, best_f, evals, cfg.restarts)
+    # candidates (1 + t) xbar - t x_worst: reflection, expansion, outside and inside contraction
+    t = np.array([[1.0], [2.0], [0.5], [-0.5]])
+    grow = 1 + t
+    ids = np.arange(cfg.restarts)  # the restart of each row still running
+    x_end, f_end, evaluations = np.empty((cfg.restarts, n)), np.empty(cfg.restarts), 0
+    while True:
+        # fsim is sorted, so max |f_0 - f_j| is f_n - f_0
+        stop = nfev >= per_restart
+        flat = fsim[:, -1] - fsim[:, 0] <= NELDER_MEAD_TOL
+        if np.count_nonzero(flat):
+            stop |= flat & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= NELDER_MEAD_TOL)
+        if np.count_nonzero(stop):
+            x_end[ids[stop]], f_end[ids[stop]] = sim[stop, 0], fsim[stop, 0]
+            evaluations += int(nfev[stop].sum())
+            go = ~stop
+            sim, fsim, nfev, ids, rows = sim[go], fsim[go], nfev[go], ids[go], rows[: np.count_nonzero(go)]
+            if not ids.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        cand = grow * xbar[:, None] - t * sim[:, -1:]
+        fc = f(cand)
+        fr, fe = fc[:, 0], fc[:, 1]
+        expand = fr < fsim[:, 0]
+        reflect = (fr < fsim[:, -2]) & ~expand
+        outside = ~reflect & ~expand & (fr < fsim[:, -1])
+        # with one evaluation left scipy stops before a second point and keeps the simplex
+        second = ~reflect & (nfev < per_restart - 1)
+        nfev += second
+        nfev += 1
+        # the candidate each restart takes, unless it shrinks or is out of budget
+        pick = np.where(reflect | expand, expand & (fe < fr), 3 - outside)
+        fnew = fc[rows[:, 0], pick]
+        shrink = second & ~expand & ~np.where(outside, fnew <= fr, fnew < fsim[:, -1])
+        take = (reflect | second) & ~shrink
+        sim[take, -1] = cand[take, pick[take]]
+        fsim[take, -1] = fnew[take]
+        if np.count_nonzero(shrink):
+            s0 = sim[shrink, :1]
+            pts = s0 + 0.5 * (sim[shrink, 1:] - s0)
+            fpts = f(pts)
+            # scipy moves a point, then stops at its evaluation once past the budget
+            left = per_restart - nfev[shrink, None]
+            j = np.arange(n)
+            sim[shrink, 1:] = np.where((j <= left)[..., None], pts, sim[shrink, 1:])
+            fsim[shrink, 1:] = np.where(j < left, fpts, fsim[shrink, 1:])
+            nfev[shrink] += np.minimum(left[:, 0], n)
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+
+    k = int(np.argmax(-f_end))
+    x_best = np.clip(x_end[k], lo, hi)
+    return OptimizeResult(tuple(float(v) for v in x_best), float(-f_end[k]), evaluations, cfg.restarts)
 
 
 @dataclass(frozen=True)

@@ -76,21 +76,30 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def beamsplitter_unitary(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Mode unitary of the beamsplitter: a -> cos(t) a + e^{i p} sin(t) b."""
+def beamsplitter_unitary(theta, phi=0.0) -> np.ndarray:
+    """Mode unitary of the beamsplitter: a -> cos(t) a + e^{i p} sin(t) b; with
+    array parameters, a (..., 2, 2) stack of them."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s * np.exp(1j * phi)], [-s * np.exp(-1j * phi), c]])
+    up, lo = s * np.exp(1j * phi), -s * np.exp(-1j * phi)
+    u = np.empty(np.shape(up) + (2, 2), dtype=complex)
+    u.T[0, 0] = u.T[1, 1] = c
+    u.T[1, 0], u.T[0, 1] = up, lo
+    return u
 
 
 def check_gate_modes(gate: Gate, n: int) -> None:
     """Reject out-of-range (including negative) mode indices."""
-    touched = [getattr(gate, name) for name in ("mode", "mode1", "mode2") if hasattr(gate, name)]
-    if any(m < 0 or m >= n for m in touched):
-        raise ValueError(f"gate {gate!r}: mode index outside 0..{n - 1}")
-    if isinstance(gate, BeamSplitter) and gate.mode1 == gate.mode2:
+    if isinstance(gate, Passive):
+        if gate.u.shape != (n, n):
+            raise ValueError(f"passive gate of shape {gate.u.shape} on {n} modes")
+        return
+    pair = isinstance(gate, BeamSplitter)
+    # a gate object of no known kind has no mode; its user raises TypeError
+    for m in (gate.mode1, gate.mode2) if pair else (getattr(gate, "mode", 0),):
+        if m < 0 or m >= n:
+            raise ValueError(f"gate {gate!r}: mode index outside 0..{n - 1}")
+    if pair and gate.mode1 == gate.mode2:
         raise ValueError("beamsplitter needs two distinct modes")
-    if isinstance(gate, Passive) and gate.u.shape != (n, n):
-        raise ValueError(f"passive gate of shape {gate.u.shape} on {n} modes")
 
 
 def gate_symplectic(gate: Gate, n: int):

@@ -24,19 +24,26 @@ Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
 
 
 def check_admissible(cov: np.ndarray) -> None:
-    """Raise unless sigma + i Omega >= -TOL_PSD (uncertainty-relation check)."""
+    """Raise unless sigma + i Omega >= -TOL_PSD max(1, ||sigma||_2) (uncertainty
+    relation): its eigenvalues carry rounding of order eps ||sigma||_2, so the
+    margin grows with the squeezing."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     if cov.shape != (2 * n, 2 * n) or not np.allclose(cov, cov.T, atol=1e-8):
         raise ValueError("covariance must be symmetric with even dimension")
-    if min_eig_hermitian(cov + 1j * omega(n)) < -TOL_PSD:
+    if min_eig_hermitian(cov + 1j * omega(n)) < -TOL_PSD * max(1.0, np.linalg.norm(cov, 2)):
         raise ValueError("covariance violates sigma + i Omega >= 0")
 
 
 def is_pure_cov(cov: np.ndarray) -> bool:
-    n = np.asarray(cov).shape[0] // 2
-    om = omega(n)
-    return bool(np.max(np.abs(cov @ om @ cov.T - om)) <= TOL_PURE)
+    """sigma Omega sigma^T = Omega, each entry to TOL_PURE max(1, M_ij) with
+    M = |sigma| |Omega| |sigma|^T, the scale of that entry's rounding (at most
+    ||sigma||_2^2): squeezed pure states pass at any squeezing, while a mixed
+    state fails wherever its residual stands above the rounding."""
+    cov = np.asarray(cov, dtype=float)
+    om = omega(cov.shape[0] // 2)
+    scale = np.abs(cov) @ np.abs(om) @ np.abs(cov).T
+    return bool(np.all(np.abs(cov @ om @ cov.T - om) <= TOL_PURE * np.maximum(1.0, scale)))
 
 
 @dataclass(frozen=True)

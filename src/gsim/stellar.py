@@ -147,17 +147,27 @@ def identity_params(n: int) -> StellarParams:
 
 
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
-    """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b."""
-    a, b = t.a.copy(), t.b.copy()
-    a[..., legs, :] = u @ a[..., legs, :]
-    a[..., :, legs] = a[..., :, legs] @ u.T
-    b.T[legs] = u @ b.T[legs]
+    """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b;
+    u (l, l) acts on every triple of a stack, a (K, l, l) stack one per triple."""
+    b = t.b.copy()
+    if list(legs) == list(range(t.modes)):
+        # the whole register in order: no gather or scatter of legs
+        a = u @ t.a @ u.mT
+    else:
+        a = t.a.copy()
+        a[..., legs, :] = u @ a[..., legs, :]
+        a[..., :, legs] = a[..., :, legs] @ u.mT
+    if u.ndim == 2:
+        # one product over the stack: its rounding is the one scalar gates have always had
+        b.T[legs] = u @ b.T[legs]
+    else:
+        b[..., legs] = (u @ b[..., legs, None])[..., 0]
     return StellarParams(a, b, t.log_c)
 
 
 def _any(mask) -> bool:
     """mask.any(), without a reduction when the mask is one triple's scalar."""
-    return bool(mask.any() if mask.ndim else mask)
+    return bool(np.count_nonzero(mask) if mask.ndim else mask)
 
 
 def _squeeze_cond(s, row, k: int, den):
@@ -195,8 +205,8 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
       apply_to_state over the whole stack: IllConditioned for
       cond(Y) > COND_MAX, then GsimError for Re den <= 0.
 
-    On a stack, a Displace's alpha and a PhaseShift's theta may be arrays
-    with one value per triple.
+    On a stack, every parameter of a Displace, Squeeze, PhaseShift or
+    BeamSplitter may be an array with one value per triple.
     """
     check_gate_modes(gate, n)
     if t.modes < n:
@@ -237,12 +247,16 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
         raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
     f = s / den
     fb = f * bk
-    scale = np.ones(t.modes)
-    scale[k] = 1.0 / np.cosh(gate.r)
-    a = scale[:, None] * (t.a + (f * (row[..., :, None] * row[..., None, :]).T).T) * scale
+    cosh = np.cosh(gate.r)
+    sech = 1.0 / cosh
+    a = t.a + (f * (row[..., :, None] * row[..., None, :]).T).T
+    b = t.b + (fb * row.T).T
+    # C = sech r scales row and column k of A and b_k
+    a.T[:, k] *= sech
+    a.T[k] *= sech
+    b.T[k] *= sech
     a[..., k, k] -= tr * ph
-    b = scale * (t.b + (fb * row.T).T)
-    log_c = -0.5 * np.log(np.cosh(gate.r)) - 0.5 * np.log(den) + 0.5 * fb * bk
+    log_c = -0.5 * np.log(cosh) - 0.5 * np.log(den) + 0.5 * fb * bk
     return StellarParams(a, b, t.log_c + log_c)
 
 
@@ -460,12 +474,12 @@ def husimi_gaussian(t: StellarParams):
     return np.linalg.solve(p, h[..., None])[..., 0], 0.5 * np.linalg.inv(p)
 
 
-def fock_amplitude(t: StellarParams, nphot: int) -> complex:
-    """<n|psi> of a single-mode ket triple, from the series of Gamma."""
+def fock_amplitude(t: StellarParams, nphot: int):
+    """<n|psi> of a single-mode ket triple, or per triple of a stack, from the
+    series of Gamma."""
     if t.modes != 1:
         raise DimensionMismatch("fock_amplitude expects a single-mode triple")
-    a = complex(t.a[0, 0])
-    b = complex(t.b[0])
+    a, b = t.a[..., 0, 0], t.b[..., 0]
     total = 0.0 + 0.0j
     for k in range(nphot // 2 + 1):
         j = nphot - 2 * k
@@ -473,8 +487,8 @@ def fock_amplitude(t: StellarParams, nphot: int) -> complex:
     return t.c * np.sqrt(float(factorial(nphot))) * total
 
 
-def fock11_amplitude(t: StellarParams) -> complex:
-    """<1,1|psi> of a two-mode ket triple: c (b1 b2 + A12)."""
+def fock11_amplitude(t: StellarParams):
+    """<1,1|psi> of a two-mode ket triple, or per triple of a stack: c (b1 b2 + A12)."""
     if t.modes != 2:
         raise DimensionMismatch("fock11_amplitude expects a two-mode triple")
-    return complex(t.c * (t.b[0] * t.b[1] + t.a[0, 1]))
+    return t.c * (t.b[..., 0] * t.b[..., 1] + t.a[..., 0, 1])

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,15 +32,79 @@ def test_single_mode_objective_optimum():
     assert abs(val - 3 * np.sqrt(3) / (4 * np.e)) < 1e-12
 
 
-def test_optimizer_deterministic_and_thread_invariant():
-    cfg1 = apps.OptimizerConfig.single_mode(restarts=6, budget=2400, seed=12)
-    cfg2 = apps.OptimizerConfig.single_mode(restarts=6, budget=2400, seed=12, threads=2)
-    res1 = apps.optimize_fidelity(cfg1, objective=apps.single_mode_fock1_fidelity)
-    res1b = apps.optimize_fidelity(cfg1, objective=apps.single_mode_fock1_fidelity)
-    res2 = apps.optimize_fidelity(cfg2, objective=apps.single_mode_fock1_fidelity)
+def test_optimizer_deterministic():
+    cfg = apps.OptimizerConfig.single_mode(restarts=6, budget=2400, seed=12)
+    res1 = apps.optimize_fidelity(cfg, objective=apps.single_mode_fock1_fidelity)
+    res1b = apps.optimize_fidelity(cfg, objective=apps.single_mode_fock1_fidelity)
     assert res1.best_fidelity == res1b.best_fidelity
     assert res1.best_params == res1b.best_params
-    assert res1.best_fidelity == res2.best_fidelity
+
+
+def test_objectives_map_a_stack_of_points_to_a_stack_of_values(rng):
+    for objective, dim in ((apps.two_mode_fock11_fidelity, 8), (apps.single_mode_fock1_fidelity, 2)):
+        pts = rng.uniform(-1.0, 1.0, size=(3, 4, dim))
+        got = objective(pts)
+        assert got.shape == (3, 4)
+        assert all(got[i, j] == objective(list(pts[i, j])) for i in range(3) for j in range(4))
+        assert np.ndim(objective(pts[0, 0])) == 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lock_step_nelder_mead_is_scipys(seed):
+    # one restart against scipy's Nelder-Mead on the per-point objective: two-mode
+    # at the CLI's per-restart budget (20000 // 32) and at 53, where steps end with
+    # one evaluation left, single-mode run to convergence
+    from scipy.optimize import minimize
+
+    from gsim.rng import stream
+
+    for make, objective, budget in (
+        (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity, 625),
+        (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity, 53),
+        (apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity, 2000),
+    ):
+        cfg = make(restarts=1, budget=budget, seed=seed)
+        lo, hi = np.array(cfg.bounds).T
+        ref = minimize(
+            lambda x: -objective(np.clip(x, lo, hi)),
+            lo + (hi - lo) * stream(seed, 0).random(len(lo)),
+            method="Nelder-Mead",
+            options={"maxfev": budget, "xatol": apps.NELDER_MEAD_TOL, "fatol": apps.NELDER_MEAD_TOL},
+        )
+        res = apps.optimize_fidelity(cfg, objective=objective)
+        assert res.best_params == tuple(float(v) for v in np.clip(ref.x, lo, hi))
+        assert (res.best_fidelity, res.evaluations) == (-ref.fun, ref.nfev)
+
+
+@pytest.mark.parametrize("mode", ["two", "single"])
+def test_restarts_in_lock_step_are_the_restarts_run_alone(mode, monkeypatch):
+    # 32 restarts in one run against each run alone (its stream index moved to 0);
+    # single-mode restarts stop at different steps on the xatol/fatol rule
+    make, objective = {
+        "two": (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity),
+        "single": (apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity),
+    }[mode]
+    together = apps.optimize_fidelity(make(restarts=32, budget=32 * 200, seed=4), objective=objective)
+    real_stream, alone = apps.stream, []
+    for k in range(32):
+        monkeypatch.setattr(apps, "stream", lambda seed, j, k=k: real_stream(seed, j + k))
+        alone.append(apps.optimize_fidelity(make(restarts=1, budget=200, seed=4), objective=objective))
+    best = max(alone, key=lambda r: r.best_fidelity)  # the first of equal maxima, as optimize_fidelity takes
+    assert (together.best_params, together.best_fidelity) == (best.best_params, best.best_fidelity)
+    assert together.evaluations == sum(r.evaluations for r in alone)
+    if mode == "single":
+        assert len({r.evaluations for r in alone}) > 1
+
+
+def test_optimizer_leaves_scipy_optimize_unloaded():
+    code = (
+        "import sys; from gsim import cli; "
+        "code = cli.main(['optimize-fidelity', '--restarts', '2', '--budget', '200']); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(apps.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_report_table_rows():
@@ -64,24 +132,8 @@ def test_one_sided_extent_at_any_delta():
     assert rows[-1].naive_extent / 2 < rows[-1].one_sided_extent < rows[-1].naive_extent
 
 
-def test_optimizer_pool_has_no_more_workers_than_restarts(monkeypatch):
-    sizes = []
-    real_pool = apps.ThreadPoolExecutor
-
-    def spy(max_workers):
-        sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(apps, "ThreadPoolExecutor", spy)
-    kw = dict(restarts=2, budget=400, seed=5)
-    wide = apps.optimize_fidelity(apps.OptimizerConfig.single_mode(threads=64, **kw), objective=apps.single_mode_fock1_fidelity)
-    one = apps.optimize_fidelity(apps.OptimizerConfig.single_mode(threads=1, **kw), objective=apps.single_mode_fock1_fidelity)
-    assert sizes == [2]
-    assert wide == one
-
-
 @pytest.mark.parametrize("threads", [0, -2])
 def test_optimizer_thread_count_below_one_is_rejected(threads):
-    # only library callers set the pool size: the CLI runs the optimizer on one thread
+    # the field no longer sizes a pool, but a count below one stays an error
     with pytest.raises(ValueError, match="threads must be at least 1"):
         apps.OptimizerConfig.two_mode(threads=threads)

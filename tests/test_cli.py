@@ -196,7 +196,7 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_out_the_optimizer():
-    # scipy.optimize is imported by the optimizer alone, not by every gsim process
+    # no gsim module imports scipy.optimize (test_apps runs the optimizer itself without it)
     result = run_python(["-c", "import sys, gsim.cli; print('scipy.optimize' in sys.modules)"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -792,10 +792,10 @@ def test_table1_rejects_a_delta_that_is_not_positive_and_finite(delta, capsys):
 def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, capsys):
     import threading
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an invalid optimizer configuration started a thread pool")
+    def no_run(*args, **kwargs):
+        raise AssertionError("an invalid optimizer configuration reached the optimizer")
 
-    monkeypatch.setattr(cli.apps, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.apps, "optimize_fidelity", no_run)
     before = threading.active_count()
     code, out, err = run_cli(["optimize-fidelity", *flags], capsys)
     assert code == 2, err

@@ -305,6 +305,31 @@ def test_pure_state_requires_pure_covariance():
         GaussianPure(2 * np.eye(2), np.zeros(2), 1.0)
 
 
+@pytest.mark.parametrize("r", range(3, 11))
+def test_squeezed_moments_round_trip_through_the_checks(r):
+    # the moments of D(0.3 + 0.2i) S(r, 1.3)|0> carry rounding of order eps ||sigma||^2
+    # in sigma Omega sigma^T and eps ||sigma|| in the eigenvalues of sigma + i Omega
+    g = engine_state([Squeeze(0, float(r), 1.3), Displace(0, 0.3 + 0.2j)], 1)
+    back = GaussianPure(g.cov, g.mean, g.ref_overlap).bargmann
+    assert np.max(np.abs(back.a - g.bargmann.a)) <= 1e-15
+    assert np.max(np.abs(back.b - g.bargmann.b)) <= 1e-12 * np.max(np.abs(g.bargmann.b))
+    assert abs(back.log_c - g.bargmann.log_c) <= 1e-12
+
+
+def test_mixed_moments_stay_rejected_at_any_squeezing():
+    with pytest.raises(ValueError, match="not pure"):
+        GaussianPure(1.01 * np.eye(2), np.zeros(2), 1.0)
+    # a 1% thermal state squeezed to r = 8: sigma Omega sigma^T - Omega = 0.0201 Omega,
+    # far above the rounding of the product of diag(e^-16, e^16)
+    s, _ = gate_symplectic(Squeeze(0, 8.0), 1)
+    with pytest.raises(ValueError, match="not pure"):
+        GaussianPure(1.01 * s @ s.T, np.zeros(2), 1.0)
+    # noise 0.1 added after a rotated squeeze to r = 8 leaves a residual 0.1 * 2 cosh 16
+    s, _ = gate_symplectic(Squeeze(0, 8.0, 1.3), 1)
+    with pytest.raises(ValueError, match="not pure"):
+        GaussianPure(s @ s.T + 0.1 * np.eye(2), np.zeros(2), 1.0)
+
+
 def test_ref_overlap_magnitude_validated():
     with pytest.raises(ValueError):
         GaussianPure(np.eye(2), np.zeros(2), 0.5)

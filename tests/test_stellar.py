@@ -453,6 +453,27 @@ class TestGateEngine:
         y = np.eye(m) - s * np.outer(np.eye(m)[k], row)
         assert abs(stellar._squeeze_cond(s, row, k, den) / np.linalg.cond(y) - 1) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x, y: Displace(1, x + 1j * y),
+            lambda x, y: Squeeze(0, x, y),
+            lambda x, y: PhaseShift(1, x),
+            lambda x, y: BeamSplitter(0, 1, x, y),
+            lambda x, y: BeamSplitter(1, 0, x, y),
+        ],
+    )
+    def test_per_triple_parameters_act_row_by_row(self, make, rng):
+        # a stack of 2-mode kets and a gate with one parameter pair per triple:
+        # row k is the scalar gate with pair k on triple k
+        kets = stacked([engine_state(random_pure_program(2, rng, 1.0, 0.8), 2) for _ in range(5)])
+        p = rng.uniform(-1.0, 1.0, size=(5, 2))
+        got = stellar.apply_gate(make(*p.T), kets, 2)
+        for k in range(5):
+            one = stellar.apply_gate(make(*map(float, p[k])), kets[k], 2)
+            for x, y in ((got.a[k], one.a), (got.b[k], one.b), (got.log_c[k], one.log_c)):
+                assert np.max(np.abs(x - y)) <= 1e-15 * max(1.0, np.max(np.abs(y)))
+
     @pytest.mark.parametrize("gate", [Displace(2, 0.1), Squeeze(-1, 0.2), PhaseShift(3, 0.1), BeamSplitter(0, 2, 0.3)])
     def test_out_of_range_mode_raises(self, gate):
         for t in (_vacuum(2), stellar.identity_params(2)):
