@@ -17,6 +17,8 @@ TOL_SYMPLECTIC = 1e-9
 TOL_DECOMP = 1e-10    # Bloch-Messiah reconstruction error
 TOL_UNITARY = 1e-9    # u u^dagger = 1 check on mode unitaries
 TOL_NORMALISED = 1e-7  # log |c| of a ket triple against its closed-form normalisation
+EPS = float(np.finfo(float).eps)
+EIG_ROUNDING = 1e3   # eigenvalue rounding of sigma + i Omega, in units of EPS ||sigma||_2
 COND_MAX = 1e12       # condition-number cutoff for matrix solves
 EPS_REF = 1e-12       # usable floor for reference overlaps
 

@@ -134,8 +134,7 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = f(sim)
-    fsim[:, per_restart:] = np.inf  # points past maxfev keep scipy's placeholder
-    nfev = np.full(cfg.restarts, min(n + 1, per_restart))
+    nfev = np.full(cfg.restarts, n + 1)
     rows = np.arange(cfg.restarts)[:, None]
     for _ in range(2):  # scipy sorts the first simplex twice; numpy's argsort need not keep ties
         order = np.argsort(fsim, axis=1)

@@ -16,7 +16,16 @@ from functools import cached_property
 import numpy as np
 
 from . import stellar
-from ._linalg import TOL_NORMALISED, TOL_PSD, TOL_PURE, inv_psd, min_eig_hermitian, solve_psd
+from ._linalg import (
+    EIG_ROUNDING,
+    EPS,
+    TOL_NORMALISED,
+    TOL_PSD,
+    TOL_PURE,
+    inv_psd,
+    min_eig_hermitian,
+    solve_psd,
+)
 from .exceptions import DimensionMismatch, InvariantViolation
 from .symplectic import omega, require_symplectic
 
@@ -24,26 +33,32 @@ Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
 
 
 def check_admissible(cov: np.ndarray) -> None:
-    """Raise unless sigma + i Omega >= -TOL_PSD max(1, ||sigma||_2) (uncertainty
-    relation): its eigenvalues carry rounding of order eps ||sigma||_2, so the
-    margin grows with the squeezing."""
+    """Raise unless sigma + i Omega >= -(TOL_PSD + EIG_ROUNDING EPS ||sigma||_2)
+    (uncertainty relation): its computed eigenvalues carry rounding of order
+    EPS ||sigma||_2, so the margin grows with the squeezing."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     if cov.shape != (2 * n, 2 * n) or not np.allclose(cov, cov.T, atol=1e-8):
         raise ValueError("covariance must be symmetric with even dimension")
-    if min_eig_hermitian(cov + 1j * omega(n)) < -TOL_PSD * max(1.0, np.linalg.norm(cov, 2)):
+    margin = TOL_PSD + EIG_ROUNDING * EPS * np.linalg.norm(cov, 2)
+    if min_eig_hermitian(cov + 1j * omega(n)) < -margin:
         raise ValueError("covariance violates sigma + i Omega >= 0")
 
 
 def is_pure_cov(cov: np.ndarray) -> bool:
-    """sigma Omega sigma^T = Omega, each entry to TOL_PURE max(1, M_ij) with
-    M = |sigma| |Omega| |sigma|^T, the scale of that entry's rounding (at most
-    ||sigma||_2^2): squeezed pure states pass at any squeezing, while a mixed
-    state fails wherever its residual stands above the rounding."""
+    """sigma Omega sigma^T = Omega, entry (i, j) to TOL_PURE + (n + 1) EPS M_ij with
+    M_ij = d_i d_j sum_k d_k d_k' (d = sqrt(diag sigma), k' the partner
+    quadrature of k).  That bounds the residual's rounding to first order when
+    each sigma_ik is off by at most EPS/2 d_i d_k (d_i d_k >= |sigma_ik| for
+    sigma >= 0): 2 EPS/2 M_ij from the entries, 2n EPS/2 M_ij from the
+    product.  A mixed state fails wherever its residual stands above that
+    bound, which at strong squeezing is the limit of what its moments tell."""
     cov = np.asarray(cov, dtype=float)
-    om = omega(cov.shape[0] // 2)
-    scale = np.abs(cov) @ np.abs(om) @ np.abs(cov).T
-    return bool(np.all(np.abs(cov @ om @ cov.T - om) <= TOL_PURE * np.maximum(1.0, scale)))
+    n = cov.shape[0] // 2
+    om = omega(n)
+    d = np.sqrt(np.diag(cov))
+    scale = np.outer(d, d) * (2.0 * d[0::2] @ d[1::2])
+    return bool(np.all(np.abs(cov @ om @ cov.T - om) <= TOL_PURE + (n + 1) * EPS * scale))
 
 
 @dataclass(frozen=True)

@@ -149,14 +149,9 @@ def identity_params(n: int) -> StellarParams:
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b;
     u (l, l) acts on every triple of a stack, a (K, l, l) stack one per triple."""
-    b = t.b.copy()
-    if list(legs) == list(range(t.modes)):
-        # the whole register in order: no gather or scatter of legs
-        a = u @ t.a @ u.mT
-    else:
-        a = t.a.copy()
-        a[..., legs, :] = u @ a[..., legs, :]
-        a[..., :, legs] = a[..., :, legs] @ u.mT
+    a, b = t.a.copy(), t.b.copy()
+    a[..., legs, :] = u @ a[..., legs, :]
+    a[..., :, legs] = a[..., :, legs] @ np.swapaxes(u, -1, -2)
     if u.ndim == 2:
         # one product over the stack: its rounding is the one scalar gates have always had
         b.T[legs] = u @ b.T[legs]

@@ -324,10 +324,13 @@ def test_mixed_moments_stay_rejected_at_any_squeezing():
     s, _ = gate_symplectic(Squeeze(0, 8.0), 1)
     with pytest.raises(ValueError, match="not pure"):
         GaussianPure(1.01 * s @ s.T, np.zeros(2), 1.0)
-    # noise 0.1 added after a rotated squeeze to r = 8 leaves a residual 0.1 * 2 cosh 16
+    # rotated squeezes to r = 8: noise 1e-3 leaves a residual 1e-3 * 2 cosh 16, and the
+    # 1% thermal state one of 0.0201, about 1.2 times the rounding bound of the entries
+    # (~e^32 eps), the least impurity that such moments can carry
     s, _ = gate_symplectic(Squeeze(0, 8.0, 1.3), 1)
-    with pytest.raises(ValueError, match="not pure"):
-        GaussianPure(s @ s.T + 0.1 * np.eye(2), np.zeros(2), 1.0)
+    for cov in (s @ s.T + 0.1 * np.eye(2), s @ s.T + 1e-3 * np.eye(2), 1.01 * s @ s.T):
+        with pytest.raises(ValueError, match="not pure"):
+            GaussianPure(cov, np.zeros(2), 1.0)
 
 
 def test_ref_overlap_magnitude_validated():
