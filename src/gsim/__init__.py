@@ -8,16 +8,12 @@ decomposition's l1 weight.
 
 from .gaussian import (
     GaussianChannel,
-    GaussianMixed,
     GaussianPure,
     GeneralDyne,
-    apply_channel,
     apply_symplectic,
     condition_on_generaldyne,
     displace,
-    fidelity_pure,
     generaldyne_density,
-    partial_trace,
     tensor,
 )
 from .phase import GaussianUnitary, overlap, propagate, triple_overlap
@@ -31,7 +27,6 @@ from .simulator import (
     exact_born,
     fast_norm,
     hoeffding_tail_check,
-    sample_ensemble_member,
     sparsify,
 )
 from .states import (

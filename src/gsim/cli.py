@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import apps, counters, simulator, states
-from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, program_symplectic, symplectic_gates
-from .gaussian import GaussianChannel, GaussianMixed, GaussianPure, apply_channel, fidelity_pure
+from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, symplectic_gates
+from .gaussian import GaussianChannel, GaussianPure, block_diag
 from .phase import GaussianUnitary, propagate
 from .states import Superposition
 from .stellar import StellarParams
@@ -230,17 +230,30 @@ def _initial_state(init: dict, modes: int) -> Superposition:
         sup = states.fock1_ring(seeds[init.get("seed_state", "optimal")](), init.get("N", 16))
     if sup.n > modes:
         raise ValidationFailure("initial: state is wider than the declared mode count")
-    if sup.n < modes:
-        # tensor every term with vacuum modes: A (+) 0, (b, 0), same log c;
-        # the overlaps, so the Gram, stay those of the unpadded terms
-        t, pad = sup.triples, modes - sup.n
-        vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
-        sup = Superposition.from_stack(sup.coeffs, vac, sup.gram_cell.carried_to(vac))
-    return sup
+    return _with_vacuum(sup, modes)
 
 
-def _op_gates(op: dict, name: str, modes: int, where: str):
-    """The gates of a gate op, typed and mode-checked; None for another op."""
+def _with_vacuum(sup: Superposition, modes: int) -> Superposition:
+    """``sup`` on ``modes`` modes, vacuum appended: every term becomes A (+) 0,
+    (b, 0), same log c, so the overlaps, and the Gram, stay those of ``sup``."""
+    if sup.n == modes:
+        return sup
+    t, pad = sup.triples, modes - sup.n
+    vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
+    return Superposition.from_stack(sup.coeffs, vac, sup.gram_cell.carried_to(vac))
+
+
+def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
+    """The gates of a gate or channel op on the register of the ``modes``
+    system modes and ``env`` environment modes after them, typed and checked
+    against the system modes, and the environment modes they leave."""
+    if name == "channel":
+        return _channel_gates(op, modes, env, where)
+    if name == "symplectic":
+        smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
+        shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
+        # S (+) 1 and d (+) 0: the Euler factors' Passive gates act on the whole register
+        return symplectic_gates(block_diag(smat, np.eye(2 * env)), np.pad(shift, (0, 2 * env))), env
     if name in ("displace", "squeeze", "phase"):
         mode = _integer(op.get("mode"), f"{where}.mode")
     if name == "displace":
@@ -249,113 +262,93 @@ def _op_gates(op: dict, name: str, modes: int, where: str):
         gates = (Squeeze(mode, _real(op.get("r"), f"{where}.r"), _real(op.get("theta", 0.0), f"{where}.theta")),)
     elif name == "phase":
         gates = (PhaseShift(mode, _real(op.get("theta"), f"{where}.theta")),)
-    elif name == "beamsplitter":
+    else:  # beamsplitter
         m = op.get("modes")
         if not isinstance(m, list) or len(m) != 2:
             raise ValidationFailure(f"{where}.modes: beamsplitter needs two modes")
         m1, m2 = (_integer(v, f"{where}.modes") for v in m)
         theta, phi = _real(op.get("theta"), f"{where}.theta"), _real(op.get("phi", 0.0), f"{where}.phi")
         gates = (BeamSplitter(m1, m2, theta, phi),)
-    elif name == "symplectic":
-        smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
-        shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
-        gates = symplectic_gates(smat, shift)
-    else:
-        return None
     for gate in gates:
         check_gate_modes(gate, modes)
-    return gates
+    return gates, env
 
 
-def lower_ops(ops, modes: int) -> list:
+def _channel_gates(op: dict, modes: int, env: int, where: str) -> tuple:
+    """The gates of a channel op's Stinespring dilation and the environment
+    modes they leave: the channel acts as X (+) 1, Y (+) 0, D (+) 0 on the
+    register, so the ``env`` earlier environment modes pass through it."""
+    shape, pad = (2 * modes, 2 * modes), (0, 2 * env)
+    x, y = (_real_array(op.get(key), shape, f"{where}.{key}", modes) for key in "XY")
+    d = _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes)
+    try:
+        ch = GaussianChannel(block_diag(x, np.eye(pad[1])), np.pad(y, pad), np.pad(d, pad))
+    except ValueError as exc:  # with the shapes checked, Y is asymmetric or too small for X
+        raise ValidationFailure(f"{where}.Y: {exc}") from None
+    s = ch.dilation()
+    try:
+        return symplectic_gates(s, np.pad(ch.d, (0, len(s) - len(ch.d)))), len(s) // 2 - modes
+    except ValueError as exc:  # S passed is_symplectic: a failed split is a numerical fault
+        raise InvariantViolation(f"{where}: the channel's dilation has no Euler split: {exc}") from exc
+
+
+def lower_ops(ops, modes: int) -> tuple:
     """Validate the whole op list, before any work on the state, and lower it
-    to segments run in order:
+    to segments run in order, with the number of system modes they leave:
 
-    * ``("gates", modes, op_gates)`` for each maximal run of gate ops, with
-      the gates of each op (a ``symplectic`` op's are its Euler gates);
-    * ``("channel", channel, where)`` for a channel op;
-    * ``("condition", modes, outcome)`` for a condition op.
-
-    The pipeline starts on a superposition; after a channel it is Gaussian,
-    so a later condition is rejected here.  The mode count follows
-    conditioning.
+    * ``("gates", width, op_gates)`` for each maximal run of gate ops on one
+      ``width``-mode register, with each op's gates (a ``symplectic`` op's
+      are its Euler gates, a ``channel`` op's those of its dilation, whose
+      environment modes follow the register's), run after vacuum padding;
+    * ``("condition", measured, outcome)`` for a condition op.
     """
-    segments, pure = [], True
+    segments, env = [], 0
     for k, op in enumerate(ops):
         where = f"ops[{k}]"
         name = _fields(op, f"{where}.", OP_FIELDS, "gate")["gate"]
-        gates = _op_gates(op, name, modes, where)
-        if gates is not None:
-            if not segments or segments[-1][0] != "gates":
-                segments.append(("gates", modes, []))
-            segments[-1][2].append(gates)
-        elif name == "channel":
-            shape = (2 * modes, 2 * modes)
-            ch = GaussianChannel(
-                _real_array(op.get("X"), shape, f"{where}.X", modes),
-                _real_array(op.get("Y"), shape, f"{where}.Y", modes),
-                _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes),
-            )
-            segments.append(("channel", ch, where))
-            pure = False
-        elif name == "condition":
-            if not pure:
-                raise ValidationFailure(f"{where}: conditioning needs a pure-state pipeline")
+        if name == "condition":
             measured = [_integer(m, f"{where}.modes") for m in _list(op.get("modes"), f"{where}.modes")]
             outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")
             modes = len(simulator.kept_modes(modes, measured, len(outcome)))
             segments.append(("condition", measured, outcome))
-    return segments
+        else:
+            gates, env = _op_gates(op, name, modes, env, where)
+            if not segments or segments[-1][0] != "gates" or segments[-1][1] != modes + env:
+                segments.append(("gates", modes + env, []))
+            segments[-1][2].append(gates)
+    return segments, modes
 
 
-def _run_segments(state: Superposition, segments: list):
-    """Run lowered ops.  On a superposition each run of gate ops costs one
-    unitary, one `simulator.evolve` and so one stacked normalisation check,
-    while `stellar.apply_gate` still checks every squeeze on its own.  On a
-    Gaussian state each op's (S, d) acts in turn and the run builds one
-    `GaussianMixed`."""
+def _run_segments(state: Superposition, segments: list) -> Superposition:
+    """Run lowered ops.  Each run of gate ops costs one unitary, one
+    `simulator.evolve` and so one stacked normalisation check, while
+    `stellar.apply_gate` still checks every squeeze on its own."""
     for kind, *segment in segments:
         if kind == "gates":
-            n, op_gates = segment
-            if isinstance(state, Superposition):
-                # the gates were mode-checked as they were lowered
-                state = simulator.evolve(state, GaussianUnitary(tuple(g for gates in op_gates for g in gates), n))
-            else:
-                cov, mean = state.cov, state.mean
-                for gates in op_gates:
-                    # one (S, d) per op: a product over the run would round differently
-                    s, d = program_symplectic(gates, n)
-                    cov, mean = s @ cov @ s.T, s @ mean + d
-                state = GaussianMixed(cov, mean)
-        elif kind == "channel":
-            ch, where = segment
-            if isinstance(state, Superposition):
-                if state.rank != 1:
-                    raise ValidationFailure(f"{where}: channels apply only to rank-1 states in this pipeline")
-                state = state.entries[0].term.as_mixed()
-            state = apply_channel(state, ch)
+            width, op_gates = segment
+            # the gates were mode-checked as they were lowered
+            unitary = GaussianUnitary(tuple(g for gates in op_gates for g in gates), width)
+            state = simulator.evolve(_with_vacuum(state, width), unitary)
         else:
             state, _ = simulator.condition(state, *segment)
     return state
 
 
-def _perform(state, task: dict, seed: int) -> tuple:
-    """(value, error band) of a typed task on the pipeline's final state."""
+def _perform(state, modes: int, task: dict, seed: int) -> tuple:
+    """(value, error band) of a typed task on the final state; its first ``modes`` modes are the system."""
     name = task["name"]
-    if name in ("approx_born", "norm", "extent") and not isinstance(state, Superposition):
-        raise ValidationFailure(f"task.name: {name} requires a pure-state pipeline")
+    if name in ("approx_born", "extent") and state.n > modes:  # no mixed-state definition yet
+        raise ValidationFailure(f"task.name: {name} requires a pure-state pipeline; after a channel the system is mixed")
     if name == "exact_born":
-        if isinstance(state, Superposition):
+        if state.n > modes:  # the heterodyne marginal of the system modes
+            est = simulator.heterodyne_density(state, range(modes), task["outcome"])
+        else:
             est = simulator.exact_born(state, task["outcome"])
-            return est.value, list(est.error_band)
-        # mixed pipeline: Husimi density over d^2n(alpha)
-        probe = GaussianPure.coherent(task["outcome"])
-        n = state.cov.shape[0] // 2
-        return fidelity_pure(state, probe) / np.pi**n, None
+        return est.value, list(est.error_band)
     if name == "approx_born":
         est = simulator.approx_born(state, task["outcome"], task["delta"], task["epsilon"], task["pfail"], seed=seed)
         return est.value, list(est.error_band)
-    if name == "norm":
+    if name == "norm":  # a channel's dilation keeps the norm
         est = simulator.fast_norm(state, task["epsilon"], task["pfail"], seed=seed)
         return est.eta, list(est.band)
     if name == "extent":
@@ -561,13 +554,13 @@ def execute(program: dict, source, fmt: str) -> int:
     top = _fields(program, "", PROGRAM_FIELDS, "schema_version", "modes", "task")
     modes = top["modes"]
     init = read_initial(top["initial"]) if "initial" in top else None
-    segments = lower_ops(top.get("ops", []), modes)
+    segments, system = lower_ops(top.get("ops", []), modes)
     task = read_task(top["task"])
     if init is None and task["name"] not in STATE_FREE_TASKS:
         raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
     state = None if init is None else _run_segments(_initial_state(init, modes), segments)
     seed = top.get("seed", 0)
-    value, band = _perform(state, task, seed)
+    value, band = _perform(state, system, task, seed)
     emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, seed), fmt)
     return 0
 

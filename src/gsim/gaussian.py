@@ -27,7 +27,7 @@ from ._linalg import (
     solve_psd,
 )
 from .exceptions import DimensionMismatch, InvariantViolation
-from .symplectic import omega, require_symplectic
+from .symplectic import is_symplectic, omega, require_symplectic
 
 Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
 
@@ -82,10 +82,6 @@ class GaussianMixed:
     @classmethod
     def vacuum(cls, n: int) -> "GaussianMixed":
         return cls(np.eye(2 * n), np.zeros(2 * n))
-
-    @classmethod
-    def thermal(cls, n_mean: float) -> "GaussianMixed":
-        return cls((1.0 + 2.0 * n_mean) * np.eye(2), np.zeros(2))
 
 
 def check_normalised(t: stellar.StellarParams) -> None:
@@ -200,10 +196,41 @@ class GaussianChannel:
         object.__setattr__(self, "x", np.array(self.x, dtype=float))
         object.__setattr__(self, "y", np.array(self.y, dtype=float))
         object.__setattr__(self, "d", np.array(self.d, dtype=float))
-        n = self.x.shape[0] // 2
-        om = omega(n)
-        if min_eig_hermitian(self.y + 1j * om - 1j * self.x @ om @ self.x.T) < -TOL_PSD:
+        m = 2 * (self.d.size // 2)
+        if self.x.shape != (m, m) or self.y.shape != (m, m) or self.d.shape != (m,):
+            shapes = (self.x.shape, self.y.shape, self.d.shape)
+            raise DimensionMismatch(f"X, Y, D have shapes {shapes}, not ((2n, 2n), (2n, 2n), (2n,))")
+        # the checks below read one triangle of Y only
+        if np.max(np.abs(self.y - self.y.T), initial=0.0) > TOL_PSD + EPS * np.max(np.abs(self.y), initial=0.0):
+            raise ValueError("Y is not symmetric")
+        if min_eig_hermitian(self._noise_form()) < -TOL_PSD:
             raise ValueError("channel violates Y + i Omega >= i X Omega X^T")
+
+    def _noise_form(self) -> np.ndarray:
+        """H = Y + i (Omega - X Omega X^T), positive semidefinite for a CP channel."""
+        om = omega(len(self.x) // 2)
+        return self.y + 1j * (om - self.x @ om @ self.x.T)
+
+    def dilation(self) -> np.ndarray:
+        """Symplectic S of a Stinespring dilation: the channel is S on the n system
+        modes and E vacuum environment modes after them, traced out (Caruso et al.,
+        NJP 10, 083030 (2008)).  Environment mode j is the column pair (Re L_j,
+        -Im L_j) of H = L L^+ over H's eigenvalues above their rounding, so E = rank H.
+        Each +mu eigenvector a + ib of i N^T Omega N, N the null space of
+        [X | X_E] Omega, completes the rows [X | X_E] with sqrt(2 / mu) (b, a) N^T."""
+        h = self._noise_form()
+        lam, vec = np.linalg.eigh(h)
+        keep = lam > EIG_ROUNDING * EPS * (np.linalg.norm(h, 2) + np.linalg.norm(self.x, 2) ** 2)
+        n, e = len(self.x) // 2, int(np.count_nonzero(keep))
+        lower = vec[:, keep] * np.sqrt(lam[keep])
+        rows = np.hstack([self.x, np.stack([lower.real, -lower.imag], -1).reshape(2 * n, 2 * e)])
+        null = np.linalg.svd(rows @ omega(n + e))[2][2 * n :].T
+        mu, v = np.linalg.eigh(1j * (null.T @ omega(n + e) @ null))
+        v = v[:, e:] * np.sqrt(2.0 / mu[e:])
+        s = np.vstack([rows, (null @ np.stack([v.imag, v.real], -1).reshape(2 * e, 2 * e)).T])
+        if not is_symplectic(s):
+            raise InvariantViolation("the completed channel dilation is not symplectic")
+        return s
 
 
 @dataclass(frozen=True)
@@ -254,20 +281,16 @@ def displace(state, shift):
     return GaussianMixed(state.cov, state.mean + shift)
 
 
-def apply_symplectic(state, s):
-    """Apply a symplectic quadrature map; pure states keep a consistent phase."""
+def apply_symplectic(state, s) -> GaussianMixed:
+    """Apply a symplectic quadrature map to the moments of a Gaussian state."""
     s = require_symplectic(s)
     if s.shape[0] != 2 * state.n:
         raise DimensionMismatch("symplectic dimension does not match state")
-    if isinstance(state, GaussianPure):
-        from .phase import GaussianUnitary, propagate
-
-        op = GaussianUnitary.from_symplectic_displacement(s, np.zeros(s.shape[0]))
-        return propagate(state, op)
     return GaussianMixed(s @ state.cov @ s.T, s @ state.mean)
 
 
-def _block_diag(x, y):
+def block_diag(x, y) -> np.ndarray:
+    """The direct sum x (+) y of two square matrices."""
     n = x.shape[0]
     out = np.zeros((n + y.shape[0],) * 2, dtype=np.result_type(x, y))
     out[:n, :n] = x
@@ -284,9 +307,9 @@ def tensor(a, b):
     if isinstance(a, GaussianPure) and isinstance(b, GaussianPure):
         ta, tb = a.bargmann, b.bargmann
         return GaussianPure.from_triple(
-            stellar.StellarParams(_block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.log_c + tb.log_c)
+            stellar.StellarParams(block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.log_c + tb.log_c)
         )
-    return GaussianMixed(_block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
+    return GaussianMixed(block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
 
 
 def partial_trace(state, keep) -> GaussianMixed:

@@ -23,7 +23,7 @@ import numpy as np
 from . import stellar
 from ._linalg import EPS_REF, solve_complex
 from .exceptions import DimensionMismatch, ReferenceDegenerate
-from .gates import Displace, Squeeze, check_gate_modes, symplectic_gates
+from .gates import Displace, Squeeze, check_gate_modes
 from .gaussian import GaussianPure
 from .rng import stream
 from .symplectic import omega
@@ -133,12 +133,6 @@ class GaussianUnitary:
         for g in gates:
             check_gate_modes(g, n)
         return cls(gates, n)
-
-    @classmethod
-    def from_symplectic_displacement(cls, s, d) -> "GaussianUnitary":
-        """Unitary with quadrature action (S, d); phase fixed by the Euler route."""
-        s = np.asarray(s, dtype=float)
-        return cls(symplectic_gates(s, d), s.shape[0] // 2)
 
     def then(self, other: "GaussianUnitary") -> "GaussianUnitary":
         """This unitary followed by ``other`` (operator product other @ self)."""

@@ -98,16 +98,6 @@ def condition(sup: Superposition, modes, outcome):
     return Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced), 2.0 * shift
 
 
-def heterodyne_density(sup: Superposition, modes, outcome) -> float:
-    """Outcome density over d^2m(xi) for heterodyning a subset of modes:
-    the weight state.norm_squared() e^log_scale of `condition` over
-    pi^m ||psi||^2; both exact norms raise IllConditioned where their
-    rounding bounds reach them."""
-    state, log_scale = condition(sup, modes, outcome)
-    m = len(tuple(modes))
-    return state.norm_squared() * np.exp(log_scale) / (np.pi**m * sup.norm_squared())
-
-
 # ---------------------------------------------------------------------------
 # Born probabilities
 
@@ -155,6 +145,20 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     value = _clamp_density(amp**2 / (scale * norm_sq))
     lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
     return BornEstimate(value, "exact", amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
+
+
+def heterodyne_density(sup: Superposition, modes, outcome) -> BornEstimate:
+    """Outcome density over d^2m(xi) for heterodyning a subset of modes, the
+    marginal over the others: the weight state.norm_squared() e^log_scale of
+    `condition` over pi^m ||psi||^2.  ``error_band`` moves each Gram form to
+    the end of its rounding bound (``gram_form[1]``) that widens the band;
+    both exact norms raise IllConditioned where their bounds reach them."""
+    state, log_scale = condition(sup, modes, outcome)
+    num, norm_sq = state.norm_squared(), sup.norm_squared()
+    num_err, den_err = state.gram_form[1], sup.gram_form[1]
+    scale = np.exp(log_scale) / np.pi ** len(tuple(modes))
+    band = ((num - num_err) * scale / (norm_sq + den_err), (num + num_err) * scale / (norm_sq - den_err))
+    return BornEstimate(num * scale / norm_sq, "exact", num * np.exp(log_scale), norm_sq, band)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +373,3 @@ def hoeffding_tail_check(sup: Superposition, delta: float, trials: int, seed: in
         if dist_sq > nsq_omega - 1.0 + delta**2:
             exceed += 1
     return TailReport(exceed / trials, bound, f_used, trials, exceed)
-
-
-def sample_ensemble_member(ensemble, seed: int = 0) -> Superposition:
-    """Draw one pure-state member (p_j, psi_j) of a mixed-state ensemble."""
-    probs = np.array([p for p, _ in ensemble], dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-        raise ValueError("ensemble probabilities must be nonnegative and sum to 1")
-    rng = stream(seed, 0)
-    counters.tally.samples += 1
-    j = int(rng.choice(len(ensemble), p=probs))
-    return ensemble[j][1]

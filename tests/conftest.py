@@ -7,7 +7,7 @@ from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
 from gsim.phase import GaussianUnitary, propagate
 from gsim.stellar import StellarParams
-from gsim.symplectic import factor_two_mode_unitary, passive_from_unitary
+from gsim.symplectic import factor_two_mode_unitary, omega, passive_from_unitary
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
@@ -29,6 +29,16 @@ def random_symplectic(n: int, rng, r_max: float = 1.5) -> np.ndarray:
         z[2 * k, 2 * k] = zk
         z[2 * k + 1, 2 * k + 1] = 1.0 / zk
     return passive_from_unitary(u1) @ z @ passive_from_unitary(u2)
+
+
+def random_cp_channel(n: int, rng):
+    """(X, Y) of a random completely positive channel: X a random symplectic
+    scaled per quadrature, Y the least isotropic noise that H = Y + i(Omega -
+    X Omega X^T) >= 0 allows plus a random positive part."""
+    x = random_symplectic(n, rng, r_max=0.5) @ np.diag(rng.uniform(0.3, 1.2, 2 * n))
+    om = omega(n)
+    g = rng.normal(size=(2 * n, 2 * n)) / 2
+    return x, np.linalg.eigvalsh(1j * (x @ om @ x.T - om)).max() * np.eye(2 * n) + g @ g.T
 
 
 def passive_gates(u, modes=(0, 1)):

@@ -104,25 +104,40 @@ def test_missing_required_field_flagged(tmp_path, capsys):
     assert code == 2
 
 
-def test_channel_requires_rank_one(tmp_path, capsys):
+def _lossy_cat_husimi(alpha, parity, eta, xi):
+    """Closed-form Husimi density <xi|rho|xi> / pi of the cat N(|a> + s|-a>)
+    after pure loss eta: the channel takes |a><b| to <b|a>^(1 - eta)
+    |sqrt(eta) a><sqrt(eta) b|, and <-a|a> = e^(-2|a|^2)."""
+    def amp(beta):  # <xi|beta>
+        return np.exp(-abs(xi) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(xi) * beta)
+
+    a, fringe = np.sqrt(eta) * alpha, np.exp(-2 * abs(alpha) ** 2)
+    cross = 2 * parity * fringe ** (1 - eta) * (amp(a) * np.conj(amp(-a))).real
+    return (abs(amp(a)) ** 2 + abs(amp(-a)) ** 2 + cross) / (2 * (1 + parity * fringe) * np.pi)
+
+
+def _loss(eta):
+    """A one-mode pure-loss channel op of transmissivity eta."""
+    return {"gate": "channel", "X": (np.sqrt(eta) * np.eye(2)).tolist(), "Y": ((1 - eta) * np.eye(2)).tolist()}
+
+
+def test_channel_on_a_cat_runs(tmp_path, capsys):
+    # a rank-2 state through loss: the channel's Stinespring dilation runs on
+    # the superposition, and exact_born is the heterodyne marginal of mode 0
     program = {
         "schema_version": 1,
         "modes": 1,
-        "initial": {"kind": "cat", "alpha": 1.0},
-        "ops": [
-            {
-                "gate": "channel",
-                "X": [[1, 0], [0, 1]],
-                "Y": [[1, 0], [0, 1]],
-                "D": [0, 0],
-            }
-        ],
-        "task": {"name": "exact_born", "outcome": [[0.0, 0.0]]},
+        "initial": {"kind": "cat", "alpha": 1.0, "parity": "-"},
+        "ops": [_loss(0.5)],
+        "task": {"name": "exact_born", "outcome": [[0.4, -0.3]]},
     }
-    path = tmp_path / "prog.json"
-    path.write_text(json.dumps(program))
-    code, _, _ = run_cli(["run", str(path)], capsys)
-    assert code == 2
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    want = _lossy_cat_husimi(1.0, -1, 0.5, 0.4 - 0.3j)
+    assert abs(doc["value"] - want) <= 1e-14 * want
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi and hi - lo < 1e-13 * want
 
 
 def test_channel_pipeline_on_gaussian(tmp_path, capsys):
@@ -695,7 +710,8 @@ NOISE = {"gate": "channel", "X": [[1, 0], [0, 1]], "Y": [[2, 0], [0, 2]], "D": [
     ],
 )
 def test_symplectic_op_shapes_are_validated(pipeline, field, op, tmp_path, capsys):
-    # a one-element shift on one mode is neither dropped (pure) nor broadcast (mixed)
+    # a one-element shift on one mode is neither dropped nor broadcast, also
+    # after a channel (mixed), where the op is embedded as S (+) 1 on the register
     ops = [op] if pipeline == "pure" else [NOISE, op]
     program = {
         "schema_version": 1,
@@ -738,6 +754,180 @@ def test_mixed_pipeline_applies_gates_by_their_symplectic_action(tmp_path, capsy
     cov, mean = x @ x.T + y, d_ch
     want = fidelity_pure(GaussianMixed(s @ cov @ s.T, s @ mean + d), GaussianPure.coherent(outcome)) / np.pi**2
     assert abs(json.loads(out)["value"] - want) < 1e-12
+
+
+def _through(initial, ops, modes):
+    """The final state of a program's ops and its system-mode count, as
+    ``cli.execute`` builds them."""
+    segments, system = cli.lower_ops(ops, modes)
+    return cli._run_segments(_initial(initial, modes), segments), system
+
+
+def _born(state, system, outcome):
+    return cli._perform(state, system, cli.read_task({"name": "exact_born", "outcome": outcome}), 0)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("eta", [0.9, 0.5, 0.1])
+@pytest.mark.parametrize("alpha", [2.0, 0.5, 1.3 + 0.4j])
+def test_lossy_cats_match_their_closed_form_husimi(alpha, eta, parity):
+    initial = {"kind": "cat", "alpha": [alpha.real, alpha.imag], "parity": parity}
+    state, system = _through(initial, [_loss(eta)], 1)
+    for xi in (0.0, 0.7 - 0.2j, -1.1 + 0.9j, 2.5j):
+        value, (lo, hi) = _born(state, system, [[xi.real, xi.imag]])
+        want = _lossy_cat_husimi(alpha, parity, eta, xi)
+        assert abs(value - want) <= 1e-13 * want
+        assert lo <= value <= hi
+
+
+def test_random_channels_match_the_covariance_path():
+    from gsim.gates import Displace, program_symplectic
+    from gsim.gaussian import GaussianMixed, GaussianPure, apply_channel, fidelity_pure
+    from conftest import random_cp_channel
+
+    rng = np.random.default_rng(5)
+    for modes in (1, 2, 1, 2, 1, 2):
+        gates = [Squeeze(0, rng.uniform(0.2, 1.5), rng.uniform(0, 6)), Displace(0, complex(*rng.normal(size=2)))]
+        ops = [
+            {"gate": "squeeze", "mode": 0, "r": gates[0].r, "theta": gates[0].theta},
+            {"gate": "displace", "mode": 0, "alpha": [gates[1].alpha.real, gates[1].alpha.imag]},
+        ]
+        if modes == 2:
+            gates.append(BeamSplitter(0, 1, 0.7, 0.3))
+            ops.append({"gate": "beamsplitter", "modes": [0, 1], "theta": 0.7, "phi": 0.3})
+        x, y = random_cp_channel(modes, rng)
+        d = rng.normal(size=2 * modes)
+        ops.append({"gate": "channel", "X": x.tolist(), "Y": y.tolist(), "D": d.tolist()})
+        state, system = _through({"kind": "vacuum"}, ops, modes)
+        s, shift = program_symplectic(gates, modes)
+        rho = apply_channel(GaussianMixed(s @ s.T, shift), cli.GaussianChannel(x, y, d))
+        for _ in range(4):
+            xis = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+            value, (lo, hi) = _born(state, system, [[z.real, z.imag] for z in xis])
+            want = fidelity_pure(rho, GaussianPure.coherent(xis)) / np.pi**modes
+            assert abs(value - want) <= 1e-12 * want
+            assert lo <= value <= hi
+
+
+def test_lossy_ring_marginal_matches_the_fock_oracle():
+    # the oracle takes loss as a beamsplitter onto a vacuum mode, another
+    # dilation than gsim's, and sums |<xi, n_E|psi>|^2 over the environment
+    from gsim.gates import Displace, PhaseShift
+
+    big_n, eta, cut = 8, 0.6, 70
+    state, system = _through({"kind": "fock1_ring", "N": big_n}, [_loss(eta)], 1)
+    seed = [Squeeze(0, np.log(np.sqrt(3.0))), Displace(0, np.sqrt(2.0 / 3.0))]
+    ring = sum(
+        np.exp(-1j * np.pi * m / big_n) * fock.oracle_state(seed + [PhaseShift(0, np.pi * m / big_n)], 1, cutoff=cut).amplitudes
+        for m in range(2 * big_n)
+    )
+    vec = fock.FockVector(np.multiply.outer(ring, np.eye(cut)[0]), cut)
+    u = np.array([[np.sqrt(eta), np.sqrt(1 - eta)], [-np.sqrt(1 - eta), np.sqrt(eta)]])
+    vec = fock.apply_mode_unitary(vec, u, (0, 1))
+    assert vec.edge_mass() < 1e-20
+    for xi in (0.0, 0.5 + 0.2j, -0.8j, 1.4 - 0.6j):
+        value, _ = _born(state, system, [[xi.real, xi.imag]])
+        want = fock.condition_on_coherent(vec, 0, xi).norm_squared() / (np.pi * vec.norm_squared())
+        assert abs(value - want) <= 1e-10 * want
+
+
+def test_two_channels_equal_their_composition():
+    from gsim.gaussian import GaussianChannel, compose_channels
+    from conftest import random_cp_channel
+
+    rng = np.random.default_rng(8)
+    c1, c2 = (GaussianChannel(*random_cp_channel(2, rng), rng.normal(size=4)) for _ in range(2))
+    c12 = compose_channels(c1, c2)
+
+    def op(c):
+        return {"gate": "channel", "X": c.x.tolist(), "Y": c.y.tolist(), "D": c.d.tolist()}
+
+    cat = {"kind": "cat", "alpha": [1.2, 0.3], "parity": -1}
+    first = [{"gate": "beamsplitter", "modes": [0, 1], "theta": 0.5}]
+    two, system = _through(cat, first + [op(c1), op(c2)], 2)
+    one, _ = _through(cat, first + [op(c12)], 2)
+    for outcome in ([[0.3, 0.1], [-0.2, 0.4]], [[1.0, -0.5], [0.0, 0.0]]):
+        a, b = _born(two, system, outcome)[0], _born(one, system, outcome)[0]
+        assert abs(a - b) <= 1e-12 * b
+
+
+def test_condition_after_a_channel_matches_generaldyne():
+    from gsim.gates import program_symplectic
+    from gsim.gaussian import (
+        GaussianChannel, GaussianMixed, GaussianPure, GeneralDyne, apply_channel, condition_on_generaldyne, fidelity_pure
+    )
+
+    x, y, d = np.sqrt(0.7) * np.eye(4), np.diag([0.5, 0.3, 0.4, 0.6]), np.array([0.2, -0.1, 0.0, 0.3])
+    xi_b, xi_a = 0.4 - 0.3j, -0.2 + 0.5j
+    ops = [
+        {"gate": "squeeze", "mode": 0, "r": 0.6, "theta": 0.4},
+        {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.8, "phi": 0.1},
+        {"gate": "channel", "X": x.tolist(), "Y": y.tolist(), "D": d.tolist()},
+        {"gate": "condition", "modes": [1], "outcome": [[xi_b.real, xi_b.imag]]},
+        {"gate": "squeeze", "mode": 0, "r": 0.2},
+    ]
+    state, system = _through({"kind": "vacuum"}, ops, 2)
+    assert system == 1
+    value, (lo, hi) = _born(state, system, [[xi_a.real, xi_a.imag]])
+    s, _ = program_symplectic([Squeeze(0, 0.6, 0.4), BeamSplitter(0, 1, 0.8, 0.1)], 2)
+    rho = apply_channel(GaussianMixed(s @ s.T, np.zeros(4)), GaussianChannel(x, y, d))
+    quad = np.sqrt(2) * np.array([xi_b.real, xi_b.imag])
+    cond = condition_on_generaldyne(rho, GeneralDyne.heterodyne([1]), quad)
+    sq, _ = program_symplectic([Squeeze(0, 0.2)], 1)
+    want = fidelity_pure(GaussianMixed(sq @ cond.cov @ sq.T, sq @ cond.mean), GaussianPure.coherent([xi_a])) / np.pi
+    assert abs(value - want) <= 1e-13 * want
+    assert lo <= value <= hi
+
+
+def test_norm_after_a_channel_is_the_dilated_norm(tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "seed": 2, "initial": CAT, "ops": [_loss(0.4)], "task": {"name": "norm"}}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    lo, hi = json.loads(out)["error_band"]
+    assert lo <= 1.0 <= hi  # a cat is normalised, and the dilation is unitary
+
+
+@pytest.mark.parametrize("task", [{"name": "approx_born", "outcome": [[0, 0]]}, {"name": "extent"}])
+def test_tasks_without_a_mixed_state_definition_exit_2(task, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [_loss(0.4)], "task": task}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert f"task.name: {task['name']}" in err and "after a channel" in err
+
+
+def test_channel_noise_must_be_symmetric(tmp_path, capsys):
+    # eigvalsh reads one triangle, so this Y would pass a bare CP check
+    channel = {"gate": "channel", "X": [[1, 0], [0, 1]], "Y": [[1, 5], [0, 1]]}
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [NOISE, channel], "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert "ops[1].Y" in err and "symmetric" in err
+
+
+def test_gates_after_a_channel_stay_on_the_system_modes(tmp_path, capsys):
+    # the environment mode the channel appended is not the program's to touch
+    ops = [_loss(0.5), {"gate": "displace", "mode": 1, "alpha": [0.1, 0.0]}]
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": ops, "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert "mode index outside 0..0" in err
+
+
+@pytest.mark.parametrize("broken", ["is_symplectic", "symplectic_gates"])
+def test_a_broken_dilation_is_a_numerical_failure(broken, monkeypatch, tmp_path, capsys):
+    from gsim import gaussian
+
+    if broken == "is_symplectic":
+        monkeypatch.setattr(gaussian, "is_symplectic", lambda s: False)
+    else:
+        def split(s, d):
+            raise ValueError("failed to pair symplectic eigenvectors")
+
+        monkeypatch.setattr(cli, "symplectic_gates", split)
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [_loss(0.5)], "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 3
+    assert "numerical failure" in err and "dilation" in err
 
 
 def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
@@ -1014,36 +1204,36 @@ def _initial(init, modes):
 
 def _all_ops(state, ops, modes):
     """The op list as ``cli.execute`` runs it: lowered, then run segment by segment."""
-    return cli._run_segments(state, cli.lower_ops(ops, modes))
+    return cli._run_segments(state, cli.lower_ops(ops, modes)[0])
 
 
 def _per_op(state, ops, modes):
-    """The op list one op at a time: every gate op is its own run and evolve."""
-    for op in ops:
-        state = _all_ops(state, [op], modes)
-        modes -= len(op["modes"]) if op["gate"] == "condition" else 0
+    """The op list lowered as ``cli.execute`` lowers it, then run one op at a
+    time: every gate op is its own run and evolve."""
+    for kind, *segment in cli.lower_ops(ops, modes)[0]:
+        parts = [[gates] for gates in segment[1]] if kind == "gates" else [segment[1]]
+        for part in parts:
+            state = cli._run_segments(state, [(kind, segment[0], part)])
     return state
 
 
 def _bits(state):
-    if isinstance(state, cli.Superposition):
-        t = state.triples
-        return [x.tobytes() for x in (state.coeffs, t.a, t.b, t.log_c)]
-    return [state.cov.tobytes(), state.mean.tobytes()]
+    t = state.triples
+    return [x.tobytes() for x in (state.coeffs, t.a, t.b, t.log_c)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), pipeline=st.sampled_from(["pure", "condition", "mixed"]))
+@given(data=st.data(), pipeline=st.sampled_from(["pure", "condition", "channel"]))
 def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
     # the fold applies the same gates in the same order, so every triple and
     # the whole result document are bit-identical to a per-gate evolve
     small = st.floats(-0.6, 0.6)
     xi, alpha = (complex(data.draw(small), data.draw(small)) for _ in range(2))
-    initial = {"kind": "coherent" if pipeline == "mixed" else "cat", "alpha": [alpha.real + 0.4, alpha.imag]}
+    initial = {"kind": "cat", "alpha": [alpha.real + 0.4, alpha.imag]}
     middle, modes = [], 2
     if pipeline == "condition":
         middle, modes = [{"gate": "condition", "modes": [1], "outcome": [[xi.real, xi.imag]]}], 1
-    elif pipeline == "mixed":
+    elif pipeline == "channel":
         middle = [{"gate": "channel", "X": (0.9 * np.eye(4)).tolist(), "Y": (0.2 * np.eye(4)).tolist()}]
     ops = data.draw(_gate_ops(2)) + middle + data.draw(_gate_ops(modes))
     task = {"name": "exact_born", "outcome": [[xi.imag, xi.real]] * modes}
@@ -1051,7 +1241,7 @@ def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
     for run in (_all_ops, _per_op):
         cli.counters.tally.reset()
         state = run(_initial(initial, 2), ops, 2)
-        value, band = cli._perform(state, cli.read_task(task), 0)
+        value, band = cli._perform(state, modes, cli.read_task(task), 0)
         doc = cli.result_document("exact_born", {"ops": ops}, value, band, 0)
         got.append((_bits(state), cli.emit(doc, "json", out=io.StringIO())))
     assert got[0] == got[1]

@@ -21,8 +21,9 @@ from gsim.gaussian import (
     partial_trace,
     tensor,
 )
+from gsim.symplectic import omega
 
-from conftest import engine_state, random_pure_program, random_symplectic
+from conftest import engine_state, random_cp_channel, random_pure_program, random_symplectic
 
 
 def two_mode_squeezer(r):
@@ -145,6 +146,61 @@ class TestChannels:
             combined = apply_channel(rho, compose_channels(c1, c2))
             assert np.max(np.abs(seq.cov - combined.cov)) < 1e-12
             assert np.max(np.abs(seq.mean - combined.mean)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "x, y, d, error",
+        [
+            (np.eye(3), np.eye(3), np.zeros(3), DimensionMismatch),  # odd size
+            (np.eye(4)[:, :2], np.eye(4)[:, :2], np.zeros(4), DimensionMismatch),  # not square
+            (np.eye(2), np.eye(4), np.zeros(2), DimensionMismatch),  # Y of another size
+            (np.eye(2), np.eye(2), np.zeros(4), DimensionMismatch),  # D of another length
+            (np.eye(2), [[1.0, 5.0], [0.0, 1.0]], np.zeros(2), ValueError),  # one triangle of Y is CP
+        ],
+    )
+    def test_malformed_channel_rejected(self, x, y, d, error):
+        with pytest.raises(error):
+            GaussianChannel(x, y, d)
+
+    @pytest.mark.parametrize(
+        "x, y, env",
+        [
+            (np.sqrt(0.3) * np.eye(4), 0.7 * np.eye(4), 2),  # pure loss: one environment mode per mode
+            (np.sqrt(0.3) * np.eye(4), 1.9 * np.eye(4), 4),  # thermal loss: two per mode
+            (np.eye(2), np.zeros((2, 2)), 0),  # the identity needs none
+            (np.diag([2.0, 0.5]), np.zeros((2, 2)), 0),  # nor does a squeeze
+            (np.eye(2), np.diag([0.4, 0.0]), 1),  # classical noise on q only
+        ],
+    )
+    def test_dilation_realises_the_channel(self, x, y, env):
+        ch = GaussianChannel(x, y, np.zeros(len(x)))
+        s = ch.dilation()
+        n = len(x) // 2
+        assert s.shape == (2 * (n + env), 2 * (n + env))
+        assert np.max(np.abs(s @ omega(n + env) @ s.T - omega(n + env))) < 1e-14
+        # system block X; vacuum environment noise X_E X_E^T = Y
+        assert np.array_equal(s[: 2 * n, : 2 * n], x)
+        assert np.max(np.abs(s[: 2 * n, 2 * n :] @ s[: 2 * n, 2 * n :].T - y)) < 1e-14
+
+    def test_dilation_matches_the_covariance_map_on_random_channels(self, rng):
+        for n in (1, 2):
+            for _ in range(5):
+                x, y = random_cp_channel(n, rng)
+                s = GaussianChannel(x, y, np.zeros(2 * n)).dilation()
+                env = len(s) // 2 - n
+                assert env <= 2 * n
+                t = random_symplectic(n, rng)
+                cov = np.zeros((2 * (n + env),) * 2)
+                cov[: 2 * n, : 2 * n], cov[2 * n :, 2 * n :] = t @ t.T, np.eye(2 * env)
+                out = (s @ cov @ s.T)[: 2 * n, : 2 * n]
+                want = x @ t @ t.T @ x.T + y
+                assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_broken_dilation_is_an_invariant_violation(self, monkeypatch):
+        from gsim import gaussian
+
+        monkeypatch.setattr(gaussian, "is_symplectic", lambda s: False)
+        with pytest.raises(InvariantViolation):
+            GaussianChannel(np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2), np.zeros(2)).dilation()
 
 
 class TestGeneralDyne:

@@ -32,7 +32,6 @@ from gsim.simulator import (
     gaussian_fidelity_lower_bound,
     heterodyne_density,
     hoeffding_tail_check,
-    sample_ensemble_member,
     sparsify,
 )
 from gsim.states import (
@@ -247,7 +246,7 @@ class TestCondition:
             [WeightedGaussian(e.coeff, tensor(e.term, GaussianPure.vacuum(1))) for e in sup.entries]
         )
         xi = 0.4 + 0.1j
-        p_engine = heterodyne_density(sup2, [1], [xi])
+        p_engine = heterodyne_density(sup2, [1], [xi]).value
         quad = np.array([np.sqrt(2) * xi.real, np.sqrt(2) * xi.imag])
         p_quad = generaldyne_density(
             GaussianMixed.vacuum(1), GeneralDyne.heterodyne([0]), quad
@@ -677,18 +676,6 @@ class TestTailAndEnsemble:
         f = gaussian_fidelity_lower_bound(sup)
         expected = (1 + np.exp(-2.0)) ** 2 / (2 * (1 + np.exp(-2.0)))
         assert abs(f - expected) < 1e-10
-
-    def test_ensemble_sampling(self):
-        a = single_gaussian(GaussianPure.vacuum(1))
-        b = cat_state(1.0, +1)
-        assert sample_ensemble_member([(1.0, a)], seed=0) is a
-        assert sample_ensemble_member([(1.0, a), (0.0, b)], seed=1) is a
-        picks = sum(
-            sample_ensemble_member([(0.5, a), (0.5, b)], seed=k) is a for k in range(1000)
-        )
-        assert 440 <= picks <= 560  # binomial 99.99% interval around 500
-        with pytest.raises(ValueError):
-            sample_ensemble_member([(0.7, a), (0.2, b)], seed=0)
 
 
 def test_density_clamp_counter():
