@@ -12,7 +12,6 @@ from .gaussian import (
     GeneralDyne,
     apply_symplectic,
     condition_on_generaldyne,
-    displace,
     generaldyne_density,
     tensor,
 )
@@ -20,13 +19,11 @@ from .phase import GaussianUnitary, overlap, propagate, triple_overlap
 from .simulator import (
     BornEstimate,
     NormEstimate,
-    SparsifyPlan,
     approx_born,
     condition,
     evolve,
     exact_born,
     fast_norm,
-    hoeffding_tail_check,
     sparsify,
 )
 from .states import (

@@ -19,6 +19,7 @@ TOL_UNITARY = 1e-9    # u u^dagger = 1 check on mode unitaries
 TOL_NORMALISED = 1e-7  # log |c| of a ket triple against its closed-form normalisation
 EPS = float(np.finfo(float).eps)
 EIG_ROUNDING = 1e3   # eigenvalue rounding of sigma + i Omega, in units of EPS ||sigma||_2
+SYMPLECTIC_ROUNDING = 16.0  # rounding of S Omega S^T - Omega, in units of EPS ||S||_2^2
 COND_MAX = 1e12       # condition-number cutoff for matrix solves
 EPS_REF = 1e-12       # usable floor for reference overlaps
 
@@ -29,10 +30,8 @@ def _equilibrated_cholesky(mat, label):
     Symmetric factorization with explicit failure detection: non-positive
     pivots and condition numbers beyond COND_MAX raise instead of silently
     falling back to a pseudo-inverse.  The equilibration lets benign scale
-    disparities (e.g. the finite-z homodyne limit) pass.
+    disparities (a squeezed covariance's e^{2r} and e^{-2r} diagonal) pass.
     """
-    from scipy.linalg import cho_factor
-
     mat = np.asarray(mat, dtype=float)
     d = np.sqrt(np.clip(np.diag(mat), 1e-300, None))
     scaled = mat / d[:, None] / d[None, :]
@@ -40,29 +39,30 @@ def _equilibrated_cholesky(mat, label):
     if not np.isfinite(cond) or cond > COND_MAX:
         raise IllConditioned(f"{label} is ill-conditioned (cond={cond:.3g})")
     try:
-        factor = cho_factor(scaled, lower=True)
+        factor = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"{label} is not positive definite: {exc}") from exc
     return factor, d
 
 
+def _cholesky_solve(factor, rhs):
+    """x with L L^T x = rhs for the lower Cholesky factor L."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+
+
 def solve_psd(mat, rhs, label="matrix"):
     """Solve ``mat @ x = rhs`` for symmetric positive-definite ``mat``."""
-    from scipy.linalg import cho_solve
-
     factor, d = _equilibrated_cholesky(mat, label)
     rhs = np.asarray(rhs)
     if rhs.ndim == 1:
-        return cho_solve(factor, rhs / d) / d
-    return cho_solve(factor, rhs / d[:, None]) / d[:, None]
+        return _cholesky_solve(factor, rhs / d) / d
+    return _cholesky_solve(factor, rhs / d[:, None]) / d[:, None]
 
 
 def inv_psd(mat, label="matrix"):
     """Inverse of a symmetric positive-definite matrix with conditioning check."""
-    from scipy.linalg import cho_solve
-
     factor, d = _equilibrated_cholesky(mat, label)
-    inv_scaled = cho_solve(factor, np.eye(d.shape[0]))
+    inv_scaled = _cholesky_solve(factor, np.eye(d.shape[0]))
     return inv_scaled / d[:, None] / d[None, :]
 
 

@@ -7,6 +7,7 @@ the seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -386,17 +387,8 @@ def _perform(state, modes: int, task: dict, seed: int) -> tuple:
             "params": list(res.best_params),
             "evaluations": res.evaluations,
         }, None
-    # table1
-    return [
-        {
-            "delta": r.delta,
-            "naive_extent": r.naive_extent,
-            "published_extent": r.published_extent,
-            "one_sided_extent": r.one_sided_extent,
-            "breeding_bound": r.breeding_bound,
-        }
-        for r in apps.report_table(task["deltas"])
-    ], None
+    # table1: a row's fields are its output keys
+    return [dataclasses.asdict(r) for r in apps.report_table(task["deltas"])], None
 
 
 def result_document(task: str, inputs: dict, value, error_band, seed: int) -> dict:

@@ -1,4 +1,9 @@
-"""Covariance-matrix formalism for Gaussian states, channels and measurements.
+"""Gaussian states, channels and measurements.
+
+`GaussianPure` (a pure term, stored as its ket triple) and `GaussianChannel`
+(run on a superposition through its Stinespring dilation) are on the user
+paths.  The covariance formalism for mixed states, channels, general-dyne
+measurements and fidelities is the reference those paths are tested against.
 
 Conventions (fixed repo-wide and validated against the Fock oracle):
 
@@ -28,8 +33,6 @@ from ._linalg import (
 )
 from .exceptions import DimensionMismatch, InvariantViolation
 from .symplectic import is_symplectic, omega, require_symplectic
-
-Z_HOMODYNE = 1e6  # finite-z stand-in for the ideal quadrature measurement
 
 
 def check_admissible(cov: np.ndarray) -> None:
@@ -203,13 +206,19 @@ class GaussianChannel:
         # the checks below read one triangle of Y only
         if np.max(np.abs(self.y - self.y.T), initial=0.0) > TOL_PSD + EPS * np.max(np.abs(self.y), initial=0.0):
             raise ValueError("Y is not symmetric")
-        if min_eig_hermitian(self._noise_form()) < -TOL_PSD:
+        h = self._noise_form()
+        if min_eig_hermitian(h) < -self._eig_rounding(h):
             raise ValueError("channel violates Y + i Omega >= i X Omega X^T")
 
     def _noise_form(self) -> np.ndarray:
         """H = Y + i (Omega - X Omega X^T), positive semidefinite for a CP channel."""
         om = omega(len(self.x) // 2)
         return self.y + 1j * (om - self.x @ om @ self.x.T)
+
+    def _eig_rounding(self, h) -> float:
+        """Rounding of H's eigenvalues, whose X Omega X^T cancels when X squeezes: an
+        eigenvalue below it reads as zero, allowed negative by the CP check, dropped by the dilation."""
+        return EIG_ROUNDING * EPS * (np.linalg.norm(h, 2) + np.linalg.norm(self.x, 2) ** 2)
 
     def dilation(self) -> np.ndarray:
         """Symplectic S of a Stinespring dilation: the channel is S on the n system
@@ -220,7 +229,7 @@ class GaussianChannel:
         [X | X_E] Omega, completes the rows [X | X_E] with sqrt(2 / mu) (b, a) N^T."""
         h = self._noise_form()
         lam, vec = np.linalg.eigh(h)
-        keep = lam > EIG_ROUNDING * EPS * (np.linalg.norm(h, 2) + np.linalg.norm(self.x, 2) ** 2)
+        keep = lam > self._eig_rounding(h)
         n, e = len(self.x) // 2, int(np.count_nonzero(keep))
         lower = vec[:, keep] * np.sqrt(lam[keep])
         rows = np.hstack([self.x, np.stack([lower.real, -lower.imag], -1).reshape(2 * n, 2 * e)])
@@ -250,35 +259,9 @@ class GeneralDyne:
         modes = tuple(modes)
         return cls(np.eye(2 * len(modes)), modes)
 
-    @classmethod
-    def homodyne_q(cls, modes) -> "GeneralDyne":
-        """Finite-z member of the homodyne family, z = Z_HOMODYNE (measures q for large z)."""
-        modes = tuple(modes)
-        return cls(np.diag(np.tile([1.0 / Z_HOMODYNE**2, Z_HOMODYNE**2], len(modes))), modes)
-
 
 def _mode_slices(modes):
-    idx = []
-    for m in modes:
-        idx.extend([2 * m, 2 * m + 1])
-    return np.asarray(idx, dtype=int)
-
-
-def displace(state, shift):
-    """Shift the mean by ``shift`` (quadrature units); covariance unchanged.
-
-    For :class:`GaussianPure` one ``Displace`` per mode is folded onto the
-    ket, so the global phase is that of the displacement unitary.
-    """
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape[0] != 2 * state.n:
-        raise DimensionMismatch("shift dimension does not match state")
-    if isinstance(state, GaussianPure):
-        from .gates import displacement_gates
-        from .phase import GaussianUnitary, propagate
-
-        return propagate(state, GaussianUnitary.from_gates(displacement_gates(shift), state.n))
-    return GaussianMixed(state.cov, state.mean + shift)
+    return np.array([k for m in modes for k in (2 * m, 2 * m + 1)], dtype=int)
 
 
 def apply_symplectic(state, s) -> GaussianMixed:
@@ -312,15 +295,6 @@ def tensor(a, b):
     return GaussianMixed(block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
 
 
-def partial_trace(state, keep) -> GaussianMixed:
-    """Reduce to the modes in ``keep`` (cross-correlations dropped)."""
-    keep = tuple(keep)
-    if any(m < 0 or m >= state.cov.shape[0] // 2 for m in keep):
-        raise IndexError("mode index out of range")
-    idx = _mode_slices(keep)
-    return GaussianMixed(state.cov[np.ix_(idx, idx)], state.mean[idx])
-
-
 def apply_channel(state: GaussianMixed, ch: GaussianChannel) -> GaussianMixed:
     if ch.x.shape[0] != state.cov.shape[0]:
         raise DimensionMismatch("channel dimension does not match state")
@@ -351,13 +325,6 @@ def generaldyne_density(state, meas: GeneralDyne, outcome) -> float:
     m = len(meas.modes)
     det = float(np.linalg.det(total))
     return float(np.exp(expo) / (np.pi**m * np.sqrt(det)))
-
-
-def homodyne_density_q(state, mode: int, outcome: float) -> float:
-    """Exact ideal-limit density for measuring the q quadrature of one mode."""
-    var = state.cov[2 * mode, 2 * mode]
-    mu = state.mean[2 * mode]
-    return float(np.exp(-((outcome - mu) ** 2) / var) / np.sqrt(np.pi * var))
 
 
 def condition_on_generaldyne(state, meas: GeneralDyne, outcome):

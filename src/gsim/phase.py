@@ -123,22 +123,12 @@ class GaussianUnitary:
     n: int
 
     @classmethod
-    def identity(cls, n: int) -> "GaussianUnitary":
-        return cls((), n)
-
-    @classmethod
     def from_gates(cls, gates, n: int) -> "GaussianUnitary":
         """Phase-exact unitary of a gate list applied left to right."""
         gates = tuple(gates)
         for g in gates:
             check_gate_modes(g, n)
         return cls(gates, n)
-
-    def then(self, other: "GaussianUnitary") -> "GaussianUnitary":
-        """This unitary followed by ``other`` (operator product other @ self)."""
-        if self.n != other.n:
-            raise DimensionMismatch("unitaries act on different mode counts")
-        return GaussianUnitary(self.gates + other.gates, self.n)
 
     def apply(self, t: stellar.StellarParams) -> stellar.StellarParams:
         """Ket triple (or stack) after this unitary: each gate updates it in

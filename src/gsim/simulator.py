@@ -9,7 +9,9 @@ each later gate and Born evaluation costs O(rank).  The approximate
 pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
 and replaces the Gram norm with a Monte-Carlo estimate from coherent probes
 drawn from the decomposition's own Husimi mixture, making the total cost
-linear in the rank.
+linear in the rank.  `condition` heterodynes some modes in O(rank);
+`heterodyne_density`, the Born rule after a channel's dilation, adds the
+Gram norms of the conditioned and the input state.
 Every routine works on a superposition's stacked triples at once: no loop
 runs over its terms.  A sparsified state keeps one triple per distinct draw,
 so its cost follows the K <= k distinct terms.
@@ -105,11 +107,9 @@ def condition(sup: Superposition, modes, outcome):
 @dataclass(frozen=True)
 class BornEstimate:
     value: float
-    method: str
     numerator: float
     norm_estimate: float
-    error_band: tuple | None = None
-    seed: int | None = None
+    error_band: tuple
 
 
 def _clamp_density(value: float) -> float:
@@ -144,7 +144,7 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     scale = np.pi**sup.n
     value = _clamp_density(amp**2 / (scale * norm_sq))
     lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
-    return BornEstimate(value, "exact", amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
+    return BornEstimate(value, amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
 
 
 def heterodyne_density(sup: Superposition, modes, outcome) -> BornEstimate:
@@ -158,7 +158,7 @@ def heterodyne_density(sup: Superposition, modes, outcome) -> BornEstimate:
     num_err, den_err = state.gram_form[1], sup.gram_form[1]
     scale = np.exp(log_scale) / np.pi ** len(tuple(modes))
     band = ((num - num_err) * scale / (norm_sq + den_err), (num + num_err) * scale / (norm_sq - den_err))
-    return BornEstimate(num * scale / norm_sq, "exact", num * np.exp(log_scale), norm_sq, band)
+    return BornEstimate(num * scale / norm_sq, num * np.exp(log_scale), norm_sq, band)
 
 
 # ---------------------------------------------------------------------------
@@ -168,32 +168,22 @@ def heterodyne_density(sup: Superposition, modes, outcome) -> BornEstimate:
 MAX_SAMPLES = 2**63 - 1  # numpy's multinomial takes its count as int64
 
 
-@dataclass(frozen=True)
-class SparsifyPlan:
-    """Sample count k = ceil((l1 / delta)^2) for a target 2-norm error delta."""
-
-    delta: float
-    seed: int
-    k: int | None = None
-
-    def __post_init__(self):
-        states._check_delta(self.delta)
-
-    def samples_for(self, l1: float) -> int:
-        """k, or ceil((l1 / delta)^2); OverflowError past MAX_SAMPLES."""
-        if self.k is not None:
-            return self.k
-        ratio = l1 / self.delta
-        k = ratio * ratio  # a float ** 2 would raise on overflow, not give inf
-        if not k <= MAX_SAMPLES:
-            raise OverflowError(
-                f"sample count k = (l1/delta)^2 = {k:.3g} exceeds 2^63 - 1 (l1 = {l1:.6g}, delta = {self.delta:.6g})"
-            )
-        return max(1, math.ceil(k))
+def sample_count(l1: float, delta: float) -> int:
+    """Sample count k = ceil((l1 / delta)^2) for a target 2-norm error delta;
+    OverflowError past MAX_SAMPLES."""
+    states._check_delta(delta)
+    ratio = l1 / delta
+    k = ratio * ratio  # a float ** 2 would raise on overflow, not give inf
+    if not k <= MAX_SAMPLES:
+        raise OverflowError(
+            f"sample count k = (l1/delta)^2 = {k:.3g} exceeds 2^63 - 1 (l1 = {l1:.6g}, delta = {delta:.6g})"
+        )
+    return max(1, math.ceil(k))
 
 
-def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
-    """IID importance sampling of decomposition terms: p(i) = |c_i| / l1.
+def sparsify(sup: Superposition, delta: float, seed: int) -> Superposition:
+    """IID importance sampling of decomposition terms, k = `sample_count`
+    draws with p(i) = |c_i| / l1 from stream (seed, 0).
 
     Every draw contributes l1/k with the coefficient phase folded into the
     term's gauge, so E<sparsified|psi> = 1 for normalized input.  A term
@@ -201,8 +191,8 @@ def sparsify(sup: Superposition, plan: SparsifyPlan) -> Superposition:
     triple per distinct draw, K <= k of them.  The k draws are taken as
     their multinomial counts, so memory is O(rank) whatever k is.
     """
-    k = plan.samples_for(sup.l1)
-    counts = stream(plan.seed, 0).multinomial(k, np.abs(sup.coeffs) / sup.l1)
+    k = sample_count(sup.l1, delta)
+    counts = stream(seed, 0).multinomial(k, np.abs(sup.coeffs) / sup.l1)
     counters.tally.samples += k
     used = np.flatnonzero(counts)
     t = sup.triples[used]
@@ -226,9 +216,6 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
 class NormEstimate:
     eta: float
     samples: int
-    epsilon: float
-    p_fail: float
-    seed: int
     band: tuple
 
 
@@ -280,10 +267,10 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     counters.tally.samples += evaluated
     if total < upsilon:
         nsq, err = sup.norm_squared(), sup.gram_form[1]
-        return NormEstimate(nsq, evaluated, epsilon, p_fail, seed, (nsq - err, nsq + err))
+        return NormEstimate(nsq, evaluated, (nsq - err, nsq + err))
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * l1**2 / big_n
-    return NormEstimate(eta, big_n, epsilon, p_fail, seed, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
+    return NormEstimate(eta, big_n, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
 
 
 def _husimi_probes(sup: Superposition, seed: int, count: int, rows: int):
@@ -324,52 +311,11 @@ def approx_born(
     """
     outcome = np.atleast_1d(np.asarray(outcome, dtype=complex))
     child = stream(seed, 0).integers(0, 2**62, size=2)
-    omega_state = sparsify(sup, SparsifyPlan(delta, int(child[0])))
+    omega_state = sparsify(sup, delta, int(child[0]))
     norm = fast_norm(omega_state, epsilon, p_fail, seed=int(child[1]))
     amp = omega_state.coherent_amplitude(outcome)
     numerator = abs(amp) ** 2
     value = _clamp_density(numerator / (np.pi**sup.n * norm.eta))
     band = (value * (1.0 - epsilon), value * (1.0 + epsilon))
-    return BornEstimate(value, "sparsified", numerator, norm.eta, band, seed)
+    return BornEstimate(value, numerator, norm.eta, band)
 
-
-# ---------------------------------------------------------------------------
-# concentration diagnostics
-
-
-@dataclass(frozen=True)
-class TailReport:
-    frequency: float
-    bound: float
-    fidelity_used: float
-    trials: int
-    threshold_exceedances: int
-
-
-def gaussian_fidelity_lower_bound(sup: Superposition) -> float:
-    """max_i |<psi|G_i>|^2, a lower bound on the Gaussian fidelity of psi."""
-    c = sup.coefficients()
-    overlaps = sup.gram @ c  # row i: <G_i|psi>
-    nsq = sup.norm_squared()
-    return float(np.max(np.abs(overlaps)) ** 2 / nsq)
-
-
-def hoeffding_tail_check(sup: Superposition, delta: float, trials: int, seed: int = 0) -> TailReport:
-    """Empirical check of the sparsification concentration inequality.
-
-    Counts how often ||psi - Omega||^2 exceeds <Omega|Omega> - 1 + delta^2
-    over seeded sparsification runs and compares against the Hoeffding bound
-    2 exp(-delta^2 / (8 F)), F the best-term fidelity proxy.
-    """
-    f_used = gaussian_fidelity_lower_bound(sup)
-    bound = min(1.0, 2.0 * math.exp(-(delta**2) / (8.0 * f_used)))
-    nsq_psi = sup.norm_squared()
-    exceed = 0
-    for t in range(trials):
-        omega_state = sparsify(sup, SparsifyPlan(delta, seed + t))
-        nsq_omega = omega_state.norm_squared()
-        cross = cross_overlap(sup, omega_state)
-        dist_sq = nsq_psi + nsq_omega - 2.0 * cross.real
-        if dist_sq > nsq_omega - 1.0 + delta**2:
-            exceed += 1
-    return TailReport(exceed / trials, bound, f_used, trials, exceed)

@@ -436,10 +436,6 @@ class ExtentReport:
     norm_squared: float
     l1: float
 
-    def approx_rank_bound(self, delta: float) -> float:
-        """Rank sufficient for a delta-approximation: 1 + extent / delta^2."""
-        return 1.0 + self.extent_upper / delta**2
-
 
 def measures(sup: Superposition) -> ExtentReport:
     """Gaussian-rank and extent upper bound of the given decomposition.

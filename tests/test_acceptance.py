@@ -15,12 +15,12 @@ from gsim.gates import Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import GaussianUnitary, overlap
 from gsim.simulator import (
-    SparsifyPlan,
     condition,
     cross_overlap,
     evolve,
     exact_born,
     fast_norm,
+    sample_count,
     sparsify,
 )
 from gsim.states import (
@@ -114,12 +114,12 @@ def test_criterion_3_witness_condition():
 
 def test_criterion_4_sparsification_bound():
     sup = cat_state(1.0, +1)
-    k = SparsifyPlan(0.1, 0).samples_for(sup.l1)
+    k = sample_count(sup.l1, 0.1)
     assert k == 177
     nsq = sup.norm_squared()
     dists = []
     for t in range(200):
-        om = sparsify(sup, SparsifyPlan(0.1, seed=40_000 + t))
+        om = sparsify(sup, 0.1, 40_000 + t)
         dists.append(nsq + om.norm_squared() - 2 * cross_overlap(sup, om).real)
     mean = float(np.mean(dists))
     se = float(np.std(dists) / np.sqrt(len(dists)))

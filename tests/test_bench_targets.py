@@ -78,7 +78,7 @@ def test_superposition_surface_read_by_the_benchmark():
 
     k = 40
     counters.tally.reset()
-    sparse = simulator.sparsify(lib, simulator.SparsifyPlan(0.1, seed=3, k=k))
+    sparse = simulator.sparsify(lib, lib.l1 / np.sqrt(k - 0.5), 3)  # ceil((l1 / delta)^2) = k
     assert counters.tally.samples == k
     draws = np.repeat(np.arange(lib.rank), rng.stream(3, 0).multinomial(k, np.abs(lib.coeffs) / lib.l1))
     unique = len(np.unique(draws))

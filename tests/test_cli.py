@@ -217,6 +217,32 @@ def test_cli_import_leaves_out_the_optimizer():
     assert result.stdout.strip() == "False"
 
 
+def test_runtime_leaves_out_scipy(tmp_path):
+    # gsim runs on numpy alone, the covariance references included: scipy is a test dependency
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "modes": 1,
+        "initial": {"kind": "cat", "alpha": 1.0, "parity": "-"},
+        "ops": [_loss(0.5)],
+        "task": {"name": "exact_born", "outcome": [[0.4, -0.3]]},
+    }))
+    script = f"""
+import sys
+import numpy as np
+from gsim import cli
+from gsim.gaussian import GaussianMixed, GaussianPure, GeneralDyne, condition_on_generaldyne, fidelity_pure
+assert cli.main(["run", {str(path)!r}]) == 0
+state = GaussianMixed(np.diag([2.0, 0.5, 1.5, 1.0]), np.zeros(4))
+cond = condition_on_generaldyne(state, GeneralDyne.heterodyne([1]), np.array([0.3, -0.2]))
+assert 0 < fidelity_pure(cond, GaussianPure.coherent([0.1])) < 1
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    result = run_python(["-c", script])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_run_leaves_out_jsonschema(tmp_path):
     # programs are typed by the CLI's own readers: jsonschema is a test dependency only
     path = tmp_path / "prog.json"
@@ -911,6 +937,59 @@ def test_gates_after_a_channel_stay_on_the_system_modes(tmp_path, capsys):
     code, _, err = _run_program(program, tmp_path, capsys)
     assert code == 2
     assert "mode index outside 0..0" in err
+
+
+def test_a_strongly_squeezing_symplectic_op_runs(tmp_path, capsys):
+    # S of a squeeze at r = 10.5 is symplectic only to its rounding, about EPS ||S||^2 = 3e-7
+    from gsim.gates import program_symplectic
+
+    s, _ = program_symplectic([Squeeze(0, 10.5, 1.3)], 1)
+    results = []
+    for op in ({"gate": "symplectic", "matrix": s.tolist()}, {"gate": "squeeze", "mode": 0, "r": 10.5, "theta": 1.3}):
+        task = {"name": "exact_born", "outcome": [[0.3, -0.2]]}
+        program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [op], "task": task}
+        code, out, err = _run_program(program, tmp_path, capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        results.append((doc["value"], doc["error_band"]))
+    (a, (a_lo, a_hi)), (b, (b_lo, b_hi)) = results
+    assert a_lo <= b <= a_hi and b_lo <= a <= b_hi
+
+
+def _squeezed_loss(r):
+    """Loss 1/2 after a squeeze r at angle 1.3: X = sqrt(1/2) S(r), Y = I / 2, exactly
+    CP at every r since H = (I + i Omega) / 2."""
+    from gsim.gates import program_symplectic
+
+    x = np.sqrt(0.5) * program_symplectic([Squeeze(0, r, 1.3)], 1)[0]
+    return {"gate": "channel", "X": x.tolist(), "Y": (0.5 * np.eye(2)).tolist()}
+
+
+@pytest.mark.parametrize("r", [10.0, 11.0, 12.0])
+def test_a_strongly_squeezing_loss_runs(r, tmp_path, capsys):
+    # the CP check and the dilation share H's eigenvalue rounding, EPS (||H|| + ||X||^2)
+    from gsim.gaussian import GaussianChannel, GaussianPure, apply_channel, fidelity_pure
+
+    op = _squeezed_loss(r)
+    task = {"name": "exact_born", "outcome": [[0.3, 0.1]]}
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [op], "task": task}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    alpha, xi = 0.3 - 0.2j, 0.4 + 0.1j
+    rho = apply_channel(GaussianPure.coherent([alpha]).as_mixed(), GaussianChannel(op["X"], op["Y"], np.zeros(2)))
+    want = fidelity_pure(rho, GaussianPure.coherent([xi])) / np.pi
+    state, system = _through({"kind": "coherent", "alpha": [alpha.real, alpha.imag]}, [op], 1)
+    value, _ = _born(state, system, [[xi.real, xi.imag]])
+    assert abs(value - want) <= np.finfo(float).eps * np.linalg.norm(rho.cov, 2) * want
+
+
+def test_an_amplifier_without_its_noise_exits_2(tmp_path, capsys):
+    # gain 2 needs Y >= I; Y = I / 2 leaves H with eigenvalue -1/2
+    channel = {"gate": "channel", "X": (np.sqrt(2.0) * np.eye(2)).tolist(), "Y": (0.5 * np.eye(2)).tolist()}
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [channel], "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert "ops[0].Y" in err and "channel violates" in err
 
 
 @pytest.mark.parametrize("broken", ["is_symplectic", "symplectic_gates"])

@@ -22,16 +22,14 @@ from gsim.phase import GaussianUnitary
 from gsim.rng import stream
 from gsim.simulator import (
     KERNEL_ULPS,
-    SparsifyPlan,
     approx_born,
     condition,
     cross_overlap,
     evolve,
     exact_born,
     fast_norm,
-    gaussian_fidelity_lower_bound,
     heterodyne_density,
-    hoeffding_tail_check,
+    sample_count,
     sparsify,
 )
 from gsim.states import (
@@ -74,7 +72,7 @@ def cat_fock(alpha, parity, cutoff):
 class TestEvolve:
     def test_identity(self):
         sup = cat_state(1.0, +1)
-        out = evolve(sup, GaussianUnitary.identity(1))
+        out = evolve(sup, GaussianUnitary((), 1))
         assert out.l1 == sup.l1 and out.rank == sup.rank
         assert abs(cross_overlap(sup, out) - 1.0) < 1e-12
 
@@ -109,7 +107,7 @@ class TestSharedGram:
         out = evolve(evolve(ring, op), op)
         out.norm_squared()
         exact_born(out, [0.3 + 0.1j])
-        gaussian_fidelity_lower_bound(out)
+        measures(out)
         assert counters.tally.overlap_evals == 0
         assert out.gram is ring.gram
 
@@ -135,7 +133,7 @@ class TestSharedGram:
         assert not out.gram_cell.orbit and counters.tally.overlap_evals == 0
         out.gram
         assert counters.tally.overlap_evals == out.rank * (out.rank - 1) // 2 == 28
-        sparse = sparsify(ring, SparsifyPlan(0.5, seed=1))
+        sparse = sparsify(ring, 0.5, 1)
         counters.tally.reset()
         sparse.gram
         assert not sparse.gram_cell.orbit
@@ -347,11 +345,11 @@ class TestExactBorn:
 class TestSparsify:
     def test_plan_arithmetic(self):
         sup = cat_state(1.0, +1)
-        assert SparsifyPlan(0.1, 0).samples_for(sup.l1) == 177
+        assert sample_count(sup.l1, 0.1) == 177
 
     def test_single_gaussian_exact(self):
         sup = single_gaussian(GaussianPure.coherent([0.4]))
-        om = sparsify(sup, SparsifyPlan(0.3, seed=1))
+        om = sparsify(sup, 0.3, 1)
         assert om.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert abs(cross_overlap(sup, om) - 1.0) < 1e-12
 
@@ -359,11 +357,11 @@ class TestSparsify:
         # mean ||psi - Omega||^2 over 200 seeded runs <= l1^2/k + 3 SE
         sup = cat_state(1.0, +1)
         plan_delta = 0.1
-        k = SparsifyPlan(plan_delta, 0).samples_for(sup.l1)
+        k = sample_count(sup.l1, plan_delta)
         nsq = sup.norm_squared()
         dists = []
         for t in range(200):
-            om = sparsify(sup, SparsifyPlan(plan_delta, seed=1000 + t))
+            om = sparsify(sup, plan_delta, 1000 + t)
             d2 = nsq + om.norm_squared() - 2 * cross_overlap(sup, om).real
             dists.append(d2)
         mean = np.mean(dists)
@@ -374,9 +372,11 @@ class TestSparsify:
     def test_unbiasedness_and_norm_mean(self):
         sup = cat_state(1.0, +1)
         k = 40
+        delta = sup.l1 / math.sqrt(k - 0.5)  # ceil((l1 / delta)^2) = k
+        assert sample_count(sup.l1, delta) == k
         overlaps, norms = [], []
         for t in range(500):
-            om = sparsify(sup, SparsifyPlan(0.5, seed=5000 + t, k=k))
+            om = sparsify(sup, delta, 5000 + t)
             overlaps.append(cross_overlap(sup, om))
             norms.append(om.norm_squared())
         mean_overlap = np.mean(overlaps)
@@ -389,9 +389,8 @@ class TestSparsify:
     def test_matches_per_draw_sum(self):
         # rebuilt draw by draw: each of the k draws adds (l1/k) e^{i arg c} |G>
         sup = fock1_ring(optimal_fock1_seed(), 8)
-        plan = SparsifyPlan(0.2, seed=11)
-        k = plan.samples_for(sup.l1)
-        om = sparsify(sup, plan)
+        k = sample_count(sup.l1, 0.2)
+        om = sparsify(sup, 0.2, 11)
         draws = np.repeat(np.arange(sup.rank), stream(11, 0).multinomial(k, np.abs(sup.coeffs) / sup.l1))
         assert om.rank == len(np.unique(draws)) < k
         weights = sup.l1 / k * np.exp(1j * np.angle(sup.coeffs[draws]))
@@ -403,10 +402,9 @@ class TestSparsify:
 
     def test_norm_costs_distinct_pairs_only(self):
         sup, _ = grid_sensor(0.3)
-        plan = SparsifyPlan(0.1, seed=2)
         counters.tally.reset()
-        om = sparsify(sup, plan)
-        assert counters.tally.samples == plan.samples_for(sup.l1) > om.rank
+        om = sparsify(sup, 0.1, 2)
+        assert counters.tally.samples == sample_count(sup.l1, 0.1) > om.rank
         counters.tally.reset()
         om.norm_squared()
         assert counters.tally.overlap_evals == om.rank * (om.rank - 1) // 2
@@ -653,29 +651,6 @@ class TestApproxBorn:
         lo, hi = est.error_band
         slack = 3 * 0.08 * want
         assert (lo - slack) <= want <= (hi + slack)
-
-
-class TestTailAndEnsemble:
-    def test_tail_report_cat(self):
-        sup = cat_state(2.0, +1)
-        report = hoeffding_tail_check(sup, delta=0.4, trials=40, seed=2)
-        assert report.frequency <= min(1.0, report.bound) + 0.15
-
-    def test_tail_trivial_when_bound_saturates(self):
-        sup = cat_state(1.0, +1)
-        report = hoeffding_tail_check(sup, delta=0.05, trials=5, seed=3)
-        assert report.bound == 1.0
-
-    def test_tail_single_gaussian_never_fails(self):
-        sup = single_gaussian(GaussianPure.coherent([0.5]))
-        report = hoeffding_tail_check(sup, delta=0.3, trials=30, seed=4)
-        assert report.threshold_exceedances == 0
-
-    def test_fidelity_proxy(self):
-        sup = cat_state(1.0, +1)
-        f = gaussian_fidelity_lower_bound(sup)
-        expected = (1 + np.exp(-2.0)) ** 2 / (2 * (1 + np.exp(-2.0)))
-        assert abs(f - expected) < 1e-10
 
 
 def test_density_clamp_counter():

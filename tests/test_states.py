@@ -291,10 +291,6 @@ class TestMeasures:
         rep = measures(cat_state(1.0, +1))
         assert abs(rep.extent_upper - 1.76160) < 1e-4
 
-    def test_approx_rank_bound(self):
-        rep = measures(cat_state(1.0, +1))
-        assert rep.approx_rank_bound(0.1) == pytest.approx(1.0 + rep.extent_upper / 0.01)
-
     def test_unitary_invariance(self, rng):
         sup = cat_state(1.2, +1)
         two_mode = Superposition(

@@ -116,3 +116,32 @@ def test_balanced_unitary_gives_balanced_splitter():
     assert abs(out.amplitudes[1, 0] - u[0, 0]) < 1e-12
     assert abs(out.amplitudes[0, 1] - u[1, 0]) < 1e-12
     assert abs(abs(out.amplitudes[1, 0]) ** 2 - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("r", [0.5, 11.0])
+def test_is_symplectic_is_bounded_by_its_rounding(r):
+    # an exact squeeze passes at any r, and any one entry off by 1e-8 relative fails
+    from gsim.gates import Squeeze, program_symplectic
+
+    s, _ = program_symplectic([Squeeze(0, r, 1.3)], 1)
+    assert is_symplectic(s)
+    for k in np.ndindex(s.shape):
+        bad = s.copy()
+        bad[k] *= 1 + 1e-8
+        assert not is_symplectic(bad), k
+
+
+def test_strong_squeezers_are_symplectic_to_their_rounding():
+    # near its axis a squeeze's cosh r - sinh r cos(theta) cancels to about
+    # e^-r but keeps the rounding EPS cosh r: the residual is of order
+    # EPS ||S||^2 there, far above EPS (|S||Omega||S|^T)_ij and above 1e-9
+    from gsim.gates import BeamSplitter, Squeeze, program_symplectic
+
+    for gates, n in (
+        ([Squeeze(0, 10.0, 1e-3)], 1),
+        ([Squeeze(0, 10.0, 1e-3), Squeeze(1, 12.0, 2.0), BeamSplitter(0, 1, 0.4, 0.3)], 2),
+    ):
+        s, _ = program_symplectic(gates, n)
+        om = omega(n)
+        assert np.max(np.abs(s @ om @ s.T - om)) > 1e-9  # the old absolute tolerance
+        assert is_symplectic(s)
