@@ -41,7 +41,7 @@ from .states import (
     rotational_code,
     witness_check,
 )
-from .symplectic import bloch_messiah, omega, passive_from_unitary
+from .symplectic import omega, passive_from_unitary
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from .exceptions import IllConditioned
 TOL_PSD = 1e-9        # admissibility slack for covariance-type constraints
 TOL_PURE = 1e-9       # purity check on sigma Omega sigma^T = Omega
 TOL_SYMPLECTIC = 1e-9
-TOL_DECOMP = 1e-10    # Bloch-Messiah reconstruction error
 TOL_UNITARY = 1e-9    # u u^dagger = 1 check on mode unitaries
 TOL_NORMALISED = 1e-7  # log |c| of a ket triple against its closed-form normalisation
 EPS = float(np.finfo(float).eps)

@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from . import apps, counters, simulator, states
-from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, symplectic_gates
+from .exceptions import DimensionMismatch, GsimError, IllConditioned
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, check_gate_modes
 from .gaussian import GaussianChannel, GaussianPure, block_diag
 from .phase import GaussianUnitary, propagate
 from .states import Superposition
 from .stellar import StellarParams
+from .symplectic import is_symplectic
 
 SCHEMA_VERSION = 1
 
@@ -253,8 +254,10 @@ def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
     if name == "symplectic":
         smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
         shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
-        # S (+) 1 and d (+) 0: the Euler factors' Passive gates act on the whole register
-        return symplectic_gates(block_diag(smat, np.eye(2 * env)), np.pad(shift, (0, 2 * env))), env
+        if not is_symplectic(smat):
+            raise ValidationFailure(f"{where}.matrix: not symplectic within tolerance")
+        # one gate on the whole register, S (+) 1 and d (+) 0: the environment modes pass through
+        return (Symplectic(block_diag(smat, np.eye(2 * env)), np.pad(shift, (0, 2 * env))),), env
     if name in ("displace", "squeeze", "phase"):
         mode = _integer(op.get("mode"), f"{where}.mode")
     if name == "displace":
@@ -276,9 +279,9 @@ def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
 
 
 def _channel_gates(op: dict, modes: int, env: int, where: str) -> tuple:
-    """The gates of a channel op's Stinespring dilation and the environment
-    modes they leave: the channel acts as X (+) 1, Y (+) 0, D (+) 0 on the
-    register, so the ``env`` earlier environment modes pass through it."""
+    """The one `Symplectic` gate of a channel op's Stinespring dilation and the
+    environment modes it leaves: the channel acts as X (+) 1, Y (+) 0, D (+) 0
+    on the register, so the ``env`` earlier environment modes pass through it."""
     shape, pad = (2 * modes, 2 * modes), (0, 2 * env)
     x, y = (_real_array(op.get(key), shape, f"{where}.{key}", modes) for key in "XY")
     d = _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes)
@@ -287,10 +290,7 @@ def _channel_gates(op: dict, modes: int, env: int, where: str) -> tuple:
     except ValueError as exc:  # with the shapes checked, Y is asymmetric or too small for X
         raise ValidationFailure(f"{where}.Y: {exc}") from None
     s = ch.dilation()
-    try:
-        return symplectic_gates(s, np.pad(ch.d, (0, len(s) - len(ch.d)))), len(s) // 2 - modes
-    except ValueError as exc:  # S passed is_symplectic: a failed split is a numerical fault
-        raise InvariantViolation(f"{where}: the channel's dilation has no Euler split: {exc}") from exc
+    return (Symplectic(s, np.pad(ch.d, (0, len(s) - len(ch.d)))),), len(s) // 2 - modes
 
 
 def lower_ops(ops, modes: int) -> tuple:
@@ -298,9 +298,9 @@ def lower_ops(ops, modes: int) -> tuple:
     to segments run in order, with the number of system modes they leave:
 
     * ``("gates", width, op_gates)`` for each maximal run of gate ops on one
-      ``width``-mode register, with each op's gates (a ``symplectic`` op's
-      are its Euler gates, a ``channel`` op's those of its dilation, whose
-      environment modes follow the register's), run after vacuum padding;
+      ``width``-mode register, with each op's gates (one `Symplectic` gate for a
+      ``symplectic`` op or a ``channel`` op's dilation, whose environment modes
+      follow the register's), run after vacuum padding;
     * ``("condition", measured, outcome)`` for a condition op.
     """
     segments, env = [], 0

@@ -12,15 +12,15 @@ conventions:
 * ``BeamSplitter(m1, m2, theta, phi)`` -- exp(theta (e^{i phi} ad b - e^{-i phi} a bd));
   theta = pi/4 is balanced.
 
-``symplectic_gates`` writes a quadrature map (S, d) as a gate list; its Euler
-factors use the internal whole-register gate ``Passive(u)``.
+* ``Symplectic(s, d)``           -- the quadrature map x -> S x + d on the whole
+  register: a ``symplectic`` op, or a channel's Stinespring dilation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import bloch_messiah, passive_from_unitary, unitary_from_passive
+from .symplectic import passive_from_unitary
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,14 @@ class BeamSplitter:
 
 
 @dataclass(frozen=True, eq=False)
-class Passive:
-    """Passive unitary u (n x n) on the whole register: a -> u a."""
+class Symplectic:
+    """Gaussian unitary on the whole register with quadrature map x -> S x + d."""
 
-    u: np.ndarray
+    s: np.ndarray
+    d: np.ndarray
 
 
-Gate = Displace | Squeeze | PhaseShift | BeamSplitter | Passive
+Gate = Displace | Squeeze | PhaseShift | BeamSplitter | Symplectic
 
 
 def squeeze_matrix(r: float, theta: float = 0.0) -> np.ndarray:
@@ -89,12 +90,8 @@ def beamsplitter_unitary(theta, phi=0.0) -> np.ndarray:
 
 def check_gate_modes(gate: Gate, n: int) -> None:
     """Reject out-of-range (including negative) mode indices."""
-    if isinstance(gate, Passive):
-        if gate.u.shape != (n, n):
-            raise ValueError(f"passive gate of shape {gate.u.shape} on {n} modes")
-        return
     pair = isinstance(gate, BeamSplitter)
-    # a gate object of no known kind has no mode; its user raises TypeError
+    # no mode: a Symplectic gate (its user checks its width) or one of no known kind (TypeError)
     for m in (gate.mode1, gate.mode2) if pair else (getattr(gate, "mode", 0),):
         if m < 0 or m >= n:
             raise ValueError(f"gate {gate!r}: mode index outside 0..{n - 1}")
@@ -121,8 +118,8 @@ def gate_symplectic(gate: Gate, n: int):
         full = np.eye(n, dtype=complex)
         full[np.ix_([gate.mode1, gate.mode2], [gate.mode1, gate.mode2])] = u
         s = passive_from_unitary(full)
-    elif isinstance(gate, Passive):
-        s = passive_from_unitary(gate.u)
+    elif isinstance(gate, Symplectic):
+        s, d = gate.s, gate.d
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return s, d
@@ -137,21 +134,3 @@ def program_symplectic(gates, n: int):
         s = sg @ s
         d = sg @ d + dg
     return s, d
-
-
-def displacement_gates(d):
-    """One Displace per mode with a nonzero quadrature shift d = sqrt(2) (Re a, Im a)."""
-    d = np.asarray(d, dtype=float)
-    delta = (d[0::2] + 1j * d[1::2]) / np.sqrt(2)
-    return tuple(Displace(int(k), delta[k]) for k in np.flatnonzero(delta))
-
-
-def symplectic_gates(s, d):
-    """Gates realising the quadrature map (S, d): the Euler factors O1 Z O2 of S
-    (Bloch-Messiah), then the displacements.  Their global phase is the one of
-    this factorisation; a circuit that tracks phases passes its own gates."""
-    o1, z, o2 = bloch_messiah(s)
-    # diag(z, 1/z) scales q by z, i.e. squeeze parameter r = -ln z
-    r = -np.log(np.diag(z)[0::2])
-    squeezes = tuple(Squeeze(int(k), r[k]) for k in np.flatnonzero(np.abs(r) > 1e-14))
-    return (Passive(unitary_from_passive(o2)), *squeezes, Passive(unitary_from_passive(o1)), *displacement_gates(d))

@@ -18,8 +18,8 @@ variables so that
 
 A primitive gate changes any triple in closed form (`apply_gate`); folded gate
 by gate over a ket, that engine is the source of truth for phases along
-circuits.  Unitary triples (`program_params`, `compose`, `apply_to_state`)
-remain as its independent references.
+circuits.  A `Symplectic(S, d)` gate contracts the closed-form triple of (S, d)
+with each ket (`apply_to_state`); `program_params` and `compose` are references.
 """
 
 from math import factorial
@@ -27,9 +27,10 @@ from math import factorial
 import numpy as np
 
 from . import counters
-from ._linalg import COND_MAX, solve_complex
+from ._linalg import COND_MAX
 from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
-from .gates import BeamSplitter, Displace, Passive, PhaseShift, Squeeze, beamsplitter_unitary, check_gate_modes
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, beamsplitter_unitary, check_gate_modes
+from .symplectic import mode_blocks
 
 
 # unit roundoff; the overlap and amplitude kernels' relative error per value
@@ -190,9 +191,9 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
 
     * Displace(delta): b += delta e_k - conj(delta) a_k,
       log c += -|delta|^2/2 - b_k conj(delta) + A_kk conj(delta)^2/2;
-    * PhaseShift, BeamSplitter, Passive: A -> U A U^T, b -> U b on the
-      touched legs (all n legs for Passive; a PhaseShift scales row and
-      column k of A and b_k);
+    * PhaseShift, BeamSplitter: A -> U A U^T, b -> U b on the touched legs
+      (a PhaseShift scales row and column k of A and b_k);
+    * Symplectic(S, d): `apply_to_state` of `symplectic_params(S, d)`, on kets only;
     * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
       on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
       b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
@@ -216,8 +217,8 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
         return StellarParams(a, b, t.log_c)
     if isinstance(gate, BeamSplitter):
         return _apply_passive(beamsplitter_unitary(gate.theta, gate.phi), [gate.mode1, gate.mode2], t)
-    if isinstance(gate, Passive):
-        return _apply_passive(gate.u, np.arange(n), t)
+    if isinstance(gate, Symplectic):
+        return apply_to_state(symplectic_params(gate.s, gate.d), t)
     # row a_k; indexing through .T puts the stack axis last, so one triple's
     # A_kk and b_k are numpy scalars, not slower 0-d arrays
     k = gate.mode
@@ -260,6 +261,23 @@ def gate_params(gate, n: int) -> StellarParams:
     return apply_gate(gate, identity_params(n), n)
 
 
+def symplectic_params(s, d) -> StellarParams:
+    """Unitary triple of the quadrature map (S, d) in closed form (Miatto and Quesada,
+    Quantum 4, 366 (2020)).  With the `mode_blocks` (M, N, delta) of (S, d), those of
+    (S^{-1}, -S^{-1} d) are M_i = M^+, N_i = -N^T, delta_i = -(M_i delta + N_i conj(delta)),
+    and B = -C N_i, C = M_i^{-1}, D = conj(N_i) C, b = (-C delta_i, conj(-M^{-1} delta)),
+    log c = -log|det M_i|/2 - |delta_i|^2/2 + delta_i^T D delta_i/2: 0 for a passive S
+    with d = 0, as for its gates (log_magnitude(B, b_out) loses digits as ||B||_2 -> 1)."""
+    m, n, delta = mode_blocks(s, d)
+    mi, ni = m.conj().T, -n.T
+    di = -(mi @ delta + ni @ delta.conj())
+    c = np.linalg.inv(mi)
+    a = np.block([[-c @ ni, c], [c.T, ni.conj() @ c]])
+    b = np.concatenate([-c @ di, np.conj(-np.linalg.solve(m, delta))])
+    log_c = -0.5 * np.linalg.slogdet(mi)[1] - 0.5 * np.vdot(di, di).real + 0.5 * di @ ni.conj() @ c @ di
+    return StellarParams(a, b, log_c)
+
+
 def _blocks(t: StellarParams):
     m = t.modes // 2
     return (
@@ -271,12 +289,12 @@ def _blocks(t: StellarParams):
     )
 
 
-def _half_log_det_rhp(mat, label: str) -> complex:
-    """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue."""
-    lam = np.linalg.eigvals(np.asarray(mat, dtype=complex))
-    if np.any(lam.real <= 0):
+def _half_log_det_rhp(mat, label: str):
+    """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack."""
+    lam = np.linalg.eigvals(mat)
+    if (lam.real <= 0).any():
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
-    return complex(0.5 * np.sum(np.log(lam)))
+    return 0.5 * np.log(lam).sum(-1)
 
 
 def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
@@ -326,26 +344,35 @@ def program_params(gates, n: int) -> StellarParams:
 # evaluation
 
 
+def _singular_values(y, label: str):
+    """Singular values of a kernel Y, one or a stack; IllConditioned for cond_2(Y) > COND_MAX."""
+    sv = np.linalg.svd(y, compute_uv=False)
+    if not (sv[..., 0] <= COND_MAX * sv[..., -1]).all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.nanmax(sv[..., 0] / sv[..., -1])
+        raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
+    return sv
+
+
 def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
-    """Ket triple of U|psi>, phase-exact."""
+    """Ket triple of U|psi>, or of U on each ket of a stack, phase-exact.  Each Y =
+    1 - D A is checked as in state_overlaps; ||D||_2, ||A||_2 < 1 keep its spectrum
+    in the right half-plane, where det(Y)^{-1/2}'s principal branch is continuous."""
     m = t_state.modes
     if t_u.modes != 2 * m:
         raise DimensionMismatch("unitary and state mode counts disagree")
     b_u, c_u, d_u, bu_out, bu_in = _blocks(t_u)
-    y = np.eye(m) - d_u @ t_state.a
-    yi = solve_complex(y, np.eye(m), "state-application kernel")
-    yit = yi.T
-    a_new = b_u + c_u @ yit @ t_state.a @ c_u.T
-    b_new = bu_out + c_u @ yit @ (t_state.b + t_state.a @ bu_in)
-    log_c = (
-        t_u.log_c
-        + t_state.log_c
-        - _half_log_det_rhp(y, "state-application kernel")
-        + t_state.b @ yi @ bu_in
-        + 0.5 * bu_in @ yit @ t_state.a @ bu_in
-        + 0.5 * t_state.b @ yi @ d_u @ t_state.b
-    )
-    return StellarParams(a_new, b_new, log_c)
+    a, b = t_state.a, t_state.b
+    y = np.eye(m) - d_u @ a
+    _singular_values(y, "state-application kernel")
+    log_det = _half_log_det_rhp(y, "state-application kernel")
+    yi = np.linalg.inv(y)
+    yit = np.swapaxes(yi, -1, -2)
+    g, h = yi @ bu_in, a @ bu_in
+    a_new = b_u + c_u @ yit @ a @ c_u.T
+    b_new = bu_out + (yit @ (b + h)[..., None])[..., 0] @ c_u.T
+    quad = np.sum(b * g, -1) + 0.5 * np.sum(g * h, -1) + 0.5 * np.sum(b * (yi @ d_u @ b[..., None])[..., 0], -1)
+    return StellarParams(a_new, b_new, t_u.log_c + t_state.log_c - log_det + quad)
 
 
 # pairs per batch of the overlap kernel; bounds its temporaries (about 20
@@ -385,18 +412,11 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j, with_sums: bool =
         av = p.b.conj()[..., None]
         bv = q.b[..., None]
         y = np.eye(p.modes) - f @ q.a
-        sv = np.linalg.svd(y, compute_uv=False)
-        if not (sv[:, 0] <= COND_MAX * sv[:, -1]).all():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                worst = np.nanmax(sv[:, 0] / sv[:, -1])
-            raise IllConditioned(f"overlap kernel is ill-conditioned (cond={worst:.3g})")
+        sv = _singular_values(y, "overlap kernel")
+        log_det = _half_log_det_rhp(y, "overlap kernel")
         yi = np.linalg.inv(y)
-        lam = np.linalg.eigvals(y)
-        if (lam.real <= 0).any():
-            raise GsimError("overlap kernel has eigenvalues off the right half-plane")
         bt_yi = np.swapaxes(bv, 1, 2) @ yi
         quad = np.concatenate([bt_yi @ av, 0.5 * bt_yi @ (f @ bv), 0.5 * np.swapaxes(yi @ av, 1, 2) @ (q.a @ av)], axis=2)
-        log_det = 0.5 * np.log(lam).sum(axis=1)
         out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - log_det + quad[:, 0].sum(axis=1))
         if with_sums:
             kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]

@@ -6,7 +6,7 @@ symplectic form is block-diagonal in 2x2 blocks [[0, 1], [-1, 0]].
 
 import numpy as np
 
-from ._linalg import EPS, SYMPLECTIC_ROUNDING, TOL_DECOMP, TOL_SYMPLECTIC, TOL_UNITARY
+from ._linalg import EPS, SYMPLECTIC_ROUNDING, TOL_SYMPLECTIC, TOL_UNITARY
 
 
 def omega(n: int) -> np.ndarray:
@@ -60,56 +60,14 @@ def passive_from_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def unitary_from_passive(orth: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`passive_from_unitary` for orthogonal symplectic input."""
-    orth = np.asarray(orth, dtype=float)
-    return orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
-
-
-def bloch_messiah(s: np.ndarray):
-    """Euler decomposition S = O1 @ Z @ O2 of a real symplectic matrix.
-
-    O1, O2 are orthogonal symplectic and Z = diag(z1, 1/z1, ..., zn, 1/zn)
-    with z_i >= 1.  Uses the polar decomposition S = P O with P symmetric
-    positive-definite symplectic; eigenvalues of P come in (z, 1/z) pairs
-    whose eigenvectors are exchanged by the symplectic form, so picking the
-    z >= 1 eigenvectors v and partners -Omega v builds O1 directly.
-    """
-    s = require_symplectic(s)
-    n = s.shape[0] // 2
-    om = omega(n)
-
-    # polar part P = sqrt(S S^T)
-    w, q = np.linalg.eigh(s @ s.T)
-    w = np.clip(w, 1e-300, None)
-    p = (q * np.sqrt(w)) @ q.T
-
-    lam, vec = np.linalg.eigh(p)
-    order = np.argsort(lam)[::-1]
-    pairs = []
-    for k in order:
-        if len(pairs) == n or lam[k] < 1.0 - 1e-8:
-            break
-        v = vec[:, k].copy()
-        # Gram-Schmidt against already-chosen planes; removes the -Omega v
-        # partners inside (near-)unit eigenvalue clusters.
-        for pv, pw, _ in pairs:
-            v -= pv * (pv @ v) + pw * (pw @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        v /= nv
-        pairs.append((v, -om @ v, max(float(lam[k]), 1.0)))
-    if len(pairs) != n:
-        raise ValueError("failed to pair symplectic eigenvectors")
-
-    o1 = np.column_stack([col for v, w_, _ in pairs for col in (v, w_)])
-    z = np.diag([x for *_, zi in pairs for x in (zi, 1.0 / zi)])
-    o2 = np.diag(1.0 / np.diag(z)) @ o1.T @ s
-    err = np.max(np.abs(o1 @ z @ o2 - s))
-    if err > max(TOL_DECOMP, 1e-9 * max(1.0, float(np.max(np.abs(s))))):
-        raise ValueError(f"Bloch-Messiah reconstruction error {err:.3g} exceeds tolerance")
-    return o1, z, o2
+def mode_blocks(s: np.ndarray, d: np.ndarray):
+    """(M, N, delta) with a -> M a + N a^dagger + delta under the quadrature map (S, d):
+    M = [(S_qq + S_pp) + i(S_pq - S_qp)] / 2, N = [(S_qq - S_pp) + i(S_pq + S_qp)] / 2,
+    delta = (d_q + i d_p) / sqrt(2); N = 0 and M = u for passive_from_unitary(u)."""
+    qq, qp, pq, pp = s[0::2, 0::2], s[0::2, 1::2], s[1::2, 0::2], s[1::2, 1::2]
+    m = 0.5 * ((qq + pp) + 1j * (pq - qp))
+    n = 0.5 * ((qq - pp) + 1j * (pq + qp))
+    return m, n, (d[0::2] + 1j * d[1::2]) / np.sqrt(2)
 
 
 def factor_two_mode_unitary(u: np.ndarray):

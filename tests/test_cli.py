@@ -940,20 +940,40 @@ def test_gates_after_a_channel_stay_on_the_system_modes(tmp_path, capsys):
 
 
 def test_a_strongly_squeezing_symplectic_op_runs(tmp_path, capsys):
-    # S of a squeeze at r = 10.5 is symplectic only to its rounding, about EPS ||S||^2 = 3e-7
+    # exact_born after a `symplectic` op carrying the S of some gates, and after the
+    # same gates as ops: each value lies inside the other's band.  S of a squeeze at
+    # r = 10.5 is symplectic only to its rounding, about EPS ||S||^2 = 3e-7; on two
+    # modes, an odd cat's two terms keep their relative phase through the one gate
     from gsim.gates import program_symplectic
 
-    s, _ = program_symplectic([Squeeze(0, 10.5, 1.3)], 1)
-    results = []
-    for op in ({"gate": "symplectic", "matrix": s.tolist()}, {"gate": "squeeze", "mode": 0, "r": 10.5, "theta": 1.3}):
-        task = {"name": "exact_born", "outcome": [[0.3, -0.2]]}
-        program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [op], "task": task}
-        code, out, err = _run_program(program, tmp_path, capsys)
-        assert code == 0, err
-        doc = json.loads(out)
-        results.append((doc["value"], doc["error_band"]))
-    (a, (a_lo, a_hi)), (b, (b_lo, b_hi)) = results
-    assert a_lo <= b <= a_hi and b_lo <= a <= b_hi
+    odd_cat = {"kind": "cat", "alpha": 1.3, "parity": "-"}
+    cases = [(1, CAT, [Squeeze(0, 10.5, 1.3)], [[0.3, -0.2]])] + [
+        (2, odd_cat, [Squeeze(0, r, 1.3), BeamSplitter(0, 1, 0.7)], [[0.2, 0.1], [0.05, -0.02]]) for r in (8.0, 12.0)
+    ]
+    for modes, initial, gates, outcome in cases:
+        ops = [{"gate": "squeeze", "mode": 0, "r": gates[0].r, "theta": 1.3}]
+        if modes == 2:
+            ops.append({"gate": "beamsplitter", "modes": [0, 1], "theta": 0.7})
+        results = []
+        for program_ops in ([{"gate": "symplectic", "matrix": program_symplectic(gates, modes)[0].tolist()}], ops):
+            task = {"name": "exact_born", "outcome": outcome}
+            program = {"schema_version": 1, "modes": modes, "initial": initial, "ops": program_ops, "task": task}
+            code, out, err = _run_program(program, tmp_path, capsys)
+            assert code == 0, err
+            doc = json.loads(out)
+            results.append((doc["value"], doc["error_band"]))
+        (a, (a_lo, a_hi)), (b, (b_lo, b_hi)) = results
+        assert a_lo <= b <= a_hi and b_lo <= a <= b_hi, (modes, gates[0].r)
+
+
+@pytest.mark.parametrize("pipeline", ["pure", "mixed"])
+def test_a_nonsymplectic_matrix_names_its_field(pipeline, tmp_path, capsys):
+    ops = [{"gate": "symplectic", "matrix": [[2, 0], [0, 2]]}]
+    ops = ops if pipeline == "pure" else [NOISE, *ops]
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": ops, "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 2
+    assert f"ops[{len(ops) - 1}].matrix" in err and "not symplectic" in err
 
 
 def _squeezed_loss(r):
@@ -992,17 +1012,11 @@ def test_an_amplifier_without_its_noise_exits_2(tmp_path, capsys):
     assert "ops[0].Y" in err and "channel violates" in err
 
 
-@pytest.mark.parametrize("broken", ["is_symplectic", "symplectic_gates"])
+@pytest.mark.parametrize("broken", ["is_symplectic"])
 def test_a_broken_dilation_is_a_numerical_failure(broken, monkeypatch, tmp_path, capsys):
     from gsim import gaussian
 
-    if broken == "is_symplectic":
-        monkeypatch.setattr(gaussian, "is_symplectic", lambda s: False)
-    else:
-        def split(s, d):
-            raise ValueError("failed to pair symplectic eigenvectors")
-
-        monkeypatch.setattr(cli, "symplectic_gates", split)
+    monkeypatch.setattr(gaussian, broken, lambda s: False)
     program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [_loss(0.5)], "task": {"name": "norm"}}
     code, _, err = _run_program(program, tmp_path, capsys)
     assert code == 3

@@ -3,7 +3,7 @@ import pytest
 
 from gsim import fock, stellar
 from gsim.exceptions import DimensionMismatch, ReferenceDegenerate
-from gsim.gates import Displace, Squeeze, program_symplectic, symplectic_gates
+from gsim.gates import Displace, Squeeze, Symplectic, program_symplectic
 from gsim.gaussian import GaussianPure, fidelity_pure
 from gsim.phase import (
     GaussianUnitary,
@@ -167,9 +167,8 @@ class TestPropagate:
         for _ in range(20):
             gates.extend(random_pure_program(n, rng, alpha_max=0.3, r_max=0.2))
         chained = propagate(GaussianPure.vacuum(n), GaussianUnitary.from_gates(gates, n))
-        s, d = program_symplectic(gates, n)
-        via_bm = propagate(GaussianPure.vacuum(n), GaussianUnitary(symplectic_gates(s, d), n))
-        assert abs(abs(overlap(chained, via_bm)) - 1.0) < 1e-8
+        direct = propagate(GaussianPure.vacuum(n), GaussianUnitary((Symplectic(*program_symplectic(gates, n)),), n))
+        assert abs(abs(overlap(chained, direct)) - 1.0) < 1e-8
 
 
 def test_oracle_agreement_small(rng):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gsim import counters, fock, phase, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
-from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
+from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
 from gsim.gaussian import GaussianPure
 
 
@@ -160,21 +160,22 @@ class TestUnitaryTriples:
             Displace(1, 0.5 + 0.2j),
             PhaseShift(0, 1.4),
         ]
-        from gsim.gates import program_symplectic, symplectic_gates
-
-        t_composed = stellar.program_params(gates, 2)
         s, d = program_symplectic(gates, 2)
-        t_direct = stellar.program_params(symplectic_gates(s, d), 2)
-        assert np.max(np.abs(t_composed.a - t_direct.a)) < 1e-9
-        assert np.max(np.abs(t_composed.b - t_direct.b)) < 1e-9
-        ratio = t_composed.c / t_direct.c
-        assert abs(abs(ratio) - 1.0) < 1e-9  # same modulus, phase gauge may differ
+        t_composed, t_direct = stellar.program_params(gates, 2), stellar.symplectic_params(s, d)
+        assert np.max(np.abs(t_composed.a - t_direct.a)) < 1e-12
+        assert np.max(np.abs(t_composed.b - t_direct.b)) < 1e-12
+        assert abs(abs(t_composed.c / t_direct.c) - 1.0) < 1e-12  # same modulus, phase gauge may differ
+        ket = engine_state(random_pure_program(2, rng, 1.0, 0.8), 2).bargmann
+        folded, direct = _fold(gates, ket, 2), stellar.apply_gate(Symplectic(s, d), ket, 2)
+        assert np.max(np.abs(folded.a - direct.a)) < 1e-12 and np.max(np.abs(folded.b - direct.b)) < 1e-12
+        assert abs(abs(folded.c / direct.c) - 1.0) < 1e-12
 
     def test_symplectic_gates_identity_phase(self):
-        from gsim.gates import symplectic_gates
-
-        t = stellar.program_params(symplectic_gates(np.eye(4), np.zeros(4)), 2)
-        assert abs(t.c - 1.0) < 1e-12
+        # the identity and a passive S with d = 0 add no phase, as their gates add none
+        passive = program_symplectic([BeamSplitter(0, 1, 0.7, 0.2), PhaseShift(1, 1.1)], 2)[0]
+        for s in (np.eye(4), passive):
+            t = stellar.apply_gate(Symplectic(s, np.zeros(4)), _vacuum(2), 2)
+            assert abs(t.c - 1.0) < 1e-15
 
 
 class TestEvaluation:
@@ -486,6 +487,27 @@ class TestGateEngine:
         with pytest.raises(DimensionMismatch):
             stellar.apply_gate(Displace(0, 0.1), _vacuum(1), 2)
 
+    def test_symplectic_acts_on_kets_of_its_width(self):
+        # a whole-register gate on a unitary's out legs, or on a register of another width
+        with pytest.raises(DimensionMismatch):
+            stellar.apply_gate(Symplectic(np.eye(4), np.zeros(4)), stellar.identity_params(2), 2)
+        with pytest.raises(DimensionMismatch):
+            stellar.apply_gate(Symplectic(np.eye(2), np.zeros(2)), _vacuum(2), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(3, 6))
+    def test_symplectic_matches_the_gate_fold_on_a_stack(self, seed, n, k):
+        # A and b of every ket, and log c up to one constant across the stack, so
+        # relative phases are exact
+        rng = np.random.default_rng(seed)
+        gates = random_pure_program(n, rng)
+        kets = stacked([engine_state(random_pure_program(n, rng), n) for _ in range(k)])
+        folded, direct = _fold(gates, kets, n), stellar.apply_gate(Symplectic(*program_symplectic(gates, n)), kets, n)
+        for x, y in ((direct.a, folded.a), (direct.b, folded.b)):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+        shift = direct.log_c - folded.log_c
+        assert np.max(np.abs(shift - shift[0])) <= 1e-12
+
     def test_squeeze_keeps_the_state_application_checks(self):
         b = np.array([0.3, -0.1j])
         cases = [
@@ -496,9 +518,13 @@ class TestGateEngine:
         ]
         for a, gate, exc in cases:
             t = stellar.StellarParams(a, b, 0.0)
+            # alone and beside a vacuum in a stack: one bad ket fails the whole stack
+            stack = stellar.StellarParams(np.stack([a, np.zeros((2, 2))]), np.stack([b, b]), np.zeros(2))
             for apply in (
                 lambda: stellar.apply_to_state(stellar.gate_params(gate, 2), t),
+                lambda: stellar.apply_to_state(stellar.gate_params(gate, 2), stack),
                 lambda: stellar.apply_gate(gate, t, 2),
+                lambda: stellar.apply_gate(Symplectic(*program_symplectic([gate], 2)), stack, 2),
             ):
                 with pytest.raises(exc) as err:
                     apply()
