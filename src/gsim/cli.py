@@ -532,7 +532,11 @@ def lower(args) -> dict:
     elif args.command == "optimize-fidelity":
         task = {"name": "optimize_fidelity", "mode": args.mode, "restarts": args.restarts, "budget": args.budget}
     elif args.command == "table1":
-        task = {"name": "table1", "deltas": [float(v) for v in args.deltas.split(",")]}
+        try:
+            deltas = [float(v) for v in args.deltas.split(",")]
+        except ValueError:
+            raise ValidationFailure(f"--deltas: expected comma-separated numbers, got {args.deltas!r}") from None
+        task = {"name": "table1", "deltas": deltas}
     else:
         task = {"name": args.command}
     program["task"] = task

@@ -27,6 +27,9 @@ from .phase import GaussianUnitary, propagate
 
 # squared l1 norm of the optimal single-photon decomposition: 4e/(3 sqrt(3))
 FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
+# largest photon count whose two boson-sampling bounds are finite: e^mbar
+# overflows first, as FOCK1_EXTENT < e
+MAX_BS_MBAR = math.floor(math.log(np.finfo(float).max))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
 # (probe, term) pairs per block of an amplitude sweep: its ~64 kB temporaries
@@ -496,7 +499,10 @@ def breeding_lower_bound(xi_grid: float) -> int:
 
 
 def boson_sampling_bound(mbar: int):
-    """(extent of |1>)^Mbar cost bound and the non-classicality benchmark e^Mbar."""
+    """(extent of |1>)^Mbar cost bound and the non-classicality benchmark e^Mbar;
+    OverflowError past MAX_BS_MBAR."""
     if mbar < 0:
         raise ValueError("photon count must be nonnegative")
+    if mbar > MAX_BS_MBAR:
+        raise OverflowError(f"photon count mbar = {mbar} overflows e^mbar; both bounds are finite up to mbar = {MAX_BS_MBAR}")
     return FOCK1_EXTENT**mbar, math.exp(mbar)

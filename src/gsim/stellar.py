@@ -18,8 +18,9 @@ variables so that
 
 A primitive gate changes any triple in closed form (`apply_gate`); folded gate
 by gate over a ket, that engine is the source of truth for phases along
-circuits.  A `Symplectic(S, d)` gate contracts the closed-form triple of (S, d)
-with each ket (`apply_to_state`); `program_params` and `compose` are references.
+circuits.  Overlaps, state application (the route of a `Symplectic(S, d)` gate,
+whose triple is closed-form) and composition are one Gaussian contraction,
+`_contract`; `program_params` and `compose` are references.
 """
 
 from math import factorial
@@ -278,17 +279,6 @@ def symplectic_params(s, d) -> StellarParams:
     return StellarParams(a, b, log_c)
 
 
-def _blocks(t: StellarParams):
-    m = t.modes // 2
-    return (
-        t.a[:m, :m],
-        t.a[:m, m:],
-        t.a[m:, m:],
-        t.b[:m],
-        t.b[m:],
-    )
-
-
 def _half_log_det_rhp(mat, label: str):
     """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack."""
     lam = np.linalg.eigvals(mat)
@@ -297,39 +287,62 @@ def _half_log_det_rhp(mat, label: str):
     return 0.5 * np.log(lam).sum(-1)
 
 
-def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
-    """Triple of the operator product U1 @ U2 (U2 acts first), phase-exact.
+def _singular_values(y, label: str):
+    """Singular values of a kernel Y, one or a stack; IllConditioned for cond_2(Y) > COND_MAX."""
+    sv = np.linalg.svd(y, compute_uv=False)
+    if not (sv[..., 0] <= COND_MAX * sv[..., -1]).all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.nanmax(sv[..., 0] / sv[..., -1])
+        raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
+    return sv
 
-    Contracting the shared coherent resolution of identity reduces to a
-    complex Gaussian integral; with F = D1 (in-in of U1), G = B2 (out-out of
-    U2) and Y = 1 - F G, the integral contributes det(Y)^{-1/2} and the
-    rational blocks assembled below.
+
+def _contract(a1, b1, a2, b2, k: int, label: str):
+    """Integrate the last k legs of F1 = (A1, b1), read at conj(z), against the first k
+    legs of F2 = (A2, b2), for one pair or broadcasting stacks.  With P, Q the contracted
+    diagonal blocks of A1, A2, p, q those entries of b1, b2, Y = 1 - P Q and Yi = Y^{-1}:
+
+        int d^2z/pi^k e^{-|z|^2 + conj(z)^T P conj(z)/2 + z^T Q z/2 + p^T conj(z) + q^T z}
+            = det(Y)^{-1/2} exp(q^T Yi p + q^T Yi P q/2 + p^T Yi^T Q p/2).
+
+    Outer legs x of F1 and y of F2 enter as p + X x and q + W y (X, W: the contracted rows
+    of A1, A2 off those blocks); as Yi P and Yi^T Q are symmetric, their triple has
+    A_xx = A1_xx + X^T Yi^T Q X, A_xy = X^T Yi^T W, A_yy = A2_yy + W^T Yi P W,
+    b_x = b1_x + X^T Yi^T (q + Q p) and b_y = b2_y + W^T Yi (p + P q).  Y is checked once
+    with the caller's label: IllConditioned for cond_2(Y) > COND_MAX, then GsimError for an
+    eigenvalue off the open right half-plane, where det(Y)^{-1/2}'s principal branch is
+    continuous.  Returns the outer (A, b) ((None, None) without outer legs), the singular
+    values of Y, and the log-domain summands (log det(Y)/2, q^T Yi p, q^T Yi P q/2,
+    p^T Yi^T Q p/2); callers add them in that order.
     """
+    nx = a1.shape[-1] - k
+    pm, qm = a1[..., nx:, nx:], a2[..., :k, :k]
+    p, q = b1[..., nx:, None], b2[..., :k, None]
+    y = np.eye(k) - pm @ qm
+    sv = _singular_values(y, label)
+    log_det = _half_log_det_rhp(y, label)
+    yi = np.linalg.inv(y)
+    qt_yi = np.swapaxes(q, -1, -2) @ yi
+    pq, qp = pm @ q, qm @ p
+    t1, t2, t3 = qt_yi @ p, 0.5 * qt_yi @ pq, 0.5 * np.swapaxes(yi @ p, -1, -2) @ qp
+    terms = (log_det, t1[..., 0, 0], t2[..., 0, 0], t3[..., 0, 0])
+    if nx == 0 and a2.shape[-1] == k:
+        return None, None, sv, terms
+    x, w = a1[..., nx:, :nx], a2[..., :k, k:]
+    xt_yit, wt_yi = np.swapaxes(yi @ x, -1, -2), np.swapaxes(w, -1, -2) @ yi
+    a_xy = xt_yit @ w
+    a = np.block([[a1[..., :nx, :nx] + xt_yit @ qm @ x, a_xy], [np.swapaxes(a_xy, -1, -2), a2[..., k:, k:] + wt_yi @ pm @ w]])
+    b = np.concatenate([b1[..., :nx] + (xt_yit @ (q + qp))[..., 0], b2[..., k:] + (wt_yi @ (p + pq))[..., 0]], -1)
+    return a, b, sv, terms
+
+
+def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
+    """Triple of the operator product U1 @ U2 (U2 acts first), phase-exact: `_contract`
+    of the in legs of U1 with the out legs of U2."""
     if t1.modes != t2.modes:
         raise DimensionMismatch("unitary triples act on different mode counts")
-    m = t1.modes // 2
-    b1, c1, d1, c1v, d1v = _blocks(t1)
-    b2, c2, d2, c2v, d2v = _blocks(t2)
-    y = np.eye(m) - d1 @ b2
-    yi = np.linalg.inv(y)
-    yit = np.linalg.inv(y.T)
-    a = np.zeros((2 * m, 2 * m), dtype=complex)
-    a[:m, :m] = b1 + c1 @ (b2 @ yi) @ c1.T
-    a[:m, m:] = c1 @ yit @ c2
-    a[m:, :m] = a[:m, m:].T
-    a[m:, m:] = d2 + c2.T @ (yi @ d1) @ c2
-    b = np.zeros(2 * m, dtype=complex)
-    b[:m] = c1v + c1 @ yit @ (c2v + b2 @ d1v)
-    b[m:] = d2v + c2.T @ yi @ (d1v + d1 @ c2v)
-    log_c = (
-        t1.log_c
-        + t2.log_c
-        - _half_log_det_rhp(y, "composition kernel")
-        + c2v @ yi @ d1v
-        + 0.5 * d1v @ (b2 @ yi) @ d1v
-        + 0.5 * c2v @ (yi @ d1) @ c2v
-    )
-    return StellarParams(a, b, log_c)
+    a, b, _, (log_det, q1, q2, q3) = _contract(t1.a, t1.b, t2.a, t2.b, t1.modes // 2, "composition kernel")
+    return StellarParams(a, b, t1.log_c + t2.log_c - log_det + (q1 + q2 + q3))
 
 
 def program_params(gates, n: int) -> StellarParams:
@@ -344,35 +357,14 @@ def program_params(gates, n: int) -> StellarParams:
 # evaluation
 
 
-def _singular_values(y, label: str):
-    """Singular values of a kernel Y, one or a stack; IllConditioned for cond_2(Y) > COND_MAX."""
-    sv = np.linalg.svd(y, compute_uv=False)
-    if not (sv[..., 0] <= COND_MAX * sv[..., -1]).all():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.nanmax(sv[..., 0] / sv[..., -1])
-        raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
-    return sv
-
-
 def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
-    """Ket triple of U|psi>, or of U on each ket of a stack, phase-exact.  Each Y =
-    1 - D A is checked as in state_overlaps; ||D||_2, ||A||_2 < 1 keep its spectrum
-    in the right half-plane, where det(Y)^{-1/2}'s principal branch is continuous."""
+    """Ket triple of U|psi>, or of U on each ket of a stack, phase-exact: `_contract` of the
+    in legs of U with the ket (||D||_2, ||A||_2 < 1 keep Y = 1 - D A in the right half-plane)."""
     m = t_state.modes
     if t_u.modes != 2 * m:
         raise DimensionMismatch("unitary and state mode counts disagree")
-    b_u, c_u, d_u, bu_out, bu_in = _blocks(t_u)
-    a, b = t_state.a, t_state.b
-    y = np.eye(m) - d_u @ a
-    _singular_values(y, "state-application kernel")
-    log_det = _half_log_det_rhp(y, "state-application kernel")
-    yi = np.linalg.inv(y)
-    yit = np.swapaxes(yi, -1, -2)
-    g, h = yi @ bu_in, a @ bu_in
-    a_new = b_u + c_u @ yit @ a @ c_u.T
-    b_new = bu_out + (yit @ (b + h)[..., None])[..., 0] @ c_u.T
-    quad = np.sum(b * g, -1) + 0.5 * np.sum(g * h, -1) + 0.5 * np.sum(b * (yi @ d_u @ b[..., None])[..., 0], -1)
-    return StellarParams(a_new, b_new, t_u.log_c + t_state.log_c - log_det + quad)
+    a, b, _, (log_det, q1, q2, q3) = _contract(t_u.a, t_u.b, t_state.a, t_state.b, m, "state-application kernel")
+    return StellarParams(a, b, t_u.log_c + t_state.log_c - log_det + (q1 + q2 + q3))
 
 
 # pairs per batch of the overlap kernel; bounds its temporaries (about 20
@@ -384,19 +376,16 @@ OVERLAP_CHUNK = 4096
 def state_overlaps(t1: StellarParams, t2: StellarParams, i, j, with_sums: bool = False):
     """Phase-sensitive <t1[i_p]|t2[j_p]> over P index pairs into two stacks.
 
-    With F = conj(A1), Y = 1 - F A2 and Yi = Y^{-1}, each pair contributes
-    conj(c1) c2 det(Y)^{-1/2} exp(b2 Yi conj(b1) + conj(b1) Yi^T A2 conj(b1) / 2
-    + b2 Yi F b2 / 2), summed in the log domain so that only a genuine
-    underflow of the overlap gives an exact 0.  Every pair is checked: a
-    2-norm condition number of Y above COND_MAX raises IllConditioned, and an
-    eigenvalue of Y off the open right half-plane raises GsimError.  Counts P
-    overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a time, so no
-    (P, m, m) copy of the stacks is built.
+    Each pair is `_contract` of the bra (conj(A1), conj(b1)) with the ket over
+    all legs, Y = 1 - conj(A1) A2, summed in the log domain so that only a
+    genuine underflow of the overlap gives an exact 0; every pair's Y is checked
+    there.  Counts P overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a
+    time, so no (P, m, m) copy of the stacks is built.
 
     ``with_sums`` also returns, per pair, the sum S of the moduli of the
     log-domain summands, the log-determinant and the quadratic ones weighted
     by 1 + (1 + s_max) / s_min over the singular values of Y (forming Y costs
-    u |F A2| and inverting it multiplies that by |Yi|): where the summands
+    u |conj(A1) A2| and inverting it multiplies that by |Yi|): where the summands
     cancel, the overlap is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u
     of its modulus.
     """
@@ -408,27 +397,17 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j, with_sums: bool =
     for s in range(0, i.shape[0], OVERLAP_CHUNK):
         p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
         counters.tally.overlap_evals += p.b.shape[0]
-        f = p.a.conj()
-        av = p.b.conj()[..., None]
-        bv = q.b[..., None]
-        y = np.eye(p.modes) - f @ q.a
-        sv = _singular_values(y, "overlap kernel")
-        log_det = _half_log_det_rhp(y, "overlap kernel")
-        yi = np.linalg.inv(y)
-        bt_yi = np.swapaxes(bv, 1, 2) @ yi
-        quad = np.concatenate([bt_yi @ av, 0.5 * bt_yi @ (f @ bv), 0.5 * np.swapaxes(yi @ av, 1, 2) @ (q.a @ av)], axis=2)
-        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - log_det + quad[:, 0].sum(axis=1))
+        _, _, sv, (log_det, q1, q2, q3) = _contract(p.a.conj(), p.b.conj(), q.a, q.b, p.modes, "overlap kernel")
+        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - log_det + (q1 + q2 + q3))
         if with_sums:
             kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]
-            terms = np.abs(log_det) + np.abs(quad[:, 0]).sum(axis=1)
+            terms = np.abs(log_det) + (np.abs(q1) + np.abs(q2) + np.abs(q3))
             sums[s : s + OVERLAP_CHUNK] = np.abs(p.log_c) + np.abs(q.log_c) + kappa * terms
     return (out, sums) if with_sums else out
 
 
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
     """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
-    if t1.modes != t2.modes:
-        raise DimensionMismatch("states act on different mode counts")
     return complex(state_overlaps(t1[None], t2[None], [0], [0])[0])
 
 

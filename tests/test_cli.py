@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -515,6 +516,17 @@ def test_bs_bound_sweep_checks_the_photon_count(capsys):
         code, out, err = run_cli(["bs-bound", *argv], capsys)
         assert code == 2 and out == ""
         assert "photon count must be nonnegative" in err
+
+
+def test_bs_bound_names_an_overflowing_photon_count(capsys):
+    # e^mbar overflows from mbar = 710, FOCK1_EXTENT^mbar from 962
+    code, out, err = run_cli(["bs-bound", "--mbar", "709"], capsys)
+    assert code == 0, err
+    assert all(math.isfinite(v) for v in json.loads(out)["value"].values())
+    for argv in (["--mbar", "710"], ["--mbar", "2000"], ["--mbar", "710", "--sweep"], ["--mbar", "2000", "--sweep"]):
+        code, out, err = run_cli(["bs-bound", *argv], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and f"mbar = {argv[1]}" in err and "mbar = 709" in err
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--epsilon", "--pfail"])
@@ -1069,6 +1081,13 @@ def test_table1_rejects_a_delta_that_is_not_positive_and_finite(delta, capsys):
     code, out, err = run_cli(["table1", "--deltas", f"0.1,{delta}"], capsys)
     assert code == 2
     assert out == "" and "delta must be positive" in err
+
+
+@pytest.mark.parametrize("deltas", ["0.1,,0.2", "0.1,x"])
+def test_table1_names_a_delta_that_is_not_a_number(deltas, capsys):
+    code, out, err = run_cli(["table1", "--deltas", deltas], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: --deltas: ") and repr(deltas) in err
 
 
 @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"], ["--budget", "0"]])

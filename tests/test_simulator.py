@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gsim import cli, counters, fock, stellar
 from gsim.exceptions import IllConditioned
-from gsim.gates import BeamSplitter, Displace, Squeeze, beamsplitter_unitary, program_symplectic
+from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, beamsplitter_unitary, program_symplectic
 from gsim.gaussian import (
     GaussianMixed,
     GaussianPure,
@@ -38,6 +38,7 @@ from gsim.states import (
     WeightedGaussian,
     cat_state,
     fock1_ring,
+    gkp_state,
     grid_sensor,
     measures,
     optimal_fock1_seed,
@@ -47,12 +48,28 @@ from gsim.states import (
 from conftest import engine_state, random_circuit, random_pure_program
 
 
-def cat_with_vacuum(alpha=1.0, parity=+1):
-    sup = cat_state(alpha, parity)
+def with_vacuum(sup):
+    """A one-mode superposition (x) the vacuum on a second mode."""
     return Superposition(
         [WeightedGaussian(e.coeff, tensor(e.term, GaussianPure.vacuum(1))) for e in sup.entries],
         l1=sup.l1,
     )
+
+
+def cat_with_vacuum(alpha=1.0, parity=+1):
+    return with_vacuum(cat_state(alpha, parity))
+
+
+def library_with_programs(kind):
+    """An odd cat, an 8-term fock1 ring or a three-term GKP codeword, and the
+    gate program that makes each of its terms from the vacuum."""
+    if kind == "cat":
+        return cat_state(1.0, -1), [[Displace(0, 1.0)], [Displace(0, -1.0)]]
+    if kind == "ring":
+        seed = [Squeeze(0, math.log(math.sqrt(3))), Displace(0, math.sqrt(2 / 3))]
+        return fock1_ring(optimal_fock1_seed(), 8), [seed + [PhaseShift(0, np.pi * m / 8)] for m in range(16)]
+    step = 2 * math.sqrt(math.pi)  # d = 2, mu = 0: term s sits at alpha_d d s
+    return gkp_state(2, 0, 0.9, 0.7, 1)[0], [[Squeeze(0, -math.log(0.7)), Displace(0, step * s)] for s in (-1, 0, 1)]
 
 
 def cat_three_modes():
@@ -203,6 +220,29 @@ class TestCondition:
             got = exact_born(cond, [xi]).value
             want = fock.oracle_born(fv_cond, [xi])
             assert abs(got - want) < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cat", "ring", "gkp"]))
+    def test_two_mode_circuits_condition_like_the_oracle(self, seed, kind):
+        # evolve -> condition -> exact_born against the Fock oracle; the oracle
+        # sums each term's program on the vacuum with the engine's coefficients,
+        # and the conditioned state's norm is a general Gram
+        rng = np.random.default_rng(seed)
+        sup, programs = library_with_programs(kind)
+        gates = random_circuit(2, 8, rng)
+        moved = evolve(with_vacuum(sup), GaussianUnitary.from_gates(gates, 2))
+        cut = 100
+        vec = sum(c * fock.oracle_state(p, 1, cutoff=cut).amplitudes for c, p in zip(sup.coeffs, programs))
+        fv = fock.FockVector(np.einsum("i,j->ij", vec, fock.coherent_column(0.0, cut)), cut)
+        for g in gates:
+            fv = fock.apply_gate(fv, g)
+        assert fv.edge_mass() < fock.LEAK_TOL
+        xi_b, xi = rng.normal(0, 0.8, 2) + 1j * rng.normal(0, 0.8, 2)
+        cond, log_scale = condition(moved, [1], [xi_b])
+        fv_cond = fock.condition_on_coherent(fv, 1, xi_b)
+        assert abs(cond.norm_squared() * np.exp(log_scale) - fv_cond.norm_squared()) < 1e-8
+        for x in (0.0, xi):
+            assert abs(exact_born(cond, [x]).value - fock.oracle_born(fv_cond, [x])) < 1e-8
 
     @pytest.mark.parametrize("xi", [20.0, 28.0, 30.0, 40.0])
     def test_far_outcome_keeps_log_valued_weights(self, xi):

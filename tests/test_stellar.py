@@ -365,6 +365,50 @@ class TestOverlapKernel:
         assert abs(one - vals[0]) <= 1e-15
 
 
+class TestContraction:
+    """state_overlaps, apply_to_state and compose: one Gaussian contraction."""
+
+    @staticmethod
+    def _contractions(m):
+        """Each caller on a two-mode kernel Y = 1 - M M, M real symmetric, with its label."""
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        ket = stellar.StellarParams(m, np.array([0.3, -0.1j]), 0.0)
+        d_is_m = stellar.StellarParams(np.block([[zero, eye], [eye, m]]), np.zeros(4), 0.0)
+        b_is_m = stellar.StellarParams(np.block([[m, eye], [eye, zero]]), np.zeros(4), 0.0)
+        return {
+            "state_overlaps": (lambda: stellar.state_overlaps(ket[None], ket[None], [0], [0]), "overlap kernel"),
+            "apply_to_state": (lambda: stellar.apply_to_state(d_is_m, ket), "state-application kernel"),
+            "compose": (lambda: stellar.compose(d_is_m, b_is_m), "composition kernel"),
+        }
+
+    @pytest.mark.parametrize("caller", ["state_overlaps", "apply_to_state", "compose"])
+    @pytest.mark.parametrize(
+        "m, exc",
+        [
+            (np.diag([0.0, np.tanh(15.0)]), IllConditioned),  # Y = diag(1, sech(15)^2): cond ~2.7e12
+            (np.diag([1.5, 0.0]), GsimError),  # Y = diag(-1.25, 1) is well conditioned
+        ],
+        ids=["ill_conditioned", "off_right_half_plane"],
+    )
+    def test_every_caller_keeps_both_kernel_checks(self, caller, m, exc):
+        call, label = self._contractions(m)[caller]
+        with pytest.raises(exc, match=label) as err:
+            call()
+        assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(3, 6))
+    def test_composition_is_associative_on_stacks(self, seed, n, k):
+        # (U1 U2)|psi> = U1 (U2 |psi>) for every ket of a stack, log c included
+        rng = np.random.default_rng(seed)
+        u1, u2 = (stellar.program_params(random_circuit(n, 8, rng, alpha_max=0.8, r_max=0.5), n) for _ in range(2))
+        kets = stacked([engine_state(random_pure_program(n, rng), n) for _ in range(k)])
+        joint = stellar.apply_to_state(stellar.compose(u1, u2), kets)
+        chain = stellar.apply_to_state(u1, stellar.apply_to_state(u2, kets))
+        for x, y in ((joint.a, chain.a), (joint.b, chain.b), (joint.log_c, chain.log_c)):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
 def _vacuum(n):
     return stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 0.0)
 
