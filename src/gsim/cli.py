@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -585,9 +586,17 @@ def main(argv=None) -> int:
             where = _non_finite_at(program)
             if where is not None:
                 raise ValidationFailure(f"{where.lstrip('.') or 'program'}: expected a finite number")
-            return execute(program, args.program, args.format)
-        program = lower(args)
-        return execute(program, program, args.format)
+            code = execute(program, args.program, args.format)
+        else:
+            program = lower(args)
+            code = execute(program, program, args.format)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`gsim ... | head`): nothing is lost that it
+        # wanted, so the rest of the output goes to devnull and the run succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

@@ -66,10 +66,12 @@ class GramCell:
     superpositions derived that way share one cell and one Gram (see
     `carried_to`).  A general stack evaluates its K(K-1)/2 pairs above the
     diagonal.  An ``orbit``, the stack of every library state (`_orbit`),
-    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first row: its
-    Gram is Hermitian Toeplitz, G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as
-    for a cat pair, equally spaced real displacements (grid, GKP) and a
+    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first ``row``:
+    its Gram is Hermitian Toeplitz, G_ij = r_{j-i} and G_ji = conj(r_{j-i}),
+    as for a cat pair, equally spaced real displacements (grid, GKP) and a
     cyclic orbit such as a rotation ring, whose circulant Gram is Toeplitz.
+    An orbit's Gram form reads the row alone (`Superposition.gram_form`), so
+    its K x K ``matrix`` is built from the row only when asked.
     """
 
     def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
@@ -77,34 +79,53 @@ class GramCell:
 
     def carried_to(self, triples: stellar.StellarParams) -> "GramCell":
         """Cell of a stack with the same pairwise overlaps: this one once its
-        Gram is computed, else a fresh lazy cell of the same kind over
-        ``triples``.  A derived state's Gram never fills its parent's cell, so
-        each derived state costs the same whichever of its siblings was
-        evaluated first."""
-        return self if "matrix" in vars(self) else GramCell(triples, self.orbit)
+        overlaps are computed (an orbit's row, a general stack's matrix),
+        else a fresh lazy cell of the same kind over ``triples``.  A derived
+        state's Gram never fills its parent's cell, so each derived state
+        costs the same whichever of its siblings was evaluated first."""
+        return self if ("row" if self.orbit else "matrix") in vars(self) else GramCell(triples, self.orbit)
+
+    def _overlaps(self, i, j):
+        """Overlaps <G_i|G_j> at the index pairs, and their rounding weights:
+        a Gram entry off the diagonal is off by at most
+        (KERNEL_ULPS + LOG_SUM_ULPS S_ij) u |G_ij|, S_ij from
+        `stellar.state_overlaps` ``with_sums``, and the K-term sums of a Gram
+        form add K u |G_ij|."""
+        k = self.triples.log_c.shape[0]
+        pairs, sums = stellar.state_overlaps(self.triples, self.triples, i, j, with_sums=True)
+        return pairs, np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+
+    @cached_property
+    def row(self) -> tuple:
+        """(r, w) of an orbit: its Gram's first row, r_0 = 1, and the first
+        row of its rounding weights, w_0 = K; K - 1 overlaps, O(K) memory."""
+        k = self.triples.log_c.shape[0]
+        pairs, weights = self._overlaps(np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
+        return np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([float(k)], weights))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The Gram, read-only.  Also sets ``rounding_weights``, the W for
         which u |c|^T W |c| bounds the rounding of c^+ G c for any
-        coefficients c: an entry off the diagonal is off by at most
-        (KERNEL_ULPS + LOG_SUM_ULPS S_ij) u |G_ij|, S_ij from
-        `stellar.state_overlaps` ``with_sums``; the diagonal is pinned to 1;
-        the K-term sums add K u |G_ij|."""
-        t = self.triples
-        k = t.log_c.shape[0]
-        i, j = (np.zeros(k - 1, dtype=np.intp), np.arange(1, k)) if self.orbit else np.triu_indices(k, 1)
-        pairs, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
-        weights = np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+        coefficients c (see `_overlaps`); the diagonal is pinned to 1, with
+        weight K.  An orbit's is the Toeplitz matrix of its ``row``."""
         if self.orbit:
-            row, weights = np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([float(k)], weights))
+            row, weights = self.row
             gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
         else:
+            k = self.triples.log_c.shape[0]
+            i, j = np.triu_indices(k, 1)
+            pairs, weights = self._overlaps(i, j)
             gram, self.rounding_weights = np.eye(k, dtype=complex), k * np.eye(k)
             gram[i, j], gram[j, i] = pairs, np.conj(pairs)
             self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
         gram.flags.writeable = False  # shared by every superposition of the cell
         return gram
+
+
+def _lags(c) -> np.ndarray:
+    """s_d = sum_i conj(c_i) c_{i+d} for d = 0..K-1, by direct correlation (no FFT)."""
+    return np.correlate(c, c, "full")[c.shape[0] - 1 :]
 
 
 class Superposition:
@@ -180,7 +201,8 @@ class Superposition:
         """Exact pairwise overlap matrix; diagonal pinned to 1 (terms normalized).
 
         The matrix of ``gram_cell``, computed on first use by any of the
-        superpositions that share the cell (see `GramCell`); read-only.
+        superpositions that share the cell (see `GramCell`); read-only.  No
+        norm of an orbit reads it: it is built only when asked.
         """
         return self.gram_cell.matrix
 
@@ -189,10 +211,21 @@ class Superposition:
         """(c^+ G c, u |c|^T W |c|): the Gram form of the coefficients and its
         rounding bound, W the cell's ``rounding_weights`` (see
         `GramCell.matrix`).  O(rank^2) once per superposition; every later
-        norm reads it back."""
+        norm reads it back.
+
+        An orbit's form reads its cell's ``row`` (r, w) alone, in O(rank)
+        memory: c^+ G c = r_0 ||c||^2 + 2 Re sum_{d>0} r_d s_d with the lag
+        sums s_d = sum_i conj(c_i) c_{i+d}, and |c|^T W |c| the same way from
+        the lag sums of |c|.  Each product conj(c_i) G_ij c_j passes through
+        two sums of at most K terms, the summation depth of the dense
+        c^+ (G c), so the same W bounds it."""
         c, weights = self.coeffs, np.abs(self.coeffs)
-        value = float(np.real(np.conj(c) @ self.gram @ c))
-        return value, stellar.UNIT_ROUNDOFF * float(weights @ self.gram_cell.rounding_weights @ weights)
+        if not self.gram_cell.orbit:
+            value = float(np.real(np.conj(c) @ self.gram @ c))
+            return value, stellar.UNIT_ROUNDOFF * float(weights @ self.gram_cell.rounding_weights @ weights)
+        (row, w), s, t = self.gram_cell.row, _lags(c), _lags(weights)
+        value = float(s[0].real + 2.0 * np.real(row[1:] @ s[1:]))
+        return value, stellar.UNIT_ROUNDOFF * float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
 
     def norm_squared(self) -> float:
         """c^+ G c if it lies outside its rounding bound ``gram_form[1]``: within

@@ -126,9 +126,16 @@ def pure_state_params(cov, mean):
 
 
 def log_magnitude(a, b):
-    """log |c| normalising the ket(s) (A, b): log det(1 - conj(A) A) / 4 - Re q(b) / 2
+    """log |c| normalising the ket(s) (A, b): log |det(1 - conj(A) A)| / 4 - Re q(b) / 2
     with q(b) = b^T (1 - conj(A) A)^{-1} (conj(b) + conj(A) b); det = 0 raises
-    InvariantViolation."""
+    InvariantViolation.  At one mode y = 1 - |a|^2 is the determinant and 1/y the
+    inverse, so no factorisation runs."""
+    if a.shape[-1] == 1:
+        a, b = a[..., 0, 0], b[..., 0]
+        y = 1.0 - (a.real * a.real + a.imag * a.imag)
+        if np.any(y == 0):
+            raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
+        return 0.25 * np.log(np.abs(y)) - 0.5 * (b * ((b.conj() + a.conj() * b) / y)).real
     y = np.eye(a.shape[-1]) - a.conj() @ a
     sign, logdet = np.linalg.slogdet(y)
     if np.any(sign == 0):
@@ -280,19 +287,22 @@ def symplectic_params(s, d) -> StellarParams:
 
 
 def _half_log_det_rhp(mat, label: str):
-    """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack."""
-    lam = np.linalg.eigvals(mat)
+    """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack;
+    a 1 x 1 matrix is its own eigenvalue."""
+    lam = mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvals(mat)
     if (lam.real <= 0).any():
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
     return 0.5 * np.log(lam).sum(-1)
 
 
 def _singular_values(y, label: str):
-    """Singular values of a kernel Y, one or a stack; IllConditioned for cond_2(Y) > COND_MAX."""
-    sv = np.linalg.svd(y, compute_uv=False)
+    """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one; IllConditioned
+    for cond_2(Y) > COND_MAX, and for a NaN in a 1 x 1 Y."""
+    sv = np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
     if not (sv[..., 0] <= COND_MAX * sv[..., -1]).all():
         with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.nanmax(sv[..., 0] / sv[..., -1])
+            cond = sv[..., 0] / sv[..., -1]
+        worst = np.nan if np.isnan(cond).all() else np.nanmax(cond)
         raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
     return sv
 
@@ -314,14 +324,25 @@ def _contract(a1, b1, a2, b2, k: int, label: str):
     continuous.  Returns the outer (A, b) ((None, None) without outer legs), the singular
     values of Y, and the log-domain summands (log det(Y)/2, q^T Yi p, q^T Yi P q/2,
     p^T Yi^T Q p/2); callers add them in that order.
+
+    At k = 1 no LAPACK call runs: the singular value is |y|, the eigenvalue y and
+    Yi = 1/y, checked in the same order.  An overlap (k = 1, no outer leg) works on
+    (P,) scalars, in the products' order of the matrix form.
     """
     nx = a1.shape[-1] - k
+    if k == 1 and nx == 0 and a2.shape[-1] == 1:
+        pm, qm, p, q = a1[..., 0, 0], a2[..., 0, 0], b1[..., 0], b2[..., 0]
+        y = 1.0 - pm * qm
+        sv, log_det = _singular_values(y[..., None, None], label), _half_log_det_rhp(y[..., None, None], label)
+        yi = 1.0 / y
+        qt_yi = q * yi
+        return None, None, sv, (log_det, qt_yi * p, 0.5 * qt_yi * (pm * q), 0.5 * (yi * p) * (qm * p))
     pm, qm = a1[..., nx:, nx:], a2[..., :k, :k]
     p, q = b1[..., nx:, None], b2[..., :k, None]
     y = np.eye(k) - pm @ qm
     sv = _singular_values(y, label)
     log_det = _half_log_det_rhp(y, label)
-    yi = np.linalg.inv(y)
+    yi = 1.0 / y if k == 1 else np.linalg.inv(y)
     qt_yi = np.swapaxes(q, -1, -2) @ yi
     pq, qp = pm @ q, qm @ p
     t1, t2, t3 = qt_yi @ p, 0.5 * qt_yi @ pq, 0.5 * np.swapaxes(yi @ p, -1, -2) @ qp

@@ -211,6 +211,21 @@ def test_console_entry_point():
     assert json.loads(result.stdout)["task"] == "bs_bound"
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_run_cleanly():
+    # `gsim bs-bound --mbar 700 --sweep | head -c 10`: the ~90 kB document
+    # overfills the pipe, so the write after the reader leaves fails
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gsim.cli", "bs-bound", "--mbar", "700", "--sweep"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0, err
+    assert head == b'{\n  "count' and err == ""
+
+
 def test_cli_import_leaves_out_the_optimizer():
     # no gsim module imports scipy.optimize (test_apps runs the optimizer itself without it)
     result = run_python(["-c", "import sys, gsim.cli; print('scipy.optimize' in sys.modules)"])

@@ -157,6 +157,27 @@ class TestSharedGram:
         assert counters.tally.overlap_evals == sparse.rank * (sparse.rank - 1) // 2
 
 
+def test_one_mode_exact_born_calls_no_lapack(monkeypatch):
+    """At one mode, evolve, condition and exact_born (normalisation checks,
+    orbit row and general Gram) run on closed-form 1 x 1 kernels."""
+    ring = fock1_ring(optimal_fock1_seed(), 32)
+    cat = cli._with_vacuum(cat_state(1.3 - 0.2j, -1), 2)
+    cat = evolve(cat, GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6, 0.2), Squeeze(1, 0.3, 0.4)], 2))
+
+    def banned(*args, **kwargs):
+        raise AssertionError("LAPACK called on a one-mode path")
+
+    for name in ("svd", "eigvals", "inv", "slogdet", "solve"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    op = GaussianUnitary.from_gates([Displace(0, 0.2 - 0.1j), Squeeze(0, 0.3, 0.4), PhaseShift(0, 0.7)], 1)
+    exact_born(evolve(ring, op), [0.3 + 0.2j])
+    conditioned, _ = condition(cat, [1], [0.4 - 0.2j])
+    assert conditioned.n == 1 and not conditioned.gram_cell.orbit
+    exact_born(conditioned, [0.1 + 0.5j])
+    with pytest.raises(AssertionError, match="LAPACK"):
+        np.linalg.inv(np.eye(2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -375,9 +396,11 @@ class TestExactBorn:
         assert evaluations == [sup]
         assert first == second
         c = sup.coeffs
-        nsq = float(np.real(np.conj(c) @ sup.gram @ c))
+        nsq = sup.gram_form[0]
         amp = abs(complex(c @ stellar.coherent_amplitude(sup.triples, [0.3 + 0.2j])))
         assert first.norm_estimate == nsq and first.value == amp**2 / (np.pi * nsq)
+        # the orbit's lag form is the dense c^+ G c (see TestOrbitForm)
+        assert abs(nsq - float(np.real(np.conj(c) @ sup.gram @ c))) <= 1e-13 * nsq
         with pytest.raises(ValueError):
             sup.coeffs[0] = 0.0  # read-only, so the memo cannot go stale
 

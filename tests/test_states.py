@@ -8,7 +8,7 @@ from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import GaussianUnitary, propagate
-from gsim.simulator import condition
+from gsim.simulator import condition, evolve, exact_born
 from gsim.states import (
     FOCK1_EXTENT,
     FOCK1_FIDELITY,
@@ -131,6 +131,61 @@ class TestNormSquared:
         sup.gram_form = (-bound, bound)
         with pytest.raises(IllConditioned):
             sup.norm_squared()
+
+
+class TestOrbitForm:
+    """An orbit's Gram form reads its row: K - 1 overlaps and O(K) memory."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fock1_ring(optimal_fock1_seed(), 4),
+            lambda: fock1_ring(optimal_fock1_seed(), 32),
+            lambda: fock1_ring(optimal_fock1_seed(), 256),
+            lambda: grid_sensor(0.1)[0],
+            lambda: cat_state(1.3 - 0.4j, -1),
+        ],
+        ids=["ring8", "ring64", "ring512", "grid0.1", "cat"],
+    )
+    def test_form_equals_the_dense_form(self, make):
+        sup = make()
+        t = GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4), Displace(0, 0.5 - 0.2j)], 1).apply(sup.triples)
+        out = Superposition.from_stack(sup.coeffs, t, GramCell(t, orbit=True))  # a fresh cell, also for grid
+        counters.tally.reset()
+        value, bound = out.gram_form
+        assert out.gram_cell.orbit and counters.tally.overlap_evals == out.rank - 1
+        assert "matrix" not in vars(out.gram_cell)
+        c, w = out.coeffs, np.abs(out.coeffs)
+        dense = float(np.real(np.conj(c) @ out.gram @ c))
+        dense_bound = stellar.UNIT_ROUNDOFF * float(w @ out.gram_cell.rounding_weights @ w)
+        assert counters.tally.overlap_evals == out.rank - 1  # the matrix is built from the row
+        assert abs(value - dense) <= 1e-13 * dense
+        assert abs(bound - dense_bound) <= 1e-12 * dense_bound
+
+    def test_first_exact_born_on_a_rank_2048_ring_builds_no_matrix(self):
+        import tracemalloc
+
+        out = evolve(fock1_ring(optimal_fock1_seed(), 1024), GaussianUnitary.from_gates([Squeeze(0, 0.2, 0.1)], 1))
+        counters.tally.reset()
+        tracemalloc.start()
+        try:
+            born = exact_born(out, [0.3 - 0.1j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6 and counters.tally.overlap_evals == 2047
+        assert "matrix" not in vars(out.gram_cell)
+        lo, hi = born.error_band
+        assert lo <= born.value <= hi
+
+    def test_a_computed_row_is_shared(self):
+        ring = fock1_ring(optimal_fock1_seed(), 8)
+        ring.norm_squared()
+        counters.tally.reset()
+        out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4)], 1))
+        assert out.gram_cell is ring.gram_cell
+        out.norm_squared()
+        assert counters.tally.overlap_evals == 0 and "matrix" not in vars(ring.gram_cell)
 
 
 class TestRotationalCode:

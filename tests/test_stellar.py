@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gsim import counters, fock, phase, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
-from gsim.gaussian import GaussianPure
+from gsim.gaussian import GaussianPure, check_normalised
 
 
 from conftest import engine_state, random_circuit, random_pure_program, random_symplectic, stacked
@@ -370,11 +370,12 @@ class TestContraction:
 
     @staticmethod
     def _contractions(m):
-        """Each caller on a two-mode kernel Y = 1 - M M, M real symmetric, with its label."""
-        eye, zero = np.eye(2), np.zeros((2, 2))
-        ket = stellar.StellarParams(m, np.array([0.3, -0.1j]), 0.0)
-        d_is_m = stellar.StellarParams(np.block([[zero, eye], [eye, m]]), np.zeros(4), 0.0)
-        b_is_m = stellar.StellarParams(np.block([[m, eye], [eye, zero]]), np.zeros(4), 0.0)
+        """Each caller on a one- or two-mode kernel Y = 1 - M M, M real symmetric, with its label."""
+        n = m.shape[0]
+        eye, zero = np.eye(n), np.zeros((n, n))
+        ket = stellar.StellarParams(m, np.array([0.3, -0.1j])[:n], 0.0)
+        d_is_m = stellar.StellarParams(np.block([[zero, eye], [eye, m]]), np.zeros(2 * n), 0.0)
+        b_is_m = stellar.StellarParams(np.block([[m, eye], [eye, zero]]), np.zeros(2 * n), 0.0)
         return {
             "state_overlaps": (lambda: stellar.state_overlaps(ket[None], ket[None], [0], [0]), "overlap kernel"),
             "apply_to_state": (lambda: stellar.apply_to_state(d_is_m, ket), "state-application kernel"),
@@ -387,8 +388,11 @@ class TestContraction:
         [
             (np.diag([0.0, np.tanh(15.0)]), IllConditioned),  # Y = diag(1, sech(15)^2): cond ~2.7e12
             (np.diag([1.5, 0.0]), GsimError),  # Y = diag(-1.25, 1) is well conditioned
+            # one mode, closed forms: a NaN fails the test on |y|, y = -1.25 the half-plane one
+            (np.array([[np.nan]]), IllConditioned),
+            (np.array([[1.5]]), GsimError),
         ],
-        ids=["ill_conditioned", "off_right_half_plane"],
+        ids=["ill_conditioned", "off_right_half_plane", "one_mode_nan", "one_mode_off_right_half_plane"],
     )
     def test_every_caller_keeps_both_kernel_checks(self, caller, m, exc):
         call, label = self._contractions(m)[caller]
@@ -407,6 +411,76 @@ class TestContraction:
         chain = stellar.apply_to_state(u1, stellar.apply_to_state(u2, kets))
         for x, y in ((joint.a, chain.a), (joint.b, chain.b), (joint.log_c, chain.log_c)):
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _one_mode_stack(rng, k, r_max=12.0, alpha_max=2.0):
+    """k kets D(alpha) S(r, phi)|0>, r up to r_max and |alpha| up to alpha_max."""
+    t = stellar.StellarParams(np.zeros((k, 1, 1)), np.zeros((k, 1)), np.zeros(k))
+    t = stellar.apply_gate(Squeeze(0, rng.uniform(0, r_max, k), rng.uniform(0, 2 * np.pi, k)), t, 1)
+    alpha = alpha_max * np.sqrt(rng.uniform(size=k)) * np.exp(2j * np.pi * rng.uniform(size=k))
+    return stellar.apply_gate(Displace(0, alpha), t, 1)
+
+
+def _two_mode(t, copy: bool):
+    """Each ket of a one-mode stack tensored with the vacuum, or with itself (``copy``)."""
+    k = t.log_c.shape[0]
+    a, b = np.zeros((k, 2, 2), dtype=complex), np.zeros((k, 2), dtype=complex)
+    a[:, 0, 0], b[:, 0] = t.a[:, 0, 0], t.b[:, 0]
+    if copy:
+        a[:, 1, 1], b[:, 1] = t.a[:, 0, 0], t.b[:, 0]
+    return stellar.StellarParams(a, b, (2 if copy else 1) * t.log_c)
+
+
+class TestOneModeClosedForms:
+    """At one mode the kernels run without LAPACK (|y|, y and 1/y for the 1 x 1
+    Y); the same kets on two modes take the LAPACK path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_overlaps_match_the_two_mode_path(self, seed, k):
+        t = _one_mode_stack(np.random.default_rng(seed), k)
+        i, j = np.divmod(np.arange(k * k), k)
+        vals, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
+        ref, ref_sums = stellar.state_overlaps(_two_mode(t, False), _two_mode(t, False), i, j, with_sums=True)
+        # each value lies within its own rounding bound of the exact overlap:
+        # 1e-14 relative where the log-domain summands do not cancel, and at
+        # r ~ 12 a self-overlap's summands cancel by ten orders
+        u = stellar.UNIT_ROUNDOFF
+        slack = 2 * stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * (sums + ref_sums)
+        assert np.all(np.abs(vals - ref) <= np.maximum(1e-14, u * slack) * np.abs(ref))
+        # a ket tensored with itself doubles every summand: Y = diag(y, y)
+        # keeps the singular values, so the sums double too, up to the few
+        # roundings of each of their six terms (3000 stacks: at most 3.2 u)
+        sq, sq_sums = stellar.state_overlaps(_two_mode(t, True), _two_mode(t, True), i, j, with_sums=True)
+        assert np.all(np.abs(sq_sums - 2 * sums) <= 8 * u * sq_sums)
+        assert np.all(np.abs(sq - vals**2) <= np.maximum(1e-14, 2 * u * slack) * np.abs(sq))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_log_magnitude_matches_the_two_mode_path(self, seed, k):
+        t = _one_mode_stack(np.random.default_rng(seed), k)
+        two = _two_mode(t, False)
+        got, ref = stellar.log_magnitude(t.a, t.b), stellar.log_magnitude(two.a, two.b)
+        # the first-order effect of one rounding of y = 1 - |a|^2 and of |log c|
+        a, b = np.abs(t.a[:, 0, 0]), np.abs(t.b[:, 0])
+        y = 1.0 - a * a
+        spread = (0.25 + 0.5 * b * b * (1.0 + a) / y) / y + np.abs(ref)
+        assert np.all(np.abs(got - ref) <= 4 * stellar.UNIT_ROUNDOFF * spread)
+        check_normalised(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_state_application_matches_the_two_mode_path(self, seed, k):
+        rng = np.random.default_rng(seed)
+        t = _one_mode_stack(rng, k, r_max=3.0)
+        s, d = random_symplectic(1, rng), rng.normal(size=2)
+        got = stellar.apply_to_state(stellar.symplectic_params(s, d), t)
+        big_s = np.eye(4)
+        big_s[:2, :2] = s
+        ref = stellar.apply_to_state(stellar.symplectic_params(big_s, np.concatenate([d, [0.0, 0.0]])), _two_mode(t, False))
+        assert np.max(np.abs(ref.a[:, 1:, :])) == np.max(np.abs(ref.b[:, 1])) == 0.0
+        for x, y in ((got.a[:, 0, 0], ref.a[:, 0, 0]), (got.b[:, 0], ref.b[:, 0]), (got.log_c, ref.log_c)):
+            assert np.all(np.abs(x - y) <= 1e-13 * np.maximum(np.abs(y), 1.0))
 
 
 def _vacuum(n):
