@@ -35,11 +35,6 @@ GRID_EXTENT_TABLE = {
 }
 
 
-def _vacua(k: int) -> stellar.StellarParams:
-    """A stack of k single-mode vacuum kets."""
-    return stellar.StellarParams(np.zeros((k, 1, 1)), np.zeros((k, 1)), np.zeros(k))
-
-
 def two_mode_fock11_fidelity(params):
     """|<1,1|G'(params)>|^2 for the parametrized two-mode Gaussian family; a
     (..., 8) stack of parameter vectors gives a (...) stack of fidelities."""
@@ -47,7 +42,7 @@ def two_mode_fock11_fidelity(params):
     p = x.reshape(-1, 8)
     # both modes' S D |0> as one stack of single-mode kets, point-major, then
     # their product ket (blockdiag(A1, A2), (b1, b2), log c1 + log c2)
-    one = stellar.apply_gate(Displace(0, p[:, 0:2].ravel()), _vacua(2 * len(p)), 1)
+    one = stellar.apply_gate(Displace(0, p[:, 0:2].ravel()), stellar.vacuum(1, 2 * len(p)), 1)
     one = stellar.apply_gate(Squeeze(0, p[:, 2:6:2].ravel(), p[:, 3:6:2].ravel()), one, 1)
     a = np.zeros((len(p), 2, 2), dtype=complex)
     a.reshape(-1, 4)[:, ::3] = one.a.reshape(-1, 2)  # the diagonal of each 2 x 2 block
@@ -61,7 +56,7 @@ def single_mode_fock1_fidelity(params):
     stack of (a, r) gives a (...) stack of fidelities."""
     x = np.asarray(params, dtype=float)
     a, r = x.reshape(-1, 2).T
-    ket = stellar.apply_gate(Displace(0, a), stellar.apply_gate(Squeeze(0, r), _vacua(len(a)), 1), 1)
+    ket = stellar.apply_gate(Displace(0, a), stellar.apply_gate(Squeeze(0, r), stellar.vacuum(1, len(a)), 1), 1)
     return (abs(stellar.fock_amplitude(ket, 1)) ** 2).reshape(x.shape[:-1])[()]
 
 

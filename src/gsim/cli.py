@@ -17,13 +17,12 @@ import sys
 
 import numpy as np
 
-from . import apps, counters, simulator, states
+from . import apps, counters, simulator, states, stellar
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
 from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, check_gate_modes
-from .gaussian import GaussianChannel, GaussianPure, block_diag
-from .phase import GaussianUnitary, propagate
+from .gaussian import GaussianChannel, block_diag
+from .phase import GaussianUnitary
 from .states import Superposition
-from .stellar import StellarParams
 from .symplectic import is_symplectic
 
 SCHEMA_VERSION = 1
@@ -210,16 +209,12 @@ def read_task(task: dict) -> dict:
 def _initial_state(init: dict, modes: int) -> Superposition:
     """The state that typed ``initial`` fields describe, padded to ``modes`` modes."""
     kind = init["kind"]
-    if kind == "vacuum":
-        sup = states.single_gaussian(GaussianPure.vacuum(1))
-    elif kind == "coherent":
-        sup = states.single_gaussian(GaussianPure.coherent([init.get("alpha", 0j)]))
-    elif kind == "squeezed":
-        gates = [Squeeze(0, init.get("r", 0.0), init.get("theta", 0.0))]
-        if "alpha" in init:
-            gates.append(Displace(0, init["alpha"]))
-        term = propagate(GaussianPure.vacuum(1), GaussianUnitary.from_gates(gates, 1))
-        sup = states.single_gaussian(term)
+    if kind in ("vacuum", "coherent", "squeezed"):  # gates on a one-term vacuum stack
+        gates = [Squeeze(0, init.get("r", 0.0), init.get("theta", 0.0))] if kind == "squeezed" else []
+        if kind == "coherent" or (kind == "squeezed" and "alpha" in init):
+            gates.append(Displace(0, init.get("alpha", 0j)))
+        vacuum = Superposition.from_stack(np.ones(1), stellar.vacuum(1, 1))
+        sup = simulator.evolve(vacuum, GaussianUnitary(tuple(gates), 1))
     elif kind == "cat":
         sup = states.cat_state(init.get("alpha", 1 + 0j), -1 if init.get("parity") in ("-", -1) else 1)
     elif kind == "gkp":
@@ -231,19 +226,16 @@ def _initial_state(init: dict, modes: int) -> Superposition:
     else:  # fock1_ring
         seeds = {"optimal": states.optimal_fock1_seed, "coherent": states.coherent_ring_seed}
         sup = states.fock1_ring(seeds[init.get("seed_state", "optimal")](), init.get("N", 16))
-    if sup.n > modes:
-        raise ValidationFailure("initial: state is wider than the declared mode count")
     return _with_vacuum(sup, modes)
 
 
 def _with_vacuum(sup: Superposition, modes: int) -> Superposition:
-    """``sup`` on ``modes`` modes, vacuum appended: every term becomes A (+) 0,
-    (b, 0), same log c, so the overlaps, and the Gram, stay those of ``sup``."""
+    """``sup`` on ``modes`` modes, vacuum appended: every term is tensored with
+    the vacuum, whose overlap is 1, so the overlaps, and the Gram, stay those of ``sup``."""
     if sup.n == modes:
         return sup
-    t, pad = sup.triples, modes - sup.n
-    vac = StellarParams(np.pad(t.a, ((0, 0), (0, pad), (0, pad))), np.pad(t.b, ((0, 0), (0, pad))), t.log_c)
-    return Superposition.from_stack(sup.coeffs, vac, sup.gram_cell.carried_to(vac))
+    t = stellar.tensor(sup.triples, stellar.vacuum(modes - sup.n))
+    return Superposition.from_stack(sup.coeffs, t, sup.gram_cell.carried_to(t))
 
 
 def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
@@ -258,7 +250,7 @@ def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
         if not is_symplectic(smat):
             raise ValidationFailure(f"{where}.matrix: not symplectic within tolerance")
         # one gate on the whole register, S (+) 1 and d (+) 0: the environment modes pass through
-        return (Symplectic(block_diag(smat, np.eye(2 * env)), np.pad(shift, (0, 2 * env))),), env
+        return (Symplectic(block_diag(smat, np.eye(2 * env)), np.concatenate([shift, np.zeros(2 * env)])),), env
     if name in ("displace", "squeeze", "phase"):
         mode = _integer(op.get("mode"), f"{where}.mode")
     if name == "displace":
@@ -274,8 +266,11 @@ def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
         m1, m2 = (_integer(v, f"{where}.modes") for v in m)
         theta, phi = _real(op.get("theta"), f"{where}.theta"), _real(op.get("phi", 0.0), f"{where}.phi")
         gates = (BeamSplitter(m1, m2, theta, phi),)
-    for gate in gates:
-        check_gate_modes(gate, modes)
+    try:
+        for gate in gates:
+            check_gate_modes(gate, modes)
+    except ValueError as exc:  # a mode index out of range
+        raise ValidationFailure(f"{where}: {exc}") from None
     return gates, env
 
 
@@ -283,15 +278,15 @@ def _channel_gates(op: dict, modes: int, env: int, where: str) -> tuple:
     """The one `Symplectic` gate of a channel op's Stinespring dilation and the
     environment modes it leaves: the channel acts as X (+) 1, Y (+) 0, D (+) 0
     on the register, so the ``env`` earlier environment modes pass through it."""
-    shape, pad = (2 * modes, 2 * modes), (0, 2 * env)
+    shape, zeros = (2 * modes, 2 * modes), np.zeros(2 * env)
     x, y = (_real_array(op.get(key), shape, f"{where}.{key}", modes) for key in "XY")
     d = _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes)
     try:
-        ch = GaussianChannel(block_diag(x, np.eye(pad[1])), np.pad(y, pad), np.pad(d, pad))
+        ch = GaussianChannel(block_diag(x, np.eye(2 * env)), block_diag(y, np.diag(zeros)), np.concatenate([d, zeros]))
     except ValueError as exc:  # with the shapes checked, Y is asymmetric or too small for X
         raise ValidationFailure(f"{where}.Y: {exc}") from None
     s = ch.dilation()
-    return (Symplectic(s, np.pad(ch.d, (0, len(s) - len(ch.d)))),), len(s) // 2 - modes
+    return (Symplectic(s, np.concatenate([ch.d, np.zeros(len(s) - len(ch.d))])),), len(s) // 2 - modes
 
 
 def lower_ops(ops, modes: int) -> tuple:
@@ -311,7 +306,10 @@ def lower_ops(ops, modes: int) -> tuple:
         if name == "condition":
             measured = [_integer(m, f"{where}.modes") for m in _list(op.get("modes"), f"{where}.modes")]
             outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")
-            modes = len(simulator.kept_modes(modes, measured, len(outcome)))
+            try:
+                modes = len(simulator.kept_modes(modes, measured, len(outcome)))
+            except ValueError as exc:  # a mode out of range or repeated, the wrong outcome length, no mode left
+                raise ValidationFailure(f"{where}: {exc}") from None
             segments.append(("condition", measured, outcome))
         else:
             gates, env = _op_gates(op, name, modes, env, where)
@@ -408,21 +406,13 @@ def emit(doc: dict, fmt: str, out=None) -> str:
     """Print ``doc`` as JSON or CSV; its one strict JSON dump also checks, for
     either format, that the document is finite."""
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # a NaN or infinity: never printed
         raise FloatingPointError("the result is not finite") from exc
     if fmt == "csv":
         text = _to_csv(doc)
     print(text, file=out or sys.stdout)
     return text
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _to_csv(doc: dict) -> str:

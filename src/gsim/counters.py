@@ -8,7 +8,6 @@ class Tally:
     amplitude_evals: int = 0   # coherent amplitudes <xi|G>
     overlap_evals: int = 0     # pairwise state overlaps <G_i|G_j>
     samples: int = 0           # Monte-Carlo draws
-    clamped_densities: int = 0
 
     def reset(self):
         for f in fields(self):

@@ -229,8 +229,3 @@ def condition_on_coherent(state: FockVector, mode: int, xi: complex) -> FockVect
     col = np.conj(coherent_column(xi, state.cutoff))
     amps = np.tensordot(state.amplitudes, col, axes=([mode], [0]))
     return FockVector(amps, state.cutoff)
-
-
-def fock_amplitude(state: FockVector, index) -> complex:
-    index = tuple(np.atleast_1d(index))
-    return complex(state.amplitudes[index])

@@ -24,7 +24,6 @@ from . import stellar
 from ._linalg import (
     EIG_ROUNDING,
     EPS,
-    TOL_NORMALISED,
     TOL_PSD,
     TOL_PURE,
     inv_psd,
@@ -87,26 +86,6 @@ class GaussianMixed:
         return cls(np.eye(2 * n), np.zeros(2 * n))
 
 
-def check_normalised(t: stellar.StellarParams) -> None:
-    """Raise InvariantViolation unless Re log c of each ket in ``t`` (one, or
-    a stack) matches ``stellar.log_magnitude``.  One ulp of A moves that by
-    ~1e-16 / (1 - ||A||_2^2), so a failed check against TOL_NORMALISED is
-    retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
-    past r ~ 12); only the few terms that fail the first test are looped over."""
-    log_c = np.reshape(np.real(t.log_c), -1)
-    log_mag = np.reshape(stellar.log_magnitude(t.a, t.b), -1)
-    err = np.abs(log_c - log_mag)
-    for p in np.flatnonzero(err > TOL_NORMALISED):
-        sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
-        if sigma >= 1.0:
-            raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
-        if err[p] * (1.0 - sigma) * (1.0 + sigma) > TOL_NORMALISED:
-            raise InvariantViolation(
-                "ref_overlap modulus disagrees with the closed-form overlap "
-                f"(log |c| {log_c[p]:.6g} vs {log_mag[p]:.6g})"
-            )
-
-
 class GaussianPure:
     """Pure Gaussian ket, stored as its holomorphic triple ``bargmann`` = (A, b, log c).
 
@@ -115,7 +94,7 @@ class GaussianPure:
     the only store: covariance and mean are always derived from (A, b) on
     first use, also for a term built from moments.
 
-    Two construction boundaries, each validated by ``check_normalised``:
+    Two construction boundaries, each validated by ``stellar.check_normalised``:
 
     * ``GaussianPure(cov, mean, ref_overlap)`` takes moments from outside and
       checks admissibility, purity and the modulus of ``ref_overlap``; below
@@ -137,17 +116,17 @@ class GaussianPure:
         if log_mag <= np.log(1e-150):
             log_c = complex(log_mag, log_c.imag)
         self.bargmann = stellar.StellarParams(a, b, log_c)
-        check_normalised(self.bargmann)
+        stellar.check_normalised(self.bargmann)
 
     @classmethod
     def from_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
         """Term with the given ket triple; checks |c| against its normalisation."""
-        check_normalised(triple)
+        stellar.check_normalised(triple)
         return cls.from_checked_triple(triple)
 
     @classmethod
     def from_checked_triple(cls, triple: stellar.StellarParams) -> "GaussianPure":
-        """Term wrapping a triple that has already passed ``check_normalised``."""
+        """Term wrapping a triple that has already passed ``stellar.check_normalised``."""
         g = cls.__new__(cls)
         g.bargmann = triple
         return g
@@ -174,7 +153,7 @@ class GaussianPure:
 
     @classmethod
     def vacuum(cls, n: int) -> "GaussianPure":
-        return cls.from_triple(stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 0.0))
+        return cls.from_triple(stellar.vacuum(n))
 
     @classmethod
     def coherent(cls, alpha) -> "GaussianPure":
@@ -282,16 +261,10 @@ def block_diag(x, y) -> np.ndarray:
 
 
 def tensor(a, b):
-    """Direct sum of two Gaussian states (modes of ``b`` appended).
-
-    Two pure terms give the direct sum of their triples,
-    (blockdiag(A1, A2), (b1, b2), log c1 + log c2).
-    """
+    """Direct sum of two Gaussian states (modes of ``b`` appended); two pure
+    terms give the `stellar.tensor` of their triples."""
     if isinstance(a, GaussianPure) and isinstance(b, GaussianPure):
-        ta, tb = a.bargmann, b.bargmann
-        return GaussianPure.from_triple(
-            stellar.StellarParams(block_diag(ta.a, tb.a), np.concatenate([ta.b, tb.b]), ta.log_c + tb.log_c)
-        )
+        return GaussianPure.from_triple(stellar.tensor(a.bargmann, b.bargmann))
     return GaussianMixed(block_diag(a.cov, b.cov), np.concatenate([a.mean, b.mean]))
 
 

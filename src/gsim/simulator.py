@@ -24,7 +24,6 @@ import numpy as np
 
 from . import counters, states, stellar
 from .exceptions import DimensionMismatch
-from .gaussian import check_normalised
 from .phase import GaussianUnitary
 from .rng import box_muller, stream
 from .states import Superposition
@@ -42,7 +41,7 @@ def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     once that is computed, else takes a lazy cell of the same kind
     (`GramCell.carried_to`): evolving computes no Gram."""
     triples = op.apply(sup.triples)
-    check_normalised(triples)
+    stellar.check_normalised(triples)
     return Superposition.from_stack(sup.coeffs, triples, sup.gram_cell.carried_to(triples))
 
 
@@ -112,15 +111,6 @@ class BornEstimate:
     error_band: tuple
 
 
-def _clamp_density(value: float) -> float:
-    if value < 0.0:
-        counters.tally.clamped_densities += 1
-        if value < -1e-12:
-            raise ArithmeticError(f"density {value:.3e} below the clamp floor")
-        return 0.0
-    return value
-
-
 def exact_born(sup: Superposition, outcome) -> BornEstimate:
     """Heterodyne Born density at a coherent outcome, coherent-POVM convention.
 
@@ -142,7 +132,7 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
     norm_sq, norm_err = sup.norm_squared(), sup.gram_form[1]
     scale = np.pi**sup.n
-    value = _clamp_density(amp**2 / (scale * norm_sq))
+    value = amp**2 / (scale * norm_sq)
     lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
     return BornEstimate(value, amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
 
@@ -315,7 +305,7 @@ def approx_born(
     norm = fast_norm(omega_state, epsilon, p_fail, seed=int(child[1]))
     amp = omega_state.coherent_amplitude(outcome)
     numerator = abs(amp) ** 2
-    value = _clamp_density(numerator / (np.pi**sup.n * norm.eta))
+    value = numerator / (np.pi**sup.n * norm.eta)
     band = (value * (1.0 - epsilon), value * (1.0 + epsilon))
     return BornEstimate(value, numerator, norm.eta, band)
 

@@ -22,8 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import stellar
 from .exceptions import DimensionMismatch, IllConditioned, InvariantViolation
 from .gates import Displace, PhaseShift, Squeeze
-from .gaussian import GaussianPure, check_normalised
-from .phase import GaussianUnitary, propagate
+from .gaussian import GaussianPure
 
 # squared l1 norm of the optimal single-photon decomposition: 4e/(3 sqrt(3))
 FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
@@ -155,7 +154,7 @@ class Superposition:
 
     @classmethod
     def from_stack(cls, coeffs, triples: stellar.StellarParams, gram_cell=None) -> "Superposition":
-        """Superposition over a stack of triples that passed ``check_normalised``.
+        """Superposition over a stack of triples that passed `stellar.check_normalised`.
 
         ``gram_cell`` shares the Gram of a stack with the same pairwise
         overlaps; without one the Gram is a fresh general one.
@@ -278,7 +277,7 @@ def single_gaussian(term: GaussianPure) -> Superposition:
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
 
 
-_VACUUM = GaussianPure.vacuum(1).bargmann
+_VACUUM = stellar.vacuum(1)
 
 
 def _orbit(seed: stellar.StellarParams, gate, coeffs, normalise: bool = True) -> Superposition:
@@ -288,7 +287,7 @@ def _orbit(seed: stellar.StellarParams, gate, coeffs, normalise: bool = True) ->
     scaled to unit norm by the exact Gram, which the scaled state keeps."""
     coeffs = np.asarray(coeffs, dtype=complex)
     terms = stellar.apply_gate(gate, seed[None][np.zeros(coeffs.shape[0], dtype=np.intp)], 1)
-    check_normalised(terms)
+    stellar.check_normalised(terms)
     sup = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True))
     if normalise:
         sup = Superposition.from_stack(coeffs * (1.0 / np.sqrt(sup.norm_squared())), terms, sup.gram_cell)
@@ -311,10 +310,8 @@ def optimal_fock1_seed() -> GaussianPure:
     displacement 2/3 (real amplitude sqrt(2/3)); verified independently by the
     derivative-free optimizer and the Fock oracle.
     """
-    alpha = math.sqrt(2.0 / 3.0)
-    r = math.log(math.sqrt(3.0))
-    op = GaussianUnitary.from_gates([Squeeze(0, r), Displace(0, alpha)], 1)
-    return propagate(GaussianPure.vacuum(1), op)
+    squeezed = stellar.apply_gate(Squeeze(0, math.log(math.sqrt(3.0))), _VACUUM, 1)
+    return GaussianPure.from_triple(stellar.apply_gate(Displace(0, math.sqrt(2.0 / 3.0)), squeezed, 1))
 
 
 def seed_fock1_amplitude(seed: GaussianPure) -> complex:
@@ -352,7 +349,7 @@ def cat_state(alpha: complex, parity: int = +1) -> Superposition:
     if alpha == 0:
         if parity == -1:
             raise ValueError("odd cat state vanishes at alpha = 0")
-        return single_gaussian(GaussianPure.vacuum(1))
+        return Superposition.from_stack(np.ones(1), stellar.vacuum(1, 1))
     x = -2.0 * abs(alpha) ** 2  # the odd norm 2 (1 - e^x) through expm1 keeps its digits at small |a|
     coeff = 1.0 / np.sqrt(2.0 * (1.0 + np.exp(x)) if parity == 1 else -2.0 * np.expm1(x))
     return _orbit(_VACUUM, Displace(0, np.array([alpha, -alpha])), [coeff, parity * coeff], normalise=False)
@@ -515,7 +512,7 @@ def witness_check(sup: Superposition, w: Witness) -> WitnessReport:
     witness; equal moduli below 1 signal a feasible but sub-optimal
     decomposition.
     """
-    moduli = tuple(abs(w.term_amplitude(e.term)) for e in sup.entries)
+    moduli = tuple(np.abs(np.conj(w.scale) * stellar.fock_amplitude(sup.triples, w.fock_n)).tolist())
     spread = max(moduli) - min(moduli)
     return WitnessReport(moduli, bool(spread <= WITNESS_TOL), max(moduli))
 

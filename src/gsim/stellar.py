@@ -9,7 +9,9 @@ with A complex symmetric, spectral radius < 1, and c the vacuum amplitude.
 Triples store log c, and every kernel works with it: a term far from the
 origin keeps its amplitude although c itself is below double precision.
 A triple's arrays may carry a leading axis, A (K,m,m), b (K,m), log c (K,):
-a stack of K kets, which every kernel here takes as it is.
+a stack of K kets, which every kernel here takes as it is.  Every ket on a
+user path starts as `vacuum`: gates (`apply_gate`) and `tensor` make the rest,
+and `check_normalised` checks a stack of them against `log_magnitude` at once.
 A Gaussian unitary on M modes carries a 2M x 2M triple over (out, in)
 variables so that
 
@@ -28,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from . import counters
-from ._linalg import COND_MAX
+from ._linalg import COND_MAX, TOL_NORMALISED
 from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
 from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, beamsplitter_unitary, check_gate_modes
 from .symplectic import mode_blocks
@@ -143,6 +145,43 @@ def log_magnitude(a, b):
     rhs = b.conj() + (a.conj() @ b[..., None])[..., 0]
     quad = np.sum(b * np.linalg.solve(y, rhs[..., None])[..., 0], axis=-1).real
     return 0.25 * logdet - 0.5 * quad
+
+
+def check_normalised(t: StellarParams) -> None:
+    """Raise InvariantViolation unless Re log c of each ket in ``t`` (one, or
+    a stack) matches `log_magnitude`.  One ulp of A moves that by
+    ~1e-16 / (1 - ||A||_2^2), so a failed check against TOL_NORMALISED is
+    retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
+    past r ~ 12); only the few terms that fail the first test are looped over."""
+    log_c = np.reshape(np.real(t.log_c), -1)
+    log_mag = np.reshape(log_magnitude(t.a, t.b), -1)
+    err = np.abs(log_c - log_mag)
+    for p in np.flatnonzero(err > TOL_NORMALISED):
+        sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
+        if sigma >= 1.0:
+            raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
+        if err[p] * (1.0 - sigma) * (1.0 + sigma) > TOL_NORMALISED:
+            raise InvariantViolation(
+                "ref_overlap modulus disagrees with the closed-form overlap "
+                f"(log |c| {log_c[p]:.6g} vs {log_mag[p]:.6g})"
+            )
+
+
+def vacuum(modes: int, k=None) -> StellarParams:
+    """The vacuum ket (0, 0, log c = 0) on ``modes`` modes; a stack of ``k`` of them for an integer k."""
+    lead = () if k is None else (k,)
+    return StellarParams(np.zeros(lead + (modes, modes)), np.zeros(lead + (modes,)), np.zeros(lead))
+
+
+def tensor(t1: StellarParams, t2: StellarParams) -> StellarParams:
+    """Ket triple of |psi1> (x) |psi2>, the modes of ``t2`` after those of ``t1``:
+    (A1 (+) A2, (b1, b2), log c1 + log c2); a stack and a single triple, or two
+    stacks, broadcast against each other."""
+    m1, lead = t1.modes, np.broadcast_shapes(t1.b.shape[:-1], t2.b.shape[:-1])
+    a = np.zeros(lead + (m1 + t2.modes,) * 2, dtype=complex)
+    a[..., :m1, :m1], a[..., m1:, m1:] = t1.a, t2.a
+    b = np.concatenate([np.broadcast_to(t.b, lead + t.b.shape[-1:]) for t in (t1, t2)], -1)
+    return StellarParams(a, b, t1.log_c + t2.log_c)
 
 
 # ---------------------------------------------------------------------------

@@ -1268,7 +1268,7 @@ def test_malformed_op_wins_over_an_earlier_numerical_failure(tmp_path, capsys):
 
 
 def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch):
-    from gsim import gaussian, simulator
+    from gsim import simulator
 
     calls = {"evolve": 0, "check_normalised": 0}
 
@@ -1281,9 +1281,7 @@ def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch)
 
     state = _initial(CAT, 2)
     monkeypatch.setattr(simulator, "evolve", counted("evolve", simulator.evolve))
-    check = counted("check_normalised", gaussian.check_normalised)
-    for module in (gaussian, simulator, cli.states):
-        monkeypatch.setattr(module, "check_normalised", check)
+    monkeypatch.setattr(stellar, "check_normalised", counted("check_normalised", stellar.check_normalised))
     ops = [
         {"gate": "squeeze", "mode": 0, "r": 0.3},
         {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
@@ -1372,3 +1370,99 @@ def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
         doc = cli.result_document("exact_born", {"ops": ops}, value, band, 0)
         got.append((_bits(state), cli.emit(doc, "json", out=io.StringIO())))
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize(
+    "argv, header, row",
+    [
+        (["extent"], "extent_upper,l1_squared,norm_squared,rank", [1.76159415595576, 1.76159415595576, 1.0, 2]),
+        (["bs-bound", "--mbar", "3"], "extent_bound,nonclassicality_bound", [9.16257987114711, 20.0855369231877]),
+        (["born"], "task,value,seed", ["exact_born", 0.206282082090870, 0]),
+        (["norm", "--seed", "3"], "task,value,seed", ["norm", 1.00859324408570, 3]),
+        (["breed-bound", "--xi", "7.496"], "task,value,seed", ["breed_bound", 4, 0]),
+    ],
+)
+def test_csv_rows_of_dict_and_scalar_values(argv, header, row, capsys):
+    code, out, err = run_cli([*argv, "--format", "csv"], capsys)
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert len(lines) == 2 and lines[0] == header
+    for got, want in zip(lines[1].split(","), row):
+        assert got == want if isinstance(want, str) else float(got) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ([], "program: expected an object"),
+        ({"ops": [1]}, "ops[0]: expected an object"),
+        ({"ops": [{"gate": "symplectic", "matrix": [[1, 0], [0]]}]}, "ops[0].matrix: expected an array of finite numbers"),
+        ({"ops": [{"gate": "beamsplitter", "modes": [0, 1], "theta": 0.3}]}, "ops[0]: gate BeamSplitter("),
+        ({"ops": [{"gate": "condition", "modes": [0], "outcome": [0.1]}]}, "ops[0]: conditioning must leave at least one mode"),
+    ],
+)
+def test_malformed_program_errors_name_their_path(program, message, tmp_path, capsys):
+    # a range error of an op (a one-mode beamsplitter, a condition on every mode) names its op too
+    if isinstance(program, dict):
+        program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": "extent"}, **program}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"validation error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extent", "--state", "coherent", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
+        (["born", "--outcome", "1"], "argument --outcome: expected re,im, got '1'"),
+    ],
+)
+def test_malformed_float_flags_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == "" and message in captured.err
+
+
+def test_user_paths_build_no_per_term_objects(monkeypatch, tmp_path, capsys):
+    # every user path builds its ket stacks through `stellar`: no superposition
+    # from (coefficient, term) entries and no per-term GaussianPure (the ring
+    # seed that fock1_ring takes is built from its triple)
+    from gsim import gaussian, states
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a user path built a per-term object")
+
+    monkeypatch.setattr(states.Superposition, "__init__", refuse)
+    monkeypatch.setattr(states.Superposition, "_terms", property(refuse))
+    monkeypatch.setattr(gaussian.GaussianPure, "__init__", refuse)
+    kinds = [
+        VACUUM,
+        {"kind": "coherent", "alpha": [0.4, -0.3]},
+        {"kind": "squeezed", "r": 0.4, "theta": 0.5, "alpha": 0.3},
+        {"kind": "cat", "alpha": 1.1, "parity": "-"},
+        {"kind": "gkp"},
+        {"kind": "grid"},
+        {"kind": "fock1_ring", "N": 4},
+    ]
+    for modes in (1, 2):
+        outcome = [[0.2, -0.1]] * modes
+        tasks = [
+            {"name": "exact_born", "outcome": outcome},
+            {"name": "norm"},
+            {"name": "approx_born", "outcome": outcome, "delta": 0.3},
+            {"name": "extent"},
+        ]
+        for initial in kinds:
+            for task in tasks:
+                program = {"schema_version": 1, "modes": modes, "seed": 4, "initial": initial, "task": task,
+                           "ops": [{"gate": "squeeze", "mode": modes - 1, "r": 0.2}]}
+                code, _, err = _run_program(program, tmp_path, capsys)
+                assert code == 0, (modes, initial, task, err)
+    channel = {"gate": "channel", "X": (0.9 * np.eye(2)).tolist(), "Y": (0.2 * np.eye(2)).tolist()}
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [channel], "task": {"name": "exact_born", "outcome": [0.1]}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    assert states.witness_check(states.fock1_ring(states.optimal_fock1_seed(), 4), states.optimal_fock1_witness()).all_equal
+    assert states.cat_state(0).rank == 1

@@ -716,16 +716,6 @@ class TestApproxBorn:
         assert (lo - slack) <= want <= (hi + slack)
 
 
-def test_density_clamp_counter():
-    from gsim.simulator import _clamp_density
-
-    counters.tally.reset()
-    assert _clamp_density(-1e-13) == 0.0
-    assert counters.tally.clamped_densities == 1
-    with pytest.raises(ArithmeticError):
-        _clamp_density(-1e-11)
-
-
 def test_gram_phase_corruption_detected():
     # hand-corrupted gauge: flip one term's reference phase inconsistently
     from gsim.states import Superposition, WeightedGaussian

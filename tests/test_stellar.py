@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gsim import counters, fock, phase, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
-from gsim.gaussian import GaussianPure, check_normalised
+from gsim.gaussian import GaussianPure
+from gsim.stellar import check_normalised
 
 
 from conftest import engine_state, random_circuit, random_pure_program, random_symplectic, stacked
@@ -429,6 +430,24 @@ def _two_mode(t, copy: bool):
     if copy:
         a[:, 1, 1], b[:, 1] = t.a[:, 0, 0], t.b[:, 0]
     return stellar.StellarParams(a, b, (2 if copy else 1) * t.log_c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), m1=st.integers(1, 2), m2=st.integers(1, 2), single=st.booleans())
+def test_tensor_overlaps_factor_into_those_of_the_factors(seed, k, m1, m2, single):
+    # <G1_i (x) G2_i|G1_j (x) G2_j> = <G1_i|G1_j><G2_i|G2_j>; a single second
+    # factor broadcasts over the stack, and every product ket stays normalised
+    rng = np.random.default_rng(seed)
+    t1 = stacked([engine_state(random_pure_program(m1, rng, 1.5, 1.0), m1) for _ in range(k)])
+    t2 = stacked([engine_state(random_pure_program(m2, rng, 1.5, 1.0), m2) for _ in range(1 if single else k)])
+    t2 = t2[0] if single else t2
+    t = stellar.tensor(t1, t2)
+    assert t.a.shape == (k, m1 + m2, m1 + m2) and t.log_c.shape == (k,)
+    check_normalised(t)
+    i, j = np.divmod(np.arange(k * k), k)
+    second = stellar.state_overlap(t2, t2) if single else stellar.state_overlaps(t2, t2, i, j)
+    want = stellar.state_overlaps(t1, t1, i, j) * second
+    assert np.allclose(stellar.state_overlaps(t, t, i, j), want, rtol=1e-13, atol=0)
 
 
 class TestOneModeClosedForms:
