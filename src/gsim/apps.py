@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stellar
-from .gates import BeamSplitter, Displace, Squeeze
+from .gates import Displace, Squeeze, beamsplitter_unitary
 from .rng import stream
 from .states import breeding_lower_bound, naive_grid_extent
 
@@ -40,15 +40,15 @@ def two_mode_fock11_fidelity(params):
     (..., 8) stack of parameter vectors gives a (...) stack of fidelities."""
     x = np.asarray(params, dtype=float)
     p = x.reshape(-1, 8)
-    # both modes' S D |0> as one stack of single-mode kets, point-major, then
-    # their product ket (blockdiag(A1, A2), (b1, b2), log c1 + log c2)
+    # both modes' S D |0> as one stack of single-mode kets, point-major; with the
+    # beamsplitter U on their product, <1,1|U (psi1 (x) psi2)> = c1 c2 ((U b)_0 (U b)_1 + sum_k U_0k U_1k a_k)
     one = stellar.apply_gate(Displace(0, p[:, 0:2].ravel()), stellar.vacuum(1, 2 * len(p)), 1)
     one = stellar.apply_gate(Squeeze(0, p[:, 2:6:2].ravel(), p[:, 3:6:2].ravel()), one, 1)
-    a = np.zeros((len(p), 2, 2), dtype=complex)
-    a.reshape(-1, 4)[:, ::3] = one.a.reshape(-1, 2)  # the diagonal of each 2 x 2 block
-    ket = stellar.StellarParams(a, one.b.reshape(-1, 2), one.log_c.reshape(-1, 2).sum(-1))
-    ket = stellar.apply_gate(BeamSplitter(0, 1, p[:, 7] / 2.0, -p[:, 6]), ket, 2)
-    return (abs(stellar.fock11_amplitude(ket)) ** 2).reshape(x.shape[:-1])[()]
+    u = beamsplitter_unitary(p[:, 7] / 2.0, -p[:, 6])
+    a, b = one.a.reshape(-1, 2), one.b.reshape(-1, 2)
+    ub = (u @ b[:, :, None])[..., 0]
+    amp = np.exp(one.log_c.reshape(-1, 2).sum(-1)) * (ub[:, 0] * ub[:, 1] + (u[:, 0] * u[:, 1] * a).sum(-1))
+    return (abs(amp) ** 2).reshape(x.shape[:-1])[()]
 
 
 def single_mode_fock1_fidelity(params):

@@ -143,14 +143,24 @@ def _non_finite_at(value):
     return None
 
 
-def _fields(fields, prefix: str, readers: dict, *required) -> dict:
+def _fields(fields, prefix: str, readers: dict, *required, by=None) -> dict:
     """The fields of the object ``fields`` that ``readers`` names, each typed by
     its reader in the readers' order and named ``prefix + key`` in an error; a
-    missing ``required`` field reads as null, which its reader rejects."""
+    missing ``required`` field reads as null, which its reader rejects.  Any
+    other field is unknown, an error: with ``by = (key, table)`` the known
+    fields are ``key`` and those that ``table`` lists for its value."""
     if type(fields) is not dict:
         raise ValidationFailure(f"{prefix.rstrip('.') or 'program'}: expected an object")
     wanted = [key for key in readers if key in fields or key in required]
-    return {key: readers[key](fields.get(key), prefix + key) for key in wanted}
+    typed = {key: readers[key](fields.get(key), prefix + key) for key in wanted}
+    known, owner = readers, ""
+    if by is not None:
+        name, table = by
+        known, owner = (name, *table[typed[name]]), f" of {name} {typed[name]!r}"
+    for key in fields:
+        if key not in known:
+            raise ValidationFailure(f"{prefix}{key}: unknown field{owner}")
+    return typed
 
 
 PROGRAM_FIELDS = {
@@ -171,6 +181,17 @@ INITIAL_FIELDS = {
     **dict.fromkeys(("d", "mu", "s_max", "t_max", "N"), _integer),
 }
 
+# the fields that each initial kind reads besides ``kind``
+KIND_FIELDS = {
+    "vacuum": (),
+    "coherent": ("alpha",),
+    "squeezed": ("r", "theta", "alpha"),
+    "cat": ("alpha", "parity"),
+    "gkp": ("d", "mu", "kappa", "delta", "s_max"),
+    "grid": ("delta", "t_max", "tail_tol"),
+    "fock1_ring": ("seed_state", "N"),
+}
+
 # the one field without a default that a task needs
 TASK_NEEDS = {"exact_born": "outcome", "approx_born": "outcome", "breed_bound": "xi", "bs_bound": "mbar"}
 
@@ -186,6 +207,17 @@ TASK_FIELDS = {
 
 OP_FIELDS = {"gate": _choice("displace", "squeeze", "phase", "beamsplitter", "symplectic", "channel", "condition")}
 
+# the fields that each gate reads besides ``gate``, typed as its op is lowered
+GATE_FIELDS = {
+    "displace": ("mode", "alpha"),
+    "squeeze": ("mode", "r", "theta"),
+    "phase": ("mode", "theta"),
+    "beamsplitter": ("modes", "theta", "phi"),
+    "symplectic": ("matrix", "shift"),
+    "channel": ("X", "Y", "D"),
+    "condition": ("modes", "outcome"),
+}
+
 TASK_DEFAULTS = dict(
     sweep=False, mode="two", restarts=32, budget=20000, deltas=tuple(apps.GRID_EXTENT_TABLE),
     delta=0.1, epsilon=0.1, pfail=0.05,  # the tolerances of approx_born and norm
@@ -194,7 +226,7 @@ TASK_DEFAULTS = dict(
 
 def read_initial(init: dict) -> dict:
     """The typed fields of a program's ``initial`` object."""
-    return _fields(init, "initial.", INITIAL_FIELDS, "kind")
+    return _fields(init, "initial.", INITIAL_FIELDS, "kind", by=("kind", KIND_FIELDS))
 
 
 def read_task(task: dict) -> dict:
@@ -302,7 +334,7 @@ def lower_ops(ops, modes: int) -> tuple:
     segments, env = [], 0
     for k, op in enumerate(ops):
         where = f"ops[{k}]"
-        name = _fields(op, f"{where}.", OP_FIELDS, "gate")["gate"]
+        name = _fields(op, f"{where}.", OP_FIELDS, "gate", by=("gate", GATE_FIELDS))["gate"]
         if name == "condition":
             measured = [_integer(m, f"{where}.modes") for m in _list(op.get("modes"), f"{where}.modes")]
             outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")

@@ -80,12 +80,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
 def beamsplitter_unitary(theta, phi=0.0) -> np.ndarray:
     """Mode unitary of the beamsplitter: a -> cos(t) a + e^{i p} sin(t) b; with
     array parameters, a (..., 2, 2) stack of them."""
-    c, s = np.cos(theta), np.sin(theta)
-    up, lo = s * np.exp(1j * phi), -s * np.exp(-1j * phi)
-    u = np.empty(np.shape(up) + (2, 2), dtype=complex)
-    u.T[0, 0] = u.T[1, 1] = c
-    u.T[1, 0], u.T[0, 1] = up, lo
-    return u
+    s = np.sin(theta) * np.exp(1j * phi)
+    c = np.cos(theta) + 0 * s  # cos(t) broadcast against phi, which may be the scalar default
+    return np.stack([c, s, -s.conj(), c], -1).reshape(np.shape(s) + (2, 2))
 
 
 def check_gate_modes(gate: Gate, n: int) -> None:

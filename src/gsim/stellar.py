@@ -195,17 +195,14 @@ def identity_params(n: int) -> StellarParams:
 
 
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
-    """A passive gate with mode unitary u on the given legs: A -> U A U^T, b -> U b;
-    u (l, l) acts on every triple of a stack, a (K, l, l) stack one per triple."""
-    a, b = t.a.copy(), t.b.copy()
-    a[..., legs, :] = u @ a[..., legs, :]
-    a[..., :, legs] = a[..., :, legs] @ np.swapaxes(u, -1, -2)
-    if u.ndim == 2:
-        # one product over the stack: its rounding is the one scalar gates have always had
-        b.T[legs] = u @ b.T[legs]
-    else:
-        b[..., legs] = (u @ b[..., legs, None])[..., 0]
-    return StellarParams(a, b, t.log_c)
+    """A passive gate with mode unitary u on the given legs: u (l, l) on every triple
+    of a stack, or a (K, l, l) stack of them, one per triple, is embedded once in the
+    m x m identity as U, and then A -> U A U^T, b -> U b over the whole register."""
+    m = t.modes
+    full = np.zeros(u.shape[:-2] + (m, m), dtype=complex)
+    full.reshape(-1, m * m)[:, :: m + 1] = 1.0
+    full[..., np.array(legs)[:, None], legs] = u
+    return StellarParams(full @ t.a @ np.swapaxes(full, -1, -2), (full @ t.b[..., None])[..., 0], t.log_c)
 
 
 def _any(mask) -> bool:
@@ -239,14 +236,17 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     * Displace(delta): b += delta e_k - conj(delta) a_k,
       log c += -|delta|^2/2 - b_k conj(delta) + A_kk conj(delta)^2/2;
     * PhaseShift, BeamSplitter: A -> U A U^T, b -> U b on the touched legs
-      (a PhaseShift scales row and column k of A and b_k);
+      (a PhaseShift scales row and column k of A and b_k; a BeamSplitter's u is
+      embedded in the identity of the whole register, see `_apply_passive`);
     * Symplectic(S, d): `apply_to_state` of `symplectic_params(S, d)`, on kets only;
     * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
       on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
       b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
       + s b_k^2/(2 den).  Its kernel Y = 1 - s e_k a_k^T keeps the checks of
       apply_to_state over the whole stack: IllConditioned for
-      cond(Y) > COND_MAX, then GsimError for Re den <= 0.
+      cond(Y) > COND_MAX, then GsimError for Re den <= 0.  On a one-leg ket
+      A + s/den A^2 = A/den, so A -> sech^2 r A/den - tanh r e^{i theta} and
+      b -> sech r b/den; there Y = den, whose cond is infinite exactly at den = 0.
 
     On a stack, every parameter of a Displace, Squeeze, PhaseShift or
     BeamSplitter may be an array with one value per triple.
@@ -283,8 +283,10 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     tr, ph = np.tanh(gate.r), np.exp(1j * gate.theta)
     s = tr * ph.conjugate()
     den = 1.0 - s * akk
-    cond = _squeeze_cond(s, row, k, den)
-    if _any(~(cond <= COND_MAX) | (den.real <= 0)):
+    # at one leg Y = den, whose cond is infinite only where den = 0: Re den <= 0 screens both checks
+    cond = None if t.modes == 1 else _squeeze_cond(s, row, k, den)
+    if _any(den.real <= 0 if cond is None else ~(cond <= COND_MAX) | (den.real <= 0)):
+        cond = _squeeze_cond(s, row, k, den)
         if _any(~(cond <= COND_MAX)):
             raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})")
         raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
@@ -292,6 +294,10 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     fb = f * bk
     cosh = np.cosh(gate.r)
     sech = 1.0 / cosh
+    log_c = -0.5 * np.log(cosh) - 0.5 * np.log(den) + 0.5 * fb * bk
+    if t.modes == 1:  # A + f A^2 = A / den and b + f A b = b / den
+        a, b = sech * sech * akk / den - tr * ph, sech * bk / den
+        return StellarParams(a[..., None, None], b[..., None], t.log_c + log_c)
     a = t.a + (f * (row[..., :, None] * row[..., None, :]).T).T
     b = t.b + (fb * row.T).T
     # C = sech r scales row and column k of A and b_k
@@ -299,7 +305,6 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     a.T[k] *= sech
     b.T[k] *= sech
     a[..., k, k] -= tr * ph
-    log_c = -0.5 * np.log(cosh) - 0.5 * np.log(den) + 0.5 * fb * bk
     return StellarParams(a, b, t.log_c + log_c)
 
 

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsim import apps, fock
+from gsim import apps, fock, stellar
 from gsim.gates import BeamSplitter, Displace, Squeeze
 
 
@@ -25,6 +27,50 @@ def test_reference_params_against_oracle():
     ]
     fv = fock.oracle_state(gates, 2, cutoff=50)
     assert abs(abs(fv.amplitudes[1, 1]) ** 2 - 0.25) < 1e-3
+
+
+def _engine_fock11_fidelity(p):
+    """|<1,1|psi>|^2 of the engine's two-mode ket of each point of p (P, 8): both
+    displacements and squeezers, then the beamsplitter, gate by gate on the vacuum."""
+    ket = stellar.vacuum(2, len(p))
+    for gate in (
+        Displace(0, p[:, 0]),
+        Displace(1, p[:, 1]),
+        Squeeze(0, p[:, 2], p[:, 3]),
+        Squeeze(1, p[:, 4], p[:, 5]),
+        BeamSplitter(0, 1, p[:, 7] / 2.0, -p[:, 6]),
+    ):
+        ket = stellar.apply_gate(gate, ket, 2)
+    # the modulus of each summand of <1,1|psi> = c (b1 b2 + A12), for the rounding bound
+    scale = (np.abs(ket.c) * (np.abs(ket.b[:, 0] * ket.b[:, 1]) + np.abs(ket.a[:, 0, 1]))) ** 2
+    return np.abs(stellar.fock11_amplitude(ket)) ** 2, scale
+
+
+def _two_mode_points(rng, count):
+    lo, hi = np.array(apps.OptimizerConfig.two_mode().bounds).T
+    return lo + (hi - lo) * rng.uniform(size=(count, 8))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_objective_is_the_engine_two_mode_ket(seed):
+    # 200 points in the optimizer's bounds: to 1e-14 relative to the squared sum
+    # of the moduli of the amplitude's two summands, which is the fidelity
+    # itself where they do not cancel (40000 points here: at most 2.5e-15)
+    p = _two_mode_points(np.random.default_rng(seed), 200)
+    want, scale = _engine_fock11_fidelity(p)
+    assert np.all(np.abs(apps.two_mode_fock11_fidelity(p) - want) <= 1e-14 * scale)
+
+
+def test_objective_matches_the_fock_oracle():
+    # 10 points in the optimizer's bounds (r up to 1.6): the oracle's value is
+    # converged where two cutoffs agree to 1e-12
+    for x in _two_mode_points(np.random.default_rng(27), 10):
+        gates = [Displace(0, x[0]), Displace(1, x[1]), Squeeze(0, x[2], x[3]), Squeeze(1, x[4], x[5])]
+        gates.append(BeamSplitter(0, 1, x[7] / 2.0, -x[6]))
+        low, high = (abs(fock.oracle_state(gates, 2, cutoff=cut).amplitudes[1, 1]) ** 2 for cut in (170, 200))
+        assert abs(low - high) <= 1e-12
+        assert abs(apps.two_mode_fock11_fidelity(x) - high) <= 1e-10
 
 
 def test_single_mode_objective_optimum():

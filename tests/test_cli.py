@@ -1411,6 +1411,56 @@ def test_malformed_program_errors_name_their_path(program, message, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "program, message",
+    [
+        ({"initial": {"kind": "coherent", "aplha": 1.0}}, "initial.aplha: unknown field of kind 'coherent'"),
+        ({"initial": {"kind": "vacuum", "alpha": 1.0}}, "initial.alpha: unknown field of kind 'vacuum'"),
+        ({"initial": {"kind": "grid", "N": 4}}, "initial.N: unknown field of kind 'grid'"),
+        ({"ops": [{"gate": "squeeze", "mode": 0, "r": 0.2, "thetaa": 0.1}]}, "ops[0].thetaa: unknown field of gate 'squeeze'"),
+        ({"ops": [{"gate": "displace", "mode": 0, "alpha": 0.1, "r": 0.2}]}, "ops[0].r: unknown field of gate 'displace'"),
+        ({"task": {"name": "norm", "epsilom": 0.01}}, "task.epsilom: unknown field"),
+        ({"sead": 3}, "sead: unknown field"),
+    ],
+)
+def test_misspelt_and_unread_fields_exit_2(program, message, tmp_path, capsys):
+    # a field no reader takes, or one the initial kind or the gate does not
+    # read, would otherwise run the program as if it were absent (exit 0)
+    program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": "exact_born", "outcome": [1.0]}, **program}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_every_read_field_is_known(tmp_path, capsys):
+    # every field that each of the 7 initial kinds and each of the 7 gates
+    # reads passes the unknown-field check
+    initials = [
+        {"kind": "vacuum"},
+        {"kind": "coherent", "alpha": [0.2, 0.1]},
+        {"kind": "squeezed", "r": 0.3, "theta": 0.2, "alpha": 0.1},
+        {"kind": "cat", "alpha": 1.0, "parity": "-"},
+        {"kind": "gkp", "d": 2, "mu": 0, "kappa": 0.9, "delta": 0.6, "s_max": 1},
+        {"kind": "grid", "delta": 0.5, "t_max": 2, "tail_tol": 1e-8},
+        {"kind": "fock1_ring", "seed_state": "coherent", "N": 2},
+    ]
+    ops = [
+        {"gate": "displace", "mode": 0, "alpha": 0.1},
+        {"gate": "squeeze", "mode": 1, "r": 0.2, "theta": 0.3},
+        {"gate": "phase", "mode": 0, "theta": 0.4},
+        {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.5, "phi": 0.6},
+        {"gate": "symplectic", "matrix": np.eye(4).tolist(), "shift": [0.1, 0.0, 0.0, 0.2]},
+        {"gate": "channel", "X": np.eye(4).tolist(), "Y": (0.1 * np.eye(4)).tolist(), "D": [0.0, 0.1, 0.0, 0.0]},
+        {"gate": "condition", "modes": [1], "outcome": [[0.1, 0.2]]},
+    ]
+    task = {"name": "exact_born", "outcome": [[0.2, -0.1]]}
+    for initial in initials:
+        program = {"schema_version": 1, "modes": 2, "seed": 1, "initial": initial, "ops": ops, "task": task}
+        code, _, err = _run_program(program, tmp_path, capsys)
+        assert code == 0, err
+    assert {name for names in cli.KIND_FIELDS.values() for name in names} < set(cli.INITIAL_FIELDS)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["extent", "--state", "coherent", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),

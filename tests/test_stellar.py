@@ -668,6 +668,65 @@ class TestGateEngine:
                 assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), per_triple=st.booleans())
+    def test_one_mode_squeeze_is_the_leg_0_block_of_the_two_leg_path(self, seed, k, per_triple):
+        # the one-leg closed form A / den, b / den against the rank-one update
+        # on the same kets beside a vacuum mode, which stays untouched
+        rng = np.random.default_rng(seed)
+        t = _one_mode_stack(rng, k)
+        size = k if per_triple else None
+        r, theta = rng.uniform(0, 8.0, size), rng.uniform(0, 2 * np.pi, size)
+        gate = Squeeze(0, r if per_triple else float(r), theta if per_triple else float(theta))
+        for one in (t,) if per_triple else (t, t[0]):  # a stack, and one triple with scalar parameters
+            got = stellar.apply_gate(gate, one, 1)
+            ref = stellar.apply_gate(gate, stellar.tensor(one, stellar.vacuum(1)), 2)
+            assert not ref.a[..., 1:, :].any() and not ref.a[..., :, 1:].any() and not ref.b[..., 1].any()
+            assert got.a.shape == one.a.shape and got.b.shape == one.b.shape
+            # A' = sech^2 r A / den - tanh r e^{i theta}: relative to the moduli of its two terms
+            a_scale = np.abs(ref.a[..., 0, 0] + np.tanh(r) * np.exp(1j * theta)) + np.tanh(r)
+            assert np.all(np.abs(got.a[..., 0, 0] - ref.a[..., 0, 0]) <= 1e-14 * a_scale)
+            assert np.all(np.abs(got.b[..., 0] - ref.b[..., 0]) <= 1e-14 * np.abs(ref.b[..., 0]))
+            assert np.all(np.abs(got.log_c - ref.log_c) <= 1e-14 * np.abs(ref.log_c))
+
+    def test_one_mode_squeeze_keeps_the_kernel_checks(self):
+        # at one leg Y = den: cond(Y) is infinite exactly where den = 0
+        # (IllConditioned), and Re den < 0 is off the right half-plane (GsimError)
+        s = np.tanh(1.0)
+        assert 1.0 - s * (1.0 / s) == 0.0
+        for a, exc in ((1.0 / s, IllConditioned), (1.5, GsimError)):
+            t = stellar.StellarParams([[a]], [0.3 - 0.1j], 0.0)
+            stack = stellar.StellarParams([[[a]], [[0.0]]], [[0.3 - 0.1j], [0.0]], np.zeros(2))
+            for apply in (
+                lambda: stellar.apply_gate(Squeeze(0, 1.0), t, 1),
+                lambda: stellar.apply_gate(Squeeze(0, 1.0), stack, 1),
+                lambda: stellar.apply_gate(Squeeze(0, np.array([1.0, 0.5]), np.array([0.0, 0.2])), stack, 1),
+            ):
+                with pytest.raises(exc) as err:
+                    apply()
+                assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5))
+    def test_beamsplitter_on_any_legs_is_its_passive_symplectic(self, seed, k):
+        # the mode unitary embedded in the 3 x 3 identity by hand, applied as a
+        # whole-register Symplectic gate (a Gaussian contraction)
+        from gsim.gates import beamsplitter_unitary
+        from gsim.symplectic import passive_from_unitary
+
+        rng = np.random.default_rng(seed)
+        kets = stacked([engine_state(random_pure_program(3, rng, 1.5, 1.0), 3) for _ in range(k)])
+        theta, phi = rng.uniform(-np.pi, np.pi, 2)
+        for legs in ((0, 2), (2, 0), (1, 2)):
+            full = np.eye(3, dtype=complex)
+            full[np.ix_(legs, legs)] = beamsplitter_unitary(theta, phi)
+            got = stellar.apply_gate(BeamSplitter(*legs, theta, phi), kets, 3)
+            ref = stellar.apply_gate(Symplectic(passive_from_unitary(full), np.zeros(6)), kets, 3)
+            for x, y in ((got.a, ref.a), (got.b, ref.b)):
+                assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, np.max(np.abs(y)))
+            assert np.max(np.abs(got.log_c - ref.log_c)) <= 1e-13 * max(1.0, np.max(np.abs(ref.log_c)))
+
+
 class TestExtremeGatesAgainstMpmath:
     """Squeeze (r = 10..18) and displacement (|delta| up to 30) updates at 50 digits.
 
