@@ -577,6 +577,8 @@ def execute(program: dict, source, fmt: str) -> int:
     task = read_task(top["task"])
     if init is None and task["name"] not in STATE_FREE_TASKS:
         raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
+    if TASK_NEEDS.get(task["name"]) == "outcome" and len(task["outcome"]) != system:
+        raise ValidationFailure(f"task.outcome: expected one entry per system mode ({system}), got {len(task['outcome'])}")
     state = None if init is None else _run_segments(_initial_state(init, modes), segments)
     seed = top.get("seed", 0)
     value, band = _perform(state, system, task, seed)

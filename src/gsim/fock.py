@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DimensionMismatch, LeakageError
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes
 from .symplectic import factor_two_mode_unitary
 
 DEFAULT_CUTOFF_1MODE = 60
@@ -127,8 +127,6 @@ def coherent_column(alpha: complex, cutoff: int) -> np.ndarray:
 
 def apply_gate(state: FockVector, gate) -> FockVector:
     """Apply one primitive gate; exactly unitary on the truncated space."""
-    from .gates import check_gate_modes
-
     check_gate_modes(gate, state.n)
     amps = state.amplitudes
     cut = state.cutoff

@@ -341,11 +341,11 @@ def _half_log_det_rhp(mat, label: str):
 
 def _singular_values(y, label: str):
     """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one; IllConditioned
-    for cond_2(Y) > COND_MAX, and for a NaN in a 1 x 1 Y."""
+    for cond_2(Y) >= COND_MAX, for a singular Y (cond inf, also at Y = 0) and for a NaN."""
     sv = np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
-    if not (sv[..., 0] <= COND_MAX * sv[..., -1]).all():
+    if not (sv[..., 0] < COND_MAX * sv[..., -1]).all():
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = sv[..., 0] / sv[..., -1]
+            cond = np.where(sv[..., -1] == 0, np.inf, sv[..., 0] / sv[..., -1])
         worst = np.nan if np.isnan(cond).all() else np.nanmax(cond)
         raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
     return sv
@@ -363,7 +363,7 @@ def _contract(a1, b1, a2, b2, k: int, label: str):
     of A1, A2 off those blocks); as Yi P and Yi^T Q are symmetric, their triple has
     A_xx = A1_xx + X^T Yi^T Q X, A_xy = X^T Yi^T W, A_yy = A2_yy + W^T Yi P W,
     b_x = b1_x + X^T Yi^T (q + Q p) and b_y = b2_y + W^T Yi (p + P q).  Y is checked once
-    with the caller's label: IllConditioned for cond_2(Y) > COND_MAX, then GsimError for an
+    with the caller's label: IllConditioned for cond_2(Y) >= COND_MAX, then GsimError for an
     eigenvalue off the open right half-plane, where det(Y)^{-1/2}'s principal branch is
     continuous.  Returns the outer (A, b) ((None, None) without outer legs), the singular
     values of Y, and the log-domain summands (log det(Y)/2, q^T Yi p, q^T Yi P q/2,

@@ -233,6 +233,23 @@ def test_cli_import_leaves_out_the_optimizer():
     assert result.stdout.strip() == "False"
 
 
+GSIM_MODULES = sorted(f[:-3] for f in os.listdir(os.path.dirname(cli.__file__)) if f.endswith(".py") and f != "__init__.py")
+
+
+def test_the_package_exports_no_names_and_loads_no_module():
+    # gsim.<module>.<name> is each name's one home
+    code = "import sys, gsim; print([k for k in sys.modules if k.startswith('gsim.')], [k for k in dir(gsim) if k[0] != '_'])"
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[] []"
+
+
+@pytest.mark.parametrize("module", GSIM_MODULES)
+def test_every_module_imports_on_its_own(module):
+    result = run_python(["-c", f"import gsim.{module}"])
+    assert result.returncode == 0, result.stderr
+
+
 def test_runtime_leaves_out_scipy(tmp_path):
     # gsim runs on numpy alone, the covariance references included: scipy is a test dependency
     path = tmp_path / "prog.json"
@@ -1155,6 +1172,7 @@ MISSING = object()  # a field left out of the program
         ),
         ({"initial": VACUUM, "task": {"name": "exact_born"}}, "task.outcome"),
         ({"schema_version": 7, "task": {"name": "breed_bound", "xi": 7.496}}, "schema_version"),
+        ({"initial": VACUUM, "ops": [{"gate": "beamsplitter", "modes": [0], "theta": 0.3}], "task": {"name": "extent"}}, "ops[0].modes"),
     ],
 )
 def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, capsys):
@@ -1162,6 +1180,28 @@ def test_mistyped_program_fields_are_validation_errors(fields, path, tmp_path, c
     code, out, err = _run_program(program, tmp_path, capsys)
     assert code == 2, err
     assert out == "" and err.startswith(f"validation error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "modes, ops, name",
+    [
+        (1, [], "exact_born"),
+        (1, [], "approx_born"),
+        (1, [NOISE], "exact_born"),
+        (2, [{"gate": "condition", "modes": [1], "outcome": [0.0]}], "exact_born"),
+    ],
+    ids=["exact_born", "approx_born", "exact_born_after_channel", "exact_born_after_condition"],
+)
+def test_an_outcome_of_the_wrong_length_exits_before_any_estimator(modes, ops, name, tmp_path, capsys, monkeypatch):
+    from gsim import simulator
+
+    for estimator in ("exact_born", "approx_born", "heterodyne_density", "sparsify", "fast_norm"):
+        monkeypatch.setattr(simulator, estimator, lambda *args, **kw: pytest.fail("an estimator ran"))
+    task = {"name": name, "outcome": [0.0, 0.5]}
+    program = {"schema_version": 1, "modes": modes, "initial": VACUUM, "ops": ops, "task": task}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2, err
+    assert out == "" and err == "validation error: task.outcome: expected one entry per system mode (1), got 2\n"
 
 
 @pytest.mark.parametrize("t_max", [3.5, -2])

@@ -401,6 +401,14 @@ class TestContraction:
             call()
         assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
 
+    @pytest.mark.parametrize("caller", ["state_overlaps", "apply_to_state", "compose"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["one_mode", "two_mode"])
+    def test_every_caller_rejects_a_zero_kernel(self, caller, n):
+        # M = 1 gives Y = 0: singular, so cond_2(Y) is inf (not 0/0) and fails the check
+        call, label = self._contractions(np.eye(n))[caller]
+        with pytest.raises(IllConditioned, match=rf"{label} is ill-conditioned \(cond=inf\)"):
+            call()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(3, 6))
     def test_composition_is_associative_on_stacks(self, seed, n, k):
@@ -705,6 +713,12 @@ class TestGateEngine:
                 with pytest.raises(exc) as err:
                     apply()
                 assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+    def test_one_mode_squeeze_through_apply_to_state_is_ill_conditioned_at_den_0(self):
+        # den = 1 - tanh(1) A = 0 exactly: the 1 x 1 kernel Y = den is singular, as in apply_gate
+        t = stellar.StellarParams([[1.0 / np.tanh(1.0)]], [0.3 - 0.1j], 0.0)
+        with pytest.raises(IllConditioned, match="cond=inf"):
+            stellar.apply_to_state(stellar.gate_params(Squeeze(0, 1.0), 1), t)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5))
