@@ -105,22 +105,25 @@ def _complex_vector(value, where: str):
 
 
 def _reals(value, where: str) -> list:
-    """A list of numbers as floats; whether they are in range is the task's check."""
-    if type(value) is not list or not all(type(v) in (int, float) for v in value):
-        raise ValidationFailure(f"{where}: expected a list of numbers")
+    """A nonempty list of numbers as floats; whether they are in range is the task's check."""
+    if type(value) is not list or not value or not all(type(v) in (int, float) for v in value):
+        raise ValidationFailure(f"{where}: expected a nonempty list of numbers")
     return [float(v) for v in value]
 
 
-def _real_array(value, shape: tuple, where: str, modes: int) -> np.ndarray:
-    """``value`` as a float array, if it nests finite numbers to ``shape``."""
+def _integers(value, where: str) -> list:
+    return [_integer(v, where) for v in _list(value, where)]
+
+
+def _real_array(value, where: str) -> np.ndarray:
+    """``value`` as a float array, if it nests finite numbers; its shape, which
+    depends on the register, is checked as its op is lowered."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValidationFailure(f"{where}: expected an array of finite numbers")
-    if arr.shape != shape:
-        raise ValidationFailure(f"{where}: expected shape {shape} on {modes} modes")
     return arr.astype(float)
 
 
@@ -143,23 +146,29 @@ def _non_finite_at(value):
     return None
 
 
-def _fields(fields, prefix: str, readers: dict, *required, by=None) -> dict:
-    """The fields of the object ``fields`` that ``readers`` names, each typed by
-    its reader in the readers' order and named ``prefix + key`` in an error; a
-    missing ``required`` field reads as null, which its reader rejects.  Any
-    other field is unknown, an error: with ``by = (key, table)`` the known
-    fields are ``key`` and those that ``table`` lists for its value."""
+REQUIRED = object()  # a table's mark of a field that has no default
+
+
+def _fields(fields, prefix: str, readers: dict, table: dict, by=None) -> dict:
+    """The fields of the object ``fields`` that ``table`` names, typed by their
+    ``readers`` in the readers' order and named ``prefix + key`` in an error,
+    and the table's default of each one left out (a ``REQUIRED`` one reads as
+    null, which its reader rejects).  With ``by = (key, noun)`` the field ``key``
+    is typed first and picks the table ``table[value]``.  Any other field is
+    unknown, an error raised before the table's fields are typed."""
     if type(fields) is not dict:
         raise ValidationFailure(f"{prefix.rstrip('.') or 'program'}: expected an object")
-    wanted = [key for key in readers if key in fields or key in required]
-    typed = {key: readers[key](fields.get(key), prefix + key) for key in wanted}
-    known, owner = readers, ""
+    typed, owner = {}, ""
     if by is not None:
-        name, table = by
-        known, owner = (name, *table[typed[name]]), f" of {name} {typed[name]!r}"
+        key, noun = by
+        typed[key] = readers[key](fields.get(key), prefix + key)
+        table, owner = table[typed[key]], f" of {noun} {typed[key]!r}"
     for key in fields:
-        if key not in known:
+        if key not in table and key not in typed:
             raise ValidationFailure(f"{prefix}{key}: unknown field{owner}")
+    for key, read in readers.items():
+        if key in table:
+            typed[key] = read(fields.get(key), prefix + key) if key in fields or table[key] is REQUIRED else table[key]
     return typed
 
 
@@ -172,8 +181,22 @@ PROGRAM_FIELDS = {
     "task": _object,
 }
 
+# the default of each top-level field; a program without ``initial`` has no state
+PROGRAM_DEFAULTS = {"schema_version": REQUIRED, "modes": REQUIRED, "seed": 0, "initial": None, "ops": (), "task": REQUIRED}
+
+# every field that each initial kind reads besides ``kind``, and its default
+KIND_FIELDS = {
+    "vacuum": {},
+    "coherent": {"alpha": 0j},
+    "squeezed": {"r": 0.0, "theta": 0.0, "alpha": 0j},
+    "cat": {"alpha": 1 + 0j, "parity": "+"},
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
+    "grid": {"delta": 0.3, "t_max": None, "tail_tol": 1e-8},  # no t_max: the least that meets tail_tol
+    "fock1_ring": {"seed_state": "optimal", "N": 16},
+}
+
 INITIAL_FIELDS = {
-    "kind": _choice("vacuum", "coherent", "squeezed", "cat", "gkp", "grid", "fock1_ring"),
+    "kind": _choice(*KIND_FIELDS),
     "alpha": _complex_from,
     "parity": _choice("+", "-", 1, -1),
     "seed_state": _choice("optimal", "coherent"),
@@ -181,22 +204,20 @@ INITIAL_FIELDS = {
     **dict.fromkeys(("d", "mu", "s_max", "t_max", "N"), _integer),
 }
 
-# the fields that each initial kind reads besides ``kind``
-KIND_FIELDS = {
-    "vacuum": (),
-    "coherent": ("alpha",),
-    "squeezed": ("r", "theta", "alpha"),
-    "cat": ("alpha", "parity"),
-    "gkp": ("d", "mu", "kappa", "delta", "s_max"),
-    "grid": ("delta", "t_max", "tail_tol"),
-    "fock1_ring": ("seed_state", "N"),
+# every field that each task reads besides ``name``, and its default
+NAME_FIELDS = {
+    "exact_born": {"outcome": REQUIRED},
+    "approx_born": {"outcome": REQUIRED, "delta": 0.1, "epsilon": 0.1, "pfail": 0.05},
+    "norm": {"epsilon": 0.1, "pfail": 0.05},
+    "extent": {},
+    "breed_bound": {"xi": REQUIRED},
+    "bs_bound": {"mbar": REQUIRED, "sweep": False},
+    "optimize_fidelity": {"mode": "two", "restarts": 32, "budget": 20000},
+    "table1": {"deltas": list(apps.GRID_EXTENT_TABLE)},
 }
 
-# the one field without a default that a task needs
-TASK_NEEDS = {"exact_born": "outcome", "approx_born": "outcome", "breed_bound": "xi", "bs_bound": "mbar"}
-
 TASK_FIELDS = {
-    "name": _choice("exact_born", "approx_born", "norm", "extent", *STATE_FREE_TASKS),
+    "name": _choice(*NAME_FIELDS),
     "outcome": _complex_vector,
     "deltas": _reals,
     "mode": _choice("two", "single"),
@@ -205,59 +226,52 @@ TASK_FIELDS = {
     **dict.fromkeys(("mbar", "restarts", "budget"), _integer),
 }
 
-OP_FIELDS = {"gate": _choice("displace", "squeeze", "phase", "beamsplitter", "symplectic", "channel", "condition")}
-
-# the fields that each gate reads besides ``gate``, typed as its op is lowered
+# every field that each gate reads besides ``gate``, and its default; a
+# vector left out (None) is zero on the register
 GATE_FIELDS = {
-    "displace": ("mode", "alpha"),
-    "squeeze": ("mode", "r", "theta"),
-    "phase": ("mode", "theta"),
-    "beamsplitter": ("modes", "theta", "phi"),
-    "symplectic": ("matrix", "shift"),
-    "channel": ("X", "Y", "D"),
-    "condition": ("modes", "outcome"),
+    "displace": {"mode": REQUIRED, "alpha": REQUIRED},
+    "squeeze": {"mode": REQUIRED, "r": REQUIRED, "theta": 0.0},
+    "phase": {"mode": REQUIRED, "theta": REQUIRED},
+    "beamsplitter": {"modes": REQUIRED, "theta": REQUIRED, "phi": 0.0},
+    "symplectic": {"matrix": REQUIRED, "shift": None},
+    "channel": {"X": REQUIRED, "Y": REQUIRED, "D": None},
+    "condition": {"modes": REQUIRED, "outcome": REQUIRED},
 }
 
-TASK_DEFAULTS = dict(
-    sweep=False, mode="two", restarts=32, budget=20000, deltas=tuple(apps.GRID_EXTENT_TABLE),
-    delta=0.1, epsilon=0.1, pfail=0.05,  # the tolerances of approx_born and norm
-)
+OP_FIELDS = {
+    "gate": _choice(*GATE_FIELDS),
+    "mode": _integer,
+    "modes": _integers,
+    **dict.fromkeys(("matrix", "shift", "X", "Y", "D"), _real_array),
+    "alpha": _complex_from,
+    **dict.fromkeys(("r", "theta", "phi"), _real),
+    "outcome": _complex_vector,
+}
 
 
-def read_initial(init: dict) -> dict:
-    """The typed fields of a program's ``initial`` object."""
-    return _fields(init, "initial.", INITIAL_FIELDS, "kind", by=("kind", KIND_FIELDS))
-
-
-def read_task(task: dict) -> dict:
-    """The typed fields of a program's ``task`` object and the defaults of the rest."""
-    fields = _fields(task, "task.", TASK_FIELDS, "name")
-    name, need = fields["name"], TASK_NEEDS.get(fields["name"])
-    if need is not None and need not in fields:
-        raise ValidationFailure(f"task.{need}: required by task {name!r}")
-    return {**TASK_DEFAULTS, **fields}
+# the typed fields of a program's ``initial`` and ``task`` objects, with the defaults of their kind and task
+read_initial = functools.partial(_fields, prefix="initial.", readers=INITIAL_FIELDS, table=KIND_FIELDS, by=("kind", "kind"))
+read_task = functools.partial(_fields, prefix="task.", readers=TASK_FIELDS, table=NAME_FIELDS, by=("name", "task"))
 
 
 def _initial_state(init: dict, modes: int) -> Superposition:
     """The state that typed ``initial`` fields describe, padded to ``modes`` modes."""
     kind = init["kind"]
     if kind in ("vacuum", "coherent", "squeezed"):  # gates on a one-term vacuum stack
-        gates = [Squeeze(0, init.get("r", 0.0), init.get("theta", 0.0))] if kind == "squeezed" else []
-        if kind == "coherent" or (kind == "squeezed" and "alpha" in init):
-            gates.append(Displace(0, init.get("alpha", 0j)))
+        gates = [Squeeze(0, init["r"], init["theta"])] if kind == "squeezed" else []
+        if kind != "vacuum" and init["alpha"]:  # a zero displacement is the identity
+            gates.append(Displace(0, init["alpha"]))
         vacuum = Superposition.from_stack(np.ones(1), stellar.vacuum(1, 1))
         sup = simulator.evolve(vacuum, GaussianUnitary(tuple(gates), 1))
     elif kind == "cat":
-        sup = states.cat_state(init.get("alpha", 1 + 0j), -1 if init.get("parity") in ("-", -1) else 1)
+        sup = states.cat_state(init["alpha"], -1 if init["parity"] in ("-", -1) else 1)
     elif kind == "gkp":
-        sup, _ = states.gkp_state(
-            init.get("d", 2), init.get("mu", 0), init.get("kappa", 0.3), init.get("delta", 0.3), init.get("s_max", 5)
-        )
+        sup, _ = states.gkp_state(init["d"], init["mu"], init["kappa"], init["delta"], init["s_max"])
     elif kind == "grid":
-        sup, _ = states.grid_sensor(init.get("delta", 0.3), init.get("t_max"), init.get("tail_tol", 1e-8))
+        sup, _ = states.grid_sensor(init["delta"], init["t_max"], init["tail_tol"])
     else:  # fock1_ring
         seeds = {"optimal": states.optimal_fock1_seed, "coherent": states.coherent_ring_seed}
-        sup = states.fock1_ring(seeds[init.get("seed_state", "optimal")](), init.get("N", 16))
+        sup = states.fock1_ring(seeds[init["seed_state"]](), init["N"])
     return _with_vacuum(sup, modes)
 
 
@@ -270,84 +284,72 @@ def _with_vacuum(sup: Superposition, modes: int) -> Superposition:
     return Superposition.from_stack(sup.coeffs, t, sup.gram_cell.carried_to(t))
 
 
-def _op_gates(op: dict, name: str, modes: int, env: int, where: str) -> tuple:
-    """The gates of a gate or channel op on the register of the ``modes``
-    system modes and ``env`` environment modes after them, typed and checked
-    against the system modes, and the environment modes they leave."""
-    if name == "channel":
-        return _channel_gates(op, modes, env, where)
+def _op_gate(op: dict, modes: int, env: int, where: str) -> tuple:
+    """The one gate of a typed gate or channel op on the register of the
+    ``modes`` system modes and ``env`` environment modes after them, checked
+    against the system modes, and the environment modes it leaves.  A
+    symplectic op acts as S (+) 1 and d (+) 0 on the register, and a channel
+    op's Stinespring dilation as X (+) 1, Y (+) 0, D (+) 0, so the earlier
+    environment modes pass through them."""
+    name = op["gate"]
+    if name in ("symplectic", "channel"):  # arrays on the system modes; a vector left out is zero
+        arrays, zeros = [], np.zeros(2 * env)
+        for key in GATE_FIELDS[name]:
+            shape = (2 * modes,) if key in ("shift", "D") else (2 * modes, 2 * modes)
+            arrays.append(np.zeros(shape) if op[key] is None else op[key])
+            if arrays[-1].shape != shape:
+                raise ValidationFailure(f"{where}.{key}: expected shape {shape} on {modes} modes")
     if name == "symplectic":
-        smat = _real_array(op.get("matrix"), (2 * modes, 2 * modes), f"{where}.matrix", modes)
-        shift = _real_array(op.get("shift", np.zeros(2 * modes)), (2 * modes,), f"{where}.shift", modes)
+        smat, shift = arrays
         if not is_symplectic(smat):
             raise ValidationFailure(f"{where}.matrix: not symplectic within tolerance")
-        # one gate on the whole register, S (+) 1 and d (+) 0: the environment modes pass through
-        return (Symplectic(block_diag(smat, np.eye(2 * env)), np.concatenate([shift, np.zeros(2 * env)])),), env
-    if name in ("displace", "squeeze", "phase"):
-        mode = _integer(op.get("mode"), f"{where}.mode")
+        return Symplectic(block_diag(smat, np.eye(2 * env)), np.concatenate([shift, zeros])), env
+    if name == "channel":
+        x, y, d = arrays
+        try:
+            ch = GaussianChannel(block_diag(x, np.eye(2 * env)), block_diag(y, np.diag(zeros)), np.concatenate([d, zeros]))
+        except ValueError as exc:  # with the shapes checked, Y is asymmetric or too small for X
+            raise ValidationFailure(f"{where}.Y: {exc}") from None
+        s = ch.dilation()
+        return Symplectic(s, np.concatenate([ch.d, np.zeros(len(s) - len(ch.d))])), len(s) // 2 - modes
     if name == "displace":
-        gates = (Displace(mode, _complex_from(op.get("alpha"), f"{where}.alpha")),)
+        gate = Displace(op["mode"], op["alpha"])
     elif name == "squeeze":
-        gates = (Squeeze(mode, _real(op.get("r"), f"{where}.r"), _real(op.get("theta", 0.0), f"{where}.theta")),)
+        gate = Squeeze(op["mode"], op["r"], op["theta"])
     elif name == "phase":
-        gates = (PhaseShift(mode, _real(op.get("theta"), f"{where}.theta")),)
+        gate = PhaseShift(op["mode"], op["theta"])
     else:  # beamsplitter
-        m = op.get("modes")
-        if not isinstance(m, list) or len(m) != 2:
+        if len(op["modes"]) != 2:
             raise ValidationFailure(f"{where}.modes: beamsplitter needs two modes")
-        m1, m2 = (_integer(v, f"{where}.modes") for v in m)
-        theta, phi = _real(op.get("theta"), f"{where}.theta"), _real(op.get("phi", 0.0), f"{where}.phi")
-        gates = (BeamSplitter(m1, m2, theta, phi),)
+        gate = BeamSplitter(*op["modes"], op["theta"], op["phi"])
     try:
-        for gate in gates:
-            check_gate_modes(gate, modes)
+        check_gate_modes(gate, modes)
     except ValueError as exc:  # a mode index out of range
         raise ValidationFailure(f"{where}: {exc}") from None
-    return gates, env
-
-
-def _channel_gates(op: dict, modes: int, env: int, where: str) -> tuple:
-    """The one `Symplectic` gate of a channel op's Stinespring dilation and the
-    environment modes it leaves: the channel acts as X (+) 1, Y (+) 0, D (+) 0
-    on the register, so the ``env`` earlier environment modes pass through it."""
-    shape, zeros = (2 * modes, 2 * modes), np.zeros(2 * env)
-    x, y = (_real_array(op.get(key), shape, f"{where}.{key}", modes) for key in "XY")
-    d = _real_array(op.get("D", np.zeros(2 * modes)), (2 * modes,), f"{where}.D", modes)
-    try:
-        ch = GaussianChannel(block_diag(x, np.eye(2 * env)), block_diag(y, np.diag(zeros)), np.concatenate([d, zeros]))
-    except ValueError as exc:  # with the shapes checked, Y is asymmetric or too small for X
-        raise ValidationFailure(f"{where}.Y: {exc}") from None
-    s = ch.dilation()
-    return (Symplectic(s, np.concatenate([ch.d, np.zeros(len(s) - len(ch.d))])),), len(s) // 2 - modes
+    return gate, env
 
 
 def lower_ops(ops, modes: int) -> tuple:
-    """Validate the whole op list, before any work on the state, and lower it
-    to segments run in order, with the number of system modes they leave:
-
-    * ``("gates", width, op_gates)`` for each maximal run of gate ops on one
-      ``width``-mode register, with each op's gates (one `Symplectic` gate for a
-      ``symplectic`` op or a ``channel`` op's dilation, whose environment modes
-      follow the register's), run after vacuum padding;
-    * ``("condition", measured, outcome)`` for a condition op.
-    """
+    """Type the whole op list, before any work on the state, and lower it to
+    segments run in order, with the number of system modes they leave: a
+    ``("gates", width, gates)`` for each maximal run of gate ops on one
+    ``width``-mode register, one gate per op, run after vacuum padding, and a
+    ``("condition", measured, outcome)`` for each condition op."""
     segments, env = [], 0
     for k, op in enumerate(ops):
         where = f"ops[{k}]"
-        name = _fields(op, f"{where}.", OP_FIELDS, "gate", by=("gate", GATE_FIELDS))["gate"]
-        if name == "condition":
-            measured = [_integer(m, f"{where}.modes") for m in _list(op.get("modes"), f"{where}.modes")]
-            outcome = _complex_vector(op.get("outcome"), f"{where}.outcome")
+        op = _fields(op, f"{where}.", OP_FIELDS, GATE_FIELDS, by=("gate", "gate"))
+        if op["gate"] == "condition":
             try:
-                modes = len(simulator.kept_modes(modes, measured, len(outcome)))
+                modes = len(simulator.kept_modes(modes, op["modes"], len(op["outcome"])))
             except ValueError as exc:  # a mode out of range or repeated, the wrong outcome length, no mode left
                 raise ValidationFailure(f"{where}: {exc}") from None
-            segments.append(("condition", measured, outcome))
+            segments.append(("condition", op["modes"], op["outcome"]))
         else:
-            gates, env = _op_gates(op, name, modes, env, where)
+            gate, env = _op_gate(op, modes, env, where)
             if not segments or segments[-1][0] != "gates" or segments[-1][1] != modes + env:
                 segments.append(("gates", modes + env, []))
-            segments[-1][2].append(gates)
+            segments[-1][2].append(gate)
     return segments, modes
 
 
@@ -357,13 +359,23 @@ def _run_segments(state: Superposition, segments: list) -> Superposition:
     `stellar.apply_gate` still checks every squeeze on its own."""
     for kind, *segment in segments:
         if kind == "gates":
-            width, op_gates = segment
+            width, gates = segment
             # the gates were mode-checked as they were lowered
-            unitary = GaussianUnitary(tuple(g for gates in op_gates for g in gates), width)
-            state = simulator.evolve(_with_vacuum(state, width), unitary)
+            state = simulator.evolve(_with_vacuum(state, width), GaussianUnitary(tuple(gates), width))
         else:
             state, _ = simulator.condition(state, *segment)
     return state
+
+
+def _named(where: str, run, *args):
+    """``run(*args)``, with a plain ValueError it raises (a range error)
+    named by ``where``; a `GsimError` keeps its message and exit code."""
+    try:
+        return run(*args)
+    except (ValidationFailure, GsimError):
+        raise
+    except ValueError as exc:
+        raise ValidationFailure(f"{where}: {exc}") from None
 
 
 def _perform(state, modes: int, task: dict, seed: int) -> tuple:
@@ -404,6 +416,8 @@ def _perform(state, modes: int, task: dict, seed: int) -> tuple:
 
         last = bounds(task["mbar"])  # checks the photon count, swept or not
         if task["sweep"]:
+            if task["mbar"] < 1:
+                raise ValidationFailure("task.mbar: a sweep needs an mbar of at least 1")
             return [{"mbar": m, **bounds(m)} for m in range(1, task["mbar"] + 1)], None
         return last, None
     if name == "optimize_fidelity":
@@ -475,17 +489,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _outcome_pair(text: str) -> list:
-    """argparse type of ``--outcome re,im``: the pair [re, im]."""
+def _outcome(text: str) -> list:
+    """argparse type of ``--outcome re,im``: the one-mode outcome [[re, im]]."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected re,im, got {text!r}")
-    return [_finite_float(part) for part in parts]
+    return [[_finite_float(part) for part in parts]]
 
 
-TOLERANCES = ("delta", "epsilon", "pfail")  # the tolerance flags of the approximate tasks
-
-# the argparse options of every flag; a subcommand declares the flags its task reads
+# the argparse options of every flag; a subcommand declares the flags its task
+# reads, and a flag of a task field with a default is absent unless given
 FLAGS = {
     "program": {},
     "--state": dict(default="cat", choices=["vacuum", "coherent", "cat", "gkp", "grid", "fock1-ring"]),
@@ -493,17 +506,16 @@ FLAGS = {
     "--parity": dict(default="+", choices=["+", "-"]),
     "--grid-delta": dict(type=_finite_float, default=0.3),
     "--ring-n": dict(type=int, default=16),
-    "--outcome": dict(type=_outcome_pair, default="0,0", help="re,im of the coherent outcome"),
+    "--outcome": dict(type=_outcome, default="0,0", help="re,im of the coherent outcome"),
     "--approx": dict(action="store_true"),
     "--xi": dict(type=_finite_float, required=True),
     "--mbar": dict(type=int, required=True),
-    "--sweep": dict(action="store_true", help="emit all values 1..mbar"),
-    "--restarts": dict(type=int, default=TASK_DEFAULTS["restarts"]),
-    "--budget": dict(type=int, default=TASK_DEFAULTS["budget"]),
-    "--mode": dict(choices=["two", "single"], default=TASK_DEFAULTS["mode"]),
-    "--deltas": dict(default=",".join(map(str, TASK_DEFAULTS["deltas"]))),
+    "--sweep": dict(action="store_true", default=argparse.SUPPRESS, help="emit all values 1..mbar"),
+    **dict.fromkeys(("--restarts", "--budget"), dict(type=int, default=argparse.SUPPRESS)),
+    "--mode": dict(choices=["two", "single"], default=argparse.SUPPRESS),
+    "--deltas": dict(default=argparse.SUPPRESS),
     "--seed": dict(type=int, default=0),
-    **{f"--{name}": dict(type=_finite_float, default=argparse.SUPPRESS) for name in TOLERANCES},  # absent unless given
+    **{f"--{name}": dict(type=_finite_float, default=argparse.SUPPRESS) for name in ("delta", "epsilon", "pfail")},
     "--format": dict(choices=["json", "csv"], default="json"),
 }
 
@@ -524,45 +536,27 @@ COMMANDS = {
 
 
 def lower(args) -> dict:
-    """The circuit program a subcommand stands for, with every flag its task
-    reads: all of the command's input apart from ``--format``."""
+    """The circuit program a subcommand stands for: the ``initial`` fields that
+    its state's kind reads, and every field of its task, from its flag or
+    else from the task's default; all of the command's input apart from ``--format``."""
     program = {"schema_version": SCHEMA_VERSION, "modes": 1}
     if "seed" in args:
         program["seed"] = args.seed
     if "state" in args:
-        fields = {
-            "coherent": {"alpha": args.alpha},
-            "cat": {"alpha": args.alpha, "parity": args.parity},
-            "gkp": {"delta": args.grid_delta, "kappa": args.grid_delta},
-            "grid": {"delta": args.grid_delta},
-            "fock1-ring": {"N": args.ring_n},
-        }
-        init = {"kind": args.state.replace("-", "_"), **fields.get(args.state, {})}
-        program.update(initial=init, ops=[])
-    tolerances = {name: getattr(args, name, TASK_DEFAULTS[name]) for name in TOLERANCES}
-    if args.command == "born":
-        task = {"name": "approx_born" if args.approx else "exact_born", "outcome": [args.outcome]}
-        if args.approx:
-            task.update(tolerances)
-        elif given := [f"--{name}" for name in TOLERANCES if name in args]:
+        kind = args.state.replace("-", "_")
+        flags = dict(alpha=args.alpha, parity=args.parity, delta=args.grid_delta, kappa=args.grid_delta, N=args.ring_n)
+        program.update(initial={"kind": kind, **{key: flags[key] for key in KIND_FIELDS[kind] if key in flags}}, ops=[])
+    name = args.command.replace("-", "_")
+    if name == "born":
+        name = "approx_born" if args.approx else "exact_born"
+        if given := [f"--{key}" for key in NAME_FIELDS["approx_born"] if key in args and key not in NAME_FIELDS[name]]:
             raise ValidationFailure(f"{', '.join(given)}: read only with --approx")
-    elif args.command == "norm":
-        task = {"name": "norm", "epsilon": tolerances["epsilon"], "pfail": tolerances["pfail"]}
-    elif args.command == "breed-bound":
-        task = {"name": "breed_bound", "xi": args.xi}
-    elif args.command == "bs-bound":
-        task = {"name": "bs_bound", "mbar": args.mbar, "sweep": args.sweep}
-    elif args.command == "optimize-fidelity":
-        task = {"name": "optimize_fidelity", "mode": args.mode, "restarts": args.restarts, "budget": args.budget}
-    elif args.command == "table1":
+    if "deltas" in args:
         try:
-            deltas = [float(v) for v in args.deltas.split(",")]
+            args.deltas = [float(v) for v in args.deltas.split(",")]
         except ValueError:
             raise ValidationFailure(f"--deltas: expected comma-separated numbers, got {args.deltas!r}") from None
-        task = {"name": "table1", "deltas": deltas}
-    else:
-        task = {"name": args.command}
-    program["task"] = task
+    program["task"] = {"name": name, **{key: getattr(args, key, default) for key, default in NAME_FIELDS[name].items()}}
     return program
 
 
@@ -570,19 +564,18 @@ def execute(program: dict, source, fmt: str) -> int:
     """Type every field of a program before any numerical work, the top-level
     fields, ``initial``, the ops and ``task`` in turn; then run it and emit its
     result in the format ``fmt``."""
-    top = _fields(program, "", PROGRAM_FIELDS, "schema_version", "modes", "task")
+    top = _fields(program, "", PROGRAM_FIELDS, PROGRAM_DEFAULTS)
     modes = top["modes"]
-    init = read_initial(top["initial"]) if "initial" in top else None
-    segments, system = lower_ops(top.get("ops", []), modes)
+    init = None if top["initial"] is None else read_initial(top["initial"])
+    segments, system = lower_ops(top["ops"], modes)
     task = read_task(top["task"])
     if init is None and task["name"] not in STATE_FREE_TASKS:
         raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
-    if TASK_NEEDS.get(task["name"]) == "outcome" and len(task["outcome"]) != system:
+    if "outcome" in task and len(task["outcome"]) != system:
         raise ValidationFailure(f"task.outcome: expected one entry per system mode ({system}), got {len(task['outcome'])}")
-    state = None if init is None else _run_segments(_initial_state(init, modes), segments)
-    seed = top.get("seed", 0)
-    value, band = _perform(state, system, task, seed)
-    emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, seed), fmt)
+    state = None if init is None else _run_segments(_named("initial", _initial_state, init, modes), segments)
+    value, band = _named("task", _perform, state, system, task, top["seed"])
+    emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, top["seed"]), fmt)
     return 0
 
 

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -1458,7 +1460,7 @@ def test_malformed_program_errors_name_their_path(program, message, tmp_path, ca
         ({"initial": {"kind": "grid", "N": 4}}, "initial.N: unknown field of kind 'grid'"),
         ({"ops": [{"gate": "squeeze", "mode": 0, "r": 0.2, "thetaa": 0.1}]}, "ops[0].thetaa: unknown field of gate 'squeeze'"),
         ({"ops": [{"gate": "displace", "mode": 0, "alpha": 0.1, "r": 0.2}]}, "ops[0].r: unknown field of gate 'displace'"),
-        ({"task": {"name": "norm", "epsilom": 0.01}}, "task.epsilom: unknown field"),
+        ({"task": {"name": "norm", "epsilom": 0.01}}, "task.epsilom: unknown field of task 'norm'"),
         ({"sead": 3}, "sead: unknown field"),
     ],
 )
@@ -1556,3 +1558,208 @@ def test_user_paths_build_no_per_term_objects(monkeypatch, tmp_path, capsys):
     assert code == 0, err
     assert states.witness_check(states.fock1_ring(states.optimal_fock1_seed(), 4), states.optimal_fock1_witness()).all_equal
     assert states.cat_state(0).rank == 1
+
+
+def _document(program, tmp_path, capsys):
+    """The result document of a program, without its path."""
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, (program, err)
+    doc = json.loads(out)
+    del doc["inputs"]["program"]
+    return doc
+
+
+# every defaulted field of each initial kind, gate and task, spelled out with
+# the value that a program without it runs with (the documented defaults);
+# a grid's t_max has none, as it is the least that meets tail_tol
+SPELLED_INITIAL = {
+    "vacuum": {},
+    "coherent": {"alpha": 0},
+    "squeezed": {"r": 0.0, "theta": 0.0, "alpha": [0, 0]},
+    "cat": {"alpha": 1.0, "parity": "+"},
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
+    "grid": {"delta": 0.3, "tail_tol": 1e-8},
+    "fock1_ring": {"seed_state": "optimal", "N": 16},
+}
+SPELLED_GATES = {
+    "displace": ({"mode": 1, "alpha": [0.2, -0.1]}, {}),
+    "squeeze": ({"mode": 1, "r": 0.3}, {"theta": 0.0}),
+    "phase": ({"mode": 0, "theta": 0.4}, {}),
+    "beamsplitter": ({"modes": [0, 1], "theta": 0.5}, {"phi": 0.0}),
+    "symplectic": ({"matrix": np.diag([1.2, 1 / 1.2, 1, 1]).tolist()}, {"shift": [0, 0, 0, 0]}),
+    "channel": ({"X": (0.9 * np.eye(4)).tolist(), "Y": (0.19 * np.eye(4)).tolist()}, {"D": [0, 0, 0, 0]}),
+    "condition": ({"modes": [1], "outcome": [[0.1, 0.2]]}, {}),
+}
+SPELLED_TASKS = {
+    "exact_born": ({"outcome": [[0.2, -0.1]]}, {}),
+    "approx_born": ({"outcome": [[0.2, -0.1]]}, {"delta": 0.1, "epsilon": 0.1, "pfail": 0.05}),
+    "norm": ({}, {"epsilon": 0.1, "pfail": 0.05}),
+    "extent": ({}, {}),
+    "breed_bound": ({"xi": 7.496}, {}),
+    "bs_bound": ({"mbar": 3}, {"sweep": False}),
+    "optimize_fidelity": ({}, {"mode": "two", "restarts": 32, "budget": 20000}),
+    "table1": ({}, {"deltas": [0.3, 0.2, 0.1, 0.05, 0.025, 0.01]}),
+}
+
+
+def _defaulted(table):
+    return {key for key, default in table.items() if default is not cli.REQUIRED and default is not None}
+
+
+def test_the_tables_name_every_defaulted_field():
+    assert {kind: _defaulted(t) for kind, t in cli.KIND_FIELDS.items()} == {k: set(v) for k, v in SPELLED_INITIAL.items()}
+    assert {gate: _defaulted(t) for gate, t in cli.GATE_FIELDS.items()} == {
+        gate: set(spelled) - {"shift", "D"} for gate, (_, spelled) in SPELLED_GATES.items()
+    }
+    assert {name: _defaulted(t) for name, t in cli.NAME_FIELDS.items()} == {
+        name: set(spelled) for name, (_, spelled) in SPELLED_TASKS.items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(SPELLED_INITIAL))
+def test_an_initial_default_is_the_value_spelled_out(kind, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "seed": 2, "task": {"name": "exact_born", "outcome": [[0.2, -0.1]]}}
+    want = _document({**program, "initial": {"kind": kind}}, tmp_path, capsys)
+    for key, value in SPELLED_INITIAL[kind].items():
+        assert _document({**program, "initial": {"kind": kind, key: value}}, tmp_path, capsys) == want, key
+
+
+@pytest.mark.parametrize("gate", sorted(SPELLED_GATES))
+def test_a_gate_default_is_the_value_spelled_out(gate, tmp_path, capsys):
+    fields, spelled = SPELLED_GATES[gate]
+    system = 1 if gate == "condition" else 2
+    program = {"schema_version": 1, "modes": 2, "seed": 2, "initial": {"kind": "cat", "alpha": [0.8, 0.3]},
+               "task": {"name": "exact_born", "outcome": [[0.2, -0.1]] * system}}
+    want = _document({**program, "ops": [{"gate": gate, **fields}]}, tmp_path, capsys)
+    for key, value in spelled.items():
+        assert _document({**program, "ops": [{"gate": gate, **fields, key: value}]}, tmp_path, capsys) == want, key
+
+
+@pytest.mark.parametrize("name", sorted(SPELLED_TASKS))
+def test_a_task_default_is_the_value_spelled_out(name, tmp_path, capsys):
+    fields, spelled = SPELLED_TASKS[name]
+    program = {"schema_version": 1, "modes": 1, "seed": 2, "initial": CAT}
+    want = _document({**program, "task": {"name": name, **fields}}, tmp_path, capsys)
+    for key, value in spelled.items():
+        assert _document({**program, "task": {"name": name, **fields, key: value}}, tmp_path, capsys) == want, key
+    if name == "exact_born":  # and the top level's defaults: seed 0, no ops
+        bare = {"schema_version": 1, "modes": 1, "initial": CAT, "task": {"name": name, **fields}}
+        want = _document(bare, tmp_path, capsys)
+        assert _document({**bare, "seed": 0, "ops": []}, tmp_path, capsys) == want
+
+
+# a value of the right type for every task field
+TASK_VALUES = {"outcome": [[0.1, 0.0]], "deltas": [0.3], "mode": "two", "sweep": True, "delta": 0.1,
+               "epsilon": 0.1, "pfail": 0.05, "xi": 7.5, "mbar": 2, "restarts": 2, "budget": 100}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLED_TASKS))
+def test_a_task_rejects_every_field_it_does_not_read(name, tmp_path, capsys):
+    assert set(TASK_VALUES) == set(cli.TASK_FIELDS) - {"name"}
+    fields = SPELLED_TASKS[name][0]
+    unread = [key for key in TASK_VALUES if key not in cli.NAME_FIELDS[name]]
+    assert unread
+    for key in unread:
+        program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": name, **fields, key: TASK_VALUES[key]}}
+        code, out, err = _run_program(program, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == f"validation error: task.{key}: unknown field of task {name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"name": "exact_born", "outcome": [1], "delta": 0.01}, "task.delta: unknown field of task 'exact_born'"),
+        ({"name": "extent", "delta": 0.5, "outcome": [1]}, "task.delta: unknown field of task 'extent'"),
+        ({"name": "exact_born", "outcome": [1], "delta": 0.01, "restarts": 3}, "task.delta: unknown field of task 'exact_born'"),
+    ],
+)
+def test_an_unread_task_field_is_no_longer_a_no_op(task, message, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": task}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ({"initial": {"kind": "vacuum", "alpha": "x"}}, "initial.alpha: unknown field of kind 'vacuum'"),
+        ({"sead": 3, "modes": "x"}, "sead: unknown field"),
+        ({"task": {"name": "norm", "epsilom": 0.01, "pfail": "x"}}, "task.epsilom: unknown field of task 'norm'"),
+        ({"ops": [{"gate": "phase", "mode": "x", "thetaa": 0.1}]}, "ops[0].thetaa: unknown field of gate 'phase'"),
+    ],
+)
+def test_an_unknown_field_is_reported_before_any_mistyped_one(program, message, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "initial": VACUUM, "task": {"name": "extent"}, **program}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 2 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_empty_tables_exit_2(fmt, tmp_path, capsys):
+    program = {"schema_version": 1, "modes": 1, "task": {"name": "table1", "deltas": []}}
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(program))
+    code, out, err = run_cli(["run", str(path), "--format", fmt], capsys)
+    assert code == 2 and out == ""
+    assert err == "validation error: task.deltas: expected a nonempty list of numbers\n"
+    code, out, err = run_cli(["bs-bound", "--mbar", "0", "--sweep", "--format", fmt], capsys)
+    assert code == 2 and out == ""
+    assert err == "validation error: task.mbar: a sweep needs an mbar of at least 1\n"
+    code, out, err = run_cli(["bs-bound", "--mbar", "0", "--format", fmt], capsys)  # unswept, mbar 0 is a bound
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extent", "--state", "fock1-ring", "--ring-n", "1"], "initial: ring size must be at least 2"),
+        (["bs-bound", "--mbar", "-1"], "task: photon count must be nonnegative"),
+    ],
+)
+def test_range_errors_name_the_initial_state_or_the_task(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"validation error: {message}\n"
+
+
+def test_a_numerical_failure_of_the_task_keeps_its_message(capsys):
+    # the odd cat at alpha 1e-8: its Gram form is inside its rounding bound
+    code, out, err = run_cli(["extent", "--state", "cat", "--parity", "-", "--alpha", "1e-8"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and "task:" not in err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_blocks(lang):
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(rf"^```{lang}\n(.*?)^```", fh.read(), flags=re.S | re.M)
+
+
+def test_readme_programs_run(tmp_path, capsys):
+    programs = [json.loads(block) for block in _readme_blocks("json")]
+    assert len(programs) == 2
+    for program in programs:
+        _document(program, tmp_path, capsys)
+
+
+def test_readme_command_lines_run(capsys):
+    (block,) = [b for b in _readme_blocks("") if b.startswith("gsim extent")]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert ["run", "program.json"] in lines and len(lines) == 8
+    for argv in lines:
+        if argv != ["run", "program.json"]:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
+
+
+def test_readme_shows_the_program_that_born_records(capsys):
+    argv = ["born", "--state", "cat", "--alpha", "1.0", "--outcome", "0.3,-0.2", "--approx", "--seed", "7"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    shown = [json.loads(block) for block in _readme_blocks("json")]
+    assert json.loads(out)["inputs"]["program"] == next(p for p in shown if p["task"]["name"] == "approx_born")
