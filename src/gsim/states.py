@@ -31,8 +31,9 @@ FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 MAX_BS_MBAR = math.floor(math.log(np.finfo(float).max))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
-# (probe, term) pairs per block of an amplitude sweep: its ~64 kB temporaries
-# stay below glibc's default 128 kB mmap threshold whatever the probe count
+# (probe, term) pairs per block of an amplitude sweep: each of its temporaries,
+# at most one (L, K) complex array or three (K, L) real ones (64 or 96 kB),
+# stays below glibc's default 128 kB mmap threshold whatever the probe count
 # and the rank, so blocks reuse heap memory instead of faulting in new pages;
 # the fast norm also draws its probes this many at a time
 AMPLITUDE_CHUNK = 1 << 12
@@ -236,17 +237,23 @@ class Superposition:
             raise IllConditioned(f"Gram norm {value:.3g} within its rounding bound {bound:.3g} (l1^2 = {self.l1**2:.3g})")
         return value
 
+    @cached_property
+    def amplitude_table(self) -> stellar.AmplitudeTable:
+        """The `stellar.AmplitudeTable` of ``triples``, built on first use; a
+        derived superposition (evolved, conditioned, sparsified) builds its own."""
+        return stellar.AmplitudeTable(self.triples)
+
     def coherent_amplitude(self, xi) -> complex:
-        """<xi|psi> from one stacked evaluation; linear in the rank."""
-        return complex(self.coeffs @ stellar.coherent_amplitude(self.triples, xi))
+        """<xi|psi>: one product with the ``amplitude_table``; linear in the rank."""
+        return complex(self.coeffs @ self.amplitude_table.amplitudes(np.atleast_1d(xi)[None])[0])
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""
         xis = np.asarray(xis, dtype=complex)
-        rows = max(1, AMPLITUDE_CHUNK // self.rank)
+        table, rows = self.amplitude_table, max(1, AMPLITUDE_CHUNK // self.rank)
         total = np.empty(xis.shape[0], dtype=complex)
         for s in range(0, max(xis.shape[0], 1), rows):
-            total[s : s + rows] = stellar.coherent_amplitude_batch(self.triples, xis[s : s + rows]) @ self.coeffs
+            total[s : s + rows] = table.amplitudes(xis[s : s + rows]) @ self.coeffs
         return total
 
     def mean_photon_husimi(self) -> float:

@@ -22,7 +22,9 @@ A primitive gate changes any triple in closed form (`apply_gate`); folded gate
 by gate over a ket, that engine is the source of truth for phases along
 circuits.  Overlaps, state application (the route of a `Symplectic(S, d)` gate,
 whose triple is closed-form) and composition are one Gaussian contraction,
-`_contract`; `program_params` and `compose` are references.
+`_contract`; `program_params` and `compose` are references.  Coherent
+amplitudes <xi|G_j> of a stack are one product of each outcome's monomials
+with the stack's `AmplitudeTable`.
 """
 
 from math import factorial
@@ -481,45 +483,73 @@ def state_norm_squared(t: StellarParams) -> float:
     return float(max(val.real, 0.0))
 
 
-def _coherent_amplitudes(t: StellarParams, xis: np.ndarray) -> np.ndarray:
-    """<xi|psi> = exp(log c - |xi|^2/2 + b.conj(xi) + conj(xi).A.conj(xi)/2) for
-    outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K."""
-    m = t.modes
-    xb = np.conj(xis)
-    pairs = (xb[:, :, None] * xb[:, None, :]).reshape(-1, m * m)
-    half = (0.5 * np.sum(np.abs(xis) ** 2, axis=1)).reshape((-1,) + (1,) * np.ndim(t.log_c))
-    # summed in place, so at most two (L, K) arrays are alive at once
-    out = t.log_c - half
-    out += xb @ t.b.T
-    out += pairs @ (0.5 * t.a).reshape(*t.a.shape[:-2], m * m).T
-    return np.exp(out, out=out)
+class AmplitudeTable:
+    """Coherent amplitudes of a stack of K ket triples as one product.
 
+    ``w`` is the (1 + m + m^2, K) matrix W = [log c; b^T; vec(A)^T / 2] and
+    ``w_abs`` is |W|.  With the monomials d(xi) = (1, conj(xi),
+    vec(conj(xi) conj(xi)^T)) of an outcome,
 
-def amplitude_log_sums(t: StellarParams, xi) -> np.ndarray:
-    """Sum S of the moduli of the log-domain summands of <xi|psi> (see
-    `_coherent_amplitudes`), (K,) for a stack: where they cancel, a coherent
-    amplitude is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u of its
-    modulus."""
-    x = np.abs(np.atleast_1d(np.asarray(xi, dtype=complex)))
-    return np.abs(t.log_c) + 0.5 * (x @ x) + np.abs(t.b) @ x + 0.5 * ((np.abs(t.a) @ x) @ x)
+        log <xi|G_j> = log c_j + b_j . conj(xi) + conj(xi)^T A_j conj(xi) / 2 - |xi|^2/2
+                     = d(xi) . W_j - |xi|^2/2,
+
+    so a block of L outcomes costs one (L, 1 + m + m^2) x (1 + m + m^2, K)
+    product.  A single triple is a stack of one.
+    """
+
+    __slots__ = ("modes", "w", "w_abs")
+
+    def __init__(self, t: StellarParams):
+        m, log_c = t.modes, np.reshape(t.log_c, -1)
+        w = np.empty((1 + m + m * m, log_c.shape[0]), dtype=complex)
+        w[0] = log_c
+        w[1 : 1 + m] = t.b.reshape(-1, m).T
+        w[1 + m :] = 0.5 * t.a.reshape(-1, m * m).T
+        self.modes, self.w, self.w_abs = m, w, np.abs(w)
+
+    def monomials(self, xis) -> tuple:
+        """(d, h) of outcomes (L, modes): the monomials d(xi), (L, 1 + m + m^2), and h = |xi|^2/2, (L, 1)."""
+        xis = np.ascontiguousarray(xis, dtype=complex)
+        if xis.ndim != 2 or xis.shape[1] != self.modes:
+            raise DimensionMismatch("outcome dimension does not match state")
+        l, m = xis.shape
+        d = np.empty((l, self.w.shape[0]), dtype=complex)
+        d[:, 0] = 1.0
+        xb = np.conjugate(xis, out=d[:, 1 : 1 + m])
+        np.multiply(xb[:, :, None], xb[:, None, :], out=d[:, 1 + m :].reshape(l, m, m))
+        parts = xis.view(float)
+        return d, 0.5 * (parts * parts).sum(axis=1, keepdims=True)
+
+    def amplitudes(self, xis, with_sums: bool = False):
+        """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for outcomes (L, modes): (L, K);
+        counts L K amplitude evaluations.
+
+        ``with_sums`` also returns the (L, K) sums S = |d(xi)| . |W_j| + |xi|^2/2
+        of the moduli of the log-domain summands: where they cancel, an
+        amplitude is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u of
+        its modulus.
+        """
+        d, h = self.monomials(xis)
+        counters.tally.amplitude_evals += d.shape[0] * self.w.shape[1]
+        # the subtraction is also a numpy vector loop between the complex BLAS
+        # product and the complex exp: straight after OpenBLAS 0.3.31's product
+        # on an AVX-512 host, the exp ran 10-20 times slower
+        out = d @ self.w
+        out -= h
+        amps = np.exp(out, out=out)
+        return (amps, np.abs(d) @ self.w_abs + h) if with_sums else amps
 
 
 def coherent_amplitude(t: StellarParams, xi):
     """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    if xi.shape != (t.modes,):
-        raise DimensionMismatch("outcome dimension does not match state")
-    counters.tally.amplitude_evals += np.size(t.log_c)
-    return _coherent_amplitudes(t, xi[None])[0]
+    amps = AmplitudeTable(t).amplitudes(np.atleast_1d(xi)[None])[0]
+    return amps if np.ndim(t.log_c) else amps[0]
 
 
 def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
-    """<xi|psi> for outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K."""
-    xis = np.asarray(xis, dtype=complex)
-    if xis.ndim != 2 or xis.shape[1] != t.modes:
-        raise DimensionMismatch("outcome stack must have shape (L, modes)")
-    counters.tally.amplitude_evals += xis.shape[0] * np.size(t.log_c)
-    return _coherent_amplitudes(t, xis)
+    """<xi|psi> for outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K; counted."""
+    amps = AmplitudeTable(t).amplitudes(xis)
+    return amps if np.ndim(t.log_c) else amps[:, 0]
 
 
 def husimi_gaussian(t: StellarParams):

@@ -405,6 +405,75 @@ class TestExactBorn:
             sup.coeffs[0] = 0.0  # read-only, so the memo cannot go stale
 
 
+class TestAmplitudeTableCache:
+    @staticmethod
+    def _count_tables(monkeypatch):
+        built = []
+        table = stellar.AmplitudeTable
+
+        class Counted(table):
+            __slots__ = ()
+
+            def __init__(self, t):
+                built.append(t)
+                super().__init__(t)
+
+        monkeypatch.setattr(stellar, "AmplitudeTable", Counted)
+        return built
+
+    def test_a_second_exact_born_reuses_the_table(self, monkeypatch):
+        built = self._count_tables(monkeypatch)
+        sup = fock1_ring(optimal_fock1_seed(), 16)
+        counters.tally.reset()
+        first = exact_born(sup, [0.3 + 0.2j])
+        table = sup.amplitude_table
+        second = exact_born(sup, [-0.1 + 0.4j])
+        assert len(built) == 1 and sup.amplitude_table is table
+        assert counters.tally.amplitude_evals == 2 * sup.rank
+        assert exact_born(sup, [0.3 + 0.2j]) == first and second != first
+        amp = sup.coherent_amplitude([0.3 + 0.2j])
+        assert len(built) == 1 and abs(amp) ** 2 == first.numerator
+
+    def test_derived_states_build_their_own_tables(self, monkeypatch):
+        built = self._count_tables(monkeypatch)
+        sup = cat_with_vacuum(1.1)
+        exact_born(sup, [0.2, -0.1j])
+        parent = sup.amplitude_table
+        op = GaussianUnitary.from_gates([Squeeze(0, 0.4), BeamSplitter(0, 1, 0.6)], 2)
+        children = [evolve(sup, op), condition(sup, [1], [0.3 + 0.1j])[0], sparsify(sup, 0.2, 5)]
+        for child in children:
+            assert "amplitude_table" not in vars(child)
+            outcome = [0.2] * child.n
+            exact_born(child, outcome)
+            assert child.amplitude_table is not parent and child.amplitude_table.w.shape[1] == child.rank
+            assert np.array_equal(child.amplitude_table.w, stellar.AmplitudeTable(child.triples).w)
+        # the parent's table, and per child its own and the one built to check it
+        assert sup.amplitude_table is parent and len(built) == 1 + 2 * len(children)
+        # a fresh parent is not filled by its children
+        fresh = cat_with_vacuum(1.1)
+        for child in (evolve(fresh, op), condition(fresh, [1], [0.3 + 0.1j])[0], sparsify(fresh, 0.2, 5)):
+            exact_born(child, [0.2] * child.n)
+            fast_norm(child, 0.3, 0.3, seed=2)
+        assert "amplitude_table" not in vars(fresh)
+
+    def test_a_warm_state_gives_the_values_of_a_fresh_copy(self):
+        def fresh():
+            lib = fock1_ring(optimal_fock1_seed(), 8)
+            return Superposition.from_stack(lib.coeffs, lib.triples)
+
+        warm = fresh()
+        outcomes = [[0.3 + 0.2j], [-1.1j], [0.05]]
+        for xi in outcomes:
+            exact_born(warm, xi)
+        fast_norm(warm, 0.2, 0.1, seed=4)
+        approx_born(warm, [0.4], 0.2, 0.2, 0.1, seed=6)
+        for xi in outcomes:
+            assert exact_born(warm, xi) == exact_born(fresh(), xi)
+            assert warm.coherent_amplitude(xi) == fresh().coherent_amplitude(xi)
+        assert fast_norm(warm, 0.2, 0.1, seed=4) == fast_norm(fresh(), 0.2, 0.1, seed=4)
+        assert approx_born(warm, [0.4], 0.2, 0.2, 0.1, seed=6) == approx_born(fresh(), [0.4], 0.2, 0.2, 0.1, seed=6)
+
+
 class TestSparsify:
     def test_plan_arithmetic(self):
         sup = cat_state(1.0, +1)
@@ -540,15 +609,18 @@ class TestFastNorm:
 
     def test_probe_row_depends_only_on_seed_and_index(self, monkeypatch):
         # a longer run (smaller epsilon) extends the probes of a shorter one
+        import gsim.simulator as simulator_module
+
         sup = cat_with_vacuum(0.8)
         probes = []
-        batch = stellar.coherent_amplitude_batch
+        husimi_probes = simulator_module._husimi_probes
 
-        def capture(t, xis):
-            probes[-1].append(np.array(xis))
-            return batch(t, xis)
+        def capture(*args):
+            for xis in husimi_probes(*args):
+                probes[-1].append(np.array(xis))
+                yield xis
 
-        monkeypatch.setattr(stellar, "coherent_amplitude_batch", capture)
+        monkeypatch.setattr(simulator_module, "_husimi_probes", capture)
         runs = []
         for eps, seed in ((0.5, 17), (0.3, 17), (0.5, 18)):
             probes.append([])
@@ -557,6 +629,39 @@ class TestFastNorm:
         assert short.shape[1] == 2 and runs[1].samples > runs[0].samples
         assert np.array_equal(long[: runs[0].samples], short[: runs[0].samples])
         assert not np.any(other[: runs[0].samples] == short[: runs[0].samples])
+
+    @pytest.mark.parametrize("name", ["ring32", "grid0.3", "two-mode"])
+    def test_probe_values_match_the_complex_amplitudes(self, name):
+        # Z of each probe of the first blocks against |sum c a|^2 / (l1 sum |c| |a|^2)
+        # from the complex amplitudes of stellar.coherent_amplitude_batch, to 1e-13
+        # of Z without cancellation, (sum |c a|)^2 / (l1 sum |c| |a|^2) <= 1: where
+        # the terms cancel, both sides round by about u times that (at most 1.7e-15
+        # of it over 200 seeds here)
+        from gsim.simulator import _husimi_probes, _probe_values
+
+        sup = {
+            "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
+            "grid0.3": lambda: grid_sensor(0.3)[0],
+            "two-mode": lambda: evolve(cat_with_vacuum(1.2), GaussianUnitary.from_gates(
+                [Squeeze(0, 0.6, 0.4), BeamSplitter(0, 1, 0.7, 0.3), Displace(1, 0.2 - 0.5j)], 2)),
+        }[name]()
+        values, coeffs = _probe_values(sup), sup.coeffs
+        rows = max(1, AMPLITUDE_CHUNK // sup.rank)
+        for block, xis in zip(range(3), _husimi_probes(sup, 11, 3 * rows, rows)):
+            amps = stellar.coherent_amplitude_batch(sup.triples, xis)
+            den = sup.l1 * (np.abs(amps) ** 2 @ np.abs(coeffs))
+            want, scale = np.abs(amps @ coeffs) ** 2 / den, (np.abs(amps) @ np.abs(coeffs)) ** 2 / den
+            assert np.all(np.abs(values(xis) - want) <= 1e-13 * scale)
+
+    def test_far_cat_keeps_its_probes_in_range(self):
+        # probes near +-40 make the log-domain summands of order 1600: the
+        # amplitudes are formed with |xi|^2/2 inside the product, so nothing overflows
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = fast_norm(cat_state(40.0), 0.1, 0.05, seed=3)
+        assert (est.eta, est.samples) == (0.9998699527652295, 2334)
 
     def test_result_does_not_depend_on_the_block_size(self, monkeypatch):
         import gsim.states as states_module

@@ -247,6 +247,60 @@ class TestEvaluation:
         assert abs(val2 - expected) < 1e-12
 
 
+class TestAmplitudeTable:
+    @staticmethod
+    def _random_stack(rng, m, k):
+        # symmetric A of spectral norm below 1; b and log c of order one
+        a = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
+        a = a + np.swapaxes(a, -1, -2)
+        a *= (rng.uniform(0, 0.95, k) / np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None]
+        b = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+        log_c = rng.uniform(-2, 2, k) + 1j * rng.uniform(-np.pi, np.pi, k)
+        return stellar.StellarParams(a, b, log_c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_amplitudes_and_log_sums_against_the_per_term_formulas(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        t = self._random_stack(rng, m, k)
+        xis = rng.normal(size=(6, m)) + 1j * rng.normal(size=(6, m))
+        xis *= (rng.uniform(0, 5, 6) / np.linalg.norm(xis, axis=1))[:, None]  # |xi| <= 5
+        got, sums = stellar.AmplitudeTable(t).amplitudes(xis, with_sums=True)
+        for row, xi in enumerate(xis):
+            xb, x = np.conj(xi), np.abs(xi)
+            for j in range(k):
+                log_ref = t.log_c[j] - 0.5 * np.vdot(xi, xi).real + t.b[j] @ xb + 0.5 * xb @ t.a[j] @ xb
+                # both sides round the log to about u times the sum of its summands'
+                # moduli, at most about 50 here, which bounds the amplitudes' relative gap
+                assert abs(got[row, j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
+                former = abs(t.log_c[j]) + 0.5 * (x @ x) + np.abs(t.b[j]) @ x + 0.5 * ((np.abs(t.a[j]) @ x) @ x)
+                assert sums[row, j] == pytest.approx(former, rel=1e-15, abs=0)
+        # one outcome takes a matrix-vector product, which may round otherwise:
+        # within 1e-13 of the same reference, so within 2e-13 of the block
+        single = stellar.coherent_amplitude(t, xis[0])
+        assert single.shape == (k,) and np.allclose(single, got[0], rtol=2e-13, atol=0)
+        one = stellar.coherent_amplitude(t[0], xis[0])
+        assert np.ndim(one) == 0 and one == pytest.approx(got[0, 0], rel=2e-13, abs=0)
+
+    def test_outcomes_of_the_wrong_width_are_rejected(self):
+        table = stellar.AmplitudeTable(stellar.vacuum(2, 3))
+        for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 1, 2))):
+            with pytest.raises(DimensionMismatch):
+                table.monomials(bad)
+        with pytest.raises(DimensionMismatch):
+            stellar.coherent_amplitude(stellar.vacuum(2), [0.1])
+
+    def test_evaluations_are_counted_per_outcome_and_term(self):
+        t = self._random_stack(np.random.default_rng(5), 2, 7)
+        table = stellar.AmplitudeTable(t)
+        counters.tally.reset()
+        table.amplitudes(np.zeros((5, 2)), with_sums=True)
+        table.monomials(np.zeros((5, 2)))
+        stellar.coherent_amplitude(t, [0.1, 0.2])
+        stellar.coherent_amplitude_batch(t[3], np.zeros((4, 2)))
+        assert counters.tally.amplitude_evals == 5 * 7 + 7 + 4
+
+
 def test_compose_large_displacement_onto_p_squeezer():
     # intermediate factors overflow in linear arithmetic; the composed
     # amplitude itself is representable and must come out finite
