@@ -190,7 +190,7 @@ KIND_FIELDS = {
     "coherent": {"alpha": 0j},
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": 0j},
     "cat": {"alpha": 1 + 0j, "parity": "+"},
-    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5, "tail_tol": 1e-8},
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
     "grid": {"delta": 0.3, "t_max": None, "tail_tol": 1e-8},  # no t_max: the least that meets tail_tol
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
@@ -266,7 +266,7 @@ def _initial_state(init: dict, modes: int) -> Superposition:
     elif kind == "cat":
         sup = states.cat_state(init["alpha"], -1 if init["parity"] in ("-", -1) else 1)
     elif kind == "gkp":
-        sup, _ = states.gkp_state(init["d"], init["mu"], init["kappa"], init["delta"], init["s_max"], init["tail_tol"])
+        sup, _ = states.gkp_state(init["d"], init["mu"], init["kappa"], init["delta"], init["s_max"])
     elif kind == "grid":
         sup, _ = states.grid_sensor(init["delta"], init["t_max"], init["tail_tol"])
     else:  # fock1_ring

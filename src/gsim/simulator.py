@@ -114,22 +114,22 @@ class BornEstimate:
 def exact_born(sup: Superposition, outcome) -> BornEstimate:
     """Heterodyne Born density at a coherent outcome, coherent-POVM convention.
 
-    density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from one
-    O(rank) product of the outcome's monomials with the state's cached
-    ``amplitude_table`` and the norm from the exact Gram, so a second outcome
-    on the same state costs that product alone.  Relative to
+    density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from the
+    state's cached ``amplitude_table``, O(rank) small products with the
+    outcome's monomials, and the norm from the exact Gram, so a second outcome
+    on the same state costs those products alone.  Relative to
     the quadrature-outcome general-dyne density this carries the Jacobian
     factor 2^n.  ``error_band`` bounds the rounding: the amplitude sum is
     off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
-    `stellar.AmplitudeTable.amplitudes` ``with_sums``, and the norm by its rounding bound
+    `stellar.AmplitudeTable.amplitude` ``with_sum``, and the norm by its rounding bound
     ``sup.gram_form[1]``; `Superposition.norm_squared` raises IllConditioned
     once that bound reaches the norm itself.  The band, like `heterodyne_density`'s,
     bounds the rounding of this evaluation on the stored triples, not of the gate fold
     that built them: a one-mode vacuum under squeeze, displace, phase, squeeze and loss
     (seed 149) gets a band 2 ulp wide, and a fold that rounds 1 ulp differently leaves it by 1-2 ulp.
     """
-    amps, sums = sup.amplitude_table.amplitudes(np.atleast_1d(outcome)[None], with_sums=True)
-    amps, slack = amps[0], KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * sums[0]
+    amps, sums = sup.amplitude_table.amplitude(outcome, with_sum=True)
+    slack = KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * sums
     amp = abs(complex(sup.coeffs @ amps))
     amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
     norm_sq, norm_err = sup.norm_squared(), sup.gram_form[1]
@@ -237,16 +237,16 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     the result does not depend on the block size.  The state's
     ``amplitude_table`` is put in real form once per call, and each block's Z
     is one real product with it and a few vectorised passes
-    (`_probe_values`).
+    (`stellar.ProbeValues`).
     """
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
     upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
     cap = math.ceil(upsilon * sup.rank / (1.0 - epsilon))
     total, evaluated = 0.0, 0
-    probe_values = _probe_values(sup)
+    probe_values = stellar.ProbeValues(sup.amplitude_table, sup.coeffs, sup.l1)
     for xis in _husimi_probes(sup, seed, cap, max(1, states.AMPLITUDE_CHUNK // sup.rank)):
-        z = probe_values(xis)
+        z = probe_values.block(xis)
         # one sequential sum from the running total, so the crossing index
         # does not depend on the block size
         running = np.cumsum(np.concatenate(([total], z)))[1:]
@@ -261,53 +261,6 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * sup.l1**2 / big_n
     return NormEstimate(eta, big_n, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
-
-
-def _probe_values(sup: Superposition):
-    """The fast norm's probe value as a function of a block of probes (L, n):
-    Z = |sum_j c_j a_j|^2 / (l1 sum_j |c_j| |a_j|^2) per probe, counting L K
-    amplitude evaluations.
-
-    The phases of the coefficients join log c in the ``amplitude_table`` W.
-    Its real form, the rows (Re W_r, Im W_r) and (-Im W_r, Re W_r) against the
-    real and imaginary parts of each monomial and a row (-1, 0) against
-    |xi|^2/2, gives the (2K, L) block (x, y/2) of x + iy = log(c_j a_j / |c_j|)
-    in one real product, one probe per column so that every later pass runs
-    over contiguous memory.  With e = exp(x) and t = tan(y/2),
-    e cos y = e (1 - t^2) / (1 + t^2) and e sin y = 2 e t / (1 + t^2), and
-    |c| . (e cos y, e sin y / 2, e^2) gives the numerator's real part, half
-    its imaginary part and the denominator.  No complex exp, sin or cos
-    runs: numpy takes those one value at a time, while its float64 exp and
-    tan run as vector loops on AVX-512 hosts.  tan is accurate to an ulp, so
-    e cos y and e sin y are off by a few u e at most.
-    """
-    table, weights, l1 = sup.amplitude_table, np.abs(sup.coeffs), sup.l1
-    w = table.w.copy()
-    w[0] += 1j * np.angle(sup.coeffs)
-    r, k = w.shape
-    real_form = np.zeros((2 * k, 2 * r + 1))
-    real_form[:k, 0:-1:2], real_form[:k, 1:-1:2], real_form[:k, -1] = w.real.T, -w.imag.T, -1.0
-    real_form[k:, 0:-1:2], real_form[k:, 1:-1:2] = 0.5 * w.imag.T, 0.5 * w.real.T
-
-    def values(xis):
-        d, h = table.monomials(xis)
-        counters.tally.amplitude_evals += d.shape[0] * k
-        real = np.empty((d.shape[0], 2 * r + 1))
-        real[:, :-1], real[:, -1:] = d.view(float), h
-        logs = real_form @ real.T
-        e, t = np.exp(logs[:k], out=logs[:k]), np.tan(logs[k:], out=logs[k:])
-        terms = np.empty((3,) + e.shape)
-        t_sq, g = np.multiply(t, t, out=terms[0]), terms[1]
-        np.divide(e, np.add(t_sq, 1.0, out=g), out=g)
-        np.multiply(np.subtract(1.0, t_sq, out=t_sq), g, out=terms[0])
-        np.multiply(g, t, out=terms[1])
-        np.multiply(e, e, out=terms[2])
-        re, half_im, den = weights @ terms
-        if not np.all(den > 0):
-            raise ArithmeticError("every term's amplitude underflowed at a probe drawn from their mixture")
-        return (re * re + 4.0 * (half_im * half_im)) / (l1 * den)
-
-    return values
 
 
 def _husimi_probes(sup: Superposition, seed: int, count: int, rows: int):

@@ -31,11 +31,16 @@ FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 MAX_BS_MBAR = math.floor(math.log(np.finfo(float).max))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
-# (probe, term) pairs per block of an amplitude sweep: each of its temporaries,
-# at most one (L, K) complex array or three (K, L) real ones (64 or 96 kB),
-# stays below glibc's default 128 kB mmap threshold whatever the probe count
-# and the rank, so blocks reuse heap memory instead of faulting in new pages;
-# the fast norm also draws its probes this many at a time
+# (probe, term) pairs per block of an amplitude sweep: its (L, K) temporaries,
+# one complex array or three real ones (64 or 96 kB), stay below glibc's
+# default 128 kB mmap threshold whatever the probe count and the rank, so
+# blocks reuse heap memory instead of faulting in new pages.  The block's
+# monomials grow with m^2 instead: L rows of 1 + m + m^2 complex values, one
+# more in the fast norm, pass 128 kB where the rank is at most half a row
+# (one mode: rank 1, or 2 in the fast norm; two modes: rank 3, or 4; 512 kB
+# for one term on two modes); glibc then raises its threshold to the freed
+# size, so later blocks of that size reuse the heap too.  The fast norm also
+# draws its probes this many at a time
 AMPLITUDE_CHUNK = 1 << 12
 # most envelope shells a grid or GKP truncation sums before giving up
 MAX_SHELLS = 100000
@@ -244,8 +249,8 @@ class Superposition:
         return stellar.AmplitudeTable(self.triples)
 
     def coherent_amplitude(self, xi) -> complex:
-        """<xi|psi>: one product with the ``amplitude_table``; linear in the rank."""
-        return complex(self.coeffs @ self.amplitude_table.amplitudes(np.atleast_1d(xi)[None])[0])
+        """<xi|psi> from the ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`); linear in the rank."""
+        return complex(self.coeffs @ self.amplitude_table.amplitude(xi))
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""

@@ -486,63 +486,146 @@ def state_norm_squared(t: StellarParams) -> float:
 class AmplitudeTable:
     """Coherent amplitudes of a stack of K ket triples as one product.
 
-    ``w`` is the (1 + m + m^2, K) matrix W = [log c; b^T; vec(A)^T / 2] and
-    ``w_abs`` is |W|.  With the monomials d(xi) = (1, conj(xi),
-    vec(conj(xi) conj(xi)^T)) of an outcome,
+    ``w`` is the (K, 1 + m + m^2) table whose row j is W_j = (log c_j, b_j,
+    vec(A_j) / 2), and ``w_abs`` is |w|.  With the monomials d(xi) = (1,
+    conj(xi), vec(conj(xi) conj(xi)^T)) of an outcome,
 
         log <xi|G_j> = log c_j + b_j . conj(xi) + conj(xi)^T A_j conj(xi) / 2 - |xi|^2/2
                      = d(xi) . W_j - |xi|^2/2,
 
     so a block of L outcomes costs one (L, 1 + m + m^2) x (1 + m + m^2, K)
-    product.  A single triple is a stack of one.
+    product.  A single triple is a stack of one.  Only this class and
+    `ProbeValues` read the layout of the table.
     """
 
     __slots__ = ("modes", "w", "w_abs")
 
     def __init__(self, t: StellarParams):
         m, log_c = t.modes, np.reshape(t.log_c, -1)
-        w = np.empty((1 + m + m * m, log_c.shape[0]), dtype=complex)
-        w[0] = log_c
-        w[1 : 1 + m] = t.b.reshape(-1, m).T
-        w[1 + m :] = 0.5 * t.a.reshape(-1, m * m).T
+        w = np.empty((log_c.shape[0], 1 + m + m * m), dtype=complex)
+        w[:, 0] = log_c
+        w[:, 1 : 1 + m] = t.b.reshape(-1, m)
+        w[:, 1 + m :] = 0.5 * t.a.reshape(-1, m * m)
         self.modes, self.w, self.w_abs = m, w, np.abs(w)
 
-    def monomials(self, xis) -> tuple:
-        """(d, h) of outcomes (L, modes): the monomials d(xi), (L, 1 + m + m^2), and h = |xi|^2/2, (L, 1)."""
+    def _outcomes(self, xis) -> np.ndarray:
         xis = np.ascontiguousarray(xis, dtype=complex)
         if xis.ndim != 2 or xis.shape[1] != self.modes:
             raise DimensionMismatch("outcome dimension does not match state")
+        return xis
+
+    def _monomials(self, xis: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write d(xi) of outcomes (L, modes) to ``out`` (L, 1 + m + m^2); return |xi|^2/2, (L,)."""
         l, m = xis.shape
-        d = np.empty((l, self.w.shape[0]), dtype=complex)
-        d[:, 0] = 1.0
-        xb = np.conjugate(xis, out=d[:, 1 : 1 + m])
-        np.multiply(xb[:, :, None], xb[:, None, :], out=d[:, 1 + m :].reshape(l, m, m))
+        out[:, 0] = 1.0
+        xb = np.conjugate(xis, out=out[:, 1 : 1 + m])
+        np.multiply(xb[:, :, None], xb[:, None, :], out=out[:, 1 + m :].reshape(l, m, m))
         parts = xis.view(float)
-        return d, 0.5 * (parts * parts).sum(axis=1, keepdims=True)
+        return 0.5 * (parts * parts).sum(axis=1)
 
-    def amplitudes(self, xis, with_sums: bool = False):
-        """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for outcomes (L, modes): (L, K);
-        counts L K amplitude evaluations.
+    def amplitude(self, xi, with_sum: bool = False):
+        """<xi|G_j> of one outcome (modes,): (K,); counts K amplitude evaluations.
 
-        ``with_sums`` also returns the (L, K) sums S = |d(xi)| . |W_j| + |xi|^2/2
+        The log is summed as (log c - |xi|^2/2) + b . conj(xi) + conj(xi)^T A
+        conj(xi) / 2, each part a product with its columns of the table, in
+        the order and memory layout of the per-term formula on the stacked
+        triples, so a single outcome's amplitude, and with it `exact_born`
+        and `approx_born`'s numerator, rounds exactly as that formula does
+        (a block of outcomes, `amplitudes`, takes one product instead).
+
+        ``with_sum`` also returns the (K,) sums S = |d(xi)| . |W_j| + |xi|^2/2
         of the moduli of the log-domain summands: where they cancel, an
         amplitude is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u of
         its modulus.
         """
-        d, h = self.monomials(xis)
-        counters.tally.amplitude_evals += d.shape[0] * self.w.shape[1]
+        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+        if xi.shape != (self.modes,):
+            raise DimensionMismatch("outcome dimension does not match state")
+        m, w = self.modes, self.w
+        counters.tally.amplitude_evals += w.shape[0]
+        xb = np.conj(xi)
+        pairs = (xb[:, None] * xb[None, :]).reshape(-1)
+        h = 0.5 * np.sum(np.abs(xi) ** 2)
+        out = w[:, 0] - h
+        out += xb @ w[:, 1 : 1 + m].T
+        out += pairs @ w[:, 1 + m :].T
+        amps = np.exp(out, out=out)
+        if not with_sum:
+            return amps
+        return amps, self.w_abs @ np.concatenate(([1.0], np.abs(xb), np.abs(pairs))) + h
+
+    def amplitudes(self, xis) -> np.ndarray:
+        """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for a block of outcomes (L, modes):
+        (L, K) from one product; counts L K amplitude evaluations."""
+        xis = self._outcomes(xis)
+        d = np.empty((xis.shape[0], self.w.shape[1]), dtype=complex)
+        h = self._monomials(xis, d)
+        counters.tally.amplitude_evals += d.shape[0] * self.w.shape[0]
         # the subtraction is also a numpy vector loop between the complex BLAS
         # product and the complex exp: straight after OpenBLAS 0.3.31's product
         # on an AVX-512 host, the exp ran 10-20 times slower
-        out = d @ self.w
-        out -= h
-        amps = np.exp(out, out=out)
-        return (amps, np.abs(d) @ self.w_abs + h) if with_sums else amps
+        out = d @ self.w.T
+        out -= h[:, None]
+        return np.exp(out, out=out)
+
+
+class ProbeValues:
+    """The fast norm's probe value Z = |sum_j c_j a_j|^2 / (l1 sum_j |c_j| |a_j|^2)
+    of a superposition sum_j c_j |G_j>, for blocks of probes.
+
+    Built once per sweep from the stack's `AmplitudeTable`: the phases of
+    the coefficients join log c in W, and its real form, the entries
+    (Re W_jr, -Im W_jr) and (Im W_jr / 2, Re W_jr / 2) against the real and
+    imaginary parts of each monomial and a row (-1, 0) against (|xi|^2/2, 0),
+    gives the (2K, L) block (x, y/2) of x + iy = log(c_j a_j / |c_j|) in one
+    real product, one probe per column so that every later pass runs over
+    contiguous memory.  With e = exp(x) and t = tan(y/2),
+    e cos y = e (1 - t^2) / (1 + t^2) and e sin y = 2 e t / (1 + t^2), and
+    |c| . (e cos y, e sin y / 2, e^2) gives the numerator's real part, half
+    its imaginary part and the denominator.  No complex exp, sin or cos
+    runs: numpy takes those one value at a time, while its float64 exp and
+    tan run as vector loops on AVX-512 hosts.  tan is accurate to an ulp, so
+    e cos y and e sin y are off by a few u e at most.
+    """
+
+    __slots__ = ("table", "real_form", "weights", "l1")
+
+    def __init__(self, table: AmplitudeTable, coeffs: np.ndarray, l1: float):
+        w = table.w.copy()
+        w[:, 0] += 1j * np.angle(coeffs)
+        k, r = w.shape
+        # columns: (Re, Im) of each monomial, then (|xi|^2/2, 0), so that a
+        # probe's row of reals is also an aligned row of r + 1 complex values
+        real_form = np.zeros((2 * k, 2 * r + 2))
+        real_form[:k, 0:-2:2], real_form[:k, 1:-2:2], real_form[:k, -2] = w.real, -w.imag, -1.0
+        real_form[k:, 0:-2:2], real_form[k:, 1:-2:2] = 0.5 * w.imag, 0.5 * w.real
+        self.table, self.real_form, self.weights, self.l1 = table, real_form, np.abs(coeffs), l1
+
+    def block(self, xis) -> np.ndarray:
+        """Z of each probe of a block (L, modes), (L,); counts L K amplitude evaluations."""
+        table = self.table
+        xis = table._outcomes(xis)
+        k, r = table.w.shape
+        row = np.empty((xis.shape[0], r + 1), dtype=complex)
+        row[:, r] = table._monomials(xis, row[:, :r])
+        counters.tally.amplitude_evals += xis.shape[0] * k
+        logs = self.real_form @ row.view(float).T
+        e, t = np.exp(logs[:k], out=logs[:k]), np.tan(logs[k:], out=logs[k:])
+        terms = np.empty((3,) + e.shape)
+        t_sq, g = np.multiply(t, t, out=terms[0]), terms[1]
+        np.divide(e, np.add(t_sq, 1.0, out=g), out=g)
+        np.multiply(np.subtract(1.0, t_sq, out=t_sq), g, out=terms[0])
+        np.multiply(g, t, out=terms[1])
+        np.multiply(e, e, out=terms[2])
+        re, half_im, den = self.weights @ terms
+        if not np.all(den > 0):
+            raise ArithmeticError("every term's amplitude underflowed at a probe drawn from their mixture")
+        return (re * re + 4.0 * (half_im * half_im)) / (self.l1 * den)
 
 
 def coherent_amplitude(t: StellarParams, xi):
     """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
-    amps = AmplitudeTable(t).amplitudes(np.atleast_1d(xi)[None])[0]
+    amps = AmplitudeTable(t).amplitude(xi)
     return amps if np.ndim(t.log_c) else amps[0]
 
 

@@ -1577,7 +1577,7 @@ SPELLED_INITIAL = {
     "coherent": {"alpha": 0},
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": [0, 0]},
     "cat": {"alpha": 1.0, "parity": "+"},
-    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5, "tail_tol": 1e-8},
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
     "grid": {"delta": 0.3, "tail_tol": 1e-8},
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
@@ -1622,21 +1622,6 @@ def test_an_initial_default_is_the_value_spelled_out(kind, tmp_path, capsys):
     want = _document({**program, "initial": {"kind": kind}}, tmp_path, capsys)
     for key, value in SPELLED_INITIAL[kind].items():
         assert _document({**program, "initial": {"kind": kind, key: value}}, tmp_path, capsys) == want, key
-
-
-def test_a_gkp_word_takes_its_tail_tolerance(tmp_path, capsys):
-    # s_max = 2 drops 5.45e-5 of the envelope's l1 mass: past the default
-    # tail_tol of 1e-8, within 1e-3
-    from gsim import simulator, states
-
-    word = {"kind": "gkp", "d": 2, "mu": 1, "kappa": 0.5, "delta": 0.5, "s_max": 2}
-    program = {"schema_version": 1, "modes": 1, "task": {"name": "exact_born", "outcome": [0.3]}}
-    doc = _document({**program, "initial": {**word, "tail_tol": 1e-3}}, tmp_path, capsys)
-    sup, tail = states.gkp_state(2, 1, 0.5, 0.5, 2, tail_tol=1e-3)
-    assert doc["value"] == simulator.exact_born(sup, [0.3]).value and 5e-5 < tail < 1e-3
-    code, out, err = _run_program({**program, "initial": word}, tmp_path, capsys)
-    assert code == 2 and out == ""
-    assert err == "validation error: initial: s_max too small: dropped l1 mass 5.450e-05 > 1.0e-08\n"
 
 
 @pytest.mark.parametrize("gate", sorted(SPELLED_GATES))

@@ -445,7 +445,7 @@ class TestAmplitudeTableCache:
             assert "amplitude_table" not in vars(child)
             outcome = [0.2] * child.n
             exact_born(child, outcome)
-            assert child.amplitude_table is not parent and child.amplitude_table.w.shape[1] == child.rank
+            assert child.amplitude_table is not parent and child.amplitude_table.w.shape[0] == child.rank
             assert np.array_equal(child.amplitude_table.w, stellar.AmplitudeTable(child.triples).w)
         # the parent's table, and per child its own and the one built to check it
         assert sup.amplitude_table is parent and len(built) == 1 + 2 * len(children)
@@ -637,7 +637,7 @@ class TestFastNorm:
         # of Z without cancellation, (sum |c a|)^2 / (l1 sum |c| |a|^2) <= 1: where
         # the terms cancel, both sides round by about u times that (at most 1.7e-15
         # of it over 200 seeds here)
-        from gsim.simulator import _husimi_probes, _probe_values
+        from gsim.simulator import _husimi_probes
 
         sup = {
             "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
@@ -645,13 +645,13 @@ class TestFastNorm:
             "two-mode": lambda: evolve(cat_with_vacuum(1.2), GaussianUnitary.from_gates(
                 [Squeeze(0, 0.6, 0.4), BeamSplitter(0, 1, 0.7, 0.3), Displace(1, 0.2 - 0.5j)], 2)),
         }[name]()
-        values, coeffs = _probe_values(sup), sup.coeffs
+        values, coeffs = stellar.ProbeValues(sup.amplitude_table, sup.coeffs, sup.l1), sup.coeffs
         rows = max(1, AMPLITUDE_CHUNK // sup.rank)
         for block, xis in zip(range(3), _husimi_probes(sup, 11, 3 * rows, rows)):
             amps = stellar.coherent_amplitude_batch(sup.triples, xis)
             den = sup.l1 * (np.abs(amps) ** 2 @ np.abs(coeffs))
             want, scale = np.abs(amps @ coeffs) ** 2 / den, (np.abs(amps) @ np.abs(coeffs)) ** 2 / den
-            assert np.all(np.abs(values(xis) - want) <= 1e-13 * scale)
+            assert np.all(np.abs(values.block(xis) - want) <= 1e-13 * scale)
 
     def test_far_cat_keeps_its_probes_in_range(self):
         # probes near +-40 make the log-domain summands of order 1600: the

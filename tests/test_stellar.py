@@ -265,28 +265,37 @@ class TestAmplitudeTable:
         t = self._random_stack(rng, m, k)
         xis = rng.normal(size=(6, m)) + 1j * rng.normal(size=(6, m))
         xis *= (rng.uniform(0, 5, 6) / np.linalg.norm(xis, axis=1))[:, None]  # |xi| <= 5
-        got, sums = stellar.AmplitudeTable(t).amplitudes(xis, with_sums=True)
+        table = stellar.AmplitudeTable(t)
+        got = table.amplitudes(xis)
         for row, xi in enumerate(xis):
             xb, x = np.conj(xi), np.abs(xi)
+            single, sums = table.amplitude(xi, with_sum=True)
             for j in range(k):
                 log_ref = t.log_c[j] - 0.5 * np.vdot(xi, xi).real + t.b[j] @ xb + 0.5 * xb @ t.a[j] @ xb
                 # both sides round the log to about u times the sum of its summands'
                 # moduli, at most about 50 here, which bounds the amplitudes' relative gap
                 assert abs(got[row, j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
+                assert abs(single[j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
                 former = abs(t.log_c[j]) + 0.5 * (x @ x) + np.abs(t.b[j]) @ x + 0.5 * ((np.abs(t.a[j]) @ x) @ x)
-                assert sums[row, j] == pytest.approx(former, rel=1e-15, abs=0)
-        # one outcome takes a matrix-vector product, which may round otherwise:
-        # within 1e-13 of the same reference, so within 2e-13 of the block
-        single = stellar.coherent_amplitude(t, xis[0])
-        assert single.shape == (k,) and np.allclose(single, got[0], rtol=2e-13, atol=0)
+                assert sums[j] == pytest.approx(former, rel=1e-15, abs=0)
+            # one outcome rounds as the stacked per-term formula does, bit for bit
+            log_stacked = t.log_c - 0.5 * np.sum(np.abs(xi[None]) ** 2, axis=1)[:, None]
+            log_stacked += xb[None] @ t.b.T
+            log_stacked += (xb[None, :, None] * xb[None, None, :]).reshape(-1, m * m) @ (0.5 * t.a).reshape(k, m * m).T
+            assert np.array_equal(single, np.exp(log_stacked[0]))
+        # a one-term table takes other BLAS kernels than a stack of k
         one = stellar.coherent_amplitude(t[0], xis[0])
-        assert np.ndim(one) == 0 and one == pytest.approx(got[0, 0], rel=2e-13, abs=0)
+        assert np.ndim(one) == 0 and one == pytest.approx(table.amplitude(xis[0])[0], rel=2e-13, abs=0)
+        assert np.array_equal(stellar.coherent_amplitude(t, xis[0]), table.amplitude(xis[0]))
 
     def test_outcomes_of_the_wrong_width_are_rejected(self):
         table = stellar.AmplitudeTable(stellar.vacuum(2, 3))
         for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((1, 1, 2))):
             with pytest.raises(DimensionMismatch):
-                table.monomials(bad)
+                table.amplitudes(bad)
+        for bad in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+            with pytest.raises(DimensionMismatch):
+                table.amplitude(bad)
         with pytest.raises(DimensionMismatch):
             stellar.coherent_amplitude(stellar.vacuum(2), [0.1])
 
@@ -294,11 +303,12 @@ class TestAmplitudeTable:
         t = self._random_stack(np.random.default_rng(5), 2, 7)
         table = stellar.AmplitudeTable(t)
         counters.tally.reset()
-        table.amplitudes(np.zeros((5, 2)), with_sums=True)
-        table.monomials(np.zeros((5, 2)))
+        table.amplitudes(np.zeros((5, 2)))
+        table.amplitude([0.1, 0.2], with_sum=True)
+        stellar.ProbeValues(table, np.ones(7), 7.0).block(np.zeros((3, 2)))
         stellar.coherent_amplitude(t, [0.1, 0.2])
         stellar.coherent_amplitude_batch(t[3], np.zeros((4, 2)))
-        assert counters.tally.amplitude_evals == 5 * 7 + 7 + 4
+        assert counters.tally.amplitude_evals == 5 * 7 + 7 + 3 * 7 + 7 + 4
 
 
 def test_compose_large_displacement_onto_p_squeezer():
