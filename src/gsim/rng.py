@@ -25,4 +25,7 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     interleaved as (r cos, r sin); log1p(-u) keeps the radius finite."""
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     angle = 2.0 * np.pi * u[:, 1::2]
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(u.shape[0], -1)
+    out = np.empty(u.shape)
+    np.multiply(radius, np.cos(angle), out=out[:, 0::2])
+    np.multiply(radius, np.sin(angle), out=out[:, 1::2])
+    return out

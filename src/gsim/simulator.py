@@ -232,9 +232,15 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     returned, `Superposition.norm_squared` banded by its rounding bound
     ``sup.gram_form[1]``: a cancelling state (an odd cat at small alpha) ends
     in bounded time, and raises IllConditioned where that bound reaches the
-    norm.  Probes are evaluated in blocks of AMPLITUDE_CHUNK // rank rows, N
-    is found to the row, and probe i is row i of the one stream (seed, 0), so
-    the result does not depend on the block size.  The state's
+    norm.  Probes are drawn and evaluated in blocks sized by the stopping
+    rule: the first holds ceil(Upsilon_1) probes, as no fewer can reach it
+    with Z <= 1, and each later one the count (Upsilon_1 - S) n / S that the
+    running mean S / n of the n probes so far predicts is still missing, plus
+    32; no block exceeds AMPLITUDE_CHUNK // rank rows or the cap.  Only the
+    probes evaluated are drawn, N is found to the row in one sequential sum,
+    and probe i is row i of the one stream (seed, 0), so the result does not
+    depend on the block sizes, nor on Z <= 1 holding to the last bit; a run
+    overshoots N by fewer probes than its last block holds.  The state's
     ``amplitude_table`` is put in real form once per call, and each block's Z
     is one real product with it and a few vectorised passes
     (`stellar.ProbeValues`).
@@ -243,17 +249,21 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
     upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
     cap = math.ceil(upsilon * sup.rank / (1.0 - epsilon))
-    total, evaluated = 0.0, 0
+    budget = max(1, states.AMPLITUDE_CHUNK // sup.rank)
+    draw = _husimi_probes(sup, seed)
     probe_values = stellar.ProbeValues(sup.amplitude_table, sup.coeffs, sup.l1)
-    for xis in _husimi_probes(sup, seed, cap, max(1, states.AMPLITUDE_CHUNK // sup.rank)):
-        z = probe_values.block(xis)
+    total, evaluated, want = 0.0, 0, upsilon  # Z <= 1, so no fewer probes can stop
+    while True:
+        z = probe_values.block(draw(min(math.ceil(min(want, budget)), cap - evaluated)))
         # one sequential sum from the running total, so the crossing index
-        # does not depend on the block size
+        # does not depend on the block sizes
         running = np.cumsum(np.concatenate(([total], z)))[1:]
         total = running[-1]
         evaluated += len(z)
-        if total >= upsilon:
+        if total >= upsilon or evaluated == cap:
             break
+        # the probes that the running mean predicts the sum still lacks, and a margin
+        want = (upsilon - total) * evaluated / total + 32 if total > 0 else budget
     counters.tally.samples += evaluated
     if total < upsilon:
         nsq, err = sup.norm_squared(), sup.gram_form[1]
@@ -263,28 +273,28 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     return NormEstimate(eta, big_n, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
 
 
-def _husimi_probes(sup: Superposition, seed: int, count: int, rows: int):
-    """The first ``count`` probes from the Husimi mixture of ``sup``, yielded
-    ``rows`` at a time.  Probe i is row i of the 2n + 1 uniforms per row read
-    in order from stream (seed, 0): the last picks term j with probability
-    |c_j| / l1 and the Box-Muller normals z of the others give
-    xi = mean_j + L_j z, L_j the Cholesky factor of the term's Husimi
-    covariance.  Drawn AMPLITUDE_CHUNK at a time, which bounds temporaries;
-    the width is fixed, so probe i depends only on (seed, i).
+def _husimi_probes(sup: Superposition, seed: int):
+    """A function ``draw(rows)`` that returns the next ``rows`` probes (rows,
+    n) from the Husimi mixture of ``sup``, drawing exactly those.  Probe i is
+    row i of the 2n + 1 uniforms per row read in order from stream (seed, 0):
+    the last picks term j with probability |c_j| / l1 and the Box-Muller
+    normals z of the others give xi = mean_j + L_j z, L_j the Cholesky factor
+    of the term's Husimi covariance.  The width is fixed, so probe i depends
+    only on (seed, i), however the draws are sized.
     """
-    n, chunk = sup.n, states.AMPLITUDE_CHUNK
+    n, rank = sup.n, sup.rank
     cdf = np.cumsum(np.abs(sup.coeffs))
     mean, cov = stellar.husimi_gaussian(sup.triples)
     factor = np.linalg.cholesky(cov)
     uniforms = stream(seed, 0)
-    for start in range(0, count, chunk):
-        u = uniforms.random((min(chunk, count - start), 2 * n + 1))
-        j = np.minimum(np.searchsorted(cdf, u[:, -1] * cdf[-1], side="right"), sup.rank - 1)
+
+    def draw(rows: int) -> np.ndarray:
+        u = uniforms.random((rows, 2 * n + 1))
+        j = np.minimum(np.searchsorted(cdf, u[:, -1] * cdf[-1], side="right"), rank - 1)
         v = mean[j] + np.einsum("rij,rj->ri", factor[j], box_muller(u[:, :-1]))
-        xis = v[:, :n] + 1j * v[:, n:]
-        del u, j, v  # so that only the probes stay alive while the next chunk is drawn
-        for s in range(0, len(xis), rows):
-            yield xis[s : s + rows]
+        return v[:, :n] + 1j * v[:, n:]
+
+    return draw
 
 
 def approx_born(

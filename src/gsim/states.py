@@ -31,17 +31,19 @@ FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 MAX_BS_MBAR = math.floor(math.log(np.finfo(float).max))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
-# (probe, term) pairs per block of an amplitude sweep: its (L, K) temporaries,
-# one complex array or three real ones (64 or 96 kB), stay below glibc's
-# default 128 kB mmap threshold whatever the probe count and the rank, so
-# blocks reuse heap memory instead of faulting in new pages.  The block's
-# monomials grow with m^2 instead: L rows of 1 + m + m^2 complex values, one
-# more in the fast norm, pass 128 kB where the rank is at most half a row
-# (one mode: rank 1, or 2 in the fast norm; two modes: rank 3, or 4; 512 kB
-# for one term on two modes); glibc then raises its threshold to the freed
-# size, so later blocks of that size reuse the heap too.  The fast norm also
-# draws its probes this many at a time
-AMPLITUDE_CHUNK = 1 << 12
+# (probe, term) pairs per block of an amplitude sweep, and the most that one
+# block of the fast norm's probes takes: its temporaries (four (K, L) float
+# slots, 768 kB, and L rows of 1 + m + m^2 monomials and |xi|^2/2) stay
+# bounded whatever the probe count.  Larger than glibc's default 128 kB mmap
+# threshold, which glibc then raises to the freed size, so later blocks reuse
+# the heap.  A block of this size spreads its fixed cost (about 40 us of numpy
+# calls) over enough amplitudes that it costs about as much per amplitude as
+# an unbounded one; 2^15 pairs ran no faster on the approx-default benchmark
+# and peaked 0.3 MB higher.
+# The monomials outgrow the slots only at a rank below (2 + m + m^2) / 2: one
+# term on two modes takes 128 bytes a row, 3 MB at the full 24576 rows, which
+# its fast norm reaches only below epsilon = 0.021 at p_fail = 0.05
+AMPLITUDE_CHUNK = 3 << 13
 # most envelope shells a grid or GKP truncation sums before giving up
 MAX_SHELLS = 100000
 # largest spread of the witness moduli that witness_check calls equal

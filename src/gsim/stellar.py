@@ -605,19 +605,23 @@ class ProbeValues:
         """Z of each probe of a block (L, modes), (L,); counts L K amplitude evaluations."""
         table = self.table
         xis = table._outcomes(xis)
-        k, r = table.w.shape
-        row = np.empty((xis.shape[0], r + 1), dtype=complex)
+        (l, _), (k, r) = xis.shape, table.w.shape
+        row = np.empty((l, r + 1), dtype=complex)
         row[:, r] = table._monomials(xis, row[:, :r])
-        counters.tally.amplitude_evals += xis.shape[0] * k
-        logs = self.real_form @ row.view(float).T
-        e, t = np.exp(logs[:k], out=logs[:k]), np.tan(logs[k:], out=logs[k:])
-        terms = np.empty((3,) + e.shape)
-        t_sq, g = np.multiply(t, t, out=terms[0]), terms[1]
+        counters.tally.amplitude_evals += l * k
+        # four (K, L) slots: x then e = exp(x), y/2 then t = tan(y/2), t^2 and
+        # g = e / (1 + t^2); they end as e^2, e sin y / 2 and e cos y
+        slots = np.empty((4, k, l))
+        e, t, t_sq, g = slots
+        np.matmul(self.real_form, row.view(float).T, out=slots[:2].reshape(2 * k, l))
+        np.exp(e, out=e)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=t_sq)
         np.divide(e, np.add(t_sq, 1.0, out=g), out=g)
-        np.multiply(np.subtract(1.0, t_sq, out=t_sq), g, out=terms[0])
-        np.multiply(g, t, out=terms[1])
-        np.multiply(e, e, out=terms[2])
-        re, half_im, den = self.weights @ terms
+        np.multiply(np.subtract(1.0, t_sq, out=t_sq), g, out=t_sq)
+        np.multiply(g, t, out=t)
+        np.multiply(e, e, out=e)
+        den, half_im, re = self.weights @ slots[:3]
         if not np.all(den > 0):
             raise ArithmeticError("every term's amplitude underflowed at a probe drawn from their mixture")
         return (re * re + 4.0 * (half_im * half_im)) / (self.l1 * den)
@@ -640,8 +644,10 @@ def husimi_gaussian(t: StellarParams):
     Husimi density |<xi|psi>|^2 / pi^n of each ket of a stack: it is
     exp(-v^T P v + 2 h^T v) up to a constant, P = [[1 - Re A, -Im A],
     [-Im A, 1 + Re A]] (positive definite as ||A||_2 < 1), h = (Re b, Im b)."""
-    a, eye = t.a, np.eye(t.modes)
-    p = np.block([[eye - a.real, -a.imag], [-a.imag, eye + a.real]])
+    n, a, eye = t.modes, t.a, np.eye(t.modes)
+    p = np.empty(a.shape[:-2] + (2 * n, 2 * n))
+    p[..., :n, :n], p[..., n:, n:] = eye - a.real, eye + a.real
+    p[..., :n, n:] = p[..., n:, :n] = -a.imag
     h = np.concatenate([t.b.real, t.b.imag], axis=-1)
     return np.linalg.solve(p, h[..., None])[..., 0], 0.5 * np.linalg.inv(p)
 

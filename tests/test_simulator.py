@@ -556,6 +556,42 @@ class TestSparsify:
         assert peak < 30e6
 
 
+def record_probe_draws(monkeypatch) -> list:
+    """Wrap the fast norm's probe source: the returned list collects every
+    block of probes it draws, in order."""
+    import gsim.simulator as simulator_module
+
+    husimi_probes, drawn = simulator_module._husimi_probes, []
+
+    def recording(*args):
+        draw = husimi_probes(*args)
+
+        def recorded(rows):
+            xis = draw(rows)
+            assert xis.shape[0] == rows
+            drawn.append(np.array(xis))
+            return xis
+
+        return recorded
+
+    monkeypatch.setattr(simulator_module, "_husimi_probes", recording)
+    return drawn
+
+
+def replay_states():
+    """The states whose seeded fast-norm and approx-Born outputs are pinned."""
+    return {
+        "ring16": lambda: fock1_ring(optimal_fock1_seed(), 8),
+        "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
+        "grid0.3": lambda: grid_sensor(0.3)[0],
+        "cat2": lambda: cat_state(2.0, +1),
+        "oddcat0.5": lambda: cat_state(0.5, -1),
+        "gkp": lambda: gkp_state(2, 0, 0.3, 0.3, 5)[0],
+        "two-mode": lambda: evolve(cat_with_vacuum(1.2), GaussianUnitary.from_gates(
+            [Squeeze(0, 0.6, 0.4), BeamSplitter(0, 1, 0.7, 0.3), Displace(1, 0.2 - 0.5j)], 2)),
+    }
+
+
 class TestFastNorm:
     def test_vacuum_band_coverage(self):
         sup = single_gaussian(GaussianPure.vacuum(1))
@@ -609,23 +645,13 @@ class TestFastNorm:
 
     def test_probe_row_depends_only_on_seed_and_index(self, monkeypatch):
         # a longer run (smaller epsilon) extends the probes of a shorter one
-        import gsim.simulator as simulator_module
-
         sup = cat_with_vacuum(0.8)
-        probes = []
-        husimi_probes = simulator_module._husimi_probes
-
-        def capture(*args):
-            for xis in husimi_probes(*args):
-                probes[-1].append(np.array(xis))
-                yield xis
-
-        monkeypatch.setattr(simulator_module, "_husimi_probes", capture)
-        runs = []
+        drawn, probes, runs = record_probe_draws(monkeypatch), [], []
         for eps, seed in ((0.5, 17), (0.3, 17), (0.5, 18)):
-            probes.append([])
             runs.append(fast_norm(sup, eps, 0.5, seed=seed))
-        short, long, other = (np.concatenate(p) for p in probes)
+            probes.append(np.concatenate(drawn))
+            drawn.clear()
+        short, long, other = probes
         assert short.shape[1] == 2 and runs[1].samples > runs[0].samples
         assert np.array_equal(long[: runs[0].samples], short[: runs[0].samples])
         assert not np.any(other[: runs[0].samples] == short[: runs[0].samples])
@@ -639,15 +665,10 @@ class TestFastNorm:
         # of it over 200 seeds here)
         from gsim.simulator import _husimi_probes
 
-        sup = {
-            "ring32": lambda: fock1_ring(optimal_fock1_seed(), 16),
-            "grid0.3": lambda: grid_sensor(0.3)[0],
-            "two-mode": lambda: evolve(cat_with_vacuum(1.2), GaussianUnitary.from_gates(
-                [Squeeze(0, 0.6, 0.4), BeamSplitter(0, 1, 0.7, 0.3), Displace(1, 0.2 - 0.5j)], 2)),
-        }[name]()
+        sup = replay_states()[name]()
         values, coeffs = stellar.ProbeValues(sup.amplitude_table, sup.coeffs, sup.l1), sup.coeffs
-        rows = max(1, AMPLITUDE_CHUNK // sup.rank)
-        for block, xis in zip(range(3), _husimi_probes(sup, 11, 3 * rows, rows)):
+        rows, draw = max(1, AMPLITUDE_CHUNK // sup.rank), _husimi_probes(sup, 11)
+        for xis in (draw(rows) for _ in range(3)):
             amps = stellar.coherent_amplitude_batch(sup.triples, xis)
             den = sup.l1 * (np.abs(amps) ** 2 @ np.abs(coeffs))
             want, scale = np.abs(amps @ coeffs) ** 2 / den, (np.abs(amps) @ np.abs(coeffs)) ** 2 / den
@@ -664,26 +685,34 @@ class TestFastNorm:
         assert (est.eta, est.samples) == (0.9998699527652295, 2334)
 
     def test_result_does_not_depend_on_the_block_size(self, monkeypatch):
+        # blocks of one row, of a prime number of amplitudes and without a
+        # bound; the odd cat reaches its cap and returns the exact norm
         import gsim.states as states_module
 
-        ring = fock1_ring(optimal_fock1_seed(), 8)
-        want = fast_norm(ring, 0.1, 0.05, seed=3)
-        for chunk in (16 * 3 + 5, 16 * 100, 1 << 14):
+        sups = (fock1_ring(optimal_fock1_seed(), 8), grid_sensor(0.3)[0], cat_with_vacuum(1.0), cat_state(0.5, -1))
+        wants = [fast_norm(sup, 0.1, 0.05, seed=3) for sup in sups]
+        assert wants[-1].eta == sups[-1].norm_squared()
+        drawn = record_probe_draws(monkeypatch)
+        for chunk in (1, 1009, 1 << 40):
             monkeypatch.setattr(states_module, "AMPLITUDE_CHUNK", chunk)
-            got = fast_norm(ring, 0.1, 0.05, seed=3)
-            assert (got.eta, got.samples) == (want.eta, want.samples)
+            for sup, want in zip(sups, wants):
+                drawn.clear()
+                got = fast_norm(sup, 0.1, 0.05, seed=3)
+                assert (got.eta, got.samples, got.band) == (want.eta, want.samples, want.band)
+                assert max(len(xis) for xis in drawn) <= max(1, chunk // sup.rank)
 
     def test_probes_are_consecutive_rows_of_one_stream(self):
         # probe i is mean + L box_muller(u_i) with u_i row i of the 2n + 1
-        # uniforms per row read in order from stream (seed, 0), across draw blocks
+        # uniforms per row read in order from stream (seed, 0), across draws of any size
         from gsim.phase import propagate
         from gsim.rng import box_muller
         from gsim.simulator import _husimi_probes
 
         gates = [Squeeze(0, 0.5, 0.3), BeamSplitter(0, 1, 0.7, 0.2), Displace(1, 0.3 - 0.4j)]
         sup = single_gaussian(propagate(GaussianPure.vacuum(2), GaussianUnitary.from_gates(gates, 2)))
-        seed, count, n = 41, AMPLITUDE_CHUNK + 37, 2
-        got = np.concatenate(list(_husimi_probes(sup, seed, count, 100)))
+        seed, n, pieces = 41, 2, (1, 100, 4096, 36)
+        draw = _husimi_probes(sup, seed)
+        got, count = np.concatenate([draw(rows) for rows in pieces]), sum(pieces)
         u = stream(seed, 0).random((count, 2 * n + 1))
         mean, cov = stellar.husimi_gaussian(sup.triples)
         v = mean[0] + box_muller(u[:, :-1]) @ np.linalg.cholesky(cov[0]).T
@@ -742,15 +771,31 @@ class TestFastNorm:
             assert est.eta == pytest.approx(upsilon * abs(coeff) ** 2 / math.ceil(upsilon), rel=1e-14)
             assert est.band == pytest.approx((est.eta / (1 + eps), est.eta / (1 - eps)), rel=1e-15)
 
-    def test_amplitude_counter_linear_in_rank(self):
+    def test_amplitude_counter_linear_in_rank(self, monkeypatch):
+        drawn = record_probe_draws(monkeypatch)
         for big_n in (4, 16, 64):
             ring = fock1_ring(optimal_fock1_seed(), big_n)
             counters.tally.reset()
+            drawn.clear()
             est = fast_norm(ring, 0.5, 0.5, seed=0)
             evaluated = counters.tally.samples
-            # exactly the evaluated probes per term; those overshoot N by less than one block
+            # exactly the evaluated probes per term; N lies in the last block,
+            # so they overshoot it by less than that block's rows
             assert counters.tally.amplitude_evals == 2 * big_n * evaluated
-            assert est.samples <= evaluated < est.samples + max(1, AMPLITUDE_CHUNK // (2 * big_n))
+            assert est.samples <= evaluated < est.samples + len(drawn[-1])
+
+    @pytest.mark.parametrize("name", ["ring16", "ring32", "grid0.3", "oddcat0.5", "two-mode"])
+    def test_draws_only_the_probes_it_evaluates(self, name, monkeypatch):
+        # every probe drawn is evaluated, on the stopping route and on the cap route
+        drawn = record_probe_draws(monkeypatch)
+        sup = replay_states()[name]()
+        for seed in (3, 17):
+            counters.tally.reset()
+            drawn.clear()
+            est = fast_norm(sup, 0.1, 0.05, seed=seed)
+            assert sum(len(xis) for xis in drawn) == counters.tally.samples
+            assert counters.tally.amplitude_evals == sup.rank * counters.tally.samples
+            assert est.samples <= counters.tally.samples
 
     def test_exact_norm_counter_orbit_row(self):
         # the ring's circulant Gram takes one row of K - 1 overlaps
@@ -777,9 +822,11 @@ class TestFastNorm:
     def test_peak_memory_does_not_follow_the_probe_count(self):
         import tracemalloc
 
+        # AMPLITUDE_CHUNK // rank rows cap every block of both runs, and the
+        # second takes about six times the probes of the first
         ring = fock1_ring(optimal_fock1_seed(), 16)
         peaks = {}
-        for eps in (0.2, 0.05):
+        for eps in (0.05, 0.02):
             tracemalloc.start()
             try:
                 est = fast_norm(ring, eps, 0.05, seed=1)
@@ -787,7 +834,46 @@ class TestFastNorm:
             finally:
                 tracemalloc.stop()
             assert est.band[0] <= ring.norm_squared() <= est.band[1]
-        assert peaks[0.05] <= 1.5 * peaks[0.2]
+        assert peaks[0.02] <= 1.5 * peaks[0.05]
+
+
+# (eta, samples, band) of fast_norm and (value, error_band) of approx_born at
+# the CLI defaults (epsilon 0.1, p_fail 0.05, delta 0.1) on `replay_states`,
+# at the outcome (0.3 + 0.2i, -0.1 + 0.4i) cut to the mode count, as an
+# earlier fast norm with fixed-size probe blocks gave them: the block sizes
+# may move only the work counters
+REPLAY = {
+    ("ring16", 3): (1.009371635429399, 2419, (0.9176105776630898, 1.1215240393659986), 0.04884012642461484, (0.04395611378215336, 0.05372413906707633)),
+    ("ring16", 17): (0.9957871068938483, 2452, (0.9052610062671348, 1.1064301187709424), 0.034230141331416206, (0.030807127198274584, 0.03765315546455783)),
+    ("ring16", 2024): (1.004802463417167, 2430, (0.9134567849246973, 1.11644718157463), 0.03206052069637154, (0.028854468626734384, 0.0352665727660087)),
+    ("ring32", 3): (1.0068742210736978, 2425, (0.9153402009760889, 1.118749134526331), 0.04504180186785225, (0.040537621681067025, 0.04954598205463748)),
+    ("ring32", 17): (0.9957871068938489, 2452, (0.9052610062671352, 1.106430118770943), 0.024409628550718557, (0.021968665695646702, 0.026850591405790415)),
+    ("ring32", 2024): (1.0043891345552107, 2431, (0.9130810314138279, 1.1159879272835675), 0.024852015834355482, (0.022366814250919933, 0.02733721741779103)),
+    ("grid0.3", 3): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.12475330260090065, (0.11227797234081058, 0.1372286328609907)),
+    ("grid0.3", 17): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.1352535738286861, (0.1217282164458175, 0.14877893121155472)),
+    ("grid0.3", 2024): (1.0027400216020848, 5484, (0.911581837820077, 1.114155579557872), 0.11532168613857083, (0.10378951752471374, 0.1268538547524279)),
+    ("cat2", 3): (0.9999630794421112, 2333, (0.9090573449473737, 1.1110700882690123), 0.012176164169228053, (0.010958547752305248, 0.01339378058615086)),
+    ("cat2", 17): (1.0008210486222417, 2331, (0.9098373169293106, 1.1120233873580463), 0.01345934018066831, (0.01211340616260148, 0.014805274198735143)),
+    ("cat2", 2024): (1.0003918800765204, 2332, (0.9094471637059275, 1.1115465334183559), 0.012700012131315658, (0.011430010918184092, 0.013970013344447226)),
+    ("oddcat0.5", 3): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.028160885216548234, (0.025344796694893413, 0.03097697373820306)),
+    ("oddcat0.5", 17): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.04532628745069671, (0.04079365870562704, 0.049858916195766385)),
+    ("oddcat0.5", 2024): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.034158708141687324, (0.030742837327518594, 0.03757457895585606)),
+    ("gkp", 3): (0.9995457918160565, 3890, (0.9086779925600513, 1.110606435351174), 0.0809570215917133, (0.07286131943254197, 0.08905272375088463)),
+    ("gkp", 17): (0.9990321506075179, 3892, (0.9082110460068344, 1.1100357228972422), 0.093843596121606, (0.08445923650944541, 0.10322795573376661)),
+    ("gkp", 2024): (0.9903803184321089, 3926, (0.9003457440291899, 1.1004225760356765), 0.09746265110400892, (0.08771638599360804, 0.10720891621440982)),
+    ("two-mode", 3): (1.002112403799759, 2205, (0.911011276181599, 1.1134582264441768), 0.03333282048345865, (0.029999538435112782, 0.036666102531804516)),
+    ("two-mode", 17): (0.999845181166728, 2210, (0.9089501646970254, 1.1109390901852534), 0.03631710321307511, (0.0326853928917676, 0.03994881353438262)),
+    ("two-mode", 2024): (0.982070155723764, 2250, (0.8927910506579672, 1.0911890619152933), 0.034056790483039945, (0.03065111143473595, 0.03746246953134394)),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(REPLAY))
+def test_seeded_estimates_replay_bit_for_bit(name, seed):
+    sup = replay_states()[name]()
+    est = fast_norm(sup, 0.1, 0.05, seed=seed)
+    outcome = [0.3 + 0.2j, -0.1 + 0.4j][: sup.n]
+    born = approx_born(sup, outcome, 0.1, 0.1, 0.05, seed=seed)
+    assert (est.eta, est.samples, est.band, born.value, born.error_band) == REPLAY[name, seed]
 
 
 class TestApproxBorn:
@@ -878,7 +964,7 @@ def test_fast_norm_moments_by_quadrature():
             assert np.allclose(mean[k], mu, atol=1e-9)
             assert np.allclose(cov[k], (dens[:, None] * (v - mu)).T @ (v - mu), atol=1e-9)
         # the probes drawn follow the mixture (5 standard errors)
-        draws = np.concatenate(list(_husimi_probes(sup, 99, 20_000, 1000)))[:, 0]
+        draws = _husimi_probes(sup, 99)(20_000)[:, 0]
         count = len(draws)
         dv = np.column_stack([draws.real, draws.imag])
         se = np.sqrt(np.diag(mix_cov) / count)
