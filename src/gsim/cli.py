@@ -2,7 +2,8 @@
 
 Programs are JSON documents typed field by field; results are deterministic
 JSON or CSV documents carrying the task value, error band, work counters and
-the seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
+the seed.  Exit codes: 0 success, 2 parse/validation error, 3 numerical failure
+or an array too large to allocate.
 """
 
 import argparse
@@ -26,27 +27,6 @@ from .states import Superposition
 from .symplectic import is_symplectic
 
 SCHEMA_VERSION = 1
-
-RESULT_SCHEMA = {
-    "type": "object",
-    "required": ["task", "inputs", "value", "error_band", "counters", "seed", "schema_version"],
-    "properties": {
-        "task": {"type": "string"},
-        "inputs": {"type": "object"},
-        "value": {"type": ["number", "array", "object"]},
-        "error_band": {"type": ["array", "null"]},
-        "counters": {
-            "type": "object",
-            "required": ["amplitude_evals", "samples"],
-            "properties": {
-                "amplitude_evals": {"type": "integer"},
-                "samples": {"type": "integer"},
-            },
-        },
-        "seed": {"type": "integer"},
-        "schema_version": {"type": "integer"},
-    },
-}
 
 # tasks that take no state, so their programs need no ``initial``
 STATE_FREE_TASKS = ("breed_bound", "bs_bound", "optimize_fidelity", "table1")
@@ -617,11 +597,17 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
+    except RecursionError:  # a program nested past the interpreter's recursion limit
+        print("parse error: program is nested too deeply", file=sys.stderr)
+        return 2
     except (ValidationFailure, DimensionMismatch, FileNotFoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (IllConditioned, ArithmeticError, GsimError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy refuses an array larger than the host can give
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -114,14 +114,15 @@ class BornEstimate:
 def exact_born(sup: Superposition, outcome) -> BornEstimate:
     """Heterodyne Born density at a coherent outcome, coherent-POVM convention.
 
-    density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from the
-    state's cached ``amplitude_table``, O(rank) small products with the
-    outcome's monomials, and the norm from the exact Gram, so a second outcome
-    on the same state costs those products alone.  Relative to
-    the quadrature-outcome general-dyne density this carries the Jacobian
-    factor 2^n.  ``error_band`` bounds the rounding: the amplitude sum is
+    density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from one
+    O(rank) product of the outcome's monomials with the state's cached
+    ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`) and the norm
+    from the exact Gram, so a second outcome on the same state costs that
+    product only.  Relative to the quadrature-outcome general-dyne density,
+    this carries the Jacobian factor 2^n.  ``error_band`` bounds the
+    rounding: the amplitude sum is
     off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
-    `stellar.AmplitudeTable.amplitude` ``with_sum``, and the norm by its rounding bound
+    the same product ``with_sum``, and the norm by its rounding bound
     ``sup.gram_form[1]``; `Superposition.norm_squared` raises IllConditioned
     once that bound reaches the norm itself.  The band, like `heterodyne_density`'s,
     bounds the rounding of this evaluation on the stored triples, not of the gate fold

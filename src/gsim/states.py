@@ -251,7 +251,7 @@ class Superposition:
         return stellar.AmplitudeTable(self.triples)
 
     def coherent_amplitude(self, xi) -> complex:
-        """<xi|psi> from the ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`); linear in the rank."""
+        """<xi|psi>, one product with the ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`); O(rank)."""
         return complex(self.coeffs @ self.amplitude_table.amplitude(xi))
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
@@ -287,10 +287,6 @@ class Superposition:
         return max(float(np.imag(d1) / self.norm_squared()), 0.0) + self.n
 
 
-def single_gaussian(term: GaussianPure) -> Superposition:
-    return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
-
-
 _VACUUM = stellar.vacuum(1)
 
 
@@ -312,29 +308,24 @@ def _orbit(seed: stellar.StellarParams, gate, coeffs, normalise: bool = True) ->
 # decomposition library
 
 
-def coherent_ring_seed() -> GaussianPure:
-    """Coherent seed |alpha=1> maximizing |<1|alpha>| among coherent states."""
-    return GaussianPure.coherent([1.0])
+def coherent_ring_seed() -> stellar.StellarParams:
+    """Ket triple (0, 1, -1/2) of |alpha=1>, maximizing |<1|alpha>| among coherent states."""
+    return stellar.StellarParams(np.zeros((1, 1)), [1.0], -0.5)
 
 
-def optimal_fock1_seed() -> GaussianPure:
-    """Displaced squeezed seed attaining the maximal |<1|G>|^2 = 3*sqrt(3)/(4e).
+def optimal_fock1_seed() -> stellar.StellarParams:
+    """Ket triple of the displaced squeezed seed attaining the maximal |<1|G>|^2 = 3*sqrt(3)/(4e).
 
     The optimum sits at squeezing artanh(1/2) = ln(sqrt 3) along q and squared
     displacement 2/3 (real amplitude sqrt(2/3)); verified independently by the
     derivative-free optimizer and the Fock oracle.
     """
     squeezed = stellar.apply_gate(Squeeze(0, math.log(math.sqrt(3.0))), _VACUUM, 1)
-    return GaussianPure.from_triple(stellar.apply_gate(Displace(0, math.sqrt(2.0 / 3.0)), squeezed, 1))
+    return stellar.apply_gate(Displace(0, math.sqrt(2.0 / 3.0)), squeezed, 1)
 
 
-def seed_fock1_amplitude(seed: GaussianPure) -> complex:
-    """Closed-form <1|seed> from the holomorphic triple (c * b)."""
-    return stellar.fock_amplitude(seed.bargmann, 1)
-
-
-def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
-    """Phase-shifted ring approximating the single-photon state.
+def fock1_ring(seed: stellar.StellarParams, big_n: int = 16) -> Superposition:
+    """Phase-shifted ring approximating the single-photon state, from a one-mode ket triple.
 
     Terms m = 0..2N-1 carry rotations by pi m / N and coefficients
     e^{-i pi m / N} / (2N <1|seed>), so photon numbers 1 mod 2N survive the
@@ -345,13 +336,13 @@ def fock1_ring(seed: GaussianPure, big_n: int = 16) -> Superposition:
     """
     if big_n < 2:
         raise ValueError("ring size must be at least 2")
-    if seed.n != 1:
+    if seed.modes != 1:
         raise DimensionMismatch("ring seeds are single-mode")
-    amp1 = seed_fock1_amplitude(seed)
+    amp1 = stellar.fock_amplitude(seed, 1)
     if abs(amp1) < 1e-12:
         raise ValueError("seed has vanishing single-photon amplitude")
     theta = np.pi * np.arange(2 * big_n) / big_n
-    return _orbit(seed.bargmann, PhaseShift(0, theta), np.exp(-1j * theta) / (2 * big_n * amp1), normalise=False)
+    return _orbit(seed, PhaseShift(0, theta), np.exp(-1j * theta) / (2 * big_n * amp1), normalise=False)
 
 
 def cat_state(alpha: complex, parity: int = +1) -> Superposition:
@@ -502,9 +493,6 @@ class Witness:
 
     fock_n: int
     scale: complex
-
-    def term_amplitude(self, term: GaussianPure) -> complex:
-        return np.conj(self.scale) * stellar.fock_amplitude(term.bargmann, self.fock_n)
 
 
 def optimal_fock1_witness() -> Witness:

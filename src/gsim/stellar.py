@@ -494,7 +494,8 @@ class AmplitudeTable:
                      = d(xi) . W_j - |xi|^2/2,
 
     so a block of L outcomes costs one (L, 1 + m + m^2) x (1 + m + m^2, K)
-    product.  A single triple is a stack of one.  Only this class and
+    product.  A single triple is a stack of one, and a single outcome a block
+    of one: every coherent amplitude is this product.  Only this class and
     `ProbeValues` read the layout of the table.
     """
 
@@ -524,39 +525,20 @@ class AmplitudeTable:
         return 0.5 * (parts * parts).sum(axis=1)
 
     def amplitude(self, xi, with_sum: bool = False):
-        """<xi|G_j> of one outcome (modes,): (K,); counts K amplitude evaluations.
+        """<xi|G_j> of one outcome (modes,): (K,), row 0 of `amplitudes` on a block
+        of one, which checks its width, with its (K,) sums under ``with_sum``; counted."""
+        out = self.amplitudes(np.atleast_1d(xi)[None], with_sum)
+        return (out[0][0], out[1][0]) if with_sum else out[0]
 
-        The log is summed as (log c - |xi|^2/2) + b . conj(xi) + conj(xi)^T A
-        conj(xi) / 2, each part a product with its columns of the table, in
-        the order and memory layout of the per-term formula on the stacked
-        triples, so a single outcome's amplitude, and with it `exact_born`
-        and `approx_born`'s numerator, rounds exactly as that formula does
-        (a block of outcomes, `amplitudes`, takes one product instead).
-
-        ``with_sum`` also returns the (K,) sums S = |d(xi)| . |W_j| + |xi|^2/2
-        of the moduli of the log-domain summands: where they cancel, an
-        amplitude is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u of
-        its modulus.
-        """
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        if xi.shape != (self.modes,):
-            raise DimensionMismatch("outcome dimension does not match state")
-        m, w = self.modes, self.w
-        counters.tally.amplitude_evals += w.shape[0]
-        xb = np.conj(xi)
-        pairs = (xb[:, None] * xb[None, :]).reshape(-1)
-        h = 0.5 * np.sum(np.abs(xi) ** 2)
-        out = w[:, 0] - h
-        out += xb @ w[:, 1 : 1 + m].T
-        out += pairs @ w[:, 1 + m :].T
-        amps = np.exp(out, out=out)
-        if not with_sum:
-            return amps
-        return amps, self.w_abs @ np.concatenate(([1.0], np.abs(xb), np.abs(pairs))) + h
-
-    def amplitudes(self, xis) -> np.ndarray:
+    def amplitudes(self, xis, with_sum: bool = False):
         """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for a block of outcomes (L, modes):
-        (L, K) from one product; counts L K amplitude evaluations."""
+        (L, K) from one product; counts L K amplitude evaluations.
+
+        ``with_sum`` also returns the (L, K) sums S = |d(xi)| . |W_j| + |xi|^2/2
+        of the moduli of the log-domain summands, one real product on the same
+        monomials: where they cancel, an amplitude is off by at most about
+        (KERNEL_ULPS + LOG_SUM_ULPS S) u of its modulus.
+        """
         xis = self._outcomes(xis)
         d = np.empty((xis.shape[0], self.w.shape[1]), dtype=complex)
         h = self._monomials(xis, d)
@@ -566,7 +548,8 @@ class AmplitudeTable:
         # on an AVX-512 host, the exp ran 10-20 times slower
         out = d @ self.w.T
         out -= h[:, None]
-        return np.exp(out, out=out)
+        amps = np.exp(out, out=out)
+        return (amps, np.abs(d) @ self.w_abs.T + h[:, None]) if with_sum else amps
 
 
 class ProbeValues:

@@ -6,6 +6,7 @@ import pytest
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure
 from gsim.phase import GaussianUnitary, propagate
+from gsim.states import Superposition, WeightedGaussian
 from gsim.stellar import StellarParams
 from gsim.symplectic import factor_two_mode_unitary, omega, passive_from_unitary
 
@@ -84,6 +85,11 @@ def stacked(terms) -> StellarParams:
         np.array([g.bargmann.b for g in terms]),
         np.array([g.bargmann.log_c for g in terms]),
     )
+
+
+def single_gaussian(term: GaussianPure) -> Superposition:
+    """The one-term superposition 1 * |term>."""
+    return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
 
 
 def engine_state(gates, n) -> GaussianPure:

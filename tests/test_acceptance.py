@@ -38,11 +38,10 @@ from gsim.states import (
     measures,
     optimal_fock1_seed,
     optimal_fock1_witness,
-    seed_fock1_amplitude,
     witness_check,
 )
 
-from conftest import engine_state, random_circuit, random_pure_program
+from conftest import engine_state, random_circuit, random_pure_program, single_gaussian
 
 
 def report(num, text):
@@ -80,7 +79,7 @@ def test_criterion_1_backends_vs_oracle_bulk():
 
 def test_criterion_2_optimal_fock1_numbers():
     seed = optimal_fock1_seed()
-    closed = abs(seed_fock1_amplitude(seed)) ** 2
+    closed = abs(stellar.fock_amplitude(seed, 1)) ** 2
     assert abs(closed - 0.47789) < 1e-4
     oracle = fock.oracle_state(
         [Squeeze(0, math.log(math.sqrt(3))), Displace(0, math.sqrt(2 / 3))], 1, cutoff=60
@@ -131,8 +130,6 @@ def test_criterion_4_sparsification_bound():
 
 
 def test_criterion_5_fast_norm_guarantee_and_linearity():
-    from gsim.states import single_gaussian
-
     outcomes = {}
     for label, sup in (
         ("vacuum", single_gaussian(GaussianPure.vacuum(1))),
@@ -211,7 +208,7 @@ def _library_cases():
     big_n = 16
     seed = optimal_fock1_seed()
     ring = fock1_ring(seed, big_n)
-    amp1 = seed_fock1_amplitude(seed)
+    amp1 = stellar.fock_amplitude(seed, 1)
     seed_prog = [Squeeze(0, math.log(math.sqrt(3))), Displace(0, math.sqrt(2 / 3))]
     progs = [seed_prog + [PhaseShift(0, np.pi * m / big_n)] for m in range(2 * big_n)]
     coeffs = [np.exp(-1j * np.pi * m / big_n) / (2 * big_n * amp1) for m in range(2 * big_n)]

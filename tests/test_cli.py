@@ -17,6 +17,29 @@ from gsim import cli, fock, stellar
 from gsim.gates import BeamSplitter, Squeeze
 
 
+# the fields of every result document
+RESULT_SCHEMA = {
+    "type": "object",
+    "required": ["task", "inputs", "value", "error_band", "counters", "seed", "schema_version"],
+    "properties": {
+        "task": {"type": "string"},
+        "inputs": {"type": "object"},
+        "value": {"type": ["number", "array", "object"]},
+        "error_band": {"type": ["array", "null"]},
+        "counters": {
+            "type": "object",
+            "required": ["amplitude_evals", "samples"],
+            "properties": {
+                "amplitude_evals": {"type": "integer"},
+                "samples": {"type": "integer"},
+            },
+        },
+        "seed": {"type": "integer"},
+        "schema_version": {"type": "integer"},
+    },
+}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -27,7 +50,7 @@ def test_extent_document_and_schema(capsys):
     code, out, _ = run_cli(["extent", "--state", "cat", "--alpha", "1.0"], capsys)
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, cli.RESULT_SCHEMA)
+    jsonschema.validate(doc, RESULT_SCHEMA)
     assert abs(doc["value"]["extent_upper"] - 1.76160) < 1e-4
 
 
@@ -37,7 +60,7 @@ def test_determinism_byte_identical(capsys):
     _, second, _ = run_cli(argv, capsys)
     assert first == second
     doc = json.loads(first)
-    jsonschema.validate(doc, cli.RESULT_SCHEMA)
+    jsonschema.validate(doc, RESULT_SCHEMA)
     assert doc["counters"]["samples"] > 0
 
 
@@ -58,7 +81,7 @@ def test_run_program_roundtrip(tmp_path, capsys):
     code, out, err = run_cli(["run", str(path)], capsys)
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, cli.RESULT_SCHEMA)
+    jsonschema.validate(doc, RESULT_SCHEMA)
     assert doc["value"] > 0
     assert doc["seed"] == 3
 
@@ -84,6 +107,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["run", str(path)], capsys)
     assert code == 2
     assert "line" in err
+
+
+def test_a_program_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+def test_a_ring_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # N = 10^12 asks numpy for 2N int64 ring indices, 14.6 TiB; capping this process's
+    # address space at 1 TiB makes numpy refuse them on any host, whatever its
+    # overcommit policy, so no page of them is ever touched
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard), hard))
+    program = {"schema_version": 1, "modes": 1, "initial": {"kind": "fock1_ring", "N": 10**12}, "task": {"name": "extent"}}
+    try:
+        code, out, err = _run_program(program, tmp_path, capsys)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert (code, out) == (3, "")
+    assert err.startswith("out of memory: ") and err.count("\n") == 1, err
 
 
 def test_validation_error_names_field(tmp_path, capsys):
@@ -705,8 +753,8 @@ def test_subcommand_equals_run_program(argv, initial, task, tmp_path, capsys):
     code, run_out, err = run_cli(["run", str(path)], capsys)
     assert code == 0, err
     doc, run_doc = json.loads(out), json.loads(run_out)
-    jsonschema.validate(doc, cli.RESULT_SCHEMA)
-    jsonschema.validate(run_doc, cli.RESULT_SCHEMA)
+    jsonschema.validate(doc, RESULT_SCHEMA)
+    jsonschema.validate(run_doc, RESULT_SCHEMA)
     assert doc["value"] == run_doc["value"]
     assert doc["error_band"] == run_doc["error_band"]
     assert doc["seed"] == run_doc["seed"]
@@ -1520,7 +1568,7 @@ def test_malformed_float_flags_exit_2(argv, message, capsys):
 def test_user_paths_build_no_per_term_objects(monkeypatch, tmp_path, capsys):
     # every user path builds its ket stacks through `stellar`: no superposition
     # from (coefficient, term) entries and no per-term GaussianPure (the ring
-    # seed that fock1_ring takes is built from its triple)
+    # seeds that fock1_ring takes are triples)
     from gsim import gaussian, states
 
     def refuse(*args, **kwargs):
@@ -1529,6 +1577,8 @@ def test_user_paths_build_no_per_term_objects(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(states.Superposition, "__init__", refuse)
     monkeypatch.setattr(states.Superposition, "_terms", property(refuse))
     monkeypatch.setattr(gaussian.GaussianPure, "__init__", refuse)
+    monkeypatch.setattr(gaussian.GaussianPure, "from_triple", refuse)
+    monkeypatch.setattr(gaussian.GaussianPure, "from_checked_triple", refuse)
     kinds = [
         VACUUM,
         {"kind": "coherent", "alpha": [0.4, -0.3]},
@@ -1537,6 +1587,7 @@ def test_user_paths_build_no_per_term_objects(monkeypatch, tmp_path, capsys):
         {"kind": "gkp"},
         {"kind": "grid"},
         {"kind": "fock1_ring", "N": 4},
+        {"kind": "fock1_ring", "N": 4, "seed_state": "coherent"},
     ]
     for modes in (1, 2):
         outcome = [[0.2, -0.1]] * modes

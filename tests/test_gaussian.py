@@ -20,7 +20,7 @@ from gsim.gaussian import (
 )
 from gsim.symplectic import omega
 
-from conftest import engine_state, random_cp_channel, random_pure_program, random_symplectic
+from conftest import engine_state, random_cp_channel, random_pure_program, random_symplectic, single_gaussian
 
 
 def two_mode_squeezer(r):
@@ -214,7 +214,6 @@ class TestConditioning:
         # squeezing correlated across the cut by a beamsplitter, conditioned
         # at an outcome away from the measured mean (nonzero innovation)
         from gsim.simulator import condition
-        from gsim.states import single_gaussian
 
         gates = [Displace(0, 0.3 - 0.2j), Squeeze(0, 0.5), BeamSplitter(0, 1, 0.6)]
         s, d = program_symplectic(gates, 2)

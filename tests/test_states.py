@@ -27,12 +27,10 @@ from gsim.states import (
     optimal_fock1_seed,
     optimal_fock1_witness,
     rotational_code,
-    seed_fock1_amplitude,
-    single_gaussian,
     witness_check,
 )
 
-from conftest import random_circuit
+from conftest import random_circuit, single_gaussian
 
 
 def ring_oracle_vector(seed_gates, big_n, coeffs, cutoff=70):
@@ -60,7 +58,7 @@ class TestFock1Ring:
     def test_oracle_fidelity_to_single_photon(self):
         big_n = 16
         seed_gates = [Squeeze(0, math.log(math.sqrt(3))), Displace(0, math.sqrt(2 / 3))]
-        amp1 = seed_fock1_amplitude(optimal_fock1_seed())
+        amp1 = stellar.fock_amplitude(optimal_fock1_seed(), 1)
         coeffs = [np.exp(-1j * np.pi * m / big_n) / (2 * big_n * amp1) for m in range(2 * big_n)]
         vec = ring_oracle_vector(seed_gates, big_n, coeffs)
         fid = abs(vec[1]) ** 2 / np.vdot(vec, vec).real
@@ -68,7 +66,7 @@ class TestFock1Ring:
 
     def test_vanishing_seed_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            fock1_ring(GaussianPure.vacuum(1), 8)
+            fock1_ring(stellar.vacuum(1), 8)
 
     def test_small_ring_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +453,7 @@ def test_optimal_witness_feasible_on_random_gaussians(rng):
     w = optimal_fock1_witness()
     for _ in range(200):
         g = engine_state(random_pure_program(1, rng, alpha_max=2.0, r_max=1.5), 1)
-        assert abs(w.term_amplitude(g)) <= 1.0 + 1e-9
+        assert abs(np.conj(w.scale) * stellar.fock_amplitude(g.bargmann, w.fock_n)) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("name", ["coherent", "cat", "ring32", "grid0.3"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsim import counters, fock, phase, states, stellar
+from gsim import counters, fock, phase, simulator, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
 from gsim.gaussian import GaussianPure
@@ -278,15 +278,32 @@ class TestAmplitudeTable:
                 assert abs(single[j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
                 former = abs(t.log_c[j]) + 0.5 * (x @ x) + np.abs(t.b[j]) @ x + 0.5 * ((np.abs(t.a[j]) @ x) @ x)
                 assert sums[j] == pytest.approx(former, rel=1e-15, abs=0)
-            # one outcome rounds as the stacked per-term formula does, bit for bit
-            log_stacked = t.log_c - 0.5 * np.sum(np.abs(xi[None]) ** 2, axis=1)[:, None]
-            log_stacked += xb[None] @ t.b.T
-            log_stacked += (xb[None, :, None] * xb[None, None, :]).reshape(-1, m * m) @ (0.5 * t.a).reshape(k, m * m).T
-            assert np.array_equal(single, np.exp(log_stacked[0]))
         # a one-term table takes other BLAS kernels than a stack of k
         one = stellar.coherent_amplitude(t[0], xis[0])
         assert np.ndim(one) == 0 and one == pytest.approx(table.amplitude(xis[0])[0], rel=2e-13, abs=0)
         assert np.array_equal(stellar.coherent_amplitude(t, xis[0]), table.amplitude(xis[0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_every_single_outcome_is_row_0_of_a_block_of_one(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        t = self._random_stack(rng, m, k)
+        t.log_c = stellar.log_magnitude(t.a, t.b) + 1j * t.log_c.imag  # normalised kets
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        sup = states.Superposition.from_stack(coeffs, t)
+        xi = rng.normal(size=m) + 1j * rng.normal(size=m)
+        table = sup.amplitude_table
+        (row,), (sums,) = table.amplitudes(xi[None], with_sum=True)
+        assert np.array_equal(table.amplitudes(xi[None])[0], row)
+        single, single_sums = table.amplitude(xi, with_sum=True)
+        assert np.array_equal(single, row) and np.array_equal(single_sums, sums)
+        assert np.array_equal(table.amplitude(xi), row)
+        assert np.array_equal(stellar.coherent_amplitude(t, xi), row)
+        amp = complex(sup.coeffs @ row)
+        assert sup.coherent_amplitude(xi) == amp
+        assert simulator.exact_born(sup, xi).numerator == abs(amp) ** 2
+        one = stellar.AmplitudeTable(t[0]).amplitudes(xi[None])[0, 0]
+        assert stellar.coherent_amplitude(t[0], xi) == one
 
     def test_outcomes_of_the_wrong_width_are_rejected(self):
         table = stellar.AmplitudeTable(stellar.vacuum(2, 3))
