@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -51,13 +52,21 @@ def _two_mode_points(rng, count):
     return lo + (hi - lo) * rng.uniform(size=(count, 8))
 
 
+def _corners(cfg):
+    """Every corner of the box of cfg.bounds: the clipped optimizer lands on the
+    bounds, where a uniform draw never does."""
+    return np.array(list(itertools.product(*cfg.bounds)))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_objective_is_the_engine_two_mode_ket(seed):
-    # 200 points in the optimizer's bounds: to 1e-14 relative to the squared sum
-    # of the moduli of the amplitude's two summands, which is the fidelity
-    # itself where they do not cancel (40000 points here: at most 2.5e-15)
-    p = _two_mode_points(np.random.default_rng(seed), 200)
+    # 200 points in the optimizer's bounds and the 256 corners of the box: to
+    # 1e-14 relative to the squared sum of the moduli of the amplitude's two
+    # summands, which is the fidelity itself where they do not cancel (40000
+    # points here: at most 2.5e-15)
+    cfg = apps.OptimizerConfig.two_mode()
+    p = np.concatenate([_two_mode_points(np.random.default_rng(seed), 200), _corners(cfg)])
     want, scale = _engine_fock11_fidelity(p)
     assert np.all(np.abs(apps.two_mode_fock11_fidelity(p) - want) <= 1e-14 * scale)
 
@@ -71,6 +80,38 @@ def test_objective_matches_the_fock_oracle():
         low, high = (abs(fock.oracle_state(gates, 2, cutoff=cut).amplitudes[1, 1]) ** 2 for cut in (170, 200))
         assert abs(low - high) <= 1e-12
         assert abs(apps.two_mode_fock11_fidelity(x) - high) <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_objective_is_the_engine_single_mode_ket(seed):
+    # 200 points in the optimizer's bounds and the 4 corners of the box, against
+    # <1|psi> of the engine's D(a) S(r)|0>: one summand, so to 1e-14 relative to
+    # the fidelity itself, and exactly 0 at a = 0
+    cfg = apps.OptimizerConfig.single_mode()
+    lo, hi = np.array(cfg.bounds).T
+    p = np.concatenate([lo + (hi - lo) * np.random.default_rng(seed).uniform(size=(200, 2)), _corners(cfg)])
+    ket = stellar.apply_gate(Squeeze(0, p[:, 1]), stellar.vacuum(1, len(p)), 1)
+    want = np.abs(stellar.fock_amplitude(stellar.apply_gate(Displace(0, p[:, 0]), ket, 1), 1)) ** 2
+    assert np.all(np.abs(apps.single_mode_fock1_fidelity(p) - want) <= 1e-14 * want)
+
+
+def test_objectives_reach_no_engine_code():
+    # both objectives are closed forms of their parameters: no frame of stellar runs
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code.co_filename)
+
+    p2 = _two_mode_points(np.random.default_rng(3), 8)
+    sys.setprofile(profile)
+    try:
+        apps.two_mode_fock11_fidelity(p2)
+        apps.single_mode_fock1_fidelity(p2[:, :2])
+    finally:
+        sys.setprofile(None)
+    assert stellar.__file__ not in seen
 
 
 def test_single_mode_objective_optimum():
@@ -120,6 +161,48 @@ def test_lock_step_nelder_mead_is_scipys(seed):
         res = apps.optimize_fidelity(cfg, objective=objective)
         assert res.best_params == tuple(float(v) for v in np.clip(ref.x, lo, hi))
         assert (res.best_fidelity, res.evaluations) == (-ref.fun, ref.nfev)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_small_budgets_are_scipys_maxfev(seed):
+    # a budget below 50 per restart is each restart's scipy maxfev, down to the
+    # initial simplex alone (len(bounds) + 1 evaluations)
+    from scipy.optimize import minimize
+
+    from gsim.rng import stream
+
+    for make, objective, budgets in (
+        (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity, (9, 10, 11, 30)),
+        (apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity, (3, 4, 5, 17)),
+    ):
+        for budget in budgets:
+            cfg = make(restarts=1, budget=budget, seed=seed)
+            lo, hi = np.array(cfg.bounds).T
+            ref = minimize(
+                lambda x: -objective(np.clip(x, lo, hi)),
+                lo + (hi - lo) * stream(seed, 0).random(len(lo)),
+                method="Nelder-Mead",
+                options={"maxfev": budget, "xatol": apps.NELDER_MEAD_TOL, "fatol": apps.NELDER_MEAD_TOL},
+            )
+            res = apps.optimize_fidelity(cfg, objective=objective)
+            assert res.best_params == tuple(float(v) for v in np.clip(ref.x, lo, hi))
+            assert (res.best_fidelity, res.evaluations) == (-ref.fun, ref.nfev)
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 32])
+def test_budget_caps_the_evaluations(restarts):
+    # restarts x (len(bounds) + 1) is the least budget; from there on budget caps
+    # the evaluations of every restart together
+    for make, objective in (
+        (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity),
+        (apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity),
+    ):
+        least = restarts * (len(make().bounds) + 1)
+        for budget in (least, least + restarts - 1, 2 * least + 1, 40 * restarts):
+            res = apps.optimize_fidelity(make(restarts=restarts, budget=budget, seed=5), objective=objective)
+            assert least <= res.evaluations <= budget
+        with pytest.raises(ValueError, match=rf"^budget must be at least .* = {least}, got {least - 1}$"):
+            make(restarts=restarts, budget=least - 1)
 
 
 @pytest.mark.parametrize("mode", ["two", "single"])

@@ -1187,6 +1187,25 @@ def test_optimizer_counts_below_one_are_validation_errors(flags, monkeypatch, ca
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize(("flags", "least"), [
+    (["--restarts", "4", "--budget", "8"], 36),
+    (["--restarts", "32", "--budget", "287"], 288),
+    (["--mode", "single", "--restarts", "4", "--budget", "11"], 12),
+])
+def test_a_budget_below_the_initial_simplices_is_a_validation_error(flags, least, capsys):
+    # no restart finishes its initial simplex (len(bounds) + 1 points) on less
+    code, out, err = run_cli(["optimize-fidelity", *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("validation error: task: budget must be at least")
+    assert f"= {least}," in err
+
+
+def test_budget_caps_the_reported_evaluations(capsys):
+    code, out, _ = run_cli(["optimize-fidelity", "--restarts", "4", "--budget", "40"], capsys)
+    assert code == 0
+    assert 36 <= json.loads(out)["value"]["evaluations"] <= 40
+
+
 MISSING = object()  # a field left out of the program
 
 
