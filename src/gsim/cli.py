@@ -74,56 +74,44 @@ def _mode_count(value, where: str) -> int:
 
 
 def _complex_from(value, where: str) -> complex:
-    """A finite number, or an [re, im] pair of them, as a complex."""
-    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0)
-    expected = "a finite number or [re, im] pair"
-    return complex(_real(re, where, expected), _real(im, where, expected))
+    """A finite number, or an [re, im] pair of them (named ``where[0]`` and
+    ``where[1]``), as a complex."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(value[0], f"{where}[0]"), _real(value[1], f"{where}[1]"))
+    return complex(_real(value, where, "a finite number or [re, im] pair"))
 
 
 def _complex_vector(value, where: str):
-    return [_complex_from(v, where) for v in _list(value, where)]
+    return [_complex_from(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
 
 
 def _reals(value, where: str) -> list:
-    """A nonempty list of numbers as floats; whether they are in range is the task's check."""
-    if type(value) is not list or not value or not all(type(v) in (int, float) for v in value):
+    """A nonempty list of finite numbers as floats, each named ``where[k]``;
+    whether they are in range is the task's check."""
+    if type(value) is not list or not value:
         raise ValidationFailure(f"{where}: expected a nonempty list of numbers")
-    return [float(v) for v in value]
+    return [_real(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
 def _integers(value, where: str) -> list:
-    return [_integer(v, where) for v in _list(value, where)]
+    return [_integer(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
 
 
 def _real_array(value, where: str) -> np.ndarray:
-    """``value`` as a float array, if it nests finite numbers; its shape, which
-    depends on the register, is checked as its op is lowered."""
+    """``value`` as a float array, if it nests numbers evenly (a bool is none,
+    though numpy reads it as one) and they are finite, else an error naming the
+    first non-finite entry by its index; its shape, which depends on the
+    register, is checked as its op is lowered."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if arr.dtype.kind not in "iuf" or any(type(v) is bool for v in np.asarray(value, dtype=object).flat):
         raise ValidationFailure(f"{where}: expected an array of finite numbers")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise ValidationFailure(f"{where}{''.join(f'[{k}]' for k in bad[0])}: expected a finite number")
     return arr.astype(float)
-
-
-def _non_finite_at(value):
-    """Path (``.key`` and ``[k]`` steps) to the first NaN or infinity in a
-    parsed JSON document, or None: Python's json reads ``NaN``, ``Infinity``
-    and ``1e400`` (as inf).  The path is built only on a find."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else ""
-    if isinstance(value, dict):
-        items, step = value.items(), ".{}"
-    elif isinstance(value, list):
-        items, step = enumerate(value), "[{}]"
-    else:
-        return None
-    for key, item in items:
-        found = _non_finite_at(item)
-        if found is not None:
-            return step.format(key) + found
-    return None
 
 
 REQUIRED = object()  # a table's mark of a field that has no default
@@ -171,7 +159,7 @@ KIND_FIELDS = {
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": 0j},
     "cat": {"alpha": 1 + 0j, "parity": "+"},
     "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
-    "grid": {"delta": 0.3, "t_max": None, "tail_tol": 1e-8},  # no t_max: the least that meets tail_tol
+    "grid": {"delta": 0.3, "t_max": None},  # no t_max: the least that meets states.TAIL_TOL
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
 
@@ -180,7 +168,7 @@ INITIAL_FIELDS = {
     "alpha": _complex_from,
     "parity": _choice("+", "-", 1, -1),
     "seed_state": _choice("optimal", "coherent"),
-    **dict.fromkeys(("r", "theta", "kappa", "delta", "tail_tol"), _real),
+    **dict.fromkeys(("r", "theta", "kappa", "delta"), _real),
     **dict.fromkeys(("d", "mu", "s_max", "t_max", "N"), _integer),
 }
 
@@ -248,7 +236,7 @@ def _initial_state(init: dict, modes: int) -> Superposition:
     elif kind == "gkp":
         sup, _ = states.gkp_state(init["d"], init["mu"], init["kappa"], init["delta"], init["s_max"])
     elif kind == "grid":
-        sup, _ = states.grid_sensor(init["delta"], init["t_max"], init["tail_tol"])
+        sup, _ = states.grid_sensor(init["delta"], init["t_max"])
     else:  # fock1_ring
         seeds = {"optimal": states.optimal_fock1_seed, "coherent": states.coherent_ring_seed}
         sup = states.fock1_ring(seeds[init["seed_state"]](), init["N"])
@@ -580,9 +568,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.program, "r", encoding="utf-8") as fh:
                 program = json.load(fh)
-            where = _non_finite_at(program)
-            if where is not None:
-                raise ValidationFailure(f"{where.lstrip('.') or 'program'}: expected a finite number")
             code = execute(program, args.program, args.format)
         else:
             program = lower(args)

@@ -46,6 +46,8 @@ FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
 AMPLITUDE_CHUNK = 3 << 13
 # most envelope shells a grid or GKP truncation sums before giving up
 MAX_SHELLS = 100000
+# largest l1 mass that a grid or GKP truncation may drop
+TAIL_TOL = 1e-8
 # largest spread of the witness moduli that witness_check calls equal
 WITNESS_TOL = 1e-9
 
@@ -369,13 +371,13 @@ def rotational_code(big_m: int, mu: int, alpha: complex) -> Superposition:
     return _orbit(_VACUUM, Displace(0, alpha * np.exp(1j * np.pi * m / big_m)), (-1.0) ** (mu * m) + 0.0j)
 
 
-def _tails(envelope, tail_tol: float, least: int) -> np.ndarray:
+def _tails(envelope, least: int) -> np.ndarray:
     """Entry t: the l1 mass dropped by a truncation at |s| <= t, the shells
     envelope(s) + envelope(-s) summed over s > t.  Shells are taken outward
     from s = 1, past s = least + 1, until one adds under 1e-18 and at most
-    ``tail_tol``, then summed inward; ValueError past MAX_SHELLS shells."""
+    TAIL_TOL, then summed inward; ValueError past MAX_SHELLS shells."""
     shells = []
-    while len(shells) <= least or shells[-1] >= 1e-18 or shells[-1] > tail_tol:
+    while len(shells) <= least or shells[-1] >= 1e-18 or shells[-1] > TAIL_TOL:
         if len(shells) == MAX_SHELLS:
             raise ValueError(f"truncation needs more than {MAX_SHELLS} shells of the envelope")
         s = len(shells) + 1
@@ -389,11 +391,12 @@ def _comb(delta: float, positions, coeffs) -> Superposition:
     return _orbit(seed, Displace(0, positions + 0.0j), coeffs)
 
 
-def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int, tail_tol: float = 1e-8):
+def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int):
     """Finite-energy grid code word: term |s| <= s_max has coefficient
     exp(-kappa^2 alpha_d^2 (d s + mu)^2 / 2) and state D(alpha_d (d s + mu))
     S(-log delta)|0>, alpha_d = sqrt(2 pi / d).  Returns (superposition,
-    dropped_l1_mass); raises if the truncation tail exceeds ``tail_tol``.
+    dropped_l1_mass); raises if the dropped mass exceeds TAIL_TOL, for which
+    the remedy is a larger ``s_max``.
     """
     if d < 2 or not 0 <= mu < d or s_max < 0:
         raise ValueError("need d >= 2, 0 <= mu < d, s_max >= 0")
@@ -402,9 +405,9 @@ def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int, tail_tol:
     def envelope(s: int) -> float:
         return math.exp(-0.5 * kappa**2 * alpha_d**2 * (d * s + mu) ** 2)
 
-    tail = float(_tails(envelope, tail_tol, s_max)[s_max])
-    if tail > tail_tol:
-        raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {tail_tol:.1e}")
+    tail = float(_tails(envelope, s_max)[s_max])
+    if tail > TAIL_TOL:
+        raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {TAIL_TOL:.1e}")
     s = np.arange(-s_max, s_max + 1)
     return _comb(delta, alpha_d * (d * s + mu), np.array([envelope(k) for k in s.tolist()])), tail
 
@@ -414,23 +417,21 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
 
-def grid_sensor(delta: float, t_max: int | None = None, tail_tol: float = 1e-8):
+def grid_sensor(delta: float, t_max: int | None = None):
     """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>,
     S(delta) squeezing the q variance to delta^2.  An omitted ``t_max`` is the
-    least t_max >= 1 whose dropped l1 mass is at most ``tail_tol``.  Returns
-    (superposition, dropped_l1_mass)."""
+    least t_max >= 1 whose dropped l1 mass is at most TAIL_TOL; a given one
+    is kept whatever it drops.  Returns (superposition, dropped_l1_mass)."""
     _check_delta(delta)
-    if not tail_tol >= 0:
-        raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
     if t_max is not None and (isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0):
         raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
 
     def envelope(t: int) -> float:
         return math.exp(-math.pi * delta**2 * t**2)
 
-    tails = _tails(envelope, tail_tol, 1 if t_max is None else t_max)
+    tails = _tails(envelope, 1 if t_max is None else t_max)
     if t_max is None:
-        t_max = 1 + int(np.argmax(tails[1:] <= tail_tol))
+        t_max = 1 + int(np.argmax(tails[1:] <= TAIL_TOL))
     t = np.arange(-t_max, t_max + 1)
     return _comb(delta, t * math.sqrt(math.pi / 2), np.array([envelope(k) for k in t.tolist()])), float(tails[t_max])
 

@@ -207,11 +207,6 @@ def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     return StellarParams(full @ t.a @ np.swapaxes(full, -1, -2), (full @ t.b[..., None])[..., 0], t.log_c)
 
 
-def _any(mask) -> bool:
-    """mask.any(), without a reduction when the mask is one triple's scalar."""
-    return bool(np.count_nonzero(mask) if mask.ndim else mask)
-
-
 def _squeeze_cond(s, row, k: int, den):
     """cond_2 of the squeeze kernel Y = 1 - s e_k row^T without an SVD, per
     triple: Y is the identity off span(e_k, conj(row)); its other two singular
@@ -287,9 +282,9 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     den = 1.0 - s * akk
     # at one leg Y = den, whose cond is infinite only where den = 0: Re den <= 0 screens both checks
     cond = None if t.modes == 1 else _squeeze_cond(s, row, k, den)
-    if _any(den.real <= 0 if cond is None else ~(cond <= COND_MAX) | (den.real <= 0)):
+    if np.count_nonzero(den.real <= 0 if cond is None else ~(cond <= COND_MAX) | (den.real <= 0)):
         cond = _squeeze_cond(s, row, k, den)
-        if _any(~(cond <= COND_MAX)):
+        if np.count_nonzero(~(cond <= COND_MAX)):
             raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})")
         raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
     f = s / den
@@ -435,8 +430,9 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
 
 
 # pairs per batch of the overlap kernel; bounds its temporaries (about 20
-# arrays of P m x m blocks), which for a rank-512 Husimi moment (262144
-# pairs) would otherwise take tens of MB at one mode and m^2 times that at m
+# arrays of P m x m blocks), which for the general Gram of a conditioned
+# state, K(K-1)/2 pairs (130816 at rank 512), would otherwise take tens of MB
+# at one mode and m^2 times that at m
 OVERLAP_CHUNK = 4096
 
 

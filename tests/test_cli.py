@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -1161,8 +1162,11 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("delta", ["0", "-0.1", "inf"])
 def test_table1_rejects_a_delta_that_is_not_positive_and_finite(delta, capsys):
     code, out, err = run_cli(["table1", "--deltas", f"0.1,{delta}"], capsys)
-    assert code == 2
-    assert out == "" and "delta must be positive" in err
+    assert code == 2 and out == ""
+    if delta == "inf":  # the task's reader refuses it, naming the element
+        assert err == "validation error: task.deltas[1]: expected a finite number\n"
+    else:
+        assert "delta must be positive" in err
 
 
 @pytest.mark.parametrize("deltas", ["0.1,,0.2", "0.1,x"])
@@ -1219,15 +1223,15 @@ MISSING = object()  # a field left out of the program
             ({"initial": VACUUM, "ops": ops, "task": {"name": "extent"}}, path)
             for ops, path in (
                 ([{"gate": "phase", "mode": 0, "theta": None}], "ops[0].theta"),
-                ([{"gate": "displace", "mode": 0, "alpha": [None, 0.0]}], "ops[0].alpha"),
+                ([{"gate": "displace", "mode": 0, "alpha": [None, 0.0]}], "ops[0].alpha[0]"),
                 ([{"gate": "squeeze", "mode": 0}], "ops[0].r"),
                 ([{"gate": "phase", "mode": 0.7, "theta": 0.1}], "ops[0].mode"),
                 ([{"gate": "phase", "mode": "0", "theta": 0.1}], "ops[0].mode"),
                 ([{"gate": "phase", "mode": True, "theta": 0.1}], "ops[0].mode"),
-                ([{"gate": "beamsplitter", "modes": [0, 1.0], "theta": 0.3}], "ops[0].modes"),
+                ([{"gate": "beamsplitter", "modes": [0, 1.0], "theta": 0.3}], "ops[0].modes[1]"),
                 ([{"gate": "symplectic", "matrix": [[1, 0], [0, "1"]]}], "ops[0].matrix"),
                 ([{"gate": "phase", "mode": 0, "theta": 0.1}, {"gate": "condition", "modes": 1}], "ops[1].modes"),
-                ([{"gate": "condition", "modes": [0], "outcome": [[0, True]]}], "ops[0].outcome"),
+                ([{"gate": "condition", "modes": [0], "outcome": [[0, True]]}], "ops[0].outcome[0][1]"),
             )
         ),
         ({"schema_version": MISSING, "task": {"name": "extent"}}, "schema_version"),
@@ -1481,6 +1485,99 @@ def test_folded_gate_runs_equal_one_evolve_per_gate(data, pipeline):
     assert got[0] == got[1]
 
 
+# one program of each initial kind, every numeric field spelled out
+LEAF_INITIALS = [
+    VACUUM,
+    {"kind": "coherent", "alpha": [0.3, -0.2]},
+    {"kind": "squeezed", "r": 0.3, "theta": 0.7, "alpha": 0.4},
+    {"kind": "cat", "alpha": [0.9, 0.1], "parity": -1},
+    {"kind": "gkp", "d": 2, "mu": 1, "kappa": 0.9, "delta": 0.5, "s_max": 2},
+    {"kind": "grid", "delta": 0.5, "t_max": 2},
+    {"kind": "fock1_ring", "N": 3},
+]
+ARRAY_FIELDS = ("matrix", "shift", "X", "Y", "D")
+
+
+def _leaf_tasks(system, mixed):
+    """Every task, with each of its numeric fields spelled out; approx_born and
+    extent only on a pure state."""
+    outcome = [[0.2, -0.1]] * system
+    tasks = [
+        {"name": "exact_born", "outcome": outcome},
+        {"name": "norm", "epsilon": 0.2, "pfail": 0.1},
+        {"name": "breed_bound", "xi": 7.5},
+        {"name": "bs_bound", "mbar": 3},
+        {"name": "optimize_fidelity", "mode": "single", "restarts": 2, "budget": 200},
+        {"name": "table1", "deltas": [0.3, 0.1]},
+    ]
+    if not mixed:
+        tasks += [{"name": "approx_born", "outcome": outcome, "delta": 0.3, "epsilon": 0.2, "pfail": 0.1}, {"name": "extent"}]
+    return tasks
+
+
+@st.composite
+def _leaf_programs(draw):
+    """A valid program: gate ops (symplectic among them), then a channel or a
+    condition or neither, then gate ops on the modes left, and a task."""
+    modes = draw(st.integers(1, 2))
+    middle = draw(st.sampled_from(["none", "channel", "condition"] if modes == 2 else ["none", "channel"]))
+    ops = draw(st.one_of(st.just([]), _gate_ops(modes)))
+    system = modes - (middle == "condition")
+    if middle == "channel":
+        eye = np.eye(2 * modes)
+        ops.append({"gate": "channel", "X": (0.8 * eye).tolist(), "Y": (0.36 * eye).tolist(), "D": [0.1] * (2 * modes)})
+    elif middle == "condition":
+        ops.append({"gate": "condition", "modes": [1], "outcome": [[0.1, 0.2]]})
+    ops += draw(st.one_of(st.just([]), _gate_ops(system)))
+    task = draw(st.sampled_from(_leaf_tasks(system, middle == "channel")))
+    return {"schema_version": 1, "modes": modes, "seed": 5, "initial": draw(st.sampled_from(LEAF_INITIALS)), "ops": ops, "task": task}
+
+
+def _numeric_leaves(value, steps=(), path="", array=None):
+    """(steps, path, array field) of every number in a program, bools aside;
+    the array field is the path of the op array that holds it, or None."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            sub = f"{path}.{key}" if path else key
+            yield from _numeric_leaves(item, (*steps, key), sub, sub if key in ARRAY_FIELDS else array)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _numeric_leaves(item, (*steps, k), f"{path}[{k}]", array)
+    elif type(value) in (int, float):
+        yield steps, path, array
+
+
+def _main_on(text, path):
+    """(exit code, stdout, stderr) of ``gsim run`` on the program ``text``."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), number=st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "true"]))
+def test_a_bad_number_anywhere_is_named_by_its_reader(data, number, tmp_path_factory):
+    # each reader refuses a non-finite number or a bool where a number goes,
+    # naming the leaf; a bool inside an op array names the array's field
+    program = data.draw(_leaf_programs())
+    where = tmp_path_factory.mktemp("leaf") / "prog.json"
+    with pytest.MonkeyPatch.context() as mp:  # the program types, lowers and builds its state
+        mp.setattr(cli, "_perform", lambda *args: (0.0, None))
+        code, _, err = _main_on(json.dumps(program), where)
+    assert code == 0, err
+    steps, path, array = data.draw(st.sampled_from(list(_numeric_leaves(program))))
+    bad = parent = json.loads(json.dumps(program))
+    for step in steps[:-1]:
+        parent = parent[step]
+    parent[steps[-1]] = "@LEAF@"
+    code, out, err = _main_on(json.dumps(bad).replace('"@LEAF@"', number), where)
+    named = array if number == "true" and array is not None else path
+    assert (code, out) == (2, ""), err
+    assert err.count("\n") == 1 and err.startswith(f"validation error: {named}: "), err
+
+
 @pytest.mark.parametrize(
     "argv, header, row",
     [
@@ -1549,7 +1646,7 @@ def test_every_read_field_is_known(tmp_path, capsys):
         {"kind": "squeezed", "r": 0.3, "theta": 0.2, "alpha": 0.1},
         {"kind": "cat", "alpha": 1.0, "parity": "-"},
         {"kind": "gkp", "d": 2, "mu": 0, "kappa": 0.9, "delta": 0.6, "s_max": 1},
-        {"kind": "grid", "delta": 0.5, "t_max": 2, "tail_tol": 1e-8},
+        {"kind": "grid", "delta": 0.5, "t_max": 2},
         {"kind": "fock1_ring", "seed_state": "coherent", "N": 2},
     ]
     ops = [
@@ -1641,14 +1738,14 @@ def _document(program, tmp_path, capsys):
 
 # every defaulted field of each initial kind, gate and task, spelled out with
 # the value that a program without it runs with (the documented defaults);
-# a grid's t_max has none, as it is the least that meets tail_tol
+# a grid's t_max has none, as it is the least that meets states.TAIL_TOL
 SPELLED_INITIAL = {
     "vacuum": {},
     "coherent": {"alpha": 0},
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": [0, 0]},
     "cat": {"alpha": 1.0, "parity": "+"},
     "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
-    "grid": {"delta": 0.3, "tail_tol": 1e-8},
+    "grid": {"delta": 0.3},
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
 SPELLED_GATES = {

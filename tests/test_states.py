@@ -212,10 +212,10 @@ class TestRotationalCode:
 
 class TestGridStates:
     def test_gkp_single_term_limit(self):
-        # the one-term truncation is the plain squeezed vacuum; the dropped
-        # mass is large, so the caller must opt in via tail_tol
-        sup, _ = gkp_state(2, 0, 0.3, 0.3, 0, tail_tol=2.0)
-        assert sup.rank == 1
+        # the one-term truncation is the plain squeezed vacuum; at kappa = 3 it
+        # drops 5.5e-25 of l1 mass, at kappa = 0.3 far more than TAIL_TOL
+        sup, tail = gkp_state(2, 0, 3.0, 0.3, 0)
+        assert sup.rank == 1 and tail < 1e-24
         assert measures(sup).extent_upper == 1.0
         with pytest.raises(ValueError):
             gkp_state(2, 0, 0.3, 0.3, 0)
@@ -235,15 +235,17 @@ class TestGridStates:
 
     def test_gkp_tail_guard(self):
         with pytest.raises(ValueError):
-            gkp_state(2, 0, 0.1, 0.3, 1, tail_tol=1e-8)
+            gkp_state(2, 0, 0.1, 0.3, 1)
 
     def test_gkp_tail_bounds_extent_change(self):
-        base, tail = gkp_state(2, 0, 0.45, 0.35, 2, tail_tol=1.0)
-        bigger, _ = gkp_state(2, 0, 0.45, 0.35, 3, tail_tol=1.0)
-        e0 = measures(base).extent_upper
-        e1 = measures(bigger).extent_upper
-        # dropped-l1 mass controls the extent shift (small-perturbation bound)
-        assert abs(e1 - e0) <= 5.0 * e0 * tail
+        # an explicit grid truncation keeps its t_max and returns its dropped
+        # mass, which controls the extent shift (small-perturbation bound)
+        for delta in (0.35, 0.5, 0.6):
+            base, tail = grid_sensor(delta, t_max=2)
+            bigger, _ = grid_sensor(delta, t_max=3)
+            e0 = measures(base).extent_upper
+            e1 = measures(bigger).extent_upper
+            assert abs(e1 - e0) <= 5.0 * e0 * tail, delta
 
     def test_grid_sensor_term_count(self):
         sup, tail = grid_sensor(0.1)
@@ -291,11 +293,6 @@ class TestGridStates:
         monkeypatch.setattr(stellar, "apply_gate", no_terms)
         with pytest.raises(ValueError, match="shells"):
             build()
-
-    def test_grid_tail_tol_must_be_non_negative(self):
-        # no tail is below a negative tolerance, so the t_max search would not end
-        with pytest.raises(ValueError, match="tail_tol must be non-negative"):
-            grid_sensor(0.3, tail_tol=-1e-8)
 
     def test_grid_requires_positive_delta(self):
         with pytest.raises(ValueError):
