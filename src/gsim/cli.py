@@ -158,8 +158,8 @@ KIND_FIELDS = {
     "coherent": {"alpha": 0j},
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": 0j},
     "cat": {"alpha": 1 + 0j, "parity": "+"},
-    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
-    "grid": {"delta": 0.3, "t_max": None},  # no t_max: the least that meets states.TAIL_TOL
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": None},  # no s_max: the least that meets states.TAIL_TOL
+    "grid": {"delta": 0.3},
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
 
@@ -169,7 +169,7 @@ INITIAL_FIELDS = {
     "parity": _choice("+", "-", 1, -1),
     "seed_state": _choice("optimal", "coherent"),
     **dict.fromkeys(("r", "theta", "kappa", "delta"), _real),
-    **dict.fromkeys(("d", "mu", "s_max", "t_max", "N"), _integer),
+    **dict.fromkeys(("d", "mu", "s_max", "N"), _integer),
 }
 
 # every field that each task reads besides ``name``, and its default
@@ -236,7 +236,7 @@ def _initial_state(init: dict, modes: int) -> Superposition:
     elif kind == "gkp":
         sup, _ = states.gkp_state(init["d"], init["mu"], init["kappa"], init["delta"], init["s_max"])
     elif kind == "grid":
-        sup, _ = states.grid_sensor(init["delta"], init["t_max"])
+        sup, _ = states.grid_sensor(init["delta"])
     else:  # fock1_ring
         seeds = {"optimal": states.optimal_fock1_seed, "coherent": states.coherent_ring_seed}
         sup = states.fock1_ring(seeds[init["seed_state"]](), init["N"])

@@ -11,7 +11,6 @@ Gaussian seed under displacements or phase rotations, built by `_orbit`.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -385,55 +384,48 @@ def _tails(envelope, least: int) -> np.ndarray:
     return np.cumsum(shells[::-1])[::-1]
 
 
-def _comb(delta: float, positions, coeffs) -> Superposition:
-    """Normalised sum of coeffs[i] D(positions[i]) S(-log delta)|0>, q variance delta^2."""
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
+def _comb(delta: float, envelope, position, cut: int | None = None):
+    """The normalised sum over |s| <= cut of envelope(s) D(position(s))
+    S(-log delta)|0>, q variance delta^2, and the l1 mass that the cut drops.
+    An omitted cut is the least cut >= 1 that drops at most TAIL_TOL; a given
+    one that drops more raises, for which the remedy is a larger cut."""
+    _check_delta(delta)
+    tails = _tails(envelope, 1 if cut is None else cut)
+    if cut is None:
+        cut = 1 + int(np.argmax(tails[1:] <= TAIL_TOL))
+    elif tails[cut] > TAIL_TOL:
+        raise ValueError(f"s_max too small: dropped l1 mass {tails[cut]:.3e} > {TAIL_TOL:.1e}")
+    s = np.arange(-cut, cut + 1)
     seed = stellar.apply_gate(Squeeze(0, -math.log(delta)), _VACUUM, 1)
-    return _orbit(seed, Displace(0, positions + 0.0j), coeffs)
+    return _orbit(seed, Displace(0, position(s) + 0.0j), np.array([envelope(k) for k in s.tolist()])), float(tails[cut])
 
 
-def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int):
+def gkp_state(d: int, mu: int, kappa: float, delta: float, s_max: int | None = None):
     """Finite-energy grid code word: term |s| <= s_max has coefficient
     exp(-kappa^2 alpha_d^2 (d s + mu)^2 / 2) and state D(alpha_d (d s + mu))
-    S(-log delta)|0>, alpha_d = sqrt(2 pi / d).  Returns (superposition,
-    dropped_l1_mass); raises if the dropped mass exceeds TAIL_TOL, for which
-    the remedy is a larger ``s_max``.
+    S(-log delta)|0>, alpha_d = sqrt(2 pi / d), truncated as `_comb` does.
+    Returns (superposition, dropped_l1_mass).
     """
-    if d < 2 or not 0 <= mu < d or s_max < 0:
+    if d < 2 or not 0 <= mu < d or (s_max is not None and s_max < 0):
         raise ValueError("need d >= 2, 0 <= mu < d, s_max >= 0")
     alpha_d = math.sqrt(2 * math.pi / d)
 
     def envelope(s: int) -> float:
         return math.exp(-0.5 * kappa**2 * alpha_d**2 * (d * s + mu) ** 2)
 
-    tail = float(_tails(envelope, s_max)[s_max])
-    if tail > TAIL_TOL:
-        raise ValueError(f"s_max too small: dropped l1 mass {tail:.3e} > {TAIL_TOL:.1e}")
-    s = np.arange(-s_max, s_max + 1)
-    return _comb(delta, alpha_d * (d * s + mu), np.array([envelope(k) for k in s.tolist()])), tail
+    return _comb(delta, envelope, lambda s: alpha_d * (d * s + mu), s_max)
 
 
-def _check_delta(delta: float) -> None:
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-
-
-def grid_sensor(delta: float, t_max: int | None = None):
+def grid_sensor(delta: float):
     """Sensor-type grid state: sum_t e^{-pi delta^2 t^2} D(t sqrt(pi/2)) S(delta)|0>,
-    S(delta) squeezing the q variance to delta^2.  An omitted ``t_max`` is the
-    least t_max >= 1 whose dropped l1 mass is at most TAIL_TOL; a given one
-    is kept whatever it drops.  Returns (superposition, dropped_l1_mass)."""
-    _check_delta(delta)
-    if t_max is not None and (isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0):
-        raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
-
-    def envelope(t: int) -> float:
-        return math.exp(-math.pi * delta**2 * t**2)
-
-    tails = _tails(envelope, 1 if t_max is None else t_max)
-    if t_max is None:
-        t_max = 1 + int(np.argmax(tails[1:] <= TAIL_TOL))
-    t = np.arange(-t_max, t_max + 1)
-    return _comb(delta, t * math.sqrt(math.pi / 2), np.array([envelope(k) for k in t.tolist()])), float(tails[t_max])
+    S(delta) squeezing the q variance to delta^2, at the least cut that `_comb`
+    takes.  Returns (superposition, dropped_l1_mass)."""
+    return _comb(delta, lambda t: math.exp(-math.pi * delta**2 * t**2), lambda t: t * math.sqrt(math.pi / 2))
 
 
 def _grid_theta(delta: float) -> float:

@@ -1218,7 +1218,7 @@ MISSING = object()  # a field left out of the program
     [
         ({"task": {"name": "table1", "deltas": 0.1}}, "task.deltas"),
         ({"task": {"name": "breed_bound", "xi": None}}, "task.xi"),
-        ({"initial": {"kind": "grid", "delta": 0.3, "t_max": "3"}, "task": {"name": "extent"}}, "initial.t_max"),
+        ({"initial": {"kind": "gkp", "s_max": "3"}, "task": {"name": "extent"}}, "initial.s_max"),
         *(
             ({"initial": VACUUM, "ops": ops, "task": {"name": "extent"}}, path)
             for ops, path in (
@@ -1277,12 +1277,21 @@ def test_an_outcome_of_the_wrong_length_exits_before_any_estimator(modes, ops, n
     assert out == "" and err == "validation error: task.outcome: expected one entry per system mode (1), got 2\n"
 
 
-@pytest.mark.parametrize("t_max", [3.5, -2])
-def test_grid_t_max_must_be_a_non_negative_integer(t_max, tmp_path, capsys):
+@pytest.mark.parametrize("t_max", [0, 8])
+def test_a_grid_takes_no_t_max(t_max, tmp_path, capsys):
+    # a grid's cut is the least that meets states.TAIL_TOL: a given t_max of 0
+    # would drop l1 mass 2.33, more than it keeps, and report extent 1
     program = {"schema_version": 1, "modes": 1, "initial": {"kind": "grid", "delta": 0.3, "t_max": t_max}}
     code, out, err = _run_program({**program, "task": {"name": "extent"}}, tmp_path, capsys)
     assert code == 2, err
-    assert out == "" and "t_max" in err
+    assert out == "" and err == "validation error: initial.t_max: unknown field of kind 'grid'\n"
+
+
+def test_a_gkp_word_without_s_max_takes_the_cut_it_needs(capsys):
+    # --grid-delta 0.1 sets kappa = delta = 0.1, whose least cut is s_max 17
+    code, out, err = run_cli(["extent", "--state", "gkp", "--grid-delta", "0.1"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"]["rank"] == 35
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1])
@@ -1492,7 +1501,7 @@ LEAF_INITIALS = [
     {"kind": "squeezed", "r": 0.3, "theta": 0.7, "alpha": 0.4},
     {"kind": "cat", "alpha": [0.9, 0.1], "parity": -1},
     {"kind": "gkp", "d": 2, "mu": 1, "kappa": 0.9, "delta": 0.5, "s_max": 2},
-    {"kind": "grid", "delta": 0.5, "t_max": 2},
+    {"kind": "grid", "delta": 0.5},
     {"kind": "fock1_ring", "N": 3},
 ]
 ARRAY_FIELDS = ("matrix", "shift", "X", "Y", "D")
@@ -1646,7 +1655,7 @@ def test_every_read_field_is_known(tmp_path, capsys):
         {"kind": "squeezed", "r": 0.3, "theta": 0.2, "alpha": 0.1},
         {"kind": "cat", "alpha": 1.0, "parity": "-"},
         {"kind": "gkp", "d": 2, "mu": 0, "kappa": 0.9, "delta": 0.6, "s_max": 1},
-        {"kind": "grid", "delta": 0.5, "t_max": 2},
+        {"kind": "grid", "delta": 0.5},
         {"kind": "fock1_ring", "seed_state": "coherent", "N": 2},
     ]
     ops = [
@@ -1738,13 +1747,13 @@ def _document(program, tmp_path, capsys):
 
 # every defaulted field of each initial kind, gate and task, spelled out with
 # the value that a program without it runs with (the documented defaults);
-# a grid's t_max has none, as it is the least that meets states.TAIL_TOL
+# a GKP word's s_max has none, as it is the least that meets states.TAIL_TOL
 SPELLED_INITIAL = {
     "vacuum": {},
     "coherent": {"alpha": 0},
     "squeezed": {"r": 0.0, "theta": 0.0, "alpha": [0, 0]},
     "cat": {"alpha": 1.0, "parity": "+"},
-    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3, "s_max": 5},
+    "gkp": {"d": 2, "mu": 0, "kappa": 0.3, "delta": 0.3},
     "grid": {"delta": 0.3},
     "fock1_ring": {"seed_state": "optimal", "N": 16},
 }
@@ -1884,6 +1893,8 @@ def test_empty_tables_exit_2(fmt, tmp_path, capsys):
     [
         (["extent", "--state", "fock1-ring", "--ring-n", "1"], "initial: ring size must be at least 2"),
         (["bs-bound", "--mbar", "-1"], "task: photon count must be nonnegative"),
+        (["extent", "--state", "gkp", "--grid-delta", "0"], "initial: delta must be positive and finite, got 0.0"),
+        (["extent", "--state", "gkp", "--grid-delta=-0.3"], "initial: delta must be positive and finite, got -0.3"),
     ],
 )
 def test_range_errors_name_the_initial_state_or_the_task(argv, message, capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsim import counters, fock, stellar
+from gsim import counters, fock, states, stellar
 from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
@@ -210,6 +212,11 @@ class TestRotationalCode:
         assert abs(cross_overlap(c0, c1)) < 1e-6
 
 
+def _grid_comb(delta):
+    """The envelope and the positions that grid_sensor hands the comb builder."""
+    return (lambda t: math.exp(-math.pi * delta**2 * t**2)), (lambda t: t * math.sqrt(math.pi / 2))
+
+
 class TestGridStates:
     def test_gkp_single_term_limit(self):
         # the one-term truncation is the plain squeezed vacuum; at kappa = 3 it
@@ -223,6 +230,7 @@ class TestGridStates:
     def test_gkp_term_count_and_symmetry(self):
         sup, _ = gkp_state(2, 0, 0.3, 0.3, 5)
         assert sup.rank == 11
+        assert gkp_state(2, 0, 0.3, 0.3)[0].rank == 11  # s_max 5 is the least cut here
         c = np.abs(sup.coefficients())
         assert np.allclose(c, c[::-1], atol=1e-12)
 
@@ -237,15 +245,44 @@ class TestGridStates:
         with pytest.raises(ValueError):
             gkp_state(2, 0, 0.1, 0.3, 1)
 
-    def test_gkp_tail_bounds_extent_change(self):
-        # an explicit grid truncation keeps its t_max and returns its dropped
-        # mass, which controls the extent shift (small-perturbation bound)
+    def test_gkp_tail_bounds_extent_change(self, monkeypatch):
+        # a lossy grid cut, built by the comb builder with its tolerance lifted,
+        # returns its dropped mass, which controls the extent shift
+        # (small-perturbation bound)
+        monkeypatch.setattr(states, "TAIL_TOL", math.inf)
         for delta in (0.35, 0.5, 0.6):
-            base, tail = grid_sensor(delta, t_max=2)
-            bigger, _ = grid_sensor(delta, t_max=3)
+            envelope, position = _grid_comb(delta)
+            base, tail = states._comb(delta, envelope, position, 2)
+            bigger, _ = states._comb(delta, envelope, position, 3)
             e0 = measures(base).extent_upper
             e1 = measures(bigger).extent_upper
             assert abs(e1 - e0) <= 5.0 * e0 * tail, delta
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.02, 3.0), st.data())
+    def test_a_grid_takes_the_least_cut_that_meets_the_tail_tolerance(self, delta, data):
+        sup, tail = grid_sensor(delta)
+        cut = (sup.rank - 1) // 2
+        assert cut >= 1 and tail <= states.TAIL_TOL
+        if cut > 1:  # one cut less, or any below it, drops more
+            envelope, position = _grid_comb(delta)
+            for below in {cut - 1, data.draw(st.integers(0, cut - 1))}:
+                with pytest.raises(ValueError, match="s_max too small"):
+                    states._comb(delta, envelope, position, below)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.floats(0.1, 3.0), st.floats(0.2, 1.0), st.data())
+    def test_a_gkp_word_takes_the_least_cut_that_meets_the_tail_tolerance(self, d, kappa, delta, data):
+        mu = data.draw(st.integers(0, d - 1))
+        sup, tail = gkp_state(d, mu, kappa, delta)
+        cut = (sup.rank - 1) // 2
+        assert cut >= 1 and tail <= states.TAIL_TOL
+        given_sup, given_tail = gkp_state(d, mu, kappa, delta, cut)  # the least cut, given, is the default
+        assert given_tail == tail and np.array_equal(given_sup.coeffs, sup.coeffs)
+        if cut > 1:  # one s_max less, or any below it, drops more
+            for below in {cut - 1, data.draw(st.integers(0, cut - 1))}:
+                with pytest.raises(ValueError, match="s_max too small"):
+                    gkp_state(d, mu, kappa, delta, below)
 
     def test_grid_sensor_term_count(self):
         sup, tail = grid_sensor(0.1)
@@ -269,24 +306,16 @@ class TestGridStates:
         sup, got = grid_sensor(delta)
         assert sup.rank == 2 * t_max + 1
         assert abs(got - tail) <= 1e-12 * tail
-        assert abs(grid_sensor(delta, t_max)[1] - tail) <= 1e-12 * tail
-
-    @pytest.mark.parametrize("t_max", [3.5, -2, 3.0, True, "3"])
-    def test_grid_t_max_must_be_a_non_negative_integer(self, t_max):
-        with pytest.raises(ValueError, match="t_max must be a non-negative integer"):
-            grid_sensor(0.3, t_max)
-        assert grid_sensor(0.3, 0)[0].rank == 1
-        assert grid_sensor(0.3, np.int64(3))[0].rank == 7
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: grid_sensor(1e-5), lambda: grid_sensor(0.3, 200000), lambda: gkp_state(2, 0, 0.0, 0.3, 5)],
-        ids=["grid-search", "grid-t_max", "gkp-flat-envelope"],
+        [lambda: grid_sensor(1e-5), lambda: gkp_state(2, 0, 0.0, 0.3, 5), lambda: gkp_state(2, 0, 0.0, 0.3)],
+        ids=["grid-search", "gkp-flat-envelope", "gkp-flat-search"],
     )
     def test_truncation_past_the_shell_cap_raises_before_any_term(self, build, monkeypatch):
         # grid_sensor(1e-5) would sum ~366k shells and build ~594k terms; a flat
-        # GKP envelope never drops.  Either ends at MAX_SHELLS with an error,
-        # not with t_max = 1 or a zero tail, and before any term is built
+        # GKP envelope never drops.  Each ends at MAX_SHELLS with an error,
+        # not with a cut of 1 or a zero tail, and before any term is built
         def no_terms(*args):
             raise AssertionError("a term was built")
 
