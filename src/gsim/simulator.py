@@ -7,9 +7,11 @@ pairwise overlaps once per state (rank - 1 for a library group orbit) and
 which `evolve` carries along, since Gaussian unitaries preserve overlaps, so
 each later gate and Born evaluation costs O(rank).  The approximate
 pipeline sparsifies the decomposition down to k = ceil((l1/delta)^2) terms
-and replaces the Gram norm with a Monte-Carlo estimate from coherent probes
-drawn from the decomposition's own Husimi mixture, making the total cost
-linear in the rank.  `condition` heterodynes some modes in O(rank);
+and takes the norm by `fast_norm`: a Monte-Carlo estimate from coherent
+probes drawn from the decomposition's own Husimi mixture, or the exact Gram
+where its pending pairs cost fewer amplitude evaluations than the fewest
+probes, making the total cost linear in the rank.  `condition` heterodynes
+some modes in O(rank);
 `heterodyne_density`, the Born rule after a channel's dilation, adds the
 Gram norms of the conditioned and the input state.
 Every routine works on a superposition's stacked triples at once: no loop
@@ -205,14 +207,69 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
 # fast norm estimation
 
 
+# Amplitude evaluations that one Gram pair costs, the price by which
+# `fast_norm` weighs the exact Gram's pending overlaps against its fewest
+# probes: index 0 for the one-mode overlap kernel, which is closed form, and 1
+# from two modes up, where `stellar._contract` calls LAPACK.  Measured on 2
+# cores as the time per pair of a fresh general Gram over the time per
+# amplitude of a full probe run on the same state, at the CLI defaults
+# (least time of 15 runs): one mode 16-21 on general fock1 rings of rank 32-64,
+# around the crossover at rank 56, and 7-55 away from it (rings of rank 16
+# and 256, grids at delta 0.3 and 0.1); two and three modes 130-210 on
+# entangled rings of rank 8-32, around the crossover at rank 12.  Each price
+# lies at or above the top of the range around its crossover, so the router
+# errs toward the probes.
+PAIR_PRICE = (42, 210)
+
+
 @dataclass(frozen=True)
 class NormEstimate:
+    """A norm estimate ``eta`` with its ``band`` and the probes ``samples``
+    that it took; ``samples`` 0 means the exact Gram form, banded by its
+    rounding bound."""
+
     eta: float
     samples: int
     band: tuple
 
 
+def _upsilon(epsilon: float, p_fail: float) -> float:
+    """The stopping threshold Upsilon_1 = 1 + (1 + eps) 4 (e - 2) ln(2 / p_fail) / eps^2."""
+    if not (0 < epsilon < 1 and 0 < p_fail < 1):
+        raise ValueError("epsilon and p_fail must lie in (0, 1)")
+    return 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+
+
+def _gram_norm(sup: Superposition, samples: int) -> NormEstimate:
+    """The exact norm `Superposition.norm_squared`, banded by its rounding
+    bound ``sup.gram_form[1]``, after ``samples`` probes; raises
+    IllConditioned where that bound reaches the norm."""
+    nsq, err = sup.norm_squared(), sup.gram_form[1]
+    return NormEstimate(nsq, samples, (nsq - err, nsq + err))
+
+
 def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:
+    """<psi|psi> by the cheaper of two routes, priced in counted work.
+
+    A probe run (`probe_norm`) evaluates at least ceil(Upsilon_1) K
+    amplitudes, K = rank, as no fewer probes can reach its stopping sum.  The
+    exact Gram form still has to evaluate ``sup.gram_cell.pending_pairs``
+    overlaps: none once the state's cell holds its Gram, K - 1 for an orbit,
+    K(K - 1)/2 for a general stack.  Priced at PAIR_PRICE amplitudes each,
+    if they cost less than those fewest probes the exact norm is returned,
+    banded by its rounding bound, with ``samples`` 0 and no probe drawn;
+    otherwise the probes run.  The Gram route thus costs less counted work
+    than any probe run could, and the norm stays linear in the rank.  The
+    route depends on counts and fixed constants only, never on a timing, so
+    the output stays deterministic for a given state and seed.
+    """
+    upsilon = _upsilon(epsilon, p_fail)
+    if sup.gram_cell.pending_pairs * PAIR_PRICE[sup.n > 1] < math.ceil(upsilon) * sup.rank:
+        return _gram_norm(sup, 0)
+    return probe_norm(sup, epsilon, p_fail, seed)
+
+
+def probe_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:
     """Monte-Carlo estimate of <psi|psi> linear in the rank, from amplitudes only.
 
     Probes xi come from the decomposition's own Husimi mixture (Bravyi et
@@ -246,9 +303,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     is one real product with it and a few vectorised passes
     (`stellar.ProbeValues`).
     """
-    if not (0 < epsilon < 1 and 0 < p_fail < 1):
-        raise ValueError("epsilon and p_fail must lie in (0, 1)")
-    upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+    upsilon = _upsilon(epsilon, p_fail)
     cap = math.ceil(upsilon * sup.rank / (1.0 - epsilon))
     budget = max(1, states.AMPLITUDE_CHUNK // sup.rank)
     draw = _husimi_probes(sup, seed)
@@ -267,8 +322,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
         want = (upsilon - total) * evaluated / total + 32 if total > 0 else budget
     counters.tally.samples += evaluated
     if total < upsilon:
-        nsq, err = sup.norm_squared(), sup.gram_form[1]
-        return NormEstimate(nsq, evaluated, (nsq - err, nsq + err))
+        return _gram_norm(sup, evaluated)
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * sup.l1**2 / big_n
     return NormEstimate(eta, big_n, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
@@ -303,9 +357,12 @@ def approx_born(
 ) -> BornEstimate:
     """Linear-scaling Born density: sparsify, then Monte-Carlo normalize.
 
-    Total amplitude-evaluation cost is O(k + N K) with k the sparsification
-    count, K <= k its distinct terms and N the norm-estimation probes, which
-    grow with the sparsified state's extent bound; no rank^2 term appears.
+    Total cost is O(k) for the k = `sample_count` draws of the
+    sparsification, plus the norm of its K <= k distinct terms: `fast_norm`
+    takes their exact Gram only while its K(K - 1)/2 pairs at PAIR_PRICE
+    amplitude evaluations each cost less than the ceil(Upsilon_1) K of the
+    fewest probes, and else N K amplitudes for N probes, which grow with the
+    sparsified state's extent bound; either way linear in K.
     ``error_band`` is (value (1 - eps), value (1 + eps)), the range of the
     sparsified state's Born density when its norm lies in the fast norm's
     band.

@@ -86,12 +86,22 @@ class GramCell:
         self.triples, self.orbit = triples, orbit
 
     def carried_to(self, triples: stellar.StellarParams) -> "GramCell":
-        """Cell of a stack with the same pairwise overlaps: this one once its
-        overlaps are computed (an orbit's row, a general stack's matrix),
-        else a fresh lazy cell of the same kind over ``triples``.  A derived
-        state's Gram never fills its parent's cell, so each derived state
-        costs the same whichever of its siblings was evaluated first."""
-        return self if ("row" if self.orbit else "matrix") in vars(self) else GramCell(triples, self.orbit)
+        """Cell of a stack with the same pairwise overlaps: this one once it
+        has no ``pending_pairs``, else a fresh lazy cell of the same kind over
+        ``triples``.  A derived state never evaluates an overlap into its
+        parent's cell, so each derived state costs the same whichever of its
+        siblings was evaluated first."""
+        return self if self.pending_pairs == 0 else GramCell(triples, self.orbit)
+
+    @property
+    def pending_pairs(self) -> int:
+        """Overlaps that the Gram form still has to evaluate: 0 once the cell
+        holds its ``row`` (an orbit) or ``matrix``, else K - 1 for an orbit
+        and K(K - 1)/2 for a general stack."""
+        if ("row" if self.orbit else "matrix") in vars(self):
+            return 0
+        k = self.triples.log_c.shape[0]
+        return k - 1 if self.orbit else k * (k - 1) // 2
 
     def _overlaps(self, i, j):
         """Overlaps <G_i|G_j> at the index pairs, and their rounding weights:

