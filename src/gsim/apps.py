@@ -118,7 +118,6 @@ class OptimizeResult:
     best_params: tuple
     best_fidelity: float
     evaluations: int
-    restarts: int
 
 
 def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) -> OptimizeResult:
@@ -208,7 +207,7 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
 
     k = int(np.argmax(-f_end))
     x_best = np.clip(x_end[k], lo, hi)
-    return OptimizeResult(tuple(float(v) for v in x_best), float(-f_end[k]), evaluations, cfg.restarts)
+    return OptimizeResult(tuple(float(v) for v in x_best), float(-f_end[k]), evaluations)
 
 
 @dataclass(frozen=True)

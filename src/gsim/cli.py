@@ -82,7 +82,12 @@ def _complex_from(value, where: str) -> complex:
 
 
 def _complex_vector(value, where: str):
-    return [_complex_from(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
+    """A list of complex entries whose squared modulus sum_k |xi_k|^2 does not overflow."""
+    vector = [_complex_from(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
+    modulus = math.hypot(*(part for z in vector for part in (z.real, z.imag)))
+    if not modulus * modulus <= sys.float_info.max:
+        raise ValidationFailure(f"{where}: modulus {modulus:.3g} is too large: its square overflows")
+    return vector
 
 
 def _reals(value, where: str) -> list:
@@ -321,18 +326,21 @@ def lower_ops(ops, modes: int) -> tuple:
     return segments, modes
 
 
-def _run_segments(state: Superposition, segments: list) -> Superposition:
-    """Run lowered ops.  Each run of gate ops costs one unitary, one
-    `simulator.evolve` and so one stacked normalisation check, while
-    `stellar.apply_gate` still checks every squeeze on its own."""
+def _run_segments(state: Superposition, segments: list) -> tuple:
+    """Run lowered ops: the final state and the summed log scale of its
+    conditions; the projected state is e^(log_scale / 2) times the final one.
+    A run of gate ops costs one unitary, one `simulator.evolve` and so one
+    stacked normalisation check; `stellar.apply_gate` still checks each squeeze."""
+    log_scale = 0.0
     for kind, *segment in segments:
         if kind == "gates":
             width, gates = segment
             # the gates were mode-checked as they were lowered
             state = simulator.evolve(_with_vacuum(state, width), GaussianUnitary(tuple(gates), width))
         else:
-            state, _ = simulator.condition(state, *segment)
-    return state
+            state, shift = simulator.condition(state, *segment)
+            log_scale += shift
+    return state, log_scale
 
 
 def _named(where: str, run, *args):
@@ -346,8 +354,9 @@ def _named(where: str, run, *args):
         raise ValidationFailure(f"{where}: {exc}") from None
 
 
-def _perform(state, modes: int, task: dict, seed: int) -> tuple:
-    """(value, error band) of a typed task on the final state; its first ``modes`` modes are the system."""
+def _perform(state, modes: int, task: dict, seed: int, log_scale: float = 0.0) -> tuple:
+    """(value, error band) of a typed task on the final state, its first ``modes``
+    modes the system and ``log_scale`` that of `_run_segments`."""
     name = task["name"]
     if name in ("approx_born", "extent") and state.n > modes:  # no mixed-state definition yet
         raise ValidationFailure(f"task.name: {name} requires a pure-state pipeline; after a channel the system is mixed")
@@ -360,21 +369,17 @@ def _perform(state, modes: int, task: dict, seed: int) -> tuple:
     if name == "approx_born":
         est = simulator.approx_born(state, task["outcome"], task["delta"], task["epsilon"], task["pfail"], seed=seed)
         return est.value, list(est.error_band)
-    if name == "norm":  # a channel's dilation keeps the norm
-        est = simulator.fast_norm(state, task["epsilon"], task["pfail"], seed=seed)
-        return est.eta, list(est.band)
+    if name == "norm":  # of the projected state; a channel's dilation keeps the norm
+        est, scale = simulator.fast_norm(state, task["epsilon"], task["pfail"], seed=seed), math.exp(log_scale)
+        return est.eta * scale, [bound * scale for bound in est.band]
     if name == "extent":
         rep = states.measures(state)
-        band = [1.0, 1.0]  # a single Gaussian's extent is exactly 1
-        if rep.rank > 1:  # l1^2 / c^+ G c over the rounding band of the Gram form
-            value, bound = state.gram_form
-            band = [rep.l1**2 / (value + bound), rep.l1**2 / (value - bound)]
         return {
             "extent_upper": rep.extent_upper,
             "rank": rep.rank,
             "l1_squared": rep.l1**2,
             "norm_squared": rep.norm_squared,
-        }, band
+        }, list(rep.band)
     if name == "breed_bound":
         return states.breeding_lower_bound(task["xi"]), None
     if name == "bs_bound":
@@ -541,8 +546,8 @@ def execute(program: dict, source, fmt: str) -> int:
         raise ValidationFailure(f"initial: task {task['name']!r} needs an initial state")
     if "outcome" in task and len(task["outcome"]) != system:
         raise ValidationFailure(f"task.outcome: expected one entry per system mode ({system}), got {len(task['outcome'])}")
-    state = None if init is None else _run_segments(_named("initial", _initial_state, init, modes), segments)
-    value, band = _named("task", _perform, state, system, task, top["seed"])
+    state, log_scale = (None, 0.0) if init is None else _run_segments(_named("initial", _initial_state, init, modes), segments)
+    value, band = _named("task", _perform, state, system, task, top["seed"], log_scale)
     emit(result_document(task["name"], {"program": source, "modes": modes}, value, band, top["seed"]), fmt)
     return 0
 

@@ -93,6 +93,8 @@ def condition(sup: Superposition, modes, outcome):
     a, b = rows[:, :, ka], t.b[:, ka] + rows[:, :, kb] @ xb
     log_nu = log_c.real - stellar.log_magnitude(a, b)
     shift = np.max(log_nu)
+    if np.isnan(shift):
+        raise FloatingPointError("a conditioning weight is not a number")
     scale = np.exp(log_nu - shift)
     keep = scale > 0.0
     if not keep.any():
@@ -108,8 +110,6 @@ def condition(sup: Superposition, modes, outcome):
 @dataclass(frozen=True)
 class BornEstimate:
     value: float
-    numerator: float
-    norm_estimate: float
     error_band: tuple
 
 
@@ -118,42 +118,40 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
 
     density = |<x|psi>|^2 / (pi^n <psi|psi>), with the numerator from one
     O(rank) product of the outcome's monomials with the state's cached
-    ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`) and the norm
-    from the exact Gram, so a second outcome on the same state costs that
-    product only.  Relative to the quadrature-outcome general-dyne density,
+    ``amplitude_table``, row 0 of a block of one, and the norm from the
+    exact Gram, so a second outcome on the same state costs that product
+    only.  Relative to the quadrature-outcome general-dyne density,
     this carries the Jacobian factor 2^n.  ``error_band`` bounds the
     rounding: the amplitude sum is
     off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
-    the same product ``with_sum``, and the norm by its rounding bound
-    ``sup.gram_form[1]``; `Superposition.norm_squared` raises IllConditioned
-    once that bound reaches the norm itself.  The band, like `heterodyne_density`'s,
+    the same product ``with_sum``, and the norm lies in
+    `Superposition.norm_band`, which raises IllConditioned once its rounding
+    bound reaches the norm itself.  The band, like `heterodyne_density`'s,
     bounds the rounding of this evaluation on the stored triples, not of the gate fold
     that built them: a one-mode vacuum under squeeze, displace, phase, squeeze and loss
     (seed 149) gets a band 2 ulp wide, and a fold that rounds 1 ulp differently leaves it by 1-2 ulp.
     """
-    amps, sums = sup.amplitude_table.amplitude(outcome, with_sum=True)
+    (amps,), (sums,) = sup.amplitude_table.amplitudes(np.atleast_1d(outcome)[None], with_sum=True)
     slack = KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * sums
     amp = abs(complex(sup.coeffs @ amps))
     amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
-    norm_sq, norm_err = sup.norm_squared(), sup.gram_form[1]
+    norm_sq, (norm_lo, norm_hi) = sup.norm_squared(), sup.norm_band
     scale = np.pi**sup.n
-    value = amp**2 / (scale * norm_sq)
-    lo = max(amp - amp_err, 0.0) ** 2 / (scale * (norm_sq + norm_err))
-    return BornEstimate(value, amp**2, norm_sq, (lo, (amp + amp_err) ** 2 / (scale * (norm_sq - norm_err))))
+    band = (max(amp - amp_err, 0.0) ** 2 / (scale * norm_hi), (amp + amp_err) ** 2 / (scale * norm_lo))
+    return BornEstimate(amp**2 / (scale * norm_sq), band)
 
 
 def heterodyne_density(sup: Superposition, modes, outcome) -> BornEstimate:
     """Outcome density over d^2m(xi) for heterodyning a subset of modes, the
     marginal over the others: the weight state.norm_squared() e^log_scale of
-    `condition` over pi^m ||psi||^2.  ``error_band`` moves each Gram form to
-    the end of its rounding bound (``gram_form[1]``) that widens the band;
-    both exact norms raise IllConditioned where their bounds reach them."""
+    `condition` over pi^m ||psi||^2.  ``error_band`` takes each norm at
+    the end of its `Superposition.norm_band` that widens the band; both
+    bands raise IllConditioned where their rounding bounds reach the norms."""
     state, log_scale = condition(sup, modes, outcome)
     num, norm_sq = state.norm_squared(), sup.norm_squared()
-    num_err, den_err = state.gram_form[1], sup.gram_form[1]
+    (num_lo, num_hi), (den_lo, den_hi) = state.norm_band, sup.norm_band
     scale = np.exp(log_scale) / np.pi ** len(tuple(modes))
-    band = ((num - num_err) * scale / (norm_sq + den_err), (num + num_err) * scale / (norm_sq - den_err))
-    return BornEstimate(num * scale / norm_sq, num * np.exp(log_scale), norm_sq, band)
+    return BornEstimate(num * scale / norm_sq, (num_lo * scale / den_hi, num_hi * scale / den_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +223,8 @@ PAIR_PRICE = (42, 210)
 @dataclass(frozen=True)
 class NormEstimate:
     """A norm estimate ``eta`` with its ``band`` and the probes ``samples``
-    that it took; ``samples`` 0 means the exact Gram form, banded by its
-    rounding bound."""
+    that it took; ``samples`` 0 means the exact Gram form, banded by
+    `Superposition.norm_band`."""
 
     eta: float
     samples: int
@@ -240,14 +238,6 @@ def _upsilon(epsilon: float, p_fail: float) -> float:
     return 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
 
 
-def _gram_norm(sup: Superposition, samples: int) -> NormEstimate:
-    """The exact norm `Superposition.norm_squared`, banded by its rounding
-    bound ``sup.gram_form[1]``, after ``samples`` probes; raises
-    IllConditioned where that bound reaches the norm."""
-    nsq, err = sup.norm_squared(), sup.gram_form[1]
-    return NormEstimate(nsq, samples, (nsq - err, nsq + err))
-
-
 def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:
     """<psi|psi> by the cheaper of two routes, priced in counted work.
 
@@ -256,8 +246,8 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     exact Gram form still has to evaluate ``sup.gram_cell.pending_pairs``
     overlaps: none once the state's cell holds its Gram, K - 1 for an orbit,
     K(K - 1)/2 for a general stack.  Priced at PAIR_PRICE amplitudes each,
-    if they cost less than those fewest probes the exact norm is returned,
-    banded by its rounding bound, with ``samples`` 0 and no probe drawn;
+    if they cost less than those fewest probes the exact norm is returned in
+    its `Superposition.norm_band`, with ``samples`` 0 and no probe drawn;
     otherwise the probes run.  The Gram route thus costs less counted work
     than any probe run could, and the norm stays linear in the rank.  The
     route depends on counts and fixed constants only, never on a timing, so
@@ -265,7 +255,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     """
     upsilon = _upsilon(epsilon, p_fail)
     if sup.gram_cell.pending_pairs * PAIR_PRICE[sup.n > 1] < math.ceil(upsilon) * sup.rank:
-        return _gram_norm(sup, 0)
+        return NormEstimate(sup.norm_squared(), 0, sup.norm_band)
     return probe_norm(sup, epsilon, p_fail, seed)
 
 
@@ -287,10 +277,10 @@ def probe_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0)
     least 1 - p_fail; past that cap the probes have cost more amplitudes than
     a general exact Gram's K (K - 1) / 2 overlaps (an orbit's costs K - 1,
     and a Gram the state already carries none), so the exact norm is
-    returned, `Superposition.norm_squared` banded by its rounding bound
-    ``sup.gram_form[1]``: a cancelling state (an odd cat at small alpha) ends
-    in bounded time, and raises IllConditioned where that bound reaches the
-    norm.  Probes are drawn and evaluated in blocks sized by the stopping
+    returned, `Superposition.norm_squared` in its `Superposition.norm_band`:
+    a cancelling state (an odd cat at small alpha) ends in bounded time, and
+    raises IllConditioned where that band's rounding bound reaches the norm.
+    Probes are drawn and evaluated in blocks sized by the stopping
     rule: the first holds ceil(Upsilon_1) probes, as no fewer can reach it
     with Z <= 1, and each later one the count (Upsilon_1 - S) n / S that the
     running mean S / n of the n probes so far predicts is still missing, plus
@@ -322,7 +312,7 @@ def probe_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0)
         want = (upsilon - total) * evaluated / total + 32 if total > 0 else budget
     counters.tally.samples += evaluated
     if total < upsilon:
-        return _gram_norm(sup, evaluated)
+        return NormEstimate(sup.norm_squared(), evaluated, sup.norm_band)
     big_n = evaluated - len(z) + int(np.argmax(running >= upsilon)) + 1
     eta = upsilon * sup.l1**2 / big_n
     return NormEstimate(eta, big_n, (eta / (1.0 + epsilon), eta / (1.0 - epsilon)))
@@ -371,9 +361,6 @@ def approx_born(
     child = stream(seed, 0).integers(0, 2**62, size=2)
     omega_state = sparsify(sup, delta, int(child[0]))
     norm = fast_norm(omega_state, epsilon, p_fail, seed=int(child[1]))
-    amp = omega_state.coherent_amplitude(outcome)
-    numerator = abs(amp) ** 2
-    value = numerator / (np.pi**sup.n * norm.eta)
-    band = (value * (1.0 - epsilon), value * (1.0 + epsilon))
-    return BornEstimate(value, numerator, norm.eta, band)
+    value = abs(omega_state.coherent_amplitude(outcome)) ** 2 / (np.pi**sup.n * norm.eta)
+    return BornEstimate(value, (value * (1.0 - epsilon), value * (1.0 + epsilon)))
 

@@ -78,8 +78,8 @@ class GramCell:
     its Gram is Hermitian Toeplitz, G_ij = r_{j-i} and G_ji = conj(r_{j-i}),
     as for a cat pair, equally spaced real displacements (grid, GKP) and a
     cyclic orbit such as a rotation ring, whose circulant Gram is Toeplitz.
-    An orbit's Gram form reads the row alone (`Superposition.gram_form`), so
-    its K x K ``matrix`` is built from the row only when asked.
+    An orbit's Gram form reads the row alone (`form`), so its K x K
+    ``matrix`` is built from the row only when asked.
     """
 
     def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
@@ -139,6 +139,24 @@ class GramCell:
             self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
         gram.flags.writeable = False  # shared by every superposition of the cell
         return gram
+
+    def form(self, c) -> tuple:
+        """(c^+ G c, u |c|^T W |c|): the Gram form of coefficients ``c`` and
+        its rounding bound, W the ``rounding_weights`` (see ``matrix``).
+
+        A general stack's form is the dense c^+ (G c).  An orbit's reads its
+        ``row`` (r, w) alone, in O(K) memory: c^+ G c = r_0 ||c||^2 + 2 Re
+        sum_{d>0} r_d s_d with the lag sums s_d = sum_i conj(c_i) c_{i+d},
+        and |c|^T W |c| the same way from the lag sums of |c|.  Each product
+        conj(c_i) G_ij c_j passes through two sums of at most K terms, the
+        summation depth of the dense form, so the same W bounds it."""
+        weights = np.abs(c)
+        if not self.orbit:
+            value = float(np.real(np.conj(c) @ self.matrix @ c))
+            return value, stellar.UNIT_ROUNDOFF * float(weights @ self.rounding_weights @ weights)
+        (row, w), s, t = self.row, _lags(c), _lags(weights)
+        value = float(s[0].real + 2.0 * np.real(row[1:] @ s[1:]))
+        return value, stellar.UNIT_ROUNDOFF * float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
 
 
 def _lags(c) -> np.ndarray:
@@ -219,31 +237,16 @@ class Superposition:
         """Exact pairwise overlap matrix; diagonal pinned to 1 (terms normalized).
 
         The matrix of ``gram_cell``, computed on first use by any of the
-        superpositions that share the cell (see `GramCell`); read-only.  No
-        norm of an orbit reads it: it is built only when asked.
+        superpositions that share the cell (see `GramCell`); read-only.  The
+        norms read the cell's `GramCell.form`, so an orbit's is built only when asked.
         """
         return self.gram_cell.matrix
 
     @cached_property
     def gram_form(self) -> tuple:
-        """(c^+ G c, u |c|^T W |c|): the Gram form of the coefficients and its
-        rounding bound, W the cell's ``rounding_weights`` (see
-        `GramCell.matrix`).  O(rank^2) once per superposition; every later
-        norm reads it back.
-
-        An orbit's form reads its cell's ``row`` (r, w) alone, in O(rank)
-        memory: c^+ G c = r_0 ||c||^2 + 2 Re sum_{d>0} r_d s_d with the lag
-        sums s_d = sum_i conj(c_i) c_{i+d}, and |c|^T W |c| the same way from
-        the lag sums of |c|.  Each product conj(c_i) G_ij c_j passes through
-        two sums of at most K terms, the summation depth of the dense
-        c^+ (G c), so the same W bounds it."""
-        c, weights = self.coeffs, np.abs(self.coeffs)
-        if not self.gram_cell.orbit:
-            value = float(np.real(np.conj(c) @ self.gram @ c))
-            return value, stellar.UNIT_ROUNDOFF * float(weights @ self.gram_cell.rounding_weights @ weights)
-        (row, w), s, t = self.gram_cell.row, _lags(c), _lags(weights)
-        value = float(s[0].real + 2.0 * np.real(row[1:] @ s[1:]))
-        return value, stellar.UNIT_ROUNDOFF * float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
+        """`GramCell.form` of the coefficients, (c^+ G c, its rounding bound):
+        O(rank^2) once per superposition; every later norm reads it back."""
+        return self.gram_cell.form(self.coeffs)
 
     def norm_squared(self) -> float:
         """c^+ G c if it lies outside its rounding bound ``gram_form[1]``: within
@@ -255,6 +258,13 @@ class Superposition:
             raise IllConditioned(f"Gram norm {value:.3g} within its rounding bound {bound:.3g} (l1^2 = {self.l1**2:.3g})")
         return value
 
+    @property
+    def norm_band(self) -> tuple:
+        """(c^+ G c - bound, c^+ G c + bound): the band of the exact norm that
+        every exact task reads; raises where `norm_squared` does."""
+        value, bound = self.norm_squared(), self.gram_form[1]
+        return value - bound, value + bound
+
     @cached_property
     def amplitude_table(self) -> stellar.AmplitudeTable:
         """The `stellar.AmplitudeTable` of ``triples``, built on first use; a
@@ -262,8 +272,8 @@ class Superposition:
         return stellar.AmplitudeTable(self.triples)
 
     def coherent_amplitude(self, xi) -> complex:
-        """<xi|psi>, one product with the ``amplitude_table`` (`stellar.AmplitudeTable.amplitude`); O(rank)."""
-        return complex(self.coeffs @ self.amplitude_table.amplitude(xi))
+        """<xi|psi>, row 0 of the ``amplitude_table``'s block of one outcome; O(rank)."""
+        return complex(self.coeffs @ self.amplitude_table.amplitudes(np.atleast_1d(xi)[None])[0])
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""
@@ -476,18 +486,20 @@ class ExtentReport:
     rank: int
     norm_squared: float
     l1: float
+    band: tuple
 
 
 def measures(sup: Superposition) -> ExtentReport:
     """Gaussian-rank and extent upper bound of the given decomposition.
 
     ``extent_upper`` is l1^2 divided by the exact Gram norm, so it is exact
-    for normalized inputs and exactly 1 for single-term inputs.
+    for normalized inputs and exactly 1 for single-term inputs; ``band`` is
+    l1^2 over the `Superposition.norm_band`, and (1, 1) for a single term.
     """
     if sup.rank == 1:
-        return ExtentReport(1.0, 1, abs(sup.coeffs[0]) ** 2, sup.l1)
-    nsq = sup.norm_squared()
-    return ExtentReport(sup.l1**2 / nsq, sup.rank, nsq, sup.l1)
+        return ExtentReport(1.0, 1, abs(sup.coeffs[0]) ** 2, sup.l1, (1.0, 1.0))
+    nsq, (lo, hi) = sup.norm_squared(), sup.norm_band
+    return ExtentReport(sup.l1**2 / nsq, sup.rank, nsq, sup.l1, (sup.l1**2 / hi, sup.l1**2 / lo))
 
 
 @dataclass(frozen=True)

@@ -520,12 +520,6 @@ class AmplitudeTable:
         parts = xis.view(float)
         return 0.5 * (parts * parts).sum(axis=1)
 
-    def amplitude(self, xi, with_sum: bool = False):
-        """<xi|G_j> of one outcome (modes,): (K,), row 0 of `amplitudes` on a block
-        of one, which checks its width, with its (K,) sums under ``with_sum``; counted."""
-        out = self.amplitudes(np.atleast_1d(xi)[None], with_sum)
-        return (out[0][0], out[1][0]) if with_sum else out[0]
-
     def amplitudes(self, xis, with_sum: bool = False):
         """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for a block of outcomes (L, modes):
         (L, K) from one product; counts L K amplitude evaluations.
@@ -608,7 +602,7 @@ class ProbeValues:
 
 def coherent_amplitude(t: StellarParams, xi):
     """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
-    amps = AmplitudeTable(t).amplitude(xi)
+    amps = AmplitudeTable(t).amplitudes(np.atleast_1d(xi)[None])[0]
     return amps if np.ndim(t.log_c) else amps[0]
 
 

@@ -568,7 +568,7 @@ def test_extent_reports_its_rounding_band(capsys):
             0.019830489960012715,
             [0.017847440964011443, 0.021813538956013987],
         ),
-        ({"name": "norm"}, 0.661045227016528, [0.6009502063786618, 0.7344946966850311]),
+        ({"name": "norm"}, 0.6086843956436675, [0.5533494505851523, 0.6763159951596305]),
     ],
 )
 def test_conditioned_approximate_tasks_form_no_gram(task, value, band, tmp_path, capsys, monkeypatch):
@@ -589,7 +589,7 @@ def test_conditioned_approximate_tasks_form_no_gram(task, value, band, tmp_path,
 def test_a_conditioned_rank_128_norm_takes_probes(tmp_path, capsys, monkeypatch):
     # 8128 pending pairs at 42 amplitudes each cost more than 1167 x 128
     # probe amplitudes: the norm samples and evaluates no overlap; its band
-    # holds the exact norm 0.66235
+    # holds the projected state's norm 0.60991
     routes = _record_norm_routes(monkeypatch)
     code, out, err = _run_program(_conditioned_ring(64, {"name": "norm"}), tmp_path, capsys)
     assert code == 0, err
@@ -598,8 +598,26 @@ def test_a_conditioned_rank_128_norm_takes_probes(tmp_path, capsys, monkeypatch)
     assert pairs == 128 * 127 // 2 and 0 < samples <= doc["counters"]["samples"]
     assert doc["counters"]["overlap_evals"] == 0
     assert doc["counters"]["amplitude_evals"] == 128 * doc["counters"]["samples"]
-    assert doc["value"] == pytest.approx(0.6610176219176455, rel=1e-12)
-    assert doc["error_band"] == pytest.approx([0.6009251108342231, 0.7344640243529393], rel=1e-12)
+    assert doc["value"] == pytest.approx(0.6086843956436675, rel=1e-12)
+    assert doc["error_band"] == pytest.approx([0.5533494505851522, 0.6763159951596305], rel=1e-12)
+
+
+def test_a_conditioned_norm_is_the_projected_states_norm(tmp_path, capsys):
+    # ||(1 (x) <xi|) psi||^2 = pi ||psi||^2 times the heterodyne density, not
+    # the norm of the rescaled coefficients that conditioning leaves
+    from gsim import states
+    from gsim.phase import GaussianUnitary
+
+    code, out, err = _run_program(_conditioned_ring(16, {"name": "norm"}), tmp_path, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    ring = states.fock1_ring(states.optimal_fock1_seed(), 16)
+    psi = simulator.evolve(cli._with_vacuum(ring, 2), GaussianUnitary((BeamSplitter(0, 1, 0.6),), 2))
+    want = np.pi * psi.norm_squared() * simulator.heterodyne_density(psi, [1], [0.4 - 0.2j]).value
+    assert doc["counters"]["samples"] == 0
+    assert abs(doc["value"] - want) <= 1e-12 * want
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi
 
 
 def _conditioned_ring(big_n, task):
@@ -919,7 +937,7 @@ def _through(initial, ops, modes):
     """The final state of a program's ops and its system-mode count, as
     ``cli.execute`` builds them."""
     segments, system = cli.lower_ops(ops, modes)
-    return cli._run_segments(_initial(initial, modes), segments), system
+    return cli._run_segments(_initial(initial, modes), segments)[0], system
 
 
 def _born(state, system, outcome):
@@ -1489,7 +1507,7 @@ def _initial(init, modes):
 
 def _all_ops(state, ops, modes):
     """The op list as ``cli.execute`` runs it: lowered, then run segment by segment."""
-    return cli._run_segments(state, cli.lower_ops(ops, modes)[0])
+    return cli._run_segments(state, cli.lower_ops(ops, modes)[0])[0]
 
 
 def _per_op(state, ops, modes):
@@ -1498,7 +1516,7 @@ def _per_op(state, ops, modes):
     for kind, *segment in cli.lower_ops(ops, modes)[0]:
         parts = [[gates] for gates in segment[1]] if kind == "gates" else [segment[1]]
         for part in parts:
-            state = cli._run_segments(state, [(kind, segment[0], part)])
+            state = cli._run_segments(state, [(kind, segment[0], part)])[0]
     return state
 
 
@@ -1652,6 +1670,10 @@ def test_csv_rows_of_dict_and_scalar_values(argv, header, row, capsys):
         ({"ops": [{"gate": "symplectic", "matrix": [[1, 0], [0]]}]}, "ops[0].matrix: expected an array of finite numbers"),
         ({"ops": [{"gate": "beamsplitter", "modes": [0, 1], "theta": 0.3}]}, "ops[0]: gate BeamSplitter("),
         ({"ops": [{"gate": "condition", "modes": [0], "outcome": [0.1]}]}, "ops[0]: conditioning must leave at least one mode"),
+        (
+            {"modes": 2, "ops": [{"gate": "condition", "modes": [1], "outcome": [[1e200, 0]]}]},
+            "ops[0].outcome: modulus 1e+200 is too large: its square overflows",
+        ),
     ],
 )
 def test_malformed_program_errors_name_their_path(program, message, tmp_path, capsys):
@@ -1933,12 +1955,35 @@ def test_empty_tables_exit_2(fmt, tmp_path, capsys):
         (["bs-bound", "--mbar", "-1"], "task: photon count must be nonnegative"),
         (["extent", "--state", "gkp", "--grid-delta", "0"], "initial: delta must be positive and finite, got 0.0"),
         (["extent", "--state", "gkp", "--grid-delta=-0.3"], "initial: delta must be positive and finite, got -0.3"),
+        (["born", "--state", "cat", "--outcome", "1e200,0"], "task.outcome: modulus 1e+200 is too large: its square overflows"),
     ],
 )
 def test_range_errors_name_the_initial_state_or_the_task(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"validation error: {message}\n"
+
+
+def test_a_far_conditioning_outcome_keeps_working(tmp_path, capsys):
+    # at |xi| = 40 every weight is about e^-1600, far below the smallest
+    # double, yet conditioning keeps their ratios and exact_born its value;
+    # the projected norm e^log_scale times the conditioned one underflows to 0
+    program = {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": {"kind": "cat", "alpha": 1.0},
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [[40, 0]]},
+        ],
+        "task": {"name": "exact_born", "outcome": [[0.2, 0.1]]},
+    }
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx(0.11013559295680198, rel=1e-12)
+    code, out, err = _run_program({**program, "task": {"name": "norm"}}, tmp_path, capsys)
+    assert code == 0, err
+    assert (json.loads(out)["value"], json.loads(out)["error_band"]) == (0.0, [0.0, 0.0])
 
 
 def test_a_numerical_failure_of_the_task_keeps_its_message(capsys):

@@ -10,7 +10,7 @@ from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import GaussianUnitary, propagate
-from gsim.simulator import condition, evolve, exact_born
+from gsim.simulator import condition, evolve, exact_born, fast_norm, heterodyne_density
 from gsim.states import (
     FOCK1_EXTENT,
     FOCK1_FIDELITY,
@@ -131,6 +131,78 @@ class TestNormSquared:
         sup.gram_form = (-bound, bound)
         with pytest.raises(IllConditioned):
             sup.norm_squared()
+
+
+# one-mode states whose norms the band tests read: odd cats at alpha 1e-6
+# (band [0.99867, 1.00133]) and 1e-8 (IllConditioned) at the ends
+BAND_STATES = {
+    "cat-odd-1e-6": lambda: cat_state(1e-6, -1),
+    "cat-odd-1e-8": lambda: cat_state(1e-8, -1),
+    "cat-even": lambda: cat_state(0.8 - 0.5j, +1),
+    "ring8": lambda: fock1_ring(optimal_fock1_seed(), 4),
+    "grid0.3": lambda: grid_sensor(0.3)[0],
+    "coherent": lambda: single_gaussian(GaussianPure.coherent([0.4 - 0.3j])),
+}
+
+
+class TestNormBand:
+    """`Superposition.norm_band` is the one band of the exact norm: every exact
+    task reads it, and it raises where `Superposition.norm_squared` does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BAND_STATES)),
+        modes=st.integers(1, 3),
+        general=st.booleans(),
+        gates=st.integers(0, 2**32 - 1),
+    )
+    def test_every_exact_task_reads_the_one_band(self, name, modes, general, gates):
+        sup = BAND_STATES[name]()
+        if name == "cat-odd-1e-6":  # before the gates, which change its overlaps' rounding weights
+            assert sup.norm_band == pytest.approx((0.99867, 1.00133), abs=1e-5)
+        if modes > 1:  # vacuum on the other modes keeps the cell
+            t = stellar.tensor(sup.triples, stellar.vacuum(modes - 1))
+            sup = Superposition.from_stack(sup.coeffs, t, sup.gram_cell.carried_to(t))
+        sup = evolve(sup, GaussianUnitary.from_gates(random_circuit(modes, 4, np.random.default_rng(gates)), modes))
+        if general:
+            sup = Superposition.from_stack(sup.coeffs, sup.triples)
+        assert sup.gram_cell.orbit == (not general and name != "coherent")
+        try:
+            nsq = sup.norm_squared()
+        except IllConditioned:
+            for read in (lambda: sup.norm_band, lambda: fast_norm(sup, 0.1, 0.05), lambda: measures(sup)):
+                with pytest.raises(IllConditioned):
+                    read()
+            assert name == "cat-odd-1e-8"
+            return
+        # each band below against the formula its task used on ``gram_form``
+        (value, bound), (lo, hi) = sup.gram_form, sup.norm_band
+        assert (lo, hi) == (value - bound, value + bound) and lo <= nsq <= hi
+        est = fast_norm(sup, 0.1, 0.05)  # the Gram is held: its route costs nothing
+        assert (est.eta, est.samples, est.band) == (nsq, 0, (lo, hi))
+        l1sq = sup.l1**2
+        assert measures(sup).band == ((1.0, 1.0) if sup.rank == 1 else (l1sq / (value + bound), l1sq / (value - bound)))
+        xi = np.full(modes, 0.3 - 0.2j)
+        (amps,), (sums,) = sup.amplitude_table.amplitudes(xi[None], with_sum=True)
+        amp = abs(complex(sup.coeffs @ amps))
+        slack = stellar.KERNEL_ULPS + sup.rank + stellar.LOG_SUM_ULPS * sums
+        amp_err = stellar.UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
+        scale = np.pi**modes
+        parent = (max(amp - amp_err, 0.0) ** 2 / (scale * (value + bound)), (amp + amp_err) ** 2 / (scale * (value - bound)))
+        assert exact_born(sup, xi).error_band == parent
+        if modes > 1:
+            state, log_scale = condition(sup, [modes - 1], xi[:1])
+            (num, num_err), scale = state.gram_form, np.exp(log_scale) / np.pi
+            parent = ((num - num_err) * scale / (value + bound), (num + num_err) * scale / (value - bound))
+            assert heterodyne_density(sup, [modes - 1], xi[:1]).error_band == parent
+
+    def test_a_band_within_its_bound_raises_as_the_norm_does(self):
+        for value, bound, error in ((-1e-3, 1e-4, InvariantViolation), (1e-17, 1e-16, IllConditioned)):
+            sup = cat_state(0.8, +1)
+            sup.gram_form = (value, bound)
+            for read in (sup.norm_squared, lambda: sup.norm_band):
+                with pytest.raises(error):
+                    read()
 
 
 class TestOrbitForm:
