@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters, states, stellar
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, IllConditioned
 from .phase import GaussianUnitary
 from .rng import box_muller, stream
 from .states import Superposition
-from .stellar import KERNEL_ULPS, LOG_SUM_ULPS, UNIT_ROUNDOFF
 
 
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
@@ -100,7 +99,8 @@ def condition(sup: Superposition, modes, outcome):
     if not keep.any():
         raise ValueError("all terms annihilated by the conditioning outcome")
     reduced = stellar.StellarParams(a[keep], b[keep], (log_c - log_nu)[keep])
-    return Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced), 2.0 * shift
+    # a Python float: its product overflows to -inf at a far outcome without a numpy warning
+    return Superposition.from_stack(sup.coeffs[keep] * scale[keep], reduced), 2.0 * float(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +122,24 @@ def exact_born(sup: Superposition, outcome) -> BornEstimate:
     exact Gram, so a second outcome on the same state costs that product
     only.  Relative to the quadrature-outcome general-dyne density,
     this carries the Jacobian factor 2^n.  ``error_band`` bounds the
-    rounding: the amplitude sum is
-    off by at most u sum_j (KERNEL_ULPS + K + LOG_SUM_ULPS S_j) |c_j a_j|, S_j from
-    the same product ``with_sum``, and the norm lies in
-    `Superposition.norm_band`, which raises IllConditioned once its rounding
-    bound reaches the norm itself.  The band, like `heterodyne_density`'s,
+    rounding: the amplitude sum is off by at most sum_j |c_j| (e_j + u K |a_j|),
+    e_j the bound that the same product returns with a_j and u K |a_j| that of
+    the K-term sum, and the norm lies in `Superposition.norm_band`, which
+    raises IllConditioned once its rounding bound reaches the norm itself; so
+    does a bound whose band overflows.  The band, like `heterodyne_density`'s,
     bounds the rounding of this evaluation on the stored triples, not of the gate fold
     that built them: a one-mode vacuum under squeeze, displace, phase, squeeze and loss
     (seed 149) gets a band 2 ulp wide, and a fold that rounds 1 ulp differently leaves it by 1-2 ulp.
     """
-    (amps,), (sums,) = sup.amplitude_table.amplitudes(np.atleast_1d(outcome)[None], with_sum=True)
-    slack = KERNEL_ULPS + sup.rank + LOG_SUM_ULPS * sums
+    (amps,), (bounds,) = sup.amplitude_table.amplitudes(np.atleast_1d(outcome)[None])
     amp = abs(complex(sup.coeffs @ amps))
-    amp_err = UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
+    amp_err = float(np.abs(sup.coeffs) @ (bounds + stellar.UNIT_ROUNDOFF * sup.rank * np.abs(amps)))
     norm_sq, (norm_lo, norm_hi) = sup.norm_squared(), sup.norm_band
     scale = np.pi**sup.n
-    band = (max(amp - amp_err, 0.0) ** 2 / (scale * norm_hi), (amp + amp_err) ** 2 / (scale * norm_lo))
+    try:
+        band = (max(amp - amp_err, 0.0) ** 2 / (scale * norm_hi), (amp + amp_err) ** 2 / (scale * norm_lo))
+    except OverflowError:
+        raise IllConditioned(f"amplitude {amp:.3g} has a rounding bound {amp_err:.3g} whose band overflows") from None
     return BornEstimate(amp**2 / (scale * norm_sq), band)
 
 
@@ -197,7 +199,7 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions from their rank_a x rank_b overlaps."""
     ca, cb = a.coeffs, b.coeffs
     i, j = np.divmod(np.arange(len(ca) * len(cb)), len(cb))
-    pairs = stellar.state_overlaps(a.triples, b.triples, i, j)
+    pairs, _ = stellar.state_overlaps(a.triples, b.triples, i, j)
     return complex(np.conj(ca) @ pairs.reshape(len(ca), len(cb)) @ cb)
 
 
@@ -232,10 +234,15 @@ class NormEstimate:
 
 
 def _upsilon(epsilon: float, p_fail: float) -> float:
-    """The stopping threshold Upsilon_1 = 1 + (1 + eps) 4 (e - 2) ln(2 / p_fail) / eps^2."""
+    """The stopping threshold Upsilon_1 = 1 + (1 + eps) 4 (e - 2) ln(2 / p_fail) / eps^2;
+    ValueError where it overflows (eps below about 1e-154)."""
     if not (0 < epsilon < 1 and 0 < p_fail < 1):
         raise ValueError("epsilon and p_fail must lie in (0, 1)")
-    return 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / epsilon**2
+    square = epsilon**2
+    upsilon = 1.0 + (1.0 + epsilon) * 4.0 * (math.e - 2.0) * math.log(2.0 / p_fail) / square if square else math.inf
+    if not math.isfinite(upsilon):
+        raise ValueError(f"epsilon = {epsilon!r} is too small: the stopping threshold Upsilon_1 overflows")
+    return upsilon
 
 
 def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) -> NormEstimate:

@@ -105,28 +105,25 @@ class GramCell:
 
     def _overlaps(self, i, j):
         """Overlaps <G_i|G_j> at the index pairs, and their rounding weights:
-        a Gram entry off the diagonal is off by at most
-        (KERNEL_ULPS + LOG_SUM_ULPS S_ij) u |G_ij|, S_ij from
-        `stellar.state_overlaps` ``with_sums``, and the K-term sums of a Gram
-        form add K u |G_ij|."""
-        k = self.triples.log_c.shape[0]
-        pairs, sums = stellar.state_overlaps(self.triples, self.triples, i, j, with_sums=True)
-        return pairs, np.abs(pairs) * (k + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums)
+        the bound that `stellar.state_overlaps` returns with each entry, plus
+        the K u |G_ij| that the K-term sums of a Gram form add."""
+        pairs, bounds = stellar.state_overlaps(self.triples, self.triples, i, j)
+        return pairs, bounds + stellar.UNIT_ROUNDOFF * self.triples.log_c.shape[0] * np.abs(pairs)
 
     @cached_property
     def row(self) -> tuple:
         """(r, w) of an orbit: its Gram's first row, r_0 = 1, and the first
-        row of its rounding weights, w_0 = K; K - 1 overlaps, O(K) memory."""
+        row of its rounding weights, w_0 = K u; K - 1 overlaps, O(K) memory."""
         k = self.triples.log_c.shape[0]
         pairs, weights = self._overlaps(np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
-        return np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([float(k)], weights))
+        return np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([stellar.UNIT_ROUNDOFF * k], weights))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The Gram, read-only.  Also sets ``rounding_weights``, the W for
-        which u |c|^T W |c| bounds the rounding of c^+ G c for any
+        which |c|^T W |c| bounds the rounding of c^+ G c for any
         coefficients c (see `_overlaps`); the diagonal is pinned to 1, with
-        weight K.  An orbit's is the Toeplitz matrix of its ``row``."""
+        weight K u.  An orbit's is the Toeplitz matrix of its ``row``."""
         if self.orbit:
             row, weights = self.row
             gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
@@ -134,14 +131,14 @@ class GramCell:
             k = self.triples.log_c.shape[0]
             i, j = np.triu_indices(k, 1)
             pairs, weights = self._overlaps(i, j)
-            gram, self.rounding_weights = np.eye(k, dtype=complex), k * np.eye(k)
+            gram, self.rounding_weights = np.eye(k, dtype=complex), stellar.UNIT_ROUNDOFF * k * np.eye(k)
             gram[i, j], gram[j, i] = pairs, np.conj(pairs)
             self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
         gram.flags.writeable = False  # shared by every superposition of the cell
         return gram
 
     def form(self, c) -> tuple:
-        """(c^+ G c, u |c|^T W |c|): the Gram form of coefficients ``c`` and
+        """(c^+ G c, |c|^T W |c|): the Gram form of coefficients ``c`` and
         its rounding bound, W the ``rounding_weights`` (see ``matrix``).
 
         A general stack's form is the dense c^+ (G c).  An orbit's reads its
@@ -153,10 +150,10 @@ class GramCell:
         weights = np.abs(c)
         if not self.orbit:
             value = float(np.real(np.conj(c) @ self.matrix @ c))
-            return value, stellar.UNIT_ROUNDOFF * float(weights @ self.rounding_weights @ weights)
+            return value, float(weights @ self.rounding_weights @ weights)
         (row, w), s, t = self.row, _lags(c), _lags(weights)
         value = float(s[0].real + 2.0 * np.real(row[1:] @ s[1:]))
-        return value, stellar.UNIT_ROUNDOFF * float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
+        return value, float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
 
 
 def _lags(c) -> np.ndarray:
@@ -249,12 +246,13 @@ class Superposition:
         return self.gram_cell.form(self.coeffs)
 
     def norm_squared(self) -> float:
-        """c^+ G c if it lies outside its rounding bound ``gram_form[1]``: within
-        it no digit is correct (IllConditioned); below minus it the phases are corrupted."""
+        """c^+ G c if it lies above its rounding bound ``gram_form[1]``: within
+        it no digit is correct, nor in a form or bound that is not finite
+        (IllConditioned); below minus it the phases are corrupted."""
         value, bound = self.gram_form
         if value < -bound:
             raise InvariantViolation(f"Gram form {value:.3g} below minus its rounding bound {bound:.3g}; phases corrupted")
-        if bound >= value:
+        if not bound < value < math.inf:
             raise IllConditioned(f"Gram norm {value:.3g} within its rounding bound {bound:.3g} (l1^2 = {self.l1**2:.3g})")
         return value
 
@@ -273,7 +271,7 @@ class Superposition:
 
     def coherent_amplitude(self, xi) -> complex:
         """<xi|psi>, row 0 of the ``amplitude_table``'s block of one outcome; O(rank)."""
-        return complex(self.coeffs @ self.amplitude_table.amplitudes(np.atleast_1d(xi)[None])[0])
+        return complex(self.coeffs @ self.amplitude_table.amplitudes(np.atleast_1d(xi)[None])[0][0])
 
     def coherent_amplitude_batch(self, xis) -> np.ndarray:
         """<xi|psi> for a stack of outcomes (L, n); costs L * rank evaluations."""
@@ -281,7 +279,7 @@ class Superposition:
         table, rows = self.amplitude_table, max(1, AMPLITUDE_CHUNK // self.rank)
         total = np.empty(xis.shape[0], dtype=complex)
         for s in range(0, max(xis.shape[0], 1), rows):
-            total[s : s + rows] = table.amplitudes(xis[s : s + rows]) @ self.coeffs
+            total[s : s + rows] = table.amplitudes(xis[s : s + rows])[0] @ self.coeffs
         return total
 
     def mean_photon_husimi(self) -> float:
@@ -299,7 +297,7 @@ class Superposition:
             # e^{i t n_total} maps the ket triple (A, b, c) to (e^{2it} A, e^{it} b, c)
             ph = np.exp(1j * time)
             turned = stellar.StellarParams(ph * ph * t.a, ph * t.b, t.log_c)
-            pairs = stellar.state_overlaps(t, turned, i, j)
+            pairs, _ = stellar.state_overlaps(t, turned, i, j)
             return complex(np.conj(coeffs) @ pairs.reshape(k, k) @ coeffs)
 
         h = 1e-3
@@ -453,7 +451,7 @@ def _grid_theta(delta: float) -> float:
     identity sum_t e^{-pi delta^2 t^2} = delta^-1 sum_k e^{-pi k^2 / delta^2}
     decays faster: there the k-th term is at most e^{-pi k^2}, so five
     terms a side reach double precision."""
-    x = delta * delta if delta >= 1.0 else 1.0 / (delta * delta)
+    x = delta * delta if delta >= 1.0 else (1.0 / delta) * (1.0 / delta)  # no underflow of delta^2
     total = 1.0 + 2.0 * sum(math.exp(-math.pi * x * k * k) for k in range(1, 6))
     return total if delta >= 1.0 else total / delta
 

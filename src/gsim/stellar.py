@@ -42,7 +42,8 @@ from .symplectic import mode_blocks
 # in units of it where their log-domain summands do not cancel (the mpmath
 # reference tests measure at most 2e-15 on summands of order one); and the
 # error of a log-domain sum in units of u S, S the sum of the moduli of its
-# summands: one rounding per addition and per product of a few summands
+# summands: one rounding per addition and per product of a few summands.
+# Only `_rounded` reads the two counts: every other module adds up its bounds
 UNIT_ROUNDOFF = 2.0**-53
 KERNEL_ULPS = 20
 LOG_SUM_ULPS = 6
@@ -436,42 +437,58 @@ def apply_to_state(t_u: StellarParams, t_state: StellarParams) -> StellarParams:
 OVERLAP_CHUNK = 4096
 
 
-def state_overlaps(t1: StellarParams, t2: StellarParams, i, j, with_sums: bool = False):
-    """Phase-sensitive <t1[i_p]|t2[j_p]> over P index pairs into two stacks.
+def _rounded(exponents, sums, kernel: str):
+    """(exp(exponents), bounds) of log-domain values, ``exponents``
+    overwritten, under the caller's np.errstate: where the summands of an
+    exponent cancel, its value is off by at most the bound
+    u (KERNEL_ULPS + LOG_SUM_ULPS S) |value|, S its entry of ``sums``, the
+    sum of the moduli of those summands.  An exponent whose real part
+    overflowed to -inf is an underflowed value: 0, with bound 0.  Any other
+    value or bound that is not finite (an exponent of +inf or NaN, or an S
+    that overflowed) raises IllConditioned naming the kernel."""
+    values = np.exp(exponents, out=exponents)
+    bounds = np.abs(values)
+    bounds *= UNIT_ROUNDOFF * KERNEL_ULPS + UNIT_ROUNDOFF * LOG_SUM_ULPS * sums
+    if not np.isfinite(bounds).all():
+        bounds[values == 0] = 0.0  # 0 times an S that overflowed is NaN
+        if not np.isfinite(bounds).all():
+            raise IllConditioned(f"{kernel}: a value or its rounding bound is not finite")
+    return values, bounds
+
+
+def state_overlaps(t1: StellarParams, t2: StellarParams, i, j):
+    """Phase-sensitive <t1[i_p]|t2[j_p]> over P index pairs into two stacks,
+    and their rounding bounds (`_rounded`): (values, bounds), each (P,).
 
     Each pair is `_contract` of the bra (conj(A1), conj(b1)) with the ket over
     all legs, Y = 1 - conj(A1) A2, summed in the log domain so that only a
     genuine underflow of the overlap gives an exact 0; every pair's Y is checked
     there.  Counts P overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a
-    time, so no (P, m, m) copy of the stacks is built.
-
-    ``with_sums`` also returns, per pair, the sum S of the moduli of the
-    log-domain summands, the log-determinant and the quadratic ones weighted
-    by 1 + (1 + s_max) / s_min over the singular values of Y (forming Y costs
-    u |conj(A1) A2| and inverting it multiplies that by |Yi|): where the summands
-    cancel, the overlap is off by at most about (KERNEL_ULPS + LOG_SUM_ULPS S) u
-    of its modulus.
+    time, so no (P, m, m) copy of the stacks is built.  A pair's S sums the
+    moduli of its log-domain summands, the log-determinant and the quadratic
+    ones weighted by 1 + (1 + s_max) / s_min over the singular values of Y
+    (forming Y costs u |conj(A1) A2| and inverting it multiplies that by |Yi|).
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if t1.modes != t2.modes or i.shape != j.shape or i.ndim != 1:
         raise DimensionMismatch("overlap stacks or index vectors do not match")
-    out = np.empty(i.shape[0], dtype=complex)
-    sums = np.empty(i.shape[0]) if with_sums else None
-    for s in range(0, i.shape[0], OVERLAP_CHUNK):
-        p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
-        counters.tally.overlap_evals += p.b.shape[0]
-        _, _, sv, (log_det, q1, q2, q3) = _contract(p.a.conj(), p.b.conj(), q.a, q.b, p.modes, "overlap kernel")
-        out[s : s + OVERLAP_CHUNK] = np.exp(p.log_c.conj() + q.log_c - log_det + (q1 + q2 + q3))
-        if with_sums:
+    out, bounds = np.empty(i.shape[0], dtype=complex), np.empty(i.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, i.shape[0], OVERLAP_CHUNK):
+            p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
+            counters.tally.overlap_evals += p.b.shape[0]
+            _, _, sv, (log_det, q1, q2, q3) = _contract(p.a.conj(), p.b.conj(), q.a, q.b, p.modes, "overlap kernel")
             kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]
             terms = np.abs(log_det) + (np.abs(q1) + np.abs(q2) + np.abs(q3))
-            sums[s : s + OVERLAP_CHUNK] = np.abs(p.log_c) + np.abs(q.log_c) + kappa * terms
-    return (out, sums) if with_sums else out
+            exponents = p.log_c.conj() + q.log_c - log_det + (q1 + q2 + q3)
+            sums = np.abs(p.log_c) + np.abs(q.log_c) + kappa * terms
+            out[s : s + OVERLAP_CHUNK], bounds[s : s + OVERLAP_CHUNK] = _rounded(exponents, sums, "overlap kernel")
+    return out, bounds
 
 
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
     """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
-    return complex(state_overlaps(t1[None], t2[None], [0], [0])[0])
+    return complex(state_overlaps(t1[None], t2[None], [0], [0])[0][0])
 
 
 def state_norm_squared(t: StellarParams) -> float:
@@ -520,26 +537,23 @@ class AmplitudeTable:
         parts = xis.view(float)
         return 0.5 * (parts * parts).sum(axis=1)
 
-    def amplitudes(self, xis, with_sum: bool = False):
-        """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for a block of outcomes (L, modes):
-        (L, K) from one product; counts L K amplitude evaluations.
-
-        ``with_sum`` also returns the (L, K) sums S = |d(xi)| . |W_j| + |xi|^2/2
-        of the moduli of the log-domain summands, one real product on the same
-        monomials: where they cancel, an amplitude is off by at most about
-        (KERNEL_ULPS + LOG_SUM_ULPS S) u of its modulus.
+    def amplitudes(self, xis):
+        """<xi|G_j> = exp(d(xi) . W_j - |xi|^2/2) for a block of outcomes (L,
+        modes), and their rounding bounds (`_rounded`): (values, bounds), each
+        (L, K), from one complex and one real product on the same monomials,
+        S = |d(xi)| . |W_j| + |xi|^2/2; counts L K amplitude evaluations.
         """
         xis = self._outcomes(xis)
         d = np.empty((xis.shape[0], self.w.shape[1]), dtype=complex)
-        h = self._monomials(xis, d)
         counters.tally.amplitude_evals += d.shape[0] * self.w.shape[0]
-        # the subtraction is also a numpy vector loop between the complex BLAS
-        # product and the complex exp: straight after OpenBLAS 0.3.31's product
-        # on an AVX-512 host, the exp ran 10-20 times slower
-        out = d @ self.w.T
-        out -= h[:, None]
-        amps = np.exp(out, out=out)
-        return (amps, np.abs(d) @ self.w_abs.T + h[:, None]) if with_sum else amps
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self._monomials(xis, d)
+            # a numpy vector loop follows each BLAS product before the complex
+            # exp: straight after OpenBLAS 0.3.31's product on an AVX-512 host,
+            # the exp ran 10-20 times slower
+            out = d @ self.w.T
+            out -= h[:, None]
+            return _rounded(out, np.abs(d) @ self.w_abs.T + h[:, None], "amplitude kernel")
 
 
 class ProbeValues:
@@ -602,13 +616,13 @@ class ProbeValues:
 
 def coherent_amplitude(t: StellarParams, xi):
     """Heterodyne amplitude <xi|psi> of a ket triple, (K,) for a stack; counted."""
-    amps = AmplitudeTable(t).amplitudes(np.atleast_1d(xi)[None])[0]
+    amps = AmplitudeTable(t).amplitudes(np.atleast_1d(xi)[None])[0][0]
     return amps if np.ndim(t.log_c) else amps[0]
 
 
 def coherent_amplitude_batch(t: StellarParams, xis: np.ndarray) -> np.ndarray:
     """<xi|psi> for outcomes (L, modes): (L,) for a triple, (L, K) for a stack of K; counted."""
-    amps = AmplitudeTable(t).amplitudes(xis)
+    amps = AmplitudeTable(t).amplitudes(xis)[0]
     return amps if np.ndim(t.log_c) else amps[:, 0]
 
 

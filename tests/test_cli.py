@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -1984,6 +1985,96 @@ def test_a_far_conditioning_outcome_keeps_working(tmp_path, capsys):
     code, out, err = _run_program({**program, "task": {"name": "norm"}}, tmp_path, capsys)
     assert code == 0, err
     assert (json.loads(out)["value"], json.loads(out)["error_band"]) == (0.0, [0.0, 0.0])
+
+
+def _far_program(initial, outcome, task):
+    return {
+        "schema_version": 1,
+        "modes": 2,
+        "initial": initial,
+        "ops": [
+            {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+            {"gate": "condition", "modes": [1], "outcome": [outcome]},
+        ],
+        "task": task,
+    }
+
+
+def _zero_born(doc):
+    assert (doc["value"], doc["error_band"]) == (0.0, [0.0, 0.0])
+
+
+def _cat_extent(doc):
+    assert doc["value"]["extent_upper"] == 2.0
+    lo, hi = doc["error_band"]
+    assert lo <= 2.0 <= hi
+
+
+def _unit_norm(doc):
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi and lo <= 1.0 <= hi and doc["value"] == pytest.approx(1.0, rel=1e-15)
+
+
+def _tiny_delta_table(doc):
+    (row,) = doc["value"]
+    naive = math.sqrt(2.0) / row["delta"]
+    assert row["naive_extent"] == pytest.approx(naive, rel=1e-12)
+    assert row["one_sided_extent"] == pytest.approx(naive / 2, rel=1e-12)
+
+
+# far outcomes, far displacements, a far conditioning outcome, a tiny
+# epsilon and a tiny grid delta: (input, exit code, check of the document or
+# a fragment of the one stderr line)
+FAR_CASES = {
+    "born-cat-outcome-9e153": (["born", "--state", "cat", "--outcome", "9e153,0"], 0, _zero_born),
+    "born-cat-outcome-1.3e154": (["born", "--state", "cat", "--outcome", "1.3e154,0"], 0, _zero_born),
+    "born-cat-outcome-7e153": (["born", "--state", "cat", "--outcome", "7e153,0"], 0, _zero_born),
+    "born-coherent-1e154": (["born", "--state", "coherent", "--alpha", "1e154"], 0, _zero_born),
+    "extent-cat-5e153": (["extent", "--state", "cat", "--alpha", "5e153"], 0, _cat_extent),
+    "extent-cat-1e154": (["extent", "--state", "cat", "--alpha", "1e154"], 0, _cat_extent),
+    "norm-cat-5e153": (["norm", "--state", "cat", "--alpha", "5e153"], 0, _unit_norm),
+    "norm-cat-1e154": (["norm", "--state", "cat", "--alpha", "1e154"], 0, _unit_norm),
+    "born-band-overflows": (
+        ["born", "--state", "cat", "--alpha", "1e100", "--outcome", "1e100,0"],
+        3,
+        "numerical failure: amplitude 0.707 has a rounding bound",
+    ),
+    "condition-squeezed-norm": (
+        _far_program({"kind": "squeezed", "r": 0.5}, [1.3e154, 0], {"name": "norm"}),
+        0,
+        _zero_born,
+    ),
+    "condition-grid-born": (
+        _far_program({"kind": "grid", "delta": 0.3}, [9e153, 0], {"name": "exact_born", "outcome": [[0.1, 0]]}),
+        3,
+        "numerical failure: overlap kernel: a value or its rounding bound is not finite",
+    ),
+    "norm-epsilon-1e-200": (["norm", "--epsilon", "1e-200"], 2, "validation error: task: epsilon = 1e-200 is too small"),
+    "norm-epsilon-1e-160": (["norm", "--epsilon", "1e-160"], 2, "validation error: task: epsilon = 1e-160 is too small"),
+    "approx-epsilon-1e-160": (
+        ["born", "--approx", "--epsilon", "1e-160"],
+        2,
+        "validation error: task: epsilon = 1e-160 is too small",
+    ),
+    "norm-epsilon-1e-100": (["norm", "--epsilon", "1e-100"], 0, _unit_norm),
+    "table1-1e-200": (["table1", "--deltas", "1e-200"], 0, _tiny_delta_table),
+    "table1-1e-300": (["table1", "--deltas", "1e-300"], 0, _tiny_delta_table),
+}
+
+
+@pytest.mark.parametrize("case", list(FAR_CASES))
+def test_far_inputs_end_cleanly(case, tmp_path, capsys):
+    given, want_code, want = FAR_CASES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(given, capsys) if isinstance(given, list) else _run_program(given, tmp_path, capsys)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == want_code and "RuntimeWarning" not in err, err
+    if isinstance(want, str):
+        assert out == "" and err.startswith(want) and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        want(json.loads(out))
 
 
 def test_a_numerical_failure_of_the_task_keeps_its_message(capsys):

@@ -21,7 +21,6 @@ from gsim.gaussian import (
 from gsim.phase import GaussianUnitary
 from gsim.rng import stream
 from gsim.simulator import (
-    KERNEL_ULPS,
     approx_born,
     condition,
     cross_overlap,
@@ -760,9 +759,10 @@ class TestFastNorm:
         assert est.eta == odd.norm_squared()
         # K u on the pinned diagonal; (K + KERNEL_ULPS + LOG_SUM_ULPS S) u |G_01|
         # off it, S about 3.5e-6 for these near-origin terms
+        u = stellar.UNIT_ROUNDOFF
         g01, w01 = abs(odd.gram[0, 1]), odd.gram_cell.rounding_weights[0, 1]
-        assert g01 * (2 + KERNEL_ULPS) < w01 < g01 * (2 + KERNEL_ULPS + stellar.LOG_SUM_ULPS * 1e-5)
-        width = 2.0**-53 * (2 * 2 + 2 * w01)
+        assert u * g01 * (2 + stellar.KERNEL_ULPS) < w01 < u * g01 * (2 + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * 1e-5)
+        width = u * 2 * 2 + 2 * w01
         assert est.band == pytest.approx((est.eta - width, est.eta + width), rel=1e-15)
         assert est.band[0] <= 2.0 - 2.0 * math.exp(-2e-6) <= est.band[1]
         assert counters.tally.overlap_evals == 1

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsim import counters, fock, states, stellar
@@ -183,10 +184,9 @@ class TestNormBand:
         l1sq = sup.l1**2
         assert measures(sup).band == ((1.0, 1.0) if sup.rank == 1 else (l1sq / (value + bound), l1sq / (value - bound)))
         xi = np.full(modes, 0.3 - 0.2j)
-        (amps,), (sums,) = sup.amplitude_table.amplitudes(xi[None], with_sum=True)
+        (amps,), (bounds,) = sup.amplitude_table.amplitudes(xi[None])
         amp = abs(complex(sup.coeffs @ amps))
-        slack = stellar.KERNEL_ULPS + sup.rank + stellar.LOG_SUM_ULPS * sums
-        amp_err = stellar.UNIT_ROUNDOFF * float(np.abs(sup.coeffs) @ (slack * np.abs(amps)))
+        amp_err = float(np.abs(sup.coeffs) @ (bounds + stellar.UNIT_ROUNDOFF * sup.rank * np.abs(amps)))
         scale = np.pi**modes
         parent = (max(amp - amp_err, 0.0) ** 2 / (scale * (value + bound)), (amp + amp_err) ** 2 / (scale * (value - bound)))
         assert exact_born(sup, xi).error_band == parent
@@ -203,6 +203,77 @@ class TestNormBand:
             for read in (sup.norm_squared, lambda: sup.norm_band):
                 with pytest.raises(error):
                     read()
+
+    @pytest.mark.parametrize("value, bound", [(np.nan, 1e-16), (1.0, np.nan), (np.nan, np.nan), (np.inf, 1e-16), (1.0, np.inf)])
+    def test_a_form_or_bound_that_is_not_finite_is_ill_conditioned(self, value, bound):
+        sup = cat_state(0.8, +1)
+        sup.gram_form = (value, bound)
+        for read in (sup.norm_squared, lambda: sup.norm_band, lambda: measures(sup), lambda: exact_born(sup, [0.1])):
+            with pytest.raises(IllConditioned):
+                read()
+
+
+FAR = math.log(1.3e154)  # the reader's outcome limit, about sqrt of the largest double
+
+
+def _displaced(name, alpha):
+    """One-mode state far out: the even cat at the real amplitude |alpha|
+    (an orbit, as the CLI's --alpha builds it), or ring 8, grid 0.3 or a
+    squeezed vacuum with every term displaced by ``alpha``, on a general
+    cell.  The displaced terms' Re log c is set to `stellar.log_magnitude`,
+    as the fold's log c, of order |alpha|^2, keeps no digit of the
+    normalisation."""
+    if name == "cat":
+        return cat_state(abs(alpha))
+    base = {
+        "ring8": lambda: fock1_ring(optimal_fock1_seed(), 4),
+        "grid0.3": lambda: grid_sensor(0.3)[0],
+        "squeezed": lambda: Superposition.from_stack(np.ones(1), stellar.apply_gate(Squeeze(0, 0.5, 0.3), stellar.vacuum(1, 1), 1)),
+    }[name]()
+    t = stellar.apply_gate(Displace(0, alpha), base.triples, 1)
+    t.log_c = stellar.log_magnitude(t.a, t.b) + 1j * t.log_c.imag
+    return Superposition.from_stack(base.coeffs, t)
+
+
+class TestFarDisplacements:
+    """Far from the origin every exact result is finite and inside its band,
+    or IllConditioned: an overflowed intermediate never escapes as a
+    warning, an OverflowError, a ZeroDivisionError or a NaN."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["cat", "ring8", "grid0.3", "squeezed"]),
+        log_alpha=st.floats(0.0, FAR),
+        log_xi=st.floats(0.0, FAR),
+        phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        at_centre=st.booleans(),
+    )
+    def test_exact_results_are_banded_or_ill_conditioned(self, name, log_alpha, log_xi, phases, at_centre):
+        alpha = math.exp(log_alpha) * complex(math.cos(phases[0]), math.sin(phases[0]))
+        centre = abs(alpha) if name == "cat" else alpha
+        xi = centre if at_centre else math.exp(log_xi) * complex(math.cos(phases[1]), math.sin(phases[1]))
+        try:
+            with np.errstate(over="raise", invalid="raise"):  # building the far state is not under test
+                sup = _displaced(name, alpha)
+        except FloatingPointError:
+            assume(False)
+
+        def born():
+            est = exact_born(sup, [xi])
+            return est.value, est.error_band
+
+        def extent():
+            rep = measures(sup)
+            return rep.extent_upper, rep.band
+
+        for read in (born, lambda: (sup.norm_squared(), sup.norm_band), extent):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value, (lo, hi) = read()
+                except IllConditioned:
+                    continue
+            assert all(map(math.isfinite, (value, lo, hi))) and lo <= value <= hi, (value, lo, hi)
 
 
 class TestOrbitForm:
@@ -229,7 +300,7 @@ class TestOrbitForm:
         assert "matrix" not in vars(out.gram_cell)
         c, w = out.coeffs, np.abs(out.coeffs)
         dense = float(np.real(np.conj(c) @ out.gram @ c))
-        dense_bound = stellar.UNIT_ROUNDOFF * float(w @ out.gram_cell.rounding_weights @ w)
+        dense_bound = float(w @ out.gram_cell.rounding_weights @ w)
         assert counters.tally.overlap_evals == out.rank - 1  # the matrix is built from the row
         assert abs(value - dense) <= 1e-13 * dense
         assert abs(bound - dense_bound) <= 1e-12 * dense_bound

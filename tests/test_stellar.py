@@ -266,10 +266,11 @@ class TestAmplitudeTable:
         xis = rng.normal(size=(6, m)) + 1j * rng.normal(size=(6, m))
         xis *= (rng.uniform(0, 5, 6) / np.linalg.norm(xis, axis=1))[:, None]  # |xi| <= 5
         table = stellar.AmplitudeTable(t)
-        got = table.amplitudes(xis)
+        got, _ = table.amplitudes(xis)
+        u = stellar.UNIT_ROUNDOFF
         for row, xi in enumerate(xis):
             xb, x = np.conj(xi), np.abs(xi)
-            (single,), (sums,) = table.amplitudes(xi[None], with_sum=True)
+            (single,), (bounds,) = table.amplitudes(xi[None])
             for j in range(k):
                 log_ref = t.log_c[j] - 0.5 * np.vdot(xi, xi).real + t.b[j] @ xb + 0.5 * xb @ t.a[j] @ xb
                 # both sides round the log to about u times the sum of its summands'
@@ -277,11 +278,12 @@ class TestAmplitudeTable:
                 assert abs(got[row, j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
                 assert abs(single[j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
                 former = abs(t.log_c[j]) + 0.5 * (x @ x) + np.abs(t.b[j]) @ x + 0.5 * ((np.abs(t.a[j]) @ x) @ x)
-                assert sums[j] == pytest.approx(former, rel=1e-15, abs=0)
+                want = u * (stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * former) * abs(single[j])
+                assert bounds[j] == pytest.approx(want, rel=1e-15, abs=0)
         # a one-term table takes other BLAS kernels than a stack of k
         one = stellar.coherent_amplitude(t[0], xis[0])
-        assert np.ndim(one) == 0 and one == pytest.approx(table.amplitudes(xis[:1])[0, 0], rel=2e-13, abs=0)
-        assert np.array_equal(stellar.coherent_amplitude(t, xis[0]), table.amplitudes(xis[:1])[0])
+        assert np.ndim(one) == 0 and one == pytest.approx(table.amplitudes(xis[:1])[0][0, 0], rel=2e-13, abs=0)
+        assert np.array_equal(stellar.coherent_amplitude(t, xis[0]), table.amplitudes(xis[:1])[0][0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -293,13 +295,13 @@ class TestAmplitudeTable:
         sup = states.Superposition.from_stack(coeffs, t)
         xi = rng.normal(size=m) + 1j * rng.normal(size=m)
         table = sup.amplitude_table
-        (row,), (sums,) = table.amplitudes(xi[None], with_sum=True)
-        assert np.array_equal(table.amplitudes(xi[None])[0], row)
+        (row,), _ = table.amplitudes(xi[None])
+        assert np.array_equal(table.amplitudes(xi[None])[0][0], row)
         assert np.array_equal(stellar.coherent_amplitude(t, xi), row)
         amp = complex(sup.coeffs @ row)
         assert sup.coherent_amplitude(xi) == amp
         assert simulator.exact_born(sup, xi).value == abs(amp) ** 2 / (np.pi**m * sup.norm_squared())
-        one = stellar.AmplitudeTable(t[0]).amplitudes(xi[None])[0, 0]
+        one = stellar.AmplitudeTable(t[0]).amplitudes(xi[None])[0][0, 0]
         assert stellar.coherent_amplitude(t[0], xi) == one
 
     def test_outcomes_of_the_wrong_width_are_rejected(self):
@@ -320,7 +322,7 @@ class TestAmplitudeTable:
         table = stellar.AmplitudeTable(t)
         counters.tally.reset()
         table.amplitudes(np.zeros((5, 2)))
-        table.amplitudes([[0.1, 0.2]], with_sum=True)
+        table.amplitudes([[0.1, 0.2]])
         stellar.ProbeValues(table, np.ones(7), 7.0).block(np.zeros((3, 2)))
         stellar.coherent_amplitude(t, [0.1, 0.2])
         stellar.coherent_amplitude_batch(t[3], np.zeros((4, 2)))
@@ -357,7 +359,7 @@ class TestOverlapKernel:
             for _ in range(2)
         )
         aligned = np.arange(pairs)
-        vals = stellar.state_overlaps(stacked(left), stacked(right), aligned, aligned)
+        vals, _ = stellar.state_overlaps(stacked(left), stacked(right), aligned, aligned)
         assert vals.shape == (pairs,)
         for val, g1, g2 in zip(vals, left, right):
             assert abs(val - phase.overlap(g1, g2)) < 1e-10
@@ -370,7 +372,7 @@ class TestOverlapKernel:
         shifts = [-2 * step, 0.0, step, 3 * step, 0.002, 0.245]
         terms = [engine_state([Squeeze(0, -np.log(delta)), Displace(0, x)], 1) for x in shifts]
         i, j = np.triu_indices(len(terms))
-        vals = stellar.state_overlaps(stacked(terms), stacked(terms), i, j)
+        vals, _ = stellar.state_overlaps(stacked(terms), stacked(terms), i, j)
         for val, p, q in zip(vals, i, j):
             g1, g2 = terms[p], terms[q]
             total = g1.cov + g2.cov
@@ -391,7 +393,7 @@ class TestOverlapKernel:
         alphas = [(30.0, 30.05), (30.0, 30.0 + 0.4j), (30.0, -30.0)]
         left = [GaussianPure.coherent([a]) for a, _ in alphas]
         right = [GaussianPure.coherent([b]) for _, b in alphas]
-        vals = stellar.state_overlaps(stacked(left), stacked(right), [0, 1, 2], [0, 1, 2])
+        vals, _ = stellar.state_overlaps(stacked(left), stacked(right), [0, 1, 2], [0, 1, 2])
         for val, (a, b) in zip(vals[:2], alphas):
             assert abs(val - coherent_overlap(a, b)) < 1e-10
         assert vals[2] == 0.0
@@ -419,10 +421,11 @@ class TestOverlapKernel:
 
     def test_batches_split_into_chunks_agree(self, rng, monkeypatch):
         t1, t2, k = self._random_pairs(rng, 10)
-        whole = stellar.state_overlaps(t1, t2, k, k)
+        whole, whole_bounds = stellar.state_overlaps(t1, t2, k, k)
         monkeypatch.setattr(stellar, "OVERLAP_CHUNK", 3)
         counters.tally.reset()
-        assert np.array_equal(stellar.state_overlaps(t1, t2, k, k), whole)
+        vals, bounds = stellar.state_overlaps(t1, t2, k, k)
+        assert np.array_equal(vals, whole) and np.array_equal(bounds, whole_bounds)
         assert counters.tally.overlap_evals == 10
         t1.a[8] = t2.a[8] = np.diag([0.0, np.tanh(15.0)])
         with pytest.raises(IllConditioned):
@@ -433,14 +436,14 @@ class TestOverlapKernel:
         t1, t2, _ = self._random_pairs(rng, 6)
         i, j = np.divmod(np.arange(36), 6)
         monkeypatch.setattr(stellar, "OVERLAP_CHUNK", 5)
-        got = stellar.state_overlaps(t1, t2, i, j)
+        got, _ = stellar.state_overlaps(t1, t2, i, j)
         want = [stellar.state_overlap(t1[p], t2[q]) for p, q in zip(i, j)]
         assert np.allclose(got, want, rtol=1e-14, atol=0)
 
     def test_counts_every_pair(self, rng):
         t1, t2, k = self._random_pairs(rng, 5)
         counters.tally.reset()
-        vals = stellar.state_overlaps(t1, t2, k, k)
+        vals, _ = stellar.state_overlaps(t1, t2, k, k)
         one = stellar.state_overlap(t1[0], t2[0])
         assert counters.tally.overlap_evals == 6
         assert abs(one - vals[0]) <= 1e-15
@@ -533,9 +536,9 @@ def test_tensor_overlaps_factor_into_those_of_the_factors(seed, k, m1, m2, singl
     assert t.a.shape == (k, m1 + m2, m1 + m2) and t.log_c.shape == (k,)
     check_normalised(t)
     i, j = np.divmod(np.arange(k * k), k)
-    second = stellar.state_overlap(t2, t2) if single else stellar.state_overlaps(t2, t2, i, j)
-    want = stellar.state_overlaps(t1, t1, i, j) * second
-    assert np.allclose(stellar.state_overlaps(t, t, i, j), want, rtol=1e-13, atol=0)
+    second = stellar.state_overlap(t2, t2) if single else stellar.state_overlaps(t2, t2, i, j)[0]
+    want = stellar.state_overlaps(t1, t1, i, j)[0] * second
+    assert np.allclose(stellar.state_overlaps(t, t, i, j)[0], want, rtol=1e-13, atol=0)
 
 
 class TestOneModeClosedForms:
@@ -547,20 +550,27 @@ class TestOneModeClosedForms:
     def test_overlaps_match_the_two_mode_path(self, seed, k):
         t = _one_mode_stack(np.random.default_rng(seed), k)
         i, j = np.divmod(np.arange(k * k), k)
-        vals, sums = stellar.state_overlaps(t, t, i, j, with_sums=True)
-        ref, ref_sums = stellar.state_overlaps(_two_mode(t, False), _two_mode(t, False), i, j, with_sums=True)
+        vals, bounds = stellar.state_overlaps(t, t, i, j)
+        ref, ref_bounds = stellar.state_overlaps(_two_mode(t, False), _two_mode(t, False), i, j)
         # each value lies within its own rounding bound of the exact overlap:
         # 1e-14 relative where the log-domain summands do not cancel, and at
         # r ~ 12 a self-overlap's summands cancel by ten orders
         u = stellar.UNIT_ROUNDOFF
-        slack = 2 * stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * (sums + ref_sums)
-        assert np.all(np.abs(vals - ref) <= np.maximum(1e-14, u * slack) * np.abs(ref))
+        assert np.all(np.abs(vals - ref) <= np.maximum(1e-14 * np.abs(ref), bounds + ref_bounds))
         # a ket tensored with itself doubles every summand: Y = diag(y, y)
-        # keeps the singular values, so the sums double too, up to the few
-        # roundings of each of their six terms (3000 stacks: at most 3.2 u)
-        sq, sq_sums = stellar.state_overlaps(_two_mode(t, True), _two_mode(t, True), i, j, with_sums=True)
-        assert np.all(np.abs(sq_sums - 2 * sums) <= 8 * u * sq_sums)
-        assert np.all(np.abs(sq - vals**2) <= np.maximum(1e-14, 2 * u * slack) * np.abs(sq))
+        # keeps the singular values, so S doubles too, up to the few roundings
+        # of each of its six terms, and a bound per unit modulus
+        # u (KERNEL_ULPS + LOG_SUM_ULPS S) goes to u (KERNEL_ULPS + 2 LOG_SUM_ULPS S)
+        # (3000 stacks: at most 7.5 u apart, the bound's own roundings included).
+        # Both checks skip a square below the normal range: a subnormal keeps
+        # too few digits for a relative bound (seed 41259, k 8: |sq| = 7e-322
+        # and sq - vals^2 one subnormal step apart)
+        sq, sq_bounds = stellar.state_overlaps(_two_mode(t, True), _two_mode(t, True), i, j)
+        normal = (np.abs(vals) > 1e-290) & (np.abs(sq) > 1e-290)
+        per, sq_per = bounds[normal] / np.abs(vals[normal]), sq_bounds[normal] / np.abs(sq[normal])
+        assert np.all(np.abs(sq_per + u * stellar.KERNEL_ULPS - 2 * per) <= 8 * u * sq_per)
+        slack = 2 * (bounds + ref_bounds) * np.abs(vals)
+        assert np.all((np.abs(sq - vals**2) <= np.maximum(1e-14 * np.abs(sq), slack))[normal])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
@@ -948,7 +958,7 @@ class TestEvaluationAgainstMpmath:
         mp = pytest.importorskip("mpmath").mp
         t = self._engine_stack(self.KETS)
         i, j = np.array(self.PAIRS).T
-        got = stellar.state_overlaps(t, t, i, j)
+        got, _ = stellar.state_overlaps(t, t, i, j)
         with mp.workdps(50):
             for p, (k1, k2) in enumerate(self.PAIRS):
                 a1, b1, lc1 = self._mp_triple(mp, *self.KETS[k1])
@@ -965,7 +975,7 @@ class TestEvaluationAgainstMpmath:
         sup, _ = states.grid_sensor(0.05)
         mid = (sup.rank - 1) // 2
         steps = np.array([1, 2, 3])
-        got = stellar.state_overlaps(sup.triples, sup.triples, np.full(3, mid), mid + steps)
+        got, _ = stellar.state_overlaps(sup.triples, sup.triples, np.full(3, mid), mid + steps)
         with mp.workdps(50):
             for value, step in zip(got, steps):
                 self._assert_matches(value, -(step**2) * (mp.pi / 2) / (2 * mp.mpf(0.05) ** 2))
