@@ -523,6 +523,21 @@ def _two_mode(t, copy: bool):
     return stellar.StellarParams(a, b, (2 if copy else 1) * t.log_c)
 
 
+def _overlaps_and_sums(t, i, j):
+    """state_overlaps(t, t, i, j) and the S of each pair, the sum of the
+    moduli of its log-domain summands, as `stellar._rounded` receives it."""
+    seen, rounded = [], stellar._rounded
+
+    def recording(exponents, sums, kernel):
+        seen.append(np.array(sums, copy=True))
+        return rounded(exponents, sums, kernel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stellar, "_rounded", recording)
+        vals, bounds = stellar.state_overlaps(t, t, i, j)
+    return vals, bounds, np.concatenate(seen)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), m1=st.integers(1, 2), m2=st.integers(1, 2), single=st.booleans())
 def test_tensor_overlaps_factor_into_those_of_the_factors(seed, k, m1, m2, single):
@@ -550,27 +565,26 @@ class TestOneModeClosedForms:
     def test_overlaps_match_the_two_mode_path(self, seed, k):
         t = _one_mode_stack(np.random.default_rng(seed), k)
         i, j = np.divmod(np.arange(k * k), k)
-        vals, bounds = stellar.state_overlaps(t, t, i, j)
-        ref, ref_bounds = stellar.state_overlaps(_two_mode(t, False), _two_mode(t, False), i, j)
+        vals, bounds, sums = _overlaps_and_sums(t, i, j)
+        ref, _, ref_sums = _overlaps_and_sums(_two_mode(t, False), i, j)
         # each value lies within its own rounding bound of the exact overlap:
         # 1e-14 relative where the log-domain summands do not cancel, and at
         # r ~ 12 a self-overlap's summands cancel by ten orders
         u = stellar.UNIT_ROUNDOFF
-        assert np.all(np.abs(vals - ref) <= np.maximum(1e-14 * np.abs(ref), bounds + ref_bounds))
+        slack = 2 * stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * (sums + ref_sums)
+        assert np.all(np.abs(vals - ref) <= np.maximum(1e-14, u * slack) * np.abs(ref))
+        per_unit = u * (stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums) * np.abs(vals)
+        assert np.all(np.abs(bounds - per_unit) <= 4 * u * per_unit)
         # a ket tensored with itself doubles every summand: Y = diag(y, y)
-        # keeps the singular values, so S doubles too, up to the few roundings
-        # of each of its six terms, and a bound per unit modulus
-        # u (KERNEL_ULPS + LOG_SUM_ULPS S) goes to u (KERNEL_ULPS + 2 LOG_SUM_ULPS S)
-        # (3000 stacks: at most 7.5 u apart, the bound's own roundings included).
-        # Both checks skip a square below the normal range: a subnormal keeps
-        # too few digits for a relative bound (seed 41259, k 8: |sq| = 7e-322
-        # and sq - vals^2 one subnormal step apart)
-        sq, sq_bounds = stellar.state_overlaps(_two_mode(t, True), _two_mode(t, True), i, j)
-        normal = (np.abs(vals) > 1e-290) & (np.abs(sq) > 1e-290)
-        per, sq_per = bounds[normal] / np.abs(vals[normal]), sq_bounds[normal] / np.abs(sq[normal])
-        assert np.all(np.abs(sq_per + u * stellar.KERNEL_ULPS - 2 * per) <= 8 * u * sq_per)
-        slack = 2 * (bounds + ref_bounds) * np.abs(vals)
-        assert np.all((np.abs(sq - vals**2) <= np.maximum(1e-14 * np.abs(sq), slack))[normal])
+        # keeps the singular values, so the sums double too, up to the few
+        # roundings of each of their six terms (3201 stacks: at most 7.1 u).
+        # A square in the subnormal range keeps too few digits for a relative
+        # bound alone (seed 41259, k 8: |sq| = 7e-322 and sq - vals^2 one
+        # subnormal step apart), hence the floor of four such steps
+        sq, _, sq_sums = _overlaps_and_sums(_two_mode(t, True), i, j)
+        assert np.all(np.abs(sq_sums - 2 * sums) <= 8 * u * sq_sums)
+        floor = 4 * 2.0**-1074
+        assert np.all(np.abs(sq - vals**2) <= np.maximum(1e-14, 2 * u * slack) * np.abs(sq) + floor)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
