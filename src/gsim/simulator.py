@@ -213,12 +213,12 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
 # from two modes up, where `stellar._contract` calls LAPACK.  Measured on 2
 # cores as the time per pair of a fresh general Gram over the time per
 # amplitude of a full probe run on the same state, at the CLI defaults
-# (least time of 15 runs): one mode 16-21 on general fock1 rings of rank 32-64,
-# around the crossover at rank 56, and 7-55 away from it (rings of rank 16
-# and 256, grids at delta 0.3 and 0.1); two and three modes 130-210 on
-# entangled rings of rank 8-32, around the crossover at rank 12.  Each price
-# lies at or above the top of the range around its crossover, so the router
-# errs toward the probes.
+# (least time of 15 runs): one mode 9-16 on general fock1 rings of rank 32-64,
+# around the crossover at rank 56, and 6-57 away from it (rings of rank 16 and
+# 256, grids at delta 0.3 and 0.1), 16-21 and 7-55 before its logs came from
+# real ufuncs; two and three modes 130-210 on entangled rings of rank 8-32,
+# around the crossover at rank 12.  Each price lies at or above the top of the
+# range around its crossover, so the router errs toward the probes (at one mode by about 3x).
 PAIR_PRICE = (42, 210)
 
 

@@ -129,7 +129,10 @@ class GramCell:
             gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
         else:
             k = self.triples.log_c.shape[0]
-            i, j = np.triu_indices(k, 1)
+            # np.triu_indices(k, 1) in O(P), without its k x k mask: row i starts at i k - i (i + 1)/2
+            rows = np.arange(k)
+            j = np.repeat(rows + 1 - rows * k + rows * (rows + 1) // 2, k - 1 - rows)
+            i, j = np.repeat(rows, k - 1 - rows), j + np.arange(j.shape[0])
             pairs, weights = self._overlaps(i, j)
             gram, self.rounding_weights = np.eye(k, dtype=complex), stellar.UNIT_ROUNDOFF * k * np.eye(k)
             gram[i, j], gram[j, i] = pairs, np.conj(pairs)

@@ -155,10 +155,11 @@ def check_normalised(t: StellarParams) -> None:
     a stack) matches `log_magnitude`.  One ulp of A moves that by
     ~1e-16 / (1 - ||A||_2^2), so a failed check against TOL_NORMALISED is
     retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
-    past r ~ 12); only the few terms that fail the first test are looped over."""
+    past r ~ 12); only the few terms that fail the first test are looped over.
+    Each side is first allowed 4 u of its modulus for its own rounding."""
     log_c = np.reshape(np.real(t.log_c), -1)
     log_mag = np.reshape(log_magnitude(t.a, t.b), -1)
-    err = np.abs(log_c - log_mag)
+    err = np.abs(log_c - log_mag) - 4 * UNIT_ROUNDOFF * (np.abs(log_c) + np.abs(log_mag))
     for p in np.flatnonzero(err > TOL_NORMALISED):
         sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
         if sigma >= 1.0:
@@ -292,7 +293,7 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     fb = f * bk
     cosh = np.cosh(gate.r)
     sech = 1.0 / cosh
-    log_c = -0.5 * np.log(cosh) - 0.5 * np.log(den) + 0.5 * fb * bk
+    log_c = -0.5 * np.log(cosh) - _half_log(den) + 0.5 * fb * bk
     if t.modes == 1:  # A + f A^2 = A / den and b + f A b = b / den
         a, b = sech * sech * akk / den - tr * ph, sech * bk / den
         return StellarParams(a[..., None, None], b[..., None], t.log_c + log_c)
@@ -328,19 +329,34 @@ def symplectic_params(s, d) -> StellarParams:
     return StellarParams(a, b, log_c)
 
 
-def _half_log_det_rhp(mat, label: str):
+def _half_log(z, modulus=None):
+    """Principal log(z)/2 from real vector loops (numpy's complex log calls libm's clog per value):
+    arctan2(y, x), and log |z| as log(modulus), or else as clog forms it, log1p((x - 1)(x + 1) + y^2)/2
+    for |log |z|| < 1/2, whose relative precision |z|'s rounding would cost (the overlap kernel's bound covers that)."""
+    x, y = np.real(z), np.imag(z)
+    out = np.empty(np.shape(z), dtype=complex)
+    np.log(np.abs(z) if modulus is None else modulus, out=out.real)
+    if modulus is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # copyto drops entries far from |z| = 1
+            np.copyto(out.real, 0.5 * np.log1p((x - 1) * (x + 1) + y * y), where=np.abs(out.real) < 0.5)
+    np.arctan2(y, x, out=out.imag)
+    out *= 0.5
+    return out
+
+
+def _half_log_det_rhp(mat, label: str, modulus=None):
     """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack;
-    a 1 x 1 matrix is its own eigenvalue."""
-    lam = mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvals(mat)
+    a 1 x 1 matrix is its own eigenvalue, and so is each entry of a (P,) array, of moduli ``modulus``."""
+    lam = mat if mat.ndim == 1 else mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvals(mat)
     if (lam.real <= 0).any():
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
-    return 0.5 * np.log(lam).sum(-1)
+    return _half_log(lam, modulus) if mat.ndim == 1 else _half_log(lam).sum(-1)
 
 
 def _singular_values(y, label: str):
-    """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one; IllConditioned
-    for cond_2(Y) >= COND_MAX, for a singular Y (cond inf, also at Y = 0) and for a NaN."""
-    sv = np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
+    """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one, (P, 1) for a (P,) array of them;
+    IllConditioned for cond_2(Y) >= COND_MAX, for a singular Y (cond inf, also at Y = 0) and for a NaN."""
+    sv = np.abs(y)[:, None] if y.ndim == 1 else np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
     if not (sv[..., 0] < COND_MAX * sv[..., -1]).all():
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(sv[..., -1] == 0, np.inf, sv[..., 0] / sv[..., -1])
@@ -368,17 +384,9 @@ def _contract(a1, b1, a2, b2, k: int, label: str):
     p^T Yi^T Q p/2); callers add them in that order.
 
     At k = 1 no LAPACK call runs: the singular value is |y|, the eigenvalue y and
-    Yi = 1/y, checked in the same order.  An overlap (k = 1, no outer leg) works on
-    (P,) scalars, in the products' order of the matrix form.
+    Yi = 1/y, checked in the same order (a one-mode overlap runs that form in `state_overlaps`).
     """
     nx = a1.shape[-1] - k
-    if k == 1 and nx == 0 and a2.shape[-1] == 1:
-        pm, qm, p, q = a1[..., 0, 0], a2[..., 0, 0], b1[..., 0], b2[..., 0]
-        y = 1.0 - pm * qm
-        sv, log_det = _singular_values(y[..., None, None], label), _half_log_det_rhp(y[..., None, None], label)
-        yi = 1.0 / y
-        qt_yi = q * yi
-        return None, None, sv, (log_det, qt_yi * p, 0.5 * qt_yi * (pm * q), 0.5 * (yi * p) * (qm * p))
     pm, qm = a1[..., nx:, nx:], a2[..., :k, :k]
     p, q = b1[..., nx:, None], b2[..., :k, None]
     y = np.eye(k) - pm @ qm
@@ -464,25 +472,38 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j):
     all legs, Y = 1 - conj(A1) A2, summed in the log domain so that only a
     genuine underflow of the overlap gives an exact 0; every pair's Y is checked
     there.  Counts P overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a
-    time, so no (P, m, m) copy of the stacks is built.  A pair's S sums the
+    time from the stacks, the bra's conjugated once; at one mode from flat (K,)
+    arrays, on which `_contract`'s k = 1 form runs here.  A pair's S sums the
     moduli of its log-domain summands, the log-determinant and the quadratic
     ones weighted by 1 + (1 + s_max) / s_min over the singular values of Y
     (forming Y costs u |conj(A1) A2| and inverting it multiplies that by |Yi|).
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if t1.modes != t2.modes or i.shape != j.shape or i.ndim != 1:
+    m, label = t1.modes, "overlap kernel"
+    if m != t2.modes or i.shape != j.shape or i.ndim != 1:
         raise DimensionMismatch("overlap stacks or index vectors do not match")
+    bra, ket = [np.conj(x) for x in (t1.a, t1.b, t1.log_c)], [t2.a, t2.b, np.asarray(t2.log_c)]
+    if m == 1:
+        bra, ket = [x.reshape(-1) for x in bra], [x.reshape(-1) for x in ket]
     out, bounds = np.empty(i.shape[0], dtype=complex), np.empty(i.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, i.shape[0], OVERLAP_CHUNK):
-            p, q = t1[i[s : s + OVERLAP_CHUNK]], t2[j[s : s + OVERLAP_CHUNK]]
-            counters.tally.overlap_evals += p.b.shape[0]
-            _, _, sv, (log_det, q1, q2, q3) = _contract(p.a.conj(), p.b.conj(), q.a, q.b, p.modes, "overlap kernel")
+            ii, jj = i[s : s + OVERLAP_CHUNK], j[s : s + OVERLAP_CHUNK]
+            counters.tally.overlap_evals += ii.shape[0]
+            (pm, p, log_p), (qm, q, log_q) = (x[ii] for x in bra), (x[jj] for x in ket)
+            if m == 1:
+                y = 1.0 - pm * qm
+                sv = _singular_values(y, label)
+                log_det, yi = _half_log_det_rhp(y, label, sv[:, 0]), 1.0 / y
+                qt_yi = q * yi
+                q1, q2, q3 = qt_yi * p, 0.5 * qt_yi * (pm * q), 0.5 * (yi * p) * (qm * p)
+            else:
+                _, _, sv, (log_det, q1, q2, q3) = _contract(pm, p, qm, q, m, label)
             kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]
             terms = np.abs(log_det) + (np.abs(q1) + np.abs(q2) + np.abs(q3))
-            exponents = p.log_c.conj() + q.log_c - log_det + (q1 + q2 + q3)
-            sums = np.abs(p.log_c) + np.abs(q.log_c) + kappa * terms
-            out[s : s + OVERLAP_CHUNK], bounds[s : s + OVERLAP_CHUNK] = _rounded(exponents, sums, "overlap kernel")
+            exponents = log_p + log_q - log_det + (q1 + q2 + q3)
+            sums = np.abs(log_p) + np.abs(log_q) + kappa * terms
+            out[s : s + OVERLAP_CHUNK], bounds[s : s + OVERLAP_CHUNK] = _rounded(exponents, sums, label)
     return out, bounds
 
 

@@ -2077,6 +2077,26 @@ def test_far_inputs_end_cleanly(case, tmp_path, capsys):
         want(json.loads(out))
 
 
+@pytest.mark.parametrize(
+    "initial, want",
+    [
+        ({"kind": "coherent", "alpha": [1e8, 1e8]}, 1 / math.pi),
+        ({"kind": "cat", "alpha": [1e8, 1e8]}, 0.5 / math.pi),
+        ({"kind": "squeezed", "r": 0.5, "alpha": [3e7, 4e7]}, 1 / (math.pi * math.cosh(0.5))),
+    ],
+    ids=["coherent", "cat", "squeezed"],
+)
+def test_far_complex_displacements_build(initial, want, tmp_path, capsys):
+    # log |c| near -1e16, where Re log c and its closed form round about an ulp
+    # (2) apart: the Born density at the displacement lies within its band
+    program = {"schema_version": 1, "modes": 1, "initial": initial, "task": {"name": "exact_born", "outcome": [initial["alpha"]]}}
+    code, out, err = _run_program(program, tmp_path, capsys)
+    assert code == 0 and err == "", err
+    doc = json.loads(out)
+    lo, hi = doc["error_band"]
+    assert lo <= doc["value"] <= hi and lo <= want <= hi
+
+
 def test_a_numerical_failure_of_the_task_keeps_its_message(capsys):
     # the odd cat at alpha 1e-8: its Gram form is inside its rounding bound
     code, out, err = run_cli(["extent", "--state", "cat", "--parity", "-", "--alpha", "1e-8"], capsys)

@@ -656,6 +656,23 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
     assert abs(sup.mean_photon_husimi() - reference) <= 1e-10 * reference
 
 
+def test_general_gram_pairs_are_the_upper_triangle(monkeypatch):
+    # GramCell.matrix builds its row-major pairs i < j in O(P): they are
+    # np.triu_indices(k, 1), values and dtype
+    seen = []
+
+    def recording(t1, t2, i, j):
+        seen.append((i, j))
+        return np.zeros(i.shape[0], dtype=complex), np.zeros(i.shape[0])
+
+    monkeypatch.setattr(stellar, "state_overlaps", recording)
+    for k in range(1, 71):
+        assert np.array_equal(GramCell(stellar.vacuum(1, k)).matrix, np.eye(k))
+        (i, j), (want_i, want_j) = seen.pop(), np.triu_indices(k, 1)
+        assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
 def test_gram_and_husimi_memory_stay_below_gathered_copies():
     # the overlap kernel gathers its pairs from index vectors chunk by chunk;
     # gathered (P, m, m) copies of the triples for all 130816 Gram pairs and

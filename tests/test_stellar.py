@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsim import counters, fock, phase, simulator, states, stellar
-from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned
+from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
 from gsim.gaussian import GaussianPure
 from gsim.stellar import check_normalised
@@ -616,6 +616,73 @@ class TestOneModeClosedForms:
 
 def _vacuum(n):
     return stellar.StellarParams(np.zeros((n, n)), np.zeros(n), 0.0)
+
+
+class TestHalfLog:
+    """The principal log(z)/2 from real vector loops, and the kernels that take
+    every log of a complex value through it."""
+
+    def test_matches_mpmath_on_the_right_half_plane(self):
+        # moduli from 1e-300 to 2 and points within 1e-12 of 1, with and
+        # without the modulus: log |z| from a given |z| keeps an absolute error
+        # of a few u; formed from z itself near |z| = 1, as libm's clog forms
+        # it, it keeps the relative precision of its summands x^2 - 1 and y^2
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(39)
+        far = 10.0 ** rng.uniform(-300, np.log10(2.0), 400) * np.exp(1j * rng.uniform(-1.57, 1.57, 400))
+        near_one = 1.0 + 1e-12 * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+        z = np.concatenate([far, near_one, [1.0, 2.0, 1e-300, 1e-300 + 1e-300j, 1 + 1e-12j, 1e-300 + 1j, 0.6 + 0.8j]])
+        got, given = stellar._half_log(z), stellar._half_log(z, np.abs(z))
+        u = stellar.UNIT_ROUNDOFF
+        with mp.workdps(50):
+            for value, fast, zp in zip(got, given, z):
+                ref = mp.log(mp.mpc(complex(zp))) / 2
+                for v in (value, fast):
+                    assert abs(mp.mpc(complex(v)) - ref) <= 2 * u * (1 + abs(np.log(abs(zp)))), (zp, v)
+                if abs(np.log(abs(zp))) < 0.5:
+                    summands = abs((zp.real - 1) * (zp.real + 1)) + zp.imag**2
+                    assert abs(value.real - ref.real) <= 2 * u * (abs(ref.real) + summands), (zp, value)
+        assert np.array_equal(got.imag, given.imag)
+        one = stellar._half_log(z[3])
+        assert np.ndim(one) == 0 and one == got[3]
+
+    def test_one_mode_kernels_take_no_complex_log(self, monkeypatch):
+        # in the style of the LAPACK-free guard: a one-mode general Gram, an
+        # orbit row and a squeeze (on a stack, one triple and two modes), and
+        # the log-determinant of a two-mode overlap, with a np.log that
+        # refuses complex input
+        stack = _one_mode_stack(np.random.default_rng(5), 16, r_max=2.0)
+        ring = states.fock1_ring(states.optimal_fock1_seed(), 8)
+        two = _two_mode(stack, True)
+        real_log = np.log
+
+        def guarded(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                raise AssertionError("complex np.log on a kernel path")
+            return real_log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", guarded)
+        assert states.GramCell(stack).matrix.shape == (16, 16)
+        assert states.GramCell(ring.triples, orbit=True).row[0].shape == (16,)
+        for t, n in ((stack, 1), (stack[0], 1), (two, 2)):
+            stellar.apply_gate(Squeeze(0, 0.4, 0.3), t, n)
+        stellar.state_overlaps(two, two, [0, 1], [1, 0])
+        with pytest.raises(AssertionError, match="complex np.log"):
+            np.log(np.array([1j]))
+
+
+def test_check_normalised_allows_the_rounding_of_far_displacements():
+    # at |alpha| ~ 1.4e8 log |c| is -1e16, where one ulp is 2: Re log c and
+    # log_magnitude round that far apart, while an error of 1e-6 at |alpha| ~ 1
+    # still raises
+    for gates in ([Displace(0, 1e8 + 1e8j)], [Squeeze(0, 0.5, 0.0), Displace(0, 3e7 + 4e7j)]):
+        t = _fold(gates, _vacuum(1), 1)
+        assert t.log_c.real < -1e15
+        check_normalised(t)
+    t = _fold([Displace(0, 0.6 + 0.8j)], _vacuum(1), 1)
+    check_normalised(t)
+    with pytest.raises(InvariantViolation, match="ref_overlap modulus disagrees"):
+        check_normalised(stellar.StellarParams(t.a, t.b, t.log_c + 1e-6))
 
 
 def _fold(gates, t, n):
