@@ -81,8 +81,10 @@ def beamsplitter_unitary(theta, phi=0.0) -> np.ndarray:
     """Mode unitary of the beamsplitter: a -> cos(t) a + e^{i p} sin(t) b; with
     array parameters, a (..., 2, 2) stack of them."""
     s = np.sin(theta) * np.exp(1j * phi)
-    c = np.cos(theta) + 0 * s  # cos(t) broadcast against phi, which may be the scalar default
-    return np.stack([c, s, -s.conj(), c], -1).reshape(np.shape(s) + (2, 2))
+    u = np.empty(np.shape(s) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)  # broadcast against phi, which may be the scalar default
+    u[..., 0, 1], u[..., 1, 0] = s, -np.conj(s)
+    return u
 
 
 def check_gate_modes(gate: Gate, n: int) -> None:

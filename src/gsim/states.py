@@ -201,7 +201,8 @@ class Superposition:
         return sup
 
     def _store(self, coeffs, triples, l1=None, gram_cell=None):
-        if not np.all(np.isfinite(np.abs(coeffs))):
+        moduli = np.abs(coeffs)
+        if np.count_nonzero(~np.isfinite(moduli)):
             raise ValueError("coefficient must be finite")
         if coeffs.flags.writeable:
             coeffs = coeffs.copy()
@@ -209,7 +210,7 @@ class Superposition:
         self.coeffs, self.triples = coeffs, triples
         self.gram_cell = gram_cell if gram_cell is not None else GramCell(triples)
         self.n = triples.modes
-        self.l1 = float(np.sum(np.abs(coeffs)))
+        self.l1 = float(moduli.sum())
         if l1 is not None and not abs(float(l1) - self.l1) <= 1e-12 * self.l1:
             raise ValueError(f"l1 = {float(l1)!r} differs from the sum of coefficient moduli {self.l1!r}")
 

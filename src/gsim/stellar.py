@@ -138,15 +138,15 @@ def log_magnitude(a, b):
     if a.shape[-1] == 1:
         a, b = a[..., 0, 0], b[..., 0]
         y = 1.0 - (a.real * a.real + a.imag * a.imag)
-        if np.any(y == 0):
+        if np.count_nonzero(y == 0):
             raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
         return 0.25 * np.log(np.abs(y)) - 0.5 * (b * ((b.conj() + a.conj() * b) / y)).real
     y = np.eye(a.shape[-1]) - a.conj() @ a
     sign, logdet = np.linalg.slogdet(y)
-    if np.any(sign == 0):
+    if np.count_nonzero(sign == 0):
         raise InvariantViolation("ket triple is not normalisable: det(1 - conj(A) A) = 0")
     rhs = b.conj() + (a.conj() @ b[..., None])[..., 0]
-    quad = np.sum(b * np.linalg.solve(y, rhs[..., None])[..., 0], axis=-1).real
+    quad = (b * np.linalg.solve(y, rhs[..., None])[..., 0]).sum(-1).real
     return 0.25 * logdet - 0.5 * quad
 
 
@@ -157,10 +157,10 @@ def check_normalised(t: StellarParams) -> None:
     retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
     past r ~ 12); only the few terms that fail the first test are looped over.
     Each side is first allowed 4 u of its modulus for its own rounding."""
-    log_c = np.reshape(np.real(t.log_c), -1)
-    log_mag = np.reshape(log_magnitude(t.a, t.b), -1)
-    err = np.abs(log_c - log_mag) - 4 * UNIT_ROUNDOFF * (np.abs(log_c) + np.abs(log_mag))
-    for p in np.flatnonzero(err > TOL_NORMALISED):
+    log_c = np.asarray(t.log_c).real.reshape(-1)
+    log_mag = log_magnitude(t.a, t.b).reshape(-1)
+    err = abs(log_c - log_mag) - 4 * UNIT_ROUNDOFF * (abs(log_c) + abs(log_mag))
+    for p in (err > TOL_NORMALISED).nonzero()[0]:
         sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
         if sigma >= 1.0:
             raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
@@ -201,11 +201,13 @@ def identity_params(n: int) -> StellarParams:
 def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     """A passive gate with mode unitary u on the given legs: u (l, l) on every triple
     of a stack, or a (K, l, l) stack of them, one per triple, is embedded once in the
-    m x m identity as U, and then A -> U A U^T, b -> U b over the whole register."""
-    m = t.modes
-    full = np.zeros(u.shape[:-2] + (m, m), dtype=complex)
-    full.reshape(-1, m * m)[:, :: m + 1] = 1.0
-    full[..., np.array(legs)[:, None], legs] = u
+    m x m identity as U (U = u where the legs are the whole register in order), and
+    then A -> U A U^T, b -> U b over the whole register."""
+    m, full = t.modes, u
+    if legs != list(range(m)):
+        full = np.zeros(u.shape[:-2] + (m, m), dtype=complex)
+        full.reshape(-1, m * m)[:, :: m + 1] = 1.0
+        full[..., np.array(legs)[:, None], legs] = u
     return StellarParams(full @ t.a @ np.swapaxes(full, -1, -2), (full @ t.b[..., None])[..., 0], t.log_c)
 
 
@@ -246,6 +248,11 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
       cond(Y) > COND_MAX, then GsimError for Re den <= 0.  On a one-leg ket
       A + s/den A^2 = A/den, so A -> sech^2 r A/den - tanh r e^{i theta} and
       b -> sech r b/den; there Y = den, whose cond is infinite exactly at den = 0.
+      Both checks run on a screen first.  By Sherman-Morrison
+      Y^{-1} = 1 + s e_k a_k^T / den, and |s| < 1 with ||a_k|| <= ||A||_2 <= 1
+      (a ket, or a unitary's triple) give cond(Y) <= 2 (1 + 1/|den|); so a stack
+      with Re den > 4 / COND_MAX (> 0 at one leg) everywhere passes both, with
+      room for rounding, as |den| >= Re den; `_squeeze_cond` runs on the others.
 
     On a stack, every parameter of a Displace, Squeeze, PhaseShift or
     BeamSplitter may be an array with one value per triple.
@@ -280,15 +287,15 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     if not isinstance(gate, Squeeze):
         raise TypeError(f"unknown gate {gate!r}")
     tr, ph = np.tanh(gate.r), np.exp(1j * gate.theta)
-    s = tr * ph.conjugate()
+    s = tr * np.conj(ph)
     den = 1.0 - s * akk
-    # at one leg Y = den, whose cond is infinite only where den = 0: Re den <= 0 screens both checks
-    cond = None if t.modes == 1 else _squeeze_cond(s, row, k, den)
-    if np.count_nonzero(den.real <= 0 if cond is None else ~(cond <= COND_MAX) | (den.real <= 0)):
+    # the screen of the docstring: only a stack that it does not clear runs the exact checks
+    if np.count_nonzero(den.real > (0.0 if t.modes == 1 else 4.0 / COND_MAX)) < den.size:
         cond = _squeeze_cond(s, row, k, den)
         if np.count_nonzero(~(cond <= COND_MAX)):
             raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})")
-        raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
+        if np.count_nonzero(den.real <= 0):
+            raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
     f = s / den
     fb = f * bk
     cosh = np.cosh(gate.r)
@@ -333,12 +340,16 @@ def _half_log(z, modulus=None):
     """Principal log(z)/2 from real vector loops (numpy's complex log calls libm's clog per value):
     arctan2(y, x), and log |z| as log(modulus), or else as clog forms it, log1p((x - 1)(x + 1) + y^2)/2
     for |log |z|| < 1/2, whose relative precision |z|'s rounding would cost (the overlap kernel's bound covers that)."""
-    x, y = np.real(z), np.imag(z)
-    out = np.empty(np.shape(z), dtype=complex)
-    np.log(np.abs(z) if modulus is None else modulus, out=out.real)
-    if modulus is None:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # copyto drops entries far from |z| = 1
-            np.copyto(out.real, 0.5 * np.log1p((x - 1) * (x + 1) + y * y), where=np.abs(out.real) < 0.5)
+    x, y = z.real, z.imag
+    out = np.empty(z.shape, dtype=complex)
+    re = out.real
+    np.log(np.abs(z) if modulus is None else modulus, out=re)
+    if modulus is None and (count := np.count_nonzero(near := abs(re) < 0.5)):
+        if count == near.size:  # every |z| near 1, where (x - 1)(x + 1) + y^2 is finite and above -1
+            np.multiply(np.log1p((x - 1.0) * (x + 1.0) + y * y), 0.5, out=re)
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # copyto drops entries far from |z| = 1
+                np.copyto(re, 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y), where=near)
     np.arctan2(y, x, out=out.imag)
     out *= 0.5
     return out
@@ -348,7 +359,7 @@ def _half_log_det_rhp(mat, label: str, modulus=None):
     """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack;
     a 1 x 1 matrix is its own eigenvalue, and so is each entry of a (P,) array, of moduli ``modulus``."""
     lam = mat if mat.ndim == 1 else mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvals(mat)
-    if (lam.real <= 0).any():
+    if np.count_nonzero(lam.real <= 0):
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
     return _half_log(lam, modulus) if mat.ndim == 1 else _half_log(lam).sum(-1)
 
@@ -357,7 +368,7 @@ def _singular_values(y, label: str):
     """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one, (P, 1) for a (P,) array of them;
     IllConditioned for cond_2(Y) >= COND_MAX, for a singular Y (cond inf, also at Y = 0) and for a NaN."""
     sv = np.abs(y)[:, None] if y.ndim == 1 else np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
-    if not (sv[..., 0] < COND_MAX * sv[..., -1]).all():
+    if np.count_nonzero(~(sv[..., 0] < COND_MAX * sv[..., -1])):
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(sv[..., -1] == 0, np.inf, sv[..., 0] / sv[..., -1])
         worst = np.nan if np.isnan(cond).all() else np.nanmax(cond)
@@ -457,9 +468,9 @@ def _rounded(exponents, sums, kernel: str):
     values = np.exp(exponents, out=exponents)
     bounds = np.abs(values)
     bounds *= UNIT_ROUNDOFF * KERNEL_ULPS + UNIT_ROUNDOFF * LOG_SUM_ULPS * sums
-    if not np.isfinite(bounds).all():
+    if np.count_nonzero(~np.isfinite(bounds)):
         bounds[values == 0] = 0.0  # 0 times an S that overflowed is NaN
-        if not np.isfinite(bounds).all():
+        if np.count_nonzero(~np.isfinite(bounds)):
             raise IllConditioned(f"{kernel}: a value or its rounding bound is not finite")
     return values, bounds
 

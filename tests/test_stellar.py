@@ -7,7 +7,7 @@ from gsim import counters, fock, phase, simulator, states, stellar
 from gsim.exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, program_symplectic
 from gsim.gaussian import GaussianPure
-from gsim.stellar import check_normalised
+from gsim.stellar import COND_MAX, check_normalised
 
 
 from conftest import engine_state, random_circuit, random_pure_program, random_symplectic, stacked
@@ -733,6 +733,7 @@ class TestGateEngine:
         from gsim.gates import beamsplitter_unitary
 
         for gate, u in (
+            (BeamSplitter(0, 1, 0.8, 0.3), beamsplitter_unitary(0.8, 0.3)),
             (BeamSplitter(1, 0, 0.8, 0.3), beamsplitter_unitary(0.8, 0.3)[::-1, ::-1]),
             (PhaseShift(1, 0.9), np.diag([1.0, np.exp(0.9j)])),
         ):
@@ -769,6 +770,68 @@ class TestGateEngine:
         den = 1 - s * row[k]
         y = np.eye(m) - s * np.outer(np.eye(m)[k], row)
         assert abs(stellar._squeeze_cond(s, row, k, den) / np.linalg.cond(y) - 1) <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        k=st.integers(1, 4),
+        unitary=st.booleans(),
+        couple=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.3]),
+        scale=st.sampled_from([1.0, 1.0 + 1e-12, 1.5]),
+    )
+    def test_squeeze_screen_clears_only_well_conditioned_kernels(self, seed, n, k, unitary, couple, scale):
+        # kets, or unitary triples, squeezed on leg 0 with r from 12 to 15 and coupled to the last
+        # mode by a beamsplitter of angle ``couple``, so that row 0 keeps a norm near 1
+        # (``scale`` 1.5 takes it past 1, a triple that is not normalisable); then a second
+        # squeeze on leg 0, r from 12 to 15 and aimed against A_00 of the first triple, drives
+        # den = 1 - s A_00 towards 0 or past the imaginary axis
+        rng = np.random.default_rng(seed)
+        base = stellar.identity_params(n) if unitary else _vacuum(n)
+        t = stellar.StellarParams(*(np.stack([x] * k) for x in (base.a, base.b)), np.zeros(k))
+        t = stellar.apply_gate(Squeeze(0, rng.uniform(12.0, 15.0, k), rng.uniform(0, 2 * np.pi, k)), t, n)
+        if n > 1:
+            t = stellar.apply_gate(BeamSplitter(0, n - 1, couple, rng.uniform(0, 2 * np.pi)), t, n)
+        t = stellar.apply_gate(Displace(0, 0.3 - 0.2j), t, n)
+        t = stellar.StellarParams(scale * t.a, t.b, t.log_c)
+        r = float(rng.uniform(12.0, 15.0))
+        theta = float(np.angle(t.a[0, 0, 0]) + rng.choice([0.0, 1e-13, 1e-7]))
+        # the exact checks on the same s and den that apply_gate forms
+        row = t.a[..., 0, :]
+        s = np.tanh(r) * np.conj(np.exp(1j * theta))
+        den = 1.0 - s * row[..., 0]
+        cond = stellar._squeeze_cond(s, row, 0, den)
+        cleared = den.real > (0.0 if t.modes == 1 else 4.0 / COND_MAX)
+        assert np.all(cond[cleared] < COND_MAX)
+        if np.any(~(cond <= COND_MAX)):
+            exc, msg = IllConditioned, f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})"
+        elif np.any(den.real <= 0):
+            exc, msg = GsimError, "squeeze kernel has eigenvalues off the right half-plane"
+        else:
+            stellar.apply_gate(Squeeze(0, r, theta), t, n)
+            return
+        with pytest.raises(exc) as err:
+            stellar.apply_gate(Squeeze(0, r, theta), t, n)
+        assert type(err.value) is exc and str(err.value) == msg
+
+    def test_well_conditioned_squeezes_skip_the_exact_condition_number(self, monkeypatch, rng):
+        calls = []
+        exact = stellar._squeeze_cond
+        monkeypatch.setattr(stellar, "_squeeze_cond", lambda *args: calls.append(args) or exact(*args))
+        kets = stacked([engine_state(random_pure_program(2, rng), 2) for _ in range(8)])
+        for t in (kets, kets[0], stellar.identity_params(2), stellar.program_params(random_pure_program(2, rng), 2)):
+            for mode in (0, 1):
+                stellar.apply_gate(Squeeze(mode, 0.4, 0.3), t, 2)
+        assert not calls
+        # Y = diag(den, 1) with den = 1 - tanh(r)^2: at r = 14 (den ~ 2.8e-12, cond ~ 3.6e11)
+        # the screen does not clear it and the exact check passes; at r = 15 it raises
+        squeezed = stellar.apply_gate(Squeeze(0, 14.0), _vacuum(2), 2)
+        stellar.apply_gate(Squeeze(0, 14.0, np.pi), squeezed, 2)
+        assert len(calls) == 1
+        squeezed = stellar.apply_gate(Squeeze(0, 15.0), _vacuum(2), 2)
+        with pytest.raises(IllConditioned):
+            stellar.apply_gate(Squeeze(0, 15.0, np.pi), squeezed, 2)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -902,7 +965,7 @@ class TestGateEngine:
         rng = np.random.default_rng(seed)
         kets = stacked([engine_state(random_pure_program(3, rng, 1.5, 1.0), 3) for _ in range(k)])
         theta, phi = rng.uniform(-np.pi, np.pi, 2)
-        for legs in ((0, 2), (2, 0), (1, 2)):
+        for legs in ((0, 2), (2, 0), (1, 2), (1, 0)):
             full = np.eye(3, dtype=complex)
             full[np.ix_(legs, legs)] = beamsplitter_unitary(theta, phi)
             got = stellar.apply_gate(BeamSplitter(*legs, theta, phi), kets, 3)
@@ -910,6 +973,44 @@ class TestGateEngine:
             for x, y in ((got.a, ref.a), (got.b, ref.b)):
                 assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, np.max(np.abs(y)))
             assert np.max(np.abs(got.log_c - ref.log_c)) <= 1e-13 * max(1.0, np.max(np.abs(ref.log_c)))
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.8, None), (0.8, 0.3), (np.array([0.1, -2.0, 3.0]), 0.0), (0.4, np.array([0.5, -1.0])), (np.linspace(-3, 3, 5), np.linspace(2, -1, 5))],
+    )
+    def test_beamsplitter_unitary_is_the_stacked_construction(self, theta, phi):
+        # bit for bit the np.stack construction of its four entries, with scalar and per-triple parameters
+        from gsim.gates import beamsplitter_unitary
+
+        got = beamsplitter_unitary(theta) if phi is None else beamsplitter_unitary(theta, phi)
+        s = np.sin(theta) * np.exp(1j * (0.0 if phi is None else phi))
+        c = np.cos(theta) + 0 * s
+        want = np.stack([c, s, -s.conj(), c], -1).reshape(np.shape(s) + (2, 2))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, legs", [(2, (0, 1)), (2, (1, 0)), (3, (1, 0)), (3, (2, 0)), (3, (0, 1))])
+    def test_beamsplitter_is_the_embedded_mode_unitary_bit_for_bit(self, n, legs, rng):
+        # the mode unitary embedded in the identity of the whole triple, A -> U A U^T and
+        # b -> U b, on kets, one ket and a unitary's triple, with scalar and per-triple angles
+        from gsim.gates import beamsplitter_unitary
+
+        kets = stacked([engine_state(random_pure_program(n, rng), n) for _ in range(4)])
+        cases = [
+            (kets, 0.8, 0.3),
+            (kets[0], 0.8, 0.3),
+            (kets, rng.uniform(-3, 3, 4), rng.uniform(-3, 3, 4)),
+            (stellar.program_params(random_pure_program(n, rng), n), -1.1, 2.0),
+        ]
+        for t, theta, phi in cases:
+            u, m = beamsplitter_unitary(theta, phi), t.modes
+            full = np.zeros(u.shape[:-2] + (m, m), dtype=complex)
+            full.reshape(-1, m * m)[:, :: m + 1] = 1.0
+            full[..., np.array(legs)[:, None], legs] = u
+            got = stellar.apply_gate(BeamSplitter(*legs, theta, phi), t, n)
+            assert np.array_equal(got.a, full @ t.a @ np.swapaxes(full, -1, -2))
+            assert np.array_equal(got.b, (full @ t.b[..., None])[..., 0])
+            assert np.array_equal(got.log_c, t.log_c)
 
 
 class TestExtremeGatesAgainstMpmath:
