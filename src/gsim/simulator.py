@@ -197,10 +197,7 @@ def sparsify(sup: Superposition, delta: float, seed: int) -> Superposition:
 
 def cross_overlap(a: Superposition, b: Superposition) -> complex:
     """<a|b> between two superpositions from their rank_a x rank_b overlaps."""
-    ca, cb = a.coeffs, b.coeffs
-    i, j = np.divmod(np.arange(len(ca) * len(cb)), len(cb))
-    pairs, _ = stellar.state_overlaps(a.triples, b.triples, i, j)
-    return complex(np.conj(ca) @ pairs.reshape(len(ca), len(cb)) @ cb)
+    return complex(np.conj(a.coeffs) @ stellar.overlap_matrix(a.triples, b.triples) @ b.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +208,14 @@ def cross_overlap(a: Superposition, b: Superposition) -> complex:
 # `fast_norm` weighs the exact Gram's pending overlaps against its fewest
 # probes: index 0 for the one-mode overlap kernel, which is closed form, and 1
 # from two modes up, where `stellar._contract` calls LAPACK.  Measured on 2
-# cores as the time per pair of a fresh general Gram over the time per
-# amplitude of a full probe run on the same state, at the CLI defaults
-# (least time of 15 runs): one mode 9-16 on general fock1 rings of rank 32-64,
-# around the crossover at rank 56, and 6-57 away from it (rings of rank 16 and
-# 256, grids at delta 0.3 and 0.1), 16-21 and 7-55 before its logs came from
-# real ufuncs; two and three modes 130-210 on entangled rings of rank 8-32,
-# around the crossover at rank 12.  Each price lies at or above the top of the
-# range around its crossover, so the router errs toward the probes (at one mode by about 3x).
+# cores as the time per pair of a fresh general Gram form over the time per
+# amplitude of a full probe run on the same state, at the CLI defaults (least
+# time of 15 runs): one mode 8-13 on general fock1 rings of rank 32-64, around
+# the crossover at rank 56, and 5-29 away from it (rings of rank 16 and 256,
+# grids at delta 0.3 and 0.1); two and three modes 73-141 on entangled rings
+# of rank 8-32, around the crossover at rank 12.  Both prices still lie above
+# the whole measured range, so the router errs toward the probes (at one mode
+# by about 3x).
 PAIR_PRICE = (42, 210)
 
 

@@ -8,6 +8,8 @@ one per distinct ket triple, and the triples as one stacked `StellarParams`;
 exact Gram normalization upper-bounds the Gaussian extent.  Every library
 state (cat, single-photon ring, rotation code, grid, GKP) is the orbit of one
 Gaussian seed under displacements or phase rotations, built by `_orbit`.
+A norm is the Gram form of a `GramCell`, which stores only the overlaps that
+the form reads: K - 1 for an orbit, K(K-1)/2 for a general stack.
 """
 
 import math
@@ -16,7 +18,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stellar
 from .exceptions import DimensionMismatch, IllConditioned, InvariantViolation
@@ -58,28 +59,19 @@ class WeightedGaussian(NamedTuple):
     term: GaussianPure
 
 
-def _toeplitz(row, lower) -> np.ndarray:
-    """K x K matrix with row[j - i] on and above the diagonal and lower[i - j]
-    below it: row i is the window i places left of the centre of
-    (lower[K-1], ..., lower[1], row[0], ..., row[K-1])."""
-    k = row.shape[0]
-    return sliding_window_view(np.concatenate((lower[:0:-1], row)), k)[::-1].copy()
-
-
 class GramCell:
-    """The Gram matrix of a stack of ket triples, computed on first use.
+    """The pairwise overlaps of a stack of ket triples, evaluated on first use.
 
     A Gaussian unitary on every term, a common coefficient scale and
     tensoring every term with one common state keep every overlap, so the
-    superpositions derived that way share one cell and one Gram (see
-    `carried_to`).  A general stack evaluates its K(K-1)/2 pairs above the
-    diagonal.  An ``orbit``, the stack of every library state (`_orbit`),
-    evaluates only the K - 1 overlaps r_d = <G_0|G_d> of its first ``row``:
-    its Gram is Hermitian Toeplitz, G_ij = r_{j-i} and G_ji = conj(r_{j-i}),
-    as for a cat pair, equally spaced real displacements (grid, GKP) and a
-    cyclic orbit such as a rotation ring, whose circulant Gram is Toeplitz.
-    An orbit's Gram form reads the row alone (`form`), so its K x K
-    ``matrix`` is built from the row only when asked.
+    superpositions derived that way share one cell (see `carried_to`).  Both
+    kinds keep one store, ``pairs``, which `form` reads; no K x K matrix is
+    built.  A general stack evaluates its K(K-1)/2 pairs i < j.  An
+    ``orbit``, the stack of every library state (`_orbit`), evaluates only
+    the K - 1 overlaps r_d = <G_0|G_d>: its Gram is Hermitian Toeplitz,
+    G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as for a cat pair, equally
+    spaced real displacements (grid, GKP) and a cyclic orbit such as a
+    rotation ring, whose circulant Gram is Toeplitz.
     """
 
     def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
@@ -96,72 +88,51 @@ class GramCell:
     @property
     def pending_pairs(self) -> int:
         """Overlaps that the Gram form still has to evaluate: 0 once the cell
-        holds its ``row`` (an orbit) or ``matrix``, else K - 1 for an orbit
-        and K(K - 1)/2 for a general stack."""
-        if ("row" if self.orbit else "matrix") in vars(self):
-            return 0
+        holds its ``pairs``, else K - 1 for an orbit and K(K - 1)/2 for a
+        general stack."""
         k = self.triples.log_c.shape[0]
-        return k - 1 if self.orbit else k * (k - 1) // 2
-
-    def _overlaps(self, i, j):
-        """Overlaps <G_i|G_j> at the index pairs, and their rounding weights:
-        the bound that `stellar.state_overlaps` returns with each entry, plus
-        the K u |G_ij| that the K-term sums of a Gram form add."""
-        pairs, bounds = stellar.state_overlaps(self.triples, self.triples, i, j)
-        return pairs, bounds + stellar.UNIT_ROUNDOFF * self.triples.log_c.shape[0] * np.abs(pairs)
+        return 0 if "pairs" in vars(self) else k - 1 if self.orbit else k * (k - 1) // 2
 
     @cached_property
-    def row(self) -> tuple:
-        """(r, w) of an orbit: its Gram's first row, r_0 = 1, and the first
-        row of its rounding weights, w_0 = K u; K - 1 overlaps, O(K) memory."""
+    def pairs(self) -> tuple:
+        """(i, j, G_ij, W_ij) over the pairs i < j that `form` reads: (0, d)
+        for an orbit, row-major for a general stack.  W_ij is the bound that
+        `stellar.state_overlaps` returns with G_ij plus the K u |G_ij| that
+        the K-term sums of a form add; G_ii = 1 has weight K u."""
         k = self.triples.log_c.shape[0]
-        pairs, weights = self._overlaps(np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
-        return np.concatenate(([1.0 + 0j], pairs)), np.concatenate(([stellar.UNIT_ROUNDOFF * k], weights))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The Gram, read-only.  Also sets ``rounding_weights``, the W for
-        which |c|^T W |c| bounds the rounding of c^+ G c for any
-        coefficients c (see `_overlaps`); the diagonal is pinned to 1, with
-        weight K u.  An orbit's is the Toeplitz matrix of its ``row``."""
         if self.orbit:
-            row, weights = self.row
-            gram, self.rounding_weights = _toeplitz(row, np.conj(row)), _toeplitz(weights, weights)
+            i, j = np.zeros(k - 1, dtype=np.intp), np.arange(1, k)
         else:
-            k = self.triples.log_c.shape[0]
             # np.triu_indices(k, 1) in O(P), without its k x k mask: row i starts at i k - i (i + 1)/2
             rows = np.arange(k)
             j = np.repeat(rows + 1 - rows * k + rows * (rows + 1) // 2, k - 1 - rows)
             i, j = np.repeat(rows, k - 1 - rows), j + np.arange(j.shape[0])
-            pairs, weights = self._overlaps(i, j)
-            gram, self.rounding_weights = np.eye(k, dtype=complex), stellar.UNIT_ROUNDOFF * k * np.eye(k)
-            gram[i, j], gram[j, i] = pairs, np.conj(pairs)
-            self.rounding_weights[i, j] = self.rounding_weights[j, i] = weights
-        gram.flags.writeable = False  # shared by every superposition of the cell
-        return gram
+        values, weights = stellar.state_overlaps(self.triples, self.triples, i, j)
+        weights += stellar.UNIT_ROUNDOFF * k * np.abs(values)
+        return i, j, values, weights
 
     def form(self, c) -> tuple:
         """(c^+ G c, |c|^T W |c|): the Gram form of coefficients ``c`` and
-        its rounding bound, W the ``rounding_weights`` (see ``matrix``).
+        its rounding bound, from the cell's ``pairs``, in O(P) memory.
 
-        A general stack's form is the dense c^+ (G c).  An orbit's reads its
-        ``row`` (r, w) alone, in O(K) memory: c^+ G c = r_0 ||c||^2 + 2 Re
-        sum_{d>0} r_d s_d with the lag sums s_d = sum_i conj(c_i) c_{i+d},
-        and |c|^T W |c| the same way from the lag sums of |c|.  Each product
-        conj(c_i) G_ij c_j passes through two sums of at most K terms, the
-        summation depth of the dense form, so the same W bounds it."""
-        weights = np.abs(c)
-        if not self.orbit:
-            value = float(np.real(np.conj(c) @ self.matrix @ c))
-            return value, float(weights @ self.rounding_weights @ weights)
-        (row, w), s, t = self.row, _lags(c), _lags(weights)
-        value = float(s[0].real + 2.0 * np.real(row[1:] @ s[1:]))
-        return value, float(w[0] * t[0] + 2.0 * (w[1:] @ t[1:]))
-
-
-def _lags(c) -> np.ndarray:
-    """s_d = sum_i conj(c_i) c_{i+d} for d = 0..K-1, by direct correlation (no FFT)."""
-    return np.correlate(c, c, "full")[c.shape[0] - 1 :]
+        An orbit's is ||c||^2 + 2 Re sum_{d>0} r_d s_d with the lag sums
+        s_d = sum_i conj(c_i) c_{i+d}, by direct correlation (no FFT).  A
+        general stack's is ||c||^2 + 2 sum_i sum_{j>i} Re(conj(c_i) G_ij c_j):
+        per-row sums (`np.bincount` over i), then one sum over the rows.
+        |c|^T W |c| is formed the same way from |c|.  Each product
+        conj(c_i) G_ij c_j passes through two sums of at most K terms, so the
+        same W bounds both kinds."""
+        k, moduli, (i, j, g, w) = c.shape[0], np.abs(c), self.pairs
+        u_k = stellar.UNIT_ROUNDOFF * k
+        if self.orbit:
+            s, t = (np.correlate(x, x, "full")[k - 1 :] for x in (c, moduli))
+            return float(s[0].real + 2.0 * np.real(g @ s[1:])), float(u_k * t[0] + 2.0 * (w @ t[1:]))
+        terms = np.conj(c)[i] * g
+        terms *= c[j]
+        value = float(np.real(np.conj(c) @ c) + 2.0 * np.bincount(i, terms.real, k).sum())
+        terms = moduli[i] * w
+        terms *= moduli[j]
+        return value, float(u_k * (moduli @ moduli) + 2.0 * np.bincount(i, terms, k).sum())
 
 
 class Superposition:
@@ -235,13 +206,11 @@ class Superposition:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Exact pairwise overlap matrix; diagonal pinned to 1 (terms normalized).
-
-        The matrix of ``gram_cell``, computed on first use by any of the
-        superpositions that share the cell (see `GramCell`); read-only.  The
-        norms read the cell's `GramCell.form`, so an orbit's is built only when asked.
-        """
-        return self.gram_cell.matrix
+        """All K^2 overlaps (`stellar.overlap_matrix`), diagonal pinned to 1:
+        a dense reference for `GramCell.form`, which no norm reads."""
+        gram = stellar.overlap_matrix(self.triples, self.triples)
+        np.fill_diagonal(gram, 1.0)
+        return gram
 
     @cached_property
     def gram_form(self) -> tuple:
@@ -294,15 +263,13 @@ class Superposition:
         global-phase generating function g(t) = <psi|e^{i t n_total}|psi>,
         four rank x rank overlap kernels.
         """
-        t, coeffs, k = self.triples, self.coeffs, self.rank
-        i, j = np.divmod(np.arange(k * k), k)
+        t, coeffs = self.triples, self.coeffs
 
         def g(time: float) -> complex:
             # e^{i t n_total} maps the ket triple (A, b, c) to (e^{2it} A, e^{it} b, c)
             ph = np.exp(1j * time)
             turned = stellar.StellarParams(ph * ph * t.a, ph * t.b, t.log_c)
-            pairs, _ = stellar.state_overlaps(t, turned, i, j)
-            return complex(np.conj(coeffs) @ pairs.reshape(k, k) @ coeffs)
+            return complex(np.conj(coeffs) @ stellar.overlap_matrix(t, turned) @ coeffs)
 
         h = 1e-3
         # five-point first derivative, O(h^4)

@@ -518,6 +518,13 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j):
     return out, bounds
 
 
+def overlap_matrix(t1: StellarParams, t2: StellarParams) -> np.ndarray:
+    """<t1[i]|t2[j]> for every pair, (K1, K2), values only: one call of state_overlaps."""
+    k1, k2 = t1.log_c.shape[0], t2.log_c.shape[0]
+    i, j = np.divmod(np.arange(k1 * k2), k2)
+    return state_overlaps(t1, t2, i, j)[0].reshape(k1, k2)
+
+
 def state_overlap(t1: StellarParams, t2: StellarParams) -> complex:
     """Phase-sensitive <psi1|psi2> from two ket triples: one pair of state_overlaps."""
     return complex(state_overlaps(t1[None], t2[None], [0], [0])[0][0])

@@ -85,7 +85,7 @@ def test_superposition_surface_read_by_the_benchmark():
     assert sparse.rank == len(sparse.entries) == unique < k
     assert len({id(t) for t in sparse.terms()}) == unique
     counters.tally.reset()
-    sparse.gram
+    sparse.norm_squared()
     assert counters.tally.overlap_evals == unique * (unique - 1) // 2
 
     # the approx-default reference rebuilds the sparsified state from its entries

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsim import counters, fock, states, stellar
+from gsim import cli, counters, fock, states, stellar
 from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
@@ -297,13 +297,18 @@ class TestOrbitForm:
         counters.tally.reset()
         value, bound = out.gram_form
         assert out.gram_cell.orbit and counters.tally.overlap_evals == out.rank - 1
-        assert "matrix" not in vars(out.gram_cell)
-        c, w = out.coeffs, np.abs(out.coeffs)
-        dense = float(np.real(np.conj(c) @ out.gram @ c))
-        dense_bound = float(w @ out.gram_cell.rounding_weights @ w)
-        assert counters.tally.overlap_evals == out.rank - 1  # the matrix is built from the row
+        # the dense Hermitian Toeplitz G and W that the stored row (0, d) stands for
+        _, _, r, w = out.gram_cell.pairs
+        lag = np.subtract.outer(np.arange(out.rank), np.arange(out.rank))  # i - j
+        row = np.concatenate(([1.0], r))[np.abs(lag)]
+        gram = np.where(lag <= 0, row, np.conj(row))
+        weights = np.concatenate(([stellar.UNIT_ROUNDOFF * out.rank], w))[np.abs(lag)]
+        c, a = out.coeffs, np.abs(out.coeffs)
+        dense, dense_bound = float(np.real(np.conj(c) @ gram @ c)), float(a @ weights @ a)
         assert abs(value - dense) <= 1e-13 * dense
         assert abs(bound - dense_bound) <= 1e-12 * dense_bound
+        reference = float(np.real(np.conj(c) @ out.gram @ c))  # all K^2 pairs of the kernel
+        assert abs(value - reference) <= 1e-13 * reference
 
     def test_first_exact_born_on_a_rank_2048_ring_builds_no_matrix(self):
         import tracemalloc
@@ -317,7 +322,7 @@ class TestOrbitForm:
         finally:
             tracemalloc.stop()
         assert peak <= 10e6 and counters.tally.overlap_evals == 2047
-        assert "matrix" not in vars(out.gram_cell)
+        assert out.gram_cell.pairs[2].shape == (2047,)
         lo, hi = born.error_band
         assert lo <= born.value <= hi
 
@@ -328,7 +333,7 @@ class TestOrbitForm:
         out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4)], 1))
         assert out.gram_cell is ring.gram_cell
         out.norm_squared()
-        assert counters.tally.overlap_evals == 0 and "matrix" not in vars(ring.gram_cell)
+        assert counters.tally.overlap_evals == 0
 
 
 class TestRotationalCode:
@@ -657,8 +662,9 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
 
 
 def test_general_gram_pairs_are_the_upper_triangle(monkeypatch):
-    # GramCell.matrix builds its row-major pairs i < j in O(P): they are
-    # np.triu_indices(k, 1), values and dtype
+    # a general cell stores its row-major pairs i < j, built in O(P): they
+    # are np.triu_indices(k, 1), values and dtype; with zero overlaps its
+    # form is ||c||^2
     seen = []
 
     def recording(t1, t2, i, j):
@@ -667,8 +673,10 @@ def test_general_gram_pairs_are_the_upper_triangle(monkeypatch):
 
     monkeypatch.setattr(stellar, "state_overlaps", recording)
     for k in range(1, 71):
-        assert np.array_equal(GramCell(stellar.vacuum(1, k)).matrix, np.eye(k))
+        cell, c = GramCell(stellar.vacuum(1, k)), np.arange(1.0, k + 1.0) + 0j
+        assert cell.form(c)[0] == float(np.sum(c.real**2))
         (i, j), (want_i, want_j) = seen.pop(), np.triu_indices(k, 1)
+        assert cell.pairs[0] is i and cell.pairs[1] is j
         assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
         assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
@@ -683,7 +691,7 @@ def test_gram_and_husimi_memory_stay_below_gathered_copies():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ring.gram
+        GramCell(ring.triples).form(ring.coeffs)
         gram_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -748,19 +756,25 @@ ORBIT_STATES = {
 
 @pytest.mark.parametrize("name", sorted(ORBIT_STATES))
 def test_orbit_gram_equals_the_general_gram(name):
-    # one row of K - 1 overlaps, gathered into the Hermitian Toeplitz
-    # matrix, against all K(K-1)/2 pairs of the general kernel
+    # one row of K - 1 overlaps, which stands for the Hermitian Toeplitz
+    # Gram, against all K(K-1)/2 pairs of the general kernel
     sup = ORBIT_STATES[name]()
     cell = sup.gram_cell
     general = Superposition.from_stack(sup.coeffs, sup.triples)
     assert cell.orbit is True and general.gram_cell.orbit is False
     counters.tally.reset()
-    orbit_gram = GramCell(cell.triples, cell.orbit).matrix
-    assert counters.tally.overlap_evals == sup.rank - 1
-    assert np.array_equal(orbit_gram, sup.gram)
+    fresh = GramCell(cell.triples, cell.orbit)
+    assert fresh.pending_pairs == sup.rank - 1
+    row = fresh.pairs[2]
+    assert counters.tally.overlap_evals == sup.rank - 1 and fresh.pending_pairs == 0
+    assert np.array_equal(row, cell.pairs[2])
     counters.tally.reset()
-    assert np.max(np.abs(orbit_gram - general.gram)) <= 1e-14
+    assert general.gram_cell.pending_pairs == sup.rank * (sup.rank - 1) // 2
+    i, j, g, _ = general.gram_cell.pairs
     assert counters.tally.overlap_evals == sup.rank * (sup.rank - 1) // 2
+    assert np.max(np.abs(row[j - i - 1] - g)) <= 1e-14
+    (value, bound), (general_value, general_bound) = sup.gram_form, general.gram_form
+    assert abs(value - general_value) <= bound + general_bound
     assert abs(sup.norm_squared() - general.norm_squared()) <= 1e-12 * general.norm_squared()
 
 
@@ -769,7 +783,53 @@ def test_a_stack_built_from_entries_starts_without_a_gram():
     lib.norm_squared()
     fresh = Superposition(lib.entries, l1=lib.l1)
     assert fresh.gram_cell is not lib.gram_cell and fresh.gram_cell.orbit is False
-    assert "matrix" not in vars(fresh.gram_cell)
+    assert "pairs" not in vars(fresh.gram_cell)
     counters.tally.reset()
-    assert np.max(np.abs(fresh.gram - lib.gram)) <= 1e-14
+    fresh.norm_squared()
     assert counters.tally.overlap_evals == fresh.rank * (fresh.rank - 1) // 2
+    i, j, g, _ = fresh.gram_cell.pairs
+    assert np.max(np.abs(g - lib.gram_cell.pairs[2][j - i - 1])) <= 1e-14
+
+
+def _conditioned(modes: int, initial: dict, rng) -> Superposition:
+    """A library state on modes + 1 modes through a random circuit,
+    heterodyned on its last mode: a general stack on ``modes`` modes."""
+    sup = cli._initial_state(cli.read_initial(initial), modes + 1)
+    gates = [BeamSplitter(modes - 1, modes, 0.6, 0.2)] + random_circuit(modes + 1, 4, rng)
+    out, _ = condition(evolve(sup, GaussianUnitary.from_gates(gates, modes + 1)), [modes], [complex(*rng.normal(size=2))])
+    assert out.n == modes and out.rank == sup.rank and not out.gram_cell.orbit
+    return out
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_general_form_lies_within_its_bound_of_the_exact_sum(modes):
+    # c^+ G c summed in 50 digits from the cell's own stored overlaps, at
+    # ranks 2 to 200: the row sums of the general form stay within its bound
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(41 + modes)
+    rings = [{"kind": "fock1_ring", "N": n} for n in (int(rng.integers(2, 100)), 100)]
+    for initial in [{"kind": "cat", "alpha": [0.6, 0.3]}, {"kind": "grid", "delta": 0.3}] + rings:
+        out = _conditioned(modes, initial, rng)
+        value, bound = out.gram_form
+        i, j, g, _ = out.gram_cell.pairs
+        with mp.workdps(50):
+            c = [mp.mpc(x) for x in out.coeffs.tolist()]
+            pairs = (mp.re(mp.conj(c[a]) * mp.mpc(x) * c[b]) for a, b, x in zip(i.tolist(), j.tolist(), g.tolist()))
+            exact = mp.fsum(abs(x) ** 2 for x in c) + 2 * mp.fsum(pairs)
+            assert abs(mp.mpf(value) - exact) <= bound, (initial, value, exact, bound)
+
+
+def test_fresh_general_form_builds_no_dense_gram():
+    # a one-mode conditioned fock1 ring of rank 1024: its 523776 pairs take
+    # about 21 MB (indices, overlaps, weights); the dense K x K Gram and
+    # rounding weights took the peak to about 52 MB
+    import tracemalloc
+
+    out = _conditioned(1, {"kind": "fock1_ring", "N": 512}, np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        value, bound = out.gram_cell.form(out.coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42e6 and 0 < bound < value

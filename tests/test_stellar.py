@@ -662,8 +662,9 @@ class TestHalfLog:
             return real_log(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "log", guarded)
-        assert states.GramCell(stack).matrix.shape == (16, 16)
-        assert states.GramCell(ring.triples, orbit=True).row[0].shape == (16,)
+        for cell, pairs in ((states.GramCell(stack), 120), (states.GramCell(ring.triples, orbit=True), 15)):
+            cell.form(np.ones(16, dtype=complex))
+            assert cell.pairs[2].shape == (pairs,)
         for t, n in ((stack, 1), (stack[0], 1), (two, 2)):
             stellar.apply_gate(Squeeze(0, 0.4, 0.3), t, n)
         stellar.state_overlaps(two, two, [0, 1], [1, 0])
