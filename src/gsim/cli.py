@@ -81,13 +81,14 @@ def _complex_from(value, where: str) -> complex:
     return complex(_real(value, where, "a finite number or [re, im] pair"))
 
 
-def _complex_vector(value, where: str):
-    """A list of complex entries whose squared modulus sum_k |xi_k|^2 does not overflow."""
-    vector = [_complex_from(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
+def _complex_vector(value, where: str, one: bool = False):
+    """A list of complex entries whose squared modulus sum_k |xi_k|^2 does not overflow,
+    or with ``one`` a single such entry named ``where``: an ``alpha``, a displacement."""
+    vector = [_complex_from(value, where)] if one else [_complex_from(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where))]
     modulus = math.hypot(*(part for z in vector for part in (z.real, z.imag)))
     if not modulus * modulus <= sys.float_info.max:
         raise ValidationFailure(f"{where}: modulus {modulus:.3g} is too large: its square overflows")
-    return vector
+    return vector[0] if one else vector
 
 
 def _reals(value, where: str) -> list:
@@ -170,7 +171,7 @@ KIND_FIELDS = {
 
 INITIAL_FIELDS = {
     "kind": _choice(*KIND_FIELDS),
-    "alpha": _complex_from,
+    "alpha": functools.partial(_complex_vector, one=True),
     "parity": _choice("+", "-", 1, -1),
     "seed_state": _choice("optimal", "coherent"),
     **dict.fromkeys(("r", "theta", "kappa", "delta"), _real),
@@ -216,7 +217,7 @@ OP_FIELDS = {
     "mode": _integer,
     "modes": _integers,
     **dict.fromkeys(("matrix", "shift", "X", "Y", "D"), _real_array),
-    "alpha": _complex_from,
+    "alpha": INITIAL_FIELDS["alpha"],
     **dict.fromkeys(("r", "theta", "phi"), _real),
     "outcome": _complex_vector,
 }

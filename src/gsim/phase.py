@@ -22,7 +22,7 @@ import numpy as np
 
 from . import stellar
 from ._linalg import EPS_REF, solve_complex
-from .exceptions import DimensionMismatch, ReferenceDegenerate
+from .exceptions import DimensionMismatch, GsimError, ReferenceDegenerate
 from .gates import Displace, Squeeze, check_gate_modes
 from .gaussian import GaussianPure
 from .rng import stream
@@ -54,7 +54,8 @@ def triple_overlap(g0: GaussianPure, g1: GaussianPure, g2: GaussianPure) -> comp
 
     Normalization is fixed at T(vac, vac, vac) = 1 (the 4^n prefactor
     below makes that exact) and validated on coherent families and against
-    the Fock oracle.
+    the Fock oracle.  det(sigma0 + Delta)^{1/2} is a sum of logs over its
+    eigenvalues, which must lie in the open right half-plane (else GsimError).
     """
     if not (g0.n == g1.n == g2.n):
         raise DimensionMismatch("triple product requires equal mode counts")
@@ -66,10 +67,10 @@ def triple_overlap(g0: GaussianPure, g1: GaussianPure, g2: GaussianPure) -> comp
     d0 = g0.mean - mu_delta
     quad12 = float(d12 @ np.linalg.solve(total12, d12))
     quad0 = complex(d0 @ solve_complex(kernel0, d0, "sigma0 + Delta"))
-    pref = 4.0**n / (
-        np.sqrt(float(np.linalg.det(total12)))
-        * np.exp(stellar._half_log_det_rhp(kernel0, "sigma0 + Delta"))
-    )
+    lam = np.linalg.eigvals(kernel0)
+    if np.count_nonzero(lam.real <= 0):
+        raise GsimError("sigma0 + Delta has eigenvalues off the right half-plane")
+    pref = 4.0**n / (np.sqrt(float(np.linalg.det(total12))) * np.exp(stellar._half_log(lam).sum()))
     return complex(pref * np.exp(-quad12 - quad0))
 
 

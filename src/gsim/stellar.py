@@ -156,15 +156,17 @@ def check_normalised(t: StellarParams) -> None:
     ~1e-16 / (1 - ||A||_2^2), so a failed check against TOL_NORMALISED is
     retried with TOL_NORMALISED / ((1 - ||A||_2)(1 + ||A||_2)) (squeezing
     past r ~ 12); only the few terms that fail the first test are looped over.
-    Each side is first allowed 4 u of its modulus for its own rounding."""
+    Each side is first allowed 4 u of its modulus for its own rounding; a NaN fails both tests."""
     log_c = np.asarray(t.log_c).real.reshape(-1)
-    log_mag = log_magnitude(t.a, t.b).reshape(-1)
-    err = abs(log_c - log_mag) - 4 * UNIT_ROUNDOFF * (abs(log_c) + abs(log_mag))
-    for p in (err > TOL_NORMALISED).nonzero()[0]:
-        sigma = float(np.linalg.norm(t.a.reshape(-1, t.modes, t.modes)[p], 2))
-        if sigma >= 1.0:
+    with np.errstate(invalid="ignore"):  # a non-finite triple gives a NaN err, which fails below
+        log_mag = log_magnitude(t.a, t.b).reshape(-1)
+        err = abs(log_c - log_mag) - 4 * UNIT_ROUNDOFF * (abs(log_c) + abs(log_mag))
+    for p in (~(err <= TOL_NORMALISED)).nonzero()[0]:
+        a = t.a.reshape(-1, t.modes, t.modes)[p]
+        sigma = float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else np.nan  # the SVD rejects a non-finite A
+        if not sigma < 1.0:
             raise InvariantViolation(f"ket triple is not normalisable: ||A||_2 = {sigma:.17g}")
-        if err[p] * (1.0 - sigma) * (1.0 + sigma) > TOL_NORMALISED:
+        if not err[p] * (1.0 - sigma) * (1.0 + sigma) <= TOL_NORMALISED:
             raise InvariantViolation(
                 "ref_overlap modulus disagrees with the closed-form overlap "
                 f"(log |c| {log_c[p]:.6g} vs {log_mag[p]:.6g})"
@@ -211,24 +213,6 @@ def _apply_passive(u, legs, t: StellarParams) -> StellarParams:
     return StellarParams(full @ t.a @ np.swapaxes(full, -1, -2), (full @ t.b[..., None])[..., 0], t.log_c)
 
 
-def _squeeze_cond(s, row, k: int, den):
-    """cond_2 of the squeeze kernel Y = 1 - s e_k row^T without an SVD, per
-    triple: Y is the identity off span(e_k, conj(row)); its other two singular
-    values have product p = |den| and squares summing to S = p^2 + 1 + rho, with
-    rho = |s|^2 sum_{j != k} |row_j|^2 (a sum over the other legs, never a total
-    minus |row_k|^2), so cond = (S + sqrt(d (S + 2p))) / 2p with
-    d = S - 2p = (p - 1)^2 + rho free of cancellation (1 for a single leg;
-    inf for p = 0, which no normalisable triple reaches)."""
-    p = abs(den)
-    if row.shape[-1] == 1:
-        return np.where(p == 0, np.inf, 1.0)
-    off = abs(row) ** 2
-    off.T[k] = 0.0
-    rho = abs(s) ** 2 * off.sum(-1)
-    total = p * p + 1.0 + rho
-    return (total + np.sqrt(((p - 1.0) ** 2 + rho) * (total + 2.0 * p))) / (2.0 * p)
-
-
 def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     """Phase-exact triple of a primitive gate on the first n legs of ``t`` (a
     ket, the out legs of a unitary, or a stack of either), in closed form
@@ -243,16 +227,16 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     * Squeeze(r, theta): s = tanh r e^{-i theta}, den = 1 - s A_kk, C = sech r
       on leg k; A -> C (A + s/den a_k a_k^T) C - tanh r e^{i theta} e_k e_k^T,
       b -> C (b + s b_k/den a_k), log c += -log(cosh r)/2 - log(den)/2
-      + s b_k^2/(2 den).  Its kernel Y = 1 - s e_k a_k^T keeps the checks of
-      apply_to_state over the whole stack: IllConditioned for
-      cond(Y) > COND_MAX, then GsimError for Re den <= 0.  On a one-leg ket
+      + s b_k^2/(2 den).  Its kernel Y = 1 - s e_k a_k^T, with eigenvalues den
+      and 1, keeps the checks of apply_to_state over the whole stack
+      (`_checked_kernel`, label "squeeze kernel").  On a one-leg ket
       A + s/den A^2 = A/den, so A -> sech^2 r A/den - tanh r e^{i theta} and
       b -> sech r b/den; there Y = den, whose cond is infinite exactly at den = 0.
-      Both checks run on a screen first.  By Sherman-Morrison
-      Y^{-1} = 1 + s e_k a_k^T / den, and |s| < 1 with ||a_k|| <= ||A||_2 <= 1
-      (a ket, or a unitary's triple) give cond(Y) <= 2 (1 + 1/|den|); so a stack
-      with Re den > 4 / COND_MAX (> 0 at one leg) everywhere passes both, with
-      room for rounding, as |den| >= Re den; `_squeeze_cond` runs on the others.
+      A screen runs first.  By Sherman-Morrison Y^{-1} = 1 + s e_k a_k^T / den,
+      and |s| < 1 with ||a_k|| <= ||A||_2 <= 1 (a ket, or a unitary's triple)
+      give cond(Y) <= 2 (1 + 1/|den|); so a stack with Re den > 4 / COND_MAX
+      (> 0 at one leg) everywhere passes both checks, with room for rounding, as
+      |den| >= Re den; only the other stacks build Y and check it.
 
     On a stack, every parameter of a Displace, Squeeze, PhaseShift or
     BeamSplitter may be an array with one value per triple.
@@ -290,18 +274,17 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     s = tr * np.conj(ph)
     den = 1.0 - s * akk
     # the screen of the docstring: only a stack that it does not clear runs the exact checks
-    if np.count_nonzero(den.real > (0.0 if t.modes == 1 else 4.0 / COND_MAX)) < den.size:
-        cond = _squeeze_cond(s, row, k, den)
-        if np.count_nonzero(~(cond <= COND_MAX)):
-            raise IllConditioned(f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})")
-        if np.count_nonzero(den.real <= 0):
-            raise GsimError("squeeze kernel has eigenvalues off the right half-plane")
+    m = t.modes
+    if np.count_nonzero(den.real > (0.0 if m == 1 else 4.0 / COND_MAX)) < den.size:
+        with np.errstate(invalid="ignore"):  # a non-finite Y fails the check
+            y = np.reshape(den, -1) if m == 1 else np.eye(m) - (s * (np.eye(m)[k, :, None] * row[..., None, :]).T).T
+        _checked_kernel(y, "squeeze kernel")
     f = s / den
     fb = f * bk
     cosh = np.cosh(gate.r)
     sech = 1.0 / cosh
     log_c = -0.5 * np.log(cosh) - _half_log(den) + 0.5 * fb * bk
-    if t.modes == 1:  # A + f A^2 = A / den and b + f A b = b / den
+    if m == 1:  # A + f A^2 = A / den and b + f A b = b / den
         a, b = sech * sech * akk / den - tr * ph, sech * bk / den
         return StellarParams(a[..., None, None], b[..., None], t.log_c + log_c)
     a = t.a + (f * (row[..., :, None] * row[..., None, :]).T).T
@@ -355,25 +338,23 @@ def _half_log(z, modulus=None):
     return out
 
 
-def _half_log_det_rhp(mat, label: str, modulus=None):
-    """log sqrt(det(mat)) on the principal branch, eigenvalue by eigenvalue, one or a stack;
-    a 1 x 1 matrix is its own eigenvalue, and so is each entry of a (P,) array, of moduli ``modulus``."""
-    lam = mat if mat.ndim == 1 else mat[..., 0] if mat.shape[-1] == 1 else np.linalg.eigvals(mat)
+def _checked_kernel(y, label: str):
+    """(s_max, s_min, log det(Y)/2) of kernels Y: a (P,) array of one-mode ones, y its own singular value |y| and
+    eigenvalue (no LAPACK call), or (..., m, m) ones, finite, through svd and eigvals.  IllConditioned under ``label``
+    for cond_2(Y) >= COND_MAX, a singular Y (cond inf) or a non-finite one (cond nan); then GsimError for an
+    eigenvalue off the open right half-plane, where det(Y)^{-1/2}'s principal branch is continuous."""
+    if y.ndim > 1 and np.count_nonzero(~np.isfinite(y)):
+        raise IllConditioned(f"{label} is ill-conditioned (cond=nan)")
+    sv = np.abs(y)[:, None] if y.ndim == 1 else np.linalg.svd(y, compute_uv=False)
+    s_max, s_min = sv[..., 0], sv[..., -1]
+    if np.count_nonzero(~(s_max < COND_MAX * s_min)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(s_min == 0, np.inf, s_max / s_min)
+        raise IllConditioned(f"{label} is ill-conditioned (cond={np.max(cond):.3g})")
+    lam = y if y.ndim == 1 else np.linalg.eigvals(y)
     if np.count_nonzero(lam.real <= 0):
         raise GsimError(f"{label} has eigenvalues off the right half-plane")
-    return _half_log(lam, modulus) if mat.ndim == 1 else _half_log(lam).sum(-1)
-
-
-def _singular_values(y, label: str):
-    """Singular values of a kernel Y, one or a stack, |y| for a 1 x 1 one, (P, 1) for a (P,) array of them;
-    IllConditioned for cond_2(Y) >= COND_MAX, for a singular Y (cond inf, also at Y = 0) and for a NaN."""
-    sv = np.abs(y)[:, None] if y.ndim == 1 else np.abs(y[..., 0]) if y.shape[-1] == 1 else np.linalg.svd(y, compute_uv=False)
-    if np.count_nonzero(~(sv[..., 0] < COND_MAX * sv[..., -1])):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(sv[..., -1] == 0, np.inf, sv[..., 0] / sv[..., -1])
-        worst = np.nan if np.isnan(cond).all() else np.nanmax(cond)
-        raise IllConditioned(f"{label} is ill-conditioned (cond={worst:.3g})")
-    return sv
+    return s_max, s_min, _half_log(y, s_max) if y.ndim == 1 else _half_log(lam).sum(-1)
 
 
 def _contract(a1, b1, a2, b2, k: int, label: str):
@@ -390,32 +371,30 @@ def _contract(a1, b1, a2, b2, k: int, label: str):
     b_x = b1_x + X^T Yi^T (q + Q p) and b_y = b2_y + W^T Yi (p + P q).  Y is checked once
     with the caller's label: IllConditioned for cond_2(Y) >= COND_MAX, then GsimError for an
     eigenvalue off the open right half-plane, where det(Y)^{-1/2}'s principal branch is
-    continuous.  Returns the outer (A, b) ((None, None) without outer legs), the singular
-    values of Y, and the log-domain summands (log det(Y)/2, q^T Yi p, q^T Yi P q/2,
-    p^T Yi^T Q p/2); callers add them in that order.
-
-    At k = 1 no LAPACK call runs: the singular value is |y|, the eigenvalue y and
-    Yi = 1/y, checked in the same order (a one-mode overlap runs that form in `state_overlaps`).
+    continuous (`_checked_kernel`).  Returns the outer (A, b) ((None, None) without outer
+    legs), the largest and least singular values (s_max, s_min) of Y, and the log-domain
+    summands (log det(Y)/2, q^T Yi p, q^T Yi P q/2, p^T Yi^T Q p/2); callers add them in
+    that order.
     """
     nx = a1.shape[-1] - k
     pm, qm = a1[..., nx:, nx:], a2[..., :k, :k]
     p, q = b1[..., nx:, None], b2[..., :k, None]
-    y = np.eye(k) - pm @ qm
-    sv = _singular_values(y, label)
-    log_det = _half_log_det_rhp(y, label)
-    yi = 1.0 / y if k == 1 else np.linalg.inv(y)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Y fails the check
+        y = np.eye(k) - pm @ qm
+    s_max, s_min, log_det = _checked_kernel(y, label)
+    yi = np.linalg.inv(y)
     qt_yi = np.swapaxes(q, -1, -2) @ yi
     pq, qp = pm @ q, qm @ p
     t1, t2, t3 = qt_yi @ p, 0.5 * qt_yi @ pq, 0.5 * np.swapaxes(yi @ p, -1, -2) @ qp
     terms = (log_det, t1[..., 0, 0], t2[..., 0, 0], t3[..., 0, 0])
     if nx == 0 and a2.shape[-1] == k:
-        return None, None, sv, terms
+        return None, None, (s_max, s_min), terms
     x, w = a1[..., nx:, :nx], a2[..., :k, k:]
     xt_yit, wt_yi = np.swapaxes(yi @ x, -1, -2), np.swapaxes(w, -1, -2) @ yi
     a_xy = xt_yit @ w
     a = np.block([[a1[..., :nx, :nx] + xt_yit @ qm @ x, a_xy], [np.swapaxes(a_xy, -1, -2), a2[..., k:, k:] + wt_yi @ pm @ w]])
     b = np.concatenate([b1[..., :nx] + (xt_yit @ (q + qp))[..., 0], b2[..., k:] + (wt_yi @ (p + pq))[..., 0]], -1)
-    return a, b, sv, terms
+    return a, b, (s_max, s_min), terms
 
 
 def compose(t1: StellarParams, t2: StellarParams) -> StellarParams:
@@ -484,9 +463,9 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j):
     genuine underflow of the overlap gives an exact 0; every pair's Y is checked
     there.  Counts P overlap evaluations.  Pairs are gathered OVERLAP_CHUNK at a
     time from the stacks, the bra's conjugated once; at one mode from flat (K,)
-    arrays, on which `_contract`'s k = 1 form runs here.  A pair's S sums the
-    moduli of its log-domain summands, the log-determinant and the quadratic
-    ones weighted by 1 + (1 + s_max) / s_min over the singular values of Y
+    arrays, on which `_contract`'s formula runs here with Yi = 1/y and no LAPACK call
+    (`_checked_kernel`'s (P,) form).  A pair's S sums the moduli of its log-domain summands,
+    the log-determinant and the quadratic ones weighted by 1 + (1 + s_max) / s_min over the singular values of Y
     (forming Y costs u |conj(A1) A2| and inverting it multiplies that by |Yi|).
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -504,13 +483,12 @@ def state_overlaps(t1: StellarParams, t2: StellarParams, i, j):
             (pm, p, log_p), (qm, q, log_q) = (x[ii] for x in bra), (x[jj] for x in ket)
             if m == 1:
                 y = 1.0 - pm * qm
-                sv = _singular_values(y, label)
-                log_det, yi = _half_log_det_rhp(y, label, sv[:, 0]), 1.0 / y
+                (s_max, s_min, log_det), yi = _checked_kernel(y, label), 1.0 / y
                 qt_yi = q * yi
                 q1, q2, q3 = qt_yi * p, 0.5 * qt_yi * (pm * q), 0.5 * (yi * p) * (qm * p)
             else:
-                _, _, sv, (log_det, q1, q2, q3) = _contract(pm, p, qm, q, m, label)
-            kappa = 1.0 + (1.0 + sv[:, 0]) / sv[:, -1]
+                _, _, (s_max, s_min), (log_det, q1, q2, q3) = _contract(pm, p, qm, q, m, label)
+            kappa = 1.0 + (1.0 + s_max) / s_min
             terms = np.abs(log_det) + (np.abs(q1) + np.abs(q2) + np.abs(q3))
             exponents = log_p + log_q - log_det + (q1 + q2 + q3)
             sums = np.abs(log_p) + np.abs(log_q) + kappa * terms

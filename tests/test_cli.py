@@ -1675,6 +1675,14 @@ def test_csv_rows_of_dict_and_scalar_values(argv, header, row, capsys):
             {"modes": 2, "ops": [{"gate": "condition", "modes": [1], "outcome": [[1e200, 0]]}]},
             "ops[0].outcome: modulus 1e+200 is too large: its square overflows",
         ),
+        # every alpha reader, in ops and in initial, takes the outcome's rule: |alpha|^2 must not overflow
+        ({"ops": [{"gate": "displace", "mode": 0, "alpha": [1e200, 0]}]}, "ops[0].alpha: modulus 1e+200 is too large: its square overflows"),
+        ({"ops": [{"gate": "displace", "mode": 0, "alpha": [1e154, 1e154]}]}, "ops[0].alpha: modulus 1.41e+154 is too large: its square overflows"),
+        ({"initial": {"kind": "coherent", "alpha": [0, 1e200]}}, "initial.alpha: modulus 1e+200 is too large: its square overflows"),
+        ({"initial": {"kind": "cat", "alpha": -1e200}}, "initial.alpha: modulus 1e+200 is too large: its square overflows"),
+        ({"initial": {"kind": "squeezed", "r": 0.3, "alpha": [1e200, 1.0]}}, "initial.alpha: modulus 1e+200 is too large: its square overflows"),
+        # an entry that is no finite number keeps its own name
+        ({"initial": {"kind": "cat", "alpha": [1.0, "x"]}}, "initial.alpha[1]: expected a finite number"),
     ],
 )
 def test_malformed_program_errors_name_their_path(program, message, tmp_path, capsys):
@@ -1957,6 +1965,8 @@ def test_empty_tables_exit_2(fmt, tmp_path, capsys):
         (["extent", "--state", "gkp", "--grid-delta", "0"], "initial: delta must be positive and finite, got 0.0"),
         (["extent", "--state", "gkp", "--grid-delta=-0.3"], "initial: delta must be positive and finite, got -0.3"),
         (["born", "--state", "cat", "--outcome", "1e200,0"], "task.outcome: modulus 1e+200 is too large: its square overflows"),
+        (["norm", "--state", "coherent", "--alpha", "1e200"], "initial.alpha: modulus 1e+200 is too large: its square overflows"),
+        (["extent", "--state", "cat", "--alpha=-1.4e154"], "initial.alpha: modulus 1.4e+154 is too large: its square overflows"),
     ],
 )
 def test_range_errors_name_the_initial_state_or_the_task(argv, message, capsys):

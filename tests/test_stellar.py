@@ -454,10 +454,10 @@ class TestContraction:
 
     @staticmethod
     def _contractions(m):
-        """Each caller on a one- or two-mode kernel Y = 1 - M M, M real symmetric, with its label."""
+        """Each caller on a kernel Y = 1 - M M of one to three modes, M real symmetric, with its label."""
         n = m.shape[0]
         eye, zero = np.eye(n), np.zeros((n, n))
-        ket = stellar.StellarParams(m, np.array([0.3, -0.1j])[:n], 0.0)
+        ket = stellar.StellarParams(m, np.array([0.3, -0.1j, 0.2])[:n], 0.0)
         d_is_m = stellar.StellarParams(np.block([[zero, eye], [eye, m]]), np.zeros(2 * n), 0.0)
         b_is_m = stellar.StellarParams(np.block([[m, eye], [eye, zero]]), np.zeros(2 * n), 0.0)
         return {
@@ -472,17 +472,34 @@ class TestContraction:
         [
             (np.diag([0.0, np.tanh(15.0)]), IllConditioned),  # Y = diag(1, sech(15)^2): cond ~2.7e12
             (np.diag([1.5, 0.0]), GsimError),  # Y = diag(-1.25, 1) is well conditioned
-            # one mode, closed forms: a NaN fails the test on |y|, y = -1.25 the half-plane one
+            # one mode: a NaN fails the condition test, y = -1.25 the half-plane one
             (np.array([[np.nan]]), IllConditioned),
             (np.array([[1.5]]), GsimError),
+            # two modes: a non-finite kernel fails before LAPACK, which would raise LinAlgError
+            (np.diag([np.nan, 0.0]), IllConditioned),
+            (np.diag([0.0, np.inf]), IllConditioned),
         ],
-        ids=["ill_conditioned", "off_right_half_plane", "one_mode_nan", "one_mode_off_right_half_plane"],
+        ids=["ill_conditioned", "off_right_half_plane", "one_mode_nan", "one_mode_off_right_half_plane", "two_mode_nan", "two_mode_inf"],
     )
     def test_every_caller_keeps_both_kernel_checks(self, caller, m, exc):
         call, label = self._contractions(m)[caller]
         with pytest.raises(exc, match=label) as err:
             call()
         assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+    @pytest.mark.parametrize("caller", ["state_overlaps", "apply_to_state", "compose"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_caller_names_a_non_finite_kernel(self, caller, n, bad):
+        # a non-finite entry of M on any leg makes Y non-finite: IllConditioned with cond nan,
+        # whether the kernel takes the flat one-mode form or the (m, m) one
+        for leg in range(n):
+            m = np.zeros((n, n), dtype=complex)
+            m[leg, leg] = bad
+            call, label = self._contractions(m)[caller]
+            with pytest.raises(IllConditioned) as err:
+                call()
+            assert str(err.value) == f"{label} is ill-conditioned (cond=nan)"
 
     @pytest.mark.parametrize("caller", ["state_overlaps", "apply_to_state", "compose"])
     @pytest.mark.parametrize("n", [1, 2], ids=["one_mode", "two_mode"])
@@ -557,8 +574,9 @@ def test_tensor_overlaps_factor_into_those_of_the_factors(seed, k, m1, m2, singl
 
 
 class TestOneModeClosedForms:
-    """At one mode the kernels run without LAPACK (|y|, y and 1/y for the 1 x 1
-    Y); the same kets on two modes take the LAPACK path."""
+    """At one mode the overlap, normalisation and squeeze kernels run without
+    LAPACK (|y|, y and 1/y for the 1 x 1 Y), and state application contracts
+    its 1 x 1 Y as any other; the same kets on two modes are the reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
@@ -672,6 +690,21 @@ class TestHalfLog:
             np.log(np.array([1j]))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("field", ["a", "b", "log_c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_normalised_rejects_a_non_finite_triple(m, field, bad):
+    # a NaN err fails the first test and the retry; a non-finite A raises before its norm,
+    # whose SVD would raise LinAlgError; the other kets of the stack are the vacuum
+    t = stellar.vacuum(m, 3)
+    getattr(t, field).reshape(3, -1)[1, 0] = bad
+    message = r"not normalisable: \|\|A\|\|_2 = nan" if field == "a" else "ref_overlap modulus disagrees"
+    with pytest.raises(InvariantViolation, match=message):
+        check_normalised(t)
+    with pytest.raises(InvariantViolation, match=message):
+        check_normalised(t[1])
+
+
 def test_check_normalised_allows_the_rounding_of_far_displacements():
     # at |alpha| ~ 1.4e8 log |c| is -1e16, where one ulp is 2: Re log c and
     # log_magnitude round that far apart, while an error of 1e-6 at |alpha| ~ 1
@@ -758,20 +791,6 @@ class TestGateEngine:
         for xi in 0.8 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))):
             assert abs(stellar.coherent_amplitude(ket, xi) - fock.coherent_amplitude(fv, xi)) < 1e-8
 
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), spread=st.floats(0.0, 2.0))
-    def test_squeeze_cond_is_the_kernel_condition_number(self, seed, m, spread):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(0, m))
-        row = spread * (rng.normal(size=m) + 1j * rng.normal(size=m))
-        row[k] *= 0.99 / max(1.0, abs(row[k]))
-        s = np.tanh(rng.uniform(-3.0, 3.0)) * np.exp(-1j * rng.uniform(0, 2 * np.pi))
-        if seed % 4 == 0:
-            row[np.arange(m) != k] = 0.0  # Y diagonal: the two singular values are |den| and 1
-        den = 1 - s * row[k]
-        y = np.eye(m) - s * np.outer(np.eye(m)[k], row)
-        assert abs(stellar._squeeze_cond(s, row, k, den) / np.linalg.cond(y) - 1) <= 1e-9
-
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -797,14 +816,19 @@ class TestGateEngine:
         t = stellar.StellarParams(scale * t.a, t.b, t.log_c)
         r = float(rng.uniform(12.0, 15.0))
         theta = float(np.angle(t.a[0, 0, 0]) + rng.choice([0.0, 1e-13, 1e-7]))
-        # the exact checks on the same s and den that apply_gate forms
+        # the exact checks on the same s and den that apply_gate forms, cond from the SVD of
+        # the built kernel Y = 1 - s e_0 a_0^T (Y = den at one leg)
         row = t.a[..., 0, :]
         s = np.tanh(r) * np.conj(np.exp(1j * theta))
         den = 1.0 - s * row[..., 0]
-        cond = stellar._squeeze_cond(s, row, 0, den)
+        eye = np.eye(t.modes)
+        y = eye - (s * (eye[0, :, None] * row[..., None, :]).T).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sv = np.linalg.svd(y, compute_uv=False)
+            cond = np.where(sv[:, -1] == 0, np.inf, sv[:, 0] / sv[:, -1])
         cleared = den.real > (0.0 if t.modes == 1 else 4.0 / COND_MAX)
         assert np.all(cond[cleared] < COND_MAX)
-        if np.any(~(cond <= COND_MAX)):
+        if np.any(~(sv[:, 0] < COND_MAX * sv[:, -1])):
             exc, msg = IllConditioned, f"squeeze kernel is ill-conditioned (cond={np.max(cond):.3g})"
         elif np.any(den.real <= 0):
             exc, msg = GsimError, "squeeze kernel has eigenvalues off the right half-plane"
@@ -817,22 +841,22 @@ class TestGateEngine:
 
     def test_well_conditioned_squeezes_skip_the_exact_condition_number(self, monkeypatch, rng):
         calls = []
-        exact = stellar._squeeze_cond
-        monkeypatch.setattr(stellar, "_squeeze_cond", lambda *args: calls.append(args) or exact(*args))
+        exact = stellar._checked_kernel
+        monkeypatch.setattr(stellar, "_checked_kernel", lambda y, label: calls.append(label) or exact(y, label))
         kets = stacked([engine_state(random_pure_program(2, rng), 2) for _ in range(8)])
         for t in (kets, kets[0], stellar.identity_params(2), stellar.program_params(random_pure_program(2, rng), 2)):
             for mode in (0, 1):
                 stellar.apply_gate(Squeeze(mode, 0.4, 0.3), t, 2)
-        assert not calls
+        assert calls.count("squeeze kernel") == 0
         # Y = diag(den, 1) with den = 1 - tanh(r)^2: at r = 14 (den ~ 2.8e-12, cond ~ 3.6e11)
         # the screen does not clear it and the exact check passes; at r = 15 it raises
         squeezed = stellar.apply_gate(Squeeze(0, 14.0), _vacuum(2), 2)
         stellar.apply_gate(Squeeze(0, 14.0, np.pi), squeezed, 2)
-        assert len(calls) == 1
+        assert calls.count("squeeze kernel") == 1
         squeezed = stellar.apply_gate(Squeeze(0, 15.0), _vacuum(2), 2)
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned, match=r"^squeeze kernel is ill-conditioned \(cond=2\.67e\+12\)$"):
             stellar.apply_gate(Squeeze(0, 15.0, np.pi), squeezed, 2)
-        assert len(calls) == 2
+        assert calls.count("squeeze kernel") == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -948,6 +972,18 @@ class TestGateEngine:
                 with pytest.raises(exc) as err:
                     apply()
                 assert exc is IllConditioned or not isinstance(err.value, IllConditioned)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.5)])
+    def test_squeeze_rejects_a_non_finite_kernel(self, n, bad):
+        # A_00 non-finite on one ket of a stack makes den = 1 - s A_00 non-finite: the screen
+        # does not clear it, and the built kernel (den at one leg) fails as ill-conditioned
+        a = np.zeros((3, n, n), dtype=complex)
+        a[1, 0, 0] = bad
+        stack = stellar.StellarParams(a, np.full((3, n), 0.3 - 0.1j), np.zeros(3))
+        with pytest.raises(IllConditioned) as err:
+            stellar.apply_gate(Squeeze(0, 0.4, 0.3), stack, n)
+        assert str(err.value) == "squeeze kernel is ill-conditioned (cond=nan)"
 
     def test_one_mode_squeeze_through_apply_to_state_is_ill_conditioned_at_den_0(self):
         # den = 1 - tanh(1) A = 0 exactly: the 1 x 1 kernel Y = den is singular, as in apply_gate
