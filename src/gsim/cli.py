@@ -20,11 +20,9 @@ import numpy as np
 
 from . import apps, counters, simulator, states, stellar
 from .exceptions import DimensionMismatch, GsimError, IllConditioned
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, check_gate_modes
-from .gaussian import GaussianChannel, block_diag
-from .phase import GaussianUnitary
+from .gates import BeamSplitter, Displace, GaussianChannel, PhaseShift, Squeeze, Symplectic, block_diag, check_gate_modes, is_symplectic
 from .states import Superposition
-from .symplectic import is_symplectic
+from .stellar import GaussianUnitary
 
 SCHEMA_VERSION = 1
 

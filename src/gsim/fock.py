@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DimensionMismatch, LeakageError
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes
-from .symplectic import factor_two_mode_unitary
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, check_gate_modes, factor_two_mode_unitary
 
 DEFAULT_CUTOFF_1MODE = 60
 DEFAULT_CUTOFF_2MODE = 40

@@ -1,9 +1,11 @@
-"""Gaussian states, channels and measurements.
+"""Gaussian states and measurements: pure terms and the covariance reference.
 
-`GaussianPure` (a pure term, stored as its ket triple) and `GaussianChannel`
-(run on a superposition through its Stinespring dilation) are on the user
-paths.  The covariance formalism for mixed states, channels, general-dyne
-measurements and fidelities is the reference those paths are tested against.
+`GaussianPure`, a pure term stored as its ket triple, is on the user paths:
+`states` builds its entries view from it.  The covariance formalism for
+mixed states, channels (`apply_channel` and `compose_channels` on
+`gates.GaussianChannel`), general-dyne measurements and fidelities is the
+reference those paths are tested against.  It imports the engine (`gates`,
+`stellar`); no other module on a user path imports it.
 
 Conventions (fixed repo-wide and validated against the Fock oracle):
 
@@ -21,17 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from . import stellar
-from ._linalg import (
-    EIG_ROUNDING,
-    EPS,
-    TOL_PSD,
-    TOL_PURE,
-    inv_psd,
-    min_eig_hermitian,
-    solve_psd,
-)
-from .exceptions import DimensionMismatch, InvariantViolation
-from .symplectic import is_symplectic, omega, require_symplectic
+from ._linalg import EIG_ROUNDING, EPS, TOL_PSD, TOL_PURE, inv_psd, min_eig_hermitian, solve_psd
+from .exceptions import DimensionMismatch
+from .gates import GaussianChannel, block_diag, omega, require_symplectic
 
 
 def check_admissible(cov: np.ndarray) -> None:
@@ -167,61 +161,6 @@ class GaussianPure:
 
 
 @dataclass(frozen=True)
-class GaussianChannel:
-    """Gaussian CPTP map: mean -> X mean + D, cov -> X cov X^T + Y."""
-
-    x: np.ndarray
-    y: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.array(self.x, dtype=float))
-        object.__setattr__(self, "y", np.array(self.y, dtype=float))
-        object.__setattr__(self, "d", np.array(self.d, dtype=float))
-        m = 2 * (self.d.size // 2)
-        if self.x.shape != (m, m) or self.y.shape != (m, m) or self.d.shape != (m,):
-            shapes = (self.x.shape, self.y.shape, self.d.shape)
-            raise DimensionMismatch(f"X, Y, D have shapes {shapes}, not ((2n, 2n), (2n, 2n), (2n,))")
-        # the checks below read one triangle of Y only
-        if np.max(np.abs(self.y - self.y.T), initial=0.0) > TOL_PSD + EPS * np.max(np.abs(self.y), initial=0.0):
-            raise ValueError("Y is not symmetric")
-        h = self._noise_form()
-        if min_eig_hermitian(h) < -self._eig_rounding(h):
-            raise ValueError("channel violates Y + i Omega >= i X Omega X^T")
-
-    def _noise_form(self) -> np.ndarray:
-        """H = Y + i (Omega - X Omega X^T), positive semidefinite for a CP channel."""
-        om = omega(len(self.x) // 2)
-        return self.y + 1j * (om - self.x @ om @ self.x.T)
-
-    def _eig_rounding(self, h) -> float:
-        """Rounding of H's eigenvalues, whose X Omega X^T cancels when X squeezes: an
-        eigenvalue below it reads as zero, allowed negative by the CP check, dropped by the dilation."""
-        return EIG_ROUNDING * EPS * (np.linalg.norm(h, 2) + np.linalg.norm(self.x, 2) ** 2)
-
-    def dilation(self) -> np.ndarray:
-        """Symplectic S of a Stinespring dilation: the channel is S on the n system
-        modes and E vacuum environment modes after them, traced out (Caruso et al.,
-        NJP 10, 083030 (2008)).  Environment mode j is the column pair (Re L_j,
-        -Im L_j) of H = L L^+ over H's eigenvalues above their rounding, so E = rank H.
-        Each +mu eigenvector a + ib of i N^T Omega N, N the null space of
-        [X | X_E] Omega, completes the rows [X | X_E] with sqrt(2 / mu) (b, a) N^T."""
-        h = self._noise_form()
-        lam, vec = np.linalg.eigh(h)
-        keep = lam > self._eig_rounding(h)
-        n, e = len(self.x) // 2, int(np.count_nonzero(keep))
-        lower = vec[:, keep] * np.sqrt(lam[keep])
-        rows = np.hstack([self.x, np.stack([lower.real, -lower.imag], -1).reshape(2 * n, 2 * e)])
-        null = np.linalg.svd(rows @ omega(n + e))[2][2 * n :].T
-        mu, v = np.linalg.eigh(1j * (null.T @ omega(n + e) @ null))
-        v = v[:, e:] * np.sqrt(2.0 / mu[e:])
-        s = np.vstack([rows, (null @ np.stack([v.imag, v.real], -1).reshape(2 * e, 2 * e)).T])
-        if not is_symplectic(s):
-            raise InvariantViolation("the completed channel dilation is not symplectic")
-        return s
-
-
-@dataclass(frozen=True)
 class GeneralDyne:
     """General-dyne measurement with POVM seed covariance on selected modes."""
 
@@ -249,15 +188,6 @@ def apply_symplectic(state, s) -> GaussianMixed:
     if s.shape[0] != 2 * state.n:
         raise DimensionMismatch("symplectic dimension does not match state")
     return GaussianMixed(s @ state.cov @ s.T, s @ state.mean)
-
-
-def block_diag(x, y) -> np.ndarray:
-    """The direct sum x (+) y of two square matrices."""
-    n = x.shape[0]
-    out = np.zeros((n + y.shape[0],) * 2, dtype=np.result_type(x, y))
-    out[:n, :n] = x
-    out[n:, n:] = y
-    return out
 
 
 def tensor(a, b):

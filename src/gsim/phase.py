@@ -1,32 +1,25 @@
-"""Phase-sensitive inner products between pure Gaussian states.
+"""Phase-sensitive inner products between pure Gaussian states: a reference.
 
-Two interoperable backends:
-
-* the reference-state triple product: Tr(G0 G1 G2) factorizes into the three
-  pairwise overlaps, and a closed Gaussian kernel in the covariances and
-  means evaluates it with the relative phase intact;
-* the holomorphic backend (`stellar`), whose closed-form gate engine
-  `apply_gate` folds a unitary's gate list onto each ket triple and is the
-  source of truth for phases along circuits.
-
-A Gaussian unitary is its gate list (`GaussianUnitary`); `apply` folds it
-gate by gate, in the log domain of c, over one ket triple (`propagate`) or
-over the stacked triples of a superposition (`simulator.evolve`).
-
-Both are cross-validated against the truncated Fock oracle.
+The reference-state triple product Tr(G0 G1 G2) factorizes into the three
+pairwise overlaps, and a closed Gaussian kernel in the covariances and
+means evaluates it with the relative phase intact (`triple_overlap`,
+`overlap`).  It is an independent check of the holomorphic backend
+(`stellar`), whose gate engine folds a `stellar.GaussianUnitary` onto ket
+triples and is the source of truth for phases along circuits; `propagate`
+is that fold on one term.  Both are cross-validated against the truncated
+Fock oracle.  This module imports the engine, and no module on a user path
+imports it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import stellar
 from ._linalg import EPS_REF, solve_complex
 from .exceptions import DimensionMismatch, GsimError, ReferenceDegenerate
-from .gates import Displace, Squeeze, check_gate_modes
+from .gates import Displace, Squeeze, omega
 from .gaussian import GaussianPure
 from .rng import stream
-from .symplectic import omega
+from .stellar import GaussianUnitary
 
 
 def triple_kernel(cov1, cov2, mean1, mean2):
@@ -114,33 +107,6 @@ def overlap(g1: GaussianPure, g2: GaussianPure) -> complex:
         if min(abs(o1), abs(o2)) < EPS_REF:
             raise ReferenceDegenerate("a state is orthogonal to the retry reference")
     return complex(triple_overlap(g0, g1, g2) / (o1 * np.conj(o2)))
-
-
-@dataclass(frozen=True)
-class GaussianUnitary:
-    """Gaussian unitary on n modes as its gate list, applied left to right."""
-
-    gates: tuple
-    n: int
-
-    @classmethod
-    def from_gates(cls, gates, n: int) -> "GaussianUnitary":
-        """Phase-exact unitary of a gate list applied left to right."""
-        gates = tuple(gates)
-        for g in gates:
-            check_gate_modes(g, n)
-        return cls(gates, n)
-
-    def apply(self, t: stellar.StellarParams) -> stellar.StellarParams:
-        """Ket triple (or stack) after this unitary: each gate updates it in
-        closed form (`stellar.apply_gate`), so chains of arbitrarily many
-        operations keep a consistent global phase, and log c keeps a term that
-        passes far from the origin mid-chain."""
-        if t.modes != self.n:
-            raise DimensionMismatch("unitary and state mode counts disagree")
-        for gate in self.gates:
-            t = stellar.apply_gate(gate, t, self.n)
-        return t
 
 
 def propagate(g: GaussianPure, op: GaussianUnitary) -> GaussianPure:

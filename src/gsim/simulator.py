@@ -26,9 +26,9 @@ import numpy as np
 
 from . import counters, states, stellar
 from .exceptions import DimensionMismatch, IllConditioned
-from .phase import GaussianUnitary
 from .rng import box_muller, stream
 from .states import Superposition
+from .stellar import GaussianUnitary
 
 
 def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:

@@ -18,15 +18,17 @@ variables so that
     <a*|U|b> = exp(-(|a|^2+|b|^2)/2) c_U exp(b_U^T nu + nu^T A_U nu / 2),
     nu = (a, b).
 
-A primitive gate changes any triple in closed form (`apply_gate`); folded gate
-by gate over a ket, that engine is the source of truth for phases along
-circuits.  Overlaps, state application (the route of a `Symplectic(S, d)` gate,
-whose triple is closed-form) and composition are one Gaussian contraction,
-`_contract`; `program_params` and `compose` are references.  Coherent
-amplitudes <xi|G_j> of a stack are one product of each outcome's monomials
-with the stack's `AmplitudeTable`.
+A primitive gate changes any triple in closed form (`apply_gate`).  A Gaussian
+unitary is its gate list (`GaussianUnitary`), whose `apply` folds it gate by
+gate, in the log domain of c, over a ket or a stack of them: that engine is
+the source of truth for phases along circuits.  Overlaps, state application
+(the route of a `Symplectic(S, d)` gate, whose triple is closed-form) and
+composition are one Gaussian contraction, `_contract`; `program_params` and
+`compose` are references.  Coherent amplitudes <xi|G_j> of a stack are one
+product of each outcome's monomials with the stack's `AmplitudeTable`.
 """
 
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -34,8 +36,7 @@ import numpy as np
 from . import counters
 from ._linalg import COND_MAX, TOL_NORMALISED
 from .exceptions import DimensionMismatch, GsimError, IllConditioned, InvariantViolation
-from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, beamsplitter_unitary, check_gate_modes
-from .symplectic import mode_blocks
+from .gates import BeamSplitter, Displace, PhaseShift, Squeeze, Symplectic, beamsplitter_unitary, check_gate_modes, mode_blocks
 
 
 # unit roundoff; the overlap and amplitude kernels' relative error per value
@@ -295,6 +296,33 @@ def apply_gate(gate, t: StellarParams, n: int) -> StellarParams:
     b.T[k] *= sech
     a[..., k, k] -= tr * ph
     return StellarParams(a, b, t.log_c + log_c)
+
+
+@dataclass(frozen=True)
+class GaussianUnitary:
+    """Gaussian unitary on n modes as its gate list, applied left to right."""
+
+    gates: tuple
+    n: int
+
+    @classmethod
+    def from_gates(cls, gates, n: int) -> "GaussianUnitary":
+        """Phase-exact unitary of a gate list applied left to right."""
+        gates = tuple(gates)
+        for g in gates:
+            check_gate_modes(g, n)
+        return cls(gates, n)
+
+    def apply(self, t: StellarParams) -> StellarParams:
+        """Ket triple (or stack) after this unitary: each gate updates it in
+        closed form (`apply_gate`), so chains of arbitrarily many
+        operations keep a consistent global phase, and log c keeps a term that
+        passes far from the origin mid-chain."""
+        if t.modes != self.n:
+            raise DimensionMismatch("unitary and state mode counts disagree")
+        for gate in self.gates:
+            t = apply_gate(gate, t, self.n)
+        return t
 
 
 def gate_params(gate, n: int) -> StellarParams:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
+from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, factor_two_mode_unitary, omega, passive_from_unitary
 from gsim.gaussian import GaussianPure
-from gsim.phase import GaussianUnitary, propagate
+from gsim.phase import propagate
 from gsim.states import Superposition, WeightedGaussian
-from gsim.stellar import StellarParams
-from gsim.symplectic import factor_two_mode_unitary, omega, passive_from_unitary
+from gsim.stellar import GaussianUnitary, StellarParams
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from gsim import apps, counters, fock, stellar
 from gsim.gates import Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
-from gsim.phase import GaussianUnitary, overlap
+from gsim.phase import overlap
 from gsim.simulator import (
     condition,
     cross_overlap,
@@ -41,6 +41,7 @@ from gsim.states import (
     optimal_fock1_witness,
     witness_check,
 )
+from gsim.stellar import GaussianUnitary
 
 from conftest import engine_state, random_circuit, random_pure_program, single_gaussian
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -347,6 +348,65 @@ def test_cli_run_leaves_out_jsonschema(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 False"
 
 
+# the modules on user paths; phase, fock and gaussian are the references that tests check them against
+USER_MODULES = ("cli", "simulator", "states", "stellar", "gates", "apps", "rng", "counters", "exceptions", "_linalg")
+
+
+def test_user_path_modules_import_no_reference_module():
+    # the references import the engine, not the other way round; states keeps
+    # gaussian.GaussianPure for the entries view of a superposition
+    assert set(GSIM_MODULES) == {*USER_MODULES, "phase", "fock", "gaussian"}
+    imported = {}
+    for module in USER_MODULES:
+        with open(os.path.join(os.path.dirname(cli.__file__), f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                pairs = [(a.name.removeprefix("gsim."), "*") for a in node.names if a.name.startswith("gsim.")]
+            elif isinstance(node, ast.ImportFrom) and node.module in (None, "gsim"):
+                pairs = [(a.name, "*") for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gsim.")):
+                pairs = [(node.module.removeprefix("gsim."), a.name) for a in node.names]
+            else:
+                continue
+            for target, name in pairs:
+                if target in ("phase", "fock", "gaussian"):
+                    imported.setdefault(module, []).append(f"{target}.{name}")
+    assert imported == {"states": ["gaussian.GaussianPure"]}
+
+
+def test_user_paths_leave_out_the_reference_modules(tmp_path):
+    # every op kind in one two-mode program, and every subcommand, in one interpreter
+    ops = [
+        {"gate": "displace", "mode": 0, "alpha": [0.2, -0.1]},
+        {"gate": "squeeze", "mode": 1, "r": 0.3, "theta": 0.4},
+        {"gate": "phase", "mode": 0, "theta": 0.5},
+        {"gate": "beamsplitter", "modes": [0, 1], "theta": 0.6},
+        {"gate": "symplectic", "matrix": np.diag([1.2, 1 / 1.2, 1, 1]).tolist(), "shift": [0.1, 0, 0, 0.2]},
+        {"gate": "channel", "X": (np.sqrt(0.8) * np.eye(4)).tolist(), "Y": (0.2 * np.eye(4)).tolist()},
+        {"gate": "condition", "modes": [1], "outcome": [[0.5, 0.3]]},
+    ]
+    argvs = []
+    for i, task in enumerate([{"name": "exact_born", "outcome": [[0.2, -0.1]]}, {"name": "norm"}]):
+        path = tmp_path / f"prog{i}.json"
+        path.write_text(json.dumps({"schema_version": 1, "modes": 2, "initial": CAT, "ops": ops, "task": task}))
+        argvs.append(["run", str(path)])
+    argvs += [
+        ["extent", "--state", "grid"],
+        ["norm", "--state", "fock1-ring", "--ring-n", "8"],
+        ["born", "--state", "gkp", "--outcome", "0.3,0.2"],
+        ["born", "--approx", "--state", "cat", "--outcome", "0.3,0.2"],
+        ["breed-bound", "--xi", "2"],
+        ["bs-bound", "--mbar", "2"],
+        ["optimize-fidelity", "--restarts", "1", "--budget", "40"],
+        ["table1", "--deltas", "0.3"],
+    ]
+    code = "import json, sys; from gsim import cli; print([cli.main(a) for a in json.loads(sys.argv[1])], 'gsim.phase' in sys.modules, 'gsim.fock' in sys.modules)"
+    result = run_python(["-c", code, json.dumps(argvs)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(argvs)} False False"
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     from gsim.exceptions import IllConditioned
 
@@ -607,7 +667,7 @@ def test_a_conditioned_norm_is_the_projected_states_norm(tmp_path, capsys):
     # ||(1 (x) <xi|) psi||^2 = pi ||psi||^2 times the heterodyne density, not
     # the norm of the rescaled coefficients that conditioning leaves
     from gsim import states
-    from gsim.phase import GaussianUnitary
+    from gsim.stellar import GaussianUnitary
 
     code, out, err = _run_program(_conditioned_ring(16, {"name": "norm"}), tmp_path, capsys)
     assert code == 0, err
@@ -1010,7 +1070,8 @@ def test_lossy_ring_marginal_matches_the_fock_oracle():
 
 
 def test_two_channels_equal_their_composition():
-    from gsim.gaussian import GaussianChannel, compose_channels
+    from gsim.gates import GaussianChannel
+    from gsim.gaussian import compose_channels
     from conftest import random_cp_channel
 
     rng = np.random.default_rng(8)
@@ -1140,7 +1201,8 @@ def _squeezed_loss(r):
 @pytest.mark.parametrize("r", [10.0, 11.0, 12.0])
 def test_a_strongly_squeezing_loss_runs(r, tmp_path, capsys):
     # the CP check and the dilation share H's eigenvalue rounding, EPS (||H|| + ||X||^2)
-    from gsim.gaussian import GaussianChannel, GaussianPure, apply_channel, fidelity_pure
+    from gsim.gates import GaussianChannel
+    from gsim.gaussian import GaussianPure, apply_channel, fidelity_pure
 
     op = _squeezed_loss(r)
     task = {"name": "exact_born", "outcome": [[0.3, 0.1]]}
@@ -1166,13 +1228,37 @@ def test_an_amplifier_without_its_noise_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("broken", ["is_symplectic"])
 def test_a_broken_dilation_is_a_numerical_failure(broken, monkeypatch, tmp_path, capsys):
-    from gsim import gaussian
+    from gsim import gates
 
-    monkeypatch.setattr(gaussian, broken, lambda s: False)
+    monkeypatch.setattr(gates, broken, lambda s: False)
     program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [_loss(0.5)], "task": {"name": "norm"}}
     code, _, err = _run_program(program, tmp_path, capsys)
     assert code == 3
     assert "numerical failure" in err and "dilation" in err
+
+
+def test_a_channel_op_decomposes_its_noise_form_once(monkeypatch, tmp_path, capsys):
+    # the CP check and the dilation read one eigh of H = Y + i (Omega - X Omega X^T)
+    from gsim.gates import block_diag, omega
+
+    calls = []
+
+    def recording(name):
+        fn = getattr(np.linalg, name)
+        return lambda a, *args, **kw: calls.append((name, np.array(a))) or fn(a, *args, **kw)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    program = {"schema_version": 1, "modes": 1, "initial": CAT, "ops": [_loss(0.5), _loss(0.8)], "task": {"name": "norm"}}
+    code, _, err = _run_program(program, tmp_path, capsys)
+    assert code == 0, err
+    # the second loss acts on the system mode and passes the first one's environment mode through
+    for env, op in enumerate(program["ops"]):
+        x, y = block_diag(np.array(op["X"]), np.eye(2 * env)), block_diag(np.array(op["Y"]), np.zeros((2 * env,) * 2))
+        om = omega(1 + env)
+        h = y + 1j * (om - x @ om @ x.T)
+        seen = [name for name, a in calls if a.shape == h.shape and np.allclose(a, h, rtol=0, atol=1e-12)]
+        assert seen == ["eigh"], (env, seen)
 
 
 def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
@@ -1476,8 +1562,7 @@ def test_each_gate_run_costs_one_evolve_and_one_normalisation_check(monkeypatch)
 
 def _gate_ops(modes):
     """Strategy: a list of one to four gate ops on ``modes`` modes."""
-    from gsim.gates import beamsplitter_unitary
-    from gsim.symplectic import passive_from_unitary
+    from gsim.gates import beamsplitter_unitary, passive_from_unitary
 
     mode, angle, small = st.integers(0, modes - 1), st.floats(0, 2 * np.pi), st.floats(-0.5, 0.5)
 

@@ -3,9 +3,8 @@ import pytest
 
 from gsim import fock, stellar
 from gsim.exceptions import DimensionMismatch, IllConditioned, InvariantViolation
-from gsim.gates import BeamSplitter, Displace, Squeeze, gate_symplectic, program_symplectic
+from gsim.gates import BeamSplitter, Displace, GaussianChannel, Squeeze, gate_symplectic, omega, program_symplectic
 from gsim.gaussian import (
-    GaussianChannel,
     GaussianMixed,
     GaussianPure,
     GeneralDyne,
@@ -18,7 +17,6 @@ from gsim.gaussian import (
     generaldyne_density,
     tensor,
 )
-from gsim.symplectic import omega
 
 from conftest import engine_state, random_cp_channel, random_pure_program, random_symplectic, single_gaussian
 
@@ -156,9 +154,9 @@ class TestChannels:
                 assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_broken_dilation_is_an_invariant_violation(self, monkeypatch):
-        from gsim import gaussian
+        from gsim import gates
 
-        monkeypatch.setattr(gaussian, "is_symplectic", lambda s: False)
+        monkeypatch.setattr(gates, "is_symplectic", lambda s: False)
         with pytest.raises(InvariantViolation):
             GaussianChannel(np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2), np.zeros(2)).dilation()
 

@@ -18,7 +18,6 @@ from gsim.gaussian import (
     generaldyne_density,
     tensor,
 )
-from gsim.phase import GaussianUnitary
 from gsim.rng import stream
 from gsim.simulator import (
     approx_born,
@@ -44,6 +43,7 @@ from gsim.states import (
     measures,
     optimal_fock1_seed,
 )
+from gsim.stellar import GaussianUnitary
 
 from conftest import engine_state, random_circuit, random_pure_program, single_gaussian
 
@@ -1036,7 +1036,8 @@ def test_fast_norm_moments_by_quadrature():
     term's Husimi mean and covariance match ``stellar.husimi_gaussian``, and
     the drawn probes follow the mixture.
     """
-    from gsim.phase import GaussianUnitary, propagate
+    from gsim.phase import propagate
+    from gsim.stellar import GaussianUnitary
     from gsim.gates import Squeeze, Displace
     from gsim.simulator import _husimi_probes
 

@@ -10,7 +10,7 @@ from gsim import cli, counters, fock, states, stellar
 from gsim.exceptions import IllConditioned, InvariantViolation
 from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze
 from gsim.gaussian import GaussianPure, tensor
-from gsim.phase import GaussianUnitary, propagate
+from gsim.phase import propagate
 from gsim.simulator import condition, evolve, exact_born, fast_norm, heterodyne_density
 from gsim.states import (
     FOCK1_EXTENT,
@@ -32,6 +32,7 @@ from gsim.states import (
     rotational_code,
     witness_check,
 )
+from gsim.stellar import GaussianUnitary
 
 from conftest import random_circuit, single_gaussian
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsim import counters, fock, phase, simulator, states, stellar
@@ -260,6 +260,7 @@ class TestAmplitudeTable:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(m=3, k=7, seed=1183)  # a sum of moduli in another order than d . W is 1.1e-15 off
     def test_amplitudes_and_log_sums_against_the_per_term_formulas(self, m, k, seed):
         rng = np.random.default_rng(seed)
         t = self._random_stack(rng, m, k)
@@ -268,17 +269,21 @@ class TestAmplitudeTable:
         table = stellar.AmplitudeTable(t)
         got, _ = table.amplitudes(xis)
         u = stellar.UNIT_ROUNDOFF
+        # W_j = (log c_j, b_j, vec(A_j) / 2), written out from the formula
+        w = np.column_stack([t.log_c, t.b, 0.5 * t.a.reshape(k, m * m)])
         for row, xi in enumerate(xis):
-            xb, x = np.conj(xi), np.abs(xi)
+            xb = np.conj(xi)
             (single,), (bounds,) = table.amplitudes(xi[None])
+            # the sum S of the log's summand moduli as one product: |d(xi)| . |W_j| + |xi|^2/2
+            d = np.concatenate([[1.0], xb, np.outer(xb, xb).ravel()])
+            sums = np.abs(d) @ np.abs(w).T + 0.5 * np.vdot(xi, xi).real
             for j in range(k):
                 log_ref = t.log_c[j] - 0.5 * np.vdot(xi, xi).real + t.b[j] @ xb + 0.5 * xb @ t.a[j] @ xb
                 # both sides round the log to about u times the sum of its summands'
                 # moduli, at most about 50 here, which bounds the amplitudes' relative gap
                 assert abs(got[row, j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
                 assert abs(single[j] - np.exp(log_ref)) <= 1e-13 * abs(np.exp(log_ref))
-                former = abs(t.log_c[j]) + 0.5 * (x @ x) + np.abs(t.b[j]) @ x + 0.5 * ((np.abs(t.a[j]) @ x) @ x)
-                want = u * (stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * former) * abs(single[j])
+                want = u * (stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * sums[j]) * abs(single[j])
                 assert bounds[j] == pytest.approx(want, rel=1e-15, abs=0)
         # a one-term table takes other BLAS kernels than a stack of k
         one = stellar.coherent_amplitude(t[0], xis[0])
@@ -996,8 +1001,7 @@ class TestGateEngine:
     def test_beamsplitter_on_any_legs_is_its_passive_symplectic(self, seed, k):
         # the mode unitary embedded in the 3 x 3 identity by hand, applied as a
         # whole-register Symplectic gate (a Gaussian contraction)
-        from gsim.gates import beamsplitter_unitary
-        from gsim.symplectic import passive_from_unitary
+        from gsim.gates import beamsplitter_unitary, passive_from_unitary
 
         rng = np.random.default_rng(seed)
         kets = stacked([engine_state(random_pure_program(3, rng, 1.5, 1.0), 3) for _ in range(k)])

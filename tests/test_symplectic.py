@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsim.symplectic import factor_two_mode_unitary, is_symplectic, mode_blocks, omega, passive_from_unitary
+from gsim.gates import factor_two_mode_unitary, is_symplectic, mode_blocks, omega, passive_from_unitary
 
 from conftest import haar_unitary, random_symplectic
 
