@@ -252,8 +252,7 @@ def _with_vacuum(sup: Superposition, modes: int) -> Superposition:
     the vacuum, whose overlap is 1, so the overlaps, and the Gram, stay those of ``sup``."""
     if sup.n == modes:
         return sup
-    t = stellar.tensor(sup.triples, stellar.vacuum(modes - sup.n))
-    return Superposition.from_stack(sup.coeffs, t, sup.gram_cell.carried_to(t))
+    return sup.carried_to(stellar.tensor(sup.triples, stellar.vacuum(modes - sup.n)))
 
 
 def _op_gate(op: dict, modes: int, env: int, where: str) -> tuple:

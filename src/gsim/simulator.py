@@ -38,12 +38,12 @@ def evolve(sup: Superposition, op: GaussianUnitary) -> Superposition:
     condition number and half-plane test), so a unitary of many gates costs
     one normalisation check and one new state for all of them: the CLI
     evolves each run of consecutive gate ops as one unitary.
-    Since <G_i|U^+ U|G_j> = <G_i|G_j>, the result shares the Gram of ``sup``
-    once that is computed, else takes a lazy cell of the same kind
-    (`GramCell.carried_to`): evolving computes no Gram."""
+    Since <G_i|U^+ U|G_j> = <G_i|G_j>, the result copies the Gram form of
+    ``sup`` once that is evaluated, else evaluates its own of the same kind
+    when first read (`Superposition.carried_to`): evolving computes no Gram."""
     triples = op.apply(sup.triples)
     stellar.check_normalised(triples)
-    return Superposition.from_stack(sup.coeffs, triples, sup.gram_cell.carried_to(triples))
+    return sup.carried_to(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,6 @@ def sparsify(sup: Superposition, delta: float, seed: int) -> Superposition:
     return Superposition.from_stack(counts[used] * (sup.l1 / k), folded)
 
 
-def cross_overlap(a: Superposition, b: Superposition) -> complex:
-    """<a|b> between two superpositions from their rank_a x rank_b overlaps."""
-    return complex(np.conj(a.coeffs) @ stellar.overlap_matrix(a.triples, b.triples) @ b.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # fast norm estimation
 
@@ -247,8 +242,8 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
 
     A probe run (`probe_norm`) evaluates at least ceil(Upsilon_1) K
     amplitudes, K = rank, as no fewer probes can reach its stopping sum.  The
-    exact Gram form still has to evaluate ``sup.gram_cell.pending_pairs``
-    overlaps: none once the state's cell holds its Gram, K - 1 for an orbit,
+    exact Gram form still has to evaluate ``sup.pending_pairs`` overlaps:
+    none once the state holds its Gram form, K - 1 for an orbit,
     K(K - 1)/2 for a general stack.  Priced at PAIR_PRICE amplitudes each,
     if they cost less than those fewest probes the exact norm is returned in
     its `Superposition.norm_band`, with ``samples`` 0 and no probe drawn;
@@ -258,7 +253,7 @@ def fast_norm(sup: Superposition, epsilon: float, p_fail: float, seed: int = 0) 
     the output stays deterministic for a given state and seed.
     """
     upsilon = _upsilon(epsilon, p_fail)
-    if sup.gram_cell.pending_pairs * PAIR_PRICE[sup.n > 1] < math.ceil(upsilon) * sup.rank:
+    if sup.pending_pairs * PAIR_PRICE[sup.n > 1] < math.ceil(upsilon) * sup.rank:
         return NormEstimate(sup.norm_squared(), 0, sup.norm_band)
     return probe_norm(sup, epsilon, p_fail, seed)
 

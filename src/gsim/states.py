@@ -8,8 +8,9 @@ one per distinct ket triple, and the triples as one stacked `StellarParams`;
 exact Gram normalization upper-bounds the Gaussian extent.  Every library
 state (cat, single-photon ring, rotation code, grid, GKP) is the orbit of one
 Gaussian seed under displacements or phase rotations, built by `_orbit`.
-A norm is the Gram form of a `GramCell`, which stores only the overlaps that
-the form reads: K - 1 for an orbit, K(K-1)/2 for a general stack.
+A norm is the state's Gram form, evaluated once in O(rank) memory: an orbit
+reads one row of K - 1 overlaps, a general stack streams its K(K-1)/2 pairs,
+and a state with the same overlaps (`Superposition.carried_to`) copies it.
 """
 
 import math
@@ -31,8 +32,10 @@ FOCK1_EXTENT = 4 * math.e / (3 * math.sqrt(3))
 MAX_BS_MBAR = math.floor(math.log(np.finfo(float).max))
 # largest |<1|G>|^2 over Gaussian G, attained by the optimal ring seed
 FOCK1_FIDELITY = 3 * math.sqrt(3) / (4 * math.e)
-# (probe, term) pairs per block of an amplitude sweep, and the most that one
-# block of the fast norm's probes takes: its temporaries (four (K, L) float
+# (probe, term) pairs per block of an amplitude sweep and of the fast norm's
+# probes, and (i, j) pairs per block of a general Gram form's stream (about
+# 4 MB of temporaries at one mode; OVERLAP_CHUNK blocks ran 1.3-1.7x slower
+# at rank 1024-2048).  An amplitude block's temporaries (four (K, L) float
 # slots, 768 kB, and L rows of 1 + m + m^2 monomials and |xi|^2/2) stay
 # bounded whatever the probe count.  Larger than glibc's default 128 kB mmap
 # threshold, which glibc then raises to the freed size, so later blocks reuse
@@ -59,80 +62,57 @@ class WeightedGaussian(NamedTuple):
     term: GaussianPure
 
 
-class GramCell:
-    """The pairwise overlaps of a stack of ket triples, evaluated on first use.
+def _orbit_row(triples: stellar.StellarParams) -> tuple:
+    """(r, W) of an orbit: r_d = <G_0|G_d>, d > 0, and W_d, the bound that
+    `stellar.state_overlaps` returns with r_d plus the K u |r_d| that the
+    K-term sums of a form add.  Its Gram is Hermitian Toeplitz,
+    G_ij = r_{j-i} = conj(G_ji), as for a cat pair, equally spaced real
+    displacements (grid, GKP) and a cyclic orbit (a rotation ring)."""
+    k = triples.log_c.shape[0]
+    r, w = stellar.state_overlaps(triples, triples, np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
+    w += stellar.UNIT_ROUNDOFF * k * np.abs(r)
+    return r, w
 
-    A Gaussian unitary on every term, a common coefficient scale and
-    tensoring every term with one common state keep every overlap, so the
-    superpositions derived that way share one cell (see `carried_to`).  Both
-    kinds keep one store, ``pairs``, which `form` reads; no K x K matrix is
-    built.  A general stack evaluates its K(K-1)/2 pairs i < j.  An
-    ``orbit``, the stack of every library state (`_orbit`), evaluates only
-    the K - 1 overlaps r_d = <G_0|G_d>: its Gram is Hermitian Toeplitz,
-    G_ij = r_{j-i} and G_ji = conj(r_{j-i}), as for a cat pair, equally
-    spaced real displacements (grid, GKP) and a cyclic orbit such as a
-    rotation ring, whose circulant Gram is Toeplitz.
-    """
 
-    def __init__(self, triples: stellar.StellarParams, orbit: bool = False):
-        self.triples, self.orbit = triples, orbit
+def _orbit_form(c, row) -> tuple:
+    """(c^+ G c, |c|^T W |c|) of an orbit from its `_orbit_row`:
+    ||c||^2 + 2 Re sum_{d>0} r_d s_d with the lag sums
+    s_d = sum_i conj(c_i) c_{i+d}, by direct correlation (no FFT), and the
+    bound the same way from |c|, G_ii = 1 having weight K u."""
+    (r, w), k = row, c.shape[0]
+    s, t = (np.correlate(x, x, "full")[k - 1 :] for x in (c, np.abs(c)))
+    return float(s[0].real + 2.0 * np.real(r @ s[1:])), float(stellar.UNIT_ROUNDOFF * k * t[0] + 2.0 * (w @ t[1:]))
 
-    def carried_to(self, triples: stellar.StellarParams) -> "GramCell":
-        """Cell of a stack with the same pairwise overlaps: this one once it
-        has no ``pending_pairs``, else a fresh lazy cell of the same kind over
-        ``triples``.  A derived state never evaluates an overlap into its
-        parent's cell, so each derived state costs the same whichever of its
-        siblings was evaluated first."""
-        return self if self.pending_pairs == 0 else GramCell(triples, self.orbit)
 
-    @property
-    def pending_pairs(self) -> int:
-        """Overlaps that the Gram form still has to evaluate: 0 once the cell
-        holds its ``pairs``, else K - 1 for an orbit and K(K - 1)/2 for a
-        general stack."""
-        k = self.triples.log_c.shape[0]
-        return 0 if "pairs" in vars(self) else k - 1 if self.orbit else k * (k - 1) // 2
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """(i, j, G_ij, W_ij) over the pairs i < j that `form` reads: (0, d)
-        for an orbit, row-major for a general stack.  W_ij is the bound that
-        `stellar.state_overlaps` returns with G_ij plus the K u |G_ij| that
-        the K-term sums of a form add; G_ii = 1 has weight K u."""
-        k = self.triples.log_c.shape[0]
-        if self.orbit:
-            i, j = np.zeros(k - 1, dtype=np.intp), np.arange(1, k)
-        else:
-            # np.triu_indices(k, 1) in O(P), without its k x k mask: row i starts at i k - i (i + 1)/2
-            rows = np.arange(k)
-            j = np.repeat(rows + 1 - rows * k + rows * (rows + 1) // 2, k - 1 - rows)
-            i, j = np.repeat(rows, k - 1 - rows), j + np.arange(j.shape[0])
-        values, weights = stellar.state_overlaps(self.triples, self.triples, i, j)
-        weights += stellar.UNIT_ROUNDOFF * k * np.abs(values)
-        return i, j, values, weights
-
-    def form(self, c) -> tuple:
-        """(c^+ G c, |c|^T W |c|): the Gram form of coefficients ``c`` and
-        its rounding bound, from the cell's ``pairs``, in O(P) memory.
-
-        An orbit's is ||c||^2 + 2 Re sum_{d>0} r_d s_d with the lag sums
-        s_d = sum_i conj(c_i) c_{i+d}, by direct correlation (no FFT).  A
-        general stack's is ||c||^2 + 2 sum_i sum_{j>i} Re(conj(c_i) G_ij c_j):
-        per-row sums (`np.bincount` over i), then one sum over the rows.
-        |c|^T W |c| is formed the same way from |c|.  Each product
-        conj(c_i) G_ij c_j passes through two sums of at most K terms, so the
-        same W bounds both kinds."""
-        k, moduli, (i, j, g, w) = c.shape[0], np.abs(c), self.pairs
-        u_k = stellar.UNIT_ROUNDOFF * k
-        if self.orbit:
-            s, t = (np.correlate(x, x, "full")[k - 1 :] for x in (c, moduli))
-            return float(s[0].real + 2.0 * np.real(g @ s[1:])), float(u_k * t[0] + 2.0 * (w @ t[1:]))
-        terms = np.conj(c)[i] * g
+def _general_form(c, triples: stellar.StellarParams) -> tuple:
+    """(c^+ G c, |c|^T W |c|) of a general stack in O(K) memory:
+    ||c||^2 + 2 sum_i sum_{j>i} Re(conj(c_i) G_ij c_j), W_ij as in
+    `_orbit_row`.  The K(K-1)/2 row-major pairs i < j stream in blocks of
+    AMPLITUDE_CHUNK; each term is added into its row's sum in pair order
+    (`np.add.at`, the order of one `np.bincount` over all pairs, wherever the
+    blocks split a row), then one sum runs over the rows.  Each product
+    conj(c_i) G_ij c_j passes through two sums of at most K terms, so the
+    same W bounds both this and an orbit's form."""
+    k, conj, moduli = c.shape[0], np.conj(c), np.abs(c)
+    u_k, rows, pairs = stellar.UNIT_ROUNDOFF * k, np.arange(k), k * (k - 1) // 2
+    # row i holds the pairs p from starts[i] up to starts[i + 1], pair p being (i, p + offsets[i])
+    starts = rows * (2 * k - 1 - rows) // 2
+    offsets = rows[:-1] + 1 - starts[:-1]
+    row_values, row_bounds = np.zeros(k), np.zeros(k)
+    for s in range(0, pairs, AMPLITUDE_CHUNK):
+        e = min(s + AMPLITUDE_CHUNK, pairs)
+        counts = np.diff(np.minimum(np.maximum(starts, s), e))  # each row's pairs in [s, e)
+        i, j = np.repeat(rows[:-1], counts), np.repeat(offsets, counts)
+        j += np.arange(s, e)
+        g, w = stellar.state_overlaps(triples, triples, i, j)
+        w += u_k * np.abs(g)
+        terms = conj[i] * g
         terms *= c[j]
-        value = float(np.real(np.conj(c) @ c) + 2.0 * np.bincount(i, terms.real, k).sum())
-        terms = moduli[i] * w
-        terms *= moduli[j]
-        return value, float(u_k * (moduli @ moduli) + 2.0 * np.bincount(i, terms, k).sum())
+        np.add.at(row_values, i, terms.real)
+        w *= moduli[i]
+        w *= moduli[j]
+        np.add.at(row_bounds, i, w)
+    return float(np.real(conj @ c) + 2.0 * row_values.sum()), float(u_k * (moduli @ moduli) + 2.0 * row_bounds.sum())
 
 
 class Superposition:
@@ -143,6 +123,8 @@ class Superposition:
     triple per distinct term object, without re-checking the terms; entries
     that share a term object add their coefficients.  ``l1`` is the sum of
     the coefficient moduli; a given ``l1`` must equal it to rtol 1e-12.
+    ``orbit`` marks a library state's stack (`_orbit`), whose Gram is one
+    row of K - 1 overlaps; a general stack's Gram is K(K - 1)/2 pairs.
     """
 
     def __init__(self, entries, l1=None):
@@ -161,25 +143,32 @@ class Superposition:
         self._terms = terms
 
     @classmethod
-    def from_stack(cls, coeffs, triples: stellar.StellarParams, gram_cell=None) -> "Superposition":
-        """Superposition over a stack of triples that passed `stellar.check_normalised`.
-
-        ``gram_cell`` shares the Gram of a stack with the same pairwise
-        overlaps; without one the Gram is a fresh general one.
-        """
+    def from_stack(cls, coeffs, triples: stellar.StellarParams, orbit: bool = False) -> "Superposition":
+        """Superposition over a stack of triples that passed `stellar.check_normalised`."""
         sup = cls.__new__(cls)
-        sup._store(np.asarray(coeffs, dtype=complex), triples, gram_cell=gram_cell)
+        sup._store(np.asarray(coeffs, dtype=complex), triples, orbit=orbit)
         return sup
 
-    def _store(self, coeffs, triples, l1=None, gram_cell=None):
+    def carried_to(self, triples: stellar.StellarParams) -> "Superposition":
+        """These coefficients over ``triples``, a stack with the same pairwise
+        overlaps (a Gaussian unitary on every term, or every term tensored
+        with one common state): the new state copies ``gram_form`` once this
+        one has evaluated it, else evaluates its own, of the same kind, on its
+        own triples.  A derived state never evaluates into its parent, so each
+        costs the same whichever of its siblings was evaluated first."""
+        sup = Superposition.from_stack(self.coeffs, triples, self.orbit)
+        if "gram_form" in vars(self):
+            sup.gram_form = self.gram_form
+        return sup
+
+    def _store(self, coeffs, triples, l1=None, orbit=False):
         moduli = np.abs(coeffs)
         if np.count_nonzero(~np.isfinite(moduli)):
             raise ValueError("coefficient must be finite")
         if coeffs.flags.writeable:
             coeffs = coeffs.copy()
             coeffs.flags.writeable = False  # so `gram_form` cannot go stale
-        self.coeffs, self.triples = coeffs, triples
-        self.gram_cell = gram_cell if gram_cell is not None else GramCell(triples)
+        self.coeffs, self.triples, self.orbit = coeffs, triples, orbit
         self.n = triples.modes
         self.l1 = float(moduli.sum())
         if l1 is not None and not abs(float(l1) - self.l1) <= 1e-12 * self.l1:
@@ -207,16 +196,27 @@ class Superposition:
     @cached_property
     def gram(self) -> np.ndarray:
         """All K^2 overlaps (`stellar.overlap_matrix`), diagonal pinned to 1:
-        a dense reference for `GramCell.form`, which no norm reads."""
+        a dense reference for ``gram_form`` in the tests, which no norm reads;
+        the benchmark's tracer still names it."""
         gram = stellar.overlap_matrix(self.triples, self.triples)
         np.fill_diagonal(gram, 1.0)
         return gram
 
+    @property
+    def pending_pairs(self) -> int:
+        """Overlaps that ``gram_form`` still has to evaluate: 0 once it is
+        evaluated, else K - 1 for an orbit and K(K - 1)/2 for a general stack."""
+        k = self.rank
+        return 0 if "gram_form" in vars(self) else k - 1 if self.orbit else k * (k - 1) // 2
+
     @cached_property
     def gram_form(self) -> tuple:
-        """`GramCell.form` of the coefficients, (c^+ G c, its rounding bound):
-        O(rank^2) once per superposition; every later norm reads it back."""
-        return self.gram_cell.form(self.coeffs)
+        """(c^+ G c, its rounding bound |c|^T W |c|) of the coefficients,
+        `_orbit_form` or `_general_form`: O(rank^2) time and O(rank) memory,
+        once per superposition; every later norm reads it back."""
+        if self.orbit:
+            return _orbit_form(self.coeffs, _orbit_row(self.triples))
+        return _general_form(self.coeffs, self.triples)
 
     def norm_squared(self) -> float:
         """c^+ G c if it lies above its rounding bound ``gram_form[1]``: within
@@ -284,13 +284,16 @@ def _orbit(seed: stellar.StellarParams, gate, coeffs, normalise: bool = True) ->
     """Orbit of the one-mode ket ``seed`` under ``gate``, a `Displace` or a
     `PhaseShift` with one parameter per coefficient: term i is gate_i|seed>
     with coefficient ``coeffs[i]``.  With ``normalise`` the coefficients are
-    scaled to unit norm by the exact Gram, which the scaled state keeps."""
+    scaled to unit norm by the exact Gram, whose row the scaled state's form reads."""
     coeffs = np.asarray(coeffs, dtype=complex)
     terms = stellar.apply_gate(gate, seed[None][np.zeros(coeffs.shape[0], dtype=np.intp)], 1)
     stellar.check_normalised(terms)
-    sup = Superposition.from_stack(coeffs, terms, GramCell(terms, orbit=True))
-    if normalise:
-        sup = Superposition.from_stack(coeffs * (1.0 / np.sqrt(sup.norm_squared())), terms, sup.gram_cell)
+    sup = Superposition.from_stack(coeffs, terms, orbit=True)
+    if normalise:  # one row serves the raw and the scaled form
+        row = _orbit_row(terms)
+        sup.gram_form = _orbit_form(sup.coeffs, row)
+        sup = Superposition.from_stack(coeffs * (1.0 / np.sqrt(sup.norm_squared())), terms, orbit=True)
+        sup.gram_form = _orbit_form(sup.coeffs, row)
     return sup
 
 

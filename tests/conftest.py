@@ -7,7 +7,7 @@ from gsim.gates import BeamSplitter, Displace, PhaseShift, Squeeze, factor_two_m
 from gsim.gaussian import GaussianPure
 from gsim.phase import propagate
 from gsim.states import Superposition, WeightedGaussian
-from gsim.stellar import GaussianUnitary, StellarParams
+from gsim.stellar import GaussianUnitary, StellarParams, overlap_matrix
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
@@ -89,6 +89,11 @@ def stacked(terms) -> StellarParams:
 def single_gaussian(term: GaussianPure) -> Superposition:
     """The one-term superposition 1 * |term>."""
     return Superposition([WeightedGaussian(1.0 + 0.0j, term)])
+
+
+def cross_overlap(a: Superposition, b: Superposition) -> complex:
+    """<a|b> between two superpositions from their rank_a x rank_b overlaps."""
+    return complex(np.conj(a.coeffs) @ overlap_matrix(a.triples, b.triples) @ b.coeffs)
 
 
 def engine_state(gates, n) -> GaussianPure:

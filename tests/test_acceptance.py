@@ -16,7 +16,6 @@ from gsim.gaussian import GaussianPure, tensor
 from gsim.phase import overlap
 from gsim.simulator import (
     condition,
-    cross_overlap,
     evolve,
     exact_born,
     fast_norm,
@@ -43,7 +42,7 @@ from gsim.states import (
 )
 from gsim.stellar import GaussianUnitary
 
-from conftest import engine_state, random_circuit, random_pure_program, single_gaussian
+from conftest import cross_overlap, engine_state, random_circuit, random_pure_program, single_gaussian
 
 
 def report(num, text):

@@ -702,7 +702,7 @@ def _record_norm_routes(monkeypatch):
     routes, original = [], simulator.fast_norm
 
     def recording(sup, *args, **kw):
-        pairs = sup.gram_cell.pending_pairs
+        pairs = sup.pending_pairs
         est = original(sup, *args, **kw)
         routes.append((pairs, est.samples))
         return est

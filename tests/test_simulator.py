@@ -22,7 +22,6 @@ from gsim.rng import stream
 from gsim.simulator import (
     approx_born,
     condition,
-    cross_overlap,
     evolve,
     exact_born,
     fast_norm,
@@ -33,7 +32,6 @@ from gsim.simulator import (
 )
 from gsim.states import (
     AMPLITUDE_CHUNK,
-    GramCell,
     Superposition,
     WeightedGaussian,
     cat_state,
@@ -45,7 +43,7 @@ from gsim.states import (
 )
 from gsim.stellar import GaussianUnitary
 
-from conftest import engine_state, random_circuit, random_pure_program, single_gaussian
+from conftest import cross_overlap, engine_state, random_circuit, random_pure_program, single_gaussian
 
 
 def with_vacuum(sup):
@@ -126,21 +124,21 @@ class TestSharedGram:
         exact_born(out, [0.3 + 0.1j])
         measures(out)
         assert counters.tally.overlap_evals == 0
-        assert out.gram_cell is ring.gram_cell
+        assert out.gram_form is ring.gram_form
 
     def test_evolve_computes_no_gram(self):
-        # an evolved state takes its own orbit row, which never fills the
-        # parent's cell: every sibling costs the same K - 1 overlaps
+        # an evolved state evaluates its own orbit form, which never fills
+        # the parent's: every sibling costs the same K - 1 overlaps
         ring = fock1_ring(optimal_fock1_seed(), 8)
         for phi in (0.3, 0.7):
             counters.tally.reset()
             out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3, phi)], 1))
-            assert counters.tally.overlap_evals == 0 and "pairs" not in vars(out.gram_cell)
-            assert out.gram_cell.orbit
+            assert counters.tally.overlap_evals == 0 and out.pending_pairs == 15 and out.orbit
             out.norm_squared()
-            assert counters.tally.overlap_evals == 15 and "pairs" not in vars(ring.gram_cell)
+            assert counters.tally.overlap_evals == 15 and ring.pending_pairs == 15
+            row, _ = stellar.state_overlaps(out.triples, out.triples, np.zeros(15, dtype=np.intp), np.arange(1, 16))
             i, j = np.triu_indices(out.rank, 1)  # the Toeplitz Gram that the row stands for
-            assert np.max(np.abs(out.gram_cell.pairs[2][j - i - 1] - out.gram[i, j])) <= 1e-14
+            assert np.max(np.abs(row[j - i - 1] - out.gram[i, j])) <= 1e-14
 
     def test_conditioned_and_sparsified_states_take_a_general_gram(self):
         ring = cli._initial_state(cli.read_initial({"kind": "fock1_ring", "N": 4}), 2)
@@ -148,13 +146,13 @@ class TestSharedGram:
         mixed = evolve(ring, GaussianUnitary.from_gates([BeamSplitter(0, 1, 0.6)], 2))
         counters.tally.reset()
         out, _ = condition(mixed, [1], [0.4 - 0.2j])
-        assert not out.gram_cell.orbit and counters.tally.overlap_evals == 0
+        assert not out.orbit and counters.tally.overlap_evals == 0
         out.norm_squared()
         assert counters.tally.overlap_evals == out.rank * (out.rank - 1) // 2 == 28
         sparse = sparsify(ring, 0.5, 1)
         counters.tally.reset()
         sparse.norm_squared()
-        assert not sparse.gram_cell.orbit
+        assert not sparse.orbit
         assert counters.tally.overlap_evals == sparse.rank * (sparse.rank - 1) // 2
 
 
@@ -173,7 +171,7 @@ def test_one_mode_exact_born_calls_no_lapack(monkeypatch):
     op = GaussianUnitary.from_gates([Displace(0, 0.2 - 0.1j), Squeeze(0, 0.3, 0.4), PhaseShift(0, 0.7)], 1)
     exact_born(evolve(ring, op), [0.3 + 0.2j])
     conditioned, _ = condition(cat, [1], [0.4 - 0.2j])
-    assert conditioned.n == 1 and not conditioned.gram_cell.orbit
+    assert conditioned.n == 1 and not conditioned.orbit
     exact_born(conditioned, [0.1 + 0.5j])
     with pytest.raises(AssertionError, match="LAPACK"):
         np.linalg.inv(np.eye(2))
@@ -187,8 +185,9 @@ def test_one_mode_exact_born_calls_no_lapack(monkeypatch):
     chains=st.integers(1, 3),
 )
 def test_carried_gram_equals_a_fresh_one(seed, n, kind, chains):
-    """After evolve chains, the Gram a state shares with its ancestor (padded
-    with vacuum modes as the CLI does) equals the one its own triples give."""
+    """After evolve chains, the Gram form a state copies from its ancestor
+    (padded with vacuum modes as the CLI does) is that ancestor's, and equals
+    the one its own triples give."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         terms = [engine_state(random_pure_program(n, rng, 1.5, 0.6), n) for _ in range(4)]
@@ -196,12 +195,15 @@ def test_carried_gram_equals_a_fresh_one(seed, n, kind, chains):
     else:
         init = {"fock1_ring": {"N": 4}, "cat": {"alpha": [0.8, 0.3], "parity": "-"}, "grid": {"delta": 0.3}, "gkp": {}}
         sup = cli._initial_state(cli.read_initial({"kind": kind, **init[kind]}), n)
-    shared = sup.gram_cell.pairs  # evaluated, so every evolved state shares it
+    k = sup.rank
+    i, j = (np.zeros(k - 1, dtype=np.intp), np.arange(1, k)) if sup.orbit else np.triu_indices(k, 1)
+    carried, _ = stellar.state_overlaps(sup.triples, sup.triples, i, j)  # the pairs the ancestor's form reads
+    shared = sup.gram_form  # evaluated, so every evolved state copies it
     for _ in range(chains):
         sup = evolve(sup, GaussianUnitary.from_gates(random_circuit(n, 4, rng, alpha_max=0.8, r_max=0.5), n))
-    i, j, g, _ = sup.gram_cell.pairs
-    assert g is shared[2]
-    assert np.max(np.abs(g - sup.gram[i, j])) <= 1e-13  # the dense reference is of sup's own triples
+        assert sup.pending_pairs == 0
+    assert sup.gram_form is shared
+    assert np.max(np.abs(carried - sup.gram[i, j])) <= 1e-13  # the dense reference is of sup's own triples
 
 
 class TestCondition:
@@ -760,16 +762,17 @@ class TestFastNorm:
         est = probe_norm(odd, eps, p_fail, seed=4)
         assert est.samples == counters.tally.samples == cap
         assert est.eta == odd.norm_squared()
+        assert counters.tally.overlap_evals == 1
         # K u on the pinned diagonal; (K + KERNEL_ULPS + LOG_SUM_ULPS S) u |G_01|
         # off it, S about 3.5e-6 for these near-origin terms
         u = stellar.UNIT_ROUNDOFF
-        _, _, (g01,), (w01,) = odd.gram_cell.pairs
+        (g01,), (w01,) = stellar.state_overlaps(odd.triples, odd.triples, [0], [1])
         g01 = abs(g01)
+        w01 += u * 2 * g01  # the K u |G_01| of the form's two-term sums
         assert u * g01 * (2 + stellar.KERNEL_ULPS) < w01 < u * g01 * (2 + stellar.KERNEL_ULPS + stellar.LOG_SUM_ULPS * 1e-5)
         width = u * 2 * 2 + 2 * w01
         assert est.band == pytest.approx((est.eta - width, est.eta + width), rel=1e-15)
         assert est.band[0] <= 2.0 - 2.0 * math.exp(-2e-6) <= est.band[1]
-        assert counters.tally.overlap_evals == 1
         counters.tally.reset()
         with pytest.raises(IllConditioned):
             probe_norm(zero, eps, p_fail, seed=4)
@@ -874,11 +877,11 @@ class TestFastNorm:
 
 def _ring_cell(modes, big_n, orbit, circuit_seed):
     """A fock1 ring of 2 big_n terms padded with vacuum to ``modes`` modes and
-    run through a random circuit, on a fresh Gram cell: an orbit cell, as the
-    library gives it, or a general one, as a rebuilt or conditioned state has."""
+    run through a random circuit, without a Gram form: an orbit, as the
+    library gives it, or a general stack, as a rebuilt or conditioned state is."""
     ring = fock1_ring(optimal_fock1_seed(), big_n)
     t = stellar.tensor(ring.triples, stellar.vacuum(modes - 1)) if modes > 1 else ring.triples
-    sup = Superposition.from_stack(ring.coeffs, t, GramCell(t, orbit=True) if orbit else None)
+    sup = Superposition.from_stack(ring.coeffs, t, orbit)
     if modes > 1:
         gates = random_circuit(modes, 4, np.random.default_rng(circuit_seed), alpha_max=0.5, r_max=0.3)
         sup = evolve(sup, GaussianUnitary.from_gates(gates, modes))

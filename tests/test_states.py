@@ -15,7 +15,6 @@ from gsim.simulator import condition, evolve, exact_born, fast_norm, heterodyne_
 from gsim.states import (
     FOCK1_EXTENT,
     FOCK1_FIDELITY,
-    GramCell,
     Superposition,
     WeightedGaussian,
     boson_sampling_bound,
@@ -34,7 +33,7 @@ from gsim.states import (
 )
 from gsim.stellar import GaussianUnitary
 
-from conftest import random_circuit, single_gaussian
+from conftest import cross_overlap, random_circuit, single_gaussian
 
 
 def ring_oracle_vector(seed_gates, big_n, coeffs, cutoff=70):
@@ -162,13 +161,12 @@ class TestNormBand:
         sup = BAND_STATES[name]()
         if name == "cat-odd-1e-6":  # before the gates, which change its overlaps' rounding weights
             assert sup.norm_band == pytest.approx((0.99867, 1.00133), abs=1e-5)
-        if modes > 1:  # vacuum on the other modes keeps the cell
-            t = stellar.tensor(sup.triples, stellar.vacuum(modes - 1))
-            sup = Superposition.from_stack(sup.coeffs, t, sup.gram_cell.carried_to(t))
+        if modes > 1:  # vacuum on the other modes keeps the overlaps
+            sup = sup.carried_to(stellar.tensor(sup.triples, stellar.vacuum(modes - 1)))
         sup = evolve(sup, GaussianUnitary.from_gates(random_circuit(modes, 4, np.random.default_rng(gates)), modes))
         if general:
             sup = Superposition.from_stack(sup.coeffs, sup.triples)
-        assert sup.gram_cell.orbit == (not general and name != "coherent")
+        assert sup.orbit == (not general and name != "coherent")
         try:
             nsq = sup.norm_squared()
         except IllConditioned:
@@ -294,12 +292,13 @@ class TestOrbitForm:
     def test_form_equals_the_dense_form(self, make):
         sup = make()
         t = GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4), Displace(0, 0.5 - 0.2j)], 1).apply(sup.triples)
-        out = Superposition.from_stack(sup.coeffs, t, GramCell(t, orbit=True))  # a fresh cell, also for grid
+        out = Superposition.from_stack(sup.coeffs, t, orbit=True)  # a fresh form, also for grid
         counters.tally.reset()
         value, bound = out.gram_form
-        assert out.gram_cell.orbit and counters.tally.overlap_evals == out.rank - 1
-        # the dense Hermitian Toeplitz G and W that the stored row (0, d) stands for
-        _, _, r, w = out.gram_cell.pairs
+        assert out.orbit and counters.tally.overlap_evals == out.rank - 1
+        # the dense Hermitian Toeplitz G and W that the row (0, d) stands for
+        r, w = stellar.state_overlaps(t, t, np.zeros(out.rank - 1, dtype=np.intp), np.arange(1, out.rank))
+        w += stellar.UNIT_ROUNDOFF * out.rank * np.abs(r)
         lag = np.subtract.outer(np.arange(out.rank), np.arange(out.rank))  # i - j
         row = np.concatenate(([1.0], r))[np.abs(lag)]
         gram = np.where(lag <= 0, row, np.conj(row))
@@ -322,17 +321,32 @@ class TestOrbitForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10e6 and counters.tally.overlap_evals == 2047
-        assert out.gram_cell.pairs[2].shape == (2047,)
+        assert peak <= 10e6 and counters.tally.overlap_evals == 2047 and out.pending_pairs == 0
         lo, hi = born.error_band
         assert lo <= born.value <= hi
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: grid_sensor(0.1)[0], lambda: gkp_state(2, 0, 0.3, 0.3, 5)[0], lambda: rotational_code(3, 1, 2.0)],
+        ids=["grid", "gkp", "rotational"],
+    )
+    def test_a_normalised_orbit_evaluates_its_row_once(self, make):
+        # the builder's one row forms both the raw and the scaled form; the
+        # state's norm and a first exact_born read it back
+        counters.tally.reset()
+        sup = make()
+        assert counters.tally.overlap_evals == sup.rank - 1 and sup.pending_pairs == 0
+        sup.norm_squared()
+        exact_born(sup, [0.2 - 0.1j])
+        assert counters.tally.overlap_evals == sup.rank - 1
+        assert sup.gram_form == Superposition.from_stack(sup.coeffs, sup.triples, orbit=True).gram_form
 
     def test_a_computed_row_is_shared(self):
         ring = fock1_ring(optimal_fock1_seed(), 8)
         ring.norm_squared()
         counters.tally.reset()
         out = evolve(ring, GaussianUnitary.from_gates([Squeeze(0, 0.3, 0.4)], 1))
-        assert out.gram_cell is ring.gram_cell
+        assert out.pending_pairs == 0 and out.gram_form is ring.gram_form
         out.norm_squared()
         assert counters.tally.overlap_evals == 0
 
@@ -344,8 +358,6 @@ class TestRotationalCode:
         assert code.rank == 2
         assert abs(code.norm_squared() - 1.0) < 1e-10
         # same physical state: cross overlap has modulus 1
-        from gsim.simulator import cross_overlap
-
         assert abs(abs(cross_overlap(code, cat)) - 1.0) < 1e-10
 
     def test_m2_rank_and_norm(self):
@@ -356,8 +368,6 @@ class TestRotationalCode:
     def test_mu_sectors_orthogonal(self):
         c0 = rotational_code(2, 0, 2.0)
         c1 = rotational_code(2, 1, 2.0)
-        from gsim.simulator import cross_overlap
-
         assert abs(cross_overlap(c0, c1)) < 1e-6
 
 
@@ -663,23 +673,28 @@ def test_mean_photon_husimi_matches_propagated_reference(name):
 
 
 def test_general_gram_pairs_are_the_upper_triangle(monkeypatch):
-    # a general cell stores its row-major pairs i < j, built in O(P): they
-    # are np.triu_indices(k, 1), values and dtype; with zero overlaps its
-    # form is ||c||^2
+    # a general form streams its row-major pairs i < j in blocks of
+    # AMPLITUDE_CHUNK, each built in O(K + block): together they are
+    # np.triu_indices(k, 1), values and dtype, for blocks that split rows or
+    # hold them all; with zero overlaps its form is ||c||^2
     seen = []
 
     def recording(t1, t2, i, j):
+        assert 0 < i.shape[0] <= states.AMPLITUDE_CHUNK
         seen.append((i, j))
         return np.zeros(i.shape[0], dtype=complex), np.zeros(i.shape[0])
 
     monkeypatch.setattr(stellar, "state_overlaps", recording)
-    for k in range(1, 71):
-        cell, c = GramCell(stellar.vacuum(1, k)), np.arange(1.0, k + 1.0) + 0j
-        assert cell.form(c)[0] == float(np.sum(c.real**2))
-        (i, j), (want_i, want_j) = seen.pop(), np.triu_indices(k, 1)
-        assert cell.pairs[0] is i and cell.pairs[1] is j
-        assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
-        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    for chunk in (1, 7, 64, states.AMPLITUDE_CHUNK):
+        monkeypatch.setattr(states, "AMPLITUDE_CHUNK", chunk)
+        for k in range(1, 71):
+            sup = Superposition.from_stack(np.arange(1.0, k + 1.0), stellar.vacuum(1, k))
+            assert sup.gram_form[0] == float(np.sum(sup.coeffs.real**2))
+            want_i, want_j = np.triu_indices(k, 1)
+            i, j = (np.concatenate([pair[n] for pair in seen] or [want_i[:0]]) for n in (0, 1))
+            seen.clear()
+            assert i.dtype == want_i.dtype and j.dtype == want_j.dtype
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
 
 def test_gram_and_husimi_memory_stay_below_gathered_copies():
@@ -692,7 +707,7 @@ def test_gram_and_husimi_memory_stay_below_gathered_copies():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        GramCell(ring.triples).form(ring.coeffs)
+        Superposition.from_stack(ring.coeffs, ring.triples).gram_form
         gram_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -760,20 +775,22 @@ def test_orbit_gram_equals_the_general_gram(name):
     # one row of K - 1 overlaps, which stands for the Hermitian Toeplitz
     # Gram, against all K(K-1)/2 pairs of the general kernel
     sup = ORBIT_STATES[name]()
-    cell = sup.gram_cell
-    general = Superposition.from_stack(sup.coeffs, sup.triples)
-    assert cell.orbit is True and general.gram_cell.orbit is False
+    k, t = sup.rank, sup.triples
+    general = Superposition.from_stack(sup.coeffs, t)
+    assert sup.orbit is True and general.orbit is False
+    library = sup.gram_form
     counters.tally.reset()
-    fresh = GramCell(cell.triples, cell.orbit)
-    assert fresh.pending_pairs == sup.rank - 1
-    row = fresh.pairs[2]
-    assert counters.tally.overlap_evals == sup.rank - 1 and fresh.pending_pairs == 0
-    assert np.array_equal(row, cell.pairs[2])
+    fresh = Superposition.from_stack(sup.coeffs, t, orbit=True)
+    assert fresh.pending_pairs == k - 1
+    assert fresh.gram_form == library  # both read the same row
+    assert counters.tally.overlap_evals == k - 1 and fresh.pending_pairs == 0
     counters.tally.reset()
-    assert general.gram_cell.pending_pairs == sup.rank * (sup.rank - 1) // 2
-    i, j, g, _ = general.gram_cell.pairs
-    assert counters.tally.overlap_evals == sup.rank * (sup.rank - 1) // 2
-    assert np.max(np.abs(row[j - i - 1] - g)) <= 1e-14
+    assert general.pending_pairs == k * (k - 1) // 2
+    general.gram_form
+    assert counters.tally.overlap_evals == k * (k - 1) // 2 and general.pending_pairs == 0
+    row, _ = stellar.state_overlaps(t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k))
+    i, j = np.triu_indices(k, 1)
+    assert np.max(np.abs(row[j - i - 1] - stellar.state_overlaps(t, t, i, j)[0])) <= 1e-14
     (value, bound), (general_value, general_bound) = sup.gram_form, general.gram_form
     assert abs(value - general_value) <= bound + general_bound
     assert abs(sup.norm_squared() - general.norm_squared()) <= 1e-12 * general.norm_squared()
@@ -783,13 +800,15 @@ def test_a_stack_built_from_entries_starts_without_a_gram():
     lib = grid_sensor(0.3)[0]
     lib.norm_squared()
     fresh = Superposition(lib.entries, l1=lib.l1)
-    assert fresh.gram_cell is not lib.gram_cell and fresh.gram_cell.orbit is False
-    assert "pairs" not in vars(fresh.gram_cell)
+    assert fresh.orbit is False and fresh.pending_pairs == fresh.rank * (fresh.rank - 1) // 2
     counters.tally.reset()
     fresh.norm_squared()
     assert counters.tally.overlap_evals == fresh.rank * (fresh.rank - 1) // 2
-    i, j, g, _ = fresh.gram_cell.pairs
-    assert np.max(np.abs(g - lib.gram_cell.pairs[2][j - i - 1])) <= 1e-14
+    k, t = lib.rank, lib.triples
+    row, _ = stellar.state_overlaps(t, t, np.zeros(k - 1, dtype=np.intp), np.arange(1, k))  # the row lib's form reads
+    i, j = np.triu_indices(k, 1)
+    g, _ = stellar.state_overlaps(fresh.triples, fresh.triples, i, j)  # the pairs fresh's form reads
+    assert np.max(np.abs(g - row[j - i - 1])) <= 1e-14
 
 
 def _conditioned(modes: int, initial: dict, rng) -> Superposition:
@@ -798,13 +817,13 @@ def _conditioned(modes: int, initial: dict, rng) -> Superposition:
     sup = cli._initial_state(cli.read_initial(initial), modes + 1)
     gates = [BeamSplitter(modes - 1, modes, 0.6, 0.2)] + random_circuit(modes + 1, 4, rng)
     out, _ = condition(evolve(sup, GaussianUnitary.from_gates(gates, modes + 1)), [modes], [complex(*rng.normal(size=2))])
-    assert out.n == modes and out.rank == sup.rank and not out.gram_cell.orbit
+    assert out.n == modes and out.rank == sup.rank and not out.orbit
     return out
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_general_form_lies_within_its_bound_of_the_exact_sum(modes):
-    # c^+ G c summed in 50 digits from the cell's own stored overlaps, at
+    # c^+ G c summed in 50 digits from the overlaps that the form reads, at
     # ranks 2 to 200: the row sums of the general form stay within its bound
     mp = pytest.importorskip("mpmath").mp
     rng = np.random.default_rng(41 + modes)
@@ -812,7 +831,8 @@ def test_general_form_lies_within_its_bound_of_the_exact_sum(modes):
     for initial in [{"kind": "cat", "alpha": [0.6, 0.3]}, {"kind": "grid", "delta": 0.3}] + rings:
         out = _conditioned(modes, initial, rng)
         value, bound = out.gram_form
-        i, j, g, _ = out.gram_cell.pairs
+        i, j = np.triu_indices(out.rank, 1)
+        g, _ = stellar.state_overlaps(out.triples, out.triples, i, j)
         with mp.workdps(50):
             c = [mp.mpc(x) for x in out.coeffs.tolist()]
             pairs = (mp.re(mp.conj(c[a]) * mp.mpc(x) * c[b]) for a, b, x in zip(i.tolist(), j.tolist(), g.tolist()))
@@ -821,16 +841,34 @@ def test_general_form_lies_within_its_bound_of_the_exact_sum(modes):
 
 
 def test_fresh_general_form_builds_no_dense_gram():
-    # a one-mode conditioned fock1 ring of rank 1024: its 523776 pairs take
-    # about 21 MB (indices, overlaps, weights); the dense K x K Gram and
-    # rounding weights took the peak to about 52 MB
+    # a one-mode conditioned fock1 ring of rank 1024: its 523776 pairs would
+    # take about 21 MB stored (indices, overlaps, weights) and a dense K x K
+    # Gram more; blocks of AMPLITUDE_CHUNK pairs keep the peak near 4 MB
     import tracemalloc
 
     out = _conditioned(1, {"kind": "fock1_ring", "N": 512}, np.random.default_rng(7))
     tracemalloc.start()
     try:
-        value, bound = out.gram_cell.form(out.coeffs)
+        value, bound = out.gram_form
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 42e6 and 0 < bound < value
+    assert peak < 8e6 and 0 < bound < value
+
+
+def test_streamed_form_equals_one_bincount_over_all_pairs():
+    # a conditioned ring of rank 512: 130816 pairs, 6 blocks whose edges split
+    # rows; adding each term into its row's sum in pair order gives the bits
+    # of one np.bincount over every pair
+    out = _conditioned(1, {"kind": "fock1_ring", "N": 256}, np.random.default_rng(3))
+    k = out.rank
+    i, j = np.triu_indices(k, 1)
+    row_starts = np.flatnonzero(np.diff(i)) + 1
+    edges = np.arange(states.AMPLITUDE_CHUNK, i.shape[0], states.AMPLITUDE_CHUNK)
+    assert k >= 512 and edges.shape[0] >= 5 and not np.isin(edges, row_starts).all()
+    g, w = stellar.state_overlaps(out.triples, out.triples, i, j)
+    w += stellar.UNIT_ROUNDOFF * k * np.abs(g)
+    c, a = out.coeffs, np.abs(out.coeffs)
+    value = float(np.real(np.conj(c) @ c) + 2.0 * np.bincount(i, (np.conj(c)[i] * g * c[j]).real, k).sum())
+    bound = float(stellar.UNIT_ROUNDOFF * k * (a @ a) + 2.0 * np.bincount(i, a[i] * w * a[j], k).sum())
+    assert out.gram_form == (value, bound)

@@ -685,9 +685,12 @@ class TestHalfLog:
             return real_log(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "log", guarded)
-        for cell, pairs in ((states.GramCell(stack), 120), (states.GramCell(ring.triples, orbit=True), 15)):
-            cell.form(np.ones(16, dtype=complex))
-            assert cell.pairs[2].shape == (pairs,)
+        general = states.Superposition.from_stack(np.ones(16), stack)
+        orbit = states.Superposition.from_stack(np.ones(16), ring.triples, orbit=True)
+        for sup, pairs in ((general, 120), (orbit, 15)):
+            counters.tally.reset()
+            sup.gram_form
+            assert counters.tally.overlap_evals == pairs
         for t, n in ((stack, 1), (stack[0], 1), (two, 2)):
             stellar.apply_gate(Squeeze(0, 0.4, 0.3), t, n)
         stellar.state_overlaps(two, two, [0, 1], [1, 0])
