@@ -7,10 +7,11 @@ where U(phi, xi) is the beamsplitter with mixing angle xi/2 and phase -phi.
 That convention is fixed by requiring the published parameter set to
 reproduce its published fidelity 1/4 and is validated against the oracle.
 
-Both objectives, this one and the single-mode |<1|D(a) S(r)|0>|^2, are
+Both objectives, this one and the single-mode |<1|D(a) S(r)|0>|^2, are real
 closed forms of their parameters, a few numpy passes over a stack of points
 with no call into the gate engine; the engine's kets, gate by gate, are the
-tests' reference for both, and the truncated Fock oracle for the two-mode one.
+tests' reference for both, and the truncated Fock oracle and a 50-digit
+evaluation of the complex amplitude for the two-mode one.
 """
 
 import math
@@ -42,27 +43,26 @@ def two_mode_fock11_fidelity(params):
     """|<1,1|G'(params)>|^2 for the parametrized two-mode Gaussian family; a
     (..., 8) stack of parameter vectors gives a (...) stack of fidelities.
 
-    Closed form in the parameters: each mode's S(r e^{i th}) D(a)|0> with real a
-    is the one-mode ket A = -tanh r e^{i th}, b = a sech r, log c = -a^2/2
-    - log(cosh r)/2 + tanh r e^{-i th} a^2/2, and the beamsplitter's mode
-    unitary U has rows (c, s) and (-conj(s), c) with c = cos(xi/2),
-    s = sin(xi/2) e^{-i phi}, so <1,1|U (psi1 (x) psi2)> = c1 c2 ((U b)_0 (U b)_1
-    + sum_k U_0k U_1k A_k).  The tests compare it with `stellar.fock11_amplitude`
-    of the gate engine's two-mode ket and with the Fock oracle.
+    Real closed form: each mode's S(r e^{i th}) D(a)|0> with real a is the
+    one-mode ket A = -tanh r e^{i th} =: -w, b = a sech r, log c = -a^2/2
+    - log(cosh r)/2 + conj(w) a^2/2, and the beamsplitter's mode unitary U has
+    rows (cos(xi/2), s) and (-conj(s), cos(xi/2)), s = sin(xi/2) e^{-i phi}, so
+    <1,1|U (psi1 (x) psi2)> = c1 c2 ((U b)_0 (U b)_1 + sum_k U_0k U_1k A_k)
+    = c1 c2 (b1 b2 cos xi + sin xi (e^{i phi} (w1 - b1^2) - e^{-i phi} (w2 - b2^2)) / 2),
+    with |c_k|^2 = sech r_k e^{-a_k^2 (1 - tanh r_k cos th_k)}.  The tests check
+    it against the gate engine's ket, the Fock oracle and the complex form at 50 digits.
     """
     x = np.asarray(params, dtype=float)
-    p = np.ascontiguousarray(x.reshape(-1, 8).T)  # one contiguous row per parameter: faster short ufuncs
-    a, r = p[0:2], p[2:6:2]
-    tr, cosh = np.tanh(r), np.cosh(r)
-    w = tr * np.exp(1j * p[3:6:2])  # -A_k
-    b = (1.0 / cosh) * a
-    log_c = -0.5 * a**2 + (-0.5 * np.log(cosh) + 0.5 * (w.conj() * a) * a)
-    half = p[7] / 2.0
-    c, s = np.cos(half), np.sin(half) * np.exp(-1j * p[6])
-    sc = s.conj()
-    # (U b)_0 (U b)_1 + U_00 U_10 A_1 + U_01 U_11 A_2
-    amp = (c * b[0] + s * b[1]) * (c * b[1] - sc * b[0]) + ((c * sc) * w[0] - (s * c) * w[1])
-    return (abs(np.exp(log_c[0] + log_c[1]) * amp) ** 2).reshape(x.shape[:-1])[()]
+    p = x.reshape(-1, 8).T[[0, 1, 2, 4, 3, 5, 6, 7]]  # rows a1 a2 r1 r2 th1 th2 phi xi, each contiguous
+    a, r = p[:2], p[2:4]
+    t, sech = np.tanh(r), 1.0 / np.cosh(r)
+    z = np.exp(1j * p[4:])  # e^{i th1}, e^{i th2}, e^{i phi}, e^{i xi}
+    b = a * sech
+    w = t * z[:2]
+    mode = sech * np.exp(a * a * (w.real - 1.0))  # |c_k|^2
+    d = w - b * b
+    amp = (b[0] * b[1]) * z[3].real + (0.5 * z[3].imag) * (z[2] * d[0] - z[2].conj() * d[1])
+    return (mode[0] * mode[1] * (amp.real**2 + amp.imag**2)).reshape(x.shape[:-1])[()]
 
 
 def single_mode_fock1_fidelity(params):
@@ -86,6 +86,9 @@ class OptimizerConfig:
     threads: int = 1  # kept for callers that pass it; the restarts run in lock step on one thread
 
     def __post_init__(self):
+        for name in ("restarts", "budget"):  # a NaN or infinite budget never meets the budget stop
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("restarts", "budget", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -144,7 +147,7 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
     x0 = lo + (hi - lo) * np.array([stream(cfg.seed, k).random(n) for k in range(cfg.restarts)])
 
     def f(x):
-        return -objective(np.clip(x, lo, hi))
+        return -objective(np.minimum(np.maximum(x, lo), hi))  # np.clip's values, without its wrapper
 
     # scipy's initial simplex: x0, then x0 with coordinate k scaled by 1.05 (0.00025 where it is 0)
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
@@ -177,19 +180,19 @@ def optimize_fidelity(cfg: OptimizerConfig, objective=two_mode_fock11_fidelity) 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         cand = grow * xbar[:, None] - t * sim[:, -1:]
         fc = f(cand)
-        fr, fe = fc[:, 0], fc[:, 1]
-        expand = fr < fsim[:, 0]
-        reflect = (fr < fsim[:, -2]) & ~expand
-        outside = ~reflect & ~expand & (fr < fsim[:, -1])
-        # with one evaluation left scipy stops before a second point and keeps the simplex
-        second = ~reflect & (nfev < per_restart - 1)
+        fr, fe, fn = fc[:, 0], fc[:, 1], fsim[:, -1]
+        # fsim is sorted, so expand implies inner, and inner without expand is a reflection
+        expand, inner, outside = fr < fsim[:, 0], fr < fsim[:, -2], fr < fn
+        need = inner == expand  # a second point, which scipy skips with one evaluation left, keeping the simplex
+        second = need & (nfev < per_restart - 1)
         nfev += second
         nfev += 1
         # the candidate each restart takes, unless it shrinks or is out of budget
-        pick = np.where(reflect | expand, expand & (fe < fr), 3 - outside)
+        pick = np.where(inner, expand & (fe < fr), 3 - outside)
         fnew = fc[rows[:, 0], pick]
-        shrink = second & ~expand & ~np.where(outside, fnew <= fr, fnew < fsim[:, -1])
-        take = (reflect | second) & ~shrink
+        accept = inner | np.where(outside, fnew <= fr, fnew < fn)
+        shrink = second & ~accept
+        take = accept & (second | ~need)
         sim[take, -1] = cand[take, pick[take]]
         fsim[take, -1] = fnew[take]
         if np.count_nonzero(shrink):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,38 @@ def test_objective_is_the_engine_two_mode_ket(seed):
     p = np.concatenate([_two_mode_points(np.random.default_rng(seed), 200), _corners(cfg)])
     want, scale = _engine_fock11_fidelity(p)
     assert np.all(np.abs(apps.two_mode_fock11_fidelity(p) - want) <= 1e-14 * scale)
+
+
+def _mp_fock11_fidelity(x):
+    """|<1,1|U (psi1 (x) psi2)>|^2 at 50 digits from the complex form
+    c1 c2 ((U b)_0 (U b)_1 + sum_k U_0k U_1k A_k), and the squared sum of the
+    moduli of its two summands"""
+    with mpmath.workdps(50):
+        a1, a2, r1, th1, r2, th2, phi, xi = (mpmath.mpf(float(v)) for v in x)
+        c, s = mpmath.cos(xi / 2), mpmath.sin(xi / 2) * mpmath.expj(-phi)
+        u = [[c, s], [-mpmath.conj(s), c]]
+        b = [a1 / mpmath.cosh(r1), a2 / mpmath.cosh(r2)]
+        big_a = [-mpmath.tanh(r1) * mpmath.expj(th1), -mpmath.tanh(r2) * mpmath.expj(th2)]
+        log_c = [
+            -(a**2) / 2 - mpmath.log(mpmath.cosh(r)) / 2 - mpmath.conj(w) * a**2 / 2
+            for a, r, w in zip((a1, a2), (r1, r2), big_a)
+        ]
+        cc = mpmath.exp(log_c[0] + log_c[1])
+        ub = [u[0][0] * b[0] + u[0][1] * b[1], u[1][0] * b[0] + u[1][1] * b[1]]
+        first = cc * ub[0] * ub[1]
+        second = cc * (u[0][0] * u[1][0] * big_a[0] + u[0][1] * u[1][1] * big_a[1])
+        return float(abs(first + second) ** 2), float((abs(first) + abs(second)) ** 2)
+
+
+def test_objective_is_the_complex_form_at_50_digits():
+    # 200 seeded points in the optimizer's bounds and the 256 corners of the box,
+    # against a reference with no gate engine in it: within 16 u of the squared
+    # sum of the summands' moduli, the scale of the float form's rounding (20000
+    # points here: at most 12 u)
+    cfg = apps.OptimizerConfig.two_mode()
+    p = np.concatenate([_two_mode_points(np.random.default_rng(46), 200), _corners(cfg)])
+    want, scale = np.array([_mp_fock11_fidelity(x) for x in p]).T
+    assert np.all(np.abs(apps.two_mode_fock11_fidelity(p) - want) <= 16 * np.finfo(float).eps * scale)
 
 
 def test_objective_matches_the_fock_oracle():
@@ -225,6 +258,85 @@ def test_restarts_in_lock_step_are_the_restarts_run_alone(mode, monkeypatch):
         assert len({r.evaluations for r in alone}) > 1
 
 
+def _scipy_nelder_mead(cfg, objective, callback=None):
+    """scipy's Nelder-Mead from restart 0's start point, on -objective of the
+    clipped point, with the per-restart budget as maxfev"""
+    from scipy.optimize import minimize
+
+    from gsim.rng import stream
+
+    lo, hi = np.array(cfg.bounds).T
+    return minimize(
+        lambda x: -objective(np.clip(x, lo, hi)),
+        lo + (hi - lo) * stream(cfg.seed, 0).random(len(lo)),
+        method="Nelder-Mead",
+        callback=callback,
+        options={"maxfev": cfg.budget, "xatol": apps.NELDER_MEAD_TOL, "fatol": apps.NELDER_MEAD_TOL},
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_objective_call_per_step(seed):
+    # one restart: the initial simplex, then one call on the (1, 4, n) stack of
+    # candidates per scipy step, and one on the (1, n, n) shrunk points on, and
+    # only on, a step where scipy shrinks.  scipy's nit counts its steps plus
+    # one, unless the last ran out of budget; a shrink it starts with no
+    # evaluation left moves a point and evaluates none
+    for make, objective in (
+        (apps.OptimizerConfig.two_mode, apps.two_mode_fock11_fidelity),
+        (apps.OptimizerConfig.single_mode, apps.single_mode_fock1_fidelity),
+    ):
+        for budget in (53, 300, 625):
+            cfg = make(restarts=1, budget=budget, seed=seed)
+            n = len(cfg.bounds)
+            shapes, done = [], [0]
+
+            def counted(p):
+                shapes.append(np.shape(p))
+                return objective(p)
+
+            def scalar(p):
+                done[0] += 1
+                return objective(p)
+
+            apps.optimize_fidelity(cfg, objective=counted)
+            assert shapes[0] == (1, n + 1, n) and set(shapes[1:]) <= {(1, 4, n), (1, n, n)}
+            step_calls = shapes.count((1, 4, n))
+            # the step, counted from 1, after which each shrink call comes
+            shrink_after = [shapes[:i].count((1, 4, n)) for i, s in enumerate(shapes) if s == (1, n, n)]
+            assert len(set(shrink_after)) == len(shrink_after) and all(k >= 1 for k in shrink_after)
+
+            marks = []
+            ref = _scipy_nelder_mead(cfg, scalar, callback=lambda res: marks.append(done[0]))
+            per_step = np.diff([n + 1] + marks)
+            assert step_calls == len(per_step) and step_calls in (ref.nit, ref.nit - 1)
+            shrunk = {k + 1 for k, e in enumerate(per_step) if e > 2}
+            extra = set(shrink_after) - shrunk
+            assert shrunk <= set(shrink_after)
+            assert not extra or (extra == {step_calls} and per_step[-1] == 2 and ref.nfev == budget)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ties_are_scipys(seed):
+    # the two-mode objective rounded to 1, 2 and 3 decimals has plateaus, where a
+    # candidate ties a vertex or another candidate (f_r = f_n, f_c = f_r, ...):
+    # the rules' < and <= decide, bit for bit as in scipy
+    for decimals in (1, 2, 3):
+
+        def objective(p, decimals=decimals):
+            return np.round(apps.two_mode_fock11_fidelity(p), decimals)
+
+        for budget in (53, 300):
+            cfg = apps.OptimizerConfig.two_mode(restarts=1, budget=budget, seed=seed)
+            seen = []
+            ref = _scipy_nelder_mead(cfg, lambda p: seen.append(objective(p)) or seen[-1])
+            assert len(set(seen)) < len(seen)
+            res = apps.optimize_fidelity(cfg, objective=objective)
+            lo, hi = np.array(cfg.bounds).T
+            assert res.best_params == tuple(float(v) for v in np.clip(ref.x, lo, hi))
+            assert (res.best_fidelity, res.evaluations) == (-ref.fun, ref.nfev)
+
+
 def test_optimizer_leaves_scipy_optimize_unloaded():
     code = (
         "import sys; from gsim import cli; "
@@ -259,6 +371,18 @@ def test_one_sided_extent_at_any_delta():
     # (sum_{t>=0} c_t)^2 / sum_{t>=0} c_t^2 lies between half and all of the two-sided sum
     assert rows[-1].published_extent is None
     assert rows[-1].naive_extent / 2 < rows[-1].one_sided_extent < rows[-1].naive_extent
+
+
+@pytest.mark.parametrize("mode", ["two", "single"])
+@pytest.mark.parametrize("field", ["restarts", "budget"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True])
+def test_optimizer_counts_must_be_integers(mode, field, value):
+    # a NaN or infinite budget never met the budget stop, so only xatol/fatol could
+    # end the run; 2.5 and True passed the "at least 1" check and failed later
+    make = {"two": apps.OptimizerConfig.two_mode, "single": apps.OptimizerConfig.single_mode}[mode]
+    kw = {"restarts": 1, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        make(**kw)
 
 
 @pytest.mark.parametrize("threads", [0, -2])
